@@ -14,8 +14,8 @@ from .graphon import (EigenPair, FiniteRankGraphon, StepFunction, StepGraphon,
                       graphon_from_spec, l2_distance, midpoint_grid,
                       sample_step_entries, sinusoidal_graphon, uniform_graphon)
 from .integrate import rk4_path, uniform_grid
-from .lqr import (DecoupledState, GainSchedule, LqrProblem, control_centralized,
-                  control_localized, eigensystem_params, eigenstate_flow,
+from .lqr import (DecoupledState, FeedbackLaw, GainSchedule, LqrProblem,
+                  control_centralized, control_localized, eigensystem_params,
                   feedback_controller, project_state, ratio_prediction,
                   reconstruct_P, synthesize_gains, truncate_problem,
                   truncated_controller)
@@ -35,8 +35,8 @@ __all__ = [
     "graphon_from_spec", "l2_distance", "midpoint_grid", "sample_step_entries",
     "sinusoidal_graphon", "uniform_graphon",
     "rk4_path", "uniform_grid",
-    "DecoupledState", "GainSchedule", "LqrProblem", "control_centralized",
-    "control_localized", "eigensystem_params", "eigenstate_flow",
+    "DecoupledState", "FeedbackLaw", "GainSchedule", "LqrProblem",
+    "control_centralized", "control_localized", "eigensystem_params",
     "feedback_controller", "project_state", "ratio_prediction", "reconstruct_P",
     "synthesize_gains", "truncate_problem", "truncated_controller",
     "CoeffPoly", "apply_poly_matrix", "eval_poly",

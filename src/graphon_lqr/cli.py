@@ -69,6 +69,13 @@ def _field(raw: dict, name: str, kind, required: bool = True, default=None):
         raise ValueError(f"scenario field '{name}': {exc}") from exc
 
 
+def _integer(value) -> int:
+    """An integral count such as 40 or 40.0; 40.7 is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ValueError("scenario must be a JSON object")
@@ -81,9 +88,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         horizon=_field(raw, "horizon", float),
         dt=0.0 if dt is None else dt,
         graphon=_field(raw, "graphon", dict),
-        n=_field(raw, "n", int, required=False),
+        n=_field(raw, "n", _integer, required=False),
         controller=str(raw.get("controller", "optimal")),
-        seed=_field(raw, "seed", int, required=False, default=0),
+        seed=_field(raw, "seed", _integer, required=False, default=0),
         out=str(raw.get("out", "out")),
     )
     if scn.dt < 0.0:

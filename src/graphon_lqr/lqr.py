@@ -261,79 +261,66 @@ def reconstruct_P(gains: GainSchedule, g: FiniteRankGraphon, t: float,
     return lt * np.eye(n) + f.T @ (((ml - lt) / n)[:, None] * f)
 
 
-def eigenstate_flow(p: LqrProblem, gains: GainSchedule,
-                    coords0: np.ndarray) -> Callable:
-    """Closed-loop eigenstate trajectories from their initial values.
+class FeedbackLaw:
+    """Optimal state feedback ``u = law(t, x)`` of a decoupled problem.
 
-    Under the optimal law each coordinate obeys
-    ``d coord/dt = (alpha0 + lam - b_l^2 * M_l(T-t)) * coord`` and is
-    propagated here through the exponential of the trapezoid-cumulated
-    integrand on the gain grid.  Returns ``t -> coords(t)``.
+    ``u = -beta0*L(T-t)*residual - sum_l b_l*M_l(T-t)*coord_l*f_l`` with
+    ``b_l = poly_b(lam_l)``: the residual of the state gets the auxiliary
+    gain, eigendirection l the gain ``b_l*M_l``.  Calling the law measures
+    the eigendirection coordinates of the given state; `simulate` reads
+    the same gains through `gains_at` to run a decoupled closed loop mode
+    by mode.
     """
-    coords0 = np.asarray(coords0, dtype=float)
-    grid = gains.grid
-    rev = gains.horizon - grid
-    lam = p.graphon.lambdas
-    b_eig = np.atleast_1d(p.poly_b(lam))
-    rates = np.empty((p.d, grid.size))
-    for l, curve in enumerate(gains.eigen):
-        rates[l] = p.alpha0 + lam[l] - b_eig[l] ** 2 * curve(rev)
-    steps = np.diff(grid)
-    cum = np.zeros_like(rates)
-    cum[:, 1:] = np.cumsum(0.5 * steps * (rates[:, 1:] + rates[:, :-1]), axis=1)
 
-    def coords_at(t):
-        expo = np.array([np.interp(t, grid, cum[l]) for l in range(p.d)])
-        return coords0 * np.exp(expo)
+    __slots__ = ("problem", "gains", "_b_eig", "_cells")
 
-    return coords_at
+    def __init__(self, problem: LqrProblem, gains: GainSchedule):
+        if abs(gains.horizon - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
+            raise ValueError("gain schedule horizon does not match the problem horizon")
+        self.problem = problem
+        self.gains = gains
+        self._b_eig = np.atleast_1d(problem.poly_b(problem.graphon.lambdas))
+        self._cells: dict[int, np.ndarray] = {}
 
-
-def feedback_controller(p: LqrProblem, gains: GainSchedule,
-                        eigenstate_mode: str = "project",
-                        x0=None) -> Callable:
-    """Build the optimal state-feedback closure ``controller(t, x) -> u``.
-
-    ``eigenstate_mode="project"`` recomputes the eigendirection
-    coordinates from the current state at every call (real-time
-    aggregation).  ``"precompute"`` propagates them from the initial
-    state ``x0`` by the closed-loop scalar flow instead, so each call
-    only needs the local residual.
-    """
-    if abs(gains.horizon - p.horizon) > 1e-9 * max(1.0, p.horizon):
-        raise ValueError("gain schedule horizon does not match the problem horizon")
-    if eigenstate_mode not in ("project", "precompute"):
-        raise ValueError(f"unknown eigenstate mode {eigenstate_mode!r}")
-    g = p.graphon
-    beta0 = p.beta0
-    b_eig = np.atleast_1d(p.poly_b(g.lambdas))
-    cells: dict[int, np.ndarray] = {}
-    coords_at = None
-    if eigenstate_mode == "precompute":
-        if x0 is None:
-            raise ValueError("precompute mode needs the initial state x0")
-        coords_at = eigenstate_flow(p, gains, project_state(x0, g).eigen_coords)
-
-    horizon = p.horizon
-    aux_gain = gains.aux
-    eigen_at = gains.eigen_at
-
-    def controller(t: float, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        f = cells.get(x.size)
+    def cells(self, n: int) -> np.ndarray:
+        """Eigenfunction values on the n cell midpoints, shape (rank, n)."""
+        f = self._cells.get(n)
         if f is None:
-            f = cells[x.size] = g.eigfun_values(midpoint_grid(x.size))
-        coords = coords_at(t) if coords_at is not None else f @ x / x.size
-        ttg = horizon - t
-        lt = beta0 * aux_gain(ttg)
+            f = self._cells[n] = self.problem.graphon.eigfun_values(midpoint_grid(n))
+        return f
+
+    def gains_at(self, t) -> np.ndarray:
+        """Feedback gains at the times ``t``, shape ``t.shape + (rank + 1,)``.
+
+        Column 0 is the residual gain ``beta0*L(T-t)``, column l the gain
+        ``b_l*M_l(T-t)`` of eigendirection l; the values are those a call
+        of the law uses at the same times.
+        """
+        ttg = self.problem.horizon - np.asarray(t, dtype=float)
+        cols = [self.problem.beta0 * self.gains.aux(ttg)]
+        cols += [b * curve(ttg) for b, curve in zip(self._b_eig, self.gains.eigen)]
+        return np.stack(cols, axis=-1)
+
+    def __call__(self, t: float, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        f = self.cells(x.size)
+        coords = f @ x / x.size
+        ttg = self.problem.horizon - t
+        lt = self.problem.beta0 * self.gains.aux(ttg)
         # -beta0*L*(x - F'c) - F'(bM c), with the F' applications fused
-        return f.T @ ((lt - b_eig * eigen_at(ttg)) * coords) - lt * x
-
-    return controller
+        return f.T @ ((lt - self._b_eig * self.gains.eigen_at(ttg)) * coords) - lt * x
 
 
-def truncated_controller(p: LqrProblem, level: int, dt: float,
-                         eigenstate_mode: str = "project", x0=None) -> Callable:
+def feedback_controller(p: LqrProblem, gains: GainSchedule) -> FeedbackLaw:
+    """Optimal state feedback ``controller(t, x) -> u`` as a `FeedbackLaw`.
+
+    Each call measures the eigendirection coordinates of the current
+    state (real-time aggregation).
+    """
+    return FeedbackLaw(p, gains)
+
+
+def truncated_controller(p: LqrProblem, level: int, dt: float) -> FeedbackLaw:
     """Feedback that keeps only the ``level`` leading eigendirections.
 
     Ignored directions fall into the residual and receive the auxiliary
@@ -345,7 +332,7 @@ def truncated_controller(p: LqrProblem, level: int, dt: float,
         raise ValueError(f"truncation level must be in [0, {p.d}], got {level}")
     p_trunc = truncate_problem(p, level)
     gains = synthesize_gains(p_trunc, dt)
-    return feedback_controller(p_trunc, gains, eigenstate_mode=eigenstate_mode, x0=x0)
+    return feedback_controller(p_trunc, gains)
 
 
 def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:

@@ -58,8 +58,8 @@ class GainCurve:
     """A gain sampled on an increasing time grid, linearly interpolated.
 
     Uniform grids (the ones every solver here produces) get a direct
-    index-and-blend lookup for scalar queries; anything else falls back
-    to ``np.interp``.
+    index-and-blend lookup, with the same arithmetic for scalar and
+    array queries; anything else falls back to ``np.interp``.
     """
 
     __slots__ = ("grid", "values", "_t0", "_h")
@@ -93,6 +93,13 @@ class GainCurve:
             if k >= self.values.size - 1:
                 return float(self.values[-1])
             return float(self.values[k] + (pos - k) * (self.values[k + 1] - self.values[k]))
+        if self._h:
+            v = self.values
+            pos = (np.asarray(t, dtype=float) - self._t0) / self._h
+            k = np.clip(pos, 0.0, v.size - 1).astype(int)
+            inner = np.minimum(k, v.size - 2)
+            blend = v[inner] + (pos - inner) * (v[inner + 1] - v[inner])
+            return np.where(pos <= 0.0, v[0], np.where(k >= v.size - 1, v[-1], blend))
         out = np.interp(t, self.grid, self.values)
         return float(out) if np.ndim(out) == 0 else out
 

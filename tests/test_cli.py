@@ -50,6 +50,12 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, dt=0.0, horizon=2.0)
         assert cli.load_scenario(path).dt == pytest.approx(2e-3)
 
+    @pytest.mark.parametrize("field", ["n", "seed"])
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, field):
+        path = write_scenario(tmp_path, **{field: 40.7})
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_controller_modes(self):
         assert cli.parse_controller("optimal", 2) == 2
         assert cli.parse_controller("auxiliary_only", 2) == 0
@@ -169,6 +175,16 @@ class TestStudyCommands:
         assert len(lines) == 4
         data = np.genfromtxt(out / "truncation.csv", delimiter=",", skip_header=1)
         assert np.all(data[:, 1] >= data[:, 2] - 1e-8)  # J_trunc >= J_opt
+
+    def test_oracle_check_zero_optimal_cost(self, tmp_path, capsys):
+        # one cell samples the kernel at 1, where (1 - s)^2 vanishes: J_oracle = 0
+        path = write_scenario(tmp_path, n=1)
+        out = tmp_path / "single"
+        assert cli.main(["oracle-check", path, "--out", str(out)]) == 0
+        cost = json.loads((out / "cost.json").read_text())
+        assert cost["j_oracle"] == 0.0
+        assert np.isfinite(cost["oracle_rel_gap"])
+        assert cost["oracle_rel_gap"] == abs(cost["total"])
 
     def test_oracle_check_command(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

@@ -4,7 +4,7 @@ import pytest
 import graphon_lqr as gl
 from graphon_lqr.graphon import midpoint_grid
 from graphon_lqr.lqr import (GainSchedule, control_centralized, control_localized,
-                             eigensystem_params, eigenstate_flow, feedback_controller,
+                             eigensystem_params, feedback_controller,
                              project_state, ratio_prediction, reconstruct_P,
                              synthesize_gains, truncated_controller)
 from graphon_lqr.poly import apply_poly_matrix
@@ -255,40 +255,28 @@ class TestDecouplingIdentities:
 
 
 class TestClosedLoopStructure:
-    def test_eigenstate_flow_matches_simulation(self, vii_problem):
-        n, dt = 40, 1e-3
-        gains = synthesize_gains(vii_problem, dt)
-        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
-                                    vii_problem)
+    def test_eigencoordinates_follow_scalar_flow(self, vii_problem):
+        # under the optimal law each coordinate obeys
+        # d coord/dt = (alpha0 + lam - b_l^2 M_l(T-t)) coord; integrate that
+        # flow by the trapezoid rule on the gain grid and compare
+        p, n, dt = vii_problem, 40, 1e-3
+        gains = synthesize_gains(p, dt)
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
         x0 = gl.initial_state(n, 5)
-        traj = gl.simulate(sys_, feedback_controller(vii_problem, gains), x0,
-                           vii_problem.horizon, dt)
-        coords_pred = eigenstate_flow(vii_problem, gains,
-                                      project_state(x0, vii_problem.graphon).eigen_coords)
-        f = vii_problem.graphon.eigfun_values(midpoint_grid(n))
+        traj = gl.simulate(sys_, feedback_controller(p, gains), x0, p.horizon, dt)
+        b_eig = np.atleast_1d(p.poly_b(p.graphon.lambdas))
+        rates = np.stack([p.alpha0 + lam - b ** 2 * curve(p.horizon - gains.grid)
+                          for lam, b, curve in zip(p.graphon.lambdas, b_eig,
+                                                   gains.eigen)])
+        exponent = np.zeros_like(rates)
+        exponent[:, 1:] = np.cumsum(
+            0.5 * np.diff(gains.grid) * (rates[:, 1:] + rates[:, :-1]), axis=1)
+        coords0 = project_state(x0, p.graphon).eigen_coords
+        f = p.graphon.eigfun_values(midpoint_grid(n))
         for k in range(0, traj.grid.size, 100):
-            measured = f @ traj.states[k] / n
-            np.testing.assert_allclose(measured, coords_pred(traj.grid[k]),
-                                       atol=1e-5)
-
-    def test_precompute_mode_matches_projection_mode(self, vii_problem):
-        n, dt = 40, 1e-3
-        gains = synthesize_gains(vii_problem, dt)
-        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
-                                    vii_problem)
-        x0 = gl.initial_state(n, 6)
-        t_proj = gl.simulate(sys_, feedback_controller(vii_problem, gains), x0,
-                             vii_problem.horizon, dt)
-        t_pre = gl.simulate(sys_, feedback_controller(vii_problem, gains,
-                                                      eigenstate_mode="precompute",
-                                                      x0=x0),
-                            x0, vii_problem.horizon, dt)
-        assert np.abs(t_proj.states - t_pre.states).max() <= 1e-6
-
-    def test_precompute_requires_initial_state(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
-        with pytest.raises(ValueError, match="x0"):
-            feedback_controller(vii_problem, gains, eigenstate_mode="precompute")
+            predicted = coords0 * np.exp(
+                [np.interp(traj.grid[k], gains.grid, e) for e in exponent])
+            np.testing.assert_allclose(f @ traj.states[k] / n, predicted, atol=1e-5)
 
     def test_horizon_mismatch_rejected(self, vii_problem):
         other = sinusoidal_problem(horizon=2.0)

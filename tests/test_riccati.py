@@ -190,6 +190,11 @@ class TestGainCurve:
         assert curve(1.5) == pytest.approx(2.0)
         assert curve(-1.0) == 0.0 and curve(3.0) == 2.0
 
+    def test_array_query_matches_scalar_queries(self):
+        curve = GainCurve(np.linspace(0.0, 1.0, 11), np.sin(np.arange(11.0)))
+        times = np.array([-0.3, 0.0, 0.05, 0.31, 0.5, 0.99, 1.0, 1.4])
+        np.testing.assert_array_equal(curve(times), [curve(t) for t in times])
+
     def test_nonuniform_grid_supported(self):
         curve = GainCurve([0.0, 0.1, 1.0], [0.0, 1.0, 1.0])
         assert curve(0.05) == pytest.approx(0.5)

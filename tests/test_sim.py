@@ -3,7 +3,8 @@ import pytest
 
 import graphon_lqr as gl
 from graphon_lqr.graphon import midpoint_grid
-from graphon_lqr.lqr import feedback_controller, synthesize_gains
+from graphon_lqr.lqr import feedback_controller, synthesize_gains, truncated_controller
+from graphon_lqr.poly import apply_poly_matrix
 
 from conftest import admissible_poly, input_poly, make_rank_kernel, sinusoidal_problem
 
@@ -84,6 +85,112 @@ class TestSimulate:
         sys_ = gl.build_step_system(np.zeros((2, 2)), p)
         with pytest.raises(ValueError):
             gl.simulate(sys_, lambda t, x: np.zeros(2), np.ones(3), 1.0, 1e-2)
+
+
+def rel_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+def generic(law):
+    """The law behind a plain callable, which `simulate` runs in its generic loop."""
+    return lambda t, x: law(t, x)
+
+
+class TestModalEngine:
+    """The modal closed loop against the generic loop on the same system."""
+
+    def assert_loops_agree(self, sys_, law, x0, horizon, dt):
+        modal = gl.simulate(sys_, law, x0, horizon, dt)
+        loop = gl.simulate(sys_, generic(law), x0, horizon, dt)
+        assert rel_gap(modal.states, loop.states) <= 1e-12
+        assert rel_gap(modal.controls, loop.controls) <= 1e-12
+        return modal
+
+    def test_sampled_sinusoidal_matches_generic_loop(self, vii_problem):
+        n, dt = 40, 1e-3
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        assert sys_.low_rank
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        self.assert_loops_agree(sys_, law, gl.initial_state(n, 6),
+                                vii_problem.horizon, dt)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_rank_systems_and_low_rank_cost(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        n = int(rng.integers(5, 13))
+        g, entries = make_rank_kernel(rng, n, int(rng.integers(1, 4)))
+        p = gl.LqrProblem(float(rng.uniform(-1.0, 2.0)), input_poly(rng, 2),
+                          admissible_poly(rng, g.lambdas, 3),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        sys_ = gl.build_step_system(entries, p)
+        assert sys_.low_rank
+        law = feedback_controller(p, synthesize_gains(p, 1e-3))
+        traj = self.assert_loops_agree(sys_, law, gl.initial_state(n, seed), 1.0, 1e-3)
+        # the low-rank cost against the dense quadratic forms
+        x, u = traj.states, traj.controls
+        q_mat = apply_poly_matrix(p.poly_q, entries / n)
+        p0_mat = apply_poly_matrix(p.poly_p0, entries / n)
+        run = np.einsum("ki,ij,kj->k", x, q_mat, x) / n + (u * u).sum(axis=1) / n
+        dense = np.trapezoid(run, traj.grid) + x[-1] @ p0_mat @ x[-1] / n
+        assert gl.evaluate_cost(traj, sys_).total == pytest.approx(dense, rel=1e-12)
+
+    def test_every_truncation_level(self, vii_problem):
+        n, dt = 24, 1e-3
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        x0 = gl.initial_state(n, 8)
+        for level in range(vii_problem.d + 1):
+            law = truncated_controller(vii_problem, level, dt)
+            self.assert_loops_agree(sys_, law, x0, vii_problem.horizon, dt)
+
+    def test_non_decoupling_system_falls_back_to_dense(self, vii_problem):
+        # two cells sample sin(2 pi x) and cos(2 pi x) to a Gram matrix diag(2, 0)
+        n, dt = 2, 1e-3
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        assert not sys_.low_rank and sys_.residual >= 0.5
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        traj = self.assert_loops_agree(sys_, law, gl.initial_state(n, 9),
+                                       vii_problem.horizon, dt)
+        x = traj.states
+        run = np.einsum("ki,ij,kj->k", x, sys_.q_mat, x) / n \
+            + (traj.controls ** 2).sum(axis=1) / n
+        dense = np.trapezoid(run, traj.grid) + x[-1] @ sys_.p0_mat @ x[-1] / n
+        assert gl.evaluate_cost(traj, sys_).total == pytest.approx(dense, rel=1e-12)
+
+    def test_decoupled_pipeline_builds_no_dense_matrix(self, vii_problem):
+        n, dt = 300, 1e-2
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        traj = gl.simulate(sys_, law, gl.initial_state(n, 10), vii_problem.horizon, dt)
+        gl.evaluate_cost(traj, sys_)
+        dense = {"a_mat", "b_mat", "q_mat", "p0_mat"} & set(vars(sys_))
+        assert not dense, f"materialized {sorted(dense)}"
+        assert not any(isinstance(v, np.ndarray) and v.shape == (n, n)
+                       for name, v in vars(sys_).items() if name != "entries")
+
+    def test_propagation_requires_matching_initial_state(self, vii_problem):
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, 8),
+                                    vii_problem)
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, 1e-2))
+        with pytest.raises(ValueError, match="initial state"):
+            gl.simulate(sys_, law, np.ones(9), 1.0, 1e-2)
+
+    def test_blow_up_reports_time(self):
+        # q = p0 = 0 leaves the gains at zero and the unstable modes unchecked;
+        # the state overflows near t = 0.79, the generic loop's stage sums a
+        # few steps earlier
+        p = gl.LqrProblem(900.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([0.0]),
+                          gl.CoeffPoly([0.0]), gl.uniform_graphon(), 1.0)
+        sys_ = gl.build_step_system(np.ones((3, 3)), p)
+        law = feedback_controller(p, synthesize_gains(p, 1e-3))
+        with pytest.raises(gl.BlowUpError, match="t = 0.7"):
+            gl.simulate(sys_, law, np.array([1.0, -2.0, 0.5]), 1.0, 1e-3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(gl.BlowUpError, match="t = 0.7"):
+            gl.simulate(sys_, generic(law), np.array([1.0, -2.0, 0.5]), 1.0, 1e-3)
 
 
 class TestEvaluateCost:
