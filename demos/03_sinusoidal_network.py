@@ -31,10 +31,11 @@ for idx in range(problem.d):
     print(f"  eigendirection {idx + 1}: drift {drift:g}, input {gain:g}, "
           f"weight {q:g}, terminal {z:g}")
 
-gains = gl.synthesize_gains(problem, dt)
-print(f"\ndistinct Riccati solves: {len({id(c) for c in gains.eigen}) + 1}")
-print(f"gain endpoints: L(T) = {gains.aux(horizon):.6f}, "
-      f"M(T) = {gains.eigen[0](horizon):.6f}")
+gains = gl.synthesize_gains(problem, dt)  # columns L, M_1, M_2
+# directions with equal eigenvalues share one solve
+print(f"\ndistinct Riccati solves: {np.unique(kernel.lambdas).size + 1}")
+gains_end = gains(horizon)
+print(f"gain endpoints: L(T) = {gains_end[0]:.6f}, M(T) = {gains_end[1]:.6f}")
 
 system = gl.build_step_system(gl.sample_step_entries(kernel, n), problem)
 x0 = gl.initial_state(n, seed=7)
@@ -64,8 +65,8 @@ try:
     axes[0].plot(traj.grid, traj.states[:, sub], lw=0.8)
     axes[0].set_title("states of every 4th node")
     axes[0].set_xlabel("t")
-    axes[1].plot(gains.grid, gains.aux.values, label="auxiliary gain L")
-    axes[1].plot(gains.grid, gains.eigen[0].values, label="eigendirection gain M")
+    axes[1].plot(gains.grid, gains.values[:, 0], label="auxiliary gain L")
+    axes[1].plot(gains.grid, gains.values[:, 1], label="eigendirection gain M")
     axes[1].set_title("gain curves (Riccati time)")
     axes[1].set_xlabel("tau")
     axes[1].legend()

@@ -1,47 +1,63 @@
 """Localized control: each node computes its own input.
 
-The optimal feedback needs only (i) the kernel's eigenvalues, (ii) the
+The optimal feedback needs only (i) the node's own state, (ii) the
 eigenfunction values at the node's own index, (iii) the global
-eigenstate aggregates, and (iv) the node's own state.  This script
-evaluates the law node by node, confirms it agrees with the vectorized
-(centralized) form, and shows that propagating the aggregates from the
-initial state gives the same closed loop as re-measuring them.
+eigenstate aggregates, and (iv) one row of gains.  This script computes
+one node's input by hand from exactly these and compares it with the
+law applied to the whole network, reads the continuum law at the same
+node, and shows that propagating the aggregates from the initial state
+gives the same closed loop as re-measuring them.
 """
 import numpy as np
 
 import graphon_lqr as gl
+from graphon_lqr.graphon import cell_index
 
-horizon, dt, n = 1.0, 1e-3, 40
+horizon, dt, n, t = 1.0, 1e-3, 40, 0.25
 
 kernel = gl.sinusoidal_graphon()
 problem = gl.LqrProblem(2.0, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([1.0, -2.0, 1.0]),
                         gl.CoeffPoly([1.0, -2.0, 1.0]), kernel, horizon)
-gains = gl.synthesize_gains(problem, dt)
+law = gl.feedback_controller(problem, gl.synthesize_gains(problem, dt))
 rng = np.random.default_rng(5)
 x = rng.standard_normal(n)
 
-print("== one node at a time vs the vectorized law ==")
-u_central = gl.control_centralized(0.25, x, gains, problem)
-mids = gl.midpoint_grid(n)
-u_local = np.array([gl.control_localized(g, 0.25, x, gains, problem) for g in mids])
-print(f"max pointwise difference over {n} nodes: "
-      f"{np.abs(u_central - u_local).max():.2e}")
+aggregates = gl.project_state(x, kernel).eigen_coords  # shared by every node
+row = law.gains_at(t)  # [beta0*L, b_1*M_1, b_2*M_2] at time-to-go T - t
 
-print("\n== what a single node needs ==")
-ds = gl.project_state(x, kernel)
+
+def node_input(gamma, own_state):
+    """One node's input from its own state and index, the aggregates and the gains."""
+    f_here = kernel.eigfun_values(gamma)
+    residual = own_state - f_here @ aggregates
+    return -row[0] * residual - row[1:] @ (aggregates * f_here)
+
+
+print("== what a single node needs ==")
 node = 14
 gamma = (node + 0.5) / n  # this node's index on [0, 1]
 print(f"node {node} at index {gamma:.4f}:")
-print(f"  eigenstate aggregates: {np.round(ds.eigen_coords, 6)}")
-print(f"  own state: {x[node]:+.6f}, own residual: {ds.auxiliary[node]:+.6f}")
-print(f"  eigenfunction values here: "
-      f"{np.round([p.fun(gamma) for p in kernel.pairs], 6)}")
-print(f"  resulting input: {gl.control_localized(gamma, 0.25, x, gains, problem):+.6f}")
+print(f"  own state:                 {x[node]:+.6f}")
+print(f"  eigenfunction values here: {np.round(kernel.eigfun_values(gamma), 6)}")
+print(f"  eigenstate aggregates:     {np.round(aggregates, 6)}")
+print(f"  gain row:                  {np.round(row, 6)}")
+u_network = law(t, x)
+print(f"  input computed at the node: {node_input(gamma, x[node]):+.6f}")
+print(f"  law(t, x) at its cell:      {u_network[cell_index(gamma, n)]:+.6f}")
+mids = gl.midpoint_grid(n)
+u_nodes = np.array([node_input(g, x[i]) for i, g in enumerate(mids)])
+print(f"max difference over all {n} nodes: {np.abs(u_nodes - u_network).max():.2e}")
+
+print("\n== the continuum law at the same node ==")
+profile = lambda g: 0.5 + np.cos(2 * np.pi * np.asarray(g, float))
+u_fun = law(t, profile)  # a function of the node index
+print(f"u(gamma) for the state 0.5 + cos(2 pi gamma): {u_fun(gamma):+.6f}")
+print(f"vector law on the sampled state, same cell:  "
+      f"{law(t, profile(gl.midpoint_grid(n)))[node]:+.6f}")
 
 print("\n== aggregates propagated from t = 0 instead of re-measured ==")
 system = gl.build_step_system(gl.sample_step_entries(kernel, n), problem)
 x0 = gl.initial_state(n, seed=9)
-law = gl.feedback_controller(problem, gains)
 # a plain callable makes the simulator measure the aggregates at every stage
 live = gl.simulate(system, lambda t, x: law(t, x), x0, horizon, dt)
 # the law itself lets it propagate each aggregate by its scalar closed loop

@@ -14,15 +14,13 @@ from .graphon import (EigenPair, FiniteRankGraphon, StepFunction, StepGraphon,
                       graphon_from_spec, l2_distance, midpoint_grid,
                       sample_step_entries, sinusoidal_graphon, uniform_graphon)
 from .integrate import rk4_path, uniform_grid
-from .lqr import (DecoupledState, FeedbackLaw, GainSchedule, LqrProblem,
-                  control_centralized, control_localized, eigensystem_params,
+from .lqr import (DecoupledState, FeedbackLaw, LqrProblem, eigensystem_params,
                   feedback_controller, project_state, ratio_prediction,
                   reconstruct_P, synthesize_gains, truncate_problem,
                   truncated_controller)
 from .poly import CoeffPoly, apply_poly_matrix, eval_poly
-from .riccati import (GainCurve, MatrixCurve, ScalarRiccatiSpec, algebraic_root,
-                      solve_matrix_riccati, solve_riccati_closed_form,
-                      solve_riccati_numeric)
+from .riccati import (Curve, ScalarRiccatiSpec, algebraic_root, solve_matrix_riccati,
+                      solve_riccati_closed_form, solve_riccati_numeric)
 from .sim import (CostBreakdown, OracleReport, StepSystem, Trajectory,
                   TruncationRow, build_step_system, evaluate_cost, initial_state,
                   oracle_compare, oracle_controller, simulate, truncation_study)
@@ -35,12 +33,11 @@ __all__ = [
     "graphon_from_spec", "l2_distance", "midpoint_grid", "sample_step_entries",
     "sinusoidal_graphon", "uniform_graphon",
     "rk4_path", "uniform_grid",
-    "DecoupledState", "FeedbackLaw", "GainSchedule", "LqrProblem",
-    "control_centralized", "control_localized", "eigensystem_params",
+    "DecoupledState", "FeedbackLaw", "LqrProblem", "eigensystem_params",
     "feedback_controller", "project_state", "ratio_prediction", "reconstruct_P",
     "synthesize_gains", "truncate_problem", "truncated_controller",
     "CoeffPoly", "apply_poly_matrix", "eval_poly",
-    "GainCurve", "MatrixCurve", "ScalarRiccatiSpec", "algebraic_root",
+    "Curve", "ScalarRiccatiSpec", "algebraic_root",
     "solve_matrix_riccati", "solve_riccati_closed_form", "solve_riccati_numeric",
     "CostBreakdown", "OracleReport", "StepSystem", "Trajectory", "TruncationRow",
     "build_step_system", "evaluate_cost", "initial_state", "oracle_compare",

@@ -29,9 +29,9 @@ import numpy as np
 
 from .errors import NumericError
 from .graphon import StepGraphon, graphon_from_spec, sample_step_entries
-from .lqr import (GainSchedule, LqrProblem, feedback_controller, synthesize_gains,
-                  truncate_problem)
+from .lqr import LqrProblem, feedback_controller, synthesize_gains, truncate_problem
 from .poly import CoeffPoly
+from .riccati import Curve
 from .sim import (build_step_system, evaluate_cost, initial_state, oracle_compare,
                   simulate, truncation_study)
 
@@ -76,15 +76,21 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _coeffs(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list of coefficients, got {value!r}")
+    return [float(c) for c in value]
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ValueError("scenario must be a JSON object")
     dt = _field(raw, "dt", float, required=False)
     scn = Scenario(
         alpha0=_field(raw, "alpha0", float),
-        poly_b=[float(c) for c in raw.get("poly_b", [1.0])],
-        poly_q=[float(c) for c in raw.get("poly_q", [1.0])],
-        poly_p0=[float(c) for c in raw.get("poly_p0", [1.0])],
+        poly_b=_field(raw, "poly_b", _coeffs, required=False, default=[1.0]),
+        poly_q=_field(raw, "poly_q", _coeffs, required=False, default=[1.0]),
+        poly_p0=_field(raw, "poly_p0", _coeffs, required=False, default=[1.0]),
         horizon=_field(raw, "horizon", float),
         dt=0.0 if dt is None else dt,
         graphon=_field(raw, "graphon", dict),
@@ -189,11 +195,9 @@ def _write_csv(path: str, header: list[str], columns: np.ndarray):
                header=",".join(header), comments="")
 
 
-def write_gains_csv(path: str, gains: GainSchedule):
-    header = ["t", "L"] + [f"M_{l + 1}" for l in range(len(gains.eigen))]
-    cols = np.column_stack([gains.grid, gains.aux.values]
-                           + [c.values for c in gains.eigen])
-    _write_csv(path, header, cols)
+def write_gains_csv(path: str, gains: Curve):
+    header = ["t", "L"] + [f"M_{l}" for l in range(1, gains.values.shape[1])]
+    _write_csv(path, header, np.column_stack([gains.grid, gains.values]))
 
 
 def write_trajectory_csv(path: str, traj):
@@ -235,11 +239,7 @@ def run_scenario(scn: Scenario, base_dir: str = ".",
     problem, system, x0 = build_experiment(scn, base_dir)
     level = parse_controller(scn.controller, problem.d)
     gains = synthesize_gains(problem, scn.dt)
-    if level == problem.d:
-        controller = feedback_controller(problem, gains)
-    else:
-        trimmed = GainSchedule(aux=gains.aux, eigen=gains.eigen[:level])
-        controller = feedback_controller(truncate_problem(problem, level), trimmed)
+    controller = feedback_controller(truncate_problem(problem, level), gains)
     traj = simulate(system, controller, x0, scn.horizon, scn.dt)
     cost = evaluate_cost(traj, system)
     payload = {

@@ -339,6 +339,10 @@ def l2_distance(g1, g2, nodes: int = DEFAULT_DISTANCE_NODES) -> float:
     return float(np.sqrt(np.mean(diff ** 2)))
 
 
+# sup of the squared analytic eigenfunctions sqrt(2)*sin, sqrt(2)*cos and 1
+_SUP_SQUARE = {"sin": 2.0, "cos": 2.0, "const": 1.0}
+
+
 def _analytic_eigfun(kind: str, freq: float) -> Callable:
     root2 = np.sqrt(2.0)
     if kind == "sin":
@@ -383,17 +387,20 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
         return StepGraphon(entries, bound=bound)
     if kind == "finite_rank":
         raw = spec.get("pairs")
-        if not raw:
-            raise ValueError("graphon field 'pairs': missing for finite_rank graphon")
+        if not raw or not isinstance(raw, list):
+            raise ValueError("graphon field 'pairs': a non-empty list is required "
+                             "for a finite_rank graphon")
         pairs = []
+        sup = 0.0
         for item in raw:
-            if "lambda" not in item or "fun" not in item:
+            if not isinstance(item, dict) or "lambda" not in item or "fun" not in item:
                 raise ValueError("graphon field 'pairs': each entry needs 'lambda' and 'fun'")
-            fun = _analytic_eigfun(item["fun"], float(item.get("freq", 1.0)))
-            pairs.append(EigenPair(float(item["lambda"]), fun))
-        # class bound via the triangle inequality: sup|A| <= sum |lam| sup f^2
-        grid = midpoint_grid(512)
-        sup = sum(abs(p.lam) * float(np.max(np.asarray(p.fun(grid)) ** 2))
-                  for p in pairs)
+            try:
+                lam, freq = float(item["lambda"]), float(item.get("freq", 1.0))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"graphon field 'pairs': {exc}") from exc
+            pairs.append(EigenPair(lam, _analytic_eigfun(item["fun"], freq)))
+            # class bound via the triangle inequality: sup|A| <= sum |lam| sup f^2
+            sup += abs(lam) * _SUP_SQUARE[item["fun"]]
         return FiniteRankGraphon(pairs, bound=max(1.0, sup))
     raise ValueError(f"graphon field 'type': unknown kind {kind!r}")

@@ -7,8 +7,9 @@ the kernel's eigenfunctions splits the problem into one scalar LQR per
 eigendirection plus one auxiliary problem for the orthogonal residual,
 so synthesis reduces to ``rank + 1`` scalar Riccati solves.
 
-Gain curves are stored forward in Riccati time tau and consumed as the
-time-to-go gain ``curve(T - t)`` inside the feedback laws.
+The gains are one curve stored forward in Riccati time tau: column 0
+holds the auxiliary gain L, column l the gain M_l of eigendirection l.
+The feedback law reads them as the time-to-go gains ``gains(T - t)``.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .graphon import FiniteRankGraphon, cell_index, midpoint_grid
+from .graphon import FiniteRankGraphon, midpoint_grid
 from .poly import CoeffPoly, as_poly
-from .riccati import GainCurve, riccati_path, solve_riccati_closed_form, ScalarRiccatiSpec
+from .riccati import Curve, ScalarRiccatiSpec, riccati_path, solve_riccati_closed_form
 
 # Tolerance for "nonnegative up to rounding" cost-weight checks.
 _NEG_TOL = 1e-12
@@ -87,47 +88,6 @@ class DecoupledState:
     auxiliary: np.ndarray | Callable
 
 
-@dataclass(frozen=True)
-class GainSchedule:
-    """Synthesized gains: auxiliary curve plus one curve per direction."""
-
-    aux: GainCurve
-    eigen: tuple[GainCurve, ...]
-
-    def __post_init__(self):
-        for c in self.eigen:
-            if c.grid.shape != self.aux.grid.shape or not np.array_equal(c.grid, self.aux.grid):
-                raise ValueError("all gain curves must share one time grid")
-        # row-stacked eigen values for one-shot interpolation
-        stack = (np.stack([c.values for c in self.eigen], axis=1)
-                 if self.eigen else np.zeros((self.aux.grid.size, 0)))
-        object.__setattr__(self, "_stack", stack)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.aux.grid
-
-    @property
-    def horizon(self) -> float:
-        return self.aux.horizon
-
-    def eigen_at(self, t) -> np.ndarray:
-        """All eigendirection gains at one time, linearly interpolated."""
-        if np.ndim(t) != 0:
-            return np.stack([c(t) for c in self.eigen])
-        stack = self._stack
-        h = self.aux._h
-        if not h:
-            return np.array([c(t) for c in self.eigen])
-        pos = (float(t) - self.aux._t0) / h
-        if pos <= 0.0:
-            return stack[0]
-        k = int(pos)
-        if k >= stack.shape[0] - 1:
-            return stack[-1]
-        return stack[k] + (pos - k) * (stack[k + 1] - stack[k])
-
-
 def project_state(x, g: FiniteRankGraphon) -> DecoupledState:
     """Split a state into eigendirection coordinates and the residual.
 
@@ -174,13 +134,14 @@ def eigensystem_params(p: LqrProblem, idx: int) -> tuple[float, float, float, fl
             max(0.0, float(p.poly_q(lam))), max(0.0, float(p.poly_p0(lam))))
 
 
-def synthesize_gains(p: LqrProblem, dt: float) -> GainSchedule:
+def synthesize_gains(p: LqrProblem, dt: float) -> Curve:
     """Solve the rank+1 scalar Riccati equations of the decoupled problem.
 
-    The auxiliary curve uses ``(alpha0, beta0, q0, z0)``; eigendirection
-    curves use `eigensystem_params`.  Directions sharing an eigenvalue
-    share one solve (the equations coincide).  All solves run as one
-    vectorized RK4 sweep on a common grid.
+    Returns one curve of shape ``(K+1, rank+1)``: column 0 is the
+    auxiliary gain L for ``(alpha0, beta0, q0, z0)``, column l the gain
+    M_l for `eigensystem_params` of direction l.  Directions sharing an
+    eigenvalue share one solve (the equations coincide).  All solves run
+    as one vectorized RK4 sweep on a common grid.
     """
     params = [(p.alpha0, p.beta0, p.q0, p.z0)]
     slot = {}
@@ -192,60 +153,11 @@ def synthesize_gains(p: LqrProblem, dt: float) -> GainSchedule:
     arr = np.array(params)
     grid, vals = riccati_path(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3],
                               p.horizon, dt)
-    curves = [GainCurve(grid, vals[:, k]) for k in range(arr.shape[0])]
-    eigen = tuple(curves[slot[p.graphon.pairs[l].lam]] for l in range(p.d))
-    return GainSchedule(aux=curves[0], eigen=eigen)
+    columns = [0] + [slot[pair.lam] for pair in p.graphon.pairs]
+    return Curve(grid, vals[:, columns])
 
 
-def _check_time(t: float, horizon: float):
-    if not 0.0 <= t <= horizon + 1e-12:
-        raise ValueError(f"time {t} outside the horizon [0, {horizon}]")
-
-
-def control_centralized(t: float, x, gains: GainSchedule, p: LqrProblem):
-    """Optimal feedback for the full state; vector in, vector out.
-
-    Implements ``u = -beta0*L(T-t)*residual
-    - sum_l poly_b(lam_l)*M_l(T-t)*coord_l*f_l`` on every cell (or as a
-    callable when the state is a function).
-    """
-    _check_time(t, p.horizon)
-    ttg = p.horizon - t
-    lt = gains.aux(ttg)
-    ml = gains.eigen_at(ttg)
-    b_eig = np.atleast_1d(p.poly_b(p.graphon.lambdas))
-    ds = project_state(x, p.graphon)
-    weights = b_eig * ml * ds.eigen_coords
-    if callable(ds.auxiliary):
-        pairs = p.graphon.pairs
-        residual = ds.auxiliary
-        beta0 = p.beta0
-
-        def law(gamma):
-            acc = -beta0 * lt * np.asarray(residual(gamma), dtype=float)
-            for pair, w in zip(pairs, weights):
-                acc = acc - w * pair.fun(np.asarray(gamma, dtype=float))
-            return float(acc) if acc.ndim == 0 else acc
-
-        return law
-    f = p.graphon.eigfun_values(midpoint_grid(ds.auxiliary.size))
-    return -p.beta0 * lt * ds.auxiliary - f.T @ weights
-
-
-def control_localized(gamma: float, t: float, x, gains: GainSchedule,
-                      p: LqrProblem) -> float:
-    """Control input of the node at index ``gamma``.
-
-    Pointwise identical to `control_centralized`; for cell-value states
-    ``gamma`` resolves to its cell of the uniform partition.
-    """
-    u = control_centralized(t, x, gains, p)
-    if callable(u):
-        return float(u(gamma))
-    return float(u[cell_index(gamma, u.size)])
-
-
-def reconstruct_P(gains: GainSchedule, g: FiniteRankGraphon, t: float,
+def reconstruct_P(gains: Curve, g: FiniteRankGraphon, t: float,
                   n: int) -> np.ndarray:
     """Riccati operator at Riccati time ``t`` as an n x n cell matrix.
 
@@ -256,8 +168,8 @@ def reconstruct_P(gains: GainSchedule, g: FiniteRankGraphon, t: float,
     if n < 1:
         raise ValueError(f"partition size must be >= 1, got {n}")
     f = g.eigfun_values(midpoint_grid(n))
-    lt = gains.aux(t)
-    ml = gains.eigen_at(t)
+    row = gains(t)
+    lt, ml = row[0], row[1:]
     return lt * np.eye(n) + f.T @ (((ml - lt) / n)[:, None] * f)
 
 
@@ -266,20 +178,31 @@ class FeedbackLaw:
 
     ``u = -beta0*L(T-t)*residual - sum_l b_l*M_l(T-t)*coord_l*f_l`` with
     ``b_l = poly_b(lam_l)``: the residual of the state gets the auxiliary
-    gain, eigendirection l the gain ``b_l*M_l``.  Calling the law measures
-    the eigendirection coordinates of the given state; `simulate` reads
-    the same gains through `gains_at` to run a decoupled closed loop mode
-    by mode.
+    gain, eigendirection l the gain ``b_l*M_l``.  The state is a vector
+    of cell values, giving the vector of inputs, or a function on
+    [0, 1], giving the continuum law as a function of the node index.
+    A node's input needs only its own state, its eigenfunction values,
+    the eigenstate aggregates ``coord_l`` and one row of gains, so the
+    localized law is this output read at one node,
+    ``u[cell_index(gamma, n)]`` or ``u(gamma)``.
+
+    The law reads the first rank + 1 columns of ``gains``, so the gains
+    of a problem also serve every truncation of it.  `simulate` reads the
+    law's gains through `gains_at` to run a decoupled closed loop mode by
+    mode.
     """
 
-    __slots__ = ("problem", "gains", "_b_eig", "_cells")
+    __slots__ = ("problem", "gains", "_b", "_cells")
 
-    def __init__(self, problem: LqrProblem, gains: GainSchedule):
-        if abs(gains.horizon - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
-            raise ValueError("gain schedule horizon does not match the problem horizon")
+    def __init__(self, problem: LqrProblem, gains: Curve):
+        if abs(gains.grid[-1] - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
+            raise ValueError("gain horizon does not match the problem horizon")
+        if gains.values.ndim != 2 or gains.values.shape[1] <= problem.d:
+            raise ValueError(f"gains need {problem.d + 1} columns, got samples "
+                             f"of shape {gains.values.shape[1:]}")
         self.problem = problem
-        self.gains = gains
-        self._b_eig = np.atleast_1d(problem.poly_b(problem.graphon.lambdas))
+        self.gains = Curve(gains.grid, gains.values[:, :problem.d + 1])
+        self._b = np.append(problem.beta0, problem.poly_b(problem.graphon.lambdas))
         self._cells: dict[int, np.ndarray] = {}
 
     def cells(self, n: int) -> np.ndarray:
@@ -290,32 +213,40 @@ class FeedbackLaw:
         return f
 
     def gains_at(self, t) -> np.ndarray:
-        """Feedback gains at the times ``t``, shape ``t.shape + (rank + 1,)``.
+        """Feedback gains at a time or array of times, shape ``t.shape + (rank + 1,)``.
 
         Column 0 is the residual gain ``beta0*L(T-t)``, column l the gain
-        ``b_l*M_l(T-t)`` of eigendirection l; the values are those a call
-        of the law uses at the same times.
+        ``b_l*M_l(T-t)`` of eigendirection l.
         """
-        ttg = self.problem.horizon - np.asarray(t, dtype=float)
-        cols = [self.problem.beta0 * self.gains.aux(ttg)]
-        cols += [b * curve(ttg) for b, curve in zip(self._b_eig, self.gains.eigen)]
-        return np.stack(cols, axis=-1)
+        return self.gains(self.problem.horizon - t) * self._b
 
-    def __call__(self, t: float, x) -> np.ndarray:
+    def __call__(self, t: float, x):
+        if not 0.0 <= t <= self.problem.horizon + 1e-12:
+            raise ValueError(f"time {t} outside the horizon [0, {self.problem.horizon}]")
+        g = self.gains_at(t)
+        if callable(x):
+            graphon = self.problem.graphon
+            weights = (g[0] - g[1:]) * project_state(x, graphon).eigen_coords
+
+            def law(gamma):
+                gv = np.asarray(gamma, dtype=float)
+                u = (np.tensordot(weights, graphon.eigfun_values(gv), axes=1)
+                     - g[0] * np.asarray(x(gv), dtype=float))
+                return float(u) if u.ndim == 0 else u
+
+            return law
         x = np.asarray(x, dtype=float)
         f = self.cells(x.size)
-        coords = f @ x / x.size
-        ttg = self.problem.horizon - t
-        lt = self.problem.beta0 * self.gains.aux(ttg)
         # -beta0*L*(x - F'c) - F'(bM c), with the F' applications fused
-        return f.T @ ((lt - self._b_eig * self.gains.eigen_at(ttg)) * coords) - lt * x
+        return f.T @ ((g[0] - g[1:]) * (f @ x / x.size)) - g[0] * x
 
 
-def feedback_controller(p: LqrProblem, gains: GainSchedule) -> FeedbackLaw:
+def feedback_controller(p: LqrProblem, gains: Curve) -> FeedbackLaw:
     """Optimal state feedback ``controller(t, x) -> u`` as a `FeedbackLaw`.
 
     Each call measures the eigendirection coordinates of the current
-    state (real-time aggregation).
+    state (real-time aggregation).  With ``p`` a truncation of the
+    problem the gains were synthesized for, this is the truncated law.
     """
     return FeedbackLaw(p, gains)
 
@@ -330,9 +261,7 @@ def truncated_controller(p: LqrProblem, level: int, dt: float) -> FeedbackLaw:
     """
     if not 0 <= level <= p.d:
         raise ValueError(f"truncation level must be in [0, {p.d}], got {level}")
-    p_trunc = truncate_problem(p, level)
-    gains = synthesize_gains(p_trunc, dt)
-    return feedback_controller(p_trunc, gains)
+    return feedback_controller(truncate_problem(p, level), synthesize_gains(p, dt))
 
 
 def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:

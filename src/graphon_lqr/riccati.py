@@ -54,93 +54,53 @@ class ScalarRiccatiSpec:
             raise ValueError(f"dt must satisfy 0 < dt <= horizon, got {self.dt}")
 
 
-class GainCurve:
-    """A gain sampled on an increasing time grid, linearly interpolated.
+class Curve:
+    """Samples on a uniform time grid, linearly interpolated in time.
 
-    Uniform grids (the ones every solver here produces) get a direct
-    index-and-blend lookup, with the same arithmetic for scalar and
-    array queries; anything else falls back to ``np.interp``.
+    ``values`` has shape ``(len(grid),) + shape``: scalar gains, rows of
+    gains or matrices.  A time t reads ``v[k] + w*(v[k+1] - v[k])`` at
+    ``pos = (t - t0)/h = k + w``; times at or past either end of the grid
+    return the end sample.  Array times use the scalar arithmetic
+    element by element, so both give identical results.
     """
 
-    __slots__ = ("grid", "values", "_t0", "_h")
+    __slots__ = ("grid", "values", "_t0", "_t1", "_h", "_last")
 
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)
         values = np.asarray(values, dtype=float)
-        if grid.shape != values.shape or grid.ndim != 1:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
+        if grid.ndim != 1 or grid.size < 2 or values.shape[:1] != grid.shape:
+            raise ValueError("values need one sample per node of a 1-d grid of 2+ nodes")
         steps = np.diff(grid)
-        if grid.size > 1 and np.any(steps <= 0.0):
-            raise ValueError("time grid must be strictly increasing")
+        if steps[0] <= 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise ValueError("time grid must be uniform and increasing")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
             raise ValueError("grid and values must be finite")
         self.grid = grid
         self.values = values
-        self._t0 = float(grid[0])
-        uniform = steps.size > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        self._h = float(steps[0]) if uniform else 0.0
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
+        self._t0, self._t1, self._h = float(grid[0]), float(grid[-1]), float(steps[0])
+        self._last = grid.size - 2  # index of the last interval
 
     def __call__(self, t):
-        if self._h and np.ndim(t) == 0:
-            pos = (float(t) - self._t0) / self._h
-            if pos <= 0.0:
-                return float(self.values[0])
-            k = int(pos)
-            if k >= self.values.size - 1:
-                return float(self.values[-1])
-            return float(self.values[k] + (pos - k) * (self.values[k + 1] - self.values[k]))
-        if self._h:
-            v = self.values
-            pos = (np.asarray(t, dtype=float) - self._t0) / self._h
-            k = np.clip(pos, 0.0, v.size - 1).astype(int)
-            inner = np.minimum(k, v.size - 2)
-            blend = v[inner] + (pos - inner) * (v[inner + 1] - v[inner])
-            return np.where(pos <= 0.0, v[0], np.where(k >= v.size - 1, v[-1], blend))
-        out = np.interp(t, self.grid, self.values)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def __repr__(self):
-        return (f"GainCurve({len(self.grid)} samples on [0, {self.horizon:g}], "
-                f"final={self.values[-1]:.6g})")
-
-
-class MatrixCurve:
-    """Matrix-valued path on a time grid with linear interpolation."""
-
-    __slots__ = ("grid", "values", "_t0", "_h")
-
-    def __init__(self, grid, values):
-        self.grid = np.asarray(grid, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape[0] != self.grid.size:
-            raise ValueError("one matrix sample per grid node required")
-        steps = np.diff(self.grid)
-        uniform = steps.size > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        self._t0 = float(self.grid[0])
-        self._h = float(steps[0]) if uniform else 0.0
-
-    @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
-
-    def __call__(self, t: float) -> np.ndarray:
-        grid = self.grid
-        if t <= grid[0]:
-            return self.values[0]
-        if t >= grid[-1]:
-            return self.values[-1]
-        if self._h:
+        v = self.values
+        if isinstance(t, (float, int)):  # np.float64 is a float
+            if t <= self._t0:
+                return v[0]
+            if t >= self._t1:
+                return v[-1]
             pos = (t - self._t0) / self._h
-            k = min(int(pos), grid.size - 2)
-            w = pos - k
-        else:
-            k = int(np.searchsorted(grid, t, side="right") - 1)
-            w = (t - grid[k]) / (grid[k + 1] - grid[k])
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+            k = min(int(pos), self._last)
+            out = v[k + 1] - v[k]  # the blend below, in place on one temporary
+            out *= pos - k
+            out += v[k]
+            return out
+        t = np.asarray(t, dtype=float)
+        pos = (t - self._t0) / self._h
+        k = np.clip(pos, 0.0, self._last).astype(int)
+        trail = (...,) + (None,) * (v.ndim - 1)  # broadcast over the sample shape
+        blend = v[k] + (pos - k)[trail] * (v[k + 1] - v[k])
+        return np.where((t <= self._t0)[trail], v[0],
+                        np.where((t >= self._t1)[trail], v[-1], blend))
 
 
 def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
@@ -162,11 +122,11 @@ def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
     return grid, rk4_path(rhs, z0, grid)
 
 
-def solve_riccati_numeric(spec: ScalarRiccatiSpec) -> GainCurve:
+def solve_riccati_numeric(spec: ScalarRiccatiSpec) -> Curve:
     """Solve the scalar Riccati equation with classic RK4."""
     grid, vals = riccati_path(spec.alpha, spec.beta, spec.q, spec.z0,
                               spec.horizon, spec.dt)
-    return GainCurve(grid, vals)
+    return Curve(grid, vals)
 
 
 def algebraic_root(alpha: float, beta: float, q: float) -> float:
@@ -184,7 +144,7 @@ def algebraic_root(alpha: float, beta: float, q: float) -> float:
     return float(np.sqrt((alpha / b2) ** 2 + q / b2) + alpha / b2)
 
 
-def solve_riccati_closed_form(spec: ScalarRiccatiSpec) -> GainCurve:
+def solve_riccati_closed_form(spec: ScalarRiccatiSpec) -> Curve:
     """Evaluate the explicit scalar Riccati solution on the grid.
 
     With S the positive algebraic root and a = -2*(alpha - beta^2*S) the
@@ -208,25 +168,25 @@ def solve_riccati_closed_form(spec: ScalarRiccatiSpec) -> GainCurve:
         else:
             e = np.exp(2.0 * spec.alpha * grid)
             vals = e * spec.z0 + spec.q * (e - 1.0) / (2.0 * spec.alpha)
-        return GainCurve(grid, vals)
+        return Curve(grid, vals)
     s = algebraic_root(spec.alpha, spec.beta, spec.q)
     if spec.z0 == s:
-        return GainCurve(grid, np.full_like(grid, s))
+        return Curve(grid, np.full_like(grid, s))
     # a = 2*sqrt(alpha^2 + q*beta^2) >= 0 for the positive root
     a = -2.0 * (spec.alpha - spec.beta ** 2 * s)
     if a * grid[-1] <= 300.0:
         growth = np.exp(a * grid)
         integral = np.expm1(a * grid) / a if a != 0.0 else grid.copy()
         inv = growth / (spec.z0 - s) + spec.beta ** 2 * integral
-        return GainCurve(grid, 1.0 / inv + s)
+        return Curve(grid, 1.0 / inv + s)
     # exp(a*t) would overflow; scale the bracket by exp(-a*t) instead
     decay = np.exp(-a * grid)
     c = 1.0 / (spec.z0 - s) + spec.beta ** 2 / a
-    return GainCurve(grid, s + decay / (c - spec.beta ** 2 / a * decay))
+    return Curve(grid, s + decay / (c - spec.beta ** 2 / a * decay))
 
 
 def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
-                         horizon: float, dt: float) -> MatrixCurve:
+                         horizon: float, dt: float) -> Curve:
     """RK4-integrate the matrix Riccati equation, re-symmetrizing each step.
 
     ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite;
@@ -250,4 +210,4 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
         return 0.5 * (r + r.T)
 
     vals = rk4_path(rhs, 0.5 * (p0 + p0.T), grid)
-    return MatrixCurve(grid, vals)
+    return Curve(grid, vals)

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import BlowUpError
 from .graphon import StepGraphon, midpoint_grid
 from .integrate import uniform_grid
-from .lqr import (FeedbackLaw, GainSchedule, LqrProblem, feedback_controller,
-                  ratio_prediction, reconstruct_P, synthesize_gains, truncate_problem)
+from .lqr import (FeedbackLaw, LqrProblem, feedback_controller, ratio_prediction,
+                  reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import apply_poly_matrix
 from .riccati import solve_matrix_riccati
 
@@ -388,10 +388,8 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
     for level in levels:
         if not 0 <= level <= p.d:
             raise ValueError(f"truncation level {level} outside [0, {p.d}]")
-        p_trunc = truncate_problem(p, level)
-        schedule = GainSchedule(aux=gains.aux, eigen=gains.eigen[:level])
-        traj = simulate(sys, feedback_controller(p_trunc, schedule), x0,
-                        horizon, dt)
+        traj = simulate(sys, feedback_controller(truncate_problem(p, level), gains),
+                        x0, horizon, dt)
         coords = sys.f_cells @ traj.states[-1] / sys.n
         measured = np.full(p.d, np.nan)
         predicted = np.full(p.d, np.nan)

@@ -56,6 +56,17 @@ class TestScenarioParsing:
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["poly_b", "poly_q", "poly_p0"])
+    def test_scalar_coefficient_list_exits_2(self, tmp_path, capsys, field):
+        path = write_scenario(tmp_path, **{field: 5})
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    def test_non_object_finite_rank_pair_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, graphon={"type": "finite_rank", "pairs": [5]})
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert "'pairs'" in capsys.readouterr().err
+
     def test_controller_modes(self):
         assert cli.parse_controller("optimal", 2) == 2
         assert cli.parse_controller("auxiliary_only", 2) == 0
@@ -132,6 +143,13 @@ class TestRunCommand:
         rc = cli.main(["run", path, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "matrix_csv" in capsys.readouterr().err
+
+    def test_peaked_finite_rank_kernel_at_odd_n(self, tmp_path):
+        # the kernel peaks at x = y = 1/2, the midpoint of the middle cell
+        graphon = {"type": "finite_rank", "pairs": [
+            {"lambda": 0.7, "fun": "cos"}, {"lambda": 0.2, "fun": "const"}]}
+        path = write_scenario(tmp_path, n=21, graphon=graphon)
+        assert cli.main(["run", path, "--out", str(tmp_path / "peaked")]) == 0
 
     def test_step_scenario_runs(self, tmp_path):
         m = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]])

@@ -248,6 +248,15 @@ class TestFromSpec:
         np.testing.assert_allclose(g.lambdas, [0.5, 0.5, 0.25])
         assert g.eval(0.25, 0.25) == pytest.approx(1.25, abs=1e-12)
 
+    def test_class_bound_is_analytic_sup(self):
+        # cos peaks at the midpoint 1/2 of the middle cell of an odd partition
+        g = gl.graphon_from_spec({"type": "finite_rank", "pairs": [
+            {"lambda": 0.7, "fun": "cos"}, {"lambda": 0.2, "fun": "const"}]})
+        assert g.bound == pytest.approx(1.6, abs=1e-15)
+        entries = gl.sample_step_entries(g, 21)
+        assert entries[10, 10] == pytest.approx(1.6, abs=1e-12)
+        gl.StepGraphon(entries, bound=g.bound)
+
     def test_step_matrix_csv(self, tmp_path):
         path = tmp_path / "coupling.csv"
         np.savetxt(path, np.array([[0.0, 1.0], [1.0, 0.0]]), delimiter=",")

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import graphon_lqr as gl
-from graphon_lqr.graphon import midpoint_grid
-from graphon_lqr.lqr import (GainSchedule, control_centralized, control_localized,
-                             eigensystem_params, feedback_controller,
-                             project_state, ratio_prediction, reconstruct_P,
-                             synthesize_gains, truncated_controller)
+from graphon_lqr import lqr
+from graphon_lqr.graphon import cell_index, midpoint_grid
+from graphon_lqr.lqr import (eigensystem_params, feedback_controller, project_state,
+                             ratio_prediction, reconstruct_P, synthesize_gains,
+                             truncated_controller)
 from graphon_lqr.poly import apply_poly_matrix
 
 from conftest import admissible_poly, input_poly, make_rank_kernel, sinusoidal_problem
@@ -95,15 +95,23 @@ class TestEigensystemParams:
 
 
 class TestSynthesizeGains:
-    def test_showcase_curves(self, vii_problem):
+    def test_showcase_curves(self, vii_problem, monkeypatch):
+        solved = []
+
+        def recording_path(alpha, *rest):
+            solved.append(np.size(alpha))
+            return riccati_path(alpha, *rest)
+
+        riccati_path = lqr.riccati_path
+        monkeypatch.setattr(lqr, "riccati_path", recording_path)
         gains = synthesize_gains(vii_problem, 1e-3)
-        assert len(gains.eigen) == 2
+        assert gains.values.shape == (1001, 3)  # columns L, M_1, M_2
         # degenerate eigenvalue: one solve shared by both directions
-        assert gains.eigen[0] is gains.eigen[1]
-        assert gains.aux.values[0] == 1.0
-        assert gains.eigen[0].values[0] == 0.25
+        assert solved == [2]
+        np.testing.assert_array_equal(gains.values[:, 1], gains.values[:, 2])
+        np.testing.assert_array_equal(gains.values[0], [1.0, 0.25, 0.25])
         # the auxiliary curve solves dL = 4L - L^2 + 1 (finite differences)
-        grid, vals = gains.aux.grid, gains.aux.values
+        grid, vals = gains.grid, gains.values[:, 0]
         mid_rate = (vals[2:] - vals[:-2]) / (grid[2] - grid[0])
         expect = 4.0 * vals[1:-1] - vals[1:-1] ** 2 + 1.0
         np.testing.assert_allclose(mid_rate, expect, atol=1e-4)
@@ -112,89 +120,79 @@ class TestSynthesizeGains:
         p = gl.LqrProblem(1.0, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([0.0]),
                           gl.CoeffPoly([0.0]), gl.sinusoidal_graphon(), 1.0)
         gains = synthesize_gains(p, 1e-3)
-        assert np.all(gains.aux.values == 0.0)
-        assert all(np.all(c.values == 0.0) for c in gains.eigen)
+        assert np.all(gains.values == 0.0)
 
     def test_mean_field_case_two_curves(self):
         p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([1.0]), gl.uniform_graphon(), 1.0)
         gains = synthesize_gains(p, 1e-3)
-        assert len(gains.eigen) == 1  # one eigendirection plus the auxiliary curve
-
-    def test_mismatched_grids_rejected(self):
-        c1 = gl.GainCurve([0.0, 0.5, 1.0], [0.0, 0.0, 0.0])
-        c2 = gl.GainCurve([0.0, 1.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            GainSchedule(aux=c1, eigen=(c2,))
+        assert gains.values.shape[1] == 2  # one eigendirection plus the auxiliary curve
 
 
 class TestControlLaws:
-    def test_zero_state_zero_control(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
-        u = control_centralized(0.3, np.zeros(40), gains, vii_problem)
-        np.testing.assert_array_equal(u, np.zeros(40))
+    """The optimal law on vector and function states."""
 
-    def test_pure_residual_uses_auxiliary_gain(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
+    @pytest.fixture
+    def law(self, vii_problem):
+        return feedback_controller(vii_problem, synthesize_gains(vii_problem, 1e-3))
+
+    def test_zero_state_zero_control(self, law):
+        np.testing.assert_array_equal(law(0.3, np.zeros(40)), np.zeros(40))
+
+    def test_pure_residual_uses_auxiliary_gain(self, law, vii_problem):
         n, t = 40, 0.4
         x = np.full(n, 2.0)  # orthogonal to both eigendirections
-        u = control_centralized(t, x, gains, vii_problem)
-        lt = gains.aux(vii_problem.horizon - t)
-        np.testing.assert_allclose(u, -vii_problem.beta0 * lt * x, atol=1e-12)
+        lt = law.gains(vii_problem.horizon - t)[0]
+        np.testing.assert_allclose(law(t, x), -vii_problem.beta0 * lt * x, atol=1e-12)
 
-    def test_eigenstate_gets_eigen_gain(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
-        n = 40
-        gamma = midpoint_grid(n)
+    def test_eigenstate_gets_eigen_gain(self, law, vii_problem):
+        gamma = midpoint_grid(40)
         x = np.sqrt(2.0) * np.sin(2 * np.pi * gamma)
-        u = control_centralized(0.0, x, gains, vii_problem)
-        m_end = gains.eigen[0](vii_problem.horizon)
-        np.testing.assert_allclose(u, -1.25 * m_end * x, atol=1e-12)
+        m_end = law.gains(vii_problem.horizon)[1]
+        np.testing.assert_allclose(law(0.0, x), -1.25 * m_end * x, atol=1e-12)
 
-    def test_centralized_localized_agree(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
-        rng = np.random.default_rng(2)
+    def test_centralized_localized_agree(self, law):
+        # a function state read at each node equals the vector state's law
+        # at that node's cell; the trigonometric state projects exactly
+        # under both quadratures
+        x = lambda g: (0.4 + np.cos(2 * np.pi * g) - 0.7 * np.sin(2 * np.pi * g)
+                       + 0.3 * np.sin(6 * np.pi * np.asarray(g, float)))
         n = 40
-        x = rng.standard_normal(n)
-        u_vec = control_centralized(0.25, x, gains, vii_problem)
         gamma = midpoint_grid(n)
-        u_pt = np.array([control_localized(gm, 0.25, x, gains, vii_problem)
-                         for gm in gamma])
-        np.testing.assert_allclose(u_pt, u_vec, atol=1e-12)
+        u_vec = law(0.25, x(gamma))
+        u_fun = law(0.25, x)
+        u_nodes = np.array([u_fun(g) for g in gamma])
+        np.testing.assert_allclose(u_nodes, u_vec[cell_index(gamma, n)], atol=1e-12)
+        np.testing.assert_allclose(u_fun(gamma), u_vec, atol=1e-12)
 
-    def test_function_state_law(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
+    def test_function_state_law(self, law, vii_problem):
         x = lambda t: np.sqrt(2.0) * np.sin(2 * np.pi * np.asarray(t, float))
-        law = control_centralized(0.0, x, gains, vii_problem)
-        m_end = gains.eigen[0](vii_problem.horizon)
+        u = law(0.0, x)
+        m_end = law.gains(vii_problem.horizon)[1]
         pts = np.linspace(0, 1, 9)
-        np.testing.assert_allclose(law(pts), -1.25 * m_end * x(pts), atol=1e-9)
-        assert control_localized(0.25, 0.0, x, gains, vii_problem) == pytest.approx(
-            -1.25 * m_end * np.sqrt(2.0), abs=1e-9)
+        np.testing.assert_allclose(u(pts), -1.25 * m_end * x(pts), atol=1e-9)
+        assert u(0.25) == pytest.approx(-1.25 * m_end * np.sqrt(2.0), abs=1e-9)
 
-    def test_matches_reconstructed_feedback_operator(self, vii_problem):
+    def test_matches_reconstructed_feedback_operator(self, law, vii_problem):
         # the law equals -B P(T-t) x with P rebuilt from the gain curves
-        gains = synthesize_gains(vii_problem, 1e-3)
         n, t = 24, 0.35
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
         x = np.random.default_rng(8).standard_normal(n)
-        u = control_centralized(t, x, gains, vii_problem)
-        p_op = reconstruct_P(gains, vii_problem.graphon,
+        p_op = reconstruct_P(law.gains, vii_problem.graphon,
                              vii_problem.horizon - t, n)
-        np.testing.assert_allclose(u, -sys_.b_mat @ p_op @ x, atol=1e-10)
-        closure = feedback_controller(vii_problem, gains)
-        np.testing.assert_allclose(closure(t, x), u, atol=1e-12)
+        np.testing.assert_allclose(law(t, x), -sys_.b_mat @ p_op @ x, atol=1e-10)
 
-    def test_time_outside_horizon_rejected(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
-        with pytest.raises(ValueError):
-            control_centralized(1.5, np.zeros(40), gains, vii_problem)
+    def test_time_outside_horizon_rejected(self, law):
+        for t in (1.5, -0.1):
+            with pytest.raises(ValueError, match="horizon"):
+                law(t, np.zeros(40))
 
-    def test_gamma_outside_domain_rejected(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
+    def test_gamma_outside_domain_rejected(self):
+        # a node reads its input at cell_index(gamma, n), defined on [0, 1]
+        assert cell_index(1.0, 40) == 39
         with pytest.raises(ValueError):
-            control_localized(1.2, 0.0, np.zeros(40), gains, vii_problem)
+            cell_index(1.2, 40)
 
 
 class TestReconstructP:
@@ -204,7 +202,7 @@ class TestReconstructP:
                           gl.CoeffPoly([0.5]), g, 1.0)
         gains = synthesize_gains(p, 1e-3)
         mat = reconstruct_P(gains, g, 0.3, 5)
-        np.testing.assert_allclose(mat, gains.aux(0.3) * np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(mat, gains(0.3)[0] * np.eye(5), atol=1e-12)
 
     def test_initial_value_matches_terminal_weight_matrix(self):
         # on a full-rank coupling the reconstruction at time zero equals
@@ -265,9 +263,8 @@ class TestClosedLoopStructure:
         x0 = gl.initial_state(n, 5)
         traj = gl.simulate(sys_, feedback_controller(p, gains), x0, p.horizon, dt)
         b_eig = np.atleast_1d(p.poly_b(p.graphon.lambdas))
-        rates = np.stack([p.alpha0 + lam - b ** 2 * curve(p.horizon - gains.grid)
-                          for lam, b, curve in zip(p.graphon.lambdas, b_eig,
-                                                   gains.eigen)])
+        rates = (p.alpha0 + p.graphon.lambdas[:, None]
+                 - b_eig[:, None] ** 2 * gains(p.horizon - gains.grid)[:, 1:].T)
         exponent = np.zeros_like(rates)
         exponent[:, 1:] = np.cumsum(
             0.5 * np.diff(gains.grid) * (rates[:, 1:] + rates[:, :-1]), axis=1)
@@ -301,7 +298,7 @@ class TestTruncatedController:
         gains = synthesize_gains(vii_problem, dt)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(40)
-        expect = -vii_problem.beta0 * gains.aux(vii_problem.horizon - 0.3) * x
+        expect = -vii_problem.beta0 * gains(vii_problem.horizon - 0.3)[0] * x
         np.testing.assert_allclose(trunc(0.3, x), expect, atol=1e-12)
 
     def test_level_out_of_range(self, vii_problem):

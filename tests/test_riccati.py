@@ -3,7 +3,7 @@ import pytest
 
 import graphon_lqr as gl
 from graphon_lqr.integrate import rk4_path, uniform_grid
-from graphon_lqr.riccati import (GainCurve, ScalarRiccatiSpec, algebraic_root,
+from graphon_lqr.riccati import (Curve, ScalarRiccatiSpec, algebraic_root,
                                  solve_matrix_riccati, solve_riccati_closed_form,
                                  solve_riccati_numeric)
 
@@ -184,28 +184,46 @@ class TestProperties:
 
 
 class TestGainCurve:
+    """`Curve`, the uniform-grid interpolator of every gain and path."""
+
     def test_interpolation_is_linear(self):
-        curve = GainCurve([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
+        curve = Curve([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
         assert curve(0.5) == pytest.approx(1.0)
         assert curve(1.5) == pytest.approx(2.0)
         assert curve(-1.0) == 0.0 and curve(3.0) == 2.0
 
     def test_array_query_matches_scalar_queries(self):
-        curve = GainCurve(np.linspace(0.0, 1.0, 11), np.sin(np.arange(11.0)))
+        curve = Curve(np.linspace(0.0, 1.0, 11), np.sin(np.arange(11.0)))
         times = np.array([-0.3, 0.0, 0.05, 0.31, 0.5, 0.99, 1.0, 1.4])
         np.testing.assert_array_equal(curve(times), [curve(t) for t in times])
 
-    def test_nonuniform_grid_supported(self):
-        curve = GainCurve([0.0, 0.1, 1.0], [0.0, 1.0, 1.0])
-        assert curve(0.05) == pytest.approx(0.5)
+    def test_matrix_values(self):
+        rng = np.random.default_rng(3)
+        grid = gl.uniform_grid(0.7, 0.1)
+        values = rng.standard_normal((grid.size, 3, 2))
+        curve = Curve(grid, values)
+        times = np.array([-0.2, 0.0, 0.03, 0.25, 0.5, 0.69, 0.7, 0.9])
+        out = curve(times)
+        assert out.shape == (8, 3, 2)
+        np.testing.assert_array_equal(out, [curve(t) for t in times])
+        np.testing.assert_array_equal(out[0], values[0])
+        np.testing.assert_array_equal(out[1], values[0])
+        np.testing.assert_array_equal(out[-2], values[-1])
+        np.testing.assert_array_equal(out[-1], values[-1])
+        np.testing.assert_array_equal(curve(np.float64(0.7)), values[-1])
+        np.testing.assert_allclose(out[3], 0.5 * (values[2] + values[3]), rtol=1e-12)
+
+    def test_nonuniform_grid_rejected(self):
+        with pytest.raises(ValueError, match="uniform"):
+            Curve([0.0, 0.1, 1.0], [0.0, 1.0, 1.0])
 
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError):
-            GainCurve([0.0, 1.0, 0.5], [1.0, 2.0, 3.0])
+            Curve([0.0, 1.0, 0.5], [1.0, 2.0, 3.0])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            GainCurve([0.0, 1.0], [1.0])
+            Curve([0.0, 1.0], [1.0])
 
 
 class TestMatrixRiccati:
