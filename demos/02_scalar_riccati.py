@@ -1,9 +1,11 @@
-"""Scalar Riccati equations: numeric sweep vs the explicit solution.
+"""Scalar Riccati equations: the explicit solution vs its RK4 reference.
 
 The gain equation dPi/dt = 2*alpha*Pi - beta^2*Pi^2 + q relaxes
-monotonically toward its positive algebraic root.  The module solves it
-both by RK4 and in closed form through the root; this script shows the
-two agree to solver precision and plots a family of gain curves.
+monotonically toward its positive algebraic root.  Synthesis evaluates
+its explicit solution (the Hamiltonian linearization Pi = X/Y); the RK4
+solver is kept as the reference.  This script shows the two agree to the
+integrator's precision, also for a near-zero input gain (beta = 1e-6),
+and plots a family of gain curves.
 """
 import numpy as np
 
@@ -21,6 +23,7 @@ specs = [
     ("relaxing upward", gl.ScalarRiccatiSpec(2.0, 1.0, 1.0, 1.0, 3.0, 1e-4)),
     ("tanh profile", gl.ScalarRiccatiSpec(0.0, 1.0, 1.0, 0.0, 3.0, 1e-4)),
     ("relaxing downward", gl.ScalarRiccatiSpec(-0.5, 1.0, 0.3, 2.0, 3.0, 1e-4)),
+    ("near-zero input", gl.ScalarRiccatiSpec(1.0, 1e-6, 1.0, 0.5, 3.0, 1e-4)),
 ]
 for label, spec in specs:
     num = gl.solve_riccati_numeric(spec)

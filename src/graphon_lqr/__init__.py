@@ -19,8 +19,9 @@ from .lqr import (DecoupledState, FeedbackLaw, LqrProblem, eigensystem_params,
                   reconstruct_P, synthesize_gains, truncate_problem,
                   truncated_controller)
 from .poly import CoeffPoly, apply_poly_matrix, eval_poly
-from .riccati import (Curve, ScalarRiccatiSpec, algebraic_root, solve_matrix_riccati,
-                      solve_riccati_closed_form, solve_riccati_numeric)
+from .riccati import (Curve, ScalarRiccatiSpec, algebraic_root, riccati_explicit,
+                      solve_matrix_riccati, solve_riccati_closed_form,
+                      solve_riccati_numeric)
 from .sim import (CostBreakdown, OracleReport, StepSystem, Trajectory,
                   TruncationRow, build_step_system, evaluate_cost, initial_state,
                   oracle_compare, oracle_controller, simulate, truncation_study)
@@ -37,7 +38,7 @@ __all__ = [
     "feedback_controller", "project_state", "ratio_prediction", "reconstruct_P",
     "synthesize_gains", "truncate_problem", "truncated_controller",
     "CoeffPoly", "apply_poly_matrix", "eval_poly",
-    "Curve", "ScalarRiccatiSpec", "algebraic_root",
+    "Curve", "ScalarRiccatiSpec", "algebraic_root", "riccati_explicit",
     "solve_matrix_riccati", "solve_riccati_closed_form", "solve_riccati_numeric",
     "CostBreakdown", "OracleReport", "StepSystem", "Trajectory", "TruncationRow",
     "build_step_system", "evaluate_cost", "initial_state", "oracle_compare",

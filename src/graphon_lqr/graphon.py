@@ -379,6 +379,9 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
         path = spec.get("matrix_csv")
         if not path:
             raise ValueError("graphon field 'matrix_csv': missing path for step graphon")
+        if not isinstance(path, str):
+            raise ValueError(
+                f"graphon field 'matrix_csv': expected a path string, got {path!r}")
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
         if not os.path.exists(full):
             raise ValueError(f"graphon field 'matrix_csv': file not found: {full}")

@@ -1,8 +1,9 @@
 """Fixed-step classic Runge-Kutta integration.
 
-Every ODE in this package (scalar Riccati, matrix Riccati, closed-loop
-network dynamics) is integrated with the same 4th-order one-step scheme
-on a uniform grid, so convergence-order checks apply uniformly.
+The matrix Riccati oracle and the scalar Riccati reference run this
+4th-order one-step scheme on a uniform grid, and the closed-loop
+simulation runs the same scheme; gain synthesis uses the explicit
+Riccati solution instead.
 """
 from __future__ import annotations
 

@@ -19,8 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .graphon import FiniteRankGraphon, midpoint_grid
+from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
-from .riccati import Curve, ScalarRiccatiSpec, riccati_path, solve_riccati_closed_form
+from .riccati import Curve, ScalarRiccatiSpec, riccati_explicit, solve_riccati_closed_form
 
 # Tolerance for "nonnegative up to rounding" cost-weight checks.
 _NEG_TOL = 1e-12
@@ -137,11 +138,13 @@ def eigensystem_params(p: LqrProblem, idx: int) -> tuple[float, float, float, fl
 def synthesize_gains(p: LqrProblem, dt: float) -> Curve:
     """Solve the rank+1 scalar Riccati equations of the decoupled problem.
 
-    Returns one curve of shape ``(K+1, rank+1)``: column 0 is the
-    auxiliary gain L for ``(alpha0, beta0, q0, z0)``, column l the gain
-    M_l for `eigensystem_params` of direction l.  Directions sharing an
-    eigenvalue share one solve (the equations coincide).  All solves run
-    as one vectorized RK4 sweep on a common grid.
+    Returns one curve of shape ``(K+1, rank+1)`` on ``uniform_grid(T, dt)``:
+    column 0 is the auxiliary gain L for ``(alpha0, beta0, q0, z0)``,
+    column l the gain M_l for `eigensystem_params` of direction l.
+    Directions sharing an eigenvalue share one equation (the equations
+    coincide).  All equations are evaluated in one call of the explicit
+    solution `riccati_explicit`, in O(K*(rank+1)) array work; a gain that
+    overflows raises `BlowUpError`.
     """
     params = [(p.alpha0, p.beta0, p.q0, p.z0)]
     slot = {}
@@ -151,8 +154,8 @@ def synthesize_gains(p: LqrProblem, dt: float) -> Curve:
             slot[lam] = len(params)
             params.append(eigensystem_params(p, l))
     arr = np.array(params)
-    grid, vals = riccati_path(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3],
-                              p.horizon, dt)
+    grid = uniform_grid(p.horizon, dt)
+    vals = riccati_explicit(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], grid)
     columns = [0] + [slot[pair.lam] for pair in p.graphon.pairs]
     return Curve(grid, vals[:, columns])
 

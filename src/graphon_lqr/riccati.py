@@ -4,16 +4,19 @@ The scalar equation
 
     dPi/dt = 2*alpha*Pi - beta^2*Pi^2 + q,    Pi(0) = z0,
 
-is solved numerically (RK4) and in closed form via its positive
-algebraic root.  Solutions are stored forward in Riccati time tau and
-consumed by feedback laws as the time-to-go gain ``curve(T - t)``.
+is solved explicitly through its Hamiltonian linearization by
+`riccati_explicit`, vectorized over equations (the synthesis path), and
+by RK4 in `riccati_path`, the reference the explicit solution is checked
+against.  Solutions are stored forward in Riccati time tau and consumed
+by feedback laws as the time-to-go gain ``curve(T - t)``.
 
 The matrix equation
 
     dP/dt = A' P + P A - P B B' P + Q,        P(0) = P0,
 
-is the direct verification oracle for the decoupled synthesis; it uses
-the same one-step integrator so accuracy comparisons are like-for-like.
+is the direct verification oracle for the decoupled synthesis, integrated
+by RK4.  The synthesis does not share that integrator, so a gap between
+oracle and synthesis also contains the oracle's own O(h^4) RK4 error.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BlowUpError
 from .integrate import rk4_path, uniform_grid
 
 
@@ -106,9 +110,9 @@ class Curve:
 def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
     """RK4-integrate one or many scalar Riccati equations on a shared grid.
 
-    Parameters may be scalars or equal-length arrays (one equation per
-    entry).  Returns ``(grid, values)`` with values of shape
-    ``(len(grid),) + param_shape``.
+    The reference integrator for `riccati_explicit`.  Parameters may be
+    scalars or equal-length arrays (one equation per entry).  Returns
+    ``(grid, values)`` with values of shape ``(len(grid),) + param_shape``.
     """
     alpha, beta, q, z0 = np.broadcast_arrays(
         np.asarray(alpha, float), np.asarray(beta, float),
@@ -129,10 +133,22 @@ def solve_riccati_numeric(spec: ScalarRiccatiSpec) -> Curve:
     return Curve(grid, vals)
 
 
+def _roots(alpha, beta, q):
+    """Positive roots of ``2*alpha*S - beta^2*S^2 + q`` (array arithmetic).
+
+    ``S = (alpha + omega)/beta^2`` with ``omega = sqrt(alpha^2 + q*beta^2)``;
+    for alpha < 0 that sum cancels, so the equal ``q/(omega - alpha)`` is
+    used there.  Where beta = 0 and alpha >= 0 there is no root (inf/nan).
+    """
+    omega = np.hypot(alpha, np.abs(beta) * np.sqrt(q))
+    with np.errstate(all="ignore"):
+        return np.where(alpha < 0.0, q / (omega - alpha), (alpha + omega) / (beta * beta))
+
+
 def algebraic_root(alpha: float, beta: float, q: float) -> float:
     """Positive root S of ``2*alpha*S - beta^2*S^2 + q = 0``.
 
-    ``S = sqrt(alpha^2/beta^4 + q/beta^2) + alpha/beta^2``; the input
+    Accurate to a few ulps relative for either sign of alpha; the input
     gain must be nonzero.
     """
     if beta == 0.0:
@@ -140,49 +156,68 @@ def algebraic_root(alpha: float, beta: float, q: float) -> float:
             "no algebraic root for beta = 0; use the numeric solver")
     if q < 0.0:
         raise ValueError(f"state weight q must be >= 0, got {q}")
-    b2 = beta * beta
-    return float(np.sqrt((alpha / b2) ** 2 + q / b2) + alpha / b2)
+    return float(_roots(alpha, beta, q))
+
+
+def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:
+    """Explicit solution of one or many scalar Riccati equations on a grid.
+
+    Parameters broadcast as in `riccati_path` (one equation per entry,
+    q and z0 nonnegative); returns values of shape
+    ``(len(grid),) + param_shape``.  With ``Pi = X/Y`` the equation is
+    the linear system ``[X; Y]' = H [X; Y]``, ``X(0) = z0``, ``Y(0) = 1``,
+    ``H = [[alpha, q], [beta^2, -alpha]]``.  As ``H^2 = omega^2 I`` with
+    ``omega = sqrt(alpha^2 + q*beta^2)``,
+    ``exp(H t) = cosh(omega t) I + sinh(omega t)/omega H``; scaled by
+    ``exp(-omega t)`` this gives
+
+        X = z0*(g+ + E*g-) + q*s,    Y = (g- + E*g+) + beta^2*z0*s,
+
+    with ``E = exp(-2 omega t)``, ``s = (1 - E)/(2 omega)`` (``t`` in the
+    limit omega -> 0) and ``g+- = (omega +- alpha)/(2 omega)``.  The
+    smaller of g+- is formed as ``r^2/(2 omega (omega + |alpha|))``,
+    r = |beta| sqrt(q), so no term cancels: every one is nonnegative and
+    bounded, and Pi keeps full relative precision.  t = 0 returns z0 and
+    a start at the positive algebraic root returns the root, both exactly.
+
+    Raises `BlowUpError` when a value overflows (Y underflows to zero
+    while X does not).
+    """
+    alpha, beta, q, z0 = np.broadcast_arrays(
+        np.asarray(alpha, float), np.asarray(beta, float),
+        np.asarray(q, float), np.asarray(z0, float))
+    times = np.asarray(grid, dtype=float)
+    t = times.reshape((-1,) + (1,) * alpha.ndim)
+    r, a = np.abs(beta) * np.sqrt(q), np.abs(alpha)
+    omega = np.hypot(a, r)
+    with np.errstate(all="ignore"):  # 0/0 in unused branches; overflow raises below
+        big = np.where(omega > 0.0, (omega + a) / (2.0 * omega), 0.5)
+        small = np.where(omega > 0.0, r * (r / (omega + a)) / (2.0 * omega), 0.5)
+        g_plus = np.where(alpha >= 0.0, big, small)
+        g_minus = np.where(alpha >= 0.0, small, big)
+        x = 2.0 * omega * t
+        e = np.exp(-x)
+        s = t * np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+        num = z0 * (g_plus + e * g_minus) + q * s
+        vals = num / ((g_minus + e * g_plus) + beta * beta * z0 * s)
+    # z0 = q = 0 stays at zero also where Y underflows
+    vals = np.where(num == 0.0, 0.0, vals)
+    vals = np.where((t == 0.0) | (z0 == _roots(alpha, beta, q)), z0, vals)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        k = int(np.argmax(bad.reshape(times.size, -1).any(axis=1)))
+        raise BlowUpError(f"Riccati solution overflows at t = {times[k]:.6g}")
+    return vals
 
 
 def solve_riccati_closed_form(spec: ScalarRiccatiSpec) -> Curve:
     """Evaluate the explicit scalar Riccati solution on the grid.
 
-    With S the positive algebraic root and a = -2*(alpha - beta^2*S) the
-    decay rate,
-
-        Pi_t = [exp(a*t)/(z0 - S) + beta^2 * (exp(a*t) - 1)/a]^(-1) + S,
-
-    where the bracketed integral degenerates to ``t`` when a = 0.  The
-    equilibrium start z0 = S returns the constant curve at S, and
-    beta = 0 falls back to the closed form of the then-linear equation.
-
-    With q, z0 >= 0 the solution never crosses S away from t = 0 (it
-    approaches the root monotonically from its starting side), so the
-    reciprocal transform stays valid on the whole horizon.
+    One equation of `riccati_explicit`; raises `BlowUpError` where the
+    solution overflows.
     """
     grid = uniform_grid(spec.horizon, spec.dt)
-    if spec.beta == 0.0:
-        # dPi/dt = 2*alpha*Pi + q  (linear)
-        if spec.alpha == 0.0:
-            vals = spec.z0 + spec.q * grid
-        else:
-            e = np.exp(2.0 * spec.alpha * grid)
-            vals = e * spec.z0 + spec.q * (e - 1.0) / (2.0 * spec.alpha)
-        return Curve(grid, vals)
-    s = algebraic_root(spec.alpha, spec.beta, spec.q)
-    if spec.z0 == s:
-        return Curve(grid, np.full_like(grid, s))
-    # a = 2*sqrt(alpha^2 + q*beta^2) >= 0 for the positive root
-    a = -2.0 * (spec.alpha - spec.beta ** 2 * s)
-    if a * grid[-1] <= 300.0:
-        growth = np.exp(a * grid)
-        integral = np.expm1(a * grid) / a if a != 0.0 else grid.copy()
-        inv = growth / (spec.z0 - s) + spec.beta ** 2 * integral
-        return Curve(grid, 1.0 / inv + s)
-    # exp(a*t) would overflow; scale the bracket by exp(-a*t) instead
-    decay = np.exp(-a * grid)
-    c = 1.0 / (spec.z0 - s) + spec.beta ** 2 / a
-    return Curve(grid, s + decay / (c - spec.beta ** 2 / a * decay))
+    return Curve(grid, riccati_explicit(spec.alpha, spec.beta, spec.q, spec.z0, grid))
 
 
 def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,

@@ -379,15 +379,21 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
     terminal ratio ``x_tilde(T)/x_bar(T)`` sits next to its prediction
     (available when the input polynomial is constant).
     """
+    levels = list(levels)
+    for level in levels:
+        if not 0 <= level <= p.d:
+            raise ValueError(f"truncation level {level} outside [0, {p.d}]")
     gains = synthesize_gains(p, dt)
     traj_opt = simulate(sys, feedback_controller(p, gains), x0, horizon, dt)
     j_opt = evaluate_cost(traj_opt, sys).total
     coords_opt = sys.f_cells @ traj_opt.states[-1] / sys.n
-    can_predict = p.poly_b.degree == 0
+    # each direction dropped at some level is predicted once, for all levels
+    predictions = np.full(p.d, np.nan)
+    if p.poly_b.degree == 0:
+        for h in range(min(levels, default=p.d), p.d):
+            predictions[h] = ratio_prediction(p, h, dt)
     rows = []
     for level in levels:
-        if not 0 <= level <= p.d:
-            raise ValueError(f"truncation level {level} outside [0, {p.d}]")
         traj = simulate(sys, feedback_controller(truncate_problem(p, level), gains),
                         x0, horizon, dt)
         coords = sys.f_cells @ traj.states[-1] / sys.n
@@ -396,8 +402,7 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
         for h in range(level, p.d):
             if abs(coords_opt[h]) > 1e-12:
                 measured[h] = coords[h] / coords_opt[h]
-            if can_predict:
-                predicted[h] = ratio_prediction(p, h, dt)
+        predicted[level:] = predictions[level:]
         rows.append(TruncationRow(
             level=level,
             j_truncated=evaluate_cost(traj, sys).total,

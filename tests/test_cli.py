@@ -144,6 +144,11 @@ class TestRunCommand:
         assert rc == 2
         assert "matrix_csv" in capsys.readouterr().err
 
+    def test_non_string_matrix_csv_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, graphon={"type": "step", "matrix_csv": 5})
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert "matrix_csv" in capsys.readouterr().err
+
     def test_peaked_finite_rank_kernel_at_odd_n(self, tmp_path):
         # the kernel peaks at x = y = 1/2, the midpoint of the middle cell
         graphon = {"type": "finite_rank", "pairs": [
@@ -174,6 +179,15 @@ class TestRunCommand:
         # enormous unstable drift with no damping blows up in finite time
         path = write_scenario(tmp_path, alpha0=5000.0, poly_q=[0.0], poly_p0=[0.0],
                               horizon=1.0, dt=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["run", path, "--out", str(tmp_path / "boom")])
+        assert rc == 3
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_overflowing_gain_exits_3(self, tmp_path, capsys):
+        # no input: every gain grows like exp(2*alpha0*t) and overflows
+        path = write_scenario(tmp_path, alpha0=5000.0, poly_b=[0.0], poly_q=[1.0],
+                              poly_p0=[1.0], horizon=1.0, dt=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             rc = cli.main(["run", path, "--out", str(tmp_path / "boom")])
         assert rc == 3

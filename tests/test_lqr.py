@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphon_lqr as gl
-from graphon_lqr import lqr
+from graphon_lqr import integrate, lqr, riccati
 from graphon_lqr.graphon import cell_index, midpoint_grid
 from graphon_lqr.lqr import (eigensystem_params, feedback_controller, project_state,
                              ratio_prediction, reconstruct_P, synthesize_gains,
@@ -98,12 +98,12 @@ class TestSynthesizeGains:
     def test_showcase_curves(self, vii_problem, monkeypatch):
         solved = []
 
-        def recording_path(alpha, *rest):
+        def recording_solver(alpha, *rest):
             solved.append(np.size(alpha))
-            return riccati_path(alpha, *rest)
+            return riccati_explicit(alpha, *rest)
 
-        riccati_path = lqr.riccati_path
-        monkeypatch.setattr(lqr, "riccati_path", recording_path)
+        riccati_explicit = lqr.riccati_explicit
+        monkeypatch.setattr(lqr, "riccati_explicit", recording_solver)
         gains = synthesize_gains(vii_problem, 1e-3)
         assert gains.values.shape == (1001, 3)  # columns L, M_1, M_2
         # degenerate eigenvalue: one solve shared by both directions
@@ -115,6 +115,20 @@ class TestSynthesizeGains:
         mid_rate = (vals[2:] - vals[:-2]) / (grid[2] - grid[0])
         expect = 4.0 * vals[1:-1] - vals[1:-1] ** 2 + 1.0
         np.testing.assert_allclose(mid_rate, expect, atol=1e-4)
+
+    def test_no_time_stepping(self, vii_problem, monkeypatch):
+        # synthesis evaluates the explicit solution; it never calls the integrator
+        def refuse(*args):
+            raise AssertionError("rk4_path called")
+
+        for module in (integrate, riccati):
+            monkeypatch.setattr(module, "rk4_path", refuse)
+        gains = synthesize_gains(vii_problem, 1e-3)
+        assert gains.values.shape == (1001, 3)
+        p = sinusoidal_problem(poly_b=(1.0,))
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 20), p)
+        rows = gl.truncation_study(sys_, p, gl.initial_state(20, 5), [0, 1, 2], 1.0, 1e-3)
+        assert np.isfinite(rows[0].predicted_ratio).all()
 
     def test_zero_cost_gives_zero_gains(self):
         p = gl.LqrProblem(1.0, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([0.0]),

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphon_lqr as gl
 from graphon_lqr.integrate import rk4_path, uniform_grid
-from graphon_lqr.riccati import (Curve, ScalarRiccatiSpec, algebraic_root,
-                                 solve_matrix_riccati, solve_riccati_closed_form,
-                                 solve_riccati_numeric)
+from graphon_lqr.riccati import (Curve, ScalarRiccatiSpec, algebraic_root, riccati_explicit,
+                                 riccati_path, solve_matrix_riccati,
+                                 solve_riccati_closed_form, solve_riccati_numeric)
 
 
 class TestGrid:
@@ -97,6 +99,13 @@ class TestAlgebraicRoot:
         with pytest.raises(ZeroDivisionError):
             algebraic_root(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, beta, q", [(-40.0, 2.0, 1e-8), (-3.0, 1e-3, 2.0),
+                                                (-1.0, 0.5, 1e-12)])
+    def test_stable_drift_relative_residual(self, alpha, beta, q):
+        # S is about q/(2|alpha|) here; alpha/beta^2 + sqrt(...) would cancel
+        s = algebraic_root(alpha, beta, q)
+        assert abs(2 * alpha * s - beta ** 2 * s ** 2 + q) <= 1e-13 * q
+
 
 class TestClosedForm:
     def test_equilibrium_start_is_constant(self):
@@ -151,6 +160,49 @@ class TestClosedForm:
                                               abs=1e-9)
         num = solve_riccati_numeric(spec)
         assert np.abs(num.values - cf.values).max() <= 1e-8
+
+
+class TestExplicitSolver:
+    """`riccati_explicit`, the solution every synthesis path uses."""
+
+    @pytest.mark.parametrize("beta", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("alpha, q, z0", [(1.0, 1.0, 0.5), (2.0, 0.5, 0.25),
+                                              (-1.0, 1.0, 2.0)])
+    def test_small_beta_matches_rk4(self, alpha, beta, q, z0):
+        grid, ref = riccati_path(alpha, beta, q, z0, 1.0, 1e-4)
+        spec = ScalarRiccatiSpec(alpha, beta, q, z0, 1.0, 1e-4)
+        assert np.abs(solve_riccati_closed_form(spec).values - ref).max() <= 1e-10
+        assert np.abs(riccati_explicit(alpha, beta, q, z0, grid) - ref).max() <= 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(-3.0, 3.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+           st.floats(0.0, 2.0))
+    def test_matches_rk4(self, alpha, beta, q, z0):
+        grid, ref = riccati_path(alpha, beta, q, z0, 1.0, 1e-3)
+        np.testing.assert_allclose(riccati_explicit(alpha, beta, q, z0, grid), ref,
+                                   rtol=1e-8, atol=1e-12)
+
+    def test_vectorized_shape_and_start(self):
+        rng = np.random.default_rng(5)
+        alpha, beta = rng.uniform(-3, 3, 7), rng.uniform(0, 2, 7)
+        q, z0 = rng.uniform(0, 2, 7), rng.uniform(0, 2, 7)
+        grid = uniform_grid(2.0, 1e-2)
+        vals = riccati_explicit(alpha, beta, q, z0, grid)
+        assert vals.shape == (201, 7)
+        assert np.array_equal(vals[0], z0)  # bit for bit
+        for k in range(7):
+            np.testing.assert_array_equal(
+                vals[:, k], riccati_explicit(alpha[k], beta[k], q[k], z0[k], grid))
+
+    def test_zero_weights_stay_zero_under_fast_drift(self):
+        # Y underflows to zero but X vanishes: the solution is exactly zero
+        grid = uniform_grid(1.0, 1e-3)
+        np.testing.assert_array_equal(riccati_explicit(5000.0, 0.0, 0.0, 0.0, grid), 0.0)
+
+    def test_overflow_is_blow_up(self):
+        grid = uniform_grid(1.0, 1e-3)
+        with pytest.raises(gl.BlowUpError, match="t = 0.07"):
+            riccati_explicit(5000.0, 0.0, 1.0, 1.0, grid)
 
 
 class TestProperties:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import graphon_lqr as gl
+import graphon_lqr.sim as sim_module
 from graphon_lqr.graphon import midpoint_grid
 from graphon_lqr.lqr import feedback_controller, synthesize_gains, truncated_controller
 from graphon_lqr.poly import apply_poly_matrix
@@ -273,6 +274,27 @@ class TestTruncationStudy:
                         row.predicted_ratio[h], abs=1e-4)
         # kept directions have no ratio entries
         assert np.isnan(rows[2].measured_ratio).all()
+
+    def test_each_prediction_is_ratio_prediction_once(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        g, entries = make_rank_kernel(rng, 12, 3)
+        p = gl.LqrProblem(0.6, gl.CoeffPoly([0.8]), admissible_poly(rng, g.lambdas, 2),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        sys_ = gl.build_step_system(entries, p)
+        asked = []
+
+        def recording_prediction(problem, direction, dt):
+            asked.append(direction)
+            return gl.ratio_prediction(problem, direction, dt)
+
+        monkeypatch.setattr(sim_module, "ratio_prediction", recording_prediction)
+        rows = gl.truncation_study(sys_, p, gl.initial_state(12, 64), range(p.d + 1),
+                                   1.0, 1e-3)
+        assert sorted(asked) == list(range(p.d))  # d calls, not d(d+1)/2
+        for row in rows:
+            assert np.isnan(row.predicted_ratio[:row.level]).all()
+            for h in range(row.level, p.d):
+                assert row.predicted_ratio[h] == gl.ratio_prediction(p, h, 1e-3)
 
     def test_ratios_nan_without_constant_input_poly(self):
         p = sinusoidal_problem()  # degree-1 input polynomial
