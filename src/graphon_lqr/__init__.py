@@ -16,8 +16,7 @@ from .graphon import (EigenPair, FiniteRankGraphon, StepFunction, StepGraphon,
 from .integrate import rk4_path, uniform_grid
 from .lqr import (DecoupledState, FeedbackLaw, LqrProblem, eigensystem_params,
                   feedback_controller, project_state, ratio_prediction,
-                  reconstruct_P, synthesize_gains, truncate_problem,
-                  truncated_controller)
+                  reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import CoeffPoly, apply_poly_matrix, eval_poly
 from .riccati import (Curve, ScalarRiccatiSpec, algebraic_root, riccati_explicit,
                       solve_matrix_riccati, solve_riccati_closed_form,
@@ -36,7 +35,7 @@ __all__ = [
     "rk4_path", "uniform_grid",
     "DecoupledState", "FeedbackLaw", "LqrProblem", "eigensystem_params",
     "feedback_controller", "project_state", "ratio_prediction", "reconstruct_P",
-    "synthesize_gains", "truncate_problem", "truncated_controller",
+    "synthesize_gains", "truncate_problem",
     "CoeffPoly", "apply_poly_matrix", "eval_poly",
     "Curve", "ScalarRiccatiSpec", "algebraic_root", "riccati_explicit",
     "solve_matrix_riccati", "solve_riccati_closed_form", "solve_riccati_numeric",

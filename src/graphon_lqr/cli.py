@@ -13,7 +13,8 @@ truncation study, ``truncation.csv``.  Runs are reproducible: the same
 scenario and seed yield byte-identical artifacts, and the resolved
 scenario is echoed next to them.
 
-Exit codes: 0 success, 2 scenario/validation failure, 3 numeric failure.
+Exit codes: 0 success, 2 scenario/validation failure (an unreadable input
+path or an unwritable output directory included), 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -64,6 +65,8 @@ def _field(raw: dict, name: str, kind, required: bool = True, default=None):
             raise ValueError(f"scenario field '{name}': missing")
         return default
     try:
+        if isinstance(raw[name], bool):  # JSON true/false, which Python reads as 1/0
+            raise ValueError(f"must not be a boolean, got {raw[name]!r}")
         return kind(raw[name])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"scenario field '{name}': {exc}") from exc
@@ -77,8 +80,8 @@ def _integer(value) -> int:
 
 
 def _coeffs(value) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"must be a list of coefficients, got {value!r}")
+    if not isinstance(value, list) or any(isinstance(c, bool) for c in value):
+        raise ValueError(f"must be a list of numeric coefficients, got {value!r}")
     return [float(c) for c in value]
 
 
@@ -385,7 +388,7 @@ def main(argv=None) -> int:
             scn = _apply_overrides(load_scenario(args.scenario), args)
             run_oracle_check(scn, base_dir=os.path.dirname(os.path.abspath(args.scenario)),
                              out_override=args.out)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path we cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, np.linalg.LinAlgError) as exc:

@@ -1,9 +1,9 @@
 """Fixed-step classic Runge-Kutta integration.
 
 The matrix Riccati oracle and the scalar Riccati reference run this
-4th-order one-step scheme on a uniform grid, and the closed-loop
-simulation runs the same scheme; gain synthesis uses the explicit
-Riccati solution instead.
+4th-order one-step scheme on a uniform grid (`rk4_path`), the generic
+closed loop of the simulation takes the same `rk4_step`, and gain
+synthesis uses the explicit Riccati solution instead.
 """
 from __future__ import annotations
 
@@ -27,6 +27,24 @@ def uniform_grid(horizon: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, horizon, steps + 1)
 
 
+def rk4_step(rhs, t: float, h: float, y: np.ndarray, k1) -> np.ndarray:
+    """One classic RK4 step of ``y' = rhs(t, y)`` from ``t`` to ``t + h``.
+
+    ``k1`` is the first slope ``rhs(t, y)``, passed in so that a caller
+    can keep what it computed on the way (the closed loop records the
+    control it applies at ``t``).  Raises `BlowUpError`, naming the time
+    ``t + h``, if any entry of the new state is non-finite.
+    """
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(y).all():
+        raise BlowUpError(
+            f"integration blew up in the step to t = {t + h:.6g}: non-finite state value")
+    return y
+
+
 def rk4_path(rhs, y0, grid: np.ndarray) -> np.ndarray:
     """Integrate ``y' = rhs(t, y)`` over ``grid`` with classic RK4.
 
@@ -48,23 +66,12 @@ def rk4_path(rhs, y0, grid: np.ndarray) -> np.ndarray:
     ------
     BlowUpError
         If any state entry becomes non-finite; the message names the
-        offending step and time.
+        time at the end of the offending step.
     """
     y = np.asarray(y0, dtype=float)
     out = np.empty((len(grid),) + y.shape)
     out[0] = y
     for k in range(len(grid) - 1):
         t = grid[k]
-        h = grid[k + 1] - t
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise BlowUpError(
-                f"integration blew up at step {k + 1} (t = {grid[k + 1]:.6g}): "
-                "non-finite state value"
-            )
-        out[k + 1] = y
+        y = out[k + 1] = rk4_step(rhs, t, grid[k + 1] - t, y, rhs(t, y))
     return out

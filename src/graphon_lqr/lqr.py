@@ -21,7 +21,7 @@ import numpy as np
 from .graphon import FiniteRankGraphon, midpoint_grid
 from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
-from .riccati import Curve, ScalarRiccatiSpec, riccati_explicit, solve_riccati_closed_form
+from .riccati import Curve, riccati_explicit
 
 # Tolerance for "nonnegative up to rounding" cost-weight checks.
 _NEG_TOL = 1e-12
@@ -254,21 +254,17 @@ def feedback_controller(p: LqrProblem, gains: Curve) -> FeedbackLaw:
     return FeedbackLaw(p, gains)
 
 
-def truncated_controller(p: LqrProblem, level: int, dt: float) -> FeedbackLaw:
-    """Feedback that keeps only the ``level`` leading eigendirections.
+def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:
+    """The same problem posed on the rank-``level`` truncated kernel.
 
-    Ignored directions fall into the residual and receive the auxiliary
-    law (their gain is the auxiliary Riccati solution); ``level = rank``
-    reproduces the optimal controller, ``level = 0`` the pure auxiliary
-    law ``u = -beta0 * L(T-t) * x``.
+    ``feedback_controller(truncate_problem(p, level), gains)`` with the
+    gains of ``p`` is the law that keeps only the ``level`` leading
+    eigendirections: ignored directions fall into the residual and
+    receive the auxiliary gain.  ``level = rank`` gives the optimal law,
+    ``level = 0`` the pure auxiliary law ``u = -beta0 * L(T-t) * x``.
     """
     if not 0 <= level <= p.d:
         raise ValueError(f"truncation level must be in [0, {p.d}], got {level}")
-    return feedback_controller(truncate_problem(p, level), synthesize_gains(p, dt))
-
-
-def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:
-    """The same problem posed on the rank-``level`` truncated kernel."""
     return LqrProblem(p.alpha0, p.poly_b, p.poly_q, p.poly_p0,
                       p.graphon.truncate(level), p.horizon)
 
@@ -284,17 +280,24 @@ def ratio_prediction(p: LqrProblem, direction: int, dt: float) -> float:
             = exp(-beta0^2 * integral_0^T (Mtilde_t - M_t) dt),
 
     where ``M`` solves the direction's Riccati equation and ``Mtilde``
-    the auxiliary one.  Both curves are evaluated in closed form and
-    the integral by the trapezoid rule on the gain grid.
+    the auxiliary one.  Both curves are read from the gains of
+    `synthesize_gains` (columns ``direction + 1`` and 0), and the
+    integral is the trapezoid rule on the gain grid.
     """
     if p.poly_b.degree > 0:
         raise ValueError(
             "ratio prediction requires a constant input polynomial "
             f"(degree 0), got degree {p.poly_b.degree}")
-    drift, gain, q, z = eigensystem_params(p, direction)
-    m = solve_riccati_closed_form(
-        ScalarRiccatiSpec(drift, gain, q, z, p.horizon, dt))
-    mtilde = solve_riccati_closed_form(
-        ScalarRiccatiSpec(p.alpha0, p.beta0, p.q0, p.z0, p.horizon, dt))
-    integral = np.trapezoid(mtilde.values - m.values, m.grid)
-    return float(np.exp(-p.beta0 ** 2 * integral))
+    if not 0 <= direction < p.d:
+        raise IndexError(f"eigendirection {direction} out of range for rank {p.d}")
+    return float(_terminal_ratios(p, synthesize_gains(p, dt))[direction])
+
+
+def _terminal_ratios(p: LqrProblem, gains: Curve) -> np.ndarray:
+    """`ratio_prediction` of every eigendirection from the gains of ``p``.
+
+    One trapezoid rule over the columns of ``gains``, shape ``(rank,)``.
+    """
+    values = gains.values.T
+    integral = np.trapezoid(values[0] - values[1:], gains.grid, axis=-1)
+    return np.exp(-p.beta0 ** 2 * integral)

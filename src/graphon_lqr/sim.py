@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import BlowUpError
 from .graphon import StepGraphon, midpoint_grid
-from .integrate import uniform_grid
-from .lqr import (FeedbackLaw, LqrProblem, feedback_controller, ratio_prediction,
+from .integrate import rk4_step, uniform_grid
+from .lqr import (FeedbackLaw, LqrProblem, _terminal_ratios, feedback_controller,
                   reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import apply_poly_matrix
 from .riccati import solve_matrix_riccati
@@ -173,7 +173,9 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     The recorded control at each grid node is ``controller(t_k, x_k)``.
     A `FeedbackLaw` on a low-rank system whose eigenfunctions extend the
     law's runs as rank + 1 scalar closed loops (`_modal_closed_loop`);
-    every other controller runs the generic loop on the dense matrices.
+    every other controller runs the generic loop on the dense matrices,
+    one `rk4_step` per grid step whose first slope reuses the recorded
+    control, so the controller is called 4K + 1 times over K steps.
     A non-finite state aborts with a `BlowUpError` naming the time.
     """
     x = np.asarray(x0, dtype=float)
@@ -184,28 +186,17 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
         states, controls = _modal_closed_loop(sys, controller, x, grid)
         return Trajectory(grid=grid, states=states, controls=controls)
     a, b = sys.a_mat, sys.b_mat
+
+    def rhs(t, y):
+        return a @ y + b @ controller(t, y)
+
     states = np.empty((grid.size, sys.n))
     controls = np.empty_like(states)
     states[0] = x
-
     for k in range(grid.size - 1):
         t = grid[k]
-        h = grid[k + 1] - t
-        tm = t + 0.5 * h
-        u1 = controller(t, x)
-        controls[k] = u1
-        k1 = a @ x + b @ u1
-        ym = x + 0.5 * h * k1
-        k2 = a @ ym + b @ controller(tm, ym)
-        ym = x + 0.5 * h * k2
-        k3 = a @ ym + b @ controller(tm, ym)
-        ym = x + h * k3
-        k4 = a @ ym + b @ controller(t + h, ym)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all():
-            raise BlowUpError(
-                f"closed-loop state blew up at t = {grid[k + 1]:.6g}")
-        states[k + 1] = x
+        u = controls[k] = controller(t, x)
+        x = states[k + 1] = rk4_step(rhs, t, grid[k + 1] - t, x, a @ x + b @ u)
     controls[-1] = controller(grid[-1], x)
     return Trajectory(grid=grid, states=states, controls=controls)
 
@@ -374,40 +365,36 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
                      dt: float) -> list[TruncationRow]:
     """Cost inflation and terminal-state ratios for each truncation level.
 
-    For every level the truncated controller is simulated and compared
-    with the optimal one; for each ignored direction the measured
-    terminal ratio ``x_tilde(T)/x_bar(T)`` sits next to its prediction
-    (available when the input polynomial is constant).
+    Every distinct level in ``levels`` and the full level ``rank`` is
+    simulated once with the gains of one synthesis; the level-rank run
+    is the optimal one.  For each ignored direction the measured terminal
+    ratio ``x_tilde(T)/x_bar(T)`` sits next to its prediction (available
+    when the input polynomial is constant), read from the same gains.
     """
     levels = list(levels)
-    for level in levels:
-        if not 0 <= level <= p.d:
-            raise ValueError(f"truncation level {level} outside [0, {p.d}]")
     gains = synthesize_gains(p, dt)
-    traj_opt = simulate(sys, feedback_controller(p, gains), x0, horizon, dt)
-    j_opt = evaluate_cost(traj_opt, sys).total
-    coords_opt = sys.f_cells @ traj_opt.states[-1] / sys.n
-    # each direction dropped at some level is predicted once, for all levels
-    predictions = np.full(p.d, np.nan)
-    if p.poly_b.degree == 0:
-        for h in range(min(levels, default=p.d), p.d):
-            predictions[h] = ratio_prediction(p, h, dt)
+    # truncate_problem rejects a level outside [0, rank] before any run
+    laws = {level: feedback_controller(truncate_problem(p, level), gains)
+            for level in (*levels, p.d)}
+    runs = {}
+    for level, law in laws.items():
+        traj = simulate(sys, law, x0, horizon, dt)
+        runs[level] = (evaluate_cost(traj, sys).total,
+                       sys.f_cells @ traj.states[-1] / sys.n)
+    j_opt, coords_opt = runs[p.d]
+    predictions = (_terminal_ratios(p, gains) if p.poly_b.degree == 0
+                   else np.full(p.d, np.nan))
     rows = []
     for level in levels:
-        traj = simulate(sys, feedback_controller(truncate_problem(p, level), gains),
-                        x0, horizon, dt)
-        coords = sys.f_cells @ traj.states[-1] / sys.n
-        measured = np.full(p.d, np.nan)
-        predicted = np.full(p.d, np.nan)
-        for h in range(level, p.d):
-            if abs(coords_opt[h]) > 1e-12:
-                measured[h] = coords[h] / coords_opt[h]
-        predicted[level:] = predictions[level:]
+        j_level, coords = runs[level]
+        dropped = np.arange(p.d) >= level
+        measured = np.divide(coords, coords_opt, out=np.full(p.d, np.nan),
+                             where=dropped & (np.abs(coords_opt) > 1e-12))
         rows.append(TruncationRow(
             level=level,
-            j_truncated=evaluate_cost(traj, sys).total,
+            j_truncated=j_level,
             j_optimal=j_opt,
             measured_ratio=measured,
-            predicted_ratio=predicted,
+            predicted_ratio=np.where(dropped, predictions, np.nan),
         ))
     return rows

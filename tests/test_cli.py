@@ -52,13 +52,22 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("field", ["n", "seed"])
     def test_non_integer_count_exits_2(self, tmp_path, capsys, field):
-        path = write_scenario(tmp_path, **{field: 40.7})
-        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
-        assert f"'{field}'" in capsys.readouterr().err
+        for value in (40.7, True):
+            path = write_scenario(tmp_path, **{field: value})
+            assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+            assert f"'{field}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["poly_b", "poly_q", "poly_p0"])
     def test_scalar_coefficient_list_exits_2(self, tmp_path, capsys, field):
-        path = write_scenario(tmp_path, **{field: 5})
+        for value in (5, [1.0, True]):
+            path = write_scenario(tmp_path, **{field: value})
+            assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+            assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["alpha0", "horizon", "dt"])
+    def test_boolean_number_exits_2(self, tmp_path, capsys, field):
+        # true would read as 1.0, which a horizon of 2 accepts for all three
+        path = write_scenario(tmp_path, **{"horizon": 2.0, field: True})
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
@@ -148,6 +157,25 @@ class TestRunCommand:
         path = write_scenario(tmp_path, graphon={"type": "step", "matrix_csv": 5})
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
         assert "matrix_csv" in capsys.readouterr().err
+
+    def test_directory_scenario_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.mkdir()
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "x")]) == 2
+        assert "error:" in (err := capsys.readouterr().err) and str(scenario) in err
+
+    def test_directory_matrix_csv_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, graphon={"type": "step", "matrix_csv": "."})
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert "error:" in (err := capsys.readouterr().err) and str(tmp_path) in err
+
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = write_scenario(tmp_path)
+        for out in (blocker, blocker / "sub"):
+            assert cli.main(["run", path, "--out", str(out)]) == 2
+            assert "error:" in (err := capsys.readouterr().err) and str(blocker) in err
 
     def test_peaked_finite_rank_kernel_at_odd_n(self, tmp_path):
         # the kernel peaks at x = y = 1/2, the midpoint of the middle cell

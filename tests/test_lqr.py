@@ -6,7 +6,7 @@ from graphon_lqr import integrate, lqr, riccati
 from graphon_lqr.graphon import cell_index, midpoint_grid
 from graphon_lqr.lqr import (eigensystem_params, feedback_controller, project_state,
                              ratio_prediction, reconstruct_P, synthesize_gains,
-                             truncated_controller)
+                             truncate_problem)
 from graphon_lqr.poly import apply_poly_matrix
 
 from conftest import admissible_poly, input_poly, make_rank_kernel, sinusoidal_problem
@@ -297,27 +297,29 @@ class TestClosedLoopStructure:
 
 
 class TestTruncatedController:
+    """The truncated law: the problem's gains read by its truncation."""
+
     def test_full_level_equals_optimal(self, vii_problem):
         dt = 1e-3
         gains = synthesize_gains(vii_problem, dt)
         optimal = feedback_controller(vii_problem, gains)
-        trunc = truncated_controller(vii_problem, vii_problem.d, dt)
+        trunc = feedback_controller(truncate_problem(vii_problem, vii_problem.d), gains)
         rng = np.random.default_rng(3)
         x = rng.standard_normal(40)
         np.testing.assert_array_equal(optimal(0.2, x), trunc(0.2, x))
 
     def test_level_zero_is_auxiliary_law(self, vii_problem):
-        dt = 1e-3
-        trunc = truncated_controller(vii_problem, 0, dt)
-        gains = synthesize_gains(vii_problem, dt)
+        gains = synthesize_gains(vii_problem, 1e-3)
+        trunc = feedback_controller(truncate_problem(vii_problem, 0), gains)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(40)
         expect = -vii_problem.beta0 * gains(vii_problem.horizon - 0.3)[0] * x
         np.testing.assert_allclose(trunc(0.3, x), expect, atol=1e-12)
 
     def test_level_out_of_range(self, vii_problem):
-        with pytest.raises(ValueError):
-            truncated_controller(vii_problem, 3, 1e-3)
+        for level in (3, -1):
+            with pytest.raises(ValueError, match="truncation level"):
+                truncate_problem(vii_problem, level)
 
 
 class TestRatioPrediction:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import graphon_lqr as gl
+import graphon_lqr.lqr as lqr_module
+import graphon_lqr.riccati as riccati_module
 import graphon_lqr.sim as sim_module
 from graphon_lqr.graphon import midpoint_grid
-from graphon_lqr.lqr import feedback_controller, synthesize_gains, truncated_controller
+from graphon_lqr.lqr import feedback_controller, synthesize_gains, truncate_problem
 from graphon_lqr.poly import apply_poly_matrix
 
 from conftest import admissible_poly, input_poly, make_rank_kernel, sinusoidal_problem
@@ -81,6 +83,43 @@ class TestSimulate:
         with np.errstate(over="ignore"), pytest.raises(gl.BlowUpError, match="t ="):
             gl.simulate(sys_, lambda t, x: np.zeros(1), np.ones(1), 1.0, 1e-3)
 
+    def test_generic_loop_is_classic_rk4(self, vii_problem):
+        # the generic loop against RK4 written out here, bit for bit, with the
+        # controller called 4K + 1 times
+        n, dt, horizon = 6, 1e-2, vii_problem.horizon
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        calls = []
+
+        def controller(t, x):
+            calls.append(t)
+            return law(t, x)
+
+        x0 = gl.initial_state(n, 5)
+        traj = gl.simulate(sys_, controller, x0, horizon, dt)
+        steps = traj.grid.size - 1
+        assert len(calls) == 4 * steps + 1
+
+        a, b = sys_.a_mat, sys_.b_mat
+
+        def f(t, y):
+            return a @ y + b @ law(t, y)
+
+        x = x0
+        for k in range(steps):
+            t = traj.grid[k]
+            h = traj.grid[k + 1] - t
+            np.testing.assert_array_equal(traj.states[k], x)
+            np.testing.assert_array_equal(traj.controls[k], law(t, x))
+            k1 = f(t, x)
+            k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = f(t + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.testing.assert_array_equal(traj.states[-1], x)
+        np.testing.assert_array_equal(traj.controls[-1], law(horizon, x))
+
     def test_wrong_initial_shape(self):
         p = scalar_problem(0.0)
         sys_ = gl.build_step_system(np.zeros((2, 2)), p)
@@ -141,8 +180,9 @@ class TestModalEngine:
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
         x0 = gl.initial_state(n, 8)
+        gains = synthesize_gains(vii_problem, dt)
         for level in range(vii_problem.d + 1):
-            law = truncated_controller(vii_problem, level, dt)
+            law = feedback_controller(truncate_problem(vii_problem, level), gains)
             self.assert_loops_agree(sys_, law, x0, vii_problem.horizon, dt)
 
     def test_non_decoupling_system_falls_back_to_dense(self, vii_problem):
@@ -275,26 +315,45 @@ class TestTruncationStudy:
         # kept directions have no ratio entries
         assert np.isnan(rows[2].measured_ratio).all()
 
-    def test_each_prediction_is_ratio_prediction_once(self, monkeypatch):
+    def test_each_prediction_is_ratio_prediction_once(self):
         rng = np.random.default_rng(63)
         g, entries = make_rank_kernel(rng, 12, 3)
         p = gl.LqrProblem(0.6, gl.CoeffPoly([0.8]), admissible_poly(rng, g.lambdas, 2),
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
         sys_ = gl.build_step_system(entries, p)
-        asked = []
-
-        def recording_prediction(problem, direction, dt):
-            asked.append(direction)
-            return gl.ratio_prediction(problem, direction, dt)
-
-        monkeypatch.setattr(sim_module, "ratio_prediction", recording_prediction)
         rows = gl.truncation_study(sys_, p, gl.initial_state(12, 64), range(p.d + 1),
                                    1.0, 1e-3)
-        assert sorted(asked) == list(range(p.d))  # d calls, not d(d+1)/2
         for row in rows:
             assert np.isnan(row.predicted_ratio[:row.level]).all()
             for h in range(row.level, p.d):
                 assert row.predicted_ratio[h] == gl.ratio_prediction(p, h, 1e-3)
+
+    def test_one_synthesis_and_one_run_per_level(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        g, entries = make_rank_kernel(rng, 10, 3)
+        p = gl.LqrProblem(0.4, gl.CoeffPoly([0.9]), admissible_poly(rng, g.lambdas, 2),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        sys_ = gl.build_step_system(entries, p)
+        solves, runs = [], []
+
+        def recording_solve(*args):
+            solves.append(args)
+            return riccati_explicit(*args)
+
+        def recording_simulate(*args):
+            runs.append(args[1].problem.d)
+            return simulate(*args)
+
+        riccati_explicit, simulate = lqr_module.riccati_explicit, sim_module.simulate
+        for module in (lqr_module, riccati_module):
+            monkeypatch.setattr(module, "riccati_explicit", recording_solve)
+        monkeypatch.setattr(sim_module, "simulate", recording_simulate)
+        rows = gl.truncation_study(sys_, p, gl.initial_state(10, 66),
+                                   [*range(p.d + 1), 1], 1.0, 1e-3)
+        assert len(solves) == 1
+        assert sorted(runs) == list(range(p.d + 1))  # level d is the optimal run
+        assert [row.level for row in rows] == [0, 1, 2, 3, 1]
+        assert rows[-1].j_optimal == rows[-2].j_truncated
 
     def test_ratios_nan_without_constant_input_poly(self):
         p = sinusoidal_problem()  # degree-1 input polynomial
