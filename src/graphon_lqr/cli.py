@@ -14,7 +14,8 @@ scenario and seed yield byte-identical artifacts, and the resolved
 scenario is echoed next to them.
 
 Exit codes: 0 success, 2 scenario/validation failure (an unreadable input
-path or an unwritable output directory included), 3 numeric failure.
+path or an unwritable output directory included), 3 numeric failure (a
+blow-up, an overflowing gain or a failed LAPACK call).
 """
 from __future__ import annotations
 
@@ -251,7 +252,7 @@ def run_scenario(scn: Scenario, base_dir: str = ".",
         "eigen": [float(v) for v in cost.eigen],
     }
     if compare_oracle:
-        report = oracle_compare(system, problem, x0, scn.horizon, scn.dt)
+        report = oracle_compare(system, problem, x0, scn.horizon, scn.dt, gains=gains)
         payload.update({
             "oracle_rel_gap": report.cost_rel_gap,
             "oracle_p_gap": report.p_gap,
@@ -278,7 +279,8 @@ def run_truncation_study(scn: Scenario, levels, base_dir: str = ".",
     gains = synthesize_gains(problem, scn.dt)
     if levels is None:
         levels = list(range(problem.d + 1))
-    rows = truncation_study(system, problem, x0, levels, scn.horizon, scn.dt)
+    rows = truncation_study(system, problem, x0, levels, scn.horizon, scn.dt,
+                            gains=gains)
     out_dir = _prepare_out(scn, out_override)
     write_truncation_csv(os.path.join(out_dir, "truncation.csv"), rows)
     write_gains_csv(os.path.join(out_dir, "gains.csv"), gains)
@@ -388,12 +390,12 @@ def main(argv=None) -> int:
             scn = _apply_overrides(load_scenario(args.scenario), args)
             run_oracle_check(scn, base_dir=os.path.dirname(os.path.abspath(args.scenario)),
                              out_override=args.out)
+    except (NumericError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError) as exc:  # OSError: a path we cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, np.linalg.LinAlgError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -398,6 +398,10 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
         for item in raw:
             if not isinstance(item, dict) or "lambda" not in item or "fun" not in item:
                 raise ValueError("graphon field 'pairs': each entry needs 'lambda' and 'fun'")
+            for name in ("lambda", "freq"):
+                if isinstance(item.get(name), bool):  # JSON true/false reads as 1/0
+                    raise ValueError(f"graphon field 'pairs': '{name}' must be a "
+                                     f"number, got {item[name]!r}")
             try:
                 lam, freq = float(item["lambda"]), float(item.get("freq", 1.0))
             except (TypeError, ValueError) as exc:

@@ -6,7 +6,7 @@ as ``dx/dt = A x + B u`` with ``A = alpha0*I + entries/n`` and
 ``poly_q(entries/n)`` and ``poly_p0(entries/n)`` under the cell inner
 product ``<x, y> = sum(x*y)/n``.  Controllers are callables
 ``(t, x) -> u``; under a `FeedbackLaw` a decoupled network runs as one
-scalar closed loop per mode.  The module also provides the direct
+scalar closed loop per mode, and its run and cost stay in those modes.  The module also provides the direct
 matrix-Riccati controller used as the verification oracle.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _terminal_ratios, feedback_controller,
                   reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import apply_poly_matrix
-from .riccati import solve_matrix_riccati
+from .riccati import Curve, solve_matrix_riccati
 
 # Eigenvalue slack for "positive semidefinite up to rounding".
 _PSD_TOL = -1e-9
@@ -134,18 +134,60 @@ def build_step_system(entries, p: LqrProblem) -> StepSystem:
 
 
 @dataclass(frozen=True)
+class ModalRun:
+    """A decoupled closed loop held by its modes.
+
+    On grid node k the state is ``growth[k, 0]*resid + sum_l
+    growth[k, l]*coords[l-1]*f[l-1]`` and every mode m is fed back with
+    gain ``gains[k, m]``: mode 0 is the residual ``resid`` of the initial
+    state, orthogonal to every eigenfunction, mode l its l-th
+    eigendirection, with initial coordinate ``coords[l-1]``.
+    """
+
+    growth: np.ndarray  # (K+1, rank+1) growth products of the modes
+    gains: np.ndarray   # (K+1, rank+1) feedback gain applied to each mode
+    resid: np.ndarray   # (n,) residual of the initial state
+    coords: np.ndarray  # (rank,) eigendirection coordinates of the initial state
+    f: np.ndarray       # (rank, n) eigenfunction cell values
+
+
 class Trajectory:
-    """Closed-loop run: states and applied controls on a time grid."""
+    """Closed-loop run: states and applied controls on a time grid.
 
-    grid: np.ndarray
-    states: np.ndarray    # (len(grid), n)
-    controls: np.ndarray  # (len(grid), n)
+    ``Trajectory(grid, states, controls)`` holds a dense run, shape
+    ``(len(grid), n)`` each.  `simulate` returns a decoupled run in modal
+    form (`from_modes`): ``modes`` holds it in O(K*(rank+1)) plus the
+    O(n*rank) initial projection, and ``states`` and ``controls`` are
+    rebuilt from it only on first access, in O(K*n*rank).  ``modes`` is
+    None for a dense run.
+    """
 
-    def __post_init__(self):
-        if not (self.states.shape[0] == self.grid.size == self.controls.shape[0]):
+    def __init__(self, grid: np.ndarray, states: np.ndarray, controls: np.ndarray):
+        if not (states.shape[0] == grid.size == controls.shape[0]):
             raise ValueError("grid, states and controls lengths disagree")
-        if not (np.all(np.isfinite(self.states)) and np.all(np.isfinite(self.controls))):
+        if not (np.all(np.isfinite(states)) and np.all(np.isfinite(controls))):
             raise ValueError("trajectory contains non-finite entries")
+        self.grid, self.states, self.controls = grid, states, controls
+        self.modes: ModalRun | None = None
+
+    @classmethod
+    def from_modes(cls, grid: np.ndarray, modes: ModalRun) -> Trajectory:
+        """A run in modal form; its finiteness is the caller's check."""
+        traj = cls.__new__(cls)
+        traj.grid, traj.modes = grid, modes
+        return traj
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        m = self.modes
+        return (m.growth[:, 1:] * m.coords) @ m.f + m.growth[:, :1] * m.resid
+
+    @cached_property
+    def controls(self) -> np.ndarray:
+        m = self.modes
+        amp = m.growth[:, 1:] * m.coords
+        return -((m.gains[:, 1:] * amp) @ m.f
+                 + (m.gains[:, :1] * m.growth[:, :1]) * m.resid)
 
 
 @dataclass(frozen=True)
@@ -172,19 +214,21 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
 
     The recorded control at each grid node is ``controller(t_k, x_k)``.
     A `FeedbackLaw` on a low-rank system whose eigenfunctions extend the
-    law's runs as rank + 1 scalar closed loops (`_modal_closed_loop`);
-    every other controller runs the generic loop on the dense matrices,
-    one `rk4_step` per grid step whose first slope reuses the recorded
-    control, so the controller is called 4K + 1 times over K steps.
-    A non-finite state aborts with a `BlowUpError` naming the time.
+    law's runs as rank + 1 scalar closed loops (`_modal_closed_loop`) in
+    O(K*(rank+1)) after one O(n*rank) projection of ``x0``, and returns
+    the run in modal form: dense states and controls are built only when
+    read.  Every other controller runs the generic loop on the dense
+    matrices, one `rk4_step` per grid step whose first slope reuses the
+    recorded control, so the controller is called 4K + 1 times over K
+    steps.  A non-finite state aborts with a `BlowUpError` naming the
+    time.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"initial state must have shape ({sys.n},), got {x.shape}")
     grid = uniform_grid(horizon, dt)
     if isinstance(controller, FeedbackLaw) and _modal(sys, controller):
-        states, controls = _modal_closed_loop(sys, controller, x, grid)
-        return Trajectory(grid=grid, states=states, controls=controls)
+        return Trajectory.from_modes(grid, _modal_closed_loop(sys, controller, x, grid))
     a, b = sys.a_mat, sys.b_mat
 
     def rhs(t, y):
@@ -210,16 +254,18 @@ def _modal(sys: StepSystem, law: FeedbackLaw) -> bool:
 
 
 def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
-                       grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States and controls of a decoupled closed loop, one scalar loop per mode.
+                       grid: np.ndarray) -> ModalRun:
+    """A decoupled closed loop, one scalar loop per mode.
 
     Mode 0 is the residual of the state, mode m its m-th eigendirection;
     under the law each obeys ``y' = (drift_m - b_m * gain_m(t)) * y``,
     where directions the law ignores get the residual gain.  One RK4
     step of such a loop, with the law's gains at the generic loop's stage
     times, multiplies y by a growth factor; the products of those factors
-    give every mode on the grid, and states and controls are rebuilt from
-    the initial residual and coordinates in O(K * n * rank).
+    give every mode on the grid.  The run aborts at the first node where
+    a bound on the rebuilt state and control entries, (rank + 1) times
+    max|F| times the largest mode amplitude, is not finite, so that
+    rebuilding them never yields a non-finite entry.
     """
     p, f, n = sys.problem, sys.f_cells, sys.n
     spectrum = np.append(0.0, sys.lams)
@@ -241,56 +287,70 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
 
     coords0 = f @ x0 / n
     resid0 = x0 - coords0 @ f
+    size = np.append(np.abs(resid0).max(), np.abs(coords0))  # largest entry per mode
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.ones((grid.size, spectrum.size))
         np.cumprod(1.0 + (h / 6.0) * (a1 + 2.0 * s2 + 2.0 * s3 + s4), axis=0,
                    out=growth[1:])
-        amp = growth[:, 1:] * coords0
-        states = amp @ f + growth[:, :1] * resid0
-        controls = -((gain[:, 1:] * amp) @ f + (gain[:, :1] * growth[:, :1]) * resid0)
-        finite = np.isfinite(states).all(axis=1) & np.isfinite(controls).all(axis=1)
+        largest = np.maximum(np.abs(growth), np.abs(gain * growth)) * size
+        finite = np.isfinite(spectrum.size * np.abs(f).max(initial=1.0)
+                             * largest.max(axis=1))
     if not finite.all():
         raise BlowUpError(
             f"closed-loop state blew up at t = {grid[np.argmin(finite)]:.6g}")
-    return states, controls
+    return ModalRun(growth=growth, gains=gain, resid=resid0, coords=coords0, f=f)
+
+
+def _mode_amplitudes(traj: Trajectory, sys: StepSystem) -> tuple[np.ndarray, np.ndarray]:
+    """State and control amplitudes of each mode, shape (K+1, rank+1) each.
+
+    Column 0 is the norm ``|r|/sqrt(n)`` of the part r of the vector
+    orthogonal to every eigenfunction, column l its l-th eigen coordinate
+    ``<v, f_l>``; by Parseval a row's squares sum to ``|v|^2/n``.  A run
+    in modal form on ``sys`` gives them in O(K*(rank+1)); any other run
+    is projected, O(K*n*rank).
+    """
+    m = traj.modes
+    if m is not None and m.f is sys.f_cells:
+        x = m.growth * np.append(np.sqrt(m.resid @ m.resid / sys.n), m.coords)
+        return x, -m.gains * x
+    f, n = sys.f_cells, sys.n
+
+    def project(v):
+        coords = v @ f.T / n
+        r = v - coords @ f
+        return np.column_stack([np.sqrt(np.einsum("ki,ki->k", r, r) / n), coords])
+
+    return project(traj.states), project(traj.controls)
 
 
 def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     """Quadratic cost of a run and its decoupled breakdown.
 
-    The total is the trapezoid rule applied to
-    ``(x'Qx + u'u)/n`` plus the terminal ``x'P0x/n``, from the low-rank
-    form of ``Q`` and ``P0`` when the system has one; the breakdown
-    projects states and controls on the problem's eigenfunctions and
-    accumulates the scalar costs of each decoupled subsystem.
+    The cost is the trapezoid rule applied to ``(x'Qx + u'u)/n`` plus the
+    terminal ``x'P0x/n``.  Each mode's part is read from the mode
+    amplitudes (`_mode_amplitudes`): the residual's is
+    ``(q0 + G0^2)*g0^2*|x_res|^2/n`` per node, eigendirection l's
+    ``(q_l + G_l^2)*(g_l*c_l)^2``, with ``q_l = poly_q(lam_l)`` and the
+    terminal weights alike.  On a low-rank system, where Q and P0 act on
+    the modes alone, the total is the sum of the parts, in O(K*(rank+1))
+    for a run in modal form; otherwise it comes from the dense Q and P0.
     """
-    x, u, grid = traj.states, traj.controls, traj.grid
-    n = sys.n
-    p = sys.problem
-    f = sys.f_cells
-    xc = x @ f.T / n          # (K+1, rank) eigenstate coordinates
-    uc = u @ f.T / n
-    q_eig = np.atleast_1d(p.poly_q(sys.lams))
-    z_eig = np.atleast_1d(p.poly_p0(sys.lams))
+    p, grid = sys.problem, traj.grid
+    xa, ua = _mode_amplitudes(traj, sys)
+    q = np.append(p.q0, p.poly_q(sys.lams))
+    z = np.append(p.z0, p.poly_p0(sys.lams))
+    # one row per mode, so that each trapezoid sum runs over contiguous memory
+    # and numpy sums it pairwise
+    run = np.ascontiguousarray((q * xa ** 2 + ua ** 2).T)
+    parts = np.trapezoid(run, grid) + z * xa[-1] ** 2
     if sys.low_rank:
-        xx = np.einsum("ki,ki->k", x, x)
-        x_q = p.q0 * xx / n + xc ** 2 @ (q_eig - p.q0)
-        x_p0 = p.z0 * xx[-1] / n + xc[-1] ** 2 @ (z_eig - p.z0)
+        total = float(parts.sum())
     else:
-        x_q = ((x @ sys.q_mat) * x).sum(axis=1) / n
-        x_p0 = x[-1] @ sys.p0_mat @ x[-1] / n
-    run = x_q + np.einsum("ki,ki->k", u, u) / n
-    total = float(np.trapezoid(run, grid) + x_p0)
-
-    xa = x - xc @ f
-    ua = u - uc @ f
-    eigen_run = q_eig * xc ** 2 + uc ** 2
-    eigen = (np.trapezoid(eigen_run, grid, axis=0) + z_eig * xc[-1] ** 2
-             if p.d else np.zeros(0))
-    aux_run = (p.q0 * np.einsum("ki,ki->k", xa, xa)
-               + np.einsum("ki,ki->k", ua, ua)) / n
-    aux = float(np.trapezoid(aux_run, grid) + p.z0 * (xa[-1] @ xa[-1]) / n)
-    return CostBreakdown(total=total, aux=aux, eigen=np.atleast_1d(eigen))
+        x, u, n = traj.states, traj.controls, sys.n
+        run = ((x @ sys.q_mat) * x).sum(axis=1) / n + np.einsum("ki,ki->k", u, u) / n
+        total = float(np.trapezoid(run, grid) + x[-1] @ sys.p0_mat @ x[-1] / n)
+    return CostBreakdown(total=total, aux=float(parts[0]), eigen=parts[1:])
 
 
 def oracle_controller(sys: StepSystem, horizon: float, dt: float):
@@ -320,14 +380,17 @@ class OracleReport:
 
 
 def oracle_compare(sys: StepSystem, p: LqrProblem, x0, horizon: float,
-                   dt: float) -> OracleReport:
+                   dt: float, *, gains: Curve | None = None) -> OracleReport:
     """Run both controllers and report P-matrix, state and cost gaps.
 
+    ``gains`` are the decoupled gains of ``p`` when already synthesized
+    (`synthesize_gains(p, dt)`); by default they are synthesized here.
     The P gap is the max-abs difference between the reconstructed
     operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and the matrix
     Riccati path at up to 21 sampled grid times.
     """
-    gains = synthesize_gains(p, dt)
+    if gains is None:
+        gains = synthesize_gains(p, dt)
     ctrl_dec = feedback_controller(p, gains)
     ctrl_orc, path = oracle_controller(sys, horizon, dt)
     traj_dec = simulate(sys, ctrl_dec, x0, horizon, dt)
@@ -362,17 +425,21 @@ class TruncationRow:
 
 def truncation_study(sys: StepSystem, p: LqrProblem, x0,
                      levels: Sequence[int], horizon: float,
-                     dt: float) -> list[TruncationRow]:
+                     dt: float, *, gains: Curve | None = None) -> list[TruncationRow]:
     """Cost inflation and terminal-state ratios for each truncation level.
 
     Every distinct level in ``levels`` and the full level ``rank`` is
-    simulated once with the gains of one synthesis; the level-rank run
-    is the optimal one.  For each ignored direction the measured terminal
-    ratio ``x_tilde(T)/x_bar(T)`` sits next to its prediction (available
-    when the input polynomial is constant), read from the same gains.
+    simulated once with one set of gains: ``gains`` when given (those of
+    `synthesize_gains(p, dt)`), else one synthesis here.  The level-rank
+    run is the optimal one.  Costs and terminal eigen coordinates are
+    read from each run's modes, so a decoupled study builds no (K+1) x n
+    array.  For each ignored direction the measured terminal ratio
+    ``x_tilde(T)/x_bar(T)`` sits next to its prediction (available when
+    the input polynomial is constant), read from the same gains.
     """
     levels = list(levels)
-    gains = synthesize_gains(p, dt)
+    if gains is None:
+        gains = synthesize_gains(p, dt)
     # truncate_problem rejects a level outside [0, rank] before any run
     laws = {level: feedback_controller(truncate_problem(p, level), gains)
             for level in (*levels, p.d)}
@@ -380,7 +447,7 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
     for level, law in laws.items():
         traj = simulate(sys, law, x0, horizon, dt)
         runs[level] = (evaluate_cost(traj, sys).total,
-                       sys.f_cells @ traj.states[-1] / sys.n)
+                       _mode_amplitudes(traj, sys)[0][-1, 1:])
     j_opt, coords_opt = runs[p.d]
     predictions = (_terminal_ratios(p, gains) if p.poly_b.degree == 0
                    else np.full(p.d, np.nan))

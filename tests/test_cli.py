@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import graphon_lqr.lqr as lqr_module
+import graphon_lqr.riccati as riccati_module
 from graphon_lqr import cli
 
 
@@ -75,6 +77,14 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, graphon={"type": "finite_rank", "pairs": [5]})
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
         assert "'pairs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["lambda", "freq"])
+    def test_boolean_finite_rank_field_exits_2(self, tmp_path, capsys, field):
+        # true would read as 1.0, a valid eigenvalue and frequency
+        pair = {"lambda": 0.5, "fun": "sin", "freq": 1, field: True}
+        path = write_scenario(tmp_path, graphon={"type": "finite_rank", "pairs": [pair]})
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
 
     def test_controller_modes(self):
         assert cli.parse_controller("optimal", 2) == 2
@@ -212,6 +222,16 @@ class TestRunCommand:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_lapack_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError, which alone would exit 2
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "build_experiment", failing)
+        path = write_scenario(tmp_path)
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+
     def test_overflowing_gain_exits_3(self, tmp_path, capsys):
         # no input: every gain grows like exp(2*alpha0*t) and overflows
         path = write_scenario(tmp_path, alpha0=5000.0, poly_b=[0.0], poly_q=[1.0],
@@ -253,3 +273,24 @@ class TestStudyCommands:
         cost = json.loads((out / "cost.json").read_text())
         assert cost["oracle_rel_gap"] <= 1e-6
         assert "rel_gap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["run", "{scenario}", "--compare-oracle"],
+        ["example-vii", "--compare-oracle", "--dt", "5e-3"],
+        ["truncation-study", "{scenario}"],
+        ["oracle-check", "{scenario}"],
+    ], ids=["run", "example-vii", "truncation-study", "oracle-check"])
+    def test_one_synthesis_per_command(self, tmp_path, monkeypatch, command):
+        solves = []
+        solve = riccati_module.riccati_explicit
+
+        def recording_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        for module in (lqr_module, riccati_module):
+            monkeypatch.setattr(module, "riccati_explicit", recording_solve)
+        path = write_scenario(tmp_path)
+        argv = [arg.format(scenario=path) for arg in command]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert len(solves) == 1

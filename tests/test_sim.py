@@ -234,6 +234,87 @@ class TestModalEngine:
             gl.simulate(sys_, generic(law), np.array([1.0, -2.0, 0.5]), 1.0, 1e-3)
 
 
+class TestModalTrajectory:
+    """A decoupled run held by its modes: costs and studies read no dense array."""
+
+    @staticmethod
+    def assert_cost_of_dense_run(traj, sys_):
+        assert traj.modes is not None
+        modal = gl.evaluate_cost(traj, sys_)
+        dense = gl.evaluate_cost(gl.Trajectory(traj.grid, traj.states, traj.controls),
+                                 sys_)
+        assert modal.total == pytest.approx(dense.total, rel=1e-12, abs=0.0)
+        assert modal.aux == pytest.approx(dense.aux, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(modal.eigen, dense.eigen, rtol=1e-12, atol=0.0)
+
+    def test_cost_of_example_vii(self, vii_problem):
+        n, dt = 40, 1e-3
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        traj = gl.simulate(sys_, law, gl.initial_state(n, 7), vii_problem.horizon, dt)
+        self.assert_cost_of_dense_run(traj, sys_)
+
+    def test_cost_at_every_truncation_level(self):
+        rng = np.random.default_rng(90)
+        g, entries = make_rank_kernel(rng, 11, 4)
+        p = gl.LqrProblem(0.5, input_poly(rng, 2), admissible_poly(rng, g.lambdas, 2),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        assert p.poly_b.degree == 2
+        sys_ = gl.build_step_system(entries, p)
+        gains = synthesize_gains(p, 1e-3)
+        x0 = gl.initial_state(11, 91)
+        for level in range(p.d + 1):
+            law = feedback_controller(truncate_problem(p, level), gains)
+            self.assert_cost_of_dense_run(gl.simulate(sys_, law, x0, 1.0, 1e-3), sys_)
+
+    def test_dense_constructor_unchanged(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        states = np.arange(6.0).reshape(3, 2)
+        traj = gl.Trajectory(grid, states, -states)
+        assert traj.modes is None and traj.states is states
+        with pytest.raises(ValueError, match="lengths"):
+            gl.Trajectory(grid, states[:2], states[:2])
+        with pytest.raises(ValueError, match="non-finite"):
+            gl.Trajectory(grid, states, np.full((3, 2), np.nan))
+
+    def test_pipeline_and_study_build_no_dense_run(self, monkeypatch):
+        # the large-network pipeline: an analytic kernel, simulate, evaluate_cost
+        kernel = gl.graphon_from_spec({"type": "finite_rank", "pairs": [
+            {"lambda": 0.6, "fun": "sin"}, {"lambda": -0.3, "fun": "cos", "freq": 2}]})
+        p = gl.LqrProblem(0.8, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0, 0.5]),
+                          gl.CoeffPoly([1.0]), kernel, 1.0)
+        n = 500
+        sys_ = gl.build_step_system(gl.sample_step_entries(kernel, n), p)
+        x0 = gl.initial_state(n, 92)
+        traj = gl.simulate(sys_, feedback_controller(p, synthesize_gains(p, 1e-3)),
+                           x0, 1.0, 1e-3)
+        gl.evaluate_cost(traj, sys_)
+        runs = [traj]
+        simulate = sim_module.simulate
+
+        def recording_simulate(*args):
+            runs.append(simulate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(sim_module, "simulate", recording_simulate)
+        gl.truncation_study(sys_, p, x0, range(p.d + 1), 1.0, 1e-3)
+        assert len(runs) == 1 + p.d + 1
+        for run in runs:
+            assert run.modes is not None
+            assert not {"states", "controls"} & set(vars(run))
+
+    def test_blow_up_bounds_the_dense_run(self):
+        # a run that passes the bound rebuilds to finite states and controls
+        p = gl.LqrProblem(700.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([0.0]),
+                          gl.CoeffPoly([0.0]), gl.uniform_graphon(), 1.0)
+        sys_ = gl.build_step_system(np.ones((3, 3)), p)
+        law = feedback_controller(p, synthesize_gains(p, 1e-3))
+        traj = gl.simulate(sys_, law, np.array([1.0, -2.0, 0.5]), 1.0, 1e-3)
+        assert np.abs(traj.states).max() > 1e300
+        assert np.isfinite(traj.states).all() and np.isfinite(traj.controls).all()
+
+
 class TestEvaluateCost:
     def test_zero_trajectory_costs_nothing(self):
         p = sinusoidal_problem()
@@ -291,6 +372,23 @@ class TestOracleCompare:
         report = gl.oracle_compare(sys_, p, gl.initial_state(6, 51), 1.0, 1e-3)
         assert report.cost_rel_gap <= 1e-6
         assert report.p_gap <= 1e-6
+
+    def test_given_gains_are_not_synthesized_again(self, vii_problem, monkeypatch):
+        n, dt = 6, 1e-2
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        x0 = gl.initial_state(n, 52)
+        expected = gl.oracle_compare(sys_, vii_problem, x0, 1.0, dt)
+        gains = synthesize_gains(vii_problem, dt)
+
+        def no_synthesis(*args):
+            raise AssertionError("gains synthesized again")
+
+        monkeypatch.setattr(sim_module, "synthesize_gains", no_synthesis)
+        report = gl.oracle_compare(sys_, vii_problem, x0, 1.0, dt, gains=gains)
+        assert report == expected
+        rows = gl.truncation_study(sys_, vii_problem, x0, [0], 1.0, dt, gains=gains)
+        assert rows[0].j_optimal == expected.j_decoupled
 
 
 class TestTruncationStudy:
