@@ -252,7 +252,7 @@ def run_scenario(scn: Scenario, base_dir: str = ".",
         "eigen": [float(v) for v in cost.eigen],
     }
     if compare_oracle:
-        report = oracle_compare(system, problem, x0, scn.horizon, scn.dt, gains=gains)
+        report = oracle_compare(system, problem, x0, scn.horizon, scn.dt)
         payload.update({
             "oracle_rel_gap": report.cost_rel_gap,
             "oracle_p_gap": report.p_gap,
@@ -279,8 +279,7 @@ def run_truncation_study(scn: Scenario, levels, base_dir: str = ".",
     gains = synthesize_gains(problem, scn.dt)
     if levels is None:
         levels = list(range(problem.d + 1))
-    rows = truncation_study(system, problem, x0, levels, scn.horizon, scn.dt,
-                            gains=gains)
+    rows = truncation_study(system, problem, x0, levels, scn.horizon, scn.dt)
     out_dir = _prepare_out(scn, out_override)
     write_truncation_csv(os.path.join(out_dir, "truncation.csv"), rows)
     write_gains_csv(os.path.join(out_dir, "gains.csv"), gains)

@@ -23,7 +23,7 @@ from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _terminal_ratios, feedback_controller,
                   reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import apply_poly_matrix
-from .riccati import Curve, solve_matrix_riccati
+from .riccati import solve_matrix_riccati
 
 # Eigenvalue slack for "positive semidefinite up to rounding".
 _PSD_TOL = -1e-9
@@ -159,23 +159,31 @@ class Trajectory:
     form (`from_modes`): ``modes`` holds it in O(K*(rank+1)) plus the
     O(n*rank) initial projection, and ``states`` and ``controls`` are
     rebuilt from it only on first access, in O(K*n*rank).  ``modes`` is
-    None for a dense run.
+    None for a dense run.  No attribute can be rebound or deleted after
+    construction, so the rebuilt arrays always agree with the modes.
     """
+
+    modes: ModalRun | None
 
     def __init__(self, grid: np.ndarray, states: np.ndarray, controls: np.ndarray):
         if not (states.shape[0] == grid.size == controls.shape[0]):
             raise ValueError("grid, states and controls lengths disagree")
         if not (np.all(np.isfinite(states)) and np.all(np.isfinite(controls))):
             raise ValueError("trajectory contains non-finite entries")
-        self.grid, self.states, self.controls = grid, states, controls
-        self.modes: ModalRun | None = None
+        vars(self).update(grid=grid, states=states, controls=controls, modes=None)
 
     @classmethod
     def from_modes(cls, grid: np.ndarray, modes: ModalRun) -> Trajectory:
         """A run in modal form; its finiteness is the caller's check."""
         traj = cls.__new__(cls)
-        traj.grid, traj.modes = grid, modes
+        vars(traj).update(grid=grid, modes=modes)
         return traj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Trajectory is immutable: cannot delete {name!r}")
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -301,25 +309,25 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     return ModalRun(growth=growth, gains=gain, resid=resid0, coords=coords0, f=f)
 
 
-def _mode_amplitudes(traj: Trajectory, sys: StepSystem) -> tuple[np.ndarray, np.ndarray]:
-    """State and control amplitudes of each mode, shape (K+1, rank+1) each.
+def _mode_energies(traj: Trajectory, sys: StepSystem) -> tuple[np.ndarray, np.ndarray]:
+    """State and control energy of each mode, shape (K+1, rank+1) each.
 
-    Column 0 is the norm ``|r|/sqrt(n)`` of the part r of the vector
-    orthogonal to every eigenfunction, column l its l-th eigen coordinate
-    ``<v, f_l>``; by Parseval a row's squares sum to ``|v|^2/n``.  A run
-    in modal form on ``sys`` gives them in O(K*(rank+1)); any other run
-    is projected, O(K*n*rank).
+    Column 0 is ``|r|^2/n`` for the part r of the vector orthogonal to
+    every eigenfunction, column l the square of its l-th eigen coordinate
+    ``<v, f_l>``; by Parseval a row sums to ``|v|^2/n``.  A run in modal
+    form on ``sys`` gives them in O(K*(rank+1)); any other run is
+    projected, O(K*n*rank).
     """
     m = traj.modes
     if m is not None and m.f is sys.f_cells:
-        x = m.growth * np.append(np.sqrt(m.resid @ m.resid / sys.n), m.coords)
-        return x, -m.gains * x
+        x = m.growth ** 2 * np.append(m.resid @ m.resid / sys.n, m.coords ** 2)
+        return x, m.gains ** 2 * x
     f, n = sys.f_cells, sys.n
 
     def project(v):
         coords = v @ f.T / n
         r = v - coords @ f
-        return np.column_stack([np.sqrt(np.einsum("ki,ki->k", r, r) / n), coords])
+        return np.column_stack([np.einsum("ki,ki->k", r, r) / n, coords ** 2])
 
     return project(traj.states), project(traj.controls)
 
@@ -329,7 +337,7 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
 
     The cost is the trapezoid rule applied to ``(x'Qx + u'u)/n`` plus the
     terminal ``x'P0x/n``.  Each mode's part is read from the mode
-    amplitudes (`_mode_amplitudes`): the residual's is
+    energies (`_mode_energies`): the residual's is
     ``(q0 + G0^2)*g0^2*|x_res|^2/n`` per node, eigendirection l's
     ``(q_l + G_l^2)*(g_l*c_l)^2``, with ``q_l = poly_q(lam_l)`` and the
     terminal weights alike.  On a low-rank system, where Q and P0 act on
@@ -337,13 +345,13 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     for a run in modal form; otherwise it comes from the dense Q and P0.
     """
     p, grid = sys.problem, traj.grid
-    xa, ua = _mode_amplitudes(traj, sys)
+    xe, ue = _mode_energies(traj, sys)
     q = np.append(p.q0, p.poly_q(sys.lams))
     z = np.append(p.z0, p.poly_p0(sys.lams))
     # one row per mode, so that each trapezoid sum runs over contiguous memory
     # and numpy sums it pairwise
-    run = np.ascontiguousarray((q * xa ** 2 + ua ** 2).T)
-    parts = np.trapezoid(run, grid) + z * xa[-1] ** 2
+    run = np.ascontiguousarray((q * xe + ue).T)
+    parts = np.trapezoid(run, grid) + z * xe[-1]
     if sys.low_rank:
         total = float(parts.sum())
     else:
@@ -380,17 +388,14 @@ class OracleReport:
 
 
 def oracle_compare(sys: StepSystem, p: LqrProblem, x0, horizon: float,
-                   dt: float, *, gains: Curve | None = None) -> OracleReport:
+                   dt: float) -> OracleReport:
     """Run both controllers and report P-matrix, state and cost gaps.
 
-    ``gains`` are the decoupled gains of ``p`` when already synthesized
-    (`synthesize_gains(p, dt)`); by default they are synthesized here.
     The P gap is the max-abs difference between the reconstructed
     operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and the matrix
     Riccati path at up to 21 sampled grid times.
     """
-    if gains is None:
-        gains = synthesize_gains(p, dt)
+    gains = synthesize_gains(p, dt)
     ctrl_dec = feedback_controller(p, gains)
     ctrl_orc, path = oracle_controller(sys, horizon, dt)
     traj_dec = simulate(sys, ctrl_dec, x0, horizon, dt)
@@ -425,29 +430,30 @@ class TruncationRow:
 
 def truncation_study(sys: StepSystem, p: LqrProblem, x0,
                      levels: Sequence[int], horizon: float,
-                     dt: float, *, gains: Curve | None = None) -> list[TruncationRow]:
+                     dt: float) -> list[TruncationRow]:
     """Cost inflation and terminal-state ratios for each truncation level.
 
     Every distinct level in ``levels`` and the full level ``rank`` is
-    simulated once with one set of gains: ``gains`` when given (those of
-    `synthesize_gains(p, dt)`), else one synthesis here.  The level-rank
-    run is the optimal one.  Costs and terminal eigen coordinates are
+    simulated once with one synthesis of gains; the level-rank run is the
+    optimal one.  Costs and terminal eigen coordinates ``g_l(T)*c_l`` are
     read from each run's modes, so a decoupled study builds no (K+1) x n
-    array.  For each ignored direction the measured terminal ratio
-    ``x_tilde(T)/x_bar(T)`` sits next to its prediction (available when
-    the input polynomial is constant), read from the same gains.
+    array; a dense run is projected at T alone.  For each ignored
+    direction the measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits
+    next to its prediction (available when the input polynomial is
+    constant), read from the same gains.
     """
     levels = list(levels)
-    if gains is None:
-        gains = synthesize_gains(p, dt)
+    gains = synthesize_gains(p, dt)
     # truncate_problem rejects a level outside [0, rank] before any run
     laws = {level: feedback_controller(truncate_problem(p, level), gains)
             for level in (*levels, p.d)}
     runs = {}
     for level, law in laws.items():
         traj = simulate(sys, law, x0, horizon, dt)
-        runs[level] = (evaluate_cost(traj, sys).total,
-                       _mode_amplitudes(traj, sys)[0][-1, 1:])
+        m = traj.modes
+        coords = (m.growth[-1, 1:] * m.coords if m is not None
+                  else sys.f_cells @ traj.states[-1] / sys.n)
+        runs[level] = (evaluate_cost(traj, sys).total, coords)
     j_opt, coords_opt = runs[p.d]
     predictions = (_terminal_ratios(p, gains) if p.poly_b.degree == 0
                    else np.full(p.d, np.nan))

@@ -3,8 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import graphon_lqr.lqr as lqr_module
-import graphon_lqr.riccati as riccati_module
 from graphon_lqr import cli
 
 
@@ -273,24 +271,3 @@ class TestStudyCommands:
         cost = json.loads((out / "cost.json").read_text())
         assert cost["oracle_rel_gap"] <= 1e-6
         assert "rel_gap" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("command", [
-        ["run", "{scenario}", "--compare-oracle"],
-        ["example-vii", "--compare-oracle", "--dt", "5e-3"],
-        ["truncation-study", "{scenario}"],
-        ["oracle-check", "{scenario}"],
-    ], ids=["run", "example-vii", "truncation-study", "oracle-check"])
-    def test_one_synthesis_per_command(self, tmp_path, monkeypatch, command):
-        solves = []
-        solve = riccati_module.riccati_explicit
-
-        def recording_solve(*args):
-            solves.append(args)
-            return solve(*args)
-
-        for module in (lqr_module, riccati_module):
-            monkeypatch.setattr(module, "riccati_explicit", recording_solve)
-        path = write_scenario(tmp_path)
-        argv = [arg.format(scenario=path) for arg in command]
-        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
-        assert len(solves) == 1

@@ -278,6 +278,21 @@ class TestModalTrajectory:
         with pytest.raises(ValueError, match="non-finite"):
             gl.Trajectory(grid, states, np.full((3, 2), np.nan))
 
+    def test_immutable(self, vii_problem):
+        n, dt = 8, 1e-2
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        traj = gl.simulate(sys_, law, gl.initial_state(n, 8), 1.0, dt)
+        states = traj.states  # a rebuilt array is cached, not rebuilt again
+        assert traj.states is states
+        for name in ("grid", "states", "controls", "modes"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(traj, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(traj, name)
+        assert traj.states is states and traj.modes is not None
+
     def test_pipeline_and_study_build_no_dense_run(self, monkeypatch):
         # the large-network pipeline: an analytic kernel, simulate, evaluate_cost
         kernel = gl.graphon_from_spec({"type": "finite_rank", "pairs": [
@@ -372,23 +387,6 @@ class TestOracleCompare:
         report = gl.oracle_compare(sys_, p, gl.initial_state(6, 51), 1.0, 1e-3)
         assert report.cost_rel_gap <= 1e-6
         assert report.p_gap <= 1e-6
-
-    def test_given_gains_are_not_synthesized_again(self, vii_problem, monkeypatch):
-        n, dt = 6, 1e-2
-        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
-                                    vii_problem)
-        x0 = gl.initial_state(n, 52)
-        expected = gl.oracle_compare(sys_, vii_problem, x0, 1.0, dt)
-        gains = synthesize_gains(vii_problem, dt)
-
-        def no_synthesis(*args):
-            raise AssertionError("gains synthesized again")
-
-        monkeypatch.setattr(sim_module, "synthesize_gains", no_synthesis)
-        report = gl.oracle_compare(sys_, vii_problem, x0, 1.0, dt, gains=gains)
-        assert report == expected
-        rows = gl.truncation_study(sys_, vii_problem, x0, [0], 1.0, dt, gains=gains)
-        assert rows[0].j_optimal == expected.j_decoupled
 
 
 class TestTruncationStudy:
