@@ -14,8 +14,9 @@ scenario and seed yield byte-identical artifacts, and the resolved
 scenario is echoed next to them.
 
 Exit codes: 0 success, 2 scenario/validation failure (an unreadable input
-path or an unwritable output directory included), 3 numeric failure (a
-blow-up, an overflowing gain or a failed LAPACK call).
+path, an unwritable output directory and a network that the kernel
+eigenfunctions do not decouple included), 3 numeric failure (a blow-up,
+an overflowing gain or a failed LAPACK call).
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from .graphon import StepGraphon, graphon_from_spec, sample_step_entries
 from .lqr import LqrProblem, feedback_controller, synthesize_gains, truncate_problem
 from .poly import CoeffPoly
 from .riccati import Curve
-from .sim import (build_step_system, evaluate_cost, initial_state, oracle_compare,
-                  simulate, truncation_study)
+from .sim import (_DECOUPLING_TOL, build_step_system, evaluate_cost, initial_state,
+                  oracle_compare, simulate, truncation_study)
 
 _FLOAT_FMT = "%.17g"
 
@@ -170,7 +171,13 @@ def preset_example_vii() -> Scenario:
 
 
 def build_experiment(scn: Scenario, base_dir: str = "."):
-    """Materialize a scenario: problem, step system and initial state."""
+    """Materialize a scenario: problem, step system and initial state.
+
+    A network whose cells the kernel eigenfunctions do not decouple
+    (`StepSystem.residual` above the decoupling tolerance, e.g. a
+    rank-2 kernel on 2 cells) is rejected: its decoupled controller
+    would not be optimal.
+    """
     g = graphon_from_spec(scn.graphon, base_dir)
     if isinstance(g, StepGraphon):
         if scn.n is not None and scn.n != g.n:
@@ -187,6 +194,11 @@ def build_experiment(scn: Scenario, base_dir: str = "."):
     problem = LqrProblem(scn.alpha0, CoeffPoly(scn.poly_b), CoeffPoly(scn.poly_q),
                          CoeffPoly(scn.poly_p0), kernel, scn.horizon)
     system = build_step_system(entries, problem)
+    if not system.residual <= _DECOUPLING_TOL:
+        raise ValueError(
+            f"the {system.n}-cell network does not decouple along the d = {problem.d} "
+            f"kernel eigenfunctions: decoupling residual {system.residual:.3e} "
+            f"exceeds {_DECOUPLING_TOL:g}")
     x0 = initial_state(system.n, scn.seed)
     return problem, system, x0
 
@@ -367,6 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_levels(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError("--levels: expected comma-separated integers such as "
+                         f"0,1,2, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -380,8 +400,7 @@ def main(argv=None) -> int:
                          out_override=args.out, compare_oracle=args.compare_oracle)
         elif args.command == "truncation-study":
             scn = _apply_overrides(load_scenario(args.scenario), args)
-            levels = ([int(v) for v in args.levels.split(",")]
-                      if args.levels else None)
+            levels = _parse_levels(args.levels) if args.levels else None
             run_truncation_study(scn, levels,
                                  base_dir=os.path.dirname(os.path.abspath(args.scenario)),
                                  out_override=args.out)

@@ -31,10 +31,25 @@ DEFAULT_QUAD_NODES = 4096
 #: Default number of nodes per axis for kernel L2 distances.
 DEFAULT_DISTANCE_NODES = 1024
 
+# Columns per block in the symmetry check of `StepGraphon`: a block of
+# 64 columns of a few thousand rows fits in a core's L2 cache.
+_SYMMETRY_COLS = 64
+
 
 def midpoint_grid(m: int) -> np.ndarray:
     """Midpoints of the uniform m-partition of [0, 1]."""
     return (np.arange(m) + 0.5) / m
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Exact symmetry, one block of columns on and below the diagonal at a time.
+
+    Each block is compared with the mirrored block of rows, so both stay
+    in cache and no n x n temporary is built.
+    """
+    step = _SYMMETRY_COLS
+    return all(np.array_equal(a[lo:, lo:lo + step], a[lo:lo + step, lo:].T)
+               for lo in range(0, a.shape[0], step))
 
 
 def _check_coords(x, name: str):
@@ -218,23 +233,30 @@ class StepGraphon:
 
     ``entries`` is the symmetric coupling matrix; the kernel takes value
     ``entries[i, j]`` on cell (i, j).  All entries must satisfy
-    |a_ij| <= bound.
+    |a_ij| <= bound.  Validation makes a few sequential passes over the
+    matrix: its minimum and maximum give finiteness and the bound, and
+    symmetry is compared one block of columns at a time against the
+    mirrored block of rows.  The offending indices are located only when
+    a check fails.
     """
 
     def __init__(self, entries, bound: float = 1.0):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        # NaN propagates through min and max
+        low, high = (float(a.min()), float(a.max())) if a.size else (0.0, 0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("coupling matrix must be finite")
-        bad = np.argwhere(a != a.T)
-        if bad.size:
+        if not _is_symmetric(a):
+            bad = np.argwhere(a != a.T)
             pairs = ", ".join(f"({i},{j})" for i, j in bad[:8])
             raise ValueError(f"coupling matrix is not symmetric at indices {pairs}")
         self.bound = float(bound)
         # rounding slack: sampled analytic kernels may exceed the bound by eps
-        over = np.argwhere(np.abs(a) > self.bound + 1e-12 * max(1.0, self.bound))
-        if over.size:
+        limit = self.bound + 1e-12 * max(1.0, self.bound)
+        if max(-low, high) > limit:
+            over = np.argwhere(np.abs(a) > limit)
             pairs = ", ".join(f"({i},{j})" for i, j in over[:8])
             raise ValueError(
                 f"coupling entries exceed the bound {self.bound} at indices {pairs}")
@@ -319,12 +341,27 @@ def uniform_graphon(bound: float = 1.0) -> FiniteRankGraphon:
 
 
 def sample_step_entries(g: FiniteRankGraphon, n: int) -> np.ndarray:
-    """Sample a kernel at cell midpoints into an exactly symmetric matrix."""
+    """Sample a kernel at cell midpoints into an exactly symmetric matrix.
+
+    The eigenfunctions are evaluated once on the midpoint grid (F, rank x n)
+    and the matrix is ``C+ C+' - C- C-'`` with ``C± = F±' sqrt(±lam±)``
+    over the positive and the negative eigenvalues.  numpy computes the
+    product of one buffer with its own transpose as a symmetric rank-k
+    update and mirrors the triangle, so the result is exactly symmetric
+    and agrees with ``g.eval`` at the midpoints up to rounding.  A rank-0
+    kernel samples to zeros.
+    """
     if n < 1:
         raise ValueError(f"partition size must be >= 1, got {n}")
-    mids = midpoint_grid(n)
-    a = g.eval(mids[:, None], mids[None, :])
-    return 0.5 * (a + a.T)
+    f = g.eigfun_values(midpoint_grid(n))
+    lams = g.lambdas
+    pos, neg = lams > 0.0, lams < 0.0
+    c_pos = np.ascontiguousarray(f[pos].T * np.sqrt(lams[pos]))
+    a = c_pos @ c_pos.T  # zeros when no eigenvalue is positive
+    if neg.any():
+        c_neg = np.ascontiguousarray(f[neg].T * np.sqrt(-lams[neg]))
+        a -= c_neg @ c_neg.T
+    return a
 
 
 def l2_distance(g1, g2, nodes: int = DEFAULT_DISTANCE_NODES) -> float:

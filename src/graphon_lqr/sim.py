@@ -31,8 +31,9 @@ _PSD_TOL = -1e-9
 # Largest decoupling residual of a system held in low-rank form.
 _DECOUPLING_TOL = 1e-10
 
-# Rows of the coupling matrix compared per block in `decoupling_residual`.
-_RESIDUAL_ROWS = 256
+# Rows of the coupling matrix read per block in `decoupling_residual`: 32
+# rows of a few thousand columns fit in a core's L2 cache.
+_RESIDUAL_ROWS = 32
 
 
 def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) -> float:
@@ -41,17 +42,24 @@ def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) ->
     The largest of ``max|F F'/n - I|``, ``max|(entries/n) F' - F' diag(lams)|``
     and ``max|entries/n - F' diag(lams) F / n|``; the last one is zero
     when no part of the coupling lies outside the span of ``F'``.  The
-    cost is O(n^2 * rank), in row blocks of bounded memory.
+    cost is O(n^2 * rank) in one sweep over cache-sized row blocks of
+    ``entries``, which computes both coupling terms of a block while it
+    is in cache; the off-span block is formed in one reused buffer, and
+    its maximum is divided by n once.
     """
     n = entries.shape[0]
     eig_cols = f.T * lams
-    residual = max(np.abs(f @ f.T / n - np.eye(lams.size)).max(initial=0.0),
-                   np.abs(entries @ f.T / n - eig_cols).max(initial=0.0))
+    gram = np.abs(f @ f.T / n - np.eye(lams.size)).max(initial=0.0)
+    image = off_span = 0.0
+    buf = np.empty((min(n, _RESIDUAL_ROWS), n))
     for lo in range(0, n, _RESIDUAL_ROWS):
-        rows = slice(lo, lo + _RESIDUAL_ROWS)
-        block = (entries[rows] - eig_cols[rows] @ f) / n
-        residual = max(residual, float(np.abs(block).max()))
-    return float(residual)
+        block = entries[lo:lo + _RESIDUAL_ROWS]
+        cols = eig_cols[lo:lo + _RESIDUAL_ROWS]
+        image = max(image, np.abs(block @ f.T / n - cols).max(initial=0.0))
+        span = np.matmul(cols, f, out=buf[:len(block)])
+        np.subtract(block, span, out=span)
+        off_span = max(off_span, np.abs(span, out=span).max())
+    return float(max(gram, image, off_span / n))
 
 
 class StepSystem:

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import graphon_lqr as gl
 from graphon_lqr import cli
 
 
@@ -254,15 +261,50 @@ class TestStudyCommands:
         data = np.genfromtxt(out / "truncation.csv", delimiter=",", skip_header=1)
         assert np.all(data[:, 1] >= data[:, 2] - 1e-8)  # J_trunc >= J_opt
 
-    def test_oracle_check_zero_optimal_cost(self, tmp_path, capsys):
-        # one cell samples the kernel at 1, where (1 - s)^2 vanishes: J_oracle = 0
-        path = write_scenario(tmp_path, n=1)
-        out = tmp_path / "single"
-        assert cli.main(["oracle-check", path, "--out", str(out)]) == 0
-        cost = json.loads((out / "cost.json").read_text())
-        assert cost["j_oracle"] == 0.0
-        assert np.isfinite(cost["oracle_rel_gap"])
-        assert cost["oracle_rel_gap"] == abs(cost["total"])
+    def test_oracle_check_zero_optimal_cost(self, tmp_path):
+        # one cell samples the kernel at 1, where (1 - s)^2 vanishes: J_oracle = 0.
+        # The cell does not decouple the rank-2 kernel, so the command line
+        # rejects it; the library still compares it through the dense fallback.
+        scn = cli.load_scenario(write_scenario(tmp_path, n=1))
+        g = gl.graphon_from_spec(scn.graphon)
+        problem = gl.LqrProblem(scn.alpha0, gl.CoeffPoly(scn.poly_b),
+                                gl.CoeffPoly(scn.poly_q), gl.CoeffPoly(scn.poly_p0),
+                                g, scn.horizon)
+        system = gl.build_step_system(gl.sample_step_entries(g, 1), problem)
+        report = gl.oracle_compare(system, problem, gl.initial_state(1, scn.seed),
+                                   scn.horizon, scn.dt)
+        assert report.j_oracle == 0.0
+        assert np.isfinite(report.cost_rel_gap)
+        assert report.cost_rel_gap == abs(report.j_decoupled)
+
+    @pytest.mark.parametrize("command", ["oracle-check", "run", "truncation-study"])
+    def test_non_decoupling_network_exits_2(self, tmp_path, capsys, command):
+        # two cells sample sin and cos to a Gram matrix diag(2, 0): residual 1
+        path = write_scenario(tmp_path, n=2)
+        assert cli.main([command, path, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "2-cell" in err and "d = 2" in err and "residual 1.000e+00" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_full_rank_step_kernel_runs(self, tmp_path):
+        # n = d: not low rank, yet its eigenvectors decouple it exactly
+        m = np.array([[0.3, 0.2, -0.1], [0.2, -0.5, 0.4], [-0.1, 0.4, 0.6]])
+        np.savetxt(tmp_path / "coupling.csv", m, delimiter=",")
+        path = write_scenario(tmp_path, n=3,
+                              graphon={"type": "step", "matrix_csv": "coupling.csv"})
+        problem, system, _ = cli.build_experiment(cli.load_scenario(path),
+                                                  base_dir=str(tmp_path))
+        assert problem.d == 3 and not system.low_rank and system.residual <= 1e-13
+        assert cli.main(["oracle-check", path, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("levels", ["x", "1,,2", "0,1.5"])
+    def test_unparsable_levels_exit_2(self, tmp_path, capsys, levels):
+        path = write_scenario(tmp_path)
+        rc = cli.main(["truncation-study", path, "--levels", levels,
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--levels" in err and "comma-separated integers" in err
 
     def test_oracle_check_command(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
@@ -271,3 +313,65 @@ class TestStudyCommands:
         cost = json.loads((out / "cost.json").read_text())
         assert cost["oracle_rel_gap"] <= 1e-6
         assert "rel_gap" in capsys.readouterr().out
+
+
+# -- exit codes on random scenarios ---------------------------------------------
+
+EIGFUNS = [("const", 1), ("cos", 1), ("sin", 1), ("cos", 2), ("sin", 3)]
+WEIGHTS = st.sampled_from([[1.0], [0.0], [1.0, -2.0, 1.0], [0.5, 0.2], [0.1, -1.0]])
+# wrong types and values; never a large integral number, which would be a huge n
+JUNK = st.one_of(st.booleans(), st.none(), st.text(max_size=3), st.integers(-3, 3),
+                 st.floats(-10.0, 10.0),
+                 st.sampled_from([float("nan"), float("inf"), -1e308, [], {}, [True]]))
+
+
+@st.composite
+def finite_rank_spec(draw):
+    """Orthonormal analytic pairs; at small n most of them do not decouple."""
+    funs = draw(st.lists(st.sampled_from(EIGFUNS), min_size=1, max_size=3, unique=True))
+    lams = draw(st.lists(st.floats(0.05, 0.3) | st.floats(-0.3, -0.05),
+                         min_size=len(funs), max_size=len(funs)))
+    pairs = [{"lambda": lam, "fun": f, "freq": q} for lam, (f, q) in zip(lams, funs)]
+    return {"type": "finite_rank", "pairs": sorted(pairs, key=lambda p: -abs(p["lambda"]))}
+
+
+@st.composite
+def scenario_dicts(draw):
+    """A scenario with n <= 16 and dt >= 1e-2, then maybe one field spoiled or dropped."""
+    raw = draw(st.fixed_dictionaries({
+        "alpha0": st.floats(-2.0, 2.0) | st.just(5000.0),
+        "poly_b": st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+        "poly_q": WEIGHTS,
+        "poly_p0": WEIGHTS,
+        "horizon": st.floats(0.1, 0.5),
+        "dt": st.floats(1e-2, 0.05),
+        "graphon": st.sampled_from([{"type": "sinusoidal"}, {"type": "uniform"}])
+        | finite_rank_spec(),
+        "n": st.integers(1, 16),
+        "seed": st.integers(0, 2 ** 31),
+        "controller": st.sampled_from(["optimal", "auxiliary_only", "truncated(1)",
+                                       "truncated(3)"]),
+    }))
+    mode = draw(st.sampled_from(["keep", "spoil", "drop"]))
+    if mode != "keep":
+        key = draw(st.sampled_from(sorted(raw)))
+        if mode == "spoil":
+            raw[key] = draw(JUNK)
+        else:
+            del raw[key]
+    return raw
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario_dicts())
+def test_run_exits_only_with_documented_codes(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        quiet = io.StringIO()
+        with (np.errstate(all="ignore"), contextlib.redirect_stdout(quiet),
+              contextlib.redirect_stderr(quiet)):
+            rc = cli.main(["run", path, "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 2, 3), (raw, quiet.getvalue())

@@ -191,6 +191,35 @@ class TestL2Distance:
         assert gl.l2_distance(g, step) == pytest.approx(gl.l2_distance(step, g))
 
 
+MIXED_PAIRS = [{"lambda": 0.5, "fun": "cos"}, {"lambda": -0.4, "fun": "sin"},
+               {"lambda": 0.3, "fun": "cos", "freq": 2},
+               {"lambda": -0.2, "fun": "const"}]
+
+SAMPLED_KERNELS = {
+    "mixed": lambda: gl.graphon_from_spec({"type": "finite_rank", "pairs": MIXED_PAIRS}),
+    "one-positive": gl.uniform_graphon,
+    "one-negative": lambda: gl.graphon_from_spec(
+        {"type": "finite_rank", "pairs": [{"lambda": -0.6, "fun": "sin", "freq": 2}]}),
+    "rank-0": lambda: gl.sinusoidal_graphon().truncate(0),
+}
+
+
+class TestSampleStepEntries:
+    @pytest.mark.parametrize("kind", sorted(SAMPLED_KERNELS))
+    @pytest.mark.parametrize("n", [1, 2, 17, 64, 65, 1001])
+    def test_symmetric_and_equal_to_kernel(self, kind, n):
+        g = SAMPLED_KERNELS[kind]()
+        a = gl.sample_step_entries(g, n)
+        mids = midpoint_grid(n)
+        ref = g.eval(mids[:, None], mids[None, :])
+        assert a.shape == (n, n)
+        assert np.array_equal(a, a.T)
+        assert np.abs(a - ref).max() <= 1e-14 * max(1.0, np.abs(a).max())
+
+    def test_rank_zero_is_zero(self):
+        assert not gl.sample_step_entries(SAMPLED_KERNELS["rank-0"](), 5).any()
+
+
 class TestValidation:
     def test_asymmetric_entries_listed(self):
         m = np.zeros((3, 3))
@@ -201,6 +230,31 @@ class TestValidation:
     def test_entries_over_bound(self):
         with pytest.raises(ValueError, match="bound"):
             gl.StepGraphon([[2.0]], bound=1.0)
+
+    # n = 70 leaves a last, partial block of rows and columns in every scan
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        m = np.zeros((70, 70))
+        m[69, 3] = m[3, 69] = value
+        with pytest.raises(ValueError, match="finite"):
+            gl.StepGraphon(m)
+
+    def test_asymmetry_in_last_partial_block_listed(self):
+        m = np.zeros((70, 70))
+        m[69, 3] = 0.5
+        with pytest.raises(ValueError, match=r"not symmetric at indices \(3,69\), \(69,3\)$"):
+            gl.StepGraphon(m)
+
+    @pytest.mark.parametrize("value", [1.5, -1.5])
+    def test_out_of_bound_entry_listed(self, value):
+        m = np.zeros((70, 70))
+        m[69, 3] = m[3, 69] = value
+        with pytest.raises(ValueError, match=r"bound 1.0 at indices \(3,69\), \(69,3\)$"):
+            gl.StepGraphon(m, bound=1.0)
+
+    def test_entries_at_bound_accepted(self):
+        m = np.full((70, 70), -1.0)
+        assert gl.StepGraphon(m, bound=1.0).n == 70
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(ValueError):

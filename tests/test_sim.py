@@ -53,6 +53,23 @@ class TestBuildStepSystem:
         with pytest.raises(ValueError, match="bound"):
             gl.build_step_system(np.full((2, 2), 3.0), p)
 
+    @pytest.mark.parametrize("kernel", ["zero", "uniform"])
+    def test_residual_sees_last_partial_row_block(self, kernel):
+        n, delta = 70, 0.375
+        assert n > sim_module._RESIDUAL_ROWS and n % sim_module._RESIDUAL_ROWS
+        if kernel == "zero":
+            g, entries = gl.uniform_graphon().truncate(0), np.zeros((n, n))
+        else:
+            g, entries = gl.uniform_graphon(), np.ones((n, n))
+        f = g.eigfun_values(midpoint_grid(n))
+        assert sim_module.decoupling_residual(entries, f, g.lambdas) <= 1e-15
+        entries[n - 1, 3] += delta
+        residual = sim_module.decoupling_residual(entries, f, g.lambdas)
+        if kernel == "zero":
+            assert residual == delta / n
+        else:
+            assert residual == pytest.approx(delta / n, rel=1e-12)
+
     def test_indefinite_weight_rejected(self):
         # hand-built system with a negative-definite Q must fail validation
         p = scalar_problem(0.0)
