@@ -16,7 +16,8 @@ scenario is echoed next to them.
 Exit codes: 0 success, 2 scenario/validation failure (an unreadable input
 path, an unwritable output directory and a network that the kernel
 eigenfunctions do not decouple included), 3 numeric failure (a blow-up,
-an overflowing gain or a failed LAPACK call).
+an overflowing gain, a failed LAPACK call or an allocation that does not
+fit in memory, such as the n x n coupling matrix of a huge ``n``).
 """
 from __future__ import annotations
 
@@ -173,10 +174,11 @@ def preset_example_vii() -> Scenario:
 def build_experiment(scn: Scenario, base_dir: str = "."):
     """Materialize a scenario: problem, step system and initial state.
 
-    A network whose cells the kernel eigenfunctions do not decouple
-    (`StepSystem.residual` above the decoupling tolerance, e.g. a
-    rank-2 kernel on 2 cells) is rejected: its decoupled controller
-    would not be optimal.
+    A CSV step kernel, validated once when read, is the network itself;
+    an analytic kernel is sampled on ``n`` cells.  A network that the
+    kernel eigenfunctions do not decouple (not `StepSystem.low_rank`, e.g.
+    a rank-2 kernel on 2 cells) is rejected: its decoupled controller
+    would not be optimal.  A full-rank step kernel (n = d) decouples.
     """
     g = graphon_from_spec(scn.graphon, base_dir)
     if isinstance(g, StepGraphon):
@@ -184,17 +186,15 @@ def build_experiment(scn: Scenario, base_dir: str = "."):
             raise ValueError(
                 f"scenario field 'n': {scn.n} does not match the "
                 f"{g.n}x{g.n} coupling matrix")
-        entries = g.entries
-        kernel = g.spectral_decompose()
+        network, kernel = g, g.spectral_decompose()
     else:
         if scn.n is None or scn.n < 1:
             raise ValueError("scenario field 'n': required for analytic graphons")
-        kernel = g
-        entries = sample_step_entries(g, scn.n)
+        network, kernel = sample_step_entries(g, scn.n), g
     problem = LqrProblem(scn.alpha0, CoeffPoly(scn.poly_b), CoeffPoly(scn.poly_q),
                          CoeffPoly(scn.poly_p0), kernel, scn.horizon)
-    system = build_step_system(entries, problem)
-    if not system.residual <= _DECOUPLING_TOL:
+    system = build_step_system(network, problem)
+    if not system.low_rank:
         raise ValueError(
             f"the {system.n}-cell network does not decouple along the d = {problem.d} "
             f"kernel eigenfunctions: decoupling residual {system.residual:.3e} "
@@ -408,7 +408,8 @@ def main(argv=None) -> int:
             scn = _apply_overrides(load_scenario(args.scenario), args)
             run_oracle_check(scn, base_dir=os.path.dirname(os.path.abspath(args.scenario)),
                              out_override=args.out)
-    except (NumericError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    # LinAlgError is a ValueError; numpy's MemoryError names the shape and bytes
+    except (NumericError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # OSError: a path we cannot read or write

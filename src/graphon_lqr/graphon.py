@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import NumericError
 
-#: Default number of midpoint quadrature nodes for analytic eigenfunctions.
-DEFAULT_QUAD_NODES = 4096
+# Midpoint quadrature nodes for inner products of analytic eigenfunctions.
+_QUAD_NODES = 4096
 
-#: Default number of nodes per axis for kernel L2 distances.
-DEFAULT_DISTANCE_NODES = 1024
+# Nodes per axis for kernel L2 distances.
+_DISTANCE_NODES = 1024
 
 # Columns per block in the symmetry check of `StepGraphon`: a block of
 # 64 columns of a few thousand rows fits in a core's L2 cache.
@@ -114,20 +114,14 @@ class FiniteRankGraphon:
         Ordered by non-increasing |eigenvalue|.
     bound : float
         Bound c of the kernel class (|lam_l| <= c is enforced).
-    quad_nodes : int
-        Midpoint-rule resolution used for inner products of analytic
-        eigenfunctions.  When every eigenfunction is a `StepFunction`
-        over the same partition, cell arithmetic is exact and this
-        setting is ignored.
     validate : bool
         Check ordering, the eigenvalue bound and L2-orthonormality.
     """
 
     def __init__(self, pairs: Sequence[EigenPair], bound: float = 1.0,
-                 quad_nodes: int = DEFAULT_QUAD_NODES, validate: bool = True):
+                 validate: bool = True):
         self.pairs = tuple(pairs)
         self.bound = float(bound)
-        self.quad_nodes = int(quad_nodes)
         if self.bound <= 0.0:
             raise ValueError(f"bound must be positive, got {bound}")
         step_ns = {p.fun.n for p in self.pairs if isinstance(p.fun, StepFunction)}
@@ -148,9 +142,7 @@ class FiniteRankGraphon:
 
     def quadrature_grid(self) -> np.ndarray:
         """Nodes used for inner products (exact cells for step spectra)."""
-        if self._step_n is not None:
-            return midpoint_grid(self._step_n)
-        return midpoint_grid(self.quad_nodes)
+        return midpoint_grid(self._step_n or _QUAD_NODES)
 
     def eigfun_values(self, x) -> np.ndarray:
         """Values of every eigenfunction at ``x``; shape (rank,) + x.shape."""
@@ -221,8 +213,7 @@ class FiniteRankGraphon:
         if level < 0:
             raise ValueError(f"truncation level must be >= 0, got {level}")
         return FiniteRankGraphon(self.pairs[: min(level, self.rank)],
-                                 bound=self.bound, quad_nodes=self.quad_nodes,
-                                 validate=False)
+                                 bound=self.bound, validate=False)
 
     def __repr__(self):
         return f"FiniteRankGraphon(rank={self.rank}, lambdas={np.round(self.lambdas, 6)})"
@@ -286,26 +277,24 @@ class StepGraphon:
                 f"cell-value vector must have shape ({self.n},), got {v.shape}")
         return self.entries @ v / self.n
 
-    def spectral_decompose(self, zero_tol: float | None = None) -> FiniteRankGraphon:
+    def spectral_decompose(self) -> FiniteRankGraphon:
         """Eigendecompose the kernel operator into a `FiniteRankGraphon`.
 
         Operator eigenvalues are ``eig(entries) / n``; eigenvalues with
-        |lam| <= zero_tol are dropped (default ``1e-10 * n * bound``,
-        separating the numerically-zero spectrum of rank-deficient
-        matrices).  Eigenfunctions are step functions with cell values
-        ``sqrt(n) * v`` for unit eigenvectors v, so their L2 norm on
-        [0, 1] is one; the first nonzero cell value is made positive.
+        |lam| <= ``1e-10 * n * bound`` are dropped, separating the
+        numerically-zero spectrum of rank-deficient matrices.
+        Eigenfunctions are step functions with cell values ``sqrt(n) * v``
+        for unit eigenvectors v, so their L2 norm on [0, 1] is one; the
+        first nonzero cell value is made positive.
         """
         n = self.n
-        if zero_tol is None:
-            zero_tol = 1e-10 * n * self.bound
         try:
             w, vecs = np.linalg.eigh(self.entries)
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 f"eigendecomposition of the {n}x{n} coupling matrix failed: {exc}") from exc
         lams = w / n
-        keep = np.abs(lams) > zero_tol
+        keep = np.abs(lams) > 1e-10 * n * self.bound
         lams, vecs = lams[keep], vecs[:, keep]
         order = np.lexsort((-lams, -np.abs(lams)))
         pairs = []
@@ -324,20 +313,20 @@ class StepGraphon:
 # -- standard kernels and scenario ingestion ---------------------------------
 
 
-def sinusoidal_graphon(bound: float = 1.0) -> FiniteRankGraphon:
+def sinusoidal_graphon() -> FiniteRankGraphon:
     """The kernel cos(2*pi*(x - y)): two eigenpairs with eigenvalue 1/2."""
     root2 = np.sqrt(2.0)
     pairs = [
         EigenPair(0.5, lambda x: root2 * np.sin(2.0 * np.pi * np.asarray(x, float))),
         EigenPair(0.5, lambda x: root2 * np.cos(2.0 * np.pi * np.asarray(x, float))),
     ]
-    return FiniteRankGraphon(pairs, bound=bound)
+    return FiniteRankGraphon(pairs)
 
 
-def uniform_graphon(bound: float = 1.0) -> FiniteRankGraphon:
+def uniform_graphon() -> FiniteRankGraphon:
     """The all-ones kernel: one eigenpair, eigenvalue 1, flat eigenfunction."""
     pairs = [EigenPair(1.0, lambda x: np.ones_like(np.asarray(x, dtype=float)))]
-    return FiniteRankGraphon(pairs, bound=bound)
+    return FiniteRankGraphon(pairs)
 
 
 def sample_step_entries(g: FiniteRankGraphon, n: int) -> np.ndarray:
@@ -364,13 +353,13 @@ def sample_step_entries(g: FiniteRankGraphon, n: int) -> np.ndarray:
     return a
 
 
-def l2_distance(g1, g2, nodes: int = DEFAULT_DISTANCE_NODES) -> float:
+def l2_distance(g1, g2) -> float:
     """L2([0,1]^2) distance between two kernels by midpoint quadrature.
 
     Symmetric in its arguments and zero iff the kernels agree almost
     everywhere at the quadrature resolution.
     """
-    mids = midpoint_grid(nodes)
+    mids = midpoint_grid(_DISTANCE_NODES)
     x, y = mids[:, None], mids[None, :]
     diff = np.asarray(g1.eval(x, y)) - np.asarray(g2.eval(x, y))
     return float(np.sqrt(np.mean(diff ** 2)))

@@ -65,40 +65,29 @@ def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) ->
 class StepSystem:
     """Finite network realization of an LQR problem on n cells.
 
-    The drift is ``alpha0*I + entries/n``; the input, state-weight and
-    terminal-weight matrices are the problem polynomials of
-    ``entries/n``.  When the eigenfunction cell values ``F = f_cells``
-    decouple the coupling (`decoupling_residual` at most a fixed
-    tolerance) and n > rank, the system is held in low-rank form
-    (``low_rank``): every such polynomial equals
-    ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n``, simulation and
-    costs work on the rank + 1 modes, and the dense matrices are
-    assembled only on first access.  Otherwise the dense matrices are
-    validated here: symmetric, with positive semidefinite weights.
-    Matrices passed in are used as given and always validated.
+    ``StepSystem(entries, problem)`` reads n from ``entries`` and the
+    eigenfunction cell values ``F = f_cells`` and eigenvalues ``lams``
+    from ``problem.graphon``.  The drift is ``alpha0*I + entries/n``;
+    the input, state-weight and terminal-weight matrices are the problem
+    polynomials of ``entries/n``, symmetric by construction and
+    assembled only on first access.  When F decouples the coupling
+    (`decoupling_residual` at most a fixed tolerance, full rank n = d
+    included) the system is held in low-rank form (``low_rank``): every
+    such polynomial equals ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n``,
+    and simulation and costs work on the rank + 1 modes.  Otherwise the
+    weights are checked here to be positive semidefinite.
     """
 
-    def __init__(self, n: int, entries: np.ndarray, problem: LqrProblem,
-                 f_cells: np.ndarray, lams: np.ndarray, a_mat=None, b_mat=None,
-                 q_mat=None, p0_mat=None):
-        self.n = n
+    def __init__(self, entries: np.ndarray, problem: LqrProblem):
+        self.n = n = entries.shape[0]
         self.entries = entries
         self.problem = problem
-        self.f_cells = f_cells  # (rank, n) eigenfunction cell values
-        self.lams = lams
-        given = {"a_mat": a_mat, "b_mat": b_mat, "q_mat": q_mat, "p0_mat": p0_mat}
-        given = {name: np.asarray(m, dtype=float) for name, m in given.items()
-                 if m is not None}
-        vars(self).update(given)
-        self.residual = decoupling_residual(entries, f_cells, lams)
-        self.low_rank = (not given and n > lams.size
-                         and self.residual <= _DECOUPLING_TOL)
+        self.f_cells = problem.graphon.eigfun_values(midpoint_grid(n))  # (rank, n)
+        self.lams = problem.graphon.lambdas
+        self.residual = decoupling_residual(entries, self.f_cells, self.lams)
+        self.low_rank = self.residual <= _DECOUPLING_TOL
         if self.low_rank:
             return  # LqrProblem checked the weights on {0} and the spectrum
-        for name in ("a_mat", "b_mat", "q_mat", "p0_mat"):
-            m = getattr(self, name)
-            if not np.array_equal(m, m.T):
-                raise ValueError(f"system matrix {name} is not symmetric")
         for name in ("q_mat", "p0_mat"):
             low = float(np.linalg.eigvalsh(getattr(self, name)).min())
             if low < _PSD_TOL:
@@ -126,19 +115,15 @@ class StepSystem:
 def build_step_system(entries, p: LqrProblem) -> StepSystem:
     """Assemble the n-cell system from a coupling matrix.
 
-    ``entries`` may be a raw symmetric matrix or a `StepGraphon`; all
-    matrices are polynomials of the scaled coupling ``entries / n``.
-    Asymmetric or out-of-bound entries are rejected with the offending
-    indices.
+    ``entries`` may be a raw symmetric matrix, validated here against the
+    kernel bound (asymmetric or out-of-bound entries are rejected with
+    the offending indices), or a `StepGraphon`, whose matrix its own
+    constructor already validated.  All matrices are polynomials of the
+    scaled coupling ``entries / n``.
     """
-    if isinstance(entries, StepGraphon):
-        entries = entries.entries
-    else:
-        entries = StepGraphon(entries, bound=p.graphon.bound).entries
-    n = entries.shape[0]
-    return StepSystem(n=n, entries=entries, problem=p,
-                      f_cells=p.graphon.eigfun_values(midpoint_grid(n)),
-                      lams=p.graphon.lambdas)
+    if not isinstance(entries, StepGraphon):
+        entries = StepGraphon(entries, bound=p.graphon.bound)
+    return StepSystem(entries.entries, p)
 
 
 @dataclass(frozen=True)
@@ -278,15 +263,21 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     where directions the law ignores get the residual gain.  One RK4
     step of such a loop, with the law's gains at the generic loop's stage
     times, multiplies y by a growth factor; the products of those factors
-    give every mode on the grid.  The run aborts at the first node where
-    a bound on the rebuilt state and control entries, (rank + 1) times
-    max|F| times the largest mode amplitude, is not finite, so that
-    rebuilding them never yields a non-finite entry.
+    give every mode on the grid.  At rank = n the eigendirections span
+    every state, so mode 0 is held at zero with unit growth, lest an
+    unstable drift amplify the rounding left by the projection.  The run
+    aborts at the first node where a bound on the rebuilt state and
+    control entries, (rank + 1) times max|F| times the largest mode
+    amplitude, is not finite, so that rebuilding them never yields a
+    non-finite entry.
     """
     p, f, n = sys.problem, sys.f_cells, sys.n
     spectrum = np.append(0.0, sys.lams)
     drift = p.alpha0 + spectrum
     b_sys = np.atleast_1d(p.poly_b(spectrum))
+    empty = f.shape[0] == n  # rank = n: no residual
+    if empty:
+        drift[0] = b_sys[0] = 0.0
     level = law.problem.d
     column = np.arange(spectrum.size)  # the law's gain column of every mode
     column[level + 1:] = 0
@@ -302,7 +293,7 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     s4 = a4 * (1.0 + h * s3)
 
     coords0 = f @ x0 / n
-    resid0 = x0 - coords0 @ f
+    resid0 = np.zeros(n) if empty else x0 - coords0 @ f
     size = np.append(np.abs(resid0).max(), np.abs(coords0))  # largest entry per mode
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.ones((grid.size, spectrum.size))

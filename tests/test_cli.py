@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -287,15 +289,36 @@ class TestStudyCommands:
         assert not (tmp_path / "x").exists()
 
     def test_full_rank_step_kernel_runs(self, tmp_path):
-        # n = d: not low rank, yet its eigenvectors decouple it exactly
+        # n = d: its eigenvectors decouple it exactly, so it runs in modal form
         m = np.array([[0.3, 0.2, -0.1], [0.2, -0.5, 0.4], [-0.1, 0.4, 0.6]])
         np.savetxt(tmp_path / "coupling.csv", m, delimiter=",")
         path = write_scenario(tmp_path, n=3,
                               graphon={"type": "step", "matrix_csv": "coupling.csv"})
         problem, system, _ = cli.build_experiment(cli.load_scenario(path),
                                                   base_dir=str(tmp_path))
-        assert problem.d == 3 and not system.low_rank and system.residual <= 1e-13
+        assert problem.d == 3 and system.low_rank and system.residual <= 1e-13
         assert cli.main(["oracle-check", path, "--out", str(tmp_path / "o")]) == 0
+
+    def test_out_of_memory_exits_3(self, tmp_path):
+        # the 10^6 x 10^6 coupling matrix of a huge n cannot be allocated under
+        # a 2 GB address-space limit, set on the child process only
+        resource = pytest.importorskip("resource")
+        limit = 2 * 1024 ** 3
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        path = write_scenario(tmp_path, n=1_000_000)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gl.__file__)))
+        # one BLAS thread: OpenBLAS reserves address space for each of its threads
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphon_lqr.cli", "run", path,
+             "--out", str(tmp_path / "x")],
+            preexec_fn=cap_memory, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numeric failure:")
+        assert "(1000000, 1000000)" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("levels", ["x", "1,,2", "0,1.5"])
     def test_unparsable_levels_exit_2(self, tmp_path, capsys, levels):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphon_lqr as gl
 import graphon_lqr.lqr as lqr_module
@@ -71,12 +73,14 @@ class TestBuildStepSystem:
             assert residual == pytest.approx(delta / n, rel=1e-12)
 
     def test_indefinite_weight_rejected(self):
-        # hand-built system with a negative-definite Q must fail validation
-        p = scalar_problem(0.0)
+        # two cells do not decouple the sinusoidal kernel, and entries/2 has
+        # eigenvalues 1 and 0: q(s) = 1 - 1.5 s^2 is nonnegative on the kernel
+        # spectrum {1/2, 0} but -0.5 at s = 1, so Q is indefinite
+        g = gl.sinusoidal_graphon()
+        p = gl.LqrProblem(0.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0, 0.0, -1.5]),
+                          gl.CoeffPoly([1.0]), g, 1.0)
         with pytest.raises(ValueError, match="q_mat"):
-            gl.StepSystem(n=1, entries=np.zeros((1, 1)), a_mat=np.eye(1),
-                          b_mat=np.eye(1), q_mat=-np.eye(1), p0_mat=np.eye(1),
-                          problem=p, f_cells=np.zeros((0, 1)), lams=np.zeros(0))
+            gl.build_step_system(gl.sample_step_entries(g, 2), p)
 
 
 class TestSimulate:
@@ -172,11 +176,17 @@ class TestModalEngine:
         self.assert_loops_agree(sys_, law, gl.initial_state(n, 6),
                                 vii_problem.horizon, dt)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    # seed -> n of a full-rank case (rank = n); other seeds draw n and a rank < n
+    FULL_RANK = {4: 1, 5: 2, 6: 5, 7: 8}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, *FULL_RANK])
     def test_random_rank_systems_and_low_rank_cost(self, seed):
         rng = np.random.default_rng(80 + seed)
-        n = int(rng.integers(5, 13))
-        g, entries = make_rank_kernel(rng, n, int(rng.integers(1, 4)))
+        if seed in self.FULL_RANK:
+            n = rank = self.FULL_RANK[seed]
+        else:
+            n, rank = int(rng.integers(5, 13)), int(rng.integers(1, 4))
+        g, entries = make_rank_kernel(rng, n, rank)
         p = gl.LqrProblem(float(rng.uniform(-1.0, 2.0)), input_poly(rng, 2),
                           admissible_poly(rng, g.lambdas, 3),
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
@@ -184,6 +194,7 @@ class TestModalEngine:
         assert sys_.low_rank
         law = feedback_controller(p, synthesize_gains(p, 1e-3))
         traj = self.assert_loops_agree(sys_, law, gl.initial_state(n, seed), 1.0, 1e-3)
+        assert traj.modes is not None
         # the low-rank cost against the dense quadratic forms
         x, u = traj.states, traj.controls
         q_mat = apply_poly_matrix(p.poly_q, entries / n)
@@ -191,6 +202,19 @@ class TestModalEngine:
         run = np.einsum("ki,ij,kj->k", x, q_mat, x) / n + (u * u).sum(axis=1) / n
         dense = np.trapezoid(run, traj.grid) + x[-1] @ p0_mat @ x[-1] / n
         assert gl.evaluate_cost(traj, sys_).total == pytest.approx(dense, rel=1e-12)
+
+    def test_full_rank_residual_stays_empty(self):
+        # n = d leaves no residual; q(0) = z(0) = 0 leaves the residual gain at
+        # zero, and a drift of 40 would blow its rounding up to the state's size
+        m = np.array([[0.3, 0.2, -0.1], [0.2, -0.5, 0.4], [-0.1, 0.4, 0.6]])
+        g = gl.StepGraphon(m).spectral_decompose()
+        p = gl.LqrProblem(40.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([0.0, 0.0, 1.0]),
+                          gl.CoeffPoly([0.0, 0.0, 1.0]), g, 1.0)
+        sys_ = gl.build_step_system(m, p)
+        assert p.d == 3 and sys_.low_rank
+        law = feedback_controller(p, synthesize_gains(p, 1e-3))
+        traj = self.assert_loops_agree(sys_, law, gl.initial_state(3, 1), 1.0, 1e-3)
+        assert traj.modes is not None and gl.evaluate_cost(traj, sys_).aux == 0.0
 
     def test_every_truncation_level(self, vii_problem):
         n, dt = 24, 1e-3
@@ -336,6 +360,28 @@ class TestModalTrajectory:
             assert run.modes is not None
             assert not {"states", "controls"} & set(vars(run))
 
+    def test_full_rank_study_builds_no_dense_run(self, monkeypatch):
+        # a step kernel of full rank n = d decouples exactly: every level runs modal
+        rng = np.random.default_rng(93)
+        g, entries = make_rank_kernel(rng, 6, 6)
+        p = gl.LqrProblem(0.5, gl.CoeffPoly([0.9]), admissible_poly(rng, g.lambdas, 2),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        sys_ = gl.build_step_system(entries, p)
+        assert sys_.low_rank
+        runs = []
+        simulate = sim_module.simulate
+
+        def recording_simulate(*args):
+            runs.append(simulate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(sim_module, "simulate", recording_simulate)
+        gl.truncation_study(sys_, p, gl.initial_state(6, 94), range(p.d + 1), 1.0, 1e-3)
+        assert len(runs) == p.d + 1
+        for run in runs:
+            assert run.modes is not None
+            assert not {"states", "controls"} & set(vars(run))
+
     def test_blow_up_bounds_the_dense_run(self):
         # a run that passes the bound rebuilds to finite states and controls
         p = gl.LqrProblem(700.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([0.0]),
@@ -404,6 +450,32 @@ class TestOracleCompare:
         report = gl.oracle_compare(sys_, p, gl.initial_state(6, 51), 1.0, 1e-3)
         assert report.cost_rel_gap <= 1e-6
         assert report.p_gap <= 1e-6
+
+
+@st.composite
+def exact_rank_networks(draw):
+    """n <= 6 cells, a rank in 0..n (full rank included) and an rng seed."""
+    n = draw(st.integers(1, 6))
+    return n, draw(st.integers(0, n)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(exact_rank_networks())
+def test_decoupled_synthesis_is_optimal_whenever_low_rank(case):
+    # the guard's promise: a low-rank system's decoupled cost is the oracle's,
+    # and the reconstructed Riccati operator starts at the terminal weight
+    n, rank, seed = case
+    rng = np.random.default_rng(seed)
+    g, entries = make_rank_kernel(rng, n, rank)
+    p = gl.LqrProblem(float(rng.uniform(-1.0, 2.0)), input_poly(rng, 2),
+                      admissible_poly(rng, g.lambdas, 2),
+                      admissible_poly(rng, g.lambdas, 2), g, 1.0)
+    sys_ = gl.build_step_system(entries, p)
+    assert sys_.low_rank
+    report = gl.oracle_compare(sys_, p, gl.initial_state(n, seed), 1.0, 1e-3)
+    assert report.j_decoupled <= report.j_oracle * (1.0 + 1e-5)
+    p_start = gl.reconstruct_P(synthesize_gains(p, 1e-3), g, 0.0, n)
+    np.testing.assert_allclose(p_start, sys_.p0_mat, rtol=0.0, atol=1e-12)
 
 
 class TestTruncationStudy:
