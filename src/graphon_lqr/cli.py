@@ -63,7 +63,7 @@ class Scenario:
 
 
 def _field(raw: dict, name: str, kind, required: bool = True, default=None):
-    if name not in raw:
+    if raw.get(name) is None:  # JSON null reads as absent
         if required:
             raise ValueError(f"scenario field '{name}': missing")
         return default
@@ -101,9 +101,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         dt=0.0 if dt is None else dt,
         graphon=_field(raw, "graphon", dict),
         n=_field(raw, "n", _integer, required=False),
-        controller=str(raw.get("controller", "optimal")),
+        controller=_field(raw, "controller", str, required=False, default="optimal"),
         seed=_field(raw, "seed", _integer, required=False, default=0),
-        out=str(raw.get("out", "out")),
+        out=_field(raw, "out", str, required=False, default="out"),
     )
     if scn.dt < 0.0:
         raise ValueError(f"scenario field 'dt': must be positive, got {scn.dt}")
@@ -117,6 +117,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if scn.dt >= scn.horizon:
         raise ValueError(
             f"scenario field 'dt': must be smaller than the horizon, got {scn.dt}")
+    if scn.seed < 0:
+        raise ValueError(f"scenario field 'seed': must be non-negative, got {scn.seed}")
     return scn
 
 
@@ -248,6 +250,17 @@ def _prepare_out(scn: Scenario, out_override: str | None) -> str:
     return out_dir
 
 
+def _write_echo(out_dir: str, scn: Scenario, base_dir: str):
+    """Write ``scenario.json``, with a relative ``matrix_csv`` rewritten
+    relative to ``out_dir`` so that the echo re-parses from there."""
+    raw = scn.to_dict()
+    path = raw["graphon"].get("matrix_csv")
+    if isinstance(path, str) and not os.path.isabs(path):
+        raw["graphon"]["matrix_csv"] = os.path.relpath(os.path.join(base_dir, path),
+                                                       out_dir)
+    write_json(os.path.join(out_dir, "scenario.json"), raw)
+
+
 def run_scenario(scn: Scenario, base_dir: str = ".",
                  out_override: str | None = None,
                  compare_oracle: bool = False) -> dict:
@@ -275,7 +288,7 @@ def run_scenario(scn: Scenario, base_dir: str = ".",
     write_gains_csv(os.path.join(out_dir, "gains.csv"), gains)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     write_json(os.path.join(out_dir, "cost.json"), payload)
-    write_json(os.path.join(out_dir, "scenario.json"), scn.to_dict())
+    _write_echo(out_dir, scn, base_dir)
     line = (f"J={cost.total:.6f} (aux={cost.aux:.6f}, "
             f"eigen={float(cost.eigen.sum()):.6f}) n={system.n} d={problem.d} "
             f"controller={scn.controller}")
@@ -295,7 +308,7 @@ def run_truncation_study(scn: Scenario, levels, base_dir: str = ".",
     out_dir = _prepare_out(scn, out_override)
     write_truncation_csv(os.path.join(out_dir, "truncation.csv"), rows)
     write_gains_csv(os.path.join(out_dir, "gains.csv"), gains)
-    write_json(os.path.join(out_dir, "scenario.json"), scn.to_dict())
+    _write_echo(out_dir, scn, base_dir)
     for r in rows:
         print(f"L={r.level} J={r.j_truncated:.6f} "
               f"(optimal {r.j_optimal:.6f}, inflation "
@@ -315,7 +328,7 @@ def run_oracle_check(scn: Scenario, base_dir: str = ".",
         "oracle_p_gap": report.p_gap,
         "oracle_state_gap": report.state_gap,
     })
-    write_json(os.path.join(out_dir, "scenario.json"), scn.to_dict())
+    _write_echo(out_dir, scn, base_dir)
     print(f"J_dec={report.j_decoupled:.8f} J_oracle={report.j_oracle:.8f} "
           f"rel_gap={report.cost_rel_gap:.3e} P_gap={report.p_gap:.3e} "
           f"state_gap={report.state_gap:.3e}")
@@ -333,19 +346,14 @@ def _add_common(sub):
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    updates = {}
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
-        if args.dt is None and scn.dt >= args.horizon:
-            updates["dt"] = 1e-3 * args.horizon
-    if args.dt is not None:
-        updates["dt"] = args.dt
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    scn = dataclasses.replace(scn, **updates)
-    if scn.dt >= scn.horizon:
-        raise ValueError("scenario field 'dt': must be smaller than the horizon")
-    return scn
+    """The scenario with its flags, validated as the fields they name;
+    ``--horizon`` alone drops a ``dt`` it does not exceed (default step)."""
+    raw = scn.to_dict()
+    if args.horizon is not None and args.dt is None and scn.dt >= args.horizon:
+        del raw["dt"]
+    flags = {"horizon": args.horizon, "dt": args.dt, "seed": args.seed}
+    raw.update({name: v for name, v in flags.items() if v is not None})
+    return scenario_from_dict(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,23 +399,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "example-vii":
-            scn = _apply_overrides(preset_example_vii(), args)
-            run_scenario(scn, base_dir=".", out_override=args.out,
-                         compare_oracle=args.compare_oracle)
-        elif args.command == "run":
-            scn = _apply_overrides(load_scenario(args.scenario), args)
-            run_scenario(scn, base_dir=os.path.dirname(os.path.abspath(args.scenario)),
-                         out_override=args.out, compare_oracle=args.compare_oracle)
-        elif args.command == "truncation-study":
-            scn = _apply_overrides(load_scenario(args.scenario), args)
+            scn, base_dir = preset_example_vii(), "."
+        else:
+            scn = load_scenario(args.scenario)
+            base_dir = os.path.dirname(os.path.abspath(args.scenario))
+        scn = _apply_overrides(scn, args)
+        if args.command == "truncation-study":
             levels = _parse_levels(args.levels) if args.levels else None
-            run_truncation_study(scn, levels,
-                                 base_dir=os.path.dirname(os.path.abspath(args.scenario)),
-                                 out_override=args.out)
+            run_truncation_study(scn, levels, base_dir, args.out)
         elif args.command == "oracle-check":
-            scn = _apply_overrides(load_scenario(args.scenario), args)
-            run_oracle_check(scn, base_dir=os.path.dirname(os.path.abspath(args.scenario)),
-                             out_override=args.out)
+            run_oracle_check(scn, base_dir, args.out)
+        else:
+            run_scenario(scn, base_dir, args.out, args.compare_oracle)
     # LinAlgError is a ValueError; numpy's MemoryError names the shape and bytes
     except (NumericError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -41,6 +41,13 @@ def midpoint_grid(m: int) -> np.ndarray:
     return (np.arange(m) + 0.5) / m
 
 
+def _project(v: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``v @ F'/n`` of cell vectors (rows of ``v``) on the cell
+    values F of the eigenfunctions, shape (rank, n), and residual ``v - coords @ F``."""
+    coords = v @ f.T / f.shape[1]
+    return coords, v - coords @ f
+
+
 def _is_symmetric(a: np.ndarray) -> bool:
     """Exact symmetry, one block of columns on and below the diagonal at a time.
 

@@ -1,9 +1,9 @@
 """Fixed-step classic Runge-Kutta integration.
 
-The matrix Riccati oracle and the scalar Riccati reference run this
-4th-order one-step scheme on a uniform grid (`rk4_path`), the generic
-closed loop of the simulation takes the same `rk4_step`, and gain
-synthesis uses the explicit Riccati solution instead.
+`rk4_step` is the only RK4 stage formula of the package: the Riccati
+oracle and reference run it on a uniform grid (`rk4_path`), the generic
+closed loop once per step and the modal closed loop once for all steps.
+Gain synthesis uses the explicit Riccati solution instead.
 """
 from __future__ import annotations
 
@@ -32,16 +32,20 @@ def rk4_step(rhs, t: float, h: float, y: np.ndarray, k1) -> np.ndarray:
 
     ``k1`` is the first slope ``rhs(t, y)``, passed in so that a caller
     can keep what it computed on the way (the closed loop records the
-    control it applies at ``t``).  Raises `BlowUpError`, naming the time
-    ``t + h``, if any entry of the new state is non-finite.
+    control it applies at ``t``).  Array ``t`` and ``h`` broadcasting
+    against ``y`` take many independent steps at once.  Raises
+    `BlowUpError` if any entry of the new state is non-finite, naming the
+    end time ``t + h`` of the earliest failing step.
     """
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
     y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(y).all():
+    finite = np.isfinite(y)
+    if not finite.all():
+        end = np.broadcast_to(t + h, y.shape)[~finite].min()
         raise BlowUpError(
-            f"integration blew up in the step to t = {t + h:.6g}: non-finite state value")
+            f"integration blew up in the step to t = {end:.6g}: non-finite state value")
     return y
 
 

@@ -13,12 +13,12 @@ The feedback law reads them as the time-to-go gains ``gains(T - t)``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .graphon import FiniteRankGraphon, midpoint_grid
+from .graphon import FiniteRankGraphon, _project, midpoint_grid
 from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
 from .riccati import Curve, riccati_explicit
@@ -31,9 +31,12 @@ _NEG_TOL = 1e-12
 class LqrProblem:
     """Finite-horizon LQR data for a kernel-coupled network.
 
-    ``poly_q(lam)`` and ``poly_p0(lam)`` must be nonnegative on the
-    stored spectrum and at zero, which makes every decoupled scalar
-    problem well posed.
+    ``poly_q`` and ``poly_p0`` must be nonnegative, up to 1e-12, on the
+    stored spectrum and at zero, so every decoupled scalar problem is well
+    posed.  ``mode_params`` is the read-only (d + 1) x 4 table of those
+    problems (drift, input gain, state weight, terminal weight): row 0 is
+    ``(alpha0, beta0, q0, z0)``, row l ``(alpha0 + lam_l, poly_b(lam_l),
+    poly_q(lam_l), poly_p0(lam_l))``, weights clipped at zero in every row.
     """
 
     alpha0: float
@@ -42,6 +45,7 @@ class LqrProblem:
     poly_p0: CoeffPoly
     graphon: FiniteRankGraphon
     horizon: float
+    mode_params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "poly_b", as_poly(self.poly_b))
@@ -51,13 +55,19 @@ class LqrProblem:
             raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
         if not np.isfinite(self.horizon) or self.horizon <= 0.0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        spectrum = np.append(self.graphon.lambdas, 0.0)
+        spectrum = np.append(0.0, self.graphon.lambdas)
+        weights = []
         for name, poly in (("poly_q", self.poly_q), ("poly_p0", self.poly_p0)):
             vals = np.atleast_1d(poly(spectrum))
             if np.any(vals < -_NEG_TOL):
                 raise ValueError(
                     f"{name} must be nonnegative on the spectrum; "
                     f"got {vals} at {spectrum}")
+            weights.append(np.maximum(vals, 0.0))
+        params = np.column_stack([self.alpha0 + spectrum,
+                                  np.atleast_1d(self.poly_b(spectrum)), *weights])
+        params.flags.writeable = False
+        object.__setattr__(self, "mode_params", params)
 
     @property
     def d(self) -> int:
@@ -65,15 +75,15 @@ class LqrProblem:
 
     @property
     def beta0(self) -> float:
-        return self.poly_b.const
+        return float(self.mode_params[0, 1])
 
     @property
     def q0(self) -> float:
-        return self.poly_q.const
+        return float(self.mode_params[0, 2])
 
     @property
     def z0(self) -> float:
-        return self.poly_p0.const
+        return float(self.mode_params[0, 3])
 
 
 @dataclass(frozen=True)
@@ -98,9 +108,7 @@ def project_state(x, g: FiniteRankGraphon) -> DecoupledState:
     """
     if callable(x):
         grid = g.quadrature_grid()
-        xv = np.asarray(x(grid), dtype=float)
-        f = g.eigfun_values(grid)
-        coords = f @ xv / grid.size
+        coords, _ = _project(np.asarray(x(grid), dtype=float), g.eigfun_values(grid))
         pairs = g.pairs
 
         def residual(gamma):
@@ -114,50 +122,35 @@ def project_state(x, g: FiniteRankGraphon) -> DecoupledState:
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1:
         raise ValueError(f"state must be a 1-d cell-value vector, got shape {xv.shape}")
-    f = g.eigfun_values(midpoint_grid(xv.size))
-    coords = f @ xv / xv.size
-    return DecoupledState(coords, xv - f.T @ coords)
+    return DecoupledState(*_project(xv, g.eigfun_values(midpoint_grid(xv.size))))
 
 
 def eigensystem_params(p: LqrProblem, idx: int) -> tuple[float, float, float, float]:
     """Scalar LQR data (drift, input gain, state weight, terminal weight)
-    of eigendirection ``idx`` (0-based).
+    of eigendirection ``idx`` (0-based), row ``idx + 1`` of ``mode_params``.
 
-    The drift is ``alpha0 + lam``, the remaining three are the problem
-    polynomials evaluated at ``lam``; as ``lam -> 0`` they approach the
-    auxiliary system's ``(alpha0, beta0, q0, z0)``.
+    The drift is ``alpha0 + lam``, the rest are the problem polynomials
+    at ``lam``, weights clipped at zero; as ``lam -> 0`` they approach
+    the auxiliary system's ``(alpha0, beta0, q0, z0)``.
     """
     if not 0 <= idx < p.d:
         raise IndexError(f"eigendirection {idx} out of range for rank {p.d}")
-    lam = p.graphon.pairs[idx].lam
-    # rounding guard: the weights are nonnegative up to float noise
-    return (p.alpha0 + lam, float(p.poly_b(lam)),
-            max(0.0, float(p.poly_q(lam))), max(0.0, float(p.poly_p0(lam))))
+    return tuple(float(v) for v in p.mode_params[idx + 1])
 
 
 def synthesize_gains(p: LqrProblem, dt: float) -> Curve:
     """Solve the rank+1 scalar Riccati equations of the decoupled problem.
 
     Returns one curve of shape ``(K+1, rank+1)`` on ``uniform_grid(T, dt)``:
-    column 0 is the auxiliary gain L for ``(alpha0, beta0, q0, z0)``,
-    column l the gain M_l for `eigensystem_params` of direction l.
-    Directions sharing an eigenvalue share one equation (the equations
-    coincide).  All equations are evaluated in one call of the explicit
-    solution `riccati_explicit`, in O(K*(rank+1)) array work; a gain that
-    overflows raises `BlowUpError`.
+    column m solves row m of ``p.mode_params``: the auxiliary gain L in
+    column 0, the gain M_l of eigendirection l in column l.  Equal rows
+    (a repeated eigenvalue) share one equation.  One call of the explicit
+    solution `riccati_explicit` evaluates them all in O(K*(rank+1)) array
+    work; a gain that overflows raises `BlowUpError`.
     """
-    params = [(p.alpha0, p.beta0, p.q0, p.z0)]
-    slot = {}
-    for l in range(p.d):
-        lam = p.graphon.pairs[l].lam
-        if lam not in slot:
-            slot[lam] = len(params)
-            params.append(eigensystem_params(p, l))
-    arr = np.array(params)
+    rows, columns = np.unique(p.mode_params, axis=0, return_inverse=True)
     grid = uniform_grid(p.horizon, dt)
-    vals = riccati_explicit(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], grid)
-    columns = [0] + [slot[pair.lam] for pair in p.graphon.pairs]
-    return Curve(grid, vals[:, columns])
+    return Curve(grid, riccati_explicit(*rows.T, grid)[:, columns.ravel()])
 
 
 def reconstruct_P(gains: Curve, g: FiniteRankGraphon, t: float,
@@ -192,10 +185,10 @@ class FeedbackLaw:
     The law reads the first rank + 1 columns of ``gains``, so the gains
     of a problem also serve every truncation of it.  `simulate` reads the
     law's gains through `gains_at` to run a decoupled closed loop mode by
-    mode.
+    mode; `gains_at` rejects a time outside the horizon on either path.
     """
 
-    __slots__ = ("problem", "gains", "_b", "_cells")
+    __slots__ = ("problem", "gains", "_cells")
 
     def __init__(self, problem: LqrProblem, gains: Curve):
         if abs(gains.grid[-1] - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
@@ -205,27 +198,23 @@ class FeedbackLaw:
                              f"of shape {gains.values.shape[1:]}")
         self.problem = problem
         self.gains = Curve(gains.grid, gains.values[:, :problem.d + 1])
-        self._b = np.append(problem.beta0, problem.poly_b(problem.graphon.lambdas))
         self._cells: dict[int, np.ndarray] = {}
-
-    def cells(self, n: int) -> np.ndarray:
-        """Eigenfunction values on the n cell midpoints, shape (rank, n)."""
-        f = self._cells.get(n)
-        if f is None:
-            f = self._cells[n] = self.problem.graphon.eigfun_values(midpoint_grid(n))
-        return f
 
     def gains_at(self, t) -> np.ndarray:
         """Feedback gains at a time or array of times, shape ``t.shape + (rank + 1,)``.
 
         Column 0 is the residual gain ``beta0*L(T-t)``, column l the gain
-        ``b_l*M_l(T-t)`` of eigendirection l.
+        ``b_l*M_l(T-t)`` of eigendirection l.  A time outside ``[0, T]``
+        raises `ValueError` naming the first such time.
         """
-        return self.gains(self.problem.horizon - t) * self._b
+        horizon = self.problem.horizon
+        outside = (t < 0.0) | (t > horizon + 1e-12)
+        if np.any(outside):
+            raise ValueError(f"time {np.extract(outside, t)[0]} outside the "
+                             f"horizon [0, {horizon}]")
+        return self.gains(horizon - t) * self.problem.mode_params[:, 1]
 
     def __call__(self, t: float, x):
-        if not 0.0 <= t <= self.problem.horizon + 1e-12:
-            raise ValueError(f"time {t} outside the horizon [0, {self.problem.horizon}]")
         g = self.gains_at(t)
         if callable(x):
             graphon = self.problem.graphon
@@ -239,7 +228,10 @@ class FeedbackLaw:
 
             return law
         x = np.asarray(x, dtype=float)
-        f = self.cells(x.size)
+        f = self._cells.get(x.size)  # eigenfunction cell values, cached per n
+        if f is None:
+            f = self._cells[x.size] = self.problem.graphon.eigfun_values(
+                midpoint_grid(x.size))
         # -beta0*L*(x - F'c) - F'(bM c), with the F' applications fused
         return f.T @ ((g[0] - g[1:]) * (f @ x / x.size)) - g[0] * x
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError
-from .graphon import StepGraphon, midpoint_grid
+from .graphon import StepGraphon, _project, midpoint_grid
 from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _terminal_ratios, feedback_controller,
                   reconstruct_P, synthesize_gains, truncate_problem)
@@ -66,8 +66,8 @@ class StepSystem:
     """Finite network realization of an LQR problem on n cells.
 
     ``StepSystem(entries, problem)`` reads n from ``entries`` and the
-    eigenfunction cell values ``F = f_cells`` and eigenvalues ``lams``
-    from ``problem.graphon``.  The drift is ``alpha0*I + entries/n``;
+    eigenfunction cell values ``F = f_cells`` from ``problem.graphon``,
+    whose eigenvalues are ``lams``.  The drift is ``alpha0*I + entries/n``;
     the input, state-weight and terminal-weight matrices are the problem
     polynomials of ``entries/n``, symmetric by construction and
     assembled only on first access.  When F decouples the coupling
@@ -75,7 +75,7 @@ class StepSystem:
     included) the system is held in low-rank form (``low_rank``): every
     such polynomial equals ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n``,
     and simulation and costs work on the rank + 1 modes.  Otherwise the
-    weights are checked here to be positive semidefinite.
+    weights are checked to be positive semidefinite when first assembled.
     """
 
     def __init__(self, entries: np.ndarray, problem: LqrProblem):
@@ -83,16 +83,9 @@ class StepSystem:
         self.entries = entries
         self.problem = problem
         self.f_cells = problem.graphon.eigfun_values(midpoint_grid(n))  # (rank, n)
-        self.lams = problem.graphon.lambdas
-        self.residual = decoupling_residual(entries, self.f_cells, self.lams)
+        self.residual = decoupling_residual(entries, self.f_cells,
+                                            problem.graphon.lambdas)
         self.low_rank = self.residual <= _DECOUPLING_TOL
-        if self.low_rank:
-            return  # LqrProblem checked the weights on {0} and the spectrum
-        for name in ("q_mat", "p0_mat"):
-            low = float(np.linalg.eigvalsh(getattr(self, name)).min())
-            if low < _PSD_TOL:
-                raise ValueError(
-                    f"{name} must be positive semidefinite, smallest eigenvalue {low:.3e}")
 
     @cached_property
     def a_mat(self) -> np.ndarray:
@@ -105,11 +98,20 @@ class StepSystem:
 
     @cached_property
     def q_mat(self) -> np.ndarray:
-        return apply_poly_matrix(self.problem.poly_q, self.entries / self.n)
+        return self._weight("q_mat", self.problem.poly_q)
 
     @cached_property
     def p0_mat(self) -> np.ndarray:
-        return apply_poly_matrix(self.problem.poly_p0, self.entries / self.n)
+        return self._weight("p0_mat", self.problem.poly_p0)
+
+    def _weight(self, name: str, poly) -> np.ndarray:
+        m = apply_poly_matrix(poly, self.entries / self.n)
+        if not self.low_rank:
+            low = float(np.linalg.eigvalsh(m).min())
+            if low < _PSD_TOL:
+                raise ValueError(
+                    f"{name} must be positive semidefinite, smallest eigenvalue {low:.3e}")
+        return m
 
 
 def build_step_system(entries, p: LqrProblem) -> StepSystem:
@@ -247,11 +249,9 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
 
 
 def _modal(sys: StepSystem, law: FeedbackLaw) -> bool:
-    """Whether the law's eigenpairs are the leading ones of a low-rank system."""
-    level = law.problem.d
-    return (sys.low_rank
-            and np.array_equal(law.problem.graphon.lambdas, sys.lams[:level])
-            and np.array_equal(law.cells(sys.n), sys.f_cells[:level]))
+    """Whether the law's eigenpair objects lead those of a low-rank system."""
+    pairs = law.problem.graphon.pairs
+    return sys.low_rank and pairs == sys.problem.graphon.pairs[:len(pairs)]
 
 
 def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
@@ -259,48 +259,42 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     """A decoupled closed loop, one scalar loop per mode.
 
     Mode 0 is the residual of the state, mode m its m-th eigendirection;
-    under the law each obeys ``y' = (drift_m - b_m * gain_m(t)) * y``,
-    where directions the law ignores get the residual gain.  One RK4
-    step of such a loop, with the law's gains at the generic loop's stage
-    times, multiplies y by a growth factor; the products of those factors
-    give every mode on the grid.  At rank = n the eigendirections span
-    every state, so mode 0 is held at zero with unit growth, lest an
-    unstable drift amplify the rounding left by the projection.  The run
-    aborts at the first node where a bound on the rebuilt state and
-    control entries, (rank + 1) times max|F| times the largest mode
-    amplitude, is not finite, so that rebuilding them never yields a
-    non-finite entry.
+    under the law each obeys ``y' = (drift_m - b_m * gain_m(t)) * y``
+    (row m of ``mode_params``); directions the law ignores get the residual
+    gain.  One `rk4_step` from y = 1, the step start times as a column,
+    gives every mode's growth factor per step; their products give the
+    modes on the grid.  At rank = n the eigendirections span every state,
+    so mode 0 is held at zero with unit growth, lest an unstable drift
+    amplify the rounding left by the projection.  The run aborts at the
+    first node where a bound on the rebuilt entries, (rank + 1)*max|F|
+    times the largest mode amplitude, is not finite.
     """
-    p, f, n = sys.problem, sys.f_cells, sys.n
-    spectrum = np.append(0.0, sys.lams)
-    drift = p.alpha0 + spectrum
-    b_sys = np.atleast_1d(p.poly_b(spectrum))
-    empty = f.shape[0] == n  # rank = n: no residual
-    if empty:
+    f, n = sys.f_cells, sys.n
+    drift, b_sys = np.array(sys.problem.mode_params[:, :2].T)
+    modes = drift.size
+    coords0, resid0 = _project(x0, f)
+    if f.shape[0] == n:  # rank = n: no residual
         drift[0] = b_sys[0] = 0.0
-    level = law.problem.d
-    column = np.arange(spectrum.size)  # the law's gain column of every mode
-    column[level + 1:] = 0
+        resid0 = np.zeros(n)
+    column = np.arange(modes)  # the law's gain column of every mode
+    column[law.problem.d + 1:] = 0
 
-    t, h = grid[:-1], np.diff(grid)
+    memo = [None, None]  # times and rates of the last stage; k2 and k3 share them
+
+    def rate(t, y):
+        if not np.array_equal(memo[0], t):
+            memo[:] = t, drift - b_sys * law.gains_at(t[:, 0])[:, column]
+        return memo[1] * y
+
     gain = law.gains_at(grid)[:, column]
-    a1 = drift - b_sys * gain[:-1]
-    a2 = drift - b_sys * law.gains_at(t + 0.5 * h)[:, column]
-    a4 = drift - b_sys * law.gains_at(t + h)[:, column]
-    h = h[:, None]
-    s2 = a2 * (1.0 + 0.5 * h * a1)
-    s3 = a2 * (1.0 + 0.5 * h * s2)
-    s4 = a4 * (1.0 + h * s3)
-
-    coords0 = f @ x0 / n
-    resid0 = np.zeros(n) if empty else x0 - coords0 @ f
     size = np.append(np.abs(resid0).max(), np.abs(coords0))  # largest entry per mode
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.ones((grid.size, spectrum.size))
-        np.cumprod(1.0 + (h / 6.0) * (a1 + 2.0 * s2 + 2.0 * s3 + s4), axis=0,
-                   out=growth[1:])
+        factors = rk4_step(rate, grid[:-1, None], np.diff(grid)[:, None],
+                           np.ones((grid.size - 1, modes)), drift - b_sys * gain[:-1])
+        growth = np.ones((grid.size, modes))
+        np.cumprod(factors, axis=0, out=growth[1:])
         largest = np.maximum(np.abs(growth), np.abs(gain * growth)) * size
-        finite = np.isfinite(spectrum.size * np.abs(f).max(initial=1.0)
+        finite = np.isfinite(modes * np.abs(f).max(initial=1.0)
                              * largest.max(axis=1))
     if not finite.all():
         raise BlowUpError(
@@ -321,14 +315,12 @@ def _mode_energies(traj: Trajectory, sys: StepSystem) -> tuple[np.ndarray, np.nd
     if m is not None and m.f is sys.f_cells:
         x = m.growth ** 2 * np.append(m.resid @ m.resid / sys.n, m.coords ** 2)
         return x, m.gains ** 2 * x
-    f, n = sys.f_cells, sys.n
 
-    def project(v):
-        coords = v @ f.T / n
-        r = v - coords @ f
-        return np.column_stack([np.einsum("ki,ki->k", r, r) / n, coords ** 2])
+    def energies(v):
+        coords, r = _project(v, sys.f_cells)
+        return np.column_stack([np.einsum("ki,ki->k", r, r) / sys.n, coords ** 2])
 
-    return project(traj.states), project(traj.controls)
+    return energies(traj.states), energies(traj.controls)
 
 
 def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
@@ -338,15 +330,14 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     terminal ``x'P0x/n``.  Each mode's part is read from the mode
     energies (`_mode_energies`): the residual's is
     ``(q0 + G0^2)*g0^2*|x_res|^2/n`` per node, eigendirection l's
-    ``(q_l + G_l^2)*(g_l*c_l)^2``, with ``q_l = poly_q(lam_l)`` and the
-    terminal weights alike.  On a low-rank system, where Q and P0 act on
-    the modes alone, the total is the sum of the parts, in O(K*(rank+1))
-    for a run in modal form; otherwise it comes from the dense Q and P0.
+    ``(q_l + G_l^2)*(g_l*c_l)^2``, weights from ``mode_params``.  On a
+    low-rank system, where Q and P0 act on the modes alone, the total is
+    the sum of the parts, in O(K*(rank+1)) for a run in modal form;
+    otherwise it comes from the dense Q and P0.
     """
     p, grid = sys.problem, traj.grid
     xe, ue = _mode_energies(traj, sys)
-    q = np.append(p.q0, p.poly_q(sys.lams))
-    z = np.append(p.z0, p.poly_p0(sys.lams))
+    q, z = p.mode_params[:, 2:].T
     # one row per mode, so that each trapezoid sum runs over contiguous memory
     # and numpy sums it pairwise
     run = np.ascontiguousarray((q * xe + ue).T)
@@ -451,7 +442,7 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
         traj = simulate(sys, law, x0, horizon, dt)
         m = traj.modes
         coords = (m.growth[-1, 1:] * m.coords if m is not None
-                  else sys.f_cells @ traj.states[-1] / sys.n)
+                  else _project(traj.states[-1], sys.f_cells)[0])
         runs[level] = (evaluate_cost(traj, sys).total, coords)
     j_opt, coords_opt = runs[p.d]
     predictions = (_terminal_ratios(p, gains) if p.poly_b.degree == 0

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import graphon_lqr as gl
 from graphon_lqr import cli
 
+from conftest import make_rank_kernel
+
 
 def read(path):
     with open(path, "rb") as fh:
@@ -92,6 +94,31 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, graphon={"type": "finite_rank", "pairs": [pair]})
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--horizon", "-1"], "horizon"), (["--horizon", "inf"], "horizon"),
+        (["--dt", "nan"], "dt"), (["--dt", "2"], "dt"), (["--seed", "-3"], "seed")])
+    def test_bad_flag_names_its_field(self, capsys, flags, field):
+        assert cli.main(["example-vii", *flags]) == 2
+        assert f"scenario field '{field}'" in capsys.readouterr().err
+
+    def test_negative_seed_in_file_names_field(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, seed=-3)
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert "scenario field 'seed'" in capsys.readouterr().err
+
+    def test_horizon_flag_resets_a_step_it_does_not_exceed(self, tmp_path):
+        path = write_scenario(tmp_path, horizon=0.5, dt=5e-3)
+        out = tmp_path / "short"
+        assert cli.main(["run", path, "--horizon", "4e-3", "--out", str(out)]) == 0
+        echo = json.loads((out / "scenario.json").read_text())
+        assert (echo["horizon"], echo["dt"]) == (4e-3, 1e-3 * 4e-3)
+
+    def test_null_field_reads_as_absent(self, tmp_path):
+        path = write_scenario(tmp_path, dt=None, seed=None, controller=None, out=None)
+        scn = cli.load_scenario(path)
+        assert scn.dt == pytest.approx(5e-4) and scn.seed == 0
+        assert (scn.controller, scn.out) == ("optimal", "out")
 
     def test_controller_modes(self):
         assert cli.parse_controller("optimal", 2) == 2
@@ -287,6 +314,31 @@ class TestStudyCommands:
         err = capsys.readouterr().err
         assert "2-cell" in err and "d = 2" in err and "residual 1.000e+00" in err
         assert not (tmp_path / "x").exists()
+
+    def test_indefinite_weight_on_non_decoupling_network_exits_2(self, tmp_path, capsys):
+        # q(s) = 1 - 1.5 s^2 is indefinite on two cells, which do not decouple the
+        # rank-2 kernel in the first place: the decoupling message is the one shown
+        path = write_scenario(tmp_path, n=2, poly_q=[1.0, 0.0, -1.5])
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "does not decouple" in err and "q_mat" not in err
+
+    def test_weights_rounding_below_zero_run(self, tmp_path):
+        for field in ("poly_q", "poly_p0"):
+            path = write_scenario(tmp_path, horizon=1.0, dt=1e-2, **{field: [-1e-13]})
+            assert cli.main(["run", path, "--out", str(tmp_path / field)]) == 0
+
+    def test_step_scenario_reruns_from_its_echo(self, tmp_path):
+        rng = np.random.default_rng(31)
+        _, entries = make_rank_kernel(rng, 10, 3)
+        np.savetxt(tmp_path / "coupling.csv", entries, delimiter=",", fmt="%.17g")
+        path = write_scenario(tmp_path, n=None, poly_b=[1.0],
+                              graphon={"type": "step", "matrix_csv": "coupling.csv"})
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert cli.main(["truncation-study", path, "--out", str(first)]) == 0
+        assert cli.main(["truncation-study", str(first / "scenario.json"),
+                         "--out", str(second)]) == 0
+        assert read(first / "truncation.csv") == read(second / "truncation.csv")
 
     def test_full_rank_step_kernel_runs(self, tmp_path):
         # n = d: its eigenvectors decouple it exactly, so it runs in modal form

@@ -93,6 +93,33 @@ class TestEigensystemParams:
         with pytest.raises(IndexError):
             eigensystem_params(vii_problem, 2)
 
+    def test_rows_of_mode_params(self):
+        rng = np.random.default_rng(14)
+        g, _ = make_rank_kernel(rng, 9, 4)
+        p = gl.LqrProblem(0.3, input_poly(rng, 2), admissible_poly(rng, g.lambdas, 3),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        assert p.mode_params.shape == (5, 4) and not p.mode_params.flags.writeable
+        assert tuple(p.mode_params[0]) == (p.alpha0, p.beta0, p.q0, p.z0)
+        for l in range(p.d):
+            assert tuple(p.mode_params[l + 1]) == eigensystem_params(p, l)
+
+
+class TestRoundingBelowZero:
+    """Weights within the rounding slack below zero act as exact zeros."""
+
+    @pytest.mark.parametrize("field", ["poly_q", "poly_p0"])
+    def test_gains_equal_those_of_zero(self, field):
+        def problem(weight):
+            polys = {"poly_q": [1.0], "poly_p0": [1.0], field: [weight]}
+            return gl.LqrProblem(1.0, gl.CoeffPoly([1.0]), gl.CoeffPoly(polys["poly_q"]),
+                                 gl.CoeffPoly(polys["poly_p0"]), gl.sinusoidal_graphon(),
+                                 1.0)
+
+        tiny, zero = problem(-1e-13), problem(0.0)
+        np.testing.assert_array_equal(tiny.mode_params, zero.mode_params)
+        np.testing.assert_array_equal(synthesize_gains(tiny, 1e-2).values,
+                                      synthesize_gains(zero, 1e-2).values)
+
 
 class TestSynthesizeGains:
     def test_showcase_curves(self, vii_problem, monkeypatch):
@@ -201,6 +228,10 @@ class TestControlLaws:
         for t in (1.5, -0.1):
             with pytest.raises(ValueError, match="horizon"):
                 law(t, np.zeros(40))
+
+    def test_gains_at_names_first_time_outside_horizon(self, law):
+        with pytest.raises(ValueError, match="time 1.25 outside"):
+            law.gains_at(np.array([0.5, 1.25, 1.5]))
 
     def test_gamma_outside_domain_rejected(self):
         # a node reads its input at cell_index(gamma, n), defined on [0, 1]

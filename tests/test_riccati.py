@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphon_lqr as gl
-from graphon_lqr.integrate import rk4_path, uniform_grid
+from graphon_lqr.integrate import rk4_path, rk4_step, uniform_grid
 from graphon_lqr.riccati import (Curve, ScalarRiccatiSpec, algebraic_root, riccati_explicit,
                                  riccati_path, solve_matrix_riccati,
                                  solve_riccati_closed_form, solve_riccati_numeric)
@@ -38,6 +38,18 @@ class TestRk4:
         grid = uniform_grid(2.0, 1e-3)
         with np.errstate(over="ignore"), pytest.raises(gl.BlowUpError, match="step"):
             rk4_path(lambda t, v: v * v, 1.0, grid)
+
+    def test_array_times_name_earliest_failing_step(self):
+        # three independent steps of y' = y^2, one row each; the rows that
+        # start at 1e300 overflow, and the earlier of them ends at t = 0.25
+        t = np.array([[0.3], [0.5], [0.15]])
+        y = np.array([[1.0], [1e300], [1e300]])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(gl.BlowUpError, match=r"step to t = 0\.25:"):
+            rk4_step(lambda s, v: v * v, t, 0.1, y, y * y)
+        step = rk4_step(lambda s, v: v * v, t, 0.1, np.ones((3, 1)), np.ones((3, 1)))
+        np.testing.assert_array_equal(step, rk4_step(lambda s, v: v * v, 0.3, 0.1,
+                                                     np.ones(3), np.ones(3))[:, None])
 
 
 class TestSpecValidation:

@@ -75,12 +75,20 @@ class TestBuildStepSystem:
     def test_indefinite_weight_rejected(self):
         # two cells do not decouple the sinusoidal kernel, and entries/2 has
         # eigenvalues 1 and 0: q(s) = 1 - 1.5 s^2 is nonnegative on the kernel
-        # spectrum {1/2, 0} but -0.5 at s = 1, so Q is indefinite
+        # spectrum {1/2, 0} but -0.5 at s = 1, so Q is indefinite; the check
+        # runs when Q is first assembled, before any cost or oracle reads it
         g = gl.sinusoidal_graphon()
         p = gl.LqrProblem(0.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0, 0.0, -1.5]),
                           gl.CoeffPoly([1.0]), g, 1.0)
+        sys_ = gl.build_step_system(gl.sample_step_entries(g, 2), p)
+        assert not sys_.low_rank
         with pytest.raises(ValueError, match="q_mat"):
-            gl.build_step_system(gl.sample_step_entries(g, 2), p)
+            sys_.q_mat
+        traj = gl.simulate(sys_, lambda t, x: np.zeros(2), np.ones(2), 1.0, 1e-2)
+        with pytest.raises(ValueError, match="q_mat"):
+            gl.evaluate_cost(traj, sys_)
+        with pytest.raises(ValueError, match="q_mat"):
+            gl.oracle_compare(sys_, p, np.ones(2), 1.0, 1e-2)
 
 
 class TestSimulate:
@@ -240,6 +248,36 @@ class TestModalEngine:
             + (traj.controls ** 2).sum(axis=1) / n
         dense = np.trapezoid(run, traj.grid) + x[-1] @ sys_.p0_mat @ x[-1] / n
         assert gl.evaluate_cost(traj, sys_).total == pytest.approx(dense, rel=1e-12)
+
+    def test_law_of_another_kernel_object_runs_generic_loop(self, vii_problem):
+        # an equal kernel built anew has other eigenpair objects: the modal
+        # engine trusts only the system's own pairs
+        n, dt = 16, 1e-3
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        x0 = gl.initial_state(n, 12)
+        own = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        twin = sinusoidal_problem()
+        other = feedback_controller(twin, synthesize_gains(twin, dt))
+        modal = gl.simulate(sys_, own, x0, 1.0, dt)
+        loop = gl.simulate(sys_, other, x0, 1.0, dt)
+        assert modal.modes is not None and loop.modes is None
+        assert rel_gap(loop.states, modal.states) <= 1e-12
+        assert rel_gap(loop.controls, modal.controls) <= 1e-12
+
+    @pytest.mark.parametrize("engine", ["modal", "generic"])
+    def test_law_horizon_bounds_the_run(self, vii_problem, engine):
+        n, dt = 12, 1e-3
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        controller = law if engine == "modal" else generic(law)
+        x0 = gl.initial_state(n, 13)
+        with pytest.raises(ValueError, match="outside the horizon"):
+            gl.simulate(sys_, controller, x0, 2.0, dt)
+        traj = gl.simulate(sys_, controller, x0, 0.5, dt)
+        assert (traj.modes is not None) == (engine == "modal")
+        assert traj.grid[-1] == 0.5 and np.isfinite(traj.states).all()
 
     def test_decoupled_pipeline_builds_no_dense_matrix(self, vii_problem):
         n, dt = 300, 1e-2
