@@ -122,15 +122,19 @@ def scenario_from_dict(raw: dict) -> Scenario:
     return scn
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_scenario(path: str):
+    """The scenario file's JSON value, not yet validated."""
     if not os.path.exists(path):
         raise ValueError(f"scenario file not found: {path}")
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(raw)
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_dict(_read_scenario(path))
 
 
 def parse_controller(mode: str, rank: int) -> int:
@@ -345,12 +349,17 @@ def _add_common(sub):
     sub.add_argument("--out", type=str, default=None, help="artifact directory")
 
 
-def _apply_overrides(scn: Scenario, args) -> Scenario:
-    """The scenario with its flags, validated as the fields they name;
-    ``--horizon`` alone drops a ``dt`` it does not exceed (default step)."""
-    raw = scn.to_dict()
-    if args.horizon is not None and args.dt is None and scn.dt >= args.horizon:
-        del raw["dt"]
+def _apply_overrides(raw, args) -> Scenario:
+    """The raw scenario with its flags, parsed once, so a flag is validated
+    as the field it names and a default step follows the final horizon;
+    ``--horizon`` alone also drops a ``dt`` it does not exceed."""
+    if not isinstance(raw, dict):
+        return scenario_from_dict(raw)
+    raw = dict(raw)
+    if args.horizon is not None and args.dt is None:
+        dt = _field(raw, "dt", float, required=False)
+        if dt is not None and dt >= args.horizon:
+            del raw["dt"]
     flags = {"horizon": args.horizon, "dt": args.dt, "seed": args.seed}
     raw.update({name: v for name, v in flags.items() if v is not None})
     return scenario_from_dict(raw)
@@ -399,11 +408,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "example-vii":
-            scn, base_dir = preset_example_vii(), "."
+            raw, base_dir = preset_example_vii().to_dict(), "."
         else:
-            scn = load_scenario(args.scenario)
+            raw = _read_scenario(args.scenario)
             base_dir = os.path.dirname(os.path.abspath(args.scenario))
-        scn = _apply_overrides(scn, args)
+        scn = _apply_overrides(raw, args)
         if args.command == "truncation-study":
             levels = _parse_levels(args.levels) if args.levels else None
             run_truncation_study(scn, levels, base_dir, args.out)

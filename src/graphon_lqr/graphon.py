@@ -41,11 +41,9 @@ def midpoint_grid(m: int) -> np.ndarray:
     return (np.arange(m) + 0.5) / m
 
 
-def _project(v: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates ``v @ F'/n`` of cell vectors (rows of ``v``) on the cell
-    values F of the eigenfunctions, shape (rank, n), and residual ``v - coords @ F``."""
-    coords = v @ f.T / f.shape[1]
-    return coords, v - coords @ f
+def _point_or_array(a):
+    """A value read at one point as a float, at an array of points as the array."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
@@ -134,6 +132,7 @@ class FiniteRankGraphon:
         step_ns = {p.fun.n for p in self.pairs if isinstance(p.fun, StepFunction)}
         self._step_n = step_ns.pop() if len(step_ns) == 1 and all(
             isinstance(p.fun, StepFunction) for p in self.pairs) else None
+        self._cells: dict[int, np.ndarray] = {}
         if validate:
             self._validate()
 
@@ -158,6 +157,43 @@ class FiniteRankGraphon:
             return np.zeros((0,) + x.shape)
         return np.stack([np.broadcast_to(p.fun(x), x.shape) for p in self.pairs])
 
+    def cells(self, n: int) -> np.ndarray:
+        """Read-only eigenfunction values at the n cell midpoints, shape (rank, n).
+
+        Evaluated once per n and kept: every computation on cell vectors
+        reads the kernel's basis from this table.  n < 1 is rejected, so
+        no empty vector is projected or scaled by 1/n.
+        """
+        f = self._cells.get(n)
+        if f is None:
+            if n < 1:
+                raise ValueError(f"partition size must be >= 1, got {n}")
+            f = self._cells[n] = self.eigfun_values(midpoint_grid(n))
+            f.flags.writeable = False
+        return f
+
+    def project(self, v):
+        """Coordinates of a state on the eigenfunctions and its residual.
+
+        A vector of cell values over n cells, or a stack of them one per
+        row, gives ``coords = v F'/n`` and the residual ``v - coords F``
+        with ``F = cells(n)``.  A function on [0, 1] gives its coordinates
+        by midpoint quadrature on `quadrature_grid` and its residual as a
+        function.
+        """
+        if callable(v):
+            coords = self.project(v(self.quadrature_grid()))[0]
+            return coords, lambda x: _point_or_array(
+                np.asarray(v(x), dtype=float) - self.span(coords, x))
+        v = np.asarray(v, dtype=float)
+        f = self.cells(v.shape[-1])
+        coords = v @ f.T / f.shape[1]
+        return coords, v - coords @ f
+
+    def span(self, coords, x):
+        """``sum_l coords[l] * f_l(x)``: a float at a point, an array on an array."""
+        return _point_or_array(np.tensordot(coords, self.eigfun_values(x), axes=1))
+
     def _validate(self):
         lams = self.lambdas
         if np.any(np.abs(lams) > self.bound + 1e-12):
@@ -168,9 +204,8 @@ class FiniteRankGraphon:
                 f"eigenvalues must be ordered by non-increasing magnitude, got {lams}")
         if self.rank == 0:
             return
-        grid = self.quadrature_grid()
-        f = self.eigfun_values(grid)
-        gram = f @ f.T / grid.size
+        f = self.cells(self.quadrature_grid().size)
+        gram = f @ f.T / f.shape[1]
         if not np.allclose(gram, np.eye(self.rank), atol=1e-8):
             raise ValueError("eigenfunctions are not L2-orthonormal on [0, 1]")
 
@@ -184,34 +219,24 @@ class FiniteRankGraphon:
         acc = np.zeros(shape)
         for p in self.pairs:
             acc = acc + p.lam * p.fun(x) * p.fun(y)
-        return float(acc) if acc.ndim == 0 else acc
+        return _point_or_array(acc)
 
     __call__ = eval
 
     def apply(self, v):
-        """Apply the kernel as an integral operator.
+        """Apply the kernel as an integral operator, ``sum_l lam_l <v, f_l> f_l``.
 
-        A callable ``v`` yields a callable; a length-n vector of cell
-        values yields the vector of cell values of the image (the kernel
-        and the eigenfunctions are read at cell midpoints).
+        A callable ``v`` yields a callable: the coordinates of `project`
+        evaluated by `span`.  A length-n vector of cell values yields the
+        vector of cell values of the image, read on `cells(n)`.
         """
         if callable(v):
-            grid = self.quadrature_grid()
-            coeffs = self.eigfun_values(grid) @ np.asarray(v(grid), dtype=float) / grid.size
-            pairs = self.pairs
-
-            def image(x):
-                xv = np.asarray(x, dtype=float)
-                acc = np.zeros(xv.shape)
-                for p, a in zip(pairs, coeffs):
-                    acc = acc + p.lam * a * p.fun(xv)
-                return float(acc) if acc.ndim == 0 else acc
-
-            return image
+            weights = self.lambdas * self.project(v)[0]
+            return lambda x: self.span(weights, x)
         v = np.asarray(v, dtype=float)
         if v.ndim != 1:
             raise ValueError(f"expected a 1-d cell-value vector, got shape {v.shape}")
-        f = self.eigfun_values(midpoint_grid(v.size))
+        f = self.cells(v.size)
         coeffs = f @ v / v.size
         return f.T @ (self.lambdas * coeffs)
 
@@ -269,7 +294,7 @@ class StepGraphon:
         ix = cell_index(x, self.n)
         iy = cell_index(y, self.n)
         out = self.entries[ix, iy]
-        return float(out) if np.ndim(out) == 0 else out
+        return _point_or_array(out)
 
     __call__ = eval
 
@@ -339,17 +364,15 @@ def uniform_graphon() -> FiniteRankGraphon:
 def sample_step_entries(g: FiniteRankGraphon, n: int) -> np.ndarray:
     """Sample a kernel at cell midpoints into an exactly symmetric matrix.
 
-    The eigenfunctions are evaluated once on the midpoint grid (F, rank x n)
-    and the matrix is ``C+ C+' - C- C-'`` with ``C± = F±' sqrt(±lam±)``
-    over the positive and the negative eigenvalues.  numpy computes the
+    F is the kernel's cell table ``g.cells(n)`` and the matrix is
+    ``C+ C+' - C- C-'`` with ``C± = F±' sqrt(±lam±)`` over the positive
+    and the negative eigenvalues.  numpy computes the
     product of one buffer with its own transpose as a symmetric rank-k
     update and mirrors the triangle, so the result is exactly symmetric
     and agrees with ``g.eval`` at the midpoints up to rounding.  A rank-0
     kernel samples to zeros.
     """
-    if n < 1:
-        raise ValueError(f"partition size must be >= 1, got {n}")
-    f = g.eigfun_values(midpoint_grid(n))
+    f = g.cells(n)
     lams = g.lambdas
     pos, neg = lams > 0.0, lams < 0.0
     c_pos = np.ascontiguousarray(f[pos].T * np.sqrt(lams[pos]))

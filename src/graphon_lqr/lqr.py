@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphon import FiniteRankGraphon, _project, midpoint_grid
+from .graphon import FiniteRankGraphon, _point_or_array
 from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
 from .riccati import Curve, riccati_explicit
@@ -102,27 +102,14 @@ class DecoupledState:
 def project_state(x, g: FiniteRankGraphon) -> DecoupledState:
     """Split a state into eigendirection coordinates and the residual.
 
-    Vector states over n cells use the cell inner product
-    ``<x, y> = sum(x*y)/n``; function states use midpoint quadrature on
-    the kernel's grid and return a callable residual.
+    The kernel's projection `FiniteRankGraphon.project`: vector states
+    over n cells use the cell inner product ``<x, y> = sum(x*y)/n`` on
+    ``g.cells(n)``; function states use midpoint quadrature on the
+    kernel's grid and return a callable residual.
     """
-    if callable(x):
-        grid = g.quadrature_grid()
-        coords, _ = _project(np.asarray(x(grid), dtype=float), g.eigfun_values(grid))
-        pairs = g.pairs
-
-        def residual(gamma):
-            gv = np.asarray(gamma, dtype=float)
-            acc = np.array(x(gv), dtype=float)
-            for p, c in zip(pairs, coords):
-                acc = acc - c * p.fun(gv)
-            return float(acc) if acc.ndim == 0 else acc
-
-        return DecoupledState(coords, residual)
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1:
-        raise ValueError(f"state must be a 1-d cell-value vector, got shape {xv.shape}")
-    return DecoupledState(*_project(xv, g.eigfun_values(midpoint_grid(xv.size))))
+    if not callable(x) and np.ndim(x) != 1:
+        raise ValueError(f"state must be a 1-d cell-value vector, got shape {np.shape(x)}")
+    return DecoupledState(*g.project(x))
 
 
 def eigensystem_params(p: LqrProblem, idx: int) -> tuple[float, float, float, float]:
@@ -158,12 +145,11 @@ def reconstruct_P(gains: Curve, g: FiniteRankGraphon, t: float,
     """Riccati operator at Riccati time ``t`` as an n x n cell matrix.
 
     ``P(t) = L_t*(I - sum_l Pi_l) + sum_l M_l(t)*Pi_l`` with the cell
-    projectors ``Pi_l = f_l f_l' / n``; at t = 0 this reproduces the
-    terminal-weight matrix of the finite system exactly.
+    projectors ``Pi_l = f_l f_l' / n``, f_l read from the kernel's cell
+    table ``g.cells(n)``; at t = 0 this reproduces the terminal-weight
+    matrix of the finite system exactly.
     """
-    if n < 1:
-        raise ValueError(f"partition size must be >= 1, got {n}")
-    f = g.eigfun_values(midpoint_grid(n))
+    f = g.cells(n)
     row = gains(t)
     lt, ml = row[0], row[1:]
     return lt * np.eye(n) + f.T @ (((ml - lt) / n)[:, None] * f)
@@ -180,7 +166,10 @@ class FeedbackLaw:
     A node's input needs only its own state, its eigenfunction values,
     the eigenstate aggregates ``coord_l`` and one row of gains, so the
     localized law is this output read at one node,
-    ``u[cell_index(gamma, n)]`` or ``u(gamma)``.
+    ``u[cell_index(gamma, n)]`` or ``u(gamma)``.  The law keeps no basis
+    of its own: a vector state is read on the kernel's cell table
+    ``cells(n)``, a function state through the kernel's `project` and
+    `span`.
 
     The law reads the first rank + 1 columns of ``gains``, so the gains
     of a problem also serve every truncation of it.  `simulate` reads the
@@ -188,7 +177,7 @@ class FeedbackLaw:
     mode; `gains_at` rejects a time outside the horizon on either path.
     """
 
-    __slots__ = ("problem", "gains", "_cells")
+    __slots__ = ("problem", "gains")
 
     def __init__(self, problem: LqrProblem, gains: Curve):
         if abs(gains.grid[-1] - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
@@ -198,7 +187,6 @@ class FeedbackLaw:
                              f"of shape {gains.values.shape[1:]}")
         self.problem = problem
         self.gains = Curve(gains.grid, gains.values[:, :problem.d + 1])
-        self._cells: dict[int, np.ndarray] = {}
 
     def gains_at(self, t) -> np.ndarray:
         """Feedback gains at a time or array of times, shape ``t.shape + (rank + 1,)``.
@@ -216,22 +204,13 @@ class FeedbackLaw:
 
     def __call__(self, t: float, x):
         g = self.gains_at(t)
+        graphon = self.problem.graphon
         if callable(x):
-            graphon = self.problem.graphon
-            weights = (g[0] - g[1:]) * project_state(x, graphon).eigen_coords
-
-            def law(gamma):
-                gv = np.asarray(gamma, dtype=float)
-                u = (np.tensordot(weights, graphon.eigfun_values(gv), axes=1)
-                     - g[0] * np.asarray(x(gv), dtype=float))
-                return float(u) if u.ndim == 0 else u
-
-            return law
+            weights = (g[0] - g[1:]) * graphon.project(x)[0]
+            return lambda gamma: _point_or_array(
+                graphon.span(weights, gamma) - g[0] * np.asarray(x(gamma), dtype=float))
         x = np.asarray(x, dtype=float)
-        f = self._cells.get(x.size)  # eigenfunction cell values, cached per n
-        if f is None:
-            f = self._cells[x.size] = self.problem.graphon.eigfun_values(
-                midpoint_grid(x.size))
+        f = graphon.cells(x.size)
         # -beta0*L*(x - F'c) - F'(bM c), with the F' applications fused
         return f.T @ ((g[0] - g[1:]) * (f @ x / x.size)) - g[0] * x
 

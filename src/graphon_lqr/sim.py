@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpError
-from .graphon import StepGraphon, _project, midpoint_grid
+from .graphon import StepGraphon
 from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _terminal_ratios, feedback_controller,
                   reconstruct_P, synthesize_gains, truncate_problem)
@@ -66,23 +66,24 @@ class StepSystem:
     """Finite network realization of an LQR problem on n cells.
 
     ``StepSystem(entries, problem)`` reads n from ``entries`` and the
-    eigenfunction cell values ``F = f_cells`` from ``problem.graphon``,
-    whose eigenvalues are ``lams``.  The drift is ``alpha0*I + entries/n``;
+    eigenfunction cell values ``F = f_cells`` from the cell table
+    ``problem.graphon.cells(n)``.  The drift is ``alpha0*I + entries/n``;
     the input, state-weight and terminal-weight matrices are the problem
     polynomials of ``entries/n``, symmetric by construction and
     assembled only on first access.  When F decouples the coupling
     (`decoupling_residual` at most a fixed tolerance, full rank n = d
     included) the system is held in low-rank form (``low_rank``): every
-    such polynomial equals ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n``,
-    and simulation and costs work on the rank + 1 modes.  Otherwise the
-    weights are checked to be positive semidefinite when first assembled.
+    such polynomial equals ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n``
+    over the kernel eigenvalues ``lams``, and simulation and costs work
+    on the rank + 1 modes.  Otherwise the weights are checked to be
+    positive semidefinite when first assembled.
     """
 
     def __init__(self, entries: np.ndarray, problem: LqrProblem):
         self.n = n = entries.shape[0]
         self.entries = entries
         self.problem = problem
-        self.f_cells = problem.graphon.eigfun_values(midpoint_grid(n))  # (rank, n)
+        self.f_cells = problem.graphon.cells(n)  # (rank, n)
         self.residual = decoupling_residual(entries, self.f_cells,
                                             problem.graphon.lambdas)
         self.low_rank = self.residual <= _DECOUPLING_TOL
@@ -223,12 +224,16 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     read.  Every other controller runs the generic loop on the dense
     matrices, one `rk4_step` per grid step whose first slope reuses the
     recorded control, so the controller is called 4K + 1 times over K
-    steps.  A non-finite state aborts with a `BlowUpError` naming the
+    steps.  A non-finite initial state is rejected with `ValueError`; a
+    state that turns non-finite aborts with a `BlowUpError` naming the
     time.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.n,):
         raise ValueError(f"initial state must have shape ({sys.n},), got {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"initial state must be finite, got {x[bad[0]]} at node {bad[0]}")
     grid = uniform_grid(horizon, dt)
     if isinstance(controller, FeedbackLaw) and _modal(sys, controller):
         return Trajectory.from_modes(grid, _modal_closed_loop(sys, controller, x, grid))
@@ -272,7 +277,7 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     f, n = sys.f_cells, sys.n
     drift, b_sys = np.array(sys.problem.mode_params[:, :2].T)
     modes = drift.size
-    coords0, resid0 = _project(x0, f)
+    coords0, resid0 = sys.problem.graphon.project(x0)
     if f.shape[0] == n:  # rank = n: no residual
         drift[0] = b_sys[0] = 0.0
         resid0 = np.zeros(n)
@@ -317,7 +322,7 @@ def _mode_energies(traj: Trajectory, sys: StepSystem) -> tuple[np.ndarray, np.nd
         return x, m.gains ** 2 * x
 
     def energies(v):
-        coords, r = _project(v, sys.f_cells)
+        coords, r = sys.problem.graphon.project(v)
         return np.column_stack([np.einsum("ki,ki->k", r, r) / sys.n, coords ** 2])
 
     return energies(traj.states), energies(traj.controls)
@@ -377,14 +382,23 @@ class OracleReport:
     p_gap: float
 
 
+def _check_horizon(p: LqrProblem, horizon: float):
+    """Reject a run horizon other than the problem's, whose gains the laws read."""
+    if horizon != p.horizon:
+        raise ValueError(f"run horizon {horizon} differs from the problem "
+                         f"horizon {p.horizon}")
+
+
 def oracle_compare(sys: StepSystem, p: LqrProblem, x0, horizon: float,
                    dt: float) -> OracleReport:
     """Run both controllers and report P-matrix, state and cost gaps.
 
     The P gap is the max-abs difference between the reconstructed
     operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and the matrix
-    Riccati path at up to 21 sampled grid times.
+    Riccati path at up to 21 sampled grid times.  ``horizon`` must be
+    the problem's: the synthesized law is optimal for that horizon only.
     """
+    _check_horizon(p, horizon)
     gains = synthesize_gains(p, dt)
     ctrl_dec = feedback_controller(p, gains)
     ctrl_orc, path = oracle_controller(sys, horizon, dt)
@@ -430,8 +444,10 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
     array; a dense run is projected at T alone.  For each ignored
     direction the measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits
     next to its prediction (available when the input polynomial is
-    constant), read from the same gains.
+    constant), read from the same gains.  ``horizon`` must be the
+    problem's, for which the predictions hold.
     """
+    _check_horizon(p, horizon)
     levels = list(levels)
     gains = synthesize_gains(p, dt)
     # truncate_problem rejects a level outside [0, rank] before any run
@@ -442,7 +458,7 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
         traj = simulate(sys, law, x0, horizon, dt)
         m = traj.modes
         coords = (m.growth[-1, 1:] * m.coords if m is not None
-                  else _project(traj.states[-1], sys.f_cells)[0])
+                  else sys.problem.graphon.project(traj.states[-1])[0])
         runs[level] = (evaluate_cost(traj, sys).total, coords)
     j_opt, coords_opt = runs[p.d]
     predictions = (_terminal_ratios(p, gains) if p.poly_b.degree == 0

@@ -114,6 +114,20 @@ class TestScenarioParsing:
         echo = json.loads((out / "scenario.json").read_text())
         assert (echo["horizon"], echo["dt"]) == (4e-3, 1e-3 * 4e-3)
 
+    @pytest.mark.parametrize("dt", ["absent", None, 0.0])
+    def test_horizon_flag_sets_a_default_step(self, tmp_path, dt):
+        # the default step of a file without dt follows the flag's horizon
+        path = write_scenario(tmp_path, horizon=0.5, dt=dt)
+        if dt == "absent":
+            raw = json.loads(read(path))
+            del raw["dt"]
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+        out = tmp_path / "long"
+        assert cli.main(["run", path, "--horizon", "5", "--out", str(out)]) == 0
+        echo = json.loads((out / "scenario.json").read_text())
+        assert (echo["horizon"], echo["dt"]) == (5.0, 5e-3)
+
     def test_null_field_reads_as_absent(self, tmp_path):
         path = write_scenario(tmp_path, dt=None, seed=None, controller=None, out=None)
         scn = cli.load_scenario(path)

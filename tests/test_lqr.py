@@ -392,3 +392,73 @@ class TestFirstOrderOptimality:
             pert = lambda t, x: base(t, x) + 1e-3 * np.cos(freq * t) * w
             j = gl.evaluate_cost(gl.simulate(sys_, pert, x0, p.horizon, dt), sys_).total
             assert j >= j_opt - 1e-8
+
+
+class TestKernelBasis:
+    """The kernel's cell table, projection and span serve every consumer."""
+
+    def test_each_eigenfunction_read_on_the_cells_once(self):
+        n, calls = 24, []
+
+        def counted(k, fun):
+            def f(x):
+                if np.shape(x) == (n,) and np.array_equal(x, midpoint_grid(n)):
+                    calls.append(k)
+                return fun(x)
+            return f
+
+        base = gl.sinusoidal_graphon()
+        g = gl.FiniteRankGraphon([gl.EigenPair(p.lam, counted(k, p.fun))
+                                  for k, p in enumerate(base.pairs)])
+        p = gl.LqrProblem(2.0, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([1.0]),
+                          gl.CoeffPoly([1.0]), g, 1.0)
+        sys_ = gl.build_step_system(gl.sample_step_entries(g, n), p)
+        law = feedback_controller(p, synthesize_gains(p, 1e-2))
+        x = gl.initial_state(n, 4)
+        for t in (0.0, 0.5, 1.0):
+            law(t, x)
+            reconstruct_P(law.gains, g, t, n)
+        project_state(x, g)
+        assert sorted(calls) == [0, 1]
+        assert sys_.f_cells is g.cells(n)
+
+    def test_cell_table_is_read_only(self):
+        g = gl.sinusoidal_graphon()
+        f = g.cells(8)
+        assert g.cells(8) is f and f.shape == (2, 8)
+        with pytest.raises(ValueError):
+            f[0, 0] = 1.0
+
+    def test_empty_partition_rejected(self, vii_problem):
+        # an empty cell vector would be scaled by 1/0
+        g = vii_problem.graphon
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, 1e-2))
+        for call in (lambda: project_state(np.zeros(0), g), lambda: g.apply(np.zeros(0)),
+                     lambda: law(0.5, np.zeros(0)), lambda: gl.sample_step_entries(g, 0),
+                     lambda: reconstruct_P(law.gains, g, 0.5, 0)):
+            with pytest.raises(ValueError, match="partition size must be >= 1"):
+                call()
+
+    @pytest.mark.parametrize("kind", ["sinusoidal", "step"])
+    def test_function_state_agrees_with_cell_vectors(self, kind):
+        # on a partition that holds the state exactly, a function state's
+        # coordinates, residual, kernel image and feedback read at the cell
+        # midpoints are those of its vector of cell values
+        if kind == "sinusoidal":
+            g, n = gl.sinusoidal_graphon(), 2048
+            x = lambda s: (0.4 + np.cos(2 * np.pi * s) - 0.7 * np.sin(2 * np.pi * s)
+                           + 0.3 * np.sin(6 * np.pi * np.asarray(s, float)))
+        else:
+            rng = np.random.default_rng(17)
+            g, _ = make_rank_kernel(rng, 16, 3)
+            n, x = 16, gl.StepFunction(rng.standard_normal(16))
+        mids = midpoint_grid(n)
+        fun, vec = project_state(x, g), project_state(x(mids), g)
+        np.testing.assert_allclose(fun.eigen_coords, vec.eigen_coords, atol=1e-9)
+        np.testing.assert_allclose(fun.auxiliary(mids), vec.auxiliary, atol=1e-9)
+        assert isinstance(fun.auxiliary(0.3), float)
+        np.testing.assert_allclose(g.apply(x)(mids), g.apply(x(mids)), atol=1e-9)
+        p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
+                          gl.CoeffPoly([1.0]), g, 1.0)
+        law = feedback_controller(p, synthesize_gains(p, 1e-2))
+        np.testing.assert_allclose(law(0.25, x)(mids), law(0.25, x(mids)), atol=1e-9)

@@ -149,6 +149,18 @@ class TestSimulate:
         np.testing.assert_array_equal(traj.states[-1], x)
         np.testing.assert_array_equal(traj.controls[-1], law(horizon, x))
 
+    @pytest.mark.parametrize("engine", ["modal", "generic"])
+    def test_non_finite_initial_state_rejected(self, vii_problem, engine):
+        n, dt = 12, 1e-2
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        controller = law if engine == "modal" else generic(law)
+        x0 = gl.initial_state(n, 5)
+        x0[3] = np.nan
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            gl.simulate(sys_, controller, x0, 1.0, dt)
+
     def test_wrong_initial_shape(self):
         p = scalar_problem(0.0)
         sys_ = gl.build_step_system(np.zeros((2, 2)), p)
@@ -488,6 +500,20 @@ class TestOracleCompare:
         report = gl.oracle_compare(sys_, p, gl.initial_state(6, 51), 1.0, 1e-3)
         assert report.cost_rel_gap <= 1e-6
         assert report.p_gap <= 1e-6
+
+
+@pytest.mark.parametrize("horizon", [0.5, 2.0])
+def test_run_horizon_must_be_the_problems(vii_problem, horizon, monkeypatch):
+    # the laws are optimal, and the predictions hold, for the problem's horizon
+    n = 12
+    sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                vii_problem)
+    x0 = gl.initial_state(n, 9)
+    monkeypatch.setattr(sim_module, "synthesize_gains", None)  # no solve may start
+    with pytest.raises(ValueError, match=f"run horizon {horizon} .* horizon 1.0"):
+        gl.oracle_compare(sys_, vii_problem, x0, horizon, 1e-3)
+    with pytest.raises(ValueError, match=f"run horizon {horizon} .* horizon 1.0"):
+        gl.truncation_study(sys_, vii_problem, x0, [0, 1], horizon, 1e-3)
 
 
 @st.composite
