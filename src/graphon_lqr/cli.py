@@ -13,11 +13,12 @@ truncation study, ``truncation.csv``.  Runs are reproducible: the same
 scenario and seed yield byte-identical artifacts, and the resolved
 scenario is echoed next to them.
 
-Exit codes: 0 success, 2 scenario/validation failure (an unreadable input
-path, an unwritable output directory and a network that the kernel
-eigenfunctions do not decouple included), 3 numeric failure (a blow-up,
-an overflowing gain, a failed LAPACK call or an allocation that does not
-fit in memory, such as the n x n coupling matrix of a huge ``n``).
+Exit codes: 0 success, 2 scenario/validation failure (a field of the
+wrong JSON type, an unreadable input path, an unwritable output directory
+and a network that the kernel eigenfunctions do not decouple, which the
+step system rejects, included), 3 numeric failure (a blow-up, an
+overflowing gain, a failed LAPACK call or an allocation that does not fit
+in memory, such as the n x n coupling matrix of a huge ``n``).
 """
 from __future__ import annotations
 
@@ -32,12 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .graphon import StepGraphon, graphon_from_spec, sample_step_entries
+from .graphon import StepGraphon, graphon_from_spec, json_number, sample_step_entries
 from .lqr import LqrProblem, feedback_controller, synthesize_gains, truncate_problem
 from .poly import CoeffPoly
 from .riccati import Curve
-from .sim import (_DECOUPLING_TOL, build_step_system, evaluate_cost, initial_state,
-                  oracle_compare, simulate, truncation_study)
+from .sim import (build_step_system, evaluate_cost, initial_state, oracle_compare,
+                  simulate, truncation_study)
 
 _FLOAT_FMT = "%.17g"
 
@@ -62,48 +63,60 @@ class Scenario:
         return dataclasses.asdict(self)
 
 
-def _field(raw: dict, name: str, kind, required: bool = True, default=None):
+def _field(raw: dict, name: str, read, required: bool = True, default=None):
+    """Field ``name`` as ``read`` returns it; ``read`` checks its JSON type."""
     if raw.get(name) is None:  # JSON null reads as absent
         if required:
             raise ValueError(f"scenario field '{name}': missing")
         return default
     try:
-        if isinstance(raw[name], bool):  # JSON true/false, which Python reads as 1/0
-            raise ValueError(f"must not be a boolean, got {raw[name]!r}")
-        return kind(raw[name])
-    except (TypeError, ValueError) as exc:
+        return read(raw[name])
+    except ValueError as exc:
         raise ValueError(f"scenario field '{name}': {exc}") from exc
 
 
 def _integer(value) -> int:
     """An integral count such as 40 or 40.0; 40.7 is rejected, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    if not json_number(value).is_integer():
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
 
 
 def _coeffs(value) -> list:
-    if not isinstance(value, list) or any(isinstance(c, bool) for c in value):
+    if not isinstance(value, list):
         raise ValueError(f"must be a list of numeric coefficients, got {value!r}")
-    return [float(c) for c in value]
+    return [json_number(c) for c in value]
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
+    return value
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"must be an object, got {value!r}")
+    return value
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ValueError("scenario must be a JSON object")
-    dt = _field(raw, "dt", float, required=False)
+    dt = _field(raw, "dt", json_number, required=False)
     scn = Scenario(
-        alpha0=_field(raw, "alpha0", float),
+        alpha0=_field(raw, "alpha0", json_number),
         poly_b=_field(raw, "poly_b", _coeffs, required=False, default=[1.0]),
         poly_q=_field(raw, "poly_q", _coeffs, required=False, default=[1.0]),
         poly_p0=_field(raw, "poly_p0", _coeffs, required=False, default=[1.0]),
-        horizon=_field(raw, "horizon", float),
+        horizon=_field(raw, "horizon", json_number),
         dt=0.0 if dt is None else dt,
-        graphon=_field(raw, "graphon", dict),
+        graphon=_field(raw, "graphon", _object),
         n=_field(raw, "n", _integer, required=False),
-        controller=_field(raw, "controller", str, required=False, default="optimal"),
+        controller=_field(raw, "controller", _string, required=False,
+                          default="optimal"),
         seed=_field(raw, "seed", _integer, required=False, default=0),
-        out=_field(raw, "out", str, required=False, default="out"),
+        out=_field(raw, "out", _string, required=False, default="out"),
     )
     if scn.dt < 0.0:
         raise ValueError(f"scenario field 'dt': must be positive, got {scn.dt}")
@@ -182,9 +195,10 @@ def build_experiment(scn: Scenario, base_dir: str = "."):
 
     A CSV step kernel, validated once when read, is the network itself;
     an analytic kernel is sampled on ``n`` cells.  A network that the
-    kernel eigenfunctions do not decouple (not `StepSystem.low_rank`, e.g.
-    a rank-2 kernel on 2 cells) is rejected: its decoupled controller
-    would not be optimal.  A full-rank step kernel (n = d) decouples.
+    kernel eigenfunctions do not decouple, such as a rank-2 kernel on 2
+    cells, is rejected by `build_step_system` with `ValueError`: its
+    decoupled controller would not be optimal.  A full-rank step kernel
+    (n = d) decouples.
     """
     g = graphon_from_spec(scn.graphon, base_dir)
     if isinstance(g, StepGraphon):
@@ -200,11 +214,6 @@ def build_experiment(scn: Scenario, base_dir: str = "."):
     problem = LqrProblem(scn.alpha0, CoeffPoly(scn.poly_b), CoeffPoly(scn.poly_q),
                          CoeffPoly(scn.poly_p0), kernel, scn.horizon)
     system = build_step_system(network, problem)
-    if not system.low_rank:
-        raise ValueError(
-            f"the {system.n}-cell network does not decouple along the d = {problem.d} "
-            f"kernel eigenfunctions: decoupling residual {system.residual:.3e} "
-            f"exceeds {_DECOUPLING_TOL:g}")
     x0 = initial_state(system.n, scn.seed)
     return problem, system, x0
 
@@ -357,7 +366,7 @@ def _apply_overrides(raw, args) -> Scenario:
         return scenario_from_dict(raw)
     raw = dict(raw)
     if args.horizon is not None and args.dt is None:
-        dt = _field(raw, "dt", float, required=False)
+        dt = _field(raw, "dt", json_number, required=False)
         if dt is not None and dt >= args.horizon:
             del raw["dt"]
     flags = {"horizon": args.horizon, "dt": args.dt, "seed": args.seed}
@@ -414,7 +423,7 @@ def main(argv=None) -> int:
             base_dir = os.path.dirname(os.path.abspath(args.scenario))
         scn = _apply_overrides(raw, args)
         if args.command == "truncation-study":
-            levels = _parse_levels(args.levels) if args.levels else None
+            levels = None if args.levels is None else _parse_levels(args.levels)
             run_truncation_study(scn, levels, base_dir, args.out)
         elif args.command == "oracle-check":
             run_oracle_check(scn, base_dir, args.out)

@@ -18,6 +18,7 @@ agrees with the L2([0,1]) geometry throughout.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -410,6 +411,20 @@ def _analytic_eigfun(kind: str, freq: float) -> Callable:
     raise ValueError(f"graphon field 'fun' must be one of sin|cos|const, got {kind!r}")
 
 
+def json_number(value) -> float:
+    """A scenario number: a JSON integer or float, as a float.
+
+    Booleans, which Python reads as 1 and 0, strings and every other type
+    raise `ValueError`, as does an integer beyond the float range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("must be a number within the float range") from None
+
+
 def graphon_from_spec(spec: dict, base_dir: str = "."):
     """Build a kernel from its scenario-file description.
 
@@ -422,7 +437,9 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
          "pairs": [{"lambda": 0.5, "fun": "sin", "freq": 1}, ...]}
 
     Step matrices are read as row-major CSV and validated for exact
-    symmetry; relative paths resolve against ``base_dir``.
+    symmetry; relative paths resolve against ``base_dir``, and a file
+    that holds no matrix of numbers is rejected with its path.  Each
+    ``lambda`` and ``freq`` must be a `json_number`.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("graphon spec must be an object with a 'type' field")
@@ -441,7 +458,15 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
         full = path if os.path.isabs(path) else os.path.join(base_dir, path)
         if not os.path.exists(full):
             raise ValueError(f"graphon field 'matrix_csv': file not found: {full}")
-        entries = np.atleast_2d(np.loadtxt(full, delimiter=",", dtype=float))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # numpy's "no data"
+                entries = np.atleast_2d(np.loadtxt(full, delimiter=",", dtype=float))
+        except (ValueError, UserWarning) as exc:
+            # numpy appends advice on `usecols` after a ';', which does not apply
+            reason = str(exc).split(";")[0]
+            raise ValueError(f"graphon field 'matrix_csv': {full} is not a "
+                             f"comma-separated matrix of numbers: {reason}") from None
         bound = max(1.0, float(np.abs(entries).max())) if entries.size else 1.0
         return StepGraphon(entries, bound=bound)
     if kind == "finite_rank":
@@ -454,14 +479,13 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
         for item in raw:
             if not isinstance(item, dict) or "lambda" not in item or "fun" not in item:
                 raise ValueError("graphon field 'pairs': each entry needs 'lambda' and 'fun'")
+            numbers = []
             for name in ("lambda", "freq"):
-                if isinstance(item.get(name), bool):  # JSON true/false reads as 1/0
-                    raise ValueError(f"graphon field 'pairs': '{name}' must be a "
-                                     f"number, got {item[name]!r}")
-            try:
-                lam, freq = float(item["lambda"]), float(item.get("freq", 1.0))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"graphon field 'pairs': {exc}") from exc
+                try:
+                    numbers.append(json_number(item.get(name, 1.0)))
+                except ValueError as exc:
+                    raise ValueError(f"graphon field 'pairs': '{name}' {exc}") from None
+            lam, freq = numbers
             pairs.append(EigenPair(lam, _analytic_eigfun(item["fun"], freq)))
             # class bound via the triangle inequality: sup|A| <= sum |lam| sup f^2
             sup += abs(lam) * _SUP_SQUARE[item["fun"]]

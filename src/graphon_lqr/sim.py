@@ -5,9 +5,12 @@ as ``dx/dt = A x + B u`` with ``A = alpha0*I + entries/n`` and
 ``B = poly_b(entries/n)``; running and terminal costs weight states by
 ``poly_q(entries/n)`` and ``poly_p0(entries/n)`` under the cell inner
 product ``<x, y> = sum(x*y)/n``.  Controllers are callables
-``(t, x) -> u``; under a `FeedbackLaw` a decoupled network runs as one
-scalar closed loop per mode, and its run and cost stay in those modes.  The module also provides the direct
-matrix-Riccati controller used as the verification oracle.
+``(t, x) -> u``.  A system is always the decoupled realization of its
+problem: a network that the kernel eigenfunctions do not decouple is
+rejected when the system is built.  Under a `FeedbackLaw` it runs as one
+scalar closed loop per mode, and its run and cost stay in those modes.
+The module also provides the direct matrix-Riccati controller used as
+the verification oracle.
 """
 from __future__ import annotations
 
@@ -25,10 +28,7 @@ from .lqr import (FeedbackLaw, LqrProblem, _terminal_ratios, feedback_controller
 from .poly import apply_poly_matrix
 from .riccati import solve_matrix_riccati
 
-# Eigenvalue slack for "positive semidefinite up to rounding".
-_PSD_TOL = -1e-9
-
-# Largest decoupling residual of a system held in low-rank form.
+# Largest decoupling residual of a step system.
 _DECOUPLING_TOL = 1e-10
 
 # Rows of the coupling matrix read per block in `decoupling_residual`: 32
@@ -67,16 +67,17 @@ class StepSystem:
 
     ``StepSystem(entries, problem)`` reads n from ``entries`` and the
     eigenfunction cell values ``F = f_cells`` from the cell table
-    ``problem.graphon.cells(n)``.  The drift is ``alpha0*I + entries/n``;
-    the input, state-weight and terminal-weight matrices are the problem
-    polynomials of ``entries/n``, symmetric by construction and
-    assembled only on first access.  When F decouples the coupling
-    (`decoupling_residual` at most a fixed tolerance, full rank n = d
-    included) the system is held in low-rank form (``low_rank``): every
-    such polynomial equals ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n``
-    over the kernel eigenvalues ``lams``, and simulation and costs work
-    on the rank + 1 modes.  Otherwise the weights are checked to be
-    positive semidefinite when first assembled.
+    ``problem.graphon.cells(n)``.  F must decouple the coupling: a
+    ``residual`` (`decoupling_residual`) above 1e-10 raises `ValueError`
+    naming n, d, the residual and the tolerance; full rank n = d
+    decouples.  Every polynomial of ``entries/n`` is then
+    ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n`` over the kernel
+    eigenvalues ``lams``, so simulation and costs work on the rank + 1
+    modes, and the weights are positive semidefinite because the
+    problem's polynomials are nonnegative on that spectrum.  The drift
+    ``alpha0*I + entries/n`` and the input, state-weight and
+    terminal-weight matrices, symmetric by construction, are assembled
+    only on first access, for the oracle and for the generic loop.
     """
 
     def __init__(self, entries: np.ndarray, problem: LqrProblem):
@@ -86,7 +87,11 @@ class StepSystem:
         self.f_cells = problem.graphon.cells(n)  # (rank, n)
         self.residual = decoupling_residual(entries, self.f_cells,
                                             problem.graphon.lambdas)
-        self.low_rank = self.residual <= _DECOUPLING_TOL
+        if not self.residual <= _DECOUPLING_TOL:  # a NaN residual fails too
+            raise ValueError(
+                f"the {n}-cell network does not decouple along the d = {problem.d} "
+                f"kernel eigenfunctions: decoupling residual {self.residual:.3e} "
+                f"exceeds {_DECOUPLING_TOL:g}")
 
     @cached_property
     def a_mat(self) -> np.ndarray:
@@ -99,20 +104,11 @@ class StepSystem:
 
     @cached_property
     def q_mat(self) -> np.ndarray:
-        return self._weight("q_mat", self.problem.poly_q)
+        return apply_poly_matrix(self.problem.poly_q, self.entries / self.n)
 
     @cached_property
     def p0_mat(self) -> np.ndarray:
-        return self._weight("p0_mat", self.problem.poly_p0)
-
-    def _weight(self, name: str, poly) -> np.ndarray:
-        m = apply_poly_matrix(poly, self.entries / self.n)
-        if not self.low_rank:
-            low = float(np.linalg.eigvalsh(m).min())
-            if low < _PSD_TOL:
-                raise ValueError(
-                    f"{name} must be positive semidefinite, smallest eigenvalue {low:.3e}")
-        return m
+        return apply_poly_matrix(self.problem.poly_p0, self.entries / self.n)
 
 
 def build_step_system(entries, p: LqrProblem) -> StepSystem:
@@ -121,8 +117,10 @@ def build_step_system(entries, p: LqrProblem) -> StepSystem:
     ``entries`` may be a raw symmetric matrix, validated here against the
     kernel bound (asymmetric or out-of-bound entries are rejected with
     the offending indices), or a `StepGraphon`, whose matrix its own
-    constructor already validated.  All matrices are polynomials of the
-    scaled coupling ``entries / n``.
+    constructor already validated.  A network that the kernel
+    eigenfunctions do not decouple raises `ValueError` (`StepSystem`)
+    before any dense matrix is assembled.  All matrices are polynomials
+    of the scaled coupling ``entries / n``.
     """
     if not isinstance(entries, StepGraphon):
         entries = StepGraphon(entries, bound=p.graphon.bound)
@@ -217,16 +215,16 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     """Integrate ``dx/dt = A x + B u(t, x)`` with RK4, recording controls.
 
     The recorded control at each grid node is ``controller(t_k, x_k)``.
-    A `FeedbackLaw` on a low-rank system whose eigenfunctions extend the
-    law's runs as rank + 1 scalar closed loops (`_modal_closed_loop`) in
+    A `FeedbackLaw` whose eigenpairs lead those of the system's kernel
+    runs as rank + 1 scalar closed loops (`_modal_closed_loop`) in
     O(K*(rank+1)) after one O(n*rank) projection of ``x0``, and returns
     the run in modal form: dense states and controls are built only when
-    read.  Every other controller runs the generic loop on the dense
-    matrices, one `rk4_step` per grid step whose first slope reuses the
-    recorded control, so the controller is called 4K + 1 times over K
-    steps.  A non-finite initial state is rejected with `ValueError`; a
-    state that turns non-finite aborts with a `BlowUpError` naming the
-    time.
+    read.  Every other controller, an arbitrary callable or the law of
+    another kernel object, runs the generic loop on the dense matrices,
+    one `rk4_step` per grid step whose first slope reuses the recorded
+    control, so the controller is called 4K + 1 times over K steps.  A
+    non-finite initial state is rejected with `ValueError`; a state that
+    turns non-finite aborts with a `BlowUpError` naming the time.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.n,):
@@ -254,9 +252,9 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
 
 
 def _modal(sys: StepSystem, law: FeedbackLaw) -> bool:
-    """Whether the law's eigenpair objects lead those of a low-rank system."""
+    """Whether the law's eigenpair objects lead those of the system's kernel."""
     pairs = law.problem.graphon.pairs
-    return sys.low_rank and pairs == sys.problem.graphon.pairs[:len(pairs)]
+    return pairs == sys.problem.graphon.pairs[:len(pairs)]
 
 
 def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
@@ -335,10 +333,10 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     terminal ``x'P0x/n``.  Each mode's part is read from the mode
     energies (`_mode_energies`): the residual's is
     ``(q0 + G0^2)*g0^2*|x_res|^2/n`` per node, eigendirection l's
-    ``(q_l + G_l^2)*(g_l*c_l)^2``, weights from ``mode_params``.  On a
-    low-rank system, where Q and P0 act on the modes alone, the total is
-    the sum of the parts, in O(K*(rank+1)) for a run in modal form;
-    otherwise it comes from the dense Q and P0.
+    ``(q_l + G_l^2)*(g_l*c_l)^2``, weights from ``mode_params``.  Q and
+    P0 act on the modes alone, since the system decouples, so the total is
+    the sum of the parts, in O(K*(rank+1)) for a run in modal form and
+    O(K*n*rank) for a dense one.
     """
     p, grid = sys.problem, traj.grid
     xe, ue = _mode_energies(traj, sys)
@@ -347,13 +345,7 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     # and numpy sums it pairwise
     run = np.ascontiguousarray((q * xe + ue).T)
     parts = np.trapezoid(run, grid) + z * xe[-1]
-    if sys.low_rank:
-        total = float(parts.sum())
-    else:
-        x, u, n = traj.states, traj.controls, sys.n
-        run = ((x @ sys.q_mat) * x).sum(axis=1) / n + np.einsum("ki,ki->k", u, u) / n
-        total = float(np.trapezoid(run, grid) + x[-1] @ sys.p0_mat @ x[-1] / n)
-    return CostBreakdown(total=total, aux=float(parts[0]), eigen=parts[1:])
+    return CostBreakdown(total=float(parts.sum()), aux=float(parts[0]), eigen=parts[1:])
 
 
 def oracle_controller(sys: StepSystem, horizon: float, dt: float):
@@ -382,8 +374,11 @@ class OracleReport:
     p_gap: float
 
 
-def _check_horizon(p: LqrProblem, horizon: float):
-    """Reject a run horizon other than the problem's, whose gains the laws read."""
+def _check_run(sys: StepSystem, p: LqrProblem, horizon: float):
+    """Reject a problem other than the system's, whose costs the runs read,
+    and a run horizon other than the problem's, whose gains the laws read."""
+    if p != sys.problem:
+        raise ValueError("the problem differs from the one the step system realizes")
     if horizon != p.horizon:
         raise ValueError(f"run horizon {horizon} differs from the problem "
                          f"horizon {p.horizon}")
@@ -395,10 +390,12 @@ def oracle_compare(sys: StepSystem, p: LqrProblem, x0, horizon: float,
 
     The P gap is the max-abs difference between the reconstructed
     operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and the matrix
-    Riccati path at up to 21 sampled grid times.  ``horizon`` must be
-    the problem's: the synthesized law is optimal for that horizon only.
+    Riccati path at up to 21 sampled grid times.  ``p`` must equal
+    ``sys.problem``, its kernel the same object, and ``horizon`` must be
+    the problem's: the synthesized law is optimal for that problem and
+    horizon only.  Both are checked before any synthesis.
     """
-    _check_horizon(p, horizon)
+    _check_run(sys, p, horizon)
     gains = synthesize_gains(p, dt)
     ctrl_dec = feedback_controller(p, gains)
     ctrl_orc, path = oracle_controller(sys, horizon, dt)
@@ -440,14 +437,16 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
     Every distinct level in ``levels`` and the full level ``rank`` is
     simulated once with one synthesis of gains; the level-rank run is the
     optimal one.  Costs and terminal eigen coordinates ``g_l(T)*c_l`` are
-    read from each run's modes, so a decoupled study builds no (K+1) x n
-    array; a dense run is projected at T alone.  For each ignored
-    direction the measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits
-    next to its prediction (available when the input polynomial is
-    constant), read from the same gains.  ``horizon`` must be the
-    problem's, for which the predictions hold.
+    read from each run's modes, so a study builds no (K+1) x n array.
+    For each ignored direction the measured terminal ratio
+    ``x_tilde(T)/x_bar(T)`` sits next to its prediction (available when
+    the input polynomial is constant), read from the same gains.  ``p``
+    must equal ``sys.problem``, its kernel the same object, so that every
+    truncated law runs in modal form on the system, and ``horizon`` must
+    be the problem's, for which the predictions hold.  Both are checked
+    before any synthesis or run.
     """
-    _check_horizon(p, horizon)
+    _check_run(sys, p, horizon)
     levels = list(levels)
     gains = synthesize_gains(p, dt)
     # truncate_problem rejects a level outside [0, rank] before any run
@@ -457,9 +456,7 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
     for level, law in laws.items():
         traj = simulate(sys, law, x0, horizon, dt)
         m = traj.modes
-        coords = (m.growth[-1, 1:] * m.coords if m is not None
-                  else sys.problem.graphon.project(traj.states[-1])[0])
-        runs[level] = (evaluate_cost(traj, sys).total, coords)
+        runs[level] = (evaluate_cost(traj, sys).total, m.growth[-1, 1:] * m.coords)
     j_opt, coords_opt = runs[p.d]
     predictions = (_terminal_ratios(p, gains) if p.poly_b.degree == 0
                    else np.full(p.d, np.nan))

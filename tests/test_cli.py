@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,26 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, graphon={"type": "finite_rank", "pairs": [pair]})
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
         assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("out", 5), ("out", [1]), ("controller", 5),
+        ("graphon", [["type", "sinusoidal"]]), ("alpha0", "2.0"), ("n", "8"),
+        ("alpha0", 10 ** 400), ("lambda", "0.5"), ("freq", "1"), ("freq", 10 ** 400),
+    ], ids=["out-int", "out-list", "controller-int", "graphon-list", "alpha0-string",
+            "n-string", "alpha0-huge-int", "lambda-string", "freq-string",
+            "freq-huge-int"])
+    def test_field_of_another_json_type_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                 field, value):
+        # each value used to be converted: "out": 5 wrote into a directory "5"
+        overrides = {field: value}
+        if field in ("lambda", "freq"):
+            pair = {"lambda": 0.5, "fun": "sin", "freq": 1, field: value}
+            overrides = {"graphon": {"type": "finite_rank", "pairs": [pair]}}
+        path = write_scenario(tmp_path, **overrides)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", path]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["scenario.json"]
 
     @pytest.mark.parametrize("flags, field", [
         (["--horizon", "-1"], "horizon"), (["--horizon", "inf"], "horizon"),
@@ -211,6 +232,19 @@ class TestRunCommand:
         assert rc == 2
         assert "matrix_csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["a,b\n0,0.5\n0.5,0\n", "0,0.5\n0.5\n", ""],
+                             ids=["header", "ragged", "empty"])
+    def test_unreadable_matrix_csv_exits_2(self, tmp_path, capsys, text):
+        (tmp_path / "coupling.csv").write_text(text)
+        path = write_scenario(tmp_path, n=None,
+                              graphon={"type": "step", "matrix_csv": "coupling.csv"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would fail the run
+            assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: graphon field 'matrix_csv': ")
+        assert str(tmp_path / "coupling.csv") in err and err.count("\n") == 1
+
     def test_non_string_matrix_csv_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, graphon={"type": "step", "matrix_csv": 5})
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
@@ -305,17 +339,11 @@ class TestStudyCommands:
         assert np.all(data[:, 1] >= data[:, 2] - 1e-8)  # J_trunc >= J_opt
 
     def test_oracle_check_zero_optimal_cost(self, tmp_path):
-        # one cell samples the kernel at 1, where (1 - s)^2 vanishes: J_oracle = 0.
-        # The cell does not decouple the rank-2 kernel, so the command line
-        # rejects it; the library still compares it through the dense fallback.
-        scn = cli.load_scenario(write_scenario(tmp_path, n=1))
-        g = gl.graphon_from_spec(scn.graphon)
-        problem = gl.LqrProblem(scn.alpha0, gl.CoeffPoly(scn.poly_b),
-                                gl.CoeffPoly(scn.poly_q), gl.CoeffPoly(scn.poly_p0),
-                                g, scn.horizon)
-        system = gl.build_step_system(gl.sample_step_entries(g, 1), problem)
-        report = gl.oracle_compare(system, problem, gl.initial_state(1, scn.seed),
-                                   scn.horizon, scn.dt)
+        # zero state and terminal weights: P = 0 and u = 0, so J_oracle = 0 and
+        # the gap has no scale
+        scn = cli.load_scenario(write_scenario(tmp_path, poly_q=[0.0], poly_p0=[0.0]))
+        problem, system, x0 = cli.build_experiment(scn)
+        report = gl.oracle_compare(system, problem, x0, scn.horizon, scn.dt)
         assert report.j_oracle == 0.0
         assert np.isfinite(report.cost_rel_gap)
         assert report.cost_rel_gap == abs(report.j_decoupled)
@@ -362,7 +390,7 @@ class TestStudyCommands:
                               graphon={"type": "step", "matrix_csv": "coupling.csv"})
         problem, system, _ = cli.build_experiment(cli.load_scenario(path),
                                                   base_dir=str(tmp_path))
-        assert problem.d == 3 and system.low_rank and system.residual <= 1e-13
+        assert problem.d == 3 and system.residual <= 1e-13
         assert cli.main(["oracle-check", path, "--out", str(tmp_path / "o")]) == 0
 
     def test_out_of_memory_exits_3(self, tmp_path):
@@ -386,7 +414,7 @@ class TestStudyCommands:
         assert proc.stderr.startswith("numeric failure:")
         assert "(1000000, 1000000)" in proc.stderr and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("levels", ["x", "1,,2", "0,1.5"])
+    @pytest.mark.parametrize("levels", ["x", "1,,2", "0,1.5", ""])
     def test_unparsable_levels_exit_2(self, tmp_path, capsys, levels):
         path = write_scenario(tmp_path)
         rc = cli.main(["truncation-study", path, "--levels", levels,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,22 +75,29 @@ class TestBuildStepSystem:
             assert residual == pytest.approx(delta / n, rel=1e-12)
 
     def test_indefinite_weight_rejected(self):
-        # two cells do not decouple the sinusoidal kernel, and entries/2 has
-        # eigenvalues 1 and 0: q(s) = 1 - 1.5 s^2 is nonnegative on the kernel
-        # spectrum {1/2, 0} but -0.5 at s = 1, so Q is indefinite; the check
-        # runs when Q is first assembled, before any cost or oracle reads it
+        # entries/2 has eigenvalues 1 and 0: q(s) = 1 - 1.5 s^2 is nonnegative on
+        # the kernel spectrum {1/2, 0} but -0.5 at s = 1, so Q would be indefinite;
+        # two cells do not decouple the sinusoidal kernel in the first place, and
+        # the system is rejected for that when it is built
         g = gl.sinusoidal_graphon()
         p = gl.LqrProblem(0.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0, 0.0, -1.5]),
                           gl.CoeffPoly([1.0]), g, 1.0)
-        sys_ = gl.build_step_system(gl.sample_step_entries(g, 2), p)
-        assert not sys_.low_rank
-        with pytest.raises(ValueError, match="q_mat"):
-            sys_.q_mat
-        traj = gl.simulate(sys_, lambda t, x: np.zeros(2), np.ones(2), 1.0, 1e-2)
-        with pytest.raises(ValueError, match="q_mat"):
-            gl.evaluate_cost(traj, sys_)
-        with pytest.raises(ValueError, match="q_mat"):
-            gl.oracle_compare(sys_, p, np.ones(2), 1.0, 1e-2)
+        with pytest.raises(ValueError, match="does not decouple") as err:
+            gl.build_step_system(gl.sample_step_entries(g, 2), p)
+        assert "q_mat" not in str(err.value)
+
+    def test_non_decoupling_network_rejected(self, vii_problem, monkeypatch):
+        # one cell, or two that sample sin(2 pi x) and cos(2 pi x) to a Gram
+        # matrix diag(2, 0), cannot hold the two eigendirections apart; the
+        # library rejects them before any dense matrix is assembled
+        monkeypatch.setattr(sim_module, "apply_poly_matrix", None)
+        for n in (1, 2):
+            entries = gl.sample_step_entries(vii_problem.graphon, n)
+            with pytest.raises(ValueError, match=(
+                    rf"the {n}-cell network does not decouple along the d = 2 kernel "
+                    r"eigenfunctions: decoupling residual \d\.\d{3}e[+-]\d{2} "
+                    r"exceeds 1e-10")):
+                gl.build_step_system(entries, vii_problem)
 
 
 class TestSimulate:
@@ -191,7 +200,7 @@ class TestModalEngine:
         n, dt = 40, 1e-3
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
-        assert sys_.low_rank
+        assert sys_.residual <= sim_module._DECOUPLING_TOL
         law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
         self.assert_loops_agree(sys_, law, gl.initial_state(n, 6),
                                 vii_problem.horizon, dt)
@@ -211,7 +220,7 @@ class TestModalEngine:
                           admissible_poly(rng, g.lambdas, 3),
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
         sys_ = gl.build_step_system(entries, p)
-        assert sys_.low_rank
+        assert sys_.residual <= sim_module._DECOUPLING_TOL
         law = feedback_controller(p, synthesize_gains(p, 1e-3))
         traj = self.assert_loops_agree(sys_, law, gl.initial_state(n, seed), 1.0, 1e-3)
         assert traj.modes is not None
@@ -231,7 +240,7 @@ class TestModalEngine:
         p = gl.LqrProblem(40.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([0.0, 0.0, 1.0]),
                           gl.CoeffPoly([0.0, 0.0, 1.0]), g, 1.0)
         sys_ = gl.build_step_system(m, p)
-        assert p.d == 3 and sys_.low_rank
+        assert p.d == 3 and sys_.residual <= sim_module._DECOUPLING_TOL
         law = feedback_controller(p, synthesize_gains(p, 1e-3))
         traj = self.assert_loops_agree(sys_, law, gl.initial_state(3, 1), 1.0, 1e-3)
         assert traj.modes is not None and gl.evaluate_cost(traj, sys_).aux == 0.0
@@ -245,21 +254,6 @@ class TestModalEngine:
         for level in range(vii_problem.d + 1):
             law = feedback_controller(truncate_problem(vii_problem, level), gains)
             self.assert_loops_agree(sys_, law, x0, vii_problem.horizon, dt)
-
-    def test_non_decoupling_system_falls_back_to_dense(self, vii_problem):
-        # two cells sample sin(2 pi x) and cos(2 pi x) to a Gram matrix diag(2, 0)
-        n, dt = 2, 1e-3
-        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
-                                    vii_problem)
-        assert not sys_.low_rank and sys_.residual >= 0.5
-        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
-        traj = self.assert_loops_agree(sys_, law, gl.initial_state(n, 9),
-                                       vii_problem.horizon, dt)
-        x = traj.states
-        run = np.einsum("ki,ij,kj->k", x, sys_.q_mat, x) / n \
-            + (traj.controls ** 2).sum(axis=1) / n
-        dense = np.trapezoid(run, traj.grid) + x[-1] @ sys_.p0_mat @ x[-1] / n
-        assert gl.evaluate_cost(traj, sys_).total == pytest.approx(dense, rel=1e-12)
 
     def test_law_of_another_kernel_object_runs_generic_loop(self, vii_problem):
         # an equal kernel built anew has other eigenpair objects: the modal
@@ -417,7 +411,7 @@ class TestModalTrajectory:
         p = gl.LqrProblem(0.5, gl.CoeffPoly([0.9]), admissible_poly(rng, g.lambdas, 2),
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
         sys_ = gl.build_step_system(entries, p)
-        assert sys_.low_rank
+        assert sys_.residual <= sim_module._DECOUPLING_TOL
         runs = []
         simulate = sim_module.simulate
 
@@ -502,18 +496,26 @@ class TestOracleCompare:
         assert report.p_gap <= 1e-6
 
 
-@pytest.mark.parametrize("horizon", [0.5, 2.0])
-def test_run_horizon_must_be_the_problems(vii_problem, horizon, monkeypatch):
-    # the laws are optimal, and the predictions hold, for the problem's horizon
+@pytest.mark.parametrize("horizon, other", [
+    (0.5, None), (2.0, None),
+    (1.0, lambda p: dataclasses.replace(p, alpha0=1.0)),
+    (1.0, lambda p: sinusoidal_problem()),  # equal data, another kernel object
+], ids=["0.5", "2.0", "other-alpha0", "other-kernel"])
+def test_run_horizon_must_be_the_problems(vii_problem, horizon, other, monkeypatch):
+    # the laws are optimal, and the predictions hold, for the system's own
+    # problem and that problem's horizon
     n = 12
     sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                 vii_problem)
     x0 = gl.initial_state(n, 9)
+    p, match = vii_problem, f"run horizon {horizon} .* horizon 1.0"
+    if other is not None:
+        p, match = other(vii_problem), "problem differs from the one the step system"
     monkeypatch.setattr(sim_module, "synthesize_gains", None)  # no solve may start
-    with pytest.raises(ValueError, match=f"run horizon {horizon} .* horizon 1.0"):
-        gl.oracle_compare(sys_, vii_problem, x0, horizon, 1e-3)
-    with pytest.raises(ValueError, match=f"run horizon {horizon} .* horizon 1.0"):
-        gl.truncation_study(sys_, vii_problem, x0, [0, 1], horizon, 1e-3)
+    with pytest.raises(ValueError, match=match):
+        gl.oracle_compare(sys_, p, x0, horizon, 1e-3)
+    with pytest.raises(ValueError, match=match):
+        gl.truncation_study(sys_, p, x0, [0, 1], horizon, 1e-3)
 
 
 @st.composite
@@ -535,7 +537,7 @@ def test_decoupled_synthesis_is_optimal_whenever_low_rank(case):
                       admissible_poly(rng, g.lambdas, 2),
                       admissible_poly(rng, g.lambdas, 2), g, 1.0)
     sys_ = gl.build_step_system(entries, p)
-    assert sys_.low_rank
+    assert sys_.residual <= sim_module._DECOUPLING_TOL
     report = gl.oracle_compare(sys_, p, gl.initial_state(n, seed), 1.0, 1e-3)
     assert report.j_decoupled <= report.j_oracle * (1.0 + 1e-5)
     p_start = gl.reconstruct_P(synthesize_gains(p, 1e-3), g, 0.0, n)
@@ -603,6 +605,30 @@ class TestTruncationStudy:
         assert sorted(runs) == list(range(p.d + 1))  # level d is the optimal run
         assert [row.level for row in rows] == [0, 1, 2, 3, 1]
         assert rows[-1].j_optimal == rows[-2].j_truncated
+
+    def test_every_run_is_modal(self, monkeypatch):
+        # a problem equal to the system's, rebuilt around the same kernel object,
+        # is accepted, and every truncated law then runs on the modal engine
+        rng = np.random.default_rng(67)
+        g, entries = make_rank_kernel(rng, 9, 3)
+        p = gl.LqrProblem(0.4, input_poly(rng, 1), admissible_poly(rng, g.lambdas, 2),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        sys_ = gl.build_step_system(entries, p)
+        x0 = gl.initial_state(9, 68)
+        expected = gl.truncation_study(sys_, p, x0, range(p.d + 1), 1.0, 1e-3)
+        runs = []
+        simulate = sim_module.simulate
+
+        def recording_simulate(*args):
+            runs.append(simulate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(sim_module, "simulate", recording_simulate)
+        rebuilt = dataclasses.replace(p)
+        assert rebuilt is not p and rebuilt.graphon is g
+        rows = gl.truncation_study(sys_, rebuilt, x0, range(p.d + 1), 1.0, 1e-3)
+        assert len(runs) == p.d + 1 and all(run.modes is not None for run in runs)
+        assert [r.j_truncated for r in rows] == [r.j_truncated for r in expected]
 
     def test_ratios_nan_without_constant_input_poly(self):
         p = sinusoidal_problem()  # degree-1 input polynomial
