@@ -46,11 +46,11 @@ cost = gl.evaluate_cost(traj, system)
 print(f"\nclosed-loop cost J = {cost.total:.6f}")
 print(f"  auxiliary part {cost.aux:.6f}, eigendirection parts "
       f"{np.round(cost.eigen, 6)}")
-print(f"  additivity check: {abs(cost.total - cost.decomposed):.2e}")
+print(f"  additivity check: {abs(cost.total - (cost.aux + cost.eigen.sum())):.2e}")
 print(f"state norm shrink: {np.linalg.norm(traj.states[0]):.4f} -> "
       f"{np.linalg.norm(traj.states[-1]):.4f}")
 
-report = gl.oracle_compare(system, problem, x0, horizon, dt)
+report = gl.oracle_compare(system, x0, dt)
 print(f"\nmatrix-Riccati oracle: relative cost gap {report.cost_rel_gap:.2e}, "
       f"max state gap {report.state_gap:.2e}, max P gap {report.p_gap:.2e}")
 

@@ -22,8 +22,7 @@ problem = gl.LqrProblem(1.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0, -1.0, 0.5])
 system = gl.build_step_system(gl.sample_step_entries(kernel, n), problem)
 x0 = gl.initial_state(n, seed=21)
 
-rows = gl.truncation_study(system, problem, x0, range(problem.d + 1),
-                           horizon, dt)
+rows = gl.truncation_study(system, x0, range(problem.d + 1), dt)
 
 print(f"rank-{problem.d} kernel, eigenvalues {np.round(kernel.lambdas, 3)}")
 print(f"optimal cost J* = {rows[0].j_optimal:.6f}\n")

@@ -198,7 +198,8 @@ def build_experiment(scn: Scenario, base_dir: str = "."):
     kernel eigenfunctions do not decouple, such as a rank-2 kernel on 2
     cells, is rejected by `build_step_system` with `ValueError`: its
     decoupled controller would not be optimal.  A full-rank step kernel
-    (n = d) decouples.
+    (n = d) decouples.  The system holds the problem, and with it the
+    scenario's horizon, for the oracle comparison and the truncation study.
     """
     g = graphon_from_spec(scn.graphon, base_dir)
     if isinstance(g, StepGraphon):
@@ -290,7 +291,7 @@ def run_scenario(scn: Scenario, base_dir: str = ".",
         "eigen": [float(v) for v in cost.eigen],
     }
     if compare_oracle:
-        report = oracle_compare(system, problem, x0, scn.horizon, scn.dt)
+        report = oracle_compare(system, x0, scn.dt)
         payload.update({
             "oracle_rel_gap": report.cost_rel_gap,
             "oracle_p_gap": report.p_gap,
@@ -317,7 +318,7 @@ def run_truncation_study(scn: Scenario, levels, base_dir: str = ".",
     gains = synthesize_gains(problem, scn.dt)
     if levels is None:
         levels = list(range(problem.d + 1))
-    rows = truncation_study(system, problem, x0, levels, scn.horizon, scn.dt)
+    rows = truncation_study(system, x0, levels, scn.dt)
     out_dir = _prepare_out(scn, out_override)
     write_truncation_csv(os.path.join(out_dir, "truncation.csv"), rows)
     write_gains_csv(os.path.join(out_dir, "gains.csv"), gains)
@@ -331,8 +332,8 @@ def run_truncation_study(scn: Scenario, levels, base_dir: str = ".",
 
 def run_oracle_check(scn: Scenario, base_dir: str = ".",
                      out_override: str | None = None):
-    problem, system, x0 = build_experiment(scn, base_dir)
-    report = oracle_compare(system, problem, x0, scn.horizon, scn.dt)
+    _, system, x0 = build_experiment(scn, base_dir)
+    report = oracle_compare(system, x0, scn.dt)
     out_dir = _prepare_out(scn, out_override)
     write_json(os.path.join(out_dir, "cost.json"), {
         "total": report.j_decoupled,

@@ -439,7 +439,7 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
     Step matrices are read as row-major CSV and validated for exact
     symmetry; relative paths resolve against ``base_dir``, and a file
     that holds no matrix of numbers is rejected with its path.  Each
-    ``lambda`` and ``freq`` must be a `json_number`.
+    ``lambda`` and ``freq`` must be a finite `json_number`.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("graphon spec must be an object with a 'type' field")
@@ -483,6 +483,8 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
             for name in ("lambda", "freq"):
                 try:
                     numbers.append(json_number(item.get(name, 1.0)))
+                    if not np.isfinite(numbers[-1]):
+                        raise ValueError(f"must be finite, got {numbers[-1]}")
                 except ValueError as exc:
                     raise ValueError(f"graphon field 'pairs': '{name}' {exc}") from None
             lam, freq = numbers

@@ -200,10 +200,6 @@ class CostBreakdown:
     aux: float
     eigen: np.ndarray
 
-    @property
-    def decomposed(self) -> float:
-        return float(self.aux + self.eigen.sum())
-
 
 def initial_state(n: int, seed: int) -> np.ndarray:
     """Reproducible standard-normal initial state for a given seed."""
@@ -269,6 +265,8 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     modes on the grid.  At rank = n the eigendirections span every state,
     so mode 0 is held at zero with unit growth, lest an unstable drift
     amplify the rounding left by the projection.  The run aborts at the
+    first step that does not shrink a mode whose rate is negative at both
+    ends (h*|rate| past RK4's real stability bound 2.785), and at the
     first node where a bound on the rebuilt entries, (rank + 1)*max|F|
     times the largest mode amplitude, is not finite.
     """
@@ -291,14 +289,22 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
 
     gain = law.gains_at(grid)[:, column]
     size = np.append(np.abs(resid0).max(), np.abs(coords0))  # largest entry per mode
+    rates, h = drift - b_sys * gain, np.diff(grid)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = rk4_step(rate, grid[:-1, None], np.diff(grid)[:, None],
-                           np.ones((grid.size - 1, modes)), drift - b_sys * gain[:-1])
+        factors = rk4_step(rate, grid[:-1, None], h,
+                           np.ones((grid.size - 1, modes)), rates[:-1])
+        stiff = (rates[:-1] < 0) & (rates[1:] < 0) & (factors >= 1)
         growth = np.ones((grid.size, modes))
         np.cumprod(factors, axis=0, out=growth[1:])
         largest = np.maximum(np.abs(growth), np.abs(gain * growth)) * size
         finite = np.isfinite(modes * np.abs(f).max(initial=1.0)
                              * largest.max(axis=1))
+    if stiff.any():
+        k, m = np.argwhere(stiff)[0]
+        raise BlowUpError(
+            f"mode {m} of the closed loop is too stiff for RK4 at t = {grid[k]:.6g}: "
+            f"h*|rate| = {h[k, 0] * -rates[k, m]:.4g} exceeds the stability bound "
+            "2.785, so a decaying mode grows; reduce dt")
     if not finite.all():
         raise BlowUpError(
             f"closed-loop state blew up at t = {grid[np.argmin(finite)]:.6g}")
@@ -348,11 +354,13 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     return CostBreakdown(total=float(parts.sum()), aux=float(parts[0]), eigen=parts[1:])
 
 
-def oracle_controller(sys: StepSystem, horizon: float, dt: float):
+def oracle_controller(sys: StepSystem, dt: float):
     """Feedback ``u = -B P(T-t) x`` from the direct matrix Riccati solve.
 
-    Returns ``(controller, matrix_path)``.
+    T is the horizon of the system's problem.  Returns
+    ``(controller, matrix_path)``.
     """
+    horizon = sys.problem.horizon
     path = solve_matrix_riccati(sys.a_mat, sys.b_mat, sys.q_mat, sys.p0_mat,
                                 horizon, dt)
     b = sys.b_mat
@@ -374,33 +382,20 @@ class OracleReport:
     p_gap: float
 
 
-def _check_run(sys: StepSystem, p: LqrProblem, horizon: float):
-    """Reject a problem other than the system's, whose costs the runs read,
-    and a run horizon other than the problem's, whose gains the laws read."""
-    if p != sys.problem:
-        raise ValueError("the problem differs from the one the step system realizes")
-    if horizon != p.horizon:
-        raise ValueError(f"run horizon {horizon} differs from the problem "
-                         f"horizon {p.horizon}")
-
-
-def oracle_compare(sys: StepSystem, p: LqrProblem, x0, horizon: float,
-                   dt: float) -> OracleReport:
+def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     """Run both controllers and report P-matrix, state and cost gaps.
 
-    The P gap is the max-abs difference between the reconstructed
-    operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and the matrix
-    Riccati path at up to 21 sampled grid times.  ``p`` must equal
-    ``sys.problem``, its kernel the same object, and ``horizon`` must be
-    the problem's: the synthesized law is optimal for that problem and
-    horizon only.  Both are checked before any synthesis.
+    Both solve the system's problem and run over its horizon.  The P gap
+    is the max-abs difference between the reconstructed operator
+    ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and the matrix Riccati path
+    at up to 21 sampled grid times.
     """
-    _check_run(sys, p, horizon)
+    p = sys.problem
     gains = synthesize_gains(p, dt)
     ctrl_dec = feedback_controller(p, gains)
-    ctrl_orc, path = oracle_controller(sys, horizon, dt)
-    traj_dec = simulate(sys, ctrl_dec, x0, horizon, dt)
-    traj_orc = simulate(sys, ctrl_orc, x0, horizon, dt)
+    ctrl_orc, path = oracle_controller(sys, dt)
+    traj_dec = simulate(sys, ctrl_dec, x0, p.horizon, dt)
+    traj_orc = simulate(sys, ctrl_orc, x0, p.horizon, dt)
     j_dec = evaluate_cost(traj_dec, sys).total
     j_orc = evaluate_cost(traj_orc, sys).total
     stride = max(1, (path.grid.size - 1) // 20)
@@ -429,24 +424,21 @@ class TruncationRow:
     predicted_ratio: np.ndarray  # NaN where the prediction does not apply
 
 
-def truncation_study(sys: StepSystem, p: LqrProblem, x0,
-                     levels: Sequence[int], horizon: float,
+def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
                      dt: float) -> list[TruncationRow]:
     """Cost inflation and terminal-state ratios for each truncation level.
 
-    Every distinct level in ``levels`` and the full level ``rank`` is
-    simulated once with one synthesis of gains; the level-rank run is the
-    optimal one.  Costs and terminal eigen coordinates ``g_l(T)*c_l`` are
-    read from each run's modes, so a study builds no (K+1) x n array.
-    For each ignored direction the measured terminal ratio
-    ``x_tilde(T)/x_bar(T)`` sits next to its prediction (available when
-    the input polynomial is constant), read from the same gains.  ``p``
-    must equal ``sys.problem``, its kernel the same object, so that every
-    truncated law runs in modal form on the system, and ``horizon`` must
-    be the problem's, for which the predictions hold.  Both are checked
-    before any synthesis or run.
+    Every distinct level in ``levels`` and the full level ``rank`` of the
+    system's problem is simulated once over its horizon with one
+    synthesis of gains; the level-rank run is the optimal one.  Every
+    truncated law runs in modal form on the system, so costs and terminal
+    eigen coordinates ``g_l(T)*c_l`` are read from each run's modes, and
+    a study builds no (K+1) x n array.  For each ignored direction the
+    measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits next to its
+    prediction (available when the input polynomial is constant), read
+    from the same gains.
     """
-    _check_run(sys, p, horizon)
+    p = sys.problem
     levels = list(levels)
     gains = synthesize_gains(p, dt)
     # truncate_problem rejects a level outside [0, rank] before any run
@@ -454,7 +446,7 @@ def truncation_study(sys: StepSystem, p: LqrProblem, x0,
             for level in (*levels, p.d)}
     runs = {}
     for level, law in laws.items():
-        traj = simulate(sys, law, x0, horizon, dt)
+        traj = simulate(sys, law, x0, p.horizon, dt)
         m = traj.modes
         runs[level] = (evaluate_cost(traj, sys).total, m.growth[-1, 1:] * m.coords)
     j_opt, coords_opt = runs[p.d]

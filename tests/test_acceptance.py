@@ -38,7 +38,7 @@ def test_criterion_1_oracle_equivalence():
                           g, 1.0)
         sys_ = gl.build_step_system(entries, p)
         x0 = gl.initial_state(n, 1000 + trial)
-        rep = gl.oracle_compare(sys_, p, x0, 1.0, 1e-4)
+        rep = gl.oracle_compare(sys_, x0, 1e-4)
         worst_cost = max(worst_cost, rep.cost_rel_gap)
         worst_p = max(worst_p, rep.p_gap)
         assert rep.cost_rel_gap <= 1e-5, f"trial {trial}: cost gap {rep.cost_rel_gap}"
@@ -63,7 +63,7 @@ def test_criterion_2_sinusoidal_showcase():
         assert 2.0 * drift == 5.0
         assert gain ** 2 == pytest.approx(25.0 / 16.0, abs=0)
         assert (q, z) == (0.25, 0.25)
-    rep = gl.oracle_compare(system, problem, x0, scn.horizon, scn.dt)
+    rep = gl.oracle_compare(system, x0, scn.dt)
     assert rep.cost_rel_gap <= 1e-4
     report(2, "showcase reproduction",
            f"d=2, lam=1/2, scalar data exact; oracle cost gap "
@@ -111,7 +111,7 @@ def test_criterion_4_truncation_ratio(horizon):
     n, dt = 40, 1e-3
     sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
     x0 = gl.initial_state(n, 97)
-    rows = gl.truncation_study(sys_, p, x0, [1], horizon, dt)
+    rows = gl.truncation_study(sys_, x0, [1], dt)
     measured = rows[0].measured_ratio[1]
     predicted = rows[0].predicted_ratio[1]
     assert np.isfinite(measured)
@@ -174,7 +174,7 @@ def test_criterion_6_optimality_dominance():
         j_opt = gl.evaluate_cost(gl.simulate(sys_, base, x0, p.horizon, dt),
                                  sys_).total
         for level in range(p.d):
-            rows = gl.truncation_study(sys_, p, x0, [level], p.horizon, dt)
+            rows = gl.truncation_study(sys_, x0, [level], dt)
             assert rows[0].j_truncated >= j_opt - 1e-8
             margin = min(margin, rows[0].j_truncated - j_opt)
         for _ in range(10):

@@ -96,6 +96,18 @@ class TestScenarioParsing:
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
         assert f"'{field}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["lambda", "freq"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_finite_rank_field_exits_2(self, tmp_path, capsys, field, value):
+        # checked where the field is read: the kernel's own checks would fail
+        # later, after a numpy warning, and without naming the field
+        pair = {"lambda": 0.5, "fun": "sin", "freq": 1, field: value}
+        path = write_scenario(tmp_path, graphon={"type": "finite_rank", "pairs": [pair]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"graphon field 'pairs': '{field}' must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [
         ("out", 5), ("out", [1]), ("controller", 5),
         ("graphon", [["type", "sinusoidal"]]), ("alpha0", "2.0"), ("n", "8"),
@@ -304,6 +316,17 @@ class TestRunCommand:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_stiff_closed_loop_exits_3(self, tmp_path, capsys):
+        # every mode decays at rate about -400: at dt = 0.01 an RK4 step grows it
+        # by R(-4) = 5, a finite blow-up that no finiteness check catches
+        path = write_scenario(tmp_path, alpha0=1.0, poly_b=[400.0], poly_q=[1.0],
+                              poly_p0=[1.0], horizon=1.0, dt=0.01, n=8, seed=0)
+        assert cli.main(["run", path, "--out", str(tmp_path / "a")]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "too stiff for RK4 at t = 0:" in err
+        assert cli.main(["run", path, "--dt", "0.001", "--out", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out.startswith("J=0.001145 ")
+
     def test_lapack_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError is a ValueError, which alone would exit 2
         def failing(*args, **kwargs):
@@ -343,7 +366,7 @@ class TestStudyCommands:
         # the gap has no scale
         scn = cli.load_scenario(write_scenario(tmp_path, poly_q=[0.0], poly_p0=[0.0]))
         problem, system, x0 = cli.build_experiment(scn)
-        report = gl.oracle_compare(system, problem, x0, scn.horizon, scn.dt)
+        report = gl.oracle_compare(system, x0, scn.dt)
         assert report.j_oracle == 0.0
         assert np.isfinite(report.cost_rel_gap)
         assert report.cost_rel_gap == abs(report.j_decoupled)

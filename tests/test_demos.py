@@ -1,5 +1,6 @@
-"""Every script under demos/ runs to completion against the package API."""
+"""Every script under demos/ and the README quick start run against the package API."""
 import pathlib
+import re
 import runpy
 
 import pytest
@@ -10,4 +11,12 @@ DEMOS = sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.p
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out

@@ -154,7 +154,7 @@ class TestSynthesizeGains:
         assert gains.values.shape == (1001, 3)
         p = sinusoidal_problem(poly_b=(1.0,))
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 20), p)
-        rows = gl.truncation_study(sys_, p, gl.initial_state(20, 5), [0, 1, 2], 1.0, 1e-3)
+        rows = gl.truncation_study(sys_, gl.initial_state(20, 5), [0, 1, 2], 1e-3)
         assert np.isfinite(rows[0].predicted_ratio).all()
 
     def test_zero_cost_gives_zero_gains(self):
