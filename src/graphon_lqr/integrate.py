@@ -1,9 +1,10 @@
 """Fixed-step classic Runge-Kutta integration.
 
-`rk4_step` is the only RK4 stage formula of the package: the Riccati
-oracle and reference run it on a uniform grid (`rk4_path`), the generic
-closed loop once per step and the modal closed loop once for all steps.
-Gain synthesis uses the explicit Riccati solution instead.
+`rk4_step` is the only RK4 stage formula of the package: the scalar
+Riccati reference runs it on a uniform grid (`rk4_path`), the generic
+and the oracle closed loops once per step and the modal closed loop once
+for all steps.  Gain synthesis and the matrix Riccati oracle use the
+exact Hamiltonian solution instead.
 """
 from __future__ import annotations
 

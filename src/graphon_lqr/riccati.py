@@ -14,9 +14,11 @@ The matrix equation
 
     dP/dt = A' P + P A - P B B' P + Q,        P(0) = P0,
 
-is the direct verification oracle for the decoupled synthesis, integrated
-by RK4.  The synthesis does not share that integrator, so a gap between
-oracle and synthesis also contains the oracle's own O(h^4) RK4 error.
+is the direct verification oracle for the decoupled synthesis.  It is
+solved by the same Hamiltonian linearization in dense n x n form, one
+exact step ``exp(H h)`` per grid step, so the oracle carries no
+integration error of its own: a gap between oracle and synthesis is
+rounding.
 """
 from __future__ import annotations
 
@@ -26,6 +28,11 @@ import numpy as np
 
 from .errors import BlowUpError
 from .integrate import rk4_path, uniform_grid
+
+# Most grid steps of the matrix Riccati solve taken from one node, with the
+# powers E^1 ... E^m of the step exponential; more cost memory and, at n = 64,
+# time.
+_MAX_POWERS = 8
 
 
 @dataclass(frozen=True)
@@ -220,13 +227,40 @@ def solve_riccati_closed_form(spec: ScalarRiccatiSpec) -> Curve:
     return Curve(grid, riccati_explicit(spec.alpha, spec.beta, spec.q, spec.z0, grid))
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring a degree-18 Taylor sum.
+
+    ``m`` is scaled by a power of two into the open unit 1-norm ball,
+    where the Taylor remainder is below 3/19! < 3e-17 of the norm of the
+    result, and the sum is squared back.  A non-finite input or an
+    overflow gives non-finite entries, not an exception.
+    """
+    s = max(0, int(np.frexp(np.abs(m).sum(axis=0).max())[1]))
+    m = m / 2.0 ** s
+    eye = np.eye(m.shape[0])
+    e = eye
+    for j in range(18, 0, -1):  # Horner: I + m/1 (I + m/2 (I + ...))
+        e = eye + (m @ e) / j
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
                          horizon: float, dt: float) -> Curve:
-    """RK4-integrate the matrix Riccati equation, re-symmetrizing each step.
+    """Solve the matrix Riccati equation exactly on a uniform grid.
 
-    ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite;
-    symmetry of the path is enforced by averaging with the transpose
-    after every step.
+    With ``P = X Y^-1`` the equation is the linear system
+    ``[X; Y]' = H [X; Y]``, ``X(0) = P0``, ``Y(0) = I``,
+    ``H = [[A', Q], [B B', -A]]``.  With ``E = exp(H h)`` (`_expm`), a
+    step of h takes P to ``(E11 P + E12)(E21 P + E22)^-1``, exact at any
+    h.  The powers ``E^1 ... E^m`` take m grid steps from one node with
+    one batched product and one batched solve; m is at most 8 and keeps
+    ``m*h*|H|_1 <= 1`` (m >= 1), so that ``Y`` stays well conditioned
+    on stiff problems.  Each new P is symmetrized, and the next m steps
+    start from the last.  ``q_mat`` and ``p0_mat`` must be symmetric
+    positive semidefinite.  Raises `BlowUpError`, naming the earliest
+    time, when a value is not finite (the step overflows).
     """
     a = np.asarray(a_mat, dtype=float)
     b = np.asarray(b_mat, dtype=float)
@@ -235,14 +269,41 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
     for name, m in (("A", a), ("B", b), ("Q", q), ("P0", p0)):
         if m.ndim != 2 or m.shape != a.shape:
             raise ValueError(f"matrix {name} must be square of shape {a.shape}, got {m.shape}")
-    bbt = b @ b.T
-    at = np.ascontiguousarray(a.T)
     grid = uniform_grid(horizon, dt)
+    ham = np.block([[a.T, q], [b @ b.T, -a]])
+    return Curve(grid, _exact_path(ham * (horizon / (grid.size - 1)), p0, grid))
 
-    def rhs(_t, p):
-        w = at @ p
-        r = w + w.T - p @ bbt @ p + q
-        return 0.5 * (r + r.T)
 
-    vals = rk4_path(rhs, 0.5 * (p0 + p0.T), grid)
-    return Curve(grid, vals)
+def _exact_path(ham_h: np.ndarray, p0: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """P on every node of ``grid`` by exact steps ``exp(ham_h)`` from P0.
+
+    The stepping of `solve_matrix_riccati`; ``ham_h`` is the Hamiltonian
+    times the grid step.  Its work arrays die on return, before the
+    caller checks the (K+1, n, n) path.
+    """
+    n, steps = p0.shape[0], grid.size - 1
+    h_norm = np.abs(ham_h).sum(axis=0).max()
+    count = max(1, min(_MAX_POWERS, int(1.0 / max(h_norm, 1.0 / _MAX_POWERS))))
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        powers = np.empty((count, 2 * n, 2 * n))
+        powers[0] = _expm(ham_h)
+        for j in range(1, count):
+            powers[j] = powers[j - 1] @ powers[0]
+        left, right = powers[:, :, :n], powers[:, :, n:]
+        vals = np.empty((grid.size, n, n))
+        vals[0] = 0.5 * (p0 + p0.T)
+        xy = np.empty((count, 2 * n, n))
+        for k in range(0, steps, count):
+            m = min(count, steps - k)
+            np.matmul(left[:m], vals[k], out=xy[:m])  # [X; Y] after 1..m steps
+            xy[:m] += right[:m]
+            # P = X Y^-1 solves Y' P' = X'; P is symmetric
+            p = np.linalg.solve(xy[:m, n:].swapaxes(1, 2), xy[:m, :n].swapaxes(1, 2))
+            new = vals[k + 1:k + 1 + m]
+            np.add(p, p.swapaxes(1, 2), out=new)
+            new *= 0.5
+            bad = ~np.isfinite(new).reshape(m, -1).all(axis=1)
+            if bad.any():
+                raise BlowUpError("matrix Riccati solution is not finite at "
+                                  f"t = {grid[k + 1 + np.argmax(bad)]:.6g}")
+    return vals

@@ -26,10 +26,14 @@ from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _terminal_ratios, feedback_controller,
                   reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import apply_poly_matrix
-from .riccati import solve_matrix_riccati
+from .riccati import Curve, solve_matrix_riccati
 
 # Largest decoupling residual of a step system.
 _DECOUPLING_TOL = 1e-10
+
+# Grid steps of the oracle's closed loop whose matrices are formed at once; at
+# n = 64 a chunk of 16 holds about 1 MB, far below the (K+1, n, n) Riccati path.
+_ORACLE_CHUNK = 16
 
 # Rows of the coupling matrix read per block in `decoupling_residual`: 32
 # rows of a few thousand columns fit in a core's L2 cache.
@@ -371,6 +375,43 @@ def oracle_controller(sys: StepSystem, dt: float):
     return controller, path
 
 
+def _oracle_closed_loop(sys: StepSystem, path: Curve, x0: np.ndarray) -> Trajectory:
+    """The closed loop of the oracle controller on its own grid, by matvecs.
+
+    The discretization of `simulate` under the controller of
+    `oracle_controller`, whose ``path`` this is: one `rk4_step` per grid
+    step of ``x' = M(t) x``, ``M(t_k) = A - B B P(T - t_k)``, where the
+    matrix at the half step is the mean of those at the step ends, as
+    the linear interpolation of P gives.  The matrices of up to
+    `_ORACLE_CHUNK` steps are formed by one batched product, and their
+    controls ``-B P(T - t_k) x_k`` after their steps.
+    """
+    grid, p_path = path.grid, path.values
+    steps = grid.size - 1
+    a, b = sys.a_mat, sys.b_mat
+    bb = b @ b.T
+    states = np.empty((grid.size, sys.n))
+    controls = np.empty_like(states)
+    x = states[0] = x0
+
+    def rhs(t, y):  # rk4_step asks for the half step t + 0.5*h, then the end
+        return (mid if t == half else end) @ y
+
+    for lo in range(0, steps, _ORACLE_CHUNK):
+        hi = min(lo + _ORACLE_CHUNK, steps)
+        p_chunk = p_path[steps - hi:steps - lo + 1][::-1]  # P(T - t_lo) ... P(T - t_hi)
+        mats = a - bb @ p_chunk
+        mids = 0.5 * (mats[:-1] + mats[1:])
+        for j, k in enumerate(range(lo, hi)):
+            t = grid[k]
+            h = grid[k + 1] - t
+            half, mid, end = t + 0.5 * h, mids[j], mats[j + 1]
+            x = states[k + 1] = rk4_step(rhs, t, h, x, mats[j] @ x)
+        controls[lo:hi] = -np.einsum("kij,kj->ki", p_chunk[:-1], states[lo:hi]) @ b.T
+    controls[-1] = -b @ (p_path[0] @ x)
+    return Trajectory(grid=grid, states=states, controls=controls)
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """Gaps between the decoupled synthesis and the matrix-Riccati oracle."""
@@ -385,7 +426,8 @@ class OracleReport:
 def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     """Run both controllers and report P-matrix, state and cost gaps.
 
-    Both solve the system's problem and run over its horizon.  The P gap
+    Both solve the system's problem and run over its horizon; the oracle's
+    closed loop runs by matvecs (`_oracle_closed_loop`).  The P gap
     is the max-abs difference between the reconstructed operator
     ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and the matrix Riccati path
     at up to 21 sampled grid times.
@@ -393,9 +435,9 @@ def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     p = sys.problem
     gains = synthesize_gains(p, dt)
     ctrl_dec = feedback_controller(p, gains)
-    ctrl_orc, path = oracle_controller(sys, dt)
+    _, path = oracle_controller(sys, dt)
     traj_dec = simulate(sys, ctrl_dec, x0, p.horizon, dt)
-    traj_orc = simulate(sys, ctrl_orc, x0, p.horizon, dt)
+    traj_orc = _oracle_closed_loop(sys, path, np.asarray(x0, dtype=float))
     j_dec = evaluate_cost(traj_dec, sys).total
     j_orc = evaluate_cost(traj_orc, sys).total
     stride = max(1, (path.grid.size - 1) // 20)

@@ -293,7 +293,7 @@ class TestGainCurve:
 class TestMatrixRiccati:
     def test_scalar_embedding_matches_scalar_solver(self):
         spec = ScalarRiccatiSpec(1.3, 0.7, 0.9, 0.4, 1.0, 1e-3)
-        scalar = solve_riccati_numeric(spec)
+        scalar = solve_riccati_closed_form(spec)
         path = solve_matrix_riccati(np.array([[1.3]]), np.array([[0.7]]),
                                     np.array([[0.9]]), np.array([[0.4]]), 1.0, 1e-3)
         np.testing.assert_allclose(path.values[:, 0, 0], scalar.values, rtol=1e-13)
@@ -330,3 +330,59 @@ class TestMatrixRiccati:
                                     np.ones((1, 1)), np.zeros((1, 1)), 1.0, 0.5)
         # dP = Q here, so P(t) = t
         np.testing.assert_allclose(path(0.25)[0, 0], 0.25, atol=1e-12)
+
+    def test_exact_step_does_not_depend_on_dt(self):
+        rng = np.random.default_rng(9)
+        a, b, c = rng.standard_normal((3, 4, 4))
+        assert np.abs(a @ b - b @ a).max() > 1.0  # the matrices do not commute
+        q, p0 = c @ c.T / 4, np.eye(4) * 0.3
+        coarse = solve_matrix_riccati(a, b, q, p0, 1.0, 0.05)
+        fine = solve_matrix_riccati(a, b, q, p0, 1.0, 1e-3)
+        np.testing.assert_allclose(coarse.grid, fine.grid[::50], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(coarse.values, fine.values[::50], rtol=0, atol=1e-12)
+
+    def test_diagonal_system_is_explicit_solution_at_coarse_dt(self):
+        alphas = np.array([0.5, -0.3, 1.1])
+        betas = np.array([1.0, 0.4, 0.8])
+        qs = np.array([0.2, 0.0, 1.5])
+        z0s = np.array([0.0, 0.7, 0.3])
+        path = solve_matrix_riccati(np.diag(alphas), np.diag(betas),
+                                    np.diag(qs), np.diag(z0s), 1.0, 0.1)
+        explicit = riccati_explicit(alphas, betas, qs, z0s, path.grid)
+        np.testing.assert_allclose(path.values, explicit[:, :, None] * np.eye(3),
+                                   rtol=1e-14, atol=1e-15)
+
+    def test_nilpotent_hamiltonian(self):
+        # alpha = q = 0: dP = -beta^2 P^2, so P = z0/(1 + beta^2 z0 tau)
+        beta, z0 = 1.7, 0.8
+        path = solve_matrix_riccati(np.zeros((1, 1)), np.array([[beta]]),
+                                    np.zeros((1, 1)), np.array([[z0]]), 2.0, 0.1)
+        np.testing.assert_allclose(path.values[:, 0, 0],
+                                   z0 / (1.0 + beta ** 2 * z0 * path.grid), rtol=1e-14)
+
+    def test_stiff_single_steps_stay_exact(self):
+        # a rotated diagonal system with h*|H|_1 far above 1, so every step is
+        # taken alone; P is the rotated explicit solution
+        rng = np.random.default_rng(4)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        alphas = np.array([2.0, -1.0, 0.5])
+        betas = np.array([30.0, 10.0, 20.0])
+        qs = np.array([4.0, 1.0, 2.0])
+        z0s = np.array([0.1, 2.0, 0.0])
+
+        def rot(v):
+            return u @ np.diag(v) @ u.T
+
+        a, b = rot(alphas), rot(betas)
+        ham = np.block([[a.T, rot(qs)], [b @ b.T, -a]])
+        assert 0.1 * np.abs(ham).sum(axis=0).max() > 50.0
+        path = solve_matrix_riccati(a, b, rot(qs), rot(z0s), 1.0, 0.1)
+        explicit = riccati_explicit(alphas, betas, qs, z0s, path.grid)
+        np.testing.assert_allclose(path.values, np.einsum("ij,kj,lj->kil", u, explicit, u),
+                                   rtol=0, atol=1e-12)
+
+    def test_non_finite_step_raises(self):
+        # exp(H h) overflows at h*omega = 800
+        with pytest.raises(gl.BlowUpError, match="not finite at t = 1"):
+            solve_matrix_riccati(np.array([[800.0]]), np.ones((1, 1)), np.ones((1, 1)),
+                                 np.ones((1, 1)), 1.0, 1.0)

@@ -505,6 +505,32 @@ class TestOracleCompare:
         assert report.cost_rel_gap <= 1e-6
         assert report.p_gap <= 1e-6
 
+    def test_matvec_oracle_loop_matches_generic_loop(self, monkeypatch):
+        # the oracle's closed loop in oracle_compare against the public oracle
+        # controller run through the generic loop; 1000 steps leave a partial
+        # last chunk
+        rng = np.random.default_rng(52)
+        g, entries = make_rank_kernel(rng, 7, 2)
+        p = gl.LqrProblem(0.4, input_poly(rng, 2), admissible_poly(rng, g.lambdas, 2),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        sys_ = gl.build_step_system(entries, p)
+        x0, dt = gl.initial_state(7, 53), 1e-3
+        runs = []
+        loop = sim_module._oracle_closed_loop
+
+        def recorded(*args):
+            runs.append(loop(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(sim_module, "_oracle_closed_loop", recorded)
+        report = gl.oracle_compare(sys_, x0, dt)
+        (run,) = runs
+        ref = gl.simulate(sys_, gl.oracle_controller(sys_, dt)[0], x0, p.horizon, dt)
+        np.testing.assert_array_equal(run.grid, ref.grid)
+        np.testing.assert_allclose(run.states, ref.states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.controls, ref.controls, rtol=0, atol=1e-12)
+        assert report.j_oracle == gl.evaluate_cost(run, sys_).total
+
 
 @st.composite
 def exact_rank_networks(draw):
