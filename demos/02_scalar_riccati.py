@@ -19,22 +19,21 @@ for alpha, beta, q in [(2.0, 1.0, 1.0), (0.0, 1.0, 1.0), (-1.0, 1.0, 0.0)]:
           f"S={s:.10f} (residual {resid:.1e})")
 
 print("\n== numeric vs closed form ==")
-specs = [
-    ("relaxing upward", gl.ScalarRiccatiSpec(2.0, 1.0, 1.0, 1.0, 3.0, 1e-4)),
-    ("tanh profile", gl.ScalarRiccatiSpec(0.0, 1.0, 1.0, 0.0, 3.0, 1e-4)),
-    ("relaxing downward", gl.ScalarRiccatiSpec(-0.5, 1.0, 0.3, 2.0, 3.0, 1e-4)),
-    ("near-zero input", gl.ScalarRiccatiSpec(1.0, 1e-6, 1.0, 0.5, 3.0, 1e-4)),
+cases = [
+    ("relaxing upward", (2.0, 1.0, 1.0, 1.0)),
+    ("tanh profile", (0.0, 1.0, 1.0, 0.0)),
+    ("relaxing downward", (-0.5, 1.0, 0.3, 2.0)),
+    ("near-zero input", (1.0, 1e-6, 1.0, 0.5)),
 ]
-for label, spec in specs:
-    num = gl.solve_riccati_numeric(spec)
-    cf = gl.solve_riccati_closed_form(spec)
-    gap = np.abs(num.values - cf.values).max()
-    print(f"  {label:>18}: final {num.values[-1]:.8f}, "
+for label, params in cases:  # (alpha, beta, q, z0)
+    grid, num = gl.riccati_path(*params, 3.0, 1e-4)
+    gap = np.abs(num - gl.riccati_explicit(*params, grid)).max()
+    print(f"  {label:>18}: final {num[-1]:.8f}, "
           f"closed-form gap {gap:.2e}")
 
 print("\nanalytic anchor: the tanh profile satisfies Pi(t) = tanh(t)")
-num = gl.solve_riccati_numeric(gl.ScalarRiccatiSpec(0.0, 1.0, 1.0, 0.0, 1.0, 1e-4))
-print(f"  Pi(1) = {num(1.0):.12f}, tanh(1) = {np.tanh(1.0):.12f}")
+_, num = gl.riccati_path(0.0, 1.0, 1.0, 0.0, 1.0, 1e-4)
+print(f"  Pi(1) = {num[-1]:.12f}, tanh(1) = {np.tanh(1.0):.12f}")
 
 try:
     import matplotlib
@@ -44,8 +43,8 @@ try:
 
     fig, ax = plt.subplots(figsize=(6, 4))
     for q in (0.25, 0.5, 1.0, 2.0):
-        curve = gl.solve_riccati_numeric(gl.ScalarRiccatiSpec(0.5, 1.0, q, 0.0, 3.0, 1e-3))
-        ax.plot(curve.grid, curve.values, label=f"q = {q:g}")
+        grid = gl.uniform_grid(3.0, 1e-3)
+        ax.plot(grid, gl.riccati_explicit(0.5, 1.0, q, 0.0, grid), label=f"q = {q:g}")
         ax.axhline(gl.algebraic_root(0.5, 1.0, q), ls=":", lw=0.8, color="gray")
     ax.set_xlabel("Riccati time tau")
     ax.set_ylabel("gain")

@@ -27,7 +27,7 @@ print("decoupled scalar problems:")
 print(f"  auxiliary:      drift {problem.alpha0:g}, input {problem.beta0:g}, "
       f"weight {problem.q0:g}, terminal {problem.z0:g}")
 for idx in range(problem.d):
-    drift, gain, q, z = gl.eigensystem_params(problem, idx)
+    drift, gain, q, z = problem.mode_params[idx + 1]
     print(f"  eigendirection {idx + 1}: drift {drift:g}, input {gain:g}, "
           f"weight {q:g}, terminal {z:g}")
 

@@ -22,7 +22,7 @@ law = gl.feedback_controller(problem, gl.synthesize_gains(problem, dt))
 rng = np.random.default_rng(5)
 x = rng.standard_normal(n)
 
-aggregates = gl.project_state(x, kernel).eigen_coords  # shared by every node
+aggregates = kernel.project(x)[0]  # shared by every node
 row = law.gains_at(t)  # [beta0*L, b_1*M_1, b_2*M_2] at time-to-go T - t
 
 

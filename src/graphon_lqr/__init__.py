@@ -14,13 +14,11 @@ from .graphon import (EigenPair, FiniteRankGraphon, StepFunction, StepGraphon,
                       graphon_from_spec, l2_distance, midpoint_grid,
                       sample_step_entries, sinusoidal_graphon, uniform_graphon)
 from .integrate import rk4_path, uniform_grid
-from .lqr import (DecoupledState, FeedbackLaw, LqrProblem, eigensystem_params,
-                  feedback_controller, project_state, ratio_prediction,
+from .lqr import (FeedbackLaw, LqrProblem, feedback_controller, ratio_prediction,
                   reconstruct_P, synthesize_gains, truncate_problem)
-from .poly import CoeffPoly, apply_poly_matrix, eval_poly
-from .riccati import (Curve, ScalarRiccatiSpec, algebraic_root, riccati_explicit,
-                      solve_matrix_riccati, solve_riccati_closed_form,
-                      solve_riccati_numeric)
+from .poly import CoeffPoly, apply_poly_matrix
+from .riccati import (Curve, algebraic_root, riccati_explicit, riccati_path,
+                      solve_matrix_riccati)
 from .sim import (CostBreakdown, OracleReport, StepSystem, Trajectory,
                   TruncationRow, build_step_system, evaluate_cost, initial_state,
                   oracle_compare, oracle_controller, simulate, truncation_study)
@@ -33,12 +31,10 @@ __all__ = [
     "graphon_from_spec", "l2_distance", "midpoint_grid", "sample_step_entries",
     "sinusoidal_graphon", "uniform_graphon",
     "rk4_path", "uniform_grid",
-    "DecoupledState", "FeedbackLaw", "LqrProblem", "eigensystem_params",
-    "feedback_controller", "project_state", "ratio_prediction", "reconstruct_P",
-    "synthesize_gains", "truncate_problem",
-    "CoeffPoly", "apply_poly_matrix", "eval_poly",
-    "Curve", "ScalarRiccatiSpec", "algebraic_root", "riccati_explicit",
-    "solve_matrix_riccati", "solve_riccati_closed_form", "solve_riccati_numeric",
+    "FeedbackLaw", "LqrProblem", "feedback_controller", "ratio_prediction",
+    "reconstruct_P", "synthesize_gains", "truncate_problem",
+    "CoeffPoly", "apply_poly_matrix",
+    "Curve", "algebraic_root", "riccati_explicit", "riccati_path", "solve_matrix_riccati",
     "CostBreakdown", "OracleReport", "StepSystem", "Trajectory", "TruncationRow",
     "build_step_system", "evaluate_cost", "initial_state", "oracle_compare",
     "oracle_controller", "simulate", "truncation_study",

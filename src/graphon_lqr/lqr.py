@@ -14,14 +14,13 @@ The feedback law reads them as the time-to-go gains ``gains(T - t)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .graphon import FiniteRankGraphon, _point_or_array
 from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
-from .riccati import Curve, riccati_explicit
+from .riccati import Curve, _scaled_factors, riccati_explicit
 
 # Tolerance for "nonnegative up to rounding" cost-weight checks.
 _NEG_TOL = 1e-12
@@ -84,45 +83,6 @@ class LqrProblem:
     @property
     def z0(self) -> float:
         return float(self.mode_params[0, 3])
-
-
-@dataclass(frozen=True)
-class DecoupledState:
-    """Projection of a state: eigendirection coordinates plus residual.
-
-    ``auxiliary`` mirrors the input: a cell-value vector for vector
-    states, a callable for function states; it is orthogonal to every
-    eigenfunction and ``x = auxiliary + sum_l coords[l] * f_l``.
-    """
-
-    eigen_coords: np.ndarray
-    auxiliary: np.ndarray | Callable
-
-
-def project_state(x, g: FiniteRankGraphon) -> DecoupledState:
-    """Split a state into eigendirection coordinates and the residual.
-
-    The kernel's projection `FiniteRankGraphon.project`: vector states
-    over n cells use the cell inner product ``<x, y> = sum(x*y)/n`` on
-    ``g.cells(n)``; function states use midpoint quadrature on the
-    kernel's grid and return a callable residual.
-    """
-    if not callable(x) and np.ndim(x) != 1:
-        raise ValueError(f"state must be a 1-d cell-value vector, got shape {np.shape(x)}")
-    return DecoupledState(*g.project(x))
-
-
-def eigensystem_params(p: LqrProblem, idx: int) -> tuple[float, float, float, float]:
-    """Scalar LQR data (drift, input gain, state weight, terminal weight)
-    of eigendirection ``idx`` (0-based), row ``idx + 1`` of ``mode_params``.
-
-    The drift is ``alpha0 + lam``, the rest are the problem polynomials
-    at ``lam``, weights clipped at zero; as ``lam -> 0`` they approach
-    the auxiliary system's ``(alpha0, beta0, q0, z0)``.
-    """
-    if not 0 <= idx < p.d:
-        raise IndexError(f"eigendirection {idx} out of range for rank {p.d}")
-    return tuple(float(v) for v in p.mode_params[idx + 1])
 
 
 def synthesize_gains(p: LqrProblem, dt: float) -> Curve:
@@ -240,7 +200,7 @@ def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:
                       p.graphon.truncate(level), p.horizon)
 
 
-def ratio_prediction(p: LqrProblem, direction: int, dt: float) -> float:
+def ratio_prediction(p: LqrProblem, direction: int) -> float:
     """Terminal-state ratio of an ignored eigendirection.
 
     When the input polynomial is the constant ``beta0`` and direction
@@ -251,9 +211,9 @@ def ratio_prediction(p: LqrProblem, direction: int, dt: float) -> float:
             = exp(-beta0^2 * integral_0^T (Mtilde_t - M_t) dt),
 
     where ``M`` solves the direction's Riccati equation and ``Mtilde``
-    the auxiliary one.  Both curves are read from the gains of
-    `synthesize_gains` (columns ``direction + 1`` and 0), and the
-    integral is the trapezoid rule on the gain grid.
+    the auxiliary one.  Each ``integral_0^T beta0^2 Pi`` is
+    ``ln Y(T) + alpha*T`` of that equation's explicit solution
+    (`riccati_explicit`), so the ratio is exact and needs no time grid.
     """
     if p.poly_b.degree > 0:
         raise ValueError(
@@ -261,14 +221,19 @@ def ratio_prediction(p: LqrProblem, direction: int, dt: float) -> float:
             f"(degree 0), got degree {p.poly_b.degree}")
     if not 0 <= direction < p.d:
         raise IndexError(f"eigendirection {direction} out of range for rank {p.d}")
-    return float(_terminal_ratios(p, synthesize_gains(p, dt))[direction])
+    return float(_terminal_ratios(p)[direction])
 
 
-def _terminal_ratios(p: LqrProblem, gains: Curve) -> np.ndarray:
-    """`ratio_prediction` of every eigendirection from the gains of ``p``.
+def _terminal_ratios(p: LqrProblem) -> np.ndarray:
+    """`ratio_prediction` of every eigendirection, shape ``(rank,)``.
 
-    One trapezoid rule over the columns of ``gains``, shape ``(rank,)``.
+    ``exp(I_l - I_0)`` with ``I_m = integral_0^T beta0^2 Pi_m
+    = (omega_m + alpha_m)*T + ln Y_hat_m(T)`` read from the scaled
+    factors of row m of ``p.mode_params``.
     """
-    values = gains.values.T
-    integral = np.trapezoid(values[0] - values[1:], gains.grid, axis=-1)
-    return np.exp(-p.beta0 ** 2 * integral)
+    alpha, beta, q, z0 = p.mode_params.T
+    _, y_hat, omega = _scaled_factors(alpha, beta, q, z0, p.horizon)
+    # Y_hat underflows to 0 only where beta = 0 or q = z0 = 0, so beta^2 Pi = 0
+    with np.errstate(divide="ignore"):
+        integral = np.where(y_hat > 0.0, (omega + alpha) * p.horizon + np.log(y_hat), 0.0)
+    return np.exp(integral[1:] - integral[0])

@@ -63,11 +63,6 @@ def as_poly(p) -> CoeffPoly:
     return p if isinstance(p, CoeffPoly) else CoeffPoly(p)
 
 
-def eval_poly(p, s):
-    """Evaluate ``sum_k c_k s^k`` at ``s`` (Horner)."""
-    return as_poly(p)(s)
-
-
 def apply_poly_matrix(p, m: np.ndarray) -> np.ndarray:
     """Matrix polynomial ``sum_k c_k m^k`` with ``m^0 = I`` (Horner).
 

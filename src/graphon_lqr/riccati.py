@@ -22,8 +22,6 @@ rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BlowUpError
@@ -33,36 +31,6 @@ from .integrate import rk4_path, uniform_grid
 # powers E^1 ... E^m of the step exponential; more cost memory and, at n = 64,
 # time.
 _MAX_POWERS = 8
-
-
-@dataclass(frozen=True)
-class ScalarRiccatiSpec:
-    """Parameters of one scalar Riccati solve.
-
-    ``q`` and ``z0`` must be nonnegative (they are quadratic cost
-    weights), which keeps the solution nonnegative and bounded on any
-    horizon.
-    """
-
-    alpha: float
-    beta: float
-    q: float
-    z0: float
-    horizon: float
-    dt: float
-
-    def __post_init__(self):
-        vals = (self.alpha, self.beta, self.q, self.z0, self.horizon, self.dt)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"all Riccati parameters must be finite, got {self}")
-        if self.q < 0.0:
-            raise ValueError(f"state weight q must be >= 0, got {self.q}")
-        if self.z0 < 0.0:
-            raise ValueError(f"initial value z0 must be >= 0, got {self.z0}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if not 0.0 < self.dt <= self.horizon:
-            raise ValueError(f"dt must satisfy 0 < dt <= horizon, got {self.dt}")
 
 
 class Curve:
@@ -85,7 +53,9 @@ class Curve:
         steps = np.diff(grid)
         if steps[0] <= 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("time grid must be uniform and increasing")
-        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        # min and max carry any NaN or inf and allocate nothing of the path's size
+        if not all(np.isfinite(a.min()) and np.isfinite(a.max())
+                   for a in (grid, values) if a.size):
             raise ValueError("grid and values must be finite")
         self.grid = grid
         self.values = values
@@ -114,16 +84,35 @@ class Curve:
                         np.where((t >= self._t1)[trail], v[-1], blend))
 
 
+def _checked_params(alpha, beta, q, z0):
+    """Parameters of scalar Riccati equations, broadcast to one shape.
+
+    Raises `ValueError` naming the parameter when one is not finite, or
+    when the state weight q or the initial value z0 is negative (they are
+    quadratic cost weights, which keeps the solution nonnegative and
+    bounded on any horizon).
+    """
+    names = ("alpha", "beta", "q", "z0")
+    params = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (alpha, beta, q, z0)))
+    for name, v in zip(names, params):
+        if not np.isfinite(v).all():
+            raise ValueError(f"Riccati parameter {name} must be finite, "
+                             f"got {np.extract(~np.isfinite(v), v)[0]}")
+    for name, v in zip(names[2:], params[2:]):
+        if (v < 0.0).any():
+            raise ValueError(f"Riccati parameter {name} must be >= 0, got {v.min()}")
+    return params
+
+
 def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
     """RK4-integrate one or many scalar Riccati equations on a shared grid.
 
     The reference integrator for `riccati_explicit`.  Parameters may be
-    scalars or equal-length arrays (one equation per entry).  Returns
-    ``(grid, values)`` with values of shape ``(len(grid),) + param_shape``.
+    scalars or equal-length arrays (one equation per entry), checked by
+    `_checked_params`.  Returns ``(grid, values)`` with values of shape
+    ``(len(grid),) + param_shape``.
     """
-    alpha, beta, q, z0 = np.broadcast_arrays(
-        np.asarray(alpha, float), np.asarray(beta, float),
-        np.asarray(q, float), np.asarray(z0, float))
+    alpha, beta, q, z0 = _checked_params(alpha, beta, q, z0)
     grid = uniform_grid(horizon, dt)
     beta2 = beta * beta
 
@@ -131,13 +120,6 @@ def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
         return 2.0 * alpha * y - beta2 * y * y + q
 
     return grid, rk4_path(rhs, z0, grid)
-
-
-def solve_riccati_numeric(spec: ScalarRiccatiSpec) -> Curve:
-    """Solve the scalar Riccati equation with classic RK4."""
-    grid, vals = riccati_path(spec.alpha, spec.beta, spec.q, spec.z0,
-                              spec.horizon, spec.dt)
-    return Curve(grid, vals)
 
 
 def _roots(alpha, beta, q):
@@ -169,16 +151,16 @@ def algebraic_root(alpha: float, beta: float, q: float) -> float:
 def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:
     """Explicit solution of one or many scalar Riccati equations on a grid.
 
-    Parameters broadcast as in `riccati_path` (one equation per entry,
-    q and z0 nonnegative); returns values of shape
+    Parameters broadcast and are checked as in `riccati_path` (one
+    equation per entry, q and z0 nonnegative); returns values of shape
     ``(len(grid),) + param_shape``.  With ``Pi = X/Y`` the equation is
     the linear system ``[X; Y]' = H [X; Y]``, ``X(0) = z0``, ``Y(0) = 1``,
     ``H = [[alpha, q], [beta^2, -alpha]]``.  As ``H^2 = omega^2 I`` with
     ``omega = sqrt(alpha^2 + q*beta^2)``,
     ``exp(H t) = cosh(omega t) I + sinh(omega t)/omega H``; scaled by
-    ``exp(-omega t)`` this gives
+    ``exp(-omega t)`` this gives (`_scaled_factors`)
 
-        X = z0*(g+ + E*g-) + q*s,    Y = (g- + E*g+) + beta^2*z0*s,
+        X_hat = z0*(g+ + E*g-) + q*s,    Y_hat = (g- + E*g+) + beta^2*z0*s,
 
     with ``E = exp(-2 omega t)``, ``s = (1 - E)/(2 omega)`` (``t`` in the
     limit omega -> 0) and ``g+- = (omega +- alpha)/(2 omega)``.  The
@@ -190,23 +172,12 @@ def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:
     Raises `BlowUpError` when a value overflows (Y underflows to zero
     while X does not).
     """
-    alpha, beta, q, z0 = np.broadcast_arrays(
-        np.asarray(alpha, float), np.asarray(beta, float),
-        np.asarray(q, float), np.asarray(z0, float))
+    alpha, beta, q, z0 = _checked_params(alpha, beta, q, z0)
     times = np.asarray(grid, dtype=float)
     t = times.reshape((-1,) + (1,) * alpha.ndim)
-    r, a = np.abs(beta) * np.sqrt(q), np.abs(alpha)
-    omega = np.hypot(a, r)
-    with np.errstate(all="ignore"):  # 0/0 in unused branches; overflow raises below
-        big = np.where(omega > 0.0, (omega + a) / (2.0 * omega), 0.5)
-        small = np.where(omega > 0.0, r * (r / (omega + a)) / (2.0 * omega), 0.5)
-        g_plus = np.where(alpha >= 0.0, big, small)
-        g_minus = np.where(alpha >= 0.0, small, big)
-        x = 2.0 * omega * t
-        e = np.exp(-x)
-        s = t * np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
-        num = z0 * (g_plus + e * g_minus) + q * s
-        vals = num / ((g_minus + e * g_plus) + beta * beta * z0 * s)
+    num, den, _ = _scaled_factors(alpha, beta, q, z0, t)
+    with np.errstate(all="ignore"):  # 0/0 where Y underflows; overflow raises below
+        vals = num / den
     # z0 = q = 0 stays at zero also where Y underflows
     vals = np.where(num == 0.0, 0.0, vals)
     vals = np.where((t == 0.0) | (z0 == _roots(alpha, beta, q)), z0, vals)
@@ -217,14 +188,26 @@ def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:
     return vals
 
 
-def solve_riccati_closed_form(spec: ScalarRiccatiSpec) -> Curve:
-    """Evaluate the explicit scalar Riccati solution on the grid.
+def _scaled_factors(alpha, beta, q, z0, t):
+    """``(X_hat, Y_hat, omega)`` of `riccati_explicit` at times ``t``.
 
-    One equation of `riccati_explicit`; raises `BlowUpError` where the
-    solution overflows.
+    ``X = exp(omega t) X_hat`` and ``Y = exp(omega t) Y_hat``, so one
+    evaluation gives both ``Pi = X_hat/Y_hat`` and
+    ``ln Y = omega t + ln Y_hat``, where ``ln Y(T) + alpha T`` is
+    ``integral_0^T beta^2 Pi``.  Parameters are checked arrays.
     """
-    grid = uniform_grid(spec.horizon, spec.dt)
-    return Curve(grid, riccati_explicit(spec.alpha, spec.beta, spec.q, spec.z0, grid))
+    r, a = np.abs(beta) * np.sqrt(q), np.abs(alpha)
+    omega = np.hypot(a, r)
+    with np.errstate(all="ignore"):  # 0/0 in unused branches
+        big = np.where(omega > 0.0, (omega + a) / (2.0 * omega), 0.5)
+        small = np.where(omega > 0.0, r * (r / (omega + a)) / (2.0 * omega), 0.5)
+        g_plus = np.where(alpha >= 0.0, big, small)
+        g_minus = np.where(alpha >= 0.0, small, big)
+        x = 2.0 * omega * t
+        e = np.exp(-x)
+        s = t * np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
+        return (z0 * (g_plus + e * g_minus) + q * s,
+                (g_minus + e * g_plus) + beta * beta * z0 * s, omega)
 
 
 def _expm(m: np.ndarray) -> np.ndarray:

@@ -477,8 +477,8 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
     eigen coordinates ``g_l(T)*c_l`` are read from each run's modes, and
     a study builds no (K+1) x n array.  For each ignored direction the
     measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits next to its
-    prediction (available when the input polynomial is constant), read
-    from the same gains.
+    prediction `ratio_prediction` (available when the input polynomial is
+    constant), in closed form from the problem's table of scalar problems.
     """
     p = sys.problem
     levels = list(levels)
@@ -492,7 +492,7 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
         m = traj.modes
         runs[level] = (evaluate_cost(traj, sys).total, m.growth[-1, 1:] * m.coords)
     j_opt, coords_opt = runs[p.d]
-    predictions = (_terminal_ratios(p, gains) if p.poly_b.degree == 0
+    predictions = (_terminal_ratios(p) if p.poly_b.degree == 0
                    else np.full(p.d, np.nan))
     rows = []
     for level in levels:

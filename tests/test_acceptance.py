@@ -9,11 +9,9 @@ import pytest
 import graphon_lqr as gl
 from graphon_lqr import cli
 from graphon_lqr.graphon import midpoint_grid
-from graphon_lqr.lqr import (eigensystem_params, feedback_controller, project_state,
-                             synthesize_gains)
+from graphon_lqr.lqr import feedback_controller, synthesize_gains
 from graphon_lqr.poly import apply_poly_matrix
-from graphon_lqr.riccati import (ScalarRiccatiSpec, algebraic_root, riccati_path,
-                                 solve_riccati_closed_form, solve_riccati_numeric)
+from graphon_lqr.riccati import algebraic_root, riccati_explicit, riccati_path
 
 from conftest import admissible_poly, make_rank_kernel, sinusoidal_problem
 
@@ -59,7 +57,7 @@ def test_criterion_2_sinusoidal_showcase():
         == (4.0, 1.0, 1.0, 1.0)
     # eigendirection Riccati dM = 5M - (25/16)M^2 + 1/4 with M(0) = 1/4
     for idx in (0, 1):
-        drift, gain, q, z = eigensystem_params(problem, idx)
+        drift, gain, q, z = problem.mode_params[idx + 1]
         assert 2.0 * drift == 5.0
         assert gain ** 2 == pytest.approx(25.0 / 16.0, abs=0)
         assert (q, z) == (0.25, 0.25)
@@ -85,20 +83,18 @@ def test_criterion_3_closed_form_sweep():
         betas.append(beta)
         qs.append(q)
         z0s.append(z0)
-    _, vals = riccati_path(np.array(alphas), np.array(betas), np.array(qs),
-                           np.array(z0s), 5.0, 1e-4)
+    grid, vals = riccati_path(np.array(alphas), np.array(betas), np.array(qs),
+                              np.array(z0s), 5.0, 1e-4)
     worst = 0.0
     for k in range(50):
-        cf = solve_riccati_closed_form(
-            ScalarRiccatiSpec(alphas[k], betas[k], qs[k], z0s[k], 5.0, 1e-4))
-        worst = max(worst, float(np.abs(cf.values - vals[:, k]).max()))
+        cf = riccati_explicit(alphas[k], betas[k], qs[k], z0s[k], grid)
+        worst = max(worst, float(np.abs(cf - vals[:, k]).max()))
     assert worst <= 1e-6
     # analytic anchor: alpha=0, beta=q=1, z0=0 integrates to tanh(t)
-    tanh_spec = ScalarRiccatiSpec(0.0, 1.0, 1.0, 0.0, 1.0, 1e-4)
-    tanh_cf = solve_riccati_closed_form(tanh_spec)
-    tanh_num = solve_riccati_numeric(tanh_spec)
-    tanh_gap = max(float(np.abs(tanh_cf.values - np.tanh(tanh_cf.grid)).max()),
-                   float(np.abs(tanh_num.values - np.tanh(tanh_num.grid)).max()))
+    tanh_grid, tanh_num = riccati_path(0.0, 1.0, 1.0, 0.0, 1.0, 1e-4)
+    tanh_cf = riccati_explicit(0.0, 1.0, 1.0, 0.0, tanh_grid)
+    tanh_gap = max(float(np.abs(tanh_cf - np.tanh(tanh_grid)).max()),
+                   float(np.abs(tanh_num - np.tanh(tanh_grid)).max()))
     assert tanh_gap <= 1e-8
     report(3, "closed-form agreement",
            f"sweep max gap {worst:.2e} <= 1e-6, tanh gap {tanh_gap:.2e} <= 1e-8")
@@ -131,18 +127,18 @@ def test_criterion_5_decoupling_identities():
         g, entries = make_rank_kernel(rng, n, rank)
         poly_q = admissible_poly(rng, g.lambdas, int(rng.integers(0, 4)))
         x = rng.standard_normal(n)
-        ds = project_state(x, g)
+        coords, residual = g.project(x)
         q_mat = apply_poly_matrix(poly_q, entries / n)
         direct = x @ q_mat @ x / n
-        split = (poly_q.const * ds.auxiliary @ ds.auxiliary / n
-                 + np.atleast_1d(poly_q(g.lambdas)) @ ds.eigen_coords ** 2)
+        split = (poly_q.const * residual @ residual / n
+                 + np.atleast_1d(poly_q(g.lambdas)) @ coords ** 2)
         worst_split = max(worst_split, abs(direct - split))
         f = g.eigfun_values(midpoint_grid(n))
-        eig_part = f.T @ ds.eigen_coords
+        eig_part = f.T @ coords
         power = np.eye(n)
         for _k in range(5):
             worst_cross = max(worst_cross,
-                              abs(ds.auxiliary @ power @ eig_part / n))
+                              abs(residual @ power @ eig_part / n))
             power = power @ (entries / n)
     assert worst_split <= 1e-8
     assert worst_cross <= 1e-10

@@ -4,9 +4,8 @@ import pytest
 import graphon_lqr as gl
 from graphon_lqr import integrate, lqr, riccati
 from graphon_lqr.graphon import cell_index, midpoint_grid
-from graphon_lqr.lqr import (eigensystem_params, feedback_controller, project_state,
-                             ratio_prediction, reconstruct_P, synthesize_gains,
-                             truncate_problem)
+from graphon_lqr.lqr import (feedback_controller, ratio_prediction, reconstruct_P,
+                             synthesize_gains, truncate_problem)
 from graphon_lqr.poly import apply_poly_matrix
 
 from conftest import admissible_poly, input_poly, make_rank_kernel, sinusoidal_problem
@@ -33,65 +32,68 @@ class TestProblemValidation:
 
 
 class TestProjectState:
+    """`FiniteRankGraphon.project`: eigendirection coordinates and residual."""
+
     def test_eigenfunction_projects_cleanly(self, vii_problem):
         g = vii_problem.graphon
         n = 32
         f1 = g.pairs[0].fun(midpoint_grid(n))
-        ds = project_state(f1, g)
-        np.testing.assert_allclose(ds.eigen_coords, [1.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(ds.auxiliary, np.zeros(n), atol=1e-12)
+        coords, residual = g.project(f1)
+        np.testing.assert_allclose(coords, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(residual, np.zeros(n), atol=1e-12)
 
     def test_orthogonal_state_is_pure_residual(self, vii_problem):
         g = vii_problem.graphon
         n = 32
         x = np.ones(n) * 3.0  # constant, orthogonal to sin and cos
-        ds = project_state(x, g)
-        np.testing.assert_allclose(ds.eigen_coords, [0.0, 0.0], atol=1e-12)
-        np.testing.assert_allclose(ds.auxiliary, x, atol=1e-12)
+        coords, residual = g.project(x)
+        np.testing.assert_allclose(coords, [0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(residual, x, atol=1e-12)
 
     def test_function_state(self, vii_problem):
         g = vii_problem.graphon
         x = lambda t: np.sqrt(2.0) * np.sin(2 * np.pi * np.asarray(t, float)) + 3.0
-        ds = project_state(x, g)
-        np.testing.assert_allclose(ds.eigen_coords, [1.0, 0.0], atol=1e-9)
+        coords, residual = g.project(x)
+        np.testing.assert_allclose(coords, [1.0, 0.0], atol=1e-9)
         pts = np.linspace(0, 1, 13)
-        np.testing.assert_allclose(ds.auxiliary(pts), np.full(13, 3.0), atol=1e-9)
+        np.testing.assert_allclose(residual(pts), np.full(13, 3.0), atol=1e-9)
 
     def test_reconstruction_and_orthogonality(self):
         rng = np.random.default_rng(12)
         g, _ = make_rank_kernel(rng, 12, 3)
         x = rng.standard_normal(12)
-        ds = project_state(x, g)
+        coords, residual = g.project(x)
         f = g.eigfun_values(midpoint_grid(12))
-        np.testing.assert_allclose(ds.auxiliary + f.T @ ds.eigen_coords, x,
-                                   atol=1e-12)
-        np.testing.assert_allclose(f @ ds.auxiliary / 12, np.zeros(3), atol=1e-12)
+        np.testing.assert_allclose(residual + f.T @ coords, x, atol=1e-12)
+        np.testing.assert_allclose(f @ residual / 12, np.zeros(3), atol=1e-12)
 
 
 class TestEigensystemParams:
+    """Row ``idx + 1`` of ``mode_params``: the scalar problem of eigendirection idx."""
+
     def test_showcase_parameters(self, vii_problem):
         # drift 2 + 1/2, input 1 + (1/2)/2, weights (1 - 1/2)^2
         for idx in (0, 1):
-            assert eigensystem_params(vii_problem, idx) == pytest.approx(
+            assert tuple(vii_problem.mode_params[idx + 1]) == pytest.approx(
                 (2.5, 1.25, 0.25, 0.25), abs=1e-15)
 
     def test_uniform_kernel_substitution(self):
         p = gl.LqrProblem(0.7, gl.CoeffPoly([1.4]), gl.CoeffPoly([0.9]),
                           gl.CoeffPoly([0.2]), gl.uniform_graphon(), 1.0)
-        assert eigensystem_params(p, 0) == pytest.approx((1.7, 1.4, 0.9, 0.2))
+        assert tuple(p.mode_params[1]) == pytest.approx((1.7, 1.4, 0.9, 0.2))
 
     def test_tiny_eigenvalue_approaches_auxiliary(self):
         pair = gl.EigenPair(1e-12, lambda x: np.ones_like(np.asarray(x, float)))
         g = gl.FiniteRankGraphon([pair])
         p = gl.LqrProblem(0.7, gl.CoeffPoly([1.4, 0.3]), gl.CoeffPoly([0.9, 0.1]),
                           gl.CoeffPoly([0.2, -0.1]), g, 1.0)
-        drift, gain, q, z = eigensystem_params(p, 0)
+        drift, gain, q, z = p.mode_params[1]
         assert (drift, gain, q, z) == pytest.approx((p.alpha0, p.beta0, p.q0, p.z0),
                                                     abs=1e-11)
 
     def test_out_of_range(self, vii_problem):
         with pytest.raises(IndexError):
-            eigensystem_params(vii_problem, 2)
+            vii_problem.mode_params[2 + 1]
 
     def test_rows_of_mode_params(self):
         rng = np.random.default_rng(14)
@@ -100,8 +102,10 @@ class TestEigensystemParams:
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
         assert p.mode_params.shape == (5, 4) and not p.mode_params.flags.writeable
         assert tuple(p.mode_params[0]) == (p.alpha0, p.beta0, p.q0, p.z0)
-        for l in range(p.d):
-            assert tuple(p.mode_params[l + 1]) == eigensystem_params(p, l)
+        for l, lam in enumerate(g.lambdas):
+            assert tuple(p.mode_params[l + 1]) == (
+                p.alpha0 + lam, p.poly_b(lam), max(p.poly_q(lam), 0.0),
+                max(p.poly_p0(lam), 0.0))
 
 
 class TestRoundingBelowZero:
@@ -278,22 +282,22 @@ class TestDecouplingIdentities:
             x = rng.standard_normal(n)
             q_mat = apply_poly_matrix(poly_q, entries / n)
             direct = x @ q_mat @ x / n
-            ds = project_state(x, g)
-            split = (poly_q.const * ds.auxiliary @ ds.auxiliary / n
-                     + np.atleast_1d(poly_q(g.lambdas)) @ ds.eigen_coords ** 2)
+            coords, residual = g.project(x)
+            split = (poly_q.const * residual @ residual / n
+                     + np.atleast_1d(poly_q(g.lambdas)) @ coords ** 2)
             assert abs(direct - split) <= 1e-8
 
     def test_cross_terms_vanish(self):
         rng = np.random.default_rng(22)
         g, entries = make_rank_kernel(rng, 10, 3)
         x = rng.standard_normal(10)
-        ds = project_state(x, g)
+        coords, residual = g.project(x)
         f = g.eigfun_values(midpoint_grid(10))
-        eig_part = f.T @ ds.eigen_coords
+        eig_part = f.T @ coords
         scaled = entries / 10
         power = np.eye(10)
         for _ in range(5):  # k = 0..4
-            assert abs(ds.auxiliary @ power @ eig_part / 10) <= 1e-10
+            assert abs(residual @ power @ eig_part / 10) <= 1e-10
             power = power @ scaled
 
 
@@ -313,7 +317,7 @@ class TestClosedLoopStructure:
         exponent = np.zeros_like(rates)
         exponent[:, 1:] = np.cumsum(
             0.5 * np.diff(gains.grid) * (rates[:, 1:] + rates[:, :-1]), axis=1)
-        coords0 = project_state(x0, p.graphon).eigen_coords
+        coords0 = p.graphon.project(x0)[0]
         f = p.graphon.eigfun_values(midpoint_grid(n))
         for k in range(0, traj.grid.size, 100):
             predicted = coords0 * np.exp(
@@ -356,22 +360,43 @@ class TestTruncatedController:
 class TestRatioPrediction:
     def test_requires_constant_input_poly(self, vii_problem):
         with pytest.raises(ValueError, match="constant"):
-            ratio_prediction(vii_problem, 1, 1e-3)
+            ratio_prediction(vii_problem, 1)
 
     def test_vanishing_eigenvalue_gives_unit_ratio(self):
         pair = gl.EigenPair(1e-12, lambda x: np.ones_like(np.asarray(x, float)))
         p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0, -0.5]),
                           gl.CoeffPoly([0.3]), gl.FiniteRankGraphon([pair]), 1.0)
-        assert ratio_prediction(p, 0, 1e-4) == pytest.approx(1.0, abs=1e-9)
+        assert ratio_prediction(p, 0) == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_input_gives_unit_ratio_under_fast_drift(self):
+        # beta0 = 0 couples no gain into any direction; exp(-2 alpha0 T)
+        # underflows here, and the ratio must still be exactly 1
+        for alpha0 in (0.5, 400.0):
+            p = gl.LqrProblem(alpha0, gl.CoeffPoly([0.0]), gl.CoeffPoly([1.0]),
+                              gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
+            assert ratio_prediction(p, 0) == ratio_prediction(p, 1) == 1.0
 
     def test_matches_direct_gain_integral(self):
         p = sinusoidal_problem(poly_b=(1.0,))
         dt = 1e-4
-        pred = ratio_prediction(p, 1, dt)
-        m = gl.solve_riccati_numeric(gl.ScalarRiccatiSpec(2.5, 1.0, 0.25, 0.25, 1.0, dt))
-        mt = gl.solve_riccati_numeric(gl.ScalarRiccatiSpec(2.0, 1.0, 1.0, 1.0, 1.0, dt))
-        expect = np.exp(-np.trapezoid(mt.values - m.values, m.grid))
+        pred = ratio_prediction(p, 1)
+        grid, m = gl.riccati_path(2.5, 1.0, 0.25, 0.25, 1.0, dt)
+        _, mt = gl.riccati_path(2.0, 1.0, 1.0, 1.0, 1.0, dt)
+        expect = np.exp(-np.trapezoid(mt - m, grid))
         assert pred == pytest.approx(expect, abs=1e-8)
+
+    def test_measured_ratio_converges_at_second_order(self):
+        # the prediction reads no grid; the ratio a truncation study measures
+        # approaches it with the closed loop's second-order error
+        p = sinusoidal_problem(horizon=0.5, poly_b=(1.0,))
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 40), p)
+        x0 = gl.initial_state(40, 97)
+        gaps = []
+        for dt in (2e-3, 1e-3):
+            row = gl.truncation_study(sys_, x0, [1], dt)[0]
+            assert row.predicted_ratio[1] == ratio_prediction(p, 1)
+            gaps.append(abs(row.measured_ratio[1] - row.predicted_ratio[1]))
+        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
 
 class TestFirstOrderOptimality:
@@ -418,7 +443,7 @@ class TestKernelBasis:
         for t in (0.0, 0.5, 1.0):
             law(t, x)
             reconstruct_P(law.gains, g, t, n)
-        project_state(x, g)
+        g.project(x)
         assert sorted(calls) == [0, 1]
         assert sys_.f_cells is g.cells(n)
 
@@ -433,7 +458,7 @@ class TestKernelBasis:
         # an empty cell vector would be scaled by 1/0
         g = vii_problem.graphon
         law = feedback_controller(vii_problem, synthesize_gains(vii_problem, 1e-2))
-        for call in (lambda: project_state(np.zeros(0), g), lambda: g.apply(np.zeros(0)),
+        for call in (lambda: g.project(np.zeros(0)), lambda: g.apply(np.zeros(0)),
                      lambda: law(0.5, np.zeros(0)), lambda: gl.sample_step_entries(g, 0),
                      lambda: reconstruct_P(law.gains, g, 0.5, 0)):
             with pytest.raises(ValueError, match="partition size must be >= 1"):
@@ -453,10 +478,10 @@ class TestKernelBasis:
             g, _ = make_rank_kernel(rng, 16, 3)
             n, x = 16, gl.StepFunction(rng.standard_normal(16))
         mids = midpoint_grid(n)
-        fun, vec = project_state(x, g), project_state(x(mids), g)
-        np.testing.assert_allclose(fun.eigen_coords, vec.eigen_coords, atol=1e-9)
-        np.testing.assert_allclose(fun.auxiliary(mids), vec.auxiliary, atol=1e-9)
-        assert isinstance(fun.auxiliary(0.3), float)
+        (fun_coords, fun_residual), (coords, residual) = g.project(x), g.project(x(mids))
+        np.testing.assert_allclose(fun_coords, coords, atol=1e-9)
+        np.testing.assert_allclose(fun_residual(mids), residual, atol=1e-9)
+        assert isinstance(fun_residual(0.3), float)
         np.testing.assert_allclose(g.apply(x)(mids), g.apply(x(mids)), atol=1e-9)
         p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([1.0]), g, 1.0)

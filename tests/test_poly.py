@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from graphon_lqr.poly import CoeffPoly, apply_poly_matrix, eval_poly
+from graphon_lqr.poly import CoeffPoly, apply_poly_matrix
 
 
 class TestEval:
     def test_input_poly_at_half(self):
-        assert eval_poly(CoeffPoly([1.0, 0.5]), 0.5) == pytest.approx(1.25, abs=1e-15)
+        assert CoeffPoly([1.0, 0.5])(0.5) == pytest.approx(1.25, abs=1e-15)
 
     def test_cost_poly_at_half(self):
         # (1 - s)^2 expanded
-        assert eval_poly(CoeffPoly([1.0, -2.0, 1.0]), 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert CoeffPoly([1.0, -2.0, 1.0])(0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_constant_term_at_zero(self):
         p = CoeffPoly([3.0, -1.0, 7.0])

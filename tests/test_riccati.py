@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 import graphon_lqr as gl
 from graphon_lqr.integrate import rk4_path, rk4_step, uniform_grid
-from graphon_lqr.riccati import (Curve, ScalarRiccatiSpec, algebraic_root, riccati_explicit,
-                                 riccati_path, solve_matrix_riccati,
-                                 solve_riccati_closed_form, solve_riccati_numeric)
+from graphon_lqr.riccati import (Curve, algebraic_root, riccati_explicit, riccati_path,
+                                 solve_matrix_riccati)
 
 
 class TestGrid:
@@ -53,38 +52,58 @@ class TestRk4:
 
 
 class TestSpecValidation:
+    """Both scalar solvers check the parameters of their equations the same way."""
+
+    @staticmethod
+    def solvers():
+        grid = uniform_grid(1.0, 1e-2)
+        return (lambda *args: riccati_explicit(*args, grid),
+                lambda *args: riccati_path(*args, 1.0, 1e-2))
+
     def test_negative_q_rejected(self):
-        with pytest.raises(ValueError):
-            ScalarRiccatiSpec(0.0, 1.0, -0.1, 0.0, 1.0, 1e-2)
+        for solve in self.solvers():
+            with pytest.raises(ValueError, match="parameter q must be >= 0"):
+                solve(0.0, 1.0, -0.1, 0.0)
 
     def test_negative_z0_rejected(self):
-        with pytest.raises(ValueError):
-            ScalarRiccatiSpec(0.0, 1.0, 0.0, -0.1, 1.0, 1e-2)
+        for solve in self.solvers():
+            with pytest.raises(ValueError, match="parameter z0 must be >= 0"):
+                solve(0.0, 1.0, 0.0, -0.1)
+
+    @pytest.mark.parametrize("index, name", enumerate(["alpha", "beta", "q", "z0"]))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, index, name, value):
+        # one bad entry of an array of equations is named; no warning escapes
+        for solve in self.solvers():
+            params = [np.array([0.5, 0.5]), 1.0, 1.0, 0.2]
+            params[index] = np.array([0.5, value]) if index == 0 else value
+            with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+                solve(*params)
 
     def test_dt_larger_than_horizon_rejected(self):
         with pytest.raises(ValueError):
-            ScalarRiccatiSpec(0.0, 1.0, 1.0, 0.0, 1.0, 2.0)
+            riccati_path(0.0, 1.0, 1.0, 0.0, 1.0, 2.0)
 
 
 class TestNumeric:
     def test_monotone_rise_to_algebraic_root(self):
         # auxiliary equation of the sinusoidal showcase: dL = 4L - L^2 + 1
-        curve = solve_riccati_numeric(ScalarRiccatiSpec(2.0, 1.0, 1.0, 1.0, 5.0, 1e-3))
+        _, vals = riccati_path(2.0, 1.0, 1.0, 1.0, 5.0, 1e-3)
         root = algebraic_root(2.0, 1.0, 1.0)
-        assert np.all(np.diff(curve.values) >= -1e-12)
-        assert np.all(curve.values >= 0.0)
-        assert curve.values[-1] == pytest.approx(root, abs=1e-3)
-        assert np.all(curve.values <= root + 1e-9)
+        assert np.all(np.diff(vals) >= -1e-12)
+        assert np.all(vals >= 0.0)
+        assert vals[-1] == pytest.approx(root, abs=1e-3)
+        assert np.all(vals <= root + 1e-9)
 
     def test_zero_weights_stay_zero(self):
-        curve = solve_riccati_numeric(ScalarRiccatiSpec(1.5, 2.0, 0.0, 0.0, 1.0, 1e-3))
-        np.testing.assert_array_equal(curve.values, np.zeros_like(curve.grid))
+        grid, vals = riccati_path(1.5, 2.0, 0.0, 0.0, 1.0, 1e-3)
+        np.testing.assert_array_equal(vals, np.zeros_like(grid))
 
     def test_tanh_solution(self):
         # dPi = 1 - Pi^2 from 0 has the separable solution tanh(t)
-        curve = solve_riccati_numeric(ScalarRiccatiSpec(0.0, 1.0, 1.0, 0.0, 1.0, 1e-4))
-        assert curve(1.0) == pytest.approx(np.tanh(1.0), abs=1e-8)
-        np.testing.assert_allclose(curve.values, np.tanh(curve.grid), atol=1e-8)
+        grid, vals = riccati_path(0.0, 1.0, 1.0, 0.0, 1.0, 1e-4)
+        assert vals[-1] == pytest.approx(np.tanh(1.0), abs=1e-8)
+        np.testing.assert_allclose(vals, np.tanh(grid), atol=1e-8)
 
 
 class TestAlgebraicRoot:
@@ -122,56 +141,52 @@ class TestAlgebraicRoot:
 class TestClosedForm:
     def test_equilibrium_start_is_constant(self):
         s = algebraic_root(1.0, 1.0, 2.0)
-        curve = solve_riccati_closed_form(ScalarRiccatiSpec(1.0, 1.0, 2.0, s, 1.0, 1e-3))
-        np.testing.assert_array_equal(curve.values, np.full_like(curve.grid, s))
+        grid = uniform_grid(1.0, 1e-3)
+        np.testing.assert_array_equal(riccati_explicit(1.0, 1.0, 2.0, s, grid),
+                                      np.full_like(grid, s))
 
     def test_tanh_case(self):
-        curve = solve_riccati_closed_form(ScalarRiccatiSpec(0.0, 1.0, 1.0, 0.0, 1.0, 1e-3))
-        np.testing.assert_allclose(curve.values, np.tanh(curve.grid), atol=1e-8)
+        grid = uniform_grid(1.0, 1e-3)
+        np.testing.assert_allclose(riccati_explicit(0.0, 1.0, 1.0, 0.0, grid),
+                                   np.tanh(grid), atol=1e-8)
 
     def test_showcase_eigengain_matches_numeric(self):
-        spec = ScalarRiccatiSpec(2.5, 1.25, 0.25, 0.25, 1.0, 1e-4)
-        num = solve_riccati_numeric(spec)
-        cf = solve_riccati_closed_form(spec)
-        assert np.abs(num.values - cf.values).max() <= 1e-6
+        grid, num = riccati_path(2.5, 1.25, 0.25, 0.25, 1.0, 1e-4)
+        cf = riccati_explicit(2.5, 1.25, 0.25, 0.25, grid)
+        assert np.abs(num - cf).max() <= 1e-6
 
     def test_beta_zero_linear_fallback(self):
         for alpha in (0.7, 0.0):
-            spec = ScalarRiccatiSpec(alpha, 0.0, 0.4, 0.2, 1.0, 1e-4)
-            num = solve_riccati_numeric(spec)
-            cf = solve_riccati_closed_form(spec)
-            assert np.abs(num.values - cf.values).max() <= 1e-10
+            grid, num = riccati_path(alpha, 0.0, 0.4, 0.2, 1.0, 1e-4)
+            cf = riccati_explicit(alpha, 0.0, 0.4, 0.2, grid)
+            assert np.abs(num - cf).max() <= 1e-10
 
     def test_zero_decay_rate_degeneracy(self):
         # alpha = q = 0 makes the exponent vanish; dPi = -Pi^2 solves to
         # 1/(1/z0 + t)
-        spec = ScalarRiccatiSpec(0.0, 1.0, 0.0, 2.0, 1.0, 1e-3)
-        curve = solve_riccati_closed_form(spec)
-        np.testing.assert_allclose(curve.values, 1.0 / (0.5 + curve.grid), atol=1e-12)
+        grid = uniform_grid(1.0, 1e-3)
+        np.testing.assert_allclose(riccati_explicit(0.0, 1.0, 0.0, 2.0, grid),
+                                   1.0 / (0.5 + grid), atol=1e-12)
 
     def test_start_below_root(self):
-        spec = ScalarRiccatiSpec(1.0, 0.8, 1.3, 0.0, 4.0, 1e-3)
-        num = solve_riccati_numeric(spec)
-        cf = solve_riccati_closed_form(spec)
-        assert np.abs(num.values - cf.values).max() <= 1e-6
+        grid, num = riccati_path(1.0, 0.8, 1.3, 0.0, 4.0, 1e-3)
+        cf = riccati_explicit(1.0, 0.8, 1.3, 0.0, grid)
+        assert np.abs(num - cf).max() <= 1e-6
 
     def test_start_above_root(self):
         s = algebraic_root(-0.5, 1.0, 0.3)
-        spec = ScalarRiccatiSpec(-0.5, 1.0, 0.3, s + 1.5, 4.0, 1e-3)
-        num = solve_riccati_numeric(spec)
-        cf = solve_riccati_closed_form(spec)
-        assert np.abs(num.values - cf.values).max() <= 1e-6
+        grid, num = riccati_path(-0.5, 1.0, 0.3, s + 1.5, 4.0, 1e-3)
+        cf = riccati_explicit(-0.5, 1.0, 0.3, s + 1.5, grid)
+        assert np.abs(num - cf).max() <= 1e-6
 
     def test_stiff_parameters_stay_finite(self):
         # exp(2*sqrt(alpha^2 + q*beta^2)*T) overflows the naive bracket here
-        spec = ScalarRiccatiSpec(-40.0, 2.0, 1.0, 0.5, 5.0, 1e-4)
-        cf = solve_riccati_closed_form(spec)
-        assert np.all(np.isfinite(cf.values))
-        assert cf.values[0] == pytest.approx(0.5, abs=1e-12)
-        assert cf.values[-1] == pytest.approx(algebraic_root(-40.0, 2.0, 1.0),
-                                              abs=1e-9)
-        num = solve_riccati_numeric(spec)
-        assert np.abs(num.values - cf.values).max() <= 1e-8
+        grid, num = riccati_path(-40.0, 2.0, 1.0, 0.5, 5.0, 1e-4)
+        cf = riccati_explicit(-40.0, 2.0, 1.0, 0.5, grid)
+        assert np.all(np.isfinite(cf))
+        assert cf[0] == pytest.approx(0.5, abs=1e-12)
+        assert cf[-1] == pytest.approx(algebraic_root(-40.0, 2.0, 1.0), abs=1e-9)
+        assert np.abs(num - cf).max() <= 1e-8
 
 
 class TestExplicitSolver:
@@ -182,8 +197,6 @@ class TestExplicitSolver:
                                               (-1.0, 1.0, 2.0)])
     def test_small_beta_matches_rk4(self, alpha, beta, q, z0):
         grid, ref = riccati_path(alpha, beta, q, z0, 1.0, 1e-4)
-        spec = ScalarRiccatiSpec(alpha, beta, q, z0, 1.0, 1e-4)
-        assert np.abs(solve_riccati_closed_form(spec).values - ref).max() <= 1e-10
         assert np.abs(riccati_explicit(alpha, beta, q, z0, grid) - ref).max() <= 1e-10
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -225,23 +238,21 @@ class TestProperties:
             beta = rng.uniform(0.2, 2)
             z0 = rng.uniform(0, 2)
             qs = np.sort(rng.uniform(0, 2, 2))
-            lo = solve_riccati_numeric(ScalarRiccatiSpec(alpha, beta, qs[0], z0, 2.0, 1e-3))
-            hi = solve_riccati_numeric(ScalarRiccatiSpec(alpha, beta, qs[1], z0, 2.0, 1e-3))
-            assert np.all(hi.values >= lo.values - 1e-12)
+            _, lo = riccati_path(alpha, beta, qs[0], z0, 2.0, 1e-3)
+            _, hi = riccati_path(alpha, beta, qs[1], z0, 2.0, 1e-3)
+            assert np.all(hi >= lo - 1e-12)
 
     def test_nonnegative_gains(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            spec = ScalarRiccatiSpec(rng.uniform(-3, 3), rng.uniform(0, 2),
-                                     rng.uniform(0, 2), rng.uniform(0, 2), 2.0, 1e-3)
-            assert np.all(solve_riccati_numeric(spec).values >= 0.0)
+            _, vals = riccati_path(rng.uniform(-3, 3), rng.uniform(0, 2),
+                                   rng.uniform(0, 2), rng.uniform(0, 2), 2.0, 1e-3)
+            assert np.all(vals >= 0.0)
 
     def test_fourth_order_convergence(self):
-        spec = lambda dt: ScalarRiccatiSpec(1.2, 0.8, 0.7, 0.3, 2.0, dt)
         def err(dt):
-            num = solve_riccati_numeric(spec(dt))
-            cf = solve_riccati_closed_form(spec(dt))
-            return np.abs(num.values - cf.values).max()
+            grid, num = riccati_path(1.2, 0.8, 0.7, 0.3, 2.0, dt)
+            return np.abs(num - riccati_explicit(1.2, 0.8, 0.7, 0.3, grid)).max()
         e1, e2, e3 = err(2e-3), err(1e-3), err(5e-4)
         assert e1 / e2 >= 8.0
         assert e2 / e3 >= 8.0
@@ -285,6 +296,13 @@ class TestGainCurve:
         with pytest.raises(ValueError):
             Curve([0.0, 1.0, 0.5], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        values = np.ones((3, 2, 2))
+        values[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Curve([0.0, 0.5, 1.0], values)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Curve([0.0, 1.0], [1.0])
@@ -292,11 +310,10 @@ class TestGainCurve:
 
 class TestMatrixRiccati:
     def test_scalar_embedding_matches_scalar_solver(self):
-        spec = ScalarRiccatiSpec(1.3, 0.7, 0.9, 0.4, 1.0, 1e-3)
-        scalar = solve_riccati_closed_form(spec)
+        scalar = riccati_explicit(1.3, 0.7, 0.9, 0.4, uniform_grid(1.0, 1e-3))
         path = solve_matrix_riccati(np.array([[1.3]]), np.array([[0.7]]),
                                     np.array([[0.9]]), np.array([[0.4]]), 1.0, 1e-3)
-        np.testing.assert_allclose(path.values[:, 0, 0], scalar.values, rtol=1e-13)
+        np.testing.assert_allclose(path.values[:, 0, 0], scalar, rtol=1e-13)
 
     def test_diagonal_system_decouples(self):
         alphas = np.array([0.5, -0.3, 1.1])
@@ -306,10 +323,8 @@ class TestMatrixRiccati:
         path = solve_matrix_riccati(np.diag(alphas), np.diag(betas),
                                     np.diag(qs), np.diag(z0s), 1.0, 1e-3)
         for i in range(3):
-            scalar = solve_riccati_numeric(
-                ScalarRiccatiSpec(alphas[i], betas[i], qs[i], z0s[i], 1.0, 1e-3))
-            np.testing.assert_allclose(path.values[:, i, i], scalar.values,
-                                       atol=1e-9)
+            _, scalar = riccati_path(alphas[i], betas[i], qs[i], z0s[i], 1.0, 1e-3)
+            np.testing.assert_allclose(path.values[:, i, i], scalar, atol=1e-9)
         off = path.values.copy()
         off[:, range(3), range(3)] = 0.0
         assert np.abs(off).max() <= 1e-12

@@ -591,7 +591,7 @@ class TestTruncationStudy:
         for row in rows:
             assert np.isnan(row.predicted_ratio[:row.level]).all()
             for h in range(row.level, p.d):
-                assert row.predicted_ratio[h] == gl.ratio_prediction(p, h, 1e-3)
+                assert row.predicted_ratio[h] == gl.ratio_prediction(p, h)
 
     def test_one_synthesis_and_one_run_per_level(self, monkeypatch):
         rng = np.random.default_rng(65)
