@@ -60,7 +60,7 @@ def _is_symmetric(a: np.ndarray) -> bool:
 
 def _check_coords(x, name: str):
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0) or not np.all(np.isfinite(x)):
+    if not np.all((0.0 <= x) & (x <= 1.0)):  # NaN fails both comparisons
         raise ValueError(f"{name} must lie in [0, 1]")
     return x
 
@@ -117,25 +117,25 @@ class FiniteRankGraphon:
     Parameters
     ----------
     pairs : sequence of EigenPair
-        Ordered by non-increasing |eigenvalue|.
-    bound : float
-        Bound c of the kernel class (|lam_l| <= c is enforced).
-    validate : bool
-        Check ordering, the eigenvalue bound and L2-orthonormality.
+        Ordered by non-increasing |eigenvalue|, with eigenfunctions
+        L2-orthonormal on [0, 1]; both are checked here, the
+        orthonormality on `quadrature_grid`.
     """
 
-    def __init__(self, pairs: Sequence[EigenPair], bound: float = 1.0,
-                 validate: bool = True):
+    def __init__(self, pairs: Sequence[EigenPair]):
         self.pairs = tuple(pairs)
-        self.bound = float(bound)
-        if self.bound <= 0.0:
-            raise ValueError(f"bound must be positive, got {bound}")
         step_ns = {p.fun.n for p in self.pairs if isinstance(p.fun, StepFunction)}
         self._step_n = step_ns.pop() if len(step_ns) == 1 and all(
             isinstance(p.fun, StepFunction) for p in self.pairs) else None
         self._cells: dict[int, np.ndarray] = {}
-        if validate:
-            self._validate()
+        lams = self.lambdas
+        if np.any(np.abs(lams[1:]) > np.abs(lams[:-1]) + 1e-12):
+            raise ValueError(
+                f"eigenvalues must be ordered by non-increasing magnitude, got {lams}")
+        if self.rank:
+            f = self.cells(self.quadrature_grid().size)
+            if not np.allclose(f @ f.T / f.shape[1], np.eye(self.rank), atol=1e-8):
+                raise ValueError("eigenfunctions are not L2-orthonormal on [0, 1]")
 
     # -- basic structure ------------------------------------------------
 
@@ -195,21 +195,6 @@ class FiniteRankGraphon:
         """``sum_l coords[l] * f_l(x)``: a float at a point, an array on an array."""
         return _point_or_array(np.tensordot(coords, self.eigfun_values(x), axes=1))
 
-    def _validate(self):
-        lams = self.lambdas
-        if np.any(np.abs(lams) > self.bound + 1e-12):
-            raise ValueError(
-                f"eigenvalues exceed the kernel bound {self.bound}: {lams}")
-        if np.any(np.abs(lams[1:]) > np.abs(lams[:-1]) + 1e-12):
-            raise ValueError(
-                f"eigenvalues must be ordered by non-increasing magnitude, got {lams}")
-        if self.rank == 0:
-            return
-        f = self.cells(self.quadrature_grid().size)
-        gram = f @ f.T / f.shape[1]
-        if not np.allclose(gram, np.eye(self.rank), atol=1e-8):
-            raise ValueError("eigenfunctions are not L2-orthonormal on [0, 1]")
-
     # -- kernel operations ----------------------------------------------
 
     def eval(self, x, y):
@@ -245,8 +230,7 @@ class FiniteRankGraphon:
         """Keep the first min(level, rank) eigenpairs (Eq.-order preserved)."""
         if level < 0:
             raise ValueError(f"truncation level must be >= 0, got {level}")
-        return FiniteRankGraphon(self.pairs[: min(level, self.rank)],
-                                 bound=self.bound, validate=False)
+        return FiniteRankGraphon(self.pairs[: min(level, self.rank)])
 
     def __repr__(self):
         return f"FiniteRankGraphon(rank={self.rank}, lambdas={np.round(self.lambdas, 6)})"
@@ -255,35 +239,25 @@ class FiniteRankGraphon:
 class StepGraphon:
     """Piecewise-constant kernel on the uniform n-partition of [0, 1].
 
-    ``entries`` is the symmetric coupling matrix; the kernel takes value
-    ``entries[i, j]`` on cell (i, j).  All entries must satisfy
-    |a_ij| <= bound.  Validation makes a few sequential passes over the
-    matrix: its minimum and maximum give finiteness and the bound, and
-    symmetry is compared one block of columns at a time against the
-    mirrored block of rows.  The offending indices are located only when
-    a check fails.
+    ``entries`` is the symmetric coupling matrix, of any finite
+    magnitude; the kernel takes value ``entries[i, j]`` on cell (i, j).
+    Validation makes a few sequential passes over the matrix: its minimum
+    and maximum give finiteness, and symmetry is compared one block of
+    columns at a time against the mirrored block of rows.  The offending
+    indices are located only when a check fails.
     """
 
-    def __init__(self, entries, bound: float = 1.0):
+    def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {a.shape}")
         # NaN propagates through min and max
-        low, high = (float(a.min()), float(a.max())) if a.size else (0.0, 0.0)
-        if not (np.isfinite(low) and np.isfinite(high)):
+        if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
             raise ValueError("coupling matrix must be finite")
         if not _is_symmetric(a):
             bad = np.argwhere(a != a.T)
             pairs = ", ".join(f"({i},{j})" for i, j in bad[:8])
             raise ValueError(f"coupling matrix is not symmetric at indices {pairs}")
-        self.bound = float(bound)
-        # rounding slack: sampled analytic kernels may exceed the bound by eps
-        limit = self.bound + 1e-12 * max(1.0, self.bound)
-        if max(-low, high) > limit:
-            over = np.argwhere(np.abs(a) > limit)
-            pairs = ", ".join(f"({i},{j})" for i, j in over[:8])
-            raise ValueError(
-                f"coupling entries exceed the bound {self.bound} at indices {pairs}")
         self.entries = a
 
     @property
@@ -314,8 +288,8 @@ class StepGraphon:
         """Eigendecompose the kernel operator into a `FiniteRankGraphon`.
 
         Operator eigenvalues are ``eig(entries) / n``; eigenvalues with
-        |lam| <= ``1e-10 * n * bound`` are dropped, separating the
-        numerically-zero spectrum of rank-deficient matrices.
+        |lam| <= ``1e-10 * n * max(1, max|a_ij|)`` are dropped, separating
+        the numerically-zero spectrum of rank-deficient matrices.
         Eigenfunctions are step functions with cell values ``sqrt(n) * v``
         for unit eigenvectors v, so their L2 norm on [0, 1] is one; the
         first nonzero cell value is made positive.
@@ -327,7 +301,7 @@ class StepGraphon:
             raise NumericError(
                 f"eigendecomposition of the {n}x{n} coupling matrix failed: {exc}") from exc
         lams = w / n
-        keep = np.abs(lams) > 1e-10 * n * self.bound
+        keep = np.abs(lams) > 1e-10 * n * np.max(np.abs(self.entries), initial=1.0)
         lams, vecs = lams[keep], vecs[:, keep]
         order = np.lexsort((-lams, -np.abs(lams)))
         pairs = []
@@ -337,10 +311,10 @@ class StepGraphon:
             if lead.size and vec[lead[0]] < 0.0:
                 vec = -vec
             pairs.append(EigenPair(float(lams[k]), StepFunction(np.sqrt(n) * vec)))
-        return FiniteRankGraphon(pairs, bound=self.bound, validate=False)
+        return FiniteRankGraphon(pairs)
 
     def __repr__(self):
-        return f"StepGraphon(n={self.n}, bound={self.bound})"
+        return f"StepGraphon(n={self.n})"
 
 
 # -- standard kernels and scenario ingestion ---------------------------------
@@ -396,10 +370,6 @@ def l2_distance(g1, g2) -> float:
     return float(np.sqrt(np.mean(diff ** 2)))
 
 
-# sup of the squared analytic eigenfunctions sqrt(2)*sin, sqrt(2)*cos and 1
-_SUP_SQUARE = {"sin": 2.0, "cos": 2.0, "const": 1.0}
-
-
 def _analytic_eigfun(kind: str, freq: float) -> Callable:
     root2 = np.sqrt(2.0)
     if kind == "sin":
@@ -436,10 +406,12 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
         {"type": "finite_rank",
          "pairs": [{"lambda": 0.5, "fun": "sin", "freq": 1}, ...]}
 
-    Step matrices are read as row-major CSV and validated for exact
-    symmetry; relative paths resolve against ``base_dir``, and a file
-    that holds no matrix of numbers is rejected with its path.  Each
-    ``lambda`` and ``freq`` must be a finite `json_number`.
+    Step matrices are read as row-major CSV and validated by
+    `StepGraphon` (finite, exactly symmetric, entries of any magnitude);
+    relative paths resolve against ``base_dir``, and a file that holds no
+    matrix of numbers is rejected with its path.  Each ``lambda`` and
+    ``freq`` must be a finite `json_number`, and the pairs must pass the
+    ordering and orthonormality checks of `FiniteRankGraphon`.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("graphon spec must be an object with a 'type' field")
@@ -467,15 +439,13 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
             reason = str(exc).split(";")[0]
             raise ValueError(f"graphon field 'matrix_csv': {full} is not a "
                              f"comma-separated matrix of numbers: {reason}") from None
-        bound = max(1.0, float(np.abs(entries).max())) if entries.size else 1.0
-        return StepGraphon(entries, bound=bound)
+        return StepGraphon(entries)
     if kind == "finite_rank":
         raw = spec.get("pairs")
         if not raw or not isinstance(raw, list):
             raise ValueError("graphon field 'pairs': a non-empty list is required "
                              "for a finite_rank graphon")
         pairs = []
-        sup = 0.0
         for item in raw:
             if not isinstance(item, dict) or "lambda" not in item or "fun" not in item:
                 raise ValueError("graphon field 'pairs': each entry needs 'lambda' and 'fun'")
@@ -489,7 +459,5 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
                     raise ValueError(f"graphon field 'pairs': '{name}' {exc}") from None
             lam, freq = numbers
             pairs.append(EigenPair(lam, _analytic_eigfun(item["fun"], freq)))
-            # class bound via the triangle inequality: sup|A| <= sum |lam| sup f^2
-            sup += abs(lam) * _SUP_SQUARE[item["fun"]]
-        return FiniteRankGraphon(pairs, bound=max(1.0, sup))
+        return FiniteRankGraphon(pairs)
     raise ValueError(f"graphon field 'type': unknown kind {kind!r}")

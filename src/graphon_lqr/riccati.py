@@ -137,14 +137,14 @@ def _roots(alpha, beta, q):
 def algebraic_root(alpha: float, beta: float, q: float) -> float:
     """Positive root S of ``2*alpha*S - beta^2*S^2 + q = 0``.
 
-    Accurate to a few ulps relative for either sign of alpha; the input
-    gain must be nonzero.
+    Accurate to a few ulps relative for either sign of alpha.  The
+    parameters are checked by `_checked_params`, and the input gain must
+    be nonzero.
     """
+    alpha, beta, q, _ = _checked_params(alpha, beta, q, 0.0)
     if beta == 0.0:
         raise ZeroDivisionError(
             "no algebraic root for beta = 0; use the numeric solver")
-    if q < 0.0:
-        raise ValueError(f"state weight q must be >= 0, got {q}")
     return float(_roots(alpha, beta, q))
 
 

@@ -118,16 +118,18 @@ class StepSystem:
 def build_step_system(entries, p: LqrProblem) -> StepSystem:
     """Assemble the n-cell system from a coupling matrix.
 
-    ``entries`` may be a raw symmetric matrix, validated here against the
-    kernel bound (asymmetric or out-of-bound entries are rejected with
-    the offending indices), or a `StepGraphon`, whose matrix its own
-    constructor already validated.  A network that the kernel
-    eigenfunctions do not decouple raises `ValueError` (`StepSystem`)
-    before any dense matrix is assembled.  All matrices are polynomials
-    of the scaled coupling ``entries / n``.
+    ``entries`` may be a raw matrix, validated here as a `StepGraphon`
+    (a non-finite or asymmetric one is rejected with the offending
+    indices), or a `StepGraphon`, whose matrix its own constructor
+    already validated.  A network that the kernel eigenfunctions do not
+    decouple raises `ValueError` (`StepSystem`) before any dense matrix
+    is assembled; a matrix that passes lies within ``n * 1e-10`` of the
+    kernel's own samples entry by entry, so its magnitude needs no check
+    of its own.  All matrices are polynomials of the scaled coupling
+    ``entries / n``.
     """
     if not isinstance(entries, StepGraphon):
-        entries = StepGraphon(entries, bound=p.graphon.bound)
+        entries = StepGraphon(entries)
     return StepSystem(entries.entries, p)
 
 
@@ -346,8 +348,12 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     ``(q_l + G_l^2)*(g_l*c_l)^2``, weights from ``mode_params``.  Q and
     P0 act on the modes alone, since the system decouples, so the total is
     the sum of the parts, in O(K*(rank+1)) for a run in modal form and
-    O(K*n*rank) for a dense one.
+    O(K*n*rank) for a dense one.  A run whose node count is not ``sys.n``
+    raises `ValueError`.
     """
+    n = traj.states.shape[1] if traj.modes is None else traj.modes.resid.size
+    if n != sys.n:
+        raise ValueError(f"the run has {n} nodes but the system has {sys.n}")
     p, grid = sys.problem, traj.grid
     xe, ue = _mode_energies(traj, sys)
     q, z = p.mode_params[:, 2:].T

@@ -17,10 +17,9 @@ def make_rank_kernel(rng, n, rank, lam_range=(0.2, 0.9)):
     lams, q = lams[order], q[:, order]
     entries = n * (q * lams) @ q.T
     entries = 0.5 * (entries + entries.T)
-    bound = max(1.0, float(np.abs(entries).max()) + 1e-9)
     pairs = [gl.EigenPair(float(lam), gl.StepFunction(np.sqrt(n) * q[:, k]))
              for k, lam in enumerate(lams)]
-    return gl.FiniteRankGraphon(pairs, bound=bound), entries
+    return gl.FiniteRankGraphon(pairs), entries
 
 
 def admissible_poly(rng, spectrum, degree):

@@ -112,12 +112,21 @@ class TestSpectralDecompose:
             lead = vals[np.abs(vals) > 1e-10][0]
             assert lead > 0.0
 
-    @pytest.mark.parametrize("seed,n", [(0, 3), (1, 5), (2, 8)])
-    def test_decomposition_invariants(self, seed, n):
+    # scales 1e-3 and 1e2 put the largest |entry| far below and above 1
+    @pytest.mark.parametrize("seed,n,scale", [(0, 3, 1.0), (1, 5, 1.0), (2, 8, 1.0),
+                                              (3, 6, 1e-3), (4, 7, 1e2)],
+                             ids=["0-3", "1-5", "2-8", "3-6-1e-3", "4-7-1e2"])
+    def test_decomposition_invariants(self, seed, n, scale):
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1, 1, (n, n))
-        g = gl.StepGraphon(0.5 * (a + a.T))
+        g = gl.StepGraphon(scale * 0.5 * (a + a.T))
         fr = g.spectral_decompose()
+        # the kernel, validated on construction, samples back to the matrix
+        # and is the decoupled realization of it
+        resampled = gl.sample_step_entries(fr, n)
+        assert np.abs(resampled - g.entries).max() <= 1e-12 * np.abs(g.entries).max()
+        one = gl.CoeffPoly([1.0])
+        gl.build_step_system(g, gl.LqrProblem(0.0, one, one, one, fr, 1.0))
         mids = midpoint_grid(n)
         f = fr.eigfun_values(mids)
         # orthonormality under the cell inner product
@@ -227,10 +236,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             gl.StepGraphon(m)
 
-    def test_entries_over_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            gl.StepGraphon([[2.0]], bound=1.0)
-
     # n = 70 leaves a last, partial block of rows and columns in every scan
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, value):
@@ -245,16 +250,10 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"not symmetric at indices \(3,69\), \(69,3\)$"):
             gl.StepGraphon(m)
 
-    @pytest.mark.parametrize("value", [1.5, -1.5])
-    def test_out_of_bound_entry_listed(self, value):
-        m = np.zeros((70, 70))
-        m[69, 3] = m[3, 69] = value
-        with pytest.raises(ValueError, match=r"bound 1.0 at indices \(3,69\), \(69,3\)$"):
-            gl.StepGraphon(m, bound=1.0)
-
     def test_entries_at_bound_accepted(self):
-        m = np.full((70, 70), -1.0)
-        assert gl.StepGraphon(m, bound=1.0).n == 70
+        # a coupling declares no class bound: entries of any magnitude pass
+        for value in (-1.0, 1.5, -1e3):
+            assert gl.StepGraphon(np.full((70, 70), value)).n == 70
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
@@ -279,11 +278,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-increasing"):
             gl.FiniteRankGraphon(pairs)
 
-    def test_eigenvalue_over_bound_rejected(self):
-        pair = gl.EigenPair(1.5, lambda x: np.ones_like(np.asarray(x, float)))
-        with pytest.raises(ValueError, match="bound"):
-            gl.FiniteRankGraphon([pair], bound=1.0)
-
 
 class TestFromSpec:
     def test_named_kernels(self):
@@ -306,10 +300,9 @@ class TestFromSpec:
         # cos peaks at the midpoint 1/2 of the middle cell of an odd partition
         g = gl.graphon_from_spec({"type": "finite_rank", "pairs": [
             {"lambda": 0.7, "fun": "cos"}, {"lambda": 0.2, "fun": "const"}]})
-        assert g.bound == pytest.approx(1.6, abs=1e-15)
         entries = gl.sample_step_entries(g, 21)
         assert entries[10, 10] == pytest.approx(1.6, abs=1e-12)
-        gl.StepGraphon(entries, bound=g.bound)
+        assert gl.StepGraphon(entries).n == 21
 
     def test_step_matrix_csv(self, tmp_path):
         path = tmp_path / "coupling.csv"

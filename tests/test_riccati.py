@@ -52,16 +52,19 @@ class TestRk4:
 
 
 class TestSpecValidation:
-    """Both scalar solvers check the parameters of their equations the same way."""
+    """Both scalar solvers and `algebraic_root` check their parameters the same way."""
 
     @staticmethod
-    def solvers():
+    def solvers(with_root=False):
+        """The solvers, and `algebraic_root`, which reads no z0, if asked."""
         grid = uniform_grid(1.0, 1e-2)
-        return (lambda *args: riccati_explicit(*args, grid),
-                lambda *args: riccati_path(*args, 1.0, 1e-2))
+        solvers = (lambda *args: riccati_explicit(*args, grid),
+                   lambda *args: riccati_path(*args, 1.0, 1e-2))
+        root = (lambda *args: algebraic_root(*args[:3]),)
+        return solvers + root if with_root else solvers
 
     def test_negative_q_rejected(self):
-        for solve in self.solvers():
+        for solve in self.solvers(with_root=True):
             with pytest.raises(ValueError, match="parameter q must be >= 0"):
                 solve(0.0, 1.0, -0.1, 0.0)
 
@@ -74,7 +77,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, index, name, value):
         # one bad entry of an array of equations is named; no warning escapes
-        for solve in self.solvers():
+        for solve in self.solvers(with_root=name != "z0"):
             params = [np.array([0.5, 0.5]), 1.0, 1.0, 0.2]
             params[index] = np.array([0.5, value]) if index == 0 else value
             with pytest.raises(ValueError, match=f"parameter {name} must be finite"):

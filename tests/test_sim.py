@@ -51,9 +51,29 @@ class TestBuildStepSystem:
             gl.build_step_system(m, p)
 
     def test_out_of_bound_entries_rejected(self):
-        p = sinusoidal_problem()  # kernel bound is 1
-        with pytest.raises(ValueError, match="bound"):
-            gl.build_step_system(np.full((2, 2), 3.0), p)
+        # three times the uniform kernel's samples: the decoupling residual
+        # |(entries/n) F' - F' diag(lams)| is 3 - 1 = 2
+        p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
+                          gl.CoeffPoly([1.0]), gl.uniform_graphon(), 1.0)
+        with pytest.raises(ValueError, match="decoupling residual 2.000e[+]00"):
+            gl.build_step_system(np.full((4, 4), 3.0), p)
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_kernel_samples_beyond_one_accepted(self, n):
+        # 0.7*2cos(2 pi x)cos(2 pi y) + 0.2 peaks at 1.6 on the diagonal; the
+        # kernel's own samples are a valid network whatever their magnitude
+        root2 = np.sqrt(2.0)
+        g = gl.FiniteRankGraphon([
+            gl.EigenPair(0.7, lambda x: root2 * np.cos(2 * np.pi * np.asarray(x, float))),
+            gl.EigenPair(0.2, lambda x: np.ones_like(np.asarray(x, float)))])
+        p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
+                          gl.CoeffPoly([1.0]), g, 1.0)
+        entries = gl.sample_step_entries(g, n)
+        assert np.abs(entries).max() > 1.5
+        sys_ = gl.build_step_system(entries, p)
+        law = feedback_controller(p, synthesize_gains(p, 1e-2))
+        traj = gl.simulate(sys_, law, gl.initial_state(n, 1), 1.0, 1e-2)
+        assert traj.modes is not None
 
     @pytest.mark.parametrize("kernel", ["zero", "uniform"])
     def test_residual_sees_last_partial_row_block(self, kernel):
@@ -485,6 +505,19 @@ class TestEvaluateCost:
         assert cost.total == pytest.approx(cost.aux + cost.eigen.sum(), abs=1e-8)
         assert cost.aux >= 0.0 and np.all(cost.eigen >= 0.0)
 
+    def test_run_of_another_network_size_rejected(self, vii_problem):
+        # a modal run on 20 cells would cost 0.7082 on the 40-cell system
+        # against its own 1.3522; a dense run is held to the size as well
+        dt = 1e-2
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        small, large = (gl.build_step_system(
+            gl.sample_step_entries(vii_problem.graphon, n), vii_problem) for n in (20, 40))
+        traj = gl.simulate(small, law, gl.initial_state(20, 1), vii_problem.horizon, dt)
+        assert gl.evaluate_cost(traj, small).total == pytest.approx(1.3522, abs=1e-4)
+        for run in (traj, gl.Trajectory(traj.grid, traj.states, traj.controls)):
+            with pytest.raises(ValueError, match="run has 20 nodes but the system has 40"):
+                gl.evaluate_cost(run, large)
+
 
 class TestOracleCompare:
     def test_single_node_matches_scalar_theory(self):
@@ -663,6 +696,35 @@ class TestConsistency:
         gaps = np.array([abs(cost_at(n) - ref) for n in (20, 40, 80)])
         assert np.all(np.diff(gaps) < 0.0)
         assert gaps[1] <= gaps[0] / 2 and gaps[2] <= gaps[1] / 2
+
+    def test_modal_engine_converges_to_closed_form(self, vii_problem):
+        # the exact loop of mode m is g_m(t) = Y_m(T - t)/Y_m(T) with
+        # ln Y = omega*tau + ln Y_hat, and the optimal cost is the value
+        # V = Pi_0(T)|x_res|^2/n + sum_l Pi_l(T) c_l^2; the RK4 run and its
+        # cost approach both at second order (the law interpolates its gains)
+        p, n = vii_problem, 40
+        horizon = p.horizon
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
+        x0 = gl.initial_state(n, 7)
+        params = p.mode_params.T
+
+        def ln_y(tau):
+            _, y_hat, omega = riccati_module._scaled_factors(*params, tau[:, None])
+            return omega * tau[:, None] + np.log(y_hat)
+
+        pi_end = gl.riccati_explicit(*params, [0.0, horizon])[-1]
+        coords, resid = p.graphon.project(x0)
+        value = pi_end @ np.append(resid @ resid / n, coords ** 2)
+        growth_err, value_gap = [], []
+        for dt in (4e-3, 2e-3, 1e-3):
+            traj = gl.simulate(sys_, feedback_controller(p, synthesize_gains(p, dt)),
+                               x0, horizon, dt)
+            exact = np.exp(ln_y(horizon - traj.grid) - ln_y(np.array([horizon])))
+            growth_err.append(np.abs(traj.modes.growth - exact).max())
+            value_gap.append(abs(gl.evaluate_cost(traj, sys_).total - value) / value)
+        assert growth_err[0] <= 4e-6 and value_gap[-1] <= 1e-5
+        for errs in (growth_err, value_gap):
+            assert np.all(np.array(errs[:-1]) >= 3.5 * np.array(errs[1:]))
 
     def test_time_step_convergence_pattern(self):
         # successive J differences shrink by a stable factor: ~4 from the
