@@ -13,7 +13,7 @@ from .errors import BlowUpError, NumericError
 from .graphon import (EigenPair, FiniteRankGraphon, StepFunction, StepGraphon,
                       graphon_from_spec, l2_distance, midpoint_grid,
                       sample_step_entries, sinusoidal_graphon, uniform_graphon)
-from .integrate import rk4_path, uniform_grid
+from .integrate import uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, feedback_controller, ratio_prediction,
                   reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import CoeffPoly, apply_poly_matrix
@@ -30,7 +30,7 @@ __all__ = [
     "EigenPair", "FiniteRankGraphon", "StepFunction", "StepGraphon",
     "graphon_from_spec", "l2_distance", "midpoint_grid", "sample_step_entries",
     "sinusoidal_graphon", "uniform_graphon",
-    "rk4_path", "uniform_grid",
+    "uniform_grid",
     "FeedbackLaw", "LqrProblem", "feedback_controller", "ratio_prediction",
     "reconstruct_P", "synthesize_gains", "truncate_problem",
     "CoeffPoly", "apply_poly_matrix",

@@ -23,12 +23,11 @@ in memory, such as the n x n coupling matrix of a huge ``n``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,9 +57,6 @@ class Scenario:
     controller: str = "optimal"
     seed: int = 0
     out: str = "out"
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _field(raw: dict, name: str, read, required: bool = True, default=None):
@@ -267,7 +263,7 @@ def _prepare_out(scn: Scenario, out_override: str | None) -> str:
 def _write_echo(out_dir: str, scn: Scenario, base_dir: str):
     """Write ``scenario.json``, with a relative ``matrix_csv`` rewritten
     relative to ``out_dir`` so that the echo re-parses from there."""
-    raw = scn.to_dict()
+    raw = asdict(scn)
     path = raw["graphon"].get("matrix_csv")
     if isinstance(path, str) and not os.path.isabs(path):
         raw["graphon"]["matrix_csv"] = os.path.relpath(os.path.join(base_dir, path),
@@ -418,7 +414,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "example-vii":
-            raw, base_dir = preset_example_vii().to_dict(), "."
+            raw, base_dir = asdict(preset_example_vii()), "."
         else:
             raw = _read_scenario(args.scenario)
             base_dir = os.path.dirname(os.path.abspath(args.scenario))

@@ -207,8 +207,6 @@ class FiniteRankGraphon:
             acc = acc + p.lam * p.fun(x) * p.fun(y)
         return _point_or_array(acc)
 
-    __call__ = eval
-
     def apply(self, v):
         """Apply the kernel as an integral operator, ``sum_l lam_l <v, f_l> f_l``.
 
@@ -227,10 +225,14 @@ class FiniteRankGraphon:
         return f.T @ (self.lambdas * coeffs)
 
     def truncate(self, level: int) -> "FiniteRankGraphon":
-        """Keep the first min(level, rank) eigenpairs (Eq.-order preserved)."""
+        """Keep the first min(level, rank) eigenpairs, a valid prefix of a checked
+        set, on the leading rows of the cell tables: it evaluates no eigenfunction."""
         if level < 0:
             raise ValueError(f"truncation level must be >= 0, got {level}")
-        return FiniteRankGraphon(self.pairs[: min(level, self.rank)])
+        out = object.__new__(FiniteRankGraphon)
+        vars(out).update(vars(self), pairs=self.pairs[:level],
+                         _cells={n: f[:level] for n, f in self._cells.items()})
+        return out
 
     def __repr__(self):
         return f"FiniteRankGraphon(rank={self.rank}, lambdas={np.round(self.lambdas, 6)})"
@@ -270,8 +272,6 @@ class StepGraphon:
         iy = cell_index(y, self.n)
         out = self.entries[ix, iy]
         return _point_or_array(out)
-
-    __call__ = eval
 
     def apply(self, v):
         """Apply the kernel operator: cell vectors map to ``entries @ v / n``."""

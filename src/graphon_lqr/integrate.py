@@ -1,9 +1,9 @@
 """Fixed-step classic Runge-Kutta integration.
 
 `rk4_step` is the only RK4 stage formula of the package: the scalar
-Riccati reference runs it on a uniform grid (`rk4_path`), the generic
-and the oracle closed loops once per step and the modal closed loop once
-for all steps.  Gain synthesis and the matrix Riccati oracle use the
+Riccati reference `riccati_path`, the generic and the oracle closed
+loops run it once per grid step, and the modal closed loop once for all
+steps.  Gain synthesis and the matrix Riccati oracle use the
 exact Hamiltonian solution instead.
 """
 from __future__ import annotations
@@ -48,35 +48,3 @@ def rk4_step(rhs, t: float, h: float, y: np.ndarray, k1) -> np.ndarray:
         raise BlowUpError(
             f"integration blew up in the step to t = {end:.6g}: non-finite state value")
     return y
-
-
-def rk4_path(rhs, y0, grid: np.ndarray) -> np.ndarray:
-    """Integrate ``y' = rhs(t, y)`` over ``grid`` with classic RK4.
-
-    Parameters
-    ----------
-    rhs : callable
-        Right-hand side ``rhs(t, y) -> array_like`` with the shape of ``y``.
-    y0 : array_like
-        Initial value; any shape (scalar, vector, matrix).
-    grid : ndarray
-        Increasing time samples; the first entry is the initial time.
-
-    Returns
-    -------
-    ndarray of shape ``(len(grid),) + y0.shape`` with the solution at
-    every grid node.
-
-    Raises
-    ------
-    BlowUpError
-        If any state entry becomes non-finite; the message names the
-        time at the end of the offending step.
-    """
-    y = np.asarray(y0, dtype=float)
-    out = np.empty((len(grid),) + y.shape)
-    out[0] = y
-    for k in range(len(grid) - 1):
-        t = grid[k]
-        y = out[k + 1] = rk4_step(rhs, t, grid[k + 1] - t, y, rhs(t, y))
-    return out

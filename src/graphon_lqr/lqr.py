@@ -200,37 +200,27 @@ def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:
                       p.graphon.truncate(level), p.horizon)
 
 
-def ratio_prediction(p: LqrProblem, direction: int) -> float:
-    """Terminal-state ratio of an ignored eigendirection.
+def ratio_prediction(p: LqrProblem) -> np.ndarray:
+    """Terminal-state ratio of every eigendirection, shape ``(rank,)``.
 
-    When the input polynomial is the constant ``beta0`` and direction
-    ``direction`` is dropped from the controller, the closed loop under
-    the approximate law relates to the optimal one by
+    When the input polynomial is the constant ``beta0`` and direction l
+    is dropped from the controller, the closed loop under the
+    approximate law relates to the optimal one by
 
         x_tilde(T) / x_bar(T)
             = exp(-beta0^2 * integral_0^T (Mtilde_t - M_t) dt),
 
     where ``M`` solves the direction's Riccati equation and ``Mtilde``
-    the auxiliary one.  Each ``integral_0^T beta0^2 Pi`` is
-    ``ln Y(T) + alpha*T`` of that equation's explicit solution
-    (`riccati_explicit`), so the ratio is exact and needs no time grid.
+    the auxiliary one.  ``I_m = integral_0^T beta0^2 Pi_m`` is
+    ``(omega_m + alpha_m)*T + ln Y_hat_m(T)`` from the scaled factors of
+    row m of ``p.mode_params`` (`riccati_explicit`), so entry l is
+    ``exp(I_(l+1) - I_0)``, exact with no time grid.  A non-constant
+    input polynomial raises `ValueError`.
     """
     if p.poly_b.degree > 0:
         raise ValueError(
             "ratio prediction requires a constant input polynomial "
             f"(degree 0), got degree {p.poly_b.degree}")
-    if not 0 <= direction < p.d:
-        raise IndexError(f"eigendirection {direction} out of range for rank {p.d}")
-    return float(_terminal_ratios(p)[direction])
-
-
-def _terminal_ratios(p: LqrProblem) -> np.ndarray:
-    """`ratio_prediction` of every eigendirection, shape ``(rank,)``.
-
-    ``exp(I_l - I_0)`` with ``I_m = integral_0^T beta0^2 Pi_m
-    = (omega_m + alpha_m)*T + ln Y_hat_m(T)`` read from the scaled
-    factors of row m of ``p.mode_params``.
-    """
     alpha, beta, q, z0 = p.mode_params.T
     _, y_hat, omega = _scaled_factors(alpha, beta, q, z0, p.horizon)
     # Y_hat underflows to 0 only where beta = 0 or q = z0 = 0, so beta^2 Pi = 0

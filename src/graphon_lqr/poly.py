@@ -35,11 +35,6 @@ class CoeffPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def const(self) -> float:
-        """Constant coefficient c0."""
-        return self.coeffs[0]
-
     def __call__(self, s):
         """Horner evaluation; accepts scalars or arrays."""
         s = np.asarray(s, dtype=float)

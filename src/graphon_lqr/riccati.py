@@ -6,9 +6,10 @@ The scalar equation
 
 is solved explicitly through its Hamiltonian linearization by
 `riccati_explicit`, vectorized over equations (the synthesis path), and
-by RK4 in `riccati_path`, the reference the explicit solution is checked
-against.  Solutions are stored forward in Riccati time tau and consumed
-by feedback laws as the time-to-go gain ``curve(T - t)``.
+by RK4 in `riccati_path`, one `rk4_step` per grid step, the reference
+the explicit solution is checked against.  Solutions are stored forward
+in Riccati time tau and consumed by feedback laws as the time-to-go gain
+``curve(T - t)``.
 
 The matrix equation
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlowUpError
-from .integrate import rk4_path, uniform_grid
+from .integrate import rk4_step, uniform_grid
 
 # Most grid steps of the matrix Riccati solve taken from one node, with the
 # powers E^1 ... E^m of the step exponential; more cost memory and, at n = 64,
@@ -107,10 +108,10 @@ def _checked_params(alpha, beta, q, z0):
 def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
     """RK4-integrate one or many scalar Riccati equations on a shared grid.
 
-    The reference integrator for `riccati_explicit`.  Parameters may be
-    scalars or equal-length arrays (one equation per entry), checked by
-    `_checked_params`.  Returns ``(grid, values)`` with values of shape
-    ``(len(grid),) + param_shape``.
+    The reference integrator for `riccati_explicit`, one `rk4_step` per
+    grid step.  Parameters may be scalars or equal-length arrays (one
+    equation per entry), checked by `_checked_params`.  Returns ``(grid,
+    values)`` with values of shape ``(len(grid),) + param_shape``.
     """
     alpha, beta, q, z0 = _checked_params(alpha, beta, q, z0)
     grid = uniform_grid(horizon, dt)
@@ -119,7 +120,12 @@ def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
     def rhs(_t, y):
         return 2.0 * alpha * y - beta2 * y * y + q
 
-    return grid, rk4_path(rhs, z0, grid)
+    vals = np.empty(grid.shape + z0.shape)
+    y = vals[0] = z0
+    for k in range(grid.size - 1):
+        t = grid[k]
+        y = vals[k + 1] = rk4_step(rhs, t, grid[k + 1] - t, y, rhs(t, y))
+    return grid, vals
 
 
 def _roots(alpha, beta, q):

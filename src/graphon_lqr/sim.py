@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BlowUpError
 from .graphon import StepGraphon
 from .integrate import rk4_step, uniform_grid
-from .lqr import (FeedbackLaw, LqrProblem, _terminal_ratios, feedback_controller,
+from .lqr import (FeedbackLaw, LqrProblem, feedback_controller, ratio_prediction,
                   reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import apply_poly_matrix
 from .riccati import Curve, solve_matrix_riccati
@@ -309,8 +309,9 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
         k, m = np.argwhere(stiff)[0]
         raise BlowUpError(
             f"mode {m} of the closed loop is too stiff for RK4 at t = {grid[k]:.6g}: "
-            f"h*|rate| = {h[k, 0] * -rates[k, m]:.4g} exceeds the stability bound "
-            "2.785, so a decaying mode grows; reduce dt")
+            f"h*|rate| = {h[k, 0] * -rates[k:k + 2, m].min():.4g} exceeds the stability "
+            f"bound 2.785, so the step grows a decaying mode by {factors[k, m]:.4g}; "
+            "reduce dt")
     if not finite.all():
         raise BlowUpError(
             f"closed-loop state blew up at t = {grid[np.argmin(finite)]:.6g}")
@@ -491,14 +492,14 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
     gains = synthesize_gains(p, dt)
     # truncate_problem rejects a level outside [0, rank] before any run
     laws = {level: feedback_controller(truncate_problem(p, level), gains)
-            for level in (*levels, p.d)}
+            for level in dict.fromkeys((*levels, p.d))}
     runs = {}
     for level, law in laws.items():
         traj = simulate(sys, law, x0, p.horizon, dt)
         m = traj.modes
         runs[level] = (evaluate_cost(traj, sys).total, m.growth[-1, 1:] * m.coords)
     j_opt, coords_opt = runs[p.d]
-    predictions = (_terminal_ratios(p) if p.poly_b.degree == 0
+    predictions = (ratio_prediction(p) if p.poly_b.degree == 0
                    else np.full(p.d, np.nan))
     rows = []
     for level in levels:

@@ -130,7 +130,7 @@ def test_criterion_5_decoupling_identities():
         coords, residual = g.project(x)
         q_mat = apply_poly_matrix(poly_q, entries / n)
         direct = x @ q_mat @ x / n
-        split = (poly_q.const * residual @ residual / n
+        split = (poly_q.coeffs[0] * residual @ residual / n
                  + np.atleast_1d(poly_q(g.lambdas)) @ coords ** 2)
         worst_split = max(worst_split, abs(direct - split))
         f = g.eigfun_values(midpoint_grid(n))

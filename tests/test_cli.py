@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -48,7 +49,7 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path)
         scn = cli.load_scenario(path)
         echo = tmp_path / "echo.json"
-        cli.write_json(str(echo), scn.to_dict())
+        cli.write_json(str(echo), dataclasses.asdict(scn))
         again = cli.load_scenario(str(echo))
         assert again == scn
 

@@ -4,6 +4,8 @@ import pytest
 import graphon_lqr as gl
 from graphon_lqr.graphon import midpoint_grid
 
+from conftest import make_rank_kernel
+
 
 def eig_2x2(m):
     """Closed-form eigenvalues of a symmetric 2x2 matrix (oracle)."""
@@ -178,6 +180,27 @@ class TestTruncate:
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
             gl.sinusoidal_graphon().truncate(-1)
+
+    def test_reads_the_parent_cell_tables(self, monkeypatch):
+        # a truncation takes the leading rows of every table the kernel has
+        # made and evaluates no eigenfunction for them
+        rng = np.random.default_rng(41)
+        g = gl.StepGraphon(make_rank_kernel(rng, 12, 4)[1]).spectral_decompose()
+        tables = {n: g.cells(n) for n in (12, 30)}
+        calls = []
+        step_call = gl.StepFunction.__call__
+
+        def counting(self, x):
+            calls.append(self.n)
+            return step_call(self, x)
+
+        monkeypatch.setattr(gl.StepFunction, "__call__", counting)
+        for level in range(g.rank + 2):
+            t = g.truncate(level)
+            assert t.pairs == g.pairs[:level]
+            for n, f in tables.items():
+                np.testing.assert_array_equal(t.cells(n), f[:level])
+        assert calls == []
 
 
 class TestL2Distance:

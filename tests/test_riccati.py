@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphon_lqr as gl
-from graphon_lqr.integrate import rk4_path, rk4_step, uniform_grid
+from graphon_lqr.integrate import rk4_step, uniform_grid
 from graphon_lqr.riccati import (Curve, algebraic_root, riccati_explicit, riccati_path,
                                  solve_matrix_riccati)
 
@@ -24,19 +24,18 @@ class TestGrid:
 
 class TestRk4:
     def test_exponential_order(self):
-        # y' = -y, y(0) = 1; halving dt must shrink the error ~16x
+        # y' = -y, y(0) = 1 (alpha = -1/2, beta = q = 0); halving dt must
+        # shrink the error ~16x
         errs = []
         for dt in (1e-2, 5e-3):
-            grid = uniform_grid(1.0, dt)
-            y = rk4_path(lambda t, v: -v, 1.0, grid)
+            _, y = riccati_path(-0.5, 0.0, 0.0, 1.0, 1.0, dt)
             errs.append(abs(y[-1] - np.exp(-1.0)))
         assert errs[0] / errs[1] > 12.0
 
     def test_blow_up_names_step(self):
-        # y' = y^2 from 1 explodes at t = 1
-        grid = uniform_grid(2.0, 1e-3)
+        # y' = 800 y from 1 (alpha = 400, beta = q = 0) overflows before t = 2
         with np.errstate(over="ignore"), pytest.raises(gl.BlowUpError, match="step"):
-            rk4_path(lambda t, v: v * v, 1.0, grid)
+            riccati_path(400.0, 0.0, 0.0, 1.0, 2.0, 1e-3)
 
     def test_array_times_name_earliest_failing_step(self):
         # three independent steps of y' = y^2, one row each; the rows that

@@ -444,16 +444,23 @@ class TestModalTrajectory:
             assert run.modes is not None
             assert not {"states", "controls"} & set(vars(run))
 
-    def test_stiff_decaying_mode_raises(self):
-        # h*|rate| = 4 exceeds RK4's real stability bound: the step factor
-        # R(-4) = 5 grows every mode that the exact loop decays
-        p = gl.LqrProblem(1.0, gl.CoeffPoly([400.0]), gl.CoeffPoly([1.0]),
+    @pytest.mark.parametrize("b, match", [
+        (400.0, r"t = 0: h\*\|rate\| = 4(\.\d+)? exceeds the stability "
+                r"bound 2\.785"),
+        (200.0, r"t = 0\.99: h\*\|rate\| = 400(\.\d+)? exceeds the stability "
+                r"bound 2\.785, so the step grows a decaying mode by 6\.279e\+04;"),
+    ], ids=["b400", "b200"])
+    def test_stiff_decaying_mode_raises(self, b, match):
+        # b = 400: h*|rate| = 4 exceeds RK4's real stability bound: the step
+        # factor R(-4) = 5 grows every mode that the exact loop decays.
+        # b = 200: h*|rate| is 2.074 at the start of the last step and 400 at
+        # its end, where the gain reaches the terminal weight; the message
+        # gives the larger and the factor of the step
+        p = gl.LqrProblem(1.0, gl.CoeffPoly([b]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 8), p)
         law = feedback_controller(p, synthesize_gains(p, 1e-2))
-        with pytest.raises(gl.BlowUpError,
-                           match=r"t = 0: h\*\|rate\| = 4(\.\d+)? exceeds the stability "
-                                 r"bound 2\.785"):
+        with pytest.raises(gl.BlowUpError, match=match):
             gl.simulate(sys_, law, gl.initial_state(8, 0), 1.0, 1e-2)
 
     def test_blow_up_bounds_the_dense_run(self):
@@ -624,7 +631,34 @@ class TestTruncationStudy:
         for row in rows:
             assert np.isnan(row.predicted_ratio[:row.level]).all()
             for h in range(row.level, p.d):
-                assert row.predicted_ratio[h] == gl.ratio_prediction(p, h)
+                assert row.predicted_ratio[h] == gl.ratio_prediction(p)[h]
+
+    def test_one_law_per_level_and_no_eigenfunction_call(self, monkeypatch):
+        # once the system's cell table exists, a study builds one truncated
+        # law per distinct level and evaluates no eigenfunction
+        rng = np.random.default_rng(69)
+        _, entries = make_rank_kernel(rng, 10, 3)
+        g = gl.StepGraphon(entries).spectral_decompose()
+        p = gl.LqrProblem(0.4, gl.CoeffPoly([0.9]), admissible_poly(rng, g.lambdas, 2),
+                          admissible_poly(rng, g.lambdas, 2), g, 1.0)
+        sys_ = gl.build_step_system(entries, p)
+        calls, truncated = [], []
+        step_call, truncate = gl.StepFunction.__call__, sim_module.truncate_problem
+
+        def counting(self, x):
+            calls.append(self.n)
+            return step_call(self, x)
+
+        def recording_truncate(problem, level):
+            truncated.append(level)
+            return truncate(problem, level)
+
+        monkeypatch.setattr(gl.StepFunction, "__call__", counting)
+        monkeypatch.setattr(sim_module, "truncate_problem", recording_truncate)
+        rows = gl.truncation_study(sys_, gl.initial_state(10, 70), [1, p.d, 0, 1], 1e-3)
+        assert [row.level for row in rows] == [1, p.d, 0, 1]
+        assert sorted(truncated) == [0, 1, p.d]
+        assert calls == []
 
     def test_one_synthesis_and_one_run_per_level(self, monkeypatch):
         rng = np.random.default_rng(65)
