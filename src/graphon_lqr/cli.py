@@ -18,7 +18,9 @@ wrong JSON type, an unreadable input path, an unwritable output directory
 and a network that the kernel eigenfunctions do not decouple, which the
 step system rejects, included), 3 numeric failure (a blow-up, an
 overflowing gain, a failed LAPACK call or an allocation that does not fit
-in memory, such as the n x n coupling matrix of a huge ``n``).
+in memory, such as the (K+1) x n states of ``trajectory.csv`` for a huge
+``n``: an analytic kernel's network is built and run without its n x n
+coupling matrix).
 """
 from __future__ import annotations
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -243,10 +244,14 @@ class StepGraphon:
 
     ``entries`` is the symmetric coupling matrix, of any finite
     magnitude; the kernel takes value ``entries[i, j]`` on cell (i, j).
-    Validation makes a few sequential passes over the matrix: its minimum
-    and maximum give finiteness, and symmetry is compared one block of
-    columns at a time against the mirrored block of rows.  The offending
-    indices are located only when a check fails.
+    ``StepGraphon(entries)`` validates a given matrix in a few sequential
+    passes: its minimum and maximum give finiteness, and symmetry is
+    compared one block of columns at a time against the mirrored block of
+    rows.  The offending indices are located only when a check fails.
+    The n-cell network of a finite-rank kernel (`sample_step_entries`)
+    holds that ``kernel`` and n alone and forms ``entries`` from the
+    kernel's cell table on first read; ``kernel`` is None for a given
+    matrix.
     """
 
     def __init__(self, entries):
@@ -260,11 +265,28 @@ class StepGraphon:
             bad = np.argwhere(a != a.T)
             pairs = ", ".join(f"({i},{j})" for i, j in bad[:8])
             raise ValueError(f"coupling matrix is not symmetric at indices {pairs}")
-        self.entries = a
+        self.entries, self.n, self.kernel = a, a.shape[0], None
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """A sampled kernel's matrix ``C+ C+' - C- C-'``, formed on first read.
+
+        F is the kernel's cell table ``kernel.cells(n)`` and ``C± =
+        F±' sqrt(±lam±)`` over the positive and the negative eigenvalues.
+        numpy computes the product of one buffer with its own transpose as
+        a symmetric rank-k update and mirrors the triangle, so the matrix
+        is exactly symmetric and agrees with ``kernel.eval`` at the
+        midpoints up to rounding.  A rank-0 kernel samples to zeros.
+        """
+        f = self.kernel.cells(self.n)
+        lams = self.kernel.lambdas
+        pos, neg = lams > 0.0, lams < 0.0
+        c_pos = np.ascontiguousarray(f[pos].T * np.sqrt(lams[pos]))
+        a = c_pos @ c_pos.T  # zeros when no eigenvalue is positive
+        if neg.any():
+            c_neg = np.ascontiguousarray(f[neg].T * np.sqrt(-lams[neg]))
+            a -= c_neg @ c_neg.T
+        return a
 
     def eval(self, x, y):
         """Kernel value by cell lookup; broadcasts over array coordinates."""
@@ -336,26 +358,18 @@ def uniform_graphon() -> FiniteRankGraphon:
     return FiniteRankGraphon(pairs)
 
 
-def sample_step_entries(g: FiniteRankGraphon, n: int) -> np.ndarray:
-    """Sample a kernel at cell midpoints into an exactly symmetric matrix.
+def sample_step_entries(g: FiniteRankGraphon, n: int) -> StepGraphon:
+    """The n-cell network of a kernel, sampled at the cell midpoints.
 
-    F is the kernel's cell table ``g.cells(n)`` and the matrix is
-    ``C+ C+' - C- C-'`` with ``C± = F±' sqrt(±lam±)`` over the positive
-    and the negative eigenvalues.  numpy computes the
-    product of one buffer with its own transpose as a symmetric rank-k
-    update and mirrors the triangle, so the result is exactly symmetric
-    and agrees with ``g.eval`` at the midpoints up to rounding.  A rank-0
-    kernel samples to zeros.
+    The network holds ``g`` and n and reads the cell table ``g.cells(n)``,
+    evaluated here, so n < 1 raises now; its ``entries`` are formed only
+    when read (`StepGraphon.entries`), which a step system of ``g``'s own
+    problem never does before the oracle or the generic loop asks.
     """
-    f = g.cells(n)
-    lams = g.lambdas
-    pos, neg = lams > 0.0, lams < 0.0
-    c_pos = np.ascontiguousarray(f[pos].T * np.sqrt(lams[pos]))
-    a = c_pos @ c_pos.T  # zeros when no eigenvalue is positive
-    if neg.any():
-        c_neg = np.ascontiguousarray(f[neg].T * np.sqrt(-lams[neg]))
-        a -= c_neg @ c_neg.T
-    return a
+    g.cells(n)
+    net = object.__new__(StepGraphon)
+    net.n, net.kernel = n, g
+    return net
 
 
 def l2_distance(g1, g2) -> float:

@@ -8,9 +8,12 @@ product ``<x, y> = sum(x*y)/n``.  Controllers are callables
 ``(t, x) -> u``.  A system is always the decoupled realization of its
 problem: a network that the kernel eigenfunctions do not decouple is
 rejected when the system is built.  Under a `FeedbackLaw` it runs as one
-scalar closed loop per mode, and its run and cost stay in those modes.
-The module also provides the direct matrix-Riccati controller used as
-the verification oracle.
+scalar closed loop per mode, and its run and cost stay in those modes.  A
+network sampled from the problem's own kernel is checked from the
+kernel's cell table, so that pipeline forms no n x n array at any n;
+``entries`` and its polynomials are formed only for the oracle and the
+generic loop.  The module also provides the direct matrix-Riccati
+controller used as the verification oracle.
 """
 from __future__ import annotations
 
@@ -66,31 +69,51 @@ def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) ->
     return float(max(gram, image, off_span / n))
 
 
+def _sampled_residual(f: np.ndarray, lams: np.ndarray) -> float:
+    """`decoupling_residual` of the kernel's own samples ``F' diag(lams) F``.
+
+    There ``(entries/n) F' - F' diag(lams) = F' diag(lams) (F F'/n - I)``
+    and no part lies off the span, so the residual is the larger of
+    ``max|E|`` and ``max|F' diag(lams) E|`` with ``E = F F'/n - I``, the
+    latter read from its (rank, n) transpose; O(n * rank^2) with no n x n
+    array.
+    """
+    excess = f @ f.T / f.shape[1] - np.eye(lams.size)
+    return float(max(np.abs(excess).max(initial=0.0),
+                     np.abs((excess.T * lams) @ f).max(initial=0.0)))
+
+
 class StepSystem:
     """Finite network realization of an LQR problem on n cells.
 
-    ``StepSystem(entries, problem)`` reads n from ``entries`` and the
-    eigenfunction cell values ``F = f_cells`` from the cell table
-    ``problem.graphon.cells(n)``.  F must decouple the coupling: a
-    ``residual`` (`decoupling_residual`) above 1e-10 raises `ValueError`
-    naming n, d, the residual and the tolerance; full rank n = d
-    decouples.  Every polynomial of ``entries/n`` is then
-    ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n`` over the kernel
-    eigenvalues ``lams``, so simulation and costs work on the rank + 1
-    modes, and the weights are positive semidefinite because the
-    problem's polynomials are nonnegative on that spectrum.  The drift
+    ``StepSystem(network, problem)`` reads n from the `StepGraphon`
+    ``network`` and the eigenfunction cell values ``F = f_cells`` from
+    the cell table ``problem.graphon.cells(n)``.  F must decouple the
+    coupling: a ``residual`` above 1e-10 raises `ValueError` naming n, d,
+    the residual and the tolerance; full rank n = d decouples.  A network
+    sampled from a kernel with the problem's eigenpairs is checked in
+    factor form (`_sampled_residual`, O(n * rank^2)), so neither the check
+    nor the decoupled run forms its ``entries``; any other network by
+    `decoupling_residual` on its matrix.  Every polynomial of
+    ``entries/n`` is then ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n``
+    over the kernel eigenvalues ``lams``, so simulation and costs work on
+    the rank + 1 modes, and the weights are positive semidefinite because
+    the problem's polynomials are nonnegative on that spectrum.  The drift
     ``alpha0*I + entries/n`` and the input, state-weight and
     terminal-weight matrices, symmetric by construction, are assembled
     only on first access, for the oracle and for the generic loop.
     """
 
-    def __init__(self, entries: np.ndarray, problem: LqrProblem):
-        self.n = n = entries.shape[0]
-        self.entries = entries
+    def __init__(self, network: StepGraphon, problem: LqrProblem):
+        self.n = n = network.n
+        self.network = network
         self.problem = problem
         self.f_cells = problem.graphon.cells(n)  # (rank, n)
-        self.residual = decoupling_residual(entries, self.f_cells,
-                                            problem.graphon.lambdas)
+        lams = problem.graphon.lambdas
+        if network.kernel is not None and network.kernel.pairs == problem.graphon.pairs:
+            self.residual = _sampled_residual(self.f_cells, lams)
+        else:
+            self.residual = decoupling_residual(network.entries, self.f_cells, lams)
         if not self.residual <= _DECOUPLING_TOL:  # a NaN residual fails too
             raise ValueError(
                 f"the {n}-cell network does not decouple along the d = {problem.d} "
@@ -99,38 +122,39 @@ class StepSystem:
 
     @cached_property
     def a_mat(self) -> np.ndarray:
-        a = self.problem.alpha0 * np.eye(self.n) + self.entries / self.n
+        a = self.problem.alpha0 * np.eye(self.n) + self.network.entries / self.n
         return 0.5 * (a + a.T)
 
     @cached_property
     def b_mat(self) -> np.ndarray:
-        return apply_poly_matrix(self.problem.poly_b, self.entries / self.n)
+        return apply_poly_matrix(self.problem.poly_b, self.network.entries / self.n)
 
     @cached_property
     def q_mat(self) -> np.ndarray:
-        return apply_poly_matrix(self.problem.poly_q, self.entries / self.n)
+        return apply_poly_matrix(self.problem.poly_q, self.network.entries / self.n)
 
     @cached_property
     def p0_mat(self) -> np.ndarray:
-        return apply_poly_matrix(self.problem.poly_p0, self.entries / self.n)
+        return apply_poly_matrix(self.problem.poly_p0, self.network.entries / self.n)
 
 
-def build_step_system(entries, p: LqrProblem) -> StepSystem:
-    """Assemble the n-cell system from a coupling matrix.
+def build_step_system(network, p: LqrProblem) -> StepSystem:
+    """Assemble the n-cell system from a network.
 
-    ``entries`` may be a raw matrix, validated here as a `StepGraphon`
-    (a non-finite or asymmetric one is rejected with the offending
-    indices), or a `StepGraphon`, whose matrix its own constructor
-    already validated.  A network that the kernel eigenfunctions do not
-    decouple raises `ValueError` (`StepSystem`) before any dense matrix
-    is assembled; a matrix that passes lies within ``n * 1e-10`` of the
-    kernel's own samples entry by entry, so its magnitude needs no check
-    of its own.  All matrices are polynomials of the scaled coupling
+    ``network`` may be a raw coupling matrix, validated here as a
+    `StepGraphon` (a non-finite or asymmetric one is rejected with the
+    offending indices), or a `StepGraphon`: a matrix its own constructor
+    already validated, or a kernel's samples (`sample_step_entries`),
+    symmetric by construction.  A network that the kernel eigenfunctions
+    do not decouple raises `ValueError` (`StepSystem`) before any dense
+    matrix is assembled; a matrix that passes lies within ``n * 1e-10``
+    of the kernel's own samples entry by entry, so its magnitude needs no
+    check of its own.  All matrices are polynomials of the scaled coupling
     ``entries / n``.
     """
-    if not isinstance(entries, StepGraphon):
-        entries = StepGraphon(entries)
-    return StepSystem(entries.entries, p)
+    if not isinstance(network, StepGraphon):
+        network = StepGraphon(network)
+    return StepSystem(network, p)
 
 
 @dataclass(frozen=True)

@@ -418,8 +418,9 @@ class TestStudyCommands:
         assert cli.main(["oracle-check", path, "--out", str(tmp_path / "o")]) == 0
 
     def test_out_of_memory_exits_3(self, tmp_path):
-        # the 10^6 x 10^6 coupling matrix of a huge n cannot be allocated under
-        # a 2 GB address-space limit, set on the child process only
+        # a huge n builds and runs matrix-free, but trajectory.csv's 101 x 10^6
+        # states cannot be allocated under a 2 GB address-space limit, set on
+        # the child process only
         resource = pytest.importorskip("resource")
         limit = 2 * 1024 ** 3
 
@@ -436,7 +437,7 @@ class TestStudyCommands:
             preexec_fn=cap_memory, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numeric failure:")
-        assert "(1000000, 1000000)" in proc.stderr and "Traceback" not in proc.stderr
+        assert "(101, 1000000)" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("levels", ["x", "1,,2", "0,1.5", ""])
     def test_unparsable_levels_exit_2(self, tmp_path, capsys, levels):

@@ -125,7 +125,7 @@ class TestSpectralDecompose:
         fr = g.spectral_decompose()
         # the kernel, validated on construction, samples back to the matrix
         # and is the decoupled realization of it
-        resampled = gl.sample_step_entries(fr, n)
+        resampled = gl.sample_step_entries(fr, n).entries
         assert np.abs(resampled - g.entries).max() <= 1e-12 * np.abs(g.entries).max()
         one = gl.CoeffPoly([1.0])
         gl.build_step_system(g, gl.LqrProblem(0.0, one, one, one, fr, 1.0))
@@ -148,7 +148,7 @@ class TestSpectralDecompose:
         # span of its eigenfunctions is well defined
         g = gl.sinusoidal_graphon()
         n = 40
-        step = gl.StepGraphon(gl.sample_step_entries(g, n))
+        step = gl.sample_step_entries(g, n)
         fr = step.spectral_decompose()
         np.testing.assert_allclose(fr.lambdas, [0.5, 0.5], atol=1e-12)
         mids = midpoint_grid(n)
@@ -219,7 +219,7 @@ class TestL2Distance:
 
     def test_symmetry_and_mixed_kinds(self):
         g = gl.sinusoidal_graphon()
-        step = gl.StepGraphon(gl.sample_step_entries(g, 16))
+        step = gl.sample_step_entries(g, 16)
         assert gl.l2_distance(g, step) == pytest.approx(gl.l2_distance(step, g))
 
 
@@ -241,7 +241,7 @@ class TestSampleStepEntries:
     @pytest.mark.parametrize("n", [1, 2, 17, 64, 65, 1001])
     def test_symmetric_and_equal_to_kernel(self, kind, n):
         g = SAMPLED_KERNELS[kind]()
-        a = gl.sample_step_entries(g, n)
+        a = gl.sample_step_entries(g, n).entries
         mids = midpoint_grid(n)
         ref = g.eval(mids[:, None], mids[None, :])
         assert a.shape == (n, n)
@@ -249,7 +249,7 @@ class TestSampleStepEntries:
         assert np.abs(a - ref).max() <= 1e-14 * max(1.0, np.abs(a).max())
 
     def test_rank_zero_is_zero(self):
-        assert not gl.sample_step_entries(SAMPLED_KERNELS["rank-0"](), 5).any()
+        assert not gl.sample_step_entries(SAMPLED_KERNELS["rank-0"](), 5).entries.any()
 
 
 class TestValidation:
@@ -323,7 +323,7 @@ class TestFromSpec:
         # cos peaks at the midpoint 1/2 of the middle cell of an odd partition
         g = gl.graphon_from_spec({"type": "finite_rank", "pairs": [
             {"lambda": 0.7, "fun": "cos"}, {"lambda": 0.2, "fun": "const"}]})
-        entries = gl.sample_step_entries(g, 21)
+        entries = gl.sample_step_entries(g, 21).entries
         assert entries[10, 10] == pytest.approx(1.6, abs=1e-12)
         assert gl.StepGraphon(entries).n == 21
 

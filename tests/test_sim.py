@@ -12,6 +12,7 @@ from graphon_lqr.lqr import feedback_controller, synthesize_gains, truncate_prob
 from graphon_lqr.poly import apply_poly_matrix
 
 from conftest import admissible_poly, input_poly, make_rank_kernel, sinusoidal_problem
+from test_graphon import SAMPLED_KERNELS
 
 
 def scalar_problem(alpha0, beta0=1.0, q0=1.0, z0=1.0, horizon=1.0):
@@ -36,9 +37,9 @@ class TestBuildStepSystem:
 
     def test_sampled_sinusoidal_spectrum(self):
         p = sinusoidal_problem()
-        entries = gl.sample_step_entries(p.graphon, 40)
-        sys_ = gl.build_step_system(entries, p)
-        mus = np.sort(np.linalg.eigvalsh(entries / 40))[::-1]
+        network = gl.sample_step_entries(p.graphon, 40)
+        sys_ = gl.build_step_system(network, p)
+        mus = np.sort(np.linalg.eigvalsh(network.entries / 40))[::-1]
         # two dominant operator eigenvalues near 1/2, the rest near zero
         np.testing.assert_allclose(mus[:2], [0.5, 0.5], atol=1e-3)
         assert np.abs(mus[2:]).max() <= 1e-3
@@ -68,9 +69,9 @@ class TestBuildStepSystem:
             gl.EigenPair(0.2, lambda x: np.ones_like(np.asarray(x, float)))])
         p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([1.0]), g, 1.0)
-        entries = gl.sample_step_entries(g, n)
-        assert np.abs(entries).max() > 1.5
-        sys_ = gl.build_step_system(entries, p)
+        network = gl.sample_step_entries(g, n)
+        assert np.abs(network.entries).max() > 1.5
+        sys_ = gl.build_step_system(network, p)
         law = feedback_controller(p, synthesize_gains(p, 1e-2))
         traj = gl.simulate(sys_, law, gl.initial_state(n, 1), 1.0, 1e-2)
         assert traj.modes is not None
@@ -110,12 +111,49 @@ class TestBuildStepSystem:
         # library rejects them before any dense matrix is assembled
         monkeypatch.setattr(sim_module, "apply_poly_matrix", None)
         for n in (1, 2):
-            entries = gl.sample_step_entries(vii_problem.graphon, n)
+            network = gl.sample_step_entries(vii_problem.graphon, n)
             with pytest.raises(ValueError, match=(
                     rf"the {n}-cell network does not decouple along the d = 2 kernel "
                     r"eigenfunctions: decoupling residual \d\.\d{3}e[+-]\d{2} "
                     r"exceeds 1e-10")):
-                gl.build_step_system(entries, vii_problem)
+                gl.build_step_system(network, vii_problem)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLED_KERNELS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 65, 1001])
+    def test_sampled_network_residual_in_factor_form(self, kind, n, monkeypatch):
+        # a kernel's own samples are checked from its cell table alone; the
+        # dense residual of the formed matrix gives the same verdict and value
+        g = SAMPLED_KERNELS[kind]()
+        one = gl.CoeffPoly([1.0])
+        p = gl.LqrProblem(0.5, one, one, one, g, 1.0)
+        network = gl.sample_step_entries(g, n)
+        dense = sim_module.decoupling_residual(network.entries, g.cells(n), g.lambdas)
+        monkeypatch.setattr(sim_module, "decoupling_residual", None)
+        try:
+            residual = gl.build_step_system(network, p).residual
+        except ValueError as err:
+            assert dense > 1e-10
+            assert f"decoupling residual {dense:.3e} exceeds" in str(err)
+        else:
+            assert dense <= 1e-10
+            assert abs(residual - dense) <= 1e-15
+
+    def test_million_cells_run_matrix_free(self, vii_problem, monkeypatch):
+        # sampling, the decoupling check, the run and its cost read the cell
+        # table alone: forming the coupling matrix or a polynomial of it raises
+        n, dt = 10 ** 6, 1e-2
+
+        def fail(*args):
+            raise AssertionError("an n x n array was formed")
+
+        monkeypatch.setattr(gl.StepGraphon, "entries", property(fail))
+        monkeypatch.setattr(sim_module, "apply_poly_matrix", fail)
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
+        traj = gl.simulate(sys_, law, gl.initial_state(n, 0), vii_problem.horizon, dt)
+        assert traj.modes is not None
+        assert np.isfinite(gl.evaluate_cost(traj, sys_).total)
 
 
 class TestSimulate:
