@@ -33,10 +33,6 @@ _QUAD_NODES = 4096
 # Nodes per axis for kernel L2 distances.
 _DISTANCE_NODES = 1024
 
-# Columns per block in the symmetry check of `StepGraphon`: a block of
-# 64 columns of a few thousand rows fits in a core's L2 cache.
-_SYMMETRY_COLS = 64
-
 
 def midpoint_grid(m: int) -> np.ndarray:
     """Midpoints of the uniform m-partition of [0, 1]."""
@@ -46,17 +42,6 @@ def midpoint_grid(m: int) -> np.ndarray:
 def _point_or_array(a):
     """A value read at one point as a float, at an array of points as the array."""
     return float(a) if np.ndim(a) == 0 else a
-
-
-def _is_symmetric(a: np.ndarray) -> bool:
-    """Exact symmetry, one block of columns on and below the diagonal at a time.
-
-    Each block is compared with the mirrored block of rows, so both stay
-    in cache and no n x n temporary is built.
-    """
-    step = _SYMMETRY_COLS
-    return all(np.array_equal(a[lo:, lo:lo + step], a[lo:lo + step, lo:].T)
-               for lo in range(0, a.shape[0], step))
 
 
 def _check_coords(x, name: str):
@@ -244,14 +229,13 @@ class StepGraphon:
 
     ``entries`` is the symmetric coupling matrix, of any finite
     magnitude; the kernel takes value ``entries[i, j]`` on cell (i, j).
-    ``StepGraphon(entries)`` validates a given matrix in a few sequential
-    passes: its minimum and maximum give finiteness, and symmetry is
-    compared one block of columns at a time against the mirrored block of
-    rows.  The offending indices are located only when a check fails.
-    The n-cell network of a finite-rank kernel (`sample_step_entries`)
-    holds that ``kernel`` and n alone and forms ``entries`` from the
-    kernel's cell table on first read; ``kernel`` is None for a given
-    matrix.
+    ``StepGraphon(entries)`` validates a given matrix: its minimum and
+    maximum give finiteness, and it must equal its transpose exactly.
+    The offending indices are located only when a check fails.  The
+    n-cell network of a finite-rank kernel (`sample_step_entries`) holds
+    that ``kernel`` and n alone: `eval` and `apply` read the kernel, and
+    ``entries`` is formed from the kernel's cell table on first read;
+    ``kernel`` is None for a given matrix.
     """
 
     def __init__(self, entries):
@@ -261,7 +245,7 @@ class StepGraphon:
         # NaN propagates through min and max
         if a.size and not (np.isfinite(a.min()) and np.isfinite(a.max())):
             raise ValueError("coupling matrix must be finite")
-        if not _is_symmetric(a):
+        if not np.array_equal(a, a.T):
             bad = np.argwhere(a != a.T)
             pairs = ", ".join(f"({i},{j})" for i, j in bad[:8])
             raise ValueError(f"coupling matrix is not symmetric at indices {pairs}")
@@ -289,21 +273,25 @@ class StepGraphon:
         return a
 
     def eval(self, x, y):
-        """Kernel value by cell lookup; broadcasts over array coordinates."""
+        """Kernel value by cell lookup, a sampled network's kernel read at the
+        cell midpoints; broadcasts over array coordinates."""
         ix = cell_index(x, self.n)
         iy = cell_index(y, self.n)
-        out = self.entries[ix, iy]
-        return _point_or_array(out)
+        if self.kernel is not None:
+            return self.kernel.eval((ix + 0.5) / self.n, (iy + 0.5) / self.n)
+        return _point_or_array(self.entries[ix, iy])
 
     def apply(self, v):
-        """Apply the kernel operator: cell vectors map to ``entries @ v / n``."""
+        """Apply the kernel operator: cell vectors map to ``entries @ v / n``, on a
+        sampled network to ``kernel.apply(v)`` in O(n * rank)."""
         if callable(v):
-            vals = np.asarray(v(midpoint_grid(self.n)), dtype=float)
-            return StepFunction(self.entries @ vals / self.n)
+            return StepFunction(self.apply(v(midpoint_grid(self.n))))
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(
                 f"cell-value vector must have shape ({self.n},), got {v.shape}")
+        if self.kernel is not None:
+            return self.kernel.apply(v)
         return self.entries @ v / self.n
 
     def spectral_decompose(self) -> FiniteRankGraphon:

@@ -38,10 +38,6 @@ _DECOUPLING_TOL = 1e-10
 # n = 64 a chunk of 16 holds about 1 MB, far below the (K+1, n, n) Riccati path.
 _ORACLE_CHUNK = 16
 
-# Rows of the coupling matrix read per block in `decoupling_residual`: 32
-# rows of a few thousand columns fit in a core's L2 cache.
-_RESIDUAL_ROWS = 32
-
 
 def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) -> float:
     """How far the cell eigenfunctions ``F`` are from decoupling a coupling.
@@ -49,23 +45,13 @@ def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) ->
     The largest of ``max|F F'/n - I|``, ``max|(entries/n) F' - F' diag(lams)|``
     and ``max|entries/n - F' diag(lams) F / n|``; the last one is zero
     when no part of the coupling lies outside the span of ``F'``.  The
-    cost is O(n^2 * rank) in one sweep over cache-sized row blocks of
-    ``entries``, which computes both coupling terms of a block while it
-    is in cache; the off-span block is formed in one reused buffer, and
-    its maximum is divided by n once.
+    cost is O(n^2 * rank); the off-span maximum is divided by n once.
     """
     n = entries.shape[0]
     eig_cols = f.T * lams
     gram = np.abs(f @ f.T / n - np.eye(lams.size)).max(initial=0.0)
-    image = off_span = 0.0
-    buf = np.empty((min(n, _RESIDUAL_ROWS), n))
-    for lo in range(0, n, _RESIDUAL_ROWS):
-        block = entries[lo:lo + _RESIDUAL_ROWS]
-        cols = eig_cols[lo:lo + _RESIDUAL_ROWS]
-        image = max(image, np.abs(block @ f.T / n - cols).max(initial=0.0))
-        span = np.matmul(cols, f, out=buf[:len(block)])
-        np.subtract(block, span, out=span)
-        off_span = max(off_span, np.abs(span, out=span).max())
+    image = np.abs(entries @ f.T / n - eig_cols).max(initial=0.0)
+    off_span = np.abs(entries - eig_cols @ f).max(initial=0.0)
     return float(max(gram, image, off_span / n))
 
 
@@ -99,9 +85,9 @@ class StepSystem:
     over the kernel eigenvalues ``lams``, so simulation and costs work on
     the rank + 1 modes, and the weights are positive semidefinite because
     the problem's polynomials are nonnegative on that spectrum.  The drift
-    ``alpha0*I + entries/n`` and the input, state-weight and
-    terminal-weight matrices, symmetric by construction, are assembled
-    only on first access, for the oracle and for the generic loop.
+    ``alpha0*I + entries/n``, exactly symmetric as ``entries`` is, and the
+    input, state-weight and terminal-weight matrices are assembled only on
+    first access, for the oracle and for the generic loop.
     """
 
     def __init__(self, network: StepGraphon, problem: LqrProblem):
@@ -122,8 +108,7 @@ class StepSystem:
 
     @cached_property
     def a_mat(self) -> np.ndarray:
-        a = self.problem.alpha0 * np.eye(self.n) + self.network.entries / self.n
-        return 0.5 * (a + a.T)
+        return self.problem.alpha0 * np.eye(self.n) + self.network.entries / self.n
 
     @cached_property
     def b_mat(self) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphon_lqr as gl
-from graphon_lqr.graphon import midpoint_grid
+from graphon_lqr.graphon import cell_index, midpoint_grid
 
 from conftest import make_rank_kernel
 
@@ -250,6 +250,35 @@ class TestSampleStepEntries:
 
     def test_rank_zero_is_zero(self):
         assert not gl.sample_step_entries(SAMPLED_KERNELS["rank-0"](), 5).entries.any()
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLED_KERNELS))
+    def test_eval_and_apply_read_the_kernel(self, kind, monkeypatch):
+        # a sampled network is evaluated and applied from its kernel: at small
+        # n both agree with the formed matrix, and at n = 10^5, where that
+        # matrix would take 80 GB, neither forms it
+        g = SAMPLED_KERNELS[kind]()
+        formed = {n: gl.sample_step_entries(g, n).entries for n in (1, 17, 64)}
+
+        def fail(*args):
+            raise AssertionError("an n x n array was formed")
+
+        monkeypatch.setattr(gl.StepGraphon, "entries", property(fail))
+        x = np.linspace(0.0, 1.0, 23)
+        for n, a in formed.items():
+            network = gl.sample_step_entries(g, n)
+            v = np.random.default_rng(n).standard_normal(n)
+            cells = cell_index(x, n)
+            assert np.abs(network.apply(v) - a @ v / n).max() <= 1e-15
+            assert np.abs(network.apply(np.cos).values
+                          - a @ np.cos(midpoint_grid(n)) / n).max() <= 1e-15
+            assert np.abs(network.eval(x[:, None], x[None, :])
+                          - a[np.ix_(cells, cells)]).max() <= 1e-15
+            assert abs(network.eval(0.3, 1.0) - a[cell_index(0.3, n), n - 1]) <= 1e-15
+        n = 10 ** 5
+        network = gl.sample_step_entries(g, n)
+        image = network.apply(np.ones(n))
+        assert image.shape == (n,) and np.all(np.isfinite(image))
+        assert isinstance(network.eval(0.3, 1.0), float)
 
 
 class TestValidation:

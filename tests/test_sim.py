@@ -79,7 +79,6 @@ class TestBuildStepSystem:
     @pytest.mark.parametrize("kernel", ["zero", "uniform"])
     def test_residual_sees_last_partial_row_block(self, kernel):
         n, delta = 70, 0.375
-        assert n > sim_module._RESIDUAL_ROWS and n % sim_module._RESIDUAL_ROWS
         if kernel == "zero":
             g, entries = gl.uniform_graphon().truncate(0), np.zeros((n, n))
         else:
@@ -92,6 +91,25 @@ class TestBuildStepSystem:
             assert residual == delta / n
         else:
             assert residual == pytest.approx(delta / n, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLED_KERNELS) + ["matrix"])
+    @pytest.mark.parametrize("n", [1, 17, 64])
+    def test_drift_is_exactly_symmetric(self, kind, n, monkeypatch):
+        # the drift adds entries/n to alpha0*I as it is: a kernel's samples and
+        # a validated matrix are both exactly symmetric; the decoupling check
+        # is lifted, as it is not what this test is about
+        monkeypatch.setattr(sim_module, "_DECOUPLING_TOL", np.inf)
+        one = gl.CoeffPoly([1.0])
+        if kind == "matrix":
+            g = gl.uniform_graphon()
+            r = np.random.default_rng(n).standard_normal((n, n))
+            network = gl.StepGraphon(r + r.T)
+        else:
+            g = SAMPLED_KERNELS[kind]()
+            network = gl.sample_step_entries(g, n)
+        a = gl.build_step_system(network, gl.LqrProblem(0.7, one, one, one, g, 1.0)).a_mat
+        assert np.array_equal(a, a.T)
+        assert np.array_equal(a, 0.7 * np.eye(n) + network.entries / n)
 
     def test_indefinite_weight_rejected(self):
         # entries/2 has eigenvalues 1 and 0: q(s) = 1 - 1.5 s^2 is nonnegative on

@@ -1,10 +1,18 @@
-"""`tools/count_code_lines.py`, which measures the line budget of `src/`."""
+"""The scripts under `tools/`: `count_code_lines.py`, which measures the line
+budget of `src/`, and the `bench_*.py` timers."""
 import os
 import sys
+from unittest import mock
+
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
 import count_code_lines  # noqa: E402
+
+with mock.patch.dict(os.environ):  # the timers pin BLAS threads for their own runs
+    import bench_build  # noqa: E402
+    import bench_oracle  # noqa: E402
 
 FIXTURE = '''"""Module docstring,
 over two lines."""
@@ -47,3 +55,14 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
         (tmp_path / name).write_text(FIXTURE)
     assert count_code_lines.main(paths) == 0
     assert capsys.readouterr().out == f"{2 * FIXTURE_CODE_LINES}\n"
+
+
+@pytest.mark.parametrize("tool, layers, extra", [
+    (bench_build, {"graphon.sample", "sim.build"}, set()),
+    (bench_oracle, {"riccati.matrix", "oracle.loop"}, {"steps"})])
+def test_bench_measure_rows(tool, layers, extra):
+    rows = tool.measure(1)
+    assert {row["layer"] for row in rows} == layers
+    for row in rows:
+        assert set(row) == {"layer", "n", "median_ms", "q1_ms", "q3_ms", "repeats"} | extra
+        assert row["repeats"] == 1 and row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]

@@ -12,41 +12,14 @@ n = 8, 16, 40 and 64 cells with K = 1000 steps it times two layers:
   ``sim._oracle_closed_loop`` where the package has it, otherwise
   `simulate` with the controller of `oracle_controller`.
 
-Each row holds the median and the quartiles of ``--repeats`` wall times
-(`time.perf_counter`) after one warm-up call.  Rows of the same label
-are replaced in the output file; rows of other labels are kept, so a
-parent and a change can be recorded side by side.
+Timing and recording are `bench_common`'s.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import sys
+from bench_common import main, timed  # first: it sets one BLAS thread
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import time  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (8, 16, 40, 64)
 STEPS = 1000
-
-
-def timed(fn, repeats: int) -> dict:
-    fn()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return {"median_ms": round(1e3 * median, 3), "q1_ms": round(1e3 * q1, 3),
-            "q3_ms": round(1e3 * q3, 3), "repeats": repeats}
 
 
 def measure(repeats: int) -> list[dict]:
@@ -76,32 +49,6 @@ def measure(repeats: int) -> list[dict]:
     return rows
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_oracle.json"))
-    args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
-    rows = [dict(label=args.label, **row) for row in measure(args.repeats)]
-    bench = {"rows": []}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            bench = json.load(fh)
-    bench["rows"] = [r for r in bench["rows"] if r["label"] != args.label] + rows
-    bench["setup"] = {
-        "problem": "example-vii (sinusoidal kernel, d = 2), horizon 1",
-        "blas_threads": 1, "nproc": os.cpu_count(), "python": platform.python_version(),
-        "numpy": np.__version__, "statistic": "median of repeats after one warm-up",
-    }
-    with open(args.out, "w") as fh:
-        json.dump(bench, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    for row in rows:
-        print(f"{row['label']:>8} {row['layer']:<15} n={row['n']:<3} "
-              f"{row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
-
-
 if __name__ == "__main__":
-    main()
+    main(__doc__, measure, "BENCH_oracle.json",
+         "example-vii (sinusoidal kernel, d = 2), horizon 1")
