@@ -6,7 +6,7 @@ eigenstate aggregates, and (iv) one row of gains.  This script computes
 one node's input by hand from exactly these and compares it with the
 law applied to the whole network, reads the continuum law at the same
 node, and shows that propagating the aggregates from the initial state
-gives the same closed loop as re-measuring them.
+gives the closed loop that re-measuring them approaches as dt shrinks.
 """
 import numpy as np
 
@@ -58,10 +58,15 @@ print(f"vector law on the sampled state, same cell:  "
 print("\n== aggregates propagated from t = 0 instead of re-measured ==")
 system = gl.build_step_system(gl.sample_step_entries(kernel, n), problem)
 x0 = gl.initial_state(n, seed=9)
-# a plain callable makes the simulator measure the aggregates at every stage
-live = gl.simulate(system, lambda t, x: law(t, x), x0, horizon, dt)
-# the law itself lets it propagate each aggregate by its scalar closed loop
-propagated = gl.simulate(system, law, x0, horizon, dt)
-print(f"max trajectory difference: {np.abs(live.states - propagated.states).max():.2e}")
-print("each node can integrate the aggregate flow locally from the initial")
-print("aggregates, so no network-wide communication is needed after t = 0.")
+for step in (dt, dt / 2):
+    law_step = gl.feedback_controller(problem, gl.synthesize_gains(problem, step))
+    # a plain callable makes the simulator re-measure the aggregates at every
+    # RK4 stage; the law itself lets it propagate each aggregate in closed form
+    live = gl.simulate(system, lambda t, x: law_step(t, x), x0, horizon, step)
+    propagated = gl.simulate(system, law_step, x0, horizon, step)
+    print(f"dt = {step:g}: max trajectory difference "
+          f"{np.abs(live.states - propagated.states).max():.2e}")
+print("the difference is the re-measuring loop's own discretization error, a")
+print("quarter per halving of dt; each node can evaluate the aggregate flow")
+print("locally from the initial aggregates, so no network-wide communication")
+print("is needed after t = 0.")

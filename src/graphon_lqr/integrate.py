@@ -1,10 +1,11 @@
 """Fixed-step classic Runge-Kutta integration.
 
 `rk4_step` is the only RK4 stage formula of the package: the scalar
-Riccati reference `riccati_path`, the generic and the oracle closed
-loops run it once per grid step, and the modal closed loop once for all
-steps.  Gain synthesis and the matrix Riccati oracle use the
-exact Hamiltonian solution instead.
+Riccati reference `riccati_path` and the generic closed loop, which runs
+arbitrary controllers, take one step per grid step.  Gain synthesis, the
+closed-form run of a synthesized feedback law and its cost, and the
+matrix Riccati oracle and its closed loop use the exact Hamiltonian
+solution instead.
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ import numpy as np
 from .graphon import FiniteRankGraphon, _point_or_array
 from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
-from .riccati import Curve, _scaled_factors, riccati_explicit
+from .riccati import Curve, _log_y, riccati_explicit
 
 # Tolerance for "nonnegative up to rounding" cost-weight checks.
 _NEG_TOL = 1e-12
@@ -93,11 +93,17 @@ def synthesize_gains(p: LqrProblem, dt: float) -> Curve:
     column 0, the gain M_l of eigendirection l in column l.  Equal rows
     (a repeated eigenvalue) share one equation.  One call of the explicit
     solution `riccati_explicit` evaluates them all in O(K*(rank+1)) array
-    work; a gain that overflows raises `BlowUpError`.
+    work; a gain that overflows raises `BlowUpError`.  The curve's
+    ``origin`` is ``p`` and its samples are read-only, so a law with these
+    gains is known to be the optimal law of ``p`` (or of a truncation).
     """
     rows, columns = np.unique(p.mode_params, axis=0, return_inverse=True)
     grid = uniform_grid(p.horizon, dt)
-    return Curve(grid, riccati_explicit(*rows.T, grid)[:, columns.ravel()])
+    values = riccati_explicit(*rows.T, grid)[:, columns.ravel()]
+    values.flags.writeable = False
+    gains = Curve(grid, values)
+    gains.origin = p
+    return gains
 
 
 def reconstruct_P(gains: Curve, g: FiniteRankGraphon, t: float,
@@ -147,6 +153,7 @@ class FeedbackLaw:
                              f"of shape {gains.values.shape[1:]}")
         self.problem = problem
         self.gains = Curve(gains.grid, gains.values[:, :problem.d + 1])
+        self.gains.origin = gains.origin
 
     def gains_at(self, t) -> np.ndarray:
         """Feedback gains at a time or array of times, shape ``t.shape + (rank + 1,)``.
@@ -185,6 +192,12 @@ def feedback_controller(p: LqrProblem, gains: Curve) -> FeedbackLaw:
     return FeedbackLaw(p, gains)
 
 
+def _check_level(p: LqrProblem, level: int) -> None:
+    """Reject a truncation level outside ``[0, rank]``."""
+    if not 0 <= level <= p.d:
+        raise ValueError(f"truncation level must be in [0, {p.d}], got {level}")
+
+
 def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:
     """The same problem posed on the rank-``level`` truncated kernel.
 
@@ -194,8 +207,7 @@ def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:
     receive the auxiliary gain.  ``level = rank`` gives the optimal law,
     ``level = 0`` the pure auxiliary law ``u = -beta0 * L(T-t) * x``.
     """
-    if not 0 <= level <= p.d:
-        raise ValueError(f"truncation level must be in [0, {p.d}], got {level}")
+    _check_level(p, level)
     return LqrProblem(p.alpha0, p.poly_b, p.poly_q, p.poly_p0,
                       p.graphon.truncate(level), p.horizon)
 
@@ -212,9 +224,9 @@ def ratio_prediction(p: LqrProblem) -> np.ndarray:
 
     where ``M`` solves the direction's Riccati equation and ``Mtilde``
     the auxiliary one.  ``I_m = integral_0^T beta0^2 Pi_m`` is
-    ``(omega_m + alpha_m)*T + ln Y_hat_m(T)`` from the scaled factors of
-    row m of ``p.mode_params`` (`riccati_explicit`), so entry l is
-    ``exp(I_(l+1) - I_0)``, exact with no time grid.  A non-constant
+    ``ln Y_m(T) + alpha_m*T`` from the factors of row m of
+    ``p.mode_params`` (`riccati_explicit`, `riccati._log_y`), so entry l
+    is ``exp(I_(l+1) - I_0)``, exact with no time grid.  A non-constant
     input polynomial raises `ValueError`.
     """
     if p.poly_b.degree > 0:
@@ -222,8 +234,5 @@ def ratio_prediction(p: LqrProblem) -> np.ndarray:
             "ratio prediction requires a constant input polynomial "
             f"(degree 0), got degree {p.poly_b.degree}")
     alpha, beta, q, z0 = p.mode_params.T
-    _, y_hat, omega = _scaled_factors(alpha, beta, q, z0, p.horizon)
-    # Y_hat underflows to 0 only where beta = 0 or q = z0 = 0, so beta^2 Pi = 0
-    with np.errstate(divide="ignore"):
-        integral = np.where(y_hat > 0.0, (omega + alpha) * p.horizon + np.log(y_hat), 0.0)
+    integral = _log_y(alpha, beta, q, z0, p.horizon) + alpha * p.horizon
     return np.exp(integral[1:] - integral[0])

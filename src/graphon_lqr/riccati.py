@@ -9,7 +9,10 @@ is solved explicitly through its Hamiltonian linearization by
 by RK4 in `riccati_path`, one `rk4_step` per grid step, the reference
 the explicit solution is checked against.  Solutions are stored forward
 in Riccati time tau and consumed by feedback laws as the time-to-go gain
-``curve(T - t)``.
+``curve(T - t)``.  The same factors give, with no time grid, the closed
+loops of the decoupled modes: ``ln Y`` (`_log_y`), whose differences are
+the optimal growths, and the gain integral ``integral_0^tau Pi``
+(`_gain_integral`), which drives a direction a truncated law drops.
 
 The matrix equation
 
@@ -17,9 +20,11 @@ The matrix equation
 
 is the direct verification oracle for the decoupled synthesis.  It is
 solved by the same Hamiltonian linearization in dense n x n form, one
-exact step ``exp(H h)`` per grid step, so the oracle carries no
-integration error of its own: a gap between oracle and synthesis is
-rounding.
+exact step ``exp(H h)`` per grid step, taken in chunks of up to 8 steps
+(`_exact_chunks`), so the oracle carries no integration error of its
+own: a gap between oracle and synthesis is rounding.  The chunk factors
+also give the oracle's optimal closed loop, so the oracle needs P only at
+chunk ends; `solve_matrix_riccati` returns P at every node.
 """
 from __future__ import annotations
 
@@ -41,10 +46,12 @@ class Curve:
     gains or matrices.  A time t reads ``v[k] + w*(v[k+1] - v[k])`` at
     ``pos = (t - t0)/h = k + w``; times at or past either end of the grid
     return the end sample.  Array times use the scalar arithmetic
-    element by element, so both give identical results.
+    element by element, so both give identical results.  ``origin`` is
+    None; `synthesize_gains` sets it to its problem on the curves it
+    returns, whose samples are read-only.
     """
 
-    __slots__ = ("grid", "values", "_t0", "_t1", "_h", "_last")
+    __slots__ = ("grid", "values", "origin", "_t0", "_t1", "_h", "_last")
 
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)
@@ -60,6 +67,7 @@ class Curve:
             raise ValueError("grid and values must be finite")
         self.grid = grid
         self.values = values
+        self.origin = None
         self._t0, self._t1, self._h = float(grid[0]), float(grid[-1]), float(steps[0])
         self._last = grid.size - 2  # index of the last interval
 
@@ -202,6 +210,13 @@ def _scaled_factors(alpha, beta, q, z0, t):
     ``ln Y = omega t + ln Y_hat``, where ``ln Y(T) + alpha T`` is
     ``integral_0^T beta^2 Pi``.  Parameters are checked arrays.
     """
+    omega, g_plus, g_minus, s, e = _factor_parts(alpha, beta, q, t)
+    return (z0 * (g_plus + e * g_minus) + q * s,
+            (g_minus + e * g_plus) + beta * beta * z0 * s, omega)
+
+
+def _factor_parts(alpha, beta, q, t):
+    """``(omega, g+, g-, s, E)`` of the scaled factors at times ``t``."""
     r, a = np.abs(beta) * np.sqrt(q), np.abs(alpha)
     omega = np.hypot(a, r)
     with np.errstate(all="ignore"):  # 0/0 in unused branches
@@ -212,8 +227,58 @@ def _scaled_factors(alpha, beta, q, z0, t):
         x = 2.0 * omega * t
         e = np.exp(-x)
         s = t * np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
-        return (z0 * (g_plus + e * g_minus) + q * s,
-                (g_minus + e * g_plus) + beta * beta * z0 * s, omega)
+    return omega, g_plus, g_minus, s, e
+
+
+def _log_y(alpha, beta, q, z0, t):
+    """``ln Y`` of `riccati_explicit` at times ``t``, with no overflow.
+
+    ``Y = exp(omega t)*(g- + beta^2 z0 s) + exp(-omega t)*g+``, summed in
+    log space, so a Y that would overflow or underflow keeps its
+    logarithm.  Parameters are checked arrays.
+    """
+    omega, g_plus, g_minus, s, _ = _factor_parts(alpha, beta, q, t)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf for a vanishing term
+        return np.logaddexp(omega * t + np.log(g_minus + beta * beta * z0 * s),
+                            np.log(g_plus) - omega * t)
+
+
+def _gain_integral(alpha, beta, q, z0, t):
+    """``integral_0^t Pi`` of `riccati_explicit`, to full relative precision.
+
+    ``Y exp(alpha t) = 1 + beta^2 W`` with
+
+        W = q t^2 (g+ phi2((alpha + omega) t) + g- phi2((alpha - omega) t))
+            + z0 s exp((alpha + omega) t),
+
+    ``phi2(y) = (e^y - 1 - y)/y^2`` (the terms of order 0 and 1 cancel
+    exactly, as ``g+ + g- = 1`` and ``(alpha + omega) g- = (omega - alpha) g+``),
+    so the integral ``ln(1 + beta^2 W)/beta^2`` is ``W log1p(x)/x`` with
+    ``x = beta^2 W``: every term is nonnegative and none cancels, for
+    every beta, zero included.  Where ``x > 1`` it is
+    ``(ln Y + alpha t)/beta^2`` (`_log_y`), which cannot overflow.
+    Parameters are checked arrays.
+    """
+    omega, g_plus, g_minus, s, _ = _factor_parts(alpha, beta, q, t)
+    b2 = beta * beta
+    with np.errstate(all="ignore"):  # overflowing W and unused branches
+        up = (alpha + omega) * t
+        w = (q * t * t * (g_plus * _phi2(up) + g_minus * _phi2((alpha - omega) * t))
+             + z0 * s * np.exp(up))
+        x = np.where(b2 > 0.0, b2 * w, 0.0)
+        ratio = np.where(x > 0.0, np.log1p(x) / x, 1.0)
+        return np.where(x <= 1.0, w * ratio, (_log_y(alpha, beta, q, z0, t) + alpha * t) / b2)
+
+
+def _phi2(y):
+    """``(e^y - 1 - y)/y^2`` to full relative precision, 1/2 at y = 0."""
+    near = np.abs(y) < 0.5
+    u = np.where(near, y, 0.0)
+    acc = np.ones_like(u)
+    for k in range(17, 2, -1):  # the series sum_j u^j/(j + 2)! by Horner
+        acc = 1.0 + u * acc / k
+    with np.errstate(all="ignore"):
+        return np.where(near, 0.5 * acc, (np.expm1(y) - y) / (y * y))
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -243,13 +308,14 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
     ``[X; Y]' = H [X; Y]``, ``X(0) = P0``, ``Y(0) = I``,
     ``H = [[A', Q], [B B', -A]]``.  With ``E = exp(H h)`` (`_expm`), a
     step of h takes P to ``(E11 P + E12)(E21 P + E22)^-1``, exact at any
-    h.  The powers ``E^1 ... E^m`` take m grid steps from one node with
-    one batched product and one batched solve; m is at most 8 and keeps
-    ``m*h*|H|_1 <= 1`` (m >= 1), so that ``Y`` stays well conditioned
-    on stiff problems.  Each new P is symmetrized, and the next m steps
-    start from the last.  ``q_mat`` and ``p0_mat`` must be symmetric
-    positive semidefinite.  Raises `BlowUpError`, naming the earliest
-    time, when a value is not finite (the step overflows).
+    h.  The powers ``E^1 ... E^m`` (`_step_powers`) take m grid steps
+    from one node with one batched product and one batched solve
+    (`_exact_chunks`); m is at most 8 and keeps ``m*h*|H|_1 <= 1``
+    (m >= 1), so that ``Y`` stays well conditioned on stiff problems.
+    Each new P is symmetrized, and the next m steps start from the last.
+    ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite.
+    Raises `BlowUpError`, naming the earliest time, when a value is not
+    finite (the step overflows).
     """
     a = np.asarray(a_mat, dtype=float)
     b = np.asarray(b_mat, dtype=float)
@@ -259,40 +325,62 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
         if m.ndim != 2 or m.shape != a.shape:
             raise ValueError(f"matrix {name} must be square of shape {a.shape}, got {m.shape}")
     grid = uniform_grid(horizon, dt)
-    ham = np.block([[a.T, q], [b @ b.T, -a]])
-    return Curve(grid, _exact_path(ham * (horizon / (grid.size - 1)), p0, grid))
+    vals = np.empty((grid.size,) + p0.shape)
+    vals[0] = 0.5 * (p0 + p0.T)
+    for k, _, offsets, p, _ in _exact_chunks(
+            _step_powers(a, b, q, horizon, grid.size - 1), p0, grid,
+            lambda k, m: np.arange(m)):
+        vals[k + 1:k + 1 + offsets.size] = p
+    return Curve(grid, vals)
 
 
-def _exact_path(ham_h: np.ndarray, p0: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """P on every node of ``grid`` by exact steps ``exp(ham_h)`` from P0.
+def _step_powers(a, b, q, horizon: float, steps: int) -> np.ndarray:
+    """``E^1 ... E^m`` of the exact step ``E = exp(H h)``, ``h = horizon/steps``.
 
-    The stepping of `solve_matrix_riccati`; ``ham_h`` is the Hamiltonian
-    times the grid step.  Its work arrays die on return, before the
-    caller checks the (K+1, n, n) path.
+    ``H = [[A', Q], [B B', -A]]``; m is the chunk length of
+    `solve_matrix_riccati`.  An overflow gives non-finite entries, which
+    `_exact_chunks` reports.
     """
-    n, steps = p0.shape[0], grid.size - 1
+    n = a.shape[0]
+    ham_h = np.block([[a.T, q], [b @ b.T, -a]]) * (horizon / steps)
     h_norm = np.abs(ham_h).sum(axis=0).max()
     count = max(1, min(_MAX_POWERS, int(1.0 / max(h_norm, 1.0 / _MAX_POWERS))))
-    with np.errstate(all="ignore"):  # an overflow is reported below
+    with np.errstate(all="ignore"):  # an overflow is reported by _exact_chunks
         powers = np.empty((count, 2 * n, 2 * n))
         powers[0] = _expm(ham_h)
         for j in range(1, count):
             powers[j] = powers[j - 1] @ powers[0]
-        left, right = powers[:, :, :n], powers[:, :, n:]
-        vals = np.empty((grid.size, n, n))
-        vals[0] = 0.5 * (p0 + p0.T)
-        xy = np.empty((count, 2 * n, n))
+    return powers
+
+
+def _exact_chunks(powers: np.ndarray, p0: np.ndarray, grid: np.ndarray, pick):
+    """Exact steps of the matrix Riccati equation from P0, a chunk at a time.
+
+    A chunk takes m = ``len(powers)`` grid steps (fewer at the end) from
+    node k: ``[X; Y]`` after i steps is ``E^i [P_k; I]``, one product per
+    i in a batch, and P solves ``Y' P = X'``.  Yields ``(k, p_k, offsets,
+    p, xy)``: P at node k and, in ``p`` and ``xy``, P and ``[X; Y]`` after
+    ``offsets + 1`` steps.  ``pick(k, m)`` chooses the ascending offsets
+    of a chunk, the last, m - 1, always among them, since its P starts the
+    next chunk.  Each P is symmetrized, bit for bit the same whichever
+    offsets are chosen.  Raises `BlowUpError` at the earliest chosen node
+    whose P is not finite.
+    """
+    n, steps, count = p0.shape[0], grid.size - 1, powers.shape[0]
+    left, right = powers[:, :, :n], powers[:, :, n:]
+    p_k = 0.5 * (p0 + p0.T)
+    with np.errstate(all="ignore"):  # an overflow is reported below
         for k in range(0, steps, count):
             m = min(count, steps - k)
-            np.matmul(left[:m], vals[k], out=xy[:m])  # [X; Y] after 1..m steps
-            xy[:m] += right[:m]
+            offsets = pick(k, m)
+            xy = np.matmul(left[offsets], p_k) + right[offsets]
             # P = X Y^-1 solves Y' P' = X'; P is symmetric
-            p = np.linalg.solve(xy[:m, n:].swapaxes(1, 2), xy[:m, :n].swapaxes(1, 2))
-            new = vals[k + 1:k + 1 + m]
-            np.add(p, p.swapaxes(1, 2), out=new)
+            p = np.linalg.solve(xy[:, n:].swapaxes(1, 2), xy[:, :n].swapaxes(1, 2))
+            new = np.add(p, p.swapaxes(1, 2))
             new *= 0.5
-            bad = ~np.isfinite(new).reshape(m, -1).all(axis=1)
+            bad = ~np.isfinite(new).reshape(offsets.size, -1).all(axis=1)
             if bad.any():
                 raise BlowUpError("matrix Riccati solution is not finite at "
-                                  f"t = {grid[k + 1 + np.argmax(bad)]:.6g}")
-    return vals
+                                  f"t = {grid[k + 1 + offsets[np.argmax(bad)]]:.6g}")
+            yield k, p_k, offsets, new, xy
+            p_k = new[-1]

@@ -7,13 +7,17 @@ as ``dx/dt = A x + B u`` with ``A = alpha0*I + entries/n`` and
 product ``<x, y> = sum(x*y)/n``.  Controllers are callables
 ``(t, x) -> u``.  A system is always the decoupled realization of its
 problem: a network that the kernel eigenfunctions do not decouple is
-rejected when the system is built.  Under a `FeedbackLaw` it runs as one
-scalar closed loop per mode, and its run and cost stay in those modes.  A
-network sampled from the problem's own kernel is checked from the
-kernel's cell table, so that pipeline forms no n x n array at any n;
-``entries`` and its polynomials are formed only for the oracle and the
-generic loop.  The module also provides the direct matrix-Riccati
-controller used as the verification oracle.
+rejected when the system is built.  Under its synthesized `FeedbackLaw`,
+or a truncation of it, it runs in closed form, one scalar growth per
+mode evaluated at the grid times, and its cost is the value function
+plus, for a truncated law, the completion-of-squares inflation of each
+dropped direction: exact at any dt, with no time stepping.  Any other
+controller runs the RK4 generic loop.  A network sampled from the
+problem's own kernel is checked from the kernel's cell table, so that
+pipeline forms no n x n array at any n; ``entries`` and its polynomials
+are formed only for the oracle and the generic loop.  The module also
+provides the direct matrix-Riccati oracle, whose closed loop and value
+come from the chunk factors of its exact Hamiltonian steps.
 """
 from __future__ import annotations
 
@@ -26,17 +30,14 @@ import numpy as np
 from .errors import BlowUpError
 from .graphon import StepGraphon
 from .integrate import rk4_step, uniform_grid
-from .lqr import (FeedbackLaw, LqrProblem, feedback_controller, ratio_prediction,
-                  reconstruct_P, synthesize_gains, truncate_problem)
+from .lqr import (FeedbackLaw, LqrProblem, _check_level, feedback_controller,
+                  ratio_prediction, reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import apply_poly_matrix
-from .riccati import Curve, solve_matrix_riccati
+from .riccati import (_exact_chunks, _gain_integral, _log_y, _step_powers,
+                      riccati_explicit, solve_matrix_riccati)
 
 # Largest decoupling residual of a step system.
 _DECOUPLING_TOL = 1e-10
-
-# Grid steps of the oracle's closed loop whose matrices are formed at once; at
-# n = 64 a chunk of 16 holds about 1 MB, far below the (K+1, n, n) Riccati path.
-_ORACLE_CHUNK = 16
 
 
 def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) -> float:
@@ -150,14 +151,18 @@ class ModalRun:
     growth[k, l]*coords[l-1]*f[l-1]`` and every mode m is fed back with
     gain ``gains[k, m]``: mode 0 is the residual ``resid`` of the initial
     state, orthogonal to every eigenfunction, mode l its l-th
-    eigendirection, with initial coordinate ``coords[l-1]``.
+    eigendirection, with initial coordinate ``coords[l-1]``.  The law is
+    optimal for ``problem`` but drops its eigendirections past ``kept``,
+    which take the residual gain.
     """
 
-    growth: np.ndarray  # (K+1, rank+1) growth products of the modes
+    growth: np.ndarray  # (K+1, rank+1) growth of the modes
     gains: np.ndarray   # (K+1, rank+1) feedback gain applied to each mode
     resid: np.ndarray   # (n,) residual of the initial state
     coords: np.ndarray  # (rank,) eigendirection coordinates of the initial state
     f: np.ndarray       # (rank, n) eigenfunction cell values
+    problem: LqrProblem
+    kept: int
 
 
 class Trajectory:
@@ -223,19 +228,24 @@ def initial_state(n: int, seed: int) -> np.ndarray:
 
 def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
              dt: float) -> Trajectory:
-    """Integrate ``dx/dt = A x + B u(t, x)`` with RK4, recording controls.
+    """Run ``dx/dt = A x + B u(t, x)`` on a uniform grid, recording controls.
 
     The recorded control at each grid node is ``controller(t_k, x_k)``.
-    A `FeedbackLaw` whose eigenpairs lead those of the system's kernel
-    runs as rank + 1 scalar closed loops (`_modal_closed_loop`) in
-    O(K*(rank+1)) after one O(n*rank) projection of ``x0``, and returns
-    the run in modal form: dense states and controls are built only when
-    read.  Every other controller, an arbitrary callable or the law of
-    another kernel object, runs the generic loop on the dense matrices,
-    one `rk4_step` per grid step whose first slope reuses the recorded
-    control, so the controller is called 4K + 1 times over K steps.  A
-    non-finite initial state is rejected with `ValueError`; a state that
-    turns non-finite aborts with a `BlowUpError` naming the time.
+    A `FeedbackLaw` that is the system's optimal law or a truncation of
+    it, with the gains `synthesize_gains` gives for the system's problem
+    sampled at every node of this run's grid, runs in closed form
+    (`_modal_closed_loop`): rank + 1 scalar growths evaluated at the grid
+    times in O(K*(rank+1)) after one O(n*rank) projection of ``x0``,
+    returned in modal form, with dense states and controls built only
+    when read; it takes no time steps, so its states carry no
+    discretization error at any ``dt``.  Every other controller, an
+    arbitrary callable, the law of another kernel object or a law with
+    other gains or with gains on another grid, runs the generic loop on
+    the dense matrices: classic RK4, one `rk4_step` per grid step whose
+    first slope reuses the recorded control, so the controller is called
+    4K + 1 times over K steps.  A non-finite initial state is rejected
+    with `ValueError`; a state that overflows aborts with a `BlowUpError`
+    naming the time.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (sys.n,):
@@ -244,7 +254,7 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     if bad.size:
         raise ValueError(f"initial state must be finite, got {x[bad[0]]} at node {bad[0]}")
     grid = uniform_grid(horizon, dt)
-    if isinstance(controller, FeedbackLaw) and _modal(sys, controller):
+    if isinstance(controller, FeedbackLaw) and _synthesized(sys, controller, grid):
         return Trajectory.from_modes(grid, _modal_closed_loop(sys, controller, x, grid))
     a, b = sys.a_mat, sys.b_mat
 
@@ -262,115 +272,159 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     return Trajectory(grid=grid, states=states, controls=controls)
 
 
-def _modal(sys: StepSystem, law: FeedbackLaw) -> bool:
-    """Whether the law's eigenpair objects lead those of the system's kernel."""
-    pairs = law.problem.graphon.pairs
-    return pairs == sys.problem.graphon.pairs[:len(pairs)]
+def _synthesized(sys: StepSystem, law: FeedbackLaw, grid: np.ndarray) -> bool:
+    """Whether the law is the system's optimal law or a truncation of it on ``grid``.
+
+    Its gains must be those `synthesize_gains` gave for the system's
+    problem (their ``origin``), sampled at every node of the run's
+    ``grid`` (the run's grid is the first nodes of theirs), so that the
+    law reads exact gains there and no interpolation; its eigenpair
+    objects must lead those of the system's kernel and its other data
+    must be the problem's.
+    """
+    p, own, nodes = sys.problem, law.problem, law.gains.grid
+    return (law.gains.origin is p and np.array_equal(nodes[:grid.size], grid)
+            and own.graphon.pairs == p.graphon.pairs[:own.d]
+            and (own.alpha0, own.poly_b, own.poly_q, own.poly_p0, own.horizon)
+            == (p.alpha0, p.poly_b, p.poly_q, p.poly_p0, p.horizon))
+
+
+def _log_growth(p: LqrProblem, kept: int, t: np.ndarray) -> np.ndarray:
+    """ln of every mode's growth at times ``t``, shape ``(len(t), rank+1)``.
+
+    Under a law that is optimal for ``p`` but keeps only its first
+    ``kept`` eigendirections, mode m <= kept grows by
+    ``Y_m(T - t)/Y_m(T)`` (Radon's lemma: ``d/dt Y_m(T - t) =
+    (alpha_m - b_m^2 Pi_m(T - t)) Y_m(T - t)``), and a dropped direction
+    l, fed back through b_l with the residual gain ``beta0 L``, by
+    ``alpha_l t - b_l beta0 integral_{T-t}^T L`` (`_gain_integral`).
+    """
+    alpha, beta, q, z0 = p.mode_params.T
+    horizon, keep = p.horizon, slice(0, kept + 1)
+    tau = horizon - t[:, None]
+    ln_y = _log_y(alpha[keep], beta[keep], q[keep], z0[keep],
+                  np.append(tau, horizon)[:, None])
+    out = np.empty((t.size, p.d + 1))
+    out[:, keep] = ln_y[:-1] - ln_y[-1]
+    out[:, kept + 1:] = alpha[kept + 1:] * t[:, None]
+    row = p.mode_params[0]
+    if kept < p.d and row[1] != 0.0:
+        integral = _gain_integral(*row, horizon) - _gain_integral(*row, tau)
+        out[:, kept + 1:] -= beta[kept + 1:] * row[1] * integral
+    return out
 
 
 def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
                        grid: np.ndarray) -> ModalRun:
-    """A decoupled closed loop, one scalar loop per mode.
+    """A decoupled closed loop in closed form, one growth per mode.
 
     Mode 0 is the residual of the state, mode m its m-th eigendirection;
-    under the law each obeys ``y' = (drift_m - b_m * gain_m(t)) * y``
-    (row m of ``mode_params``); directions the law ignores get the residual
-    gain.  One `rk4_step` from y = 1, the step start times as a column,
-    gives every mode's growth factor per step; their products give the
-    modes on the grid.  At rank = n the eigendirections span every state,
+    the growths are `_log_growth` at the grid times, and the gains those
+    the law reads there (`FeedbackLaw.gains_at`), so a rebuilt control is
+    the law's output at the rebuilt state; directions the law drops get
+    the residual gain.  At rank = n the eigendirections span every state,
     so mode 0 is held at zero with unit growth, lest an unstable drift
     amplify the rounding left by the projection.  The run aborts at the
-    first step that does not shrink a mode whose rate is negative at both
-    ends (h*|rate| past RK4's real stability bound 2.785), and at the
     first node where a bound on the rebuilt entries, (rank + 1)*max|F|
     times the largest mode amplitude, is not finite.
     """
-    f, n = sys.f_cells, sys.n
-    drift, b_sys = np.array(sys.problem.mode_params[:, :2].T)
-    modes = drift.size
-    coords0, resid0 = sys.problem.graphon.project(x0)
+    f, n, p = sys.f_cells, sys.n, sys.problem
+    kept = law.problem.d
+    column = np.arange(p.d + 1)  # the law's gain column of every mode
+    column[kept + 1:] = 0
+    gain = law.gains_at(grid)[:, column]  # rejects a time past the horizon
+    coords0, resid0 = p.graphon.project(x0)
+    log_growth = _log_growth(p, kept, grid)
     if f.shape[0] == n:  # rank = n: no residual
-        drift[0] = b_sys[0] = 0.0
+        log_growth[:, 0] = 0.0
         resid0 = np.zeros(n)
-    column = np.arange(modes)  # the law's gain column of every mode
-    column[law.problem.d + 1:] = 0
-
-    memo = [None, None]  # times and rates of the last stage; k2 and k3 share them
-
-    def rate(t, y):
-        if not np.array_equal(memo[0], t):
-            memo[:] = t, drift - b_sys * law.gains_at(t[:, 0])[:, column]
-        return memo[1] * y
-
-    gain = law.gains_at(grid)[:, column]
     size = np.append(np.abs(resid0).max(), np.abs(coords0))  # largest entry per mode
-    rates, h = drift - b_sys * gain, np.diff(grid)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = rk4_step(rate, grid[:-1, None], h,
-                           np.ones((grid.size - 1, modes)), rates[:-1])
-        stiff = (rates[:-1] < 0) & (rates[1:] < 0) & (factors >= 1)
-        growth = np.ones((grid.size, modes))
-        np.cumprod(factors, axis=0, out=growth[1:])
-        largest = np.maximum(np.abs(growth), np.abs(gain * growth)) * size
-        finite = np.isfinite(modes * np.abs(f).max(initial=1.0)
+        growth = np.exp(log_growth)
+        largest = np.maximum(growth, np.abs(gain * growth)) * size
+        finite = np.isfinite((p.d + 1) * np.abs(f).max(initial=1.0)
                              * largest.max(axis=1))
-    if stiff.any():
-        k, m = np.argwhere(stiff)[0]
-        raise BlowUpError(
-            f"mode {m} of the closed loop is too stiff for RK4 at t = {grid[k]:.6g}: "
-            f"h*|rate| = {h[k, 0] * -rates[k:k + 2, m].min():.4g} exceeds the stability "
-            f"bound 2.785, so the step grows a decaying mode by {factors[k, m]:.4g}; "
-            "reduce dt")
     if not finite.all():
         raise BlowUpError(
             f"closed-loop state blew up at t = {grid[np.argmin(finite)]:.6g}")
-    return ModalRun(growth=growth, gains=gain, resid=resid0, coords=coords0, f=f)
+    return ModalRun(growth=growth, gains=gain, resid=resid0, coords=coords0, f=f,
+                    problem=p, kept=kept)
 
 
-def _mode_energies(traj: Trajectory, sys: StepSystem) -> tuple[np.ndarray, np.ndarray]:
-    """State and control energy of each mode, shape (K+1, rank+1) each.
+def _unit_costs(run: ModalRun, horizon: float) -> np.ndarray:
+    """Cost of each mode of a run per unit of its initial energy, ``(rank+1,)``.
 
-    Column 0 is ``|r|^2/n`` for the part r of the vector orthogonal to
-    every eigenfunction, column l the square of its l-th eigen coordinate
-    ``<v, f_l>``; by Parseval a row sums to ``|v|^2/n``.  A run in modal
-    form on ``sys`` gives them in O(K*(rank+1)); any other run is
-    projected, O(K*n*rank).
+    By completion of squares a mode fed back with gain k(t) over
+    ``[0, t1]`` costs ``Pi(t1) + integral_0^t1 ((k(t) - b Pi(t1 - t)) g(t))^2``
+    per unit energy, where Pi solves the mode's Riccati equation and g is
+    its growth.  A kept mode of a run over the law's whole horizon T has
+    ``k = b Pi(T - t)``, so it costs the value ``Pi(T)`` alone; a dropped
+    direction, or any mode of a shorter run, adds the integral, by a
+    composite 8-point Gauss-Legendre rule whose panels are short against
+    the fastest rate of the integrand (``4*omega`` of the Riccati
+    solutions, twice the largest closed-loop rate), closed forms at every
+    node and no time stepping.
     """
-    m = traj.modes
-    if m is not None and m.f is sys.f_cells:
-        x = m.growth ** 2 * np.append(m.resid @ m.resid / sys.n, m.coords ** 2)
-        return x, m.gains ** 2 * x
-
-    def energies(v):
-        coords, r = sys.problem.graphon.project(v)
-        return np.column_stack([np.einsum("ki,ki->k", r, r) / sys.n, coords ** 2])
-
-    return energies(traj.states), energies(traj.controls)
+    p, kept = run.problem, run.kept
+    alpha, beta, q, z0 = p.mode_params.T
+    value = riccati_explicit(alpha, beta, q, z0, [horizon])[-1]
+    skewed = np.arange(p.d + 1) > kept if horizon == p.horizon else np.ones(p.d + 1, bool)
+    if not skewed.any():
+        return value
+    rates = alpha[skewed] - beta[skewed] * run.gains[:, skewed]
+    fastest = 2.0 * np.hypot(alpha, np.abs(beta) * np.sqrt(q)).max() + np.abs(rates).max()
+    panels = max(1, int(np.ceil(horizon * fastest)))
+    # imported here: the optimal runs that most callers make need no quadrature
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    width = horizon / panels
+    t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width).ravel()
+    own = riccati_explicit(alpha[:kept + 1], beta[:kept + 1], q[:kept + 1],
+                           z0[:kept + 1], p.horizon - t) * beta[:kept + 1]
+    modes = np.flatnonzero(skewed)
+    applied = own[:, np.where(modes <= kept, modes, 0)]  # dropped: the residual gain
+    optimal = riccati_explicit(alpha[skewed], beta[skewed], q[skewed], z0[skewed],
+                               horizon - t) * beta[skewed]
+    with np.errstate(over="ignore", invalid="ignore"):
+        miss = (applied - optimal) * np.exp(_log_growth(p, kept, t)[:, skewed])
+    value[skewed] += 0.5 * width * (np.tile(weights, panels) @ (miss * miss))
+    return value
 
 
 def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     """Quadratic cost of a run and its decoupled breakdown.
 
-    The cost is the trapezoid rule applied to ``(x'Qx + u'u)/n`` plus the
-    terminal ``x'P0x/n``.  Each mode's part is read from the mode
-    energies (`_mode_energies`): the residual's is
-    ``(q0 + G0^2)*g0^2*|x_res|^2/n`` per node, eigendirection l's
-    ``(q_l + G_l^2)*(g_l*c_l)^2``, weights from ``mode_params``.  Q and
-    P0 act on the modes alone, since the system decouples, so the total is
-    the sum of the parts, in O(K*(rank+1)) for a run in modal form and
-    O(K*n*rank) for a dense one.  A run whose node count is not ``sys.n``
-    raises `ValueError`.
+    The cost of ``(x'Qx + u'u)/n`` over the run plus the terminal
+    ``x'P0x/n``, split into the parts of the modes: the residual's with
+    the weights ``(q0, z0)`` of ``mode_params`` row 0, eigendirection l's
+    with row l.  Q and P0 act on the modes alone, since the system
+    decouples, so the total is the sum of the parts.  A closed-form run
+    of ``sys`` (`simulate`) costs its modes' initial energies times their
+    `_unit_costs`, exact with no time grid: the value function for the
+    optimal law, plus the completion-of-squares inflation of each dropped
+    direction for a truncated one, so no truncation costs less than the
+    optimum.  Any other run is projected on the modes, O(K*n*rank), and
+    integrated by the trapezoid rule.  A run whose node count is not
+    ``sys.n`` raises `ValueError`.
     """
     n = traj.states.shape[1] if traj.modes is None else traj.modes.resid.size
     if n != sys.n:
         raise ValueError(f"the run has {n} nodes but the system has {sys.n}")
-    p, grid = sys.problem, traj.grid
-    xe, ue = _mode_energies(traj, sys)
-    q, z = p.mode_params[:, 2:].T
-    # one row per mode, so that each trapezoid sum runs over contiguous memory
-    # and numpy sums it pairwise
-    run = np.ascontiguousarray((q * xe + ue).T)
-    parts = np.trapezoid(run, grid) + z * xe[-1]
+    m = traj.modes
+    if m is not None and m.f is sys.f_cells and m.problem is sys.problem:
+        energy = np.append(m.resid @ m.resid / n, m.coords ** 2)
+        parts = _unit_costs(m, float(traj.grid[-1])) * energy
+    else:
+        q, z = sys.problem.mode_params[:, 2:].T
+
+        def energies(v):
+            coords, r = sys.problem.graphon.project(v)
+            return np.column_stack([np.einsum("ki,ki->k", r, r) / n, coords ** 2])
+
+        xe, ue = energies(traj.states), energies(traj.controls)
+        # one row per mode, so that each trapezoid sum runs over contiguous
+        # memory and numpy sums it pairwise
+        run = np.ascontiguousarray((q * xe + ue).T)
+        parts = np.trapezoid(run, traj.grid) + z * xe[-1]
     return CostBreakdown(total=float(parts.sum()), aux=float(parts[0]), eigen=parts[1:])
 
 
@@ -378,7 +432,8 @@ def oracle_controller(sys: StepSystem, dt: float):
     """Feedback ``u = -B P(T-t) x`` from the direct matrix Riccati solve.
 
     T is the horizon of the system's problem.  Returns
-    ``(controller, matrix_path)``.
+    ``(controller, matrix_path)``; the controller reads the path by
+    linear interpolation, for the generic loop.
     """
     horizon = sys.problem.horizon
     path = solve_matrix_riccati(sys.a_mat, sys.b_mat, sys.q_mat, sys.p0_mat,
@@ -391,41 +446,42 @@ def oracle_controller(sys: StepSystem, dt: float):
     return controller, path
 
 
-def _oracle_closed_loop(sys: StepSystem, path: Curve, x0: np.ndarray) -> Trajectory:
-    """The closed loop of the oracle controller on its own grid, by matvecs.
+def _oracle_loop(sys: StepSystem, x0: np.ndarray, grid: np.ndarray, nodes):
+    """The oracle's optimal loop: its states on ``grid``, P(T) and P at ``nodes`` and 0.
 
-    The discretization of `simulate` under the controller of
-    `oracle_controller`, whose ``path`` this is: one `rk4_step` per grid
-    step of ``x' = M(t) x``, ``M(t_k) = A - B B P(T - t_k)``, where the
-    matrix at the half step is the mean of those at the step ends, as
-    the linear interpolation of P gives.  The matrices of up to
-    `_ORACLE_CHUNK` steps are formed by one batched product, and their
-    controls ``-B P(T - t_k) x_k`` after their steps.
+    The exact steps of `solve_matrix_riccati`, solved only at the end of
+    each chunk of m steps and at the grid ``nodes`` (Riccati-time
+    indices).  Along the optimal loop ``d/dt Y(T - t) = (A - B B'
+    P(T - t)) Y(T - t)``, so a backward pass over the chunks gives the
+    states from the chunk factors ``Y_i = E^i_21 P_k + E^i_22``:
+
+        x(tau_(k+i)) = Y_i Y_m^-1 x(tau_(k+m)),
+
+    one n x n solve and a batch of matvecs per chunk, with no time
+    stepping and no (K+1) x n x n array.
     """
-    grid, p_path = path.grid, path.values
-    steps = grid.size - 1
-    a, b = sys.a_mat, sys.b_mat
-    bb = b @ b.T
-    states = np.empty((grid.size, sys.n))
-    controls = np.empty_like(states)
+    p = sys.problem
+    steps, n = grid.size - 1, sys.n
+    powers = _step_powers(sys.a_mat, sys.b_mat, sys.q_mat, p.horizon, steps)
+    wanted = set(nodes)
+
+    def pick(k, m):
+        return np.array([i for i in range(m - 1) if k + 1 + i in wanted] + [m - 1])
+
+    chunks, sampled = [], {}
+    for k, p_k, offsets, p_new, xy in _exact_chunks(powers, sys.p0_mat, grid, pick):
+        chunks.append((k, offsets[-1] + 1, p_k, xy[-1, n:].copy()))
+        sampled.update((k + 1 + i, v) for i, v in zip(offsets, p_new) if k + 1 + i in wanted)
+    sampled[0] = chunks[0][2]
+    y_left, y_right = powers[:, n:, :n], powers[:, n:, n:]
+    states = np.empty((grid.size, n))
     x = states[0] = x0
-
-    def rhs(t, y):  # rk4_step asks for the half step t + 0.5*h, then the end
-        return (mid if t == half else end) @ y
-
-    for lo in range(0, steps, _ORACLE_CHUNK):
-        hi = min(lo + _ORACLE_CHUNK, steps)
-        p_chunk = p_path[steps - hi:steps - lo + 1][::-1]  # P(T - t_lo) ... P(T - t_hi)
-        mats = a - bb @ p_chunk
-        mids = 0.5 * (mats[:-1] + mats[1:])
-        for j, k in enumerate(range(lo, hi)):
-            t = grid[k]
-            h = grid[k + 1] - t
-            half, mid, end = t + 0.5 * h, mids[j], mats[j + 1]
-            x = states[k + 1] = rk4_step(rhs, t, h, x, mats[j] @ x)
-        controls[lo:hi] = -np.einsum("kij,kj->ki", p_chunk[:-1], states[lo:hi]) @ b.T
-    controls[-1] = -b @ (p_path[0] @ x)
-    return Trajectory(grid=grid, states=states, controls=controls)
+    for k, m, p_k, y_end in reversed(chunks):
+        x = np.linalg.solve(y_end, x)  # the state at node k
+        top = steps - k  # the grid index of Riccati node k
+        states[top - m + 1:top] = (y_left[:m - 1] @ (p_k @ x) + y_right[:m - 1] @ x)[::-1]
+        states[top] = x
+    return states, p_new[-1], sampled
 
 
 @dataclass(frozen=True)
@@ -442,31 +498,33 @@ class OracleReport:
 def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     """Run both controllers and report P-matrix, state and cost gaps.
 
-    Both solve the system's problem and run over its horizon; the oracle's
-    closed loop runs by matvecs (`_oracle_closed_loop`).  The P gap
-    is the max-abs difference between the reconstructed operator
-    ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and the matrix Riccati path
-    at up to 21 sampled grid times.
+    Both solve the system's problem and run over its horizon, and both
+    are exact, so every gap is rounding at any ``dt``.  The decoupled side
+    is the closed-form run of `simulate` and its cost by `evaluate_cost`.
+    The oracle stays independent of the decoupling: dense n x n matrices,
+    no eigenfunction.  Its states come from the chunk factors of the exact
+    matrix Riccati steps (`_oracle_loop`), and its cost is the value
+    ``x0' P(T) x0 / n``.  The P gap is the max-abs difference between the
+    reconstructed operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and
+    the oracle's P at up to 21 sampled grid times.
     """
     p = sys.problem
     gains = synthesize_gains(p, dt)
-    ctrl_dec = feedback_controller(p, gains)
-    _, path = oracle_controller(sys, dt)
-    traj_dec = simulate(sys, ctrl_dec, x0, p.horizon, dt)
-    traj_orc = _oracle_closed_loop(sys, path, np.asarray(x0, dtype=float))
-    j_dec = evaluate_cost(traj_dec, sys).total
-    j_orc = evaluate_cost(traj_orc, sys).total
-    stride = max(1, (path.grid.size - 1) // 20)
-    p_gap = 0.0
-    for k in range(0, path.grid.size, stride):
-        rec = reconstruct_P(gains, p.graphon, path.grid[k], sys.n)
-        p_gap = max(p_gap, float(np.abs(rec - path.values[k]).max()))
+    traj = simulate(sys, feedback_controller(p, gains), x0, p.horizon, dt)
+    j_dec = evaluate_cost(traj, sys).total
+    grid = traj.grid
+    x0 = np.asarray(x0, dtype=float)
+    nodes = range(0, grid.size, max(1, (grid.size - 1) // 20))
+    states, p_end, sampled = _oracle_loop(sys, x0, grid, nodes)
+    j_orc = float(x0 @ p_end @ x0) / sys.n
+    p_gap = max(float(np.abs(reconstruct_P(gains, p.graphon, grid[k], sys.n)
+                             - sampled[k]).max()) for k in nodes)
     return OracleReport(
         j_decoupled=j_dec,
         j_oracle=j_orc,
         # a zero optimal cost leaves no scale: report the absolute gap
         cost_rel_gap=abs(j_dec - j_orc) / (abs(j_orc) or 1.0),
-        state_gap=float(np.abs(traj_dec.states - traj_orc.states).max()),
+        state_gap=float(np.abs(traj.states - states).max()),
         p_gap=p_gap,
     )
 
@@ -486,36 +544,43 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
                      dt: float) -> list[TruncationRow]:
     """Cost inflation and terminal-state ratios for each truncation level.
 
-    Every distinct level in ``levels`` and the full level ``rank`` of the
-    system's problem is simulated once over its horizon with one
-    synthesis of gains; the level-rank run is the optimal one.  Every
-    truncated law runs in modal form on the system, so costs and terminal
-    eigen coordinates ``g_l(T)*c_l`` are read from each run's modes, and
-    a study builds no (K+1) x n array.  For each ignored direction the
-    measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits next to its
+    One synthesis of gains and at most two closed-form runs over the
+    system's horizon serve every level: the optimal law (level rank) and,
+    when a level below rank is asked for, the pure auxiliary law
+    (level 0).  Each mode of a decoupled run evolves on its own, and a
+    dropped direction's loop depends only on the residual gain
+    ``beta0 L``, the same at every level that drops it.  So level d costs
+    the optimal run's parts of the residual and the kept directions plus
+    the level-0 run's parts of the dropped ones (`evaluate_cost`, exact),
+    and its terminal eigen coordinates ``g_l(T)*c_l`` come from the same
+    runs; a study builds no (K+1) x n array.  For each dropped direction
+    the measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits next to its
     prediction `ratio_prediction` (available when the input polynomial is
     constant), in closed form from the problem's table of scalar problems.
     """
     p = sys.problem
     levels = list(levels)
+    for level in levels:
+        _check_level(p, level)
     gains = synthesize_gains(p, dt)
-    # truncate_problem rejects a level outside [0, rank] before any run
-    laws = {level: feedback_controller(truncate_problem(p, level), gains)
-            for level in dict.fromkeys((*levels, p.d))}
-    runs = {}
-    for level, law in laws.items():
+    parts, ends = {}, {}
+    for level in dict.fromkeys((p.d, *(0 for level in levels if level < p.d))):
+        law = feedback_controller(truncate_problem(p, level), gains)
         traj = simulate(sys, law, x0, p.horizon, dt)
+        cost = evaluate_cost(traj, sys)
+        parts[level] = np.append(cost.aux, cost.eigen)
         m = traj.modes
-        runs[level] = (evaluate_cost(traj, sys).total, m.growth[-1, 1:] * m.coords)
-    j_opt, coords_opt = runs[p.d]
+        ends[level] = m.growth[-1, 1:] * m.coords
+    j_opt = float(parts[p.d].sum())
     predictions = (ratio_prediction(p) if p.poly_b.degree == 0
                    else np.full(p.d, np.nan))
     rows = []
     for level in levels:
-        j_level, coords = runs[level]
         dropped = np.arange(p.d) >= level
-        measured = np.divide(coords, coords_opt, out=np.full(p.d, np.nan),
-                             where=dropped & (np.abs(coords_opt) > 1e-12))
+        j_level = (j_opt if level == p.d else
+                   float(np.append(parts[p.d][:level + 1], parts[0][level + 1:]).sum()))
+        measured = np.divide(ends.get(0, ends[p.d]), ends[p.d], out=np.full(p.d, np.nan),
+                             where=dropped & (np.abs(ends[p.d]) > 1e-12))
         rows.append(TruncationRow(
             level=level,
             j_truncated=j_level,

@@ -317,16 +317,33 @@ class TestRunCommand:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
-    def test_stiff_closed_loop_exits_3(self, tmp_path, capsys):
-        # every mode decays at rate about -400: at dt = 0.01 an RK4 step grows it
-        # by R(-4) = 5, a finite blow-up that no finiteness check catches
-        path = write_scenario(tmp_path, alpha0=1.0, poly_b=[400.0], poly_q=[1.0],
+    def test_overflow_exits_3_without_warning(self, tmp_path, capsys):
+        # the same blow-up with every warning an error: the closed-form run
+        # reports the overflow itself, as a numeric failure
+        path = write_scenario(tmp_path, alpha0=5000.0, poly_q=[0.0], poly_p0=[0.0],
+                              horizon=1.0, dt=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", path, "--out", str(tmp_path / "boom")]) == 3
+        assert "numeric failure: closed-loop state blew up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b, exact", [(200.0, 0.0021806323024900),
+                                          (400.0, 0.0010872592903110)],
+                             ids=["b200", "b400"])
+    def test_stiff_closed_loop_reports_true_cost(self, tmp_path, b, exact):
+        # every mode decays at a rate near -b^2 Pi, past RK4's stability bound
+        # at dt = 0.01; the closed-form run takes no steps, so it costs the
+        # optimum x0'P(T)x0/n of the matrix Riccati solution
+        path = write_scenario(tmp_path, alpha0=1.0, poly_b=[b], poly_q=[1.0],
                               poly_p0=[1.0], horizon=1.0, dt=0.01, n=8, seed=0)
-        assert cli.main(["run", path, "--out", str(tmp_path / "a")]) == 3
-        err = capsys.readouterr().err
-        assert "numeric failure" in err and "too stiff for RK4 at t = 0:" in err
-        assert cli.main(["run", path, "--dt", "0.001", "--out", str(tmp_path / "b")]) == 0
-        assert capsys.readouterr().out.startswith("J=0.001145 ")
+        out = tmp_path / "stiff"
+        assert cli.main(["run", path, "--out", str(out)]) == 0
+        total = json.loads((out / "cost.json").read_text())["total"]
+        _, system, x0 = cli.build_experiment(cli.load_scenario(path))
+        p_end = gl.solve_matrix_riccati(system.a_mat, system.b_mat, system.q_mat,
+                                        system.p0_mat, 1.0, 0.01).values[-1]
+        assert total == pytest.approx(x0 @ p_end @ x0 / 8, rel=1e-12, abs=0.0)
+        assert total == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_lapack_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError is a ValueError, which alone would exit 2

@@ -385,16 +385,25 @@ class TestRatioPrediction:
         assert pred == pytest.approx(expect, abs=1e-8)
 
     def test_measured_ratio_converges_at_second_order(self):
-        # the prediction reads no grid; the ratio a truncation study measures
-        # approaches it with the closed loop's second-order error
+        # the prediction reads no grid; the ratio that the RK4 generic loop
+        # measures approaches it at second order (the laws interpolate their
+        # gains), and a truncation study measures it from the closed form
         p = sinusoidal_problem(horizon=0.5, poly_b=(1.0,))
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 40), p)
         x0 = gl.initial_state(40, 97)
+        f = p.graphon.cells(40)
         gaps = []
         for dt in (2e-3, 1e-3):
             row = gl.truncation_study(sys_, x0, [1], dt)[0]
             assert row.predicted_ratio[1] == ratio_prediction(p)[1]
-            gaps.append(abs(row.measured_ratio[1] - row.predicted_ratio[1]))
+            assert row.measured_ratio[1] == pytest.approx(row.predicted_ratio[1],
+                                                          rel=1e-12, abs=0.0)
+            gains = synthesize_gains(p, dt)
+            ends = [gl.simulate(sys_, lambda t, x, law=law: law(t, x), x0, p.horizon,
+                                dt).states[-1] @ f[1]
+                    for law in (feedback_controller(truncate_problem(p, 1), gains),
+                                feedback_controller(p, gains))]
+            gaps.append(abs(ends[0] / ends[1] - row.predicted_ratio[1]))
         assert 3.5 <= gaps[0] / gaps[1] <= 4.5
 
 

@@ -260,24 +260,46 @@ def generic(law):
     return lambda t, x: law(t, x)
 
 
-class TestModalEngine:
-    """The modal closed loop against the generic loop on the same system."""
+def oracle_states(sys_, x0, dt):
+    """The exact matrix-Riccati oracle's optimal states on the run's grid."""
+    grid = gl.uniform_grid(sys_.problem.horizon, dt)
+    return sim_module._oracle_loop(sys_, np.asarray(x0, dtype=float), grid, [0])[0]
 
-    def assert_loops_agree(self, sys_, law, x0, horizon, dt):
-        modal = gl.simulate(sys_, law, x0, horizon, dt)
-        loop = gl.simulate(sys_, generic(law), x0, horizon, dt)
-        assert rel_gap(modal.states, loop.states) <= 1e-12
-        assert rel_gap(modal.controls, loop.controls) <= 1e-12
-        return modal
+
+class TestModalEngine:
+    """The closed-form run against the oracle, its law and the generic loop."""
+
+    def assert_closed_form(self, sys_, level, x0, dt):
+        """The run of the law of ``level`` with the problem's gains: its controls
+        are the law's output at its states, the RK4 generic loop converges to
+        it, at second order for a truncated law (the law interpolates its
+        gains), and the optimal law's states are the exact oracle's."""
+        p = sys_.problem
+        errors = []
+        for step in (dt, dt / 2):
+            law = feedback_controller(truncate_problem(p, level),
+                                      synthesize_gains(p, step))
+            modal = gl.simulate(sys_, law, x0, p.horizon, step)
+            assert modal.modes is not None
+            outputs = np.array([law(t, x) for t, x in zip(modal.grid, modal.states)])
+            assert rel_gap(modal.controls, outputs) <= 1e-12
+            loop = gl.simulate(sys_, generic(law), x0, p.horizon, step)
+            errors.append(rel_gap(loop.states, modal.states))
+            if step == dt:
+                first = modal
+        assert errors[0] / errors[1] >= 3.5
+        if level < p.d:
+            assert errors[0] / errors[1] <= 4.5
+        else:
+            assert rel_gap(first.states, oracle_states(sys_, x0, dt)) <= 1e-12
+        return first
 
     def test_sampled_sinusoidal_matches_generic_loop(self, vii_problem):
         n, dt = 40, 1e-3
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
         assert sys_.residual <= sim_module._DECOUPLING_TOL
-        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
-        self.assert_loops_agree(sys_, law, gl.initial_state(n, 6),
-                                vii_problem.horizon, dt)
+        self.assert_closed_form(sys_, vii_problem.d, gl.initial_state(n, 6), dt)
 
     # seed -> n of a full-rank case (rank = n); other seeds draw n and a rank < n
     FULL_RANK = {4: 1, 5: 2, 6: 5, 7: 8}
@@ -295,16 +317,16 @@ class TestModalEngine:
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
         sys_ = gl.build_step_system(entries, p)
         assert sys_.residual <= sim_module._DECOUPLING_TOL
-        law = feedback_controller(p, synthesize_gains(p, 1e-3))
-        traj = self.assert_loops_agree(sys_, law, gl.initial_state(n, seed), 1.0, 1e-3)
-        assert traj.modes is not None
-        # the low-rank cost against the dense quadratic forms
-        x, u = traj.states, traj.controls
-        q_mat = apply_poly_matrix(p.poly_q, entries / n)
-        p0_mat = apply_poly_matrix(p.poly_p0, entries / n)
-        run = np.einsum("ki,ij,kj->k", x, q_mat, x) / n + (u * u).sum(axis=1) / n
-        dense = np.trapezoid(run, traj.grid) + x[-1] @ p0_mat @ x[-1] / n
-        assert gl.evaluate_cost(traj, sys_).total == pytest.approx(dense, rel=1e-12)
+        x0 = gl.initial_state(n, seed)
+        traj = self.assert_closed_form(sys_, p.d, x0, 1e-3)
+        # the low-rank cost against the value x0'P(T)x0/n of the dense quadratic
+        # forms' matrix Riccati solution
+        a_mat = p.alpha0 * np.eye(n) + entries / n
+        b_mat, q_mat, p0_mat = (apply_poly_matrix(poly, entries / n)
+                                for poly in (p.poly_b, p.poly_q, p.poly_p0))
+        p_end = gl.solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, 1.0, 1e-3).values[-1]
+        value = x0 @ p_end @ x0 / n
+        assert gl.evaluate_cost(traj, sys_).total == pytest.approx(value, rel=1e-12)
 
     def test_full_rank_residual_stays_empty(self):
         # n = d leaves no residual; q(0) = z(0) = 0 leaves the residual gain at
@@ -315,23 +337,21 @@ class TestModalEngine:
                           gl.CoeffPoly([0.0, 0.0, 1.0]), g, 1.0)
         sys_ = gl.build_step_system(m, p)
         assert p.d == 3 and sys_.residual <= sim_module._DECOUPLING_TOL
-        law = feedback_controller(p, synthesize_gains(p, 1e-3))
-        traj = self.assert_loops_agree(sys_, law, gl.initial_state(3, 1), 1.0, 1e-3)
-        assert traj.modes is not None and gl.evaluate_cost(traj, sys_).aux == 0.0
+        traj = self.assert_closed_form(sys_, p.d, gl.initial_state(3, 1), 1e-3)
+        assert gl.evaluate_cost(traj, sys_).aux == 0.0
 
     def test_every_truncation_level(self, vii_problem):
         n, dt = 24, 1e-3
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
         x0 = gl.initial_state(n, 8)
-        gains = synthesize_gains(vii_problem, dt)
         for level in range(vii_problem.d + 1):
-            law = feedback_controller(truncate_problem(vii_problem, level), gains)
-            self.assert_loops_agree(sys_, law, x0, vii_problem.horizon, dt)
+            self.assert_closed_form(sys_, level, x0, dt)
 
     def test_law_of_another_kernel_object_runs_generic_loop(self, vii_problem):
-        # an equal kernel built anew has other eigenpair objects: the modal
-        # engine trusts only the system's own pairs
+        # an equal kernel built anew has other eigenpair objects: the closed
+        # form trusts only the system's own pairs, and the twin's law runs the
+        # generic loop exactly as the own law behind a plain callable does
         n, dt = 16, 1e-3
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
@@ -342,8 +362,52 @@ class TestModalEngine:
         modal = gl.simulate(sys_, own, x0, 1.0, dt)
         loop = gl.simulate(sys_, other, x0, 1.0, dt)
         assert modal.modes is not None and loop.modes is None
-        assert rel_gap(loop.states, modal.states) <= 1e-12
-        assert rel_gap(loop.controls, modal.controls) <= 1e-12
+        plain = gl.simulate(sys_, generic(own), x0, 1.0, dt)
+        assert rel_gap(loop.states, plain.states) <= 1e-12
+        assert rel_gap(loop.controls, plain.controls) <= 1e-12
+        assert rel_gap(modal.states, oracle_states(sys_, x0, dt)) <= 1e-12
+
+    def test_other_gains_never_run_in_closed_form(self, vii_problem):
+        # a law whose gains are not its problem's synthesized ones is not the
+        # optimal law: it runs the generic loop, and so does its cost
+        n, dt = 12, 1e-2
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        x0 = gl.initial_state(n, 14)
+        gains = synthesize_gains(vii_problem, dt)
+        for level in (vii_problem.d, 0):
+            problem = truncate_problem(vii_problem, level)
+            law = feedback_controller(problem, gl.Curve(gains.grid, 1.1 * gains.values))
+            traj = gl.simulate(sys_, law, x0, vii_problem.horizon, dt)
+            loop = gl.simulate(sys_, lambda t, x: law(t, x), x0, vii_problem.horizon, dt)
+            assert traj.modes is None
+            assert (gl.evaluate_cost(traj, sys_).total
+                    == gl.evaluate_cost(loop, sys_).total)
+
+    def test_gains_of_another_grid_run_generic_loop(self, vii_problem):
+        # gains synthesized on a coarser grid are read by interpolation between
+        # their nodes, so on a finer run the law is not the optimal one: it
+        # runs the generic loop and costs more than the optimum
+        n, coarse, fine = 12, 1e-1, 1e-3
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        x0 = gl.initial_state(n, 15)
+        gains = synthesize_gains(vii_problem, coarse)
+        assert gains.origin is vii_problem
+        assert gl.Curve(gains.grid, gains.values).origin is None
+        optimal = gl.evaluate_cost(gl.simulate(
+            sys_, feedback_controller(vii_problem, synthesize_gains(vii_problem, fine)),
+            x0, vii_problem.horizon, fine), sys_).total
+        for level in (vii_problem.d, 0):
+            law = feedback_controller(truncate_problem(vii_problem, level), gains)
+            assert gl.simulate(sys_, law, x0, vii_problem.horizon, coarse).modes is not None
+            traj = gl.simulate(sys_, law, x0, vii_problem.horizon, fine)
+            loop = gl.simulate(sys_, lambda t, x: law(t, x), x0, vii_problem.horizon, fine)
+            assert traj.modes is None
+            np.testing.assert_array_equal(traj.states, loop.states)
+            cost = gl.evaluate_cost(traj, sys_).total
+            assert cost == gl.evaluate_cost(loop, sys_).total
+            assert cost > optimal
 
     @pytest.mark.parametrize("engine", ["modal", "generic"])
     def test_law_horizon_bounds_the_run(self, vii_problem, engine):
@@ -397,22 +461,37 @@ class TestModalTrajectory:
     """A decoupled run held by its modes: costs and studies read no dense array."""
 
     @staticmethod
-    def assert_cost_of_dense_run(traj, sys_):
+    def dense_cost_error(traj, sys_):
+        """How far the trapezoid cost of the rebuilt run lies from the exact one.
+
+        The errors of the total, the auxiliary part and each eigen part, in
+        that order.
+        """
         assert traj.modes is not None
         modal = gl.evaluate_cost(traj, sys_)
         dense = gl.evaluate_cost(gl.Trajectory(traj.grid, traj.states, traj.controls),
                                  sys_)
-        assert modal.total == pytest.approx(dense.total, rel=1e-12, abs=0.0)
-        assert modal.aux == pytest.approx(dense.aux, rel=1e-12, abs=0.0)
-        np.testing.assert_allclose(modal.eigen, dense.eigen, rtol=1e-12, atol=0.0)
+        assert modal.total == pytest.approx(modal.aux + modal.eigen.sum(), rel=1e-14)
+        return np.abs(np.append([dense.total, dense.aux], dense.eigen)
+                      - np.append([modal.total, modal.aux], modal.eigen))
 
     def test_cost_of_example_vii(self, vii_problem):
+        # the value x0'P(T)x0/n, mode by mode Pi_m(T) times the initial energy
         n, dt = 40, 1e-3
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
         law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
-        traj = gl.simulate(sys_, law, gl.initial_state(n, 7), vii_problem.horizon, dt)
-        self.assert_cost_of_dense_run(traj, sys_)
+        x0 = gl.initial_state(n, 7)
+        cost = gl.evaluate_cost(gl.simulate(sys_, law, x0, vii_problem.horizon, dt), sys_)
+        pi_end = gl.riccati_explicit(*vii_problem.mode_params.T, [0.0, 1.0])[-1]
+        coords, resid = vii_problem.graphon.project(x0)
+        parts = pi_end * np.append(resid @ resid / n, coords ** 2)
+        assert cost.aux == pytest.approx(parts[0], rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(cost.eigen, parts[1:], rtol=1e-12, atol=0.0)
+        report = gl.oracle_compare(sys_, x0, dt)
+        assert cost.total == report.j_decoupled
+        assert cost.total == pytest.approx(report.j_oracle, rel=1e-12, abs=0.0)
+        assert cost.total == pytest.approx(3.2553731618427, rel=1e-12, abs=0.0)
 
     def test_cost_at_every_truncation_level(self):
         rng = np.random.default_rng(90)
@@ -421,11 +500,19 @@ class TestModalTrajectory:
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
         assert p.poly_b.degree == 2
         sys_ = gl.build_step_system(entries, p)
-        gains = synthesize_gains(p, 1e-3)
         x0 = gl.initial_state(11, 91)
+        # the trapezoid cost of the exact states converges to the exact cost
+        # at second order at every level, in total and mode by mode, so each
+        # dropped direction's inflation is held to its own dense run
         for level in range(p.d + 1):
-            law = feedback_controller(truncate_problem(p, level), gains)
-            self.assert_cost_of_dense_run(gl.simulate(sys_, law, x0, 1.0, 1e-3), sys_)
+            errors = []
+            for dt in (1e-3, 5e-4):
+                law = feedback_controller(truncate_problem(p, level),
+                                          synthesize_gains(p, dt))
+                errors.append(self.dense_cost_error(gl.simulate(sys_, law, x0, 1.0, dt),
+                                                    sys_))
+            ratios = errors[0] / errors[1]
+            assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (level, ratios)
 
     def test_dense_constructor_unchanged(self):
         grid = np.linspace(0.0, 1.0, 3)
@@ -473,7 +560,7 @@ class TestModalTrajectory:
 
         monkeypatch.setattr(sim_module, "simulate", recording_simulate)
         gl.truncation_study(sys_, x0, range(p.d + 1), 1e-3)
-        assert len(runs) == 1 + p.d + 1
+        assert len(runs) == 1 + 2  # the study's optimal and level-0 runs
         for run in runs:
             assert run.modes is not None
             assert not {"states", "controls"} & set(vars(run))
@@ -495,29 +582,27 @@ class TestModalTrajectory:
 
         monkeypatch.setattr(sim_module, "simulate", recording_simulate)
         gl.truncation_study(sys_, gl.initial_state(6, 94), range(p.d + 1), 1e-3)
-        assert len(runs) == p.d + 1
+        assert len(runs) == 2
         for run in runs:
             assert run.modes is not None
             assert not {"states", "controls"} & set(vars(run))
 
-    @pytest.mark.parametrize("b, match", [
-        (400.0, r"t = 0: h\*\|rate\| = 4(\.\d+)? exceeds the stability "
-                r"bound 2\.785"),
-        (200.0, r"t = 0\.99: h\*\|rate\| = 400(\.\d+)? exceeds the stability "
-                r"bound 2\.785, so the step grows a decaying mode by 6\.279e\+04;"),
-    ], ids=["b400", "b200"])
-    def test_stiff_decaying_mode_raises(self, b, match):
-        # b = 400: h*|rate| = 4 exceeds RK4's real stability bound: the step
-        # factor R(-4) = 5 grows every mode that the exact loop decays.
-        # b = 200: h*|rate| is 2.074 at the start of the last step and 400 at
-        # its end, where the gain reaches the terminal weight; the message
-        # gives the larger and the factor of the step
+    @pytest.mark.parametrize("b", [400.0, 200.0], ids=["b400", "b200"])
+    def test_stiff_decaying_mode_runs_exactly(self, b):
+        # every mode decays at a rate near -b^2 Pi: at dt = 1e-2, h*|rate| reaches
+        # 4 (b = 400) or 400 within the last step (b = 200), past RK4's
+        # stability bound; the closed form takes no steps, so the run is the
+        # oracle's and its cost the value x0'P(T)x0/n
         p = gl.LqrProblem(1.0, gl.CoeffPoly([b]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 8), p)
         law = feedback_controller(p, synthesize_gains(p, 1e-2))
-        with pytest.raises(gl.BlowUpError, match=match):
-            gl.simulate(sys_, law, gl.initial_state(8, 0), 1.0, 1e-2)
+        x0 = gl.initial_state(8, 0)
+        traj = gl.simulate(sys_, law, x0, 1.0, 1e-2)
+        assert rel_gap(traj.states, oracle_states(sys_, x0, 1e-2)) <= 1e-12
+        report = gl.oracle_compare(sys_, x0, 1e-2)
+        assert gl.evaluate_cost(traj, sys_).total == report.j_decoupled
+        assert report.cost_rel_gap <= 1e-12
 
     def test_blow_up_bounds_the_dense_run(self):
         # a run that passes the bound rebuilds to finite states and controls
@@ -528,6 +613,36 @@ class TestModalTrajectory:
         traj = gl.simulate(sys_, law, np.array([1.0, -2.0, 0.5]), 1.0, 1e-3)
         assert np.abs(traj.states).max() > 1e300
         assert np.isfinite(traj.states).all() and np.isfinite(traj.controls).all()
+
+
+@pytest.mark.parametrize("beta0", [0.0, 1e-9, 1e-6, 1e-3])
+def test_small_input_gain_dropped_direction(beta0):
+    # a direction the level-0 law drops grows by exp(alpha_l t - b_l beta0
+    # integral_{T-t}^T L) and costs the completion-of-squares inflation
+    # integral ((b_l M_l - beta0 L)(T - t) g_l(t))^2 on top of its value; both
+    # against scipy's quad of the closed-form integrands, however small beta0
+    from scipy.integrate import quad
+
+    p = gl.LqrProblem(1.0, gl.CoeffPoly([beta0, 1.0]), gl.CoeffPoly([1.0]),
+                      gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
+    sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 8), p)
+    law = feedback_controller(truncate_problem(p, 0), synthesize_gains(p, 1e-2))
+    traj = gl.simulate(sys_, law, gl.initial_state(8, 2), 1.0, 1e-2)
+    alpha, b, q, z = p.mode_params.T
+
+    def pi(m, tau):
+        return float(gl.riccati_explicit(alpha[m], b[m], q[m], z[m], [tau])[0])
+
+    def growth(t):
+        pushed = quad(lambda tau: pi(0, tau), 1.0 - t, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        return np.exp(alpha[1] * t - b[1] * b[0] * pushed)
+
+    for k in (10, 50, 100):
+        assert traj.modes.growth[k, 1] == pytest.approx(growth(traj.grid[k]), rel=1e-10)
+    inflation = sim_module._unit_costs(traj.modes, 1.0)[1] - pi(1, 1.0)
+    expect = quad(lambda t: ((b[1] * pi(1, 1.0 - t) - b[0] * pi(0, 1.0 - t))
+                             * growth(t)) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+    assert inflation == pytest.approx(expect, rel=1e-10)
 
 
 class TestEvaluateCost:
@@ -569,14 +684,15 @@ class TestEvaluateCost:
         assert cost.aux >= 0.0 and np.all(cost.eigen >= 0.0)
 
     def test_run_of_another_network_size_rejected(self, vii_problem):
-        # a modal run on 20 cells would cost 0.7082 on the 40-cell system
-        # against its own 1.3522; a dense run is held to the size as well
+        # a closed-form run on 20 cells costs its value 1.35194261336798 (its
+        # RK4 run cost 1.35218778592335); a run of either form is held to the
+        # size of the system that costs it
         dt = 1e-2
         law = feedback_controller(vii_problem, synthesize_gains(vii_problem, dt))
         small, large = (gl.build_step_system(
             gl.sample_step_entries(vii_problem.graphon, n), vii_problem) for n in (20, 40))
         traj = gl.simulate(small, law, gl.initial_state(20, 1), vii_problem.horizon, dt)
-        assert gl.evaluate_cost(traj, small).total == pytest.approx(1.3522, abs=1e-4)
+        assert gl.evaluate_cost(traj, small).total == pytest.approx(1.3519426133680, abs=1e-12)
         for run in (traj, gl.Trajectory(traj.grid, traj.states, traj.controls)):
             with pytest.raises(ValueError, match="run has 20 nodes but the system has 40"):
                 gl.evaluate_cost(run, large)
@@ -602,30 +718,83 @@ class TestOracleCompare:
         assert report.p_gap <= 1e-6
 
     def test_matvec_oracle_loop_matches_generic_loop(self, monkeypatch):
-        # the oracle's closed loop in oracle_compare against the public oracle
-        # controller run through the generic loop; 1000 steps leave a partial
-        # last chunk
+        # the oracle's loop in oracle_compare against the public oracle
+        # controller run through the generic loop, which converges to it at
+        # second order (the controller interpolates P); 1000 steps leave a
+        # partial last chunk.  Its cost is the value x0'P(T)x0/n of the path
         rng = np.random.default_rng(52)
         g, entries = make_rank_kernel(rng, 7, 2)
         p = gl.LqrProblem(0.4, input_poly(rng, 2), admissible_poly(rng, g.lambdas, 2),
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
         sys_ = gl.build_step_system(entries, p)
-        x0, dt = gl.initial_state(7, 53), 1e-3
+        x0 = gl.initial_state(7, 53)
         runs = []
-        loop = sim_module._oracle_closed_loop
+        loop = sim_module._oracle_loop
 
         def recorded(*args):
             runs.append(loop(*args))
             return runs[-1]
 
-        monkeypatch.setattr(sim_module, "_oracle_closed_loop", recorded)
+        monkeypatch.setattr(sim_module, "_oracle_loop", recorded)
+        errors = []
+        for dt in (1e-3, 5e-4):
+            report = gl.oracle_compare(sys_, x0, dt)
+            states, p_end, _ = runs[-1]
+            controller, path = gl.oracle_controller(sys_, dt)
+            ref = gl.simulate(sys_, controller, x0, p.horizon, dt)
+            assert ref.grid.size == states.shape[0]
+            errors.append(rel_gap(ref.states, states))
+            assert np.array_equal(p_end, path.values[-1])
+            assert report.j_oracle == float(x0 @ p_end @ x0) / 7
+        assert len(runs) == 2 and 3.5 <= errors[0] / errors[1] <= 4.5
+
+    @pytest.mark.parametrize("dt", [1e-2, 1e-3])
+    def test_exact_oracle_states_are_the_closed_form_growth(self, vii_problem, dt):
+        # the oracle's states from its chunk factors against each mode's
+        # closed-form growth Y_m(T - t)/Y_m(T) on the 40-cell example
+        n = 40
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        x0 = gl.initial_state(n, 7)
+        params = vii_problem.mode_params.T
+        grid = gl.uniform_grid(1.0, dt)
+
+        def ln_y(tau):
+            _, y_hat, omega = riccati_module._scaled_factors(*params, tau[:, None])
+            return omega * tau[:, None] + np.log(y_hat)
+
+        growth = np.exp(ln_y(1.0 - grid) - ln_y(np.array([1.0])))
+        coords, resid = vii_problem.graphon.project(x0)
+        f = vii_problem.graphon.cells(n)
+        exact = (growth[:, 1:] * coords) @ f + growth[:, :1] * resid
+        assert rel_gap(oracle_states(sys_, x0, dt), exact) <= 1e-12
+
+    def test_oracle_forms_no_riccati_path(self, vii_problem, monkeypatch):
+        # the oracle solves P at chunk ends and the sampled times only; its
+        # sampled P are the full path's, bit for bit
+        n, dt = 16, 1e-3
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        x0 = gl.initial_state(n, 3)
+        path = gl.solve_matrix_riccati(sys_.a_mat, sys_.b_mat, sys_.q_mat, sys_.p0_mat,
+                                       1.0, dt)
+
+        def fail(*args):
+            raise AssertionError("the full matrix Riccati path was solved")
+
+        for module in (riccati_module, sim_module):
+            monkeypatch.setattr(module, "solve_matrix_riccati", fail)
         report = gl.oracle_compare(sys_, x0, dt)
-        (run,) = runs
-        ref = gl.simulate(sys_, gl.oracle_controller(sys_, dt)[0], x0, p.horizon, dt)
-        np.testing.assert_array_equal(run.grid, ref.grid)
-        np.testing.assert_allclose(run.states, ref.states, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(run.controls, ref.controls, rtol=0, atol=1e-12)
-        assert report.j_oracle == gl.evaluate_cost(run, sys_).total
+        nodes = range(0, 1001, 50)
+        _, p_end, sampled = sim_module._oracle_loop(sys_, x0, path.grid, nodes)
+        assert np.array_equal(p_end, path.values[-1])
+        for k in nodes:
+            assert np.array_equal(sampled[k], path.values[k])
+        gains = synthesize_gains(vii_problem, dt)
+        assert report.p_gap == max(
+            float(np.abs(gl.reconstruct_P(gains, vii_problem.graphon, path.grid[k], n)
+                         - path.values[k]).max()) for k in nodes)
+        assert report.cost_rel_gap <= 1e-12 and report.state_gap <= 1e-12
 
 
 @st.composite
@@ -690,8 +859,9 @@ class TestTruncationStudy:
                 assert row.predicted_ratio[h] == gl.ratio_prediction(p)[h]
 
     def test_one_law_per_level_and_no_eigenfunction_call(self, monkeypatch):
-        # once the system's cell table exists, a study builds one truncated
-        # law per distinct level and evaluates no eigenfunction
+        # once the system's cell table exists, a study builds two truncated
+        # laws, the optimal and the level-0 one, whatever the levels, and
+        # evaluates no eigenfunction
         rng = np.random.default_rng(69)
         _, entries = make_rank_kernel(rng, 10, 3)
         g = gl.StepGraphon(entries).spectral_decompose()
@@ -713,7 +883,7 @@ class TestTruncationStudy:
         monkeypatch.setattr(sim_module, "truncate_problem", recording_truncate)
         rows = gl.truncation_study(sys_, gl.initial_state(10, 70), [1, p.d, 0, 1], 1e-3)
         assert [row.level for row in rows] == [1, p.d, 0, 1]
-        assert sorted(truncated) == [0, 1, p.d]
+        assert sorted(truncated) == [0, p.d]
         assert calls == []
 
     def test_one_synthesis_and_one_run_per_level(self, monkeypatch):
@@ -739,9 +909,16 @@ class TestTruncationStudy:
         rows = gl.truncation_study(sys_, gl.initial_state(10, 66),
                                    [*range(p.d + 1), 1], 1e-3)
         assert len(solves) == 1
-        assert sorted(runs) == list(range(p.d + 1))  # level d is the optimal run
+        assert sorted(runs) == [0, p.d]  # level d is the optimal run
         assert [row.level for row in rows] == [0, 1, 2, 3, 1]
         assert rows[-1].j_optimal == rows[-2].j_truncated
+        # each composed level costs what its own law's run costs
+        gains = synthesize_gains(p, 1e-3)
+        x0 = gl.initial_state(10, 66)
+        for row in rows:
+            law = feedback_controller(truncate_problem(p, row.level), gains)
+            own = gl.evaluate_cost(gl.simulate(sys_, law, x0, 1.0, 1e-3), sys_).total
+            assert row.j_truncated == pytest.approx(own, rel=1e-14, abs=0.0)
 
     def test_every_run_is_modal(self, monkeypatch):
         # every truncated law runs on the modal engine of the system's own problem
@@ -759,7 +936,7 @@ class TestTruncationStudy:
 
         monkeypatch.setattr(sim_module, "simulate", recording_simulate)
         gl.truncation_study(sys_, gl.initial_state(9, 68), range(p.d + 1), 1e-3)
-        assert len(runs) == p.d + 1 and all(run.modes is not None for run in runs)
+        assert len(runs) == 2 and all(run.modes is not None for run in runs)
 
     def test_ratios_nan_without_constant_input_poly(self):
         p = sinusoidal_problem()  # degree-1 input polynomial
@@ -790,8 +967,10 @@ class TestConsistency:
     def test_modal_engine_converges_to_closed_form(self, vii_problem):
         # the exact loop of mode m is g_m(t) = Y_m(T - t)/Y_m(T) with
         # ln Y = omega*tau + ln Y_hat, and the optimal cost is the value
-        # V = Pi_0(T)|x_res|^2/n + sum_l Pi_l(T) c_l^2; the RK4 run and its
-        # cost approach both at second order (the law interpolates its gains)
+        # V = Pi_0(T)|x_res|^2/n + sum_l Pi_l(T) c_l^2; the law behind a plain
+        # callable runs the RK4 generic loop, whose run and cost approach both
+        # at second order (the law interpolates its gains), while the engine
+        # evaluates the closed form at every dt
         p, n = vii_problem, 40
         horizon = p.horizon
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
@@ -807,47 +986,64 @@ class TestConsistency:
         value = pi_end @ np.append(resid @ resid / n, coords ** 2)
         growth_err, value_gap = [], []
         for dt in (4e-3, 2e-3, 1e-3):
-            traj = gl.simulate(sys_, feedback_controller(p, synthesize_gains(p, dt)),
-                               x0, horizon, dt)
-            exact = np.exp(ln_y(horizon - traj.grid) - ln_y(np.array([horizon])))
-            growth_err.append(np.abs(traj.modes.growth - exact).max())
-            value_gap.append(abs(gl.evaluate_cost(traj, sys_).total - value) / value)
+            law = feedback_controller(p, synthesize_gains(p, dt))
+            modal = gl.simulate(sys_, law, x0, horizon, dt)
+            loop = gl.simulate(sys_, generic(law), x0, horizon, dt)
+            exact = np.exp(ln_y(horizon - loop.grid) - ln_y(np.array([horizon])))
+            assert np.abs(modal.modes.growth - exact).max() <= 1e-12
+            assert abs(gl.evaluate_cost(modal, sys_).total - value) <= 1e-12 * value
+            # the loop's mode growths: its eigen coordinates and residual
+            # against those of x0
+            run_coords, run_resid = p.graphon.project(loop.states)
+            growth = np.column_stack([run_resid @ resid / (resid @ resid),
+                                      run_coords / coords])
+            growth_err.append(np.abs(growth - exact).max())
+            value_gap.append(abs(gl.evaluate_cost(loop, sys_).total - value) / value)
         assert growth_err[0] <= 4e-6 and value_gap[-1] <= 1e-5
         for errs in (growth_err, value_gap):
             assert np.all(np.array(errs[:-1]) >= 3.5 * np.array(errs[1:]))
 
     def test_time_step_convergence_pattern(self):
-        # successive J differences shrink by a stable factor: ~4 from the
-        # trapezoid cost quadrature on top of the 4th-order trajectory
+        # successive J differences of the generic loop shrink by a stable
+        # factor: ~4 from the trapezoid cost quadrature on top of the
+        # 4th-order trajectory; the closed-form run costs the same at every dt
         p = sinusoidal_problem()
         n = 16
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
         x0 = gl.initial_state(n, 70)
 
-        def cost_at(dt):
-            gains = synthesize_gains(p, dt)
-            traj = gl.simulate(sys_, feedback_controller(p, gains), x0, 1.0, dt)
-            return gl.evaluate_cost(traj, sys_).total
+        def costs_at(dt):
+            law = feedback_controller(p, synthesize_gains(p, dt))
+            return [gl.evaluate_cost(gl.simulate(sys_, c, x0, 1.0, dt), sys_).total
+                    for c in (law, generic(law))]
 
-        js = [cost_at(dt) for dt in (4e-3, 2e-3, 1e-3, 5e-4)]
+        exact, js = np.array([costs_at(dt) for dt in (4e-3, 2e-3, 1e-3, 5e-4)]).T
+        assert np.abs(exact - exact[0]).max() <= 1e-12 * exact[0]
         diffs = np.abs(np.diff(js))
         ratios = diffs[:-1] / diffs[1:]
         assert np.all(ratios >= 3.5) and np.all(ratios <= 16.5)
 
     def test_trajectory_is_fourth_order(self):
-        # with the gain curves pinned fine, the state integrator itself
-        # converges at 4th order
+        # with the gain curves pinned fine, the generic loop's state
+        # integrator itself converges at 4th order; the closed-form run ends
+        # at the same state at every dt
         p = sinusoidal_problem()
         n = 12
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
         x0 = gl.initial_state(n, 71)
         gains = synthesize_gains(p, 1e-5)
-        ctrl = feedback_controller(p, gains)
+        law = feedback_controller(p, gains)
 
-        def terminal(dt):
+        def terminal(dt, ctrl=generic(law)):
             return gl.simulate(sys_, ctrl, x0, 1.0, dt).states[-1]
 
         ref = terminal(1e-3)
         e1 = np.abs(terminal(4e-3) - ref).max()
         e2 = np.abs(terminal(2e-3) - ref).max()
         assert e1 / e2 >= 12.0
+        # the law of gains on the run's own grid runs in closed form
+        runs = [gl.simulate(sys_, feedback_controller(p, synthesize_gains(p, dt)),
+                            x0, 1.0, dt) for dt in (4e-3, 2e-3, 1e-3)]
+        assert all(run.modes is not None for run in runs)
+        ends = np.array([run.states[-1] for run in runs])
+        assert rel_gap(ends, np.tile(ends[-1], (3, 1))) <= 1e-12

@@ -59,7 +59,7 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("tool, layers, extra", [
     (bench_build, {"graphon.sample", "sim.build"}, set()),
-    (bench_oracle, {"riccati.matrix", "oracle.loop"}, {"steps"})])
+    (bench_oracle, {"riccati.matrix", "oracle.compare"}, {"steps"})])
 def test_bench_measure_rows(tool, layers, extra):
     rows = tool.measure(1)
     assert {row["layer"] for row in rows} == layers

@@ -7,10 +7,11 @@ Imports ``graphon_lqr`` from ``--src`` (default: this checkout's
 ``src/``) with one BLAS thread.  On the example-vii problem sampled at
 n = 8, 16, 40 and 64 cells with K = 1000 steps it times two layers:
 
-* ``riccati.matrix``: `solve_matrix_riccati` on the system's matrices;
-* ``oracle.loop``: the oracle closed loop that `oracle_compare` runs,
-  ``sim._oracle_closed_loop`` where the package has it, otherwise
-  `simulate` with the controller of `oracle_controller`.
+* ``riccati.matrix``: `solve_matrix_riccati` on the system's matrices,
+  the full (K+1) x n x n path;
+* ``oracle.compare``: the whole `oracle_compare` (synthesis, the
+  decoupled run and its cost, the oracle's loop and value, the P gap),
+  which runs on any checkout.
 
 Timing and recording are `bench_common`'s.
 """
@@ -24,7 +25,7 @@ STEPS = 1000
 
 def measure(repeats: int) -> list[dict]:
     import graphon_lqr as gl
-    from graphon_lqr import cli, sim
+    from graphon_lqr import cli
 
     problem, _, _ = cli.build_experiment(cli.preset_example_vii())
     dt = problem.horizon / STEPS
@@ -32,19 +33,15 @@ def measure(repeats: int) -> list[dict]:
     for n in SIZES:
         system = gl.build_step_system(gl.sample_step_entries(problem.graphon, n), problem)
         x0 = gl.initial_state(n, 1)
-        controller, path = gl.oracle_controller(system, dt)
-        if hasattr(sim, "_oracle_closed_loop"):
-            def loop():
-                sim._oracle_closed_loop(system, path, x0)
-        else:
-            def loop():
-                gl.simulate(system, controller, x0, problem.horizon, dt)
 
         def riccati():
             gl.solve_matrix_riccati(system.a_mat, system.b_mat, system.q_mat,
                                     system.p0_mat, problem.horizon, dt)
 
-        for layer, fn in (("riccati.matrix", riccati), ("oracle.loop", loop)):
+        def compare():
+            gl.oracle_compare(system, x0, dt)
+
+        for layer, fn in (("riccati.matrix", riccati), ("oracle.compare", compare)):
             rows.append(dict(layer=layer, n=n, steps=STEPS, **timed(fn, repeats)))
     return rows
 
