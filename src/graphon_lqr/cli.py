@@ -273,6 +273,16 @@ def _write_echo(out_dir: str, scn: Scenario, base_dir: str):
     write_json(os.path.join(out_dir, "scenario.json"), raw)
 
 
+def _oracle_fields(report) -> dict:
+    """The ``cost.json`` keys of an `OracleReport`."""
+    return {
+        "j_oracle": report.j_oracle,
+        "oracle_rel_gap": report.cost_rel_gap,
+        "oracle_p_gap": report.p_gap,
+        "oracle_state_gap": report.state_gap,
+    }
+
+
 def run_scenario(scn: Scenario, base_dir: str = ".",
                  out_override: str | None = None,
                  compare_oracle: bool = False) -> dict:
@@ -289,13 +299,7 @@ def run_scenario(scn: Scenario, base_dir: str = ".",
         "eigen": [float(v) for v in cost.eigen],
     }
     if compare_oracle:
-        report = oracle_compare(system, x0, scn.dt)
-        payload.update({
-            "oracle_rel_gap": report.cost_rel_gap,
-            "oracle_p_gap": report.p_gap,
-            "oracle_state_gap": report.state_gap,
-            "j_oracle": report.j_oracle,
-        })
+        payload.update(_oracle_fields(oracle_compare(system, x0, scn.dt)))
     out_dir = _prepare_out(scn, out_override)
     write_gains_csv(os.path.join(out_dir, "gains.csv"), gains)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
@@ -333,13 +337,8 @@ def run_oracle_check(scn: Scenario, base_dir: str = ".",
     _, system, x0 = build_experiment(scn, base_dir)
     report = oracle_compare(system, x0, scn.dt)
     out_dir = _prepare_out(scn, out_override)
-    write_json(os.path.join(out_dir, "cost.json"), {
-        "total": report.j_decoupled,
-        "j_oracle": report.j_oracle,
-        "oracle_rel_gap": report.cost_rel_gap,
-        "oracle_p_gap": report.p_gap,
-        "oracle_state_gap": report.state_gap,
-    })
+    write_json(os.path.join(out_dir, "cost.json"),
+               {"total": report.j_decoupled, **_oracle_fields(report)})
     _write_echo(out_dir, scn, base_dir)
     print(f"J_dec={report.j_decoupled:.8f} J_oracle={report.j_oracle:.8f} "
           f"rel_gap={report.cost_rel_gap:.3e} P_gap={report.p_gap:.3e} "

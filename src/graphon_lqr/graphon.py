@@ -332,18 +332,13 @@ class StepGraphon:
 
 def sinusoidal_graphon() -> FiniteRankGraphon:
     """The kernel cos(2*pi*(x - y)): two eigenpairs with eigenvalue 1/2."""
-    root2 = np.sqrt(2.0)
-    pairs = [
-        EigenPair(0.5, lambda x: root2 * np.sin(2.0 * np.pi * np.asarray(x, float))),
-        EigenPair(0.5, lambda x: root2 * np.cos(2.0 * np.pi * np.asarray(x, float))),
-    ]
-    return FiniteRankGraphon(pairs)
+    return FiniteRankGraphon([EigenPair(0.5, _analytic_eigfun("sin", 1.0)),
+                              EigenPair(0.5, _analytic_eigfun("cos", 1.0))])
 
 
 def uniform_graphon() -> FiniteRankGraphon:
     """The all-ones kernel: one eigenpair, eigenvalue 1, flat eigenfunction."""
-    pairs = [EigenPair(1.0, lambda x: np.ones_like(np.asarray(x, dtype=float)))]
-    return FiniteRankGraphon(pairs)
+    return FiniteRankGraphon([EigenPair(1.0, _analytic_eigfun("const", 1.0))])
 
 
 def sample_step_entries(g: FiniteRankGraphon, n: int) -> StepGraphon:
@@ -373,6 +368,7 @@ def l2_distance(g1, g2) -> float:
 
 
 def _analytic_eigfun(kind: str, freq: float) -> Callable:
+    """The unit-L2 eigenfunction sqrt(2)*sin, sqrt(2)*cos or 1 of a kernel's pair."""
     root2 = np.sqrt(2.0)
     if kind == "sin":
         return lambda x: root2 * np.sin(2.0 * np.pi * freq * np.asarray(x, float))

@@ -126,21 +126,19 @@ class FeedbackLaw:
 
     ``u = -beta0*L(T-t)*residual - sum_l b_l*M_l(T-t)*coord_l*f_l`` with
     ``b_l = poly_b(lam_l)``: the residual of the state gets the auxiliary
-    gain, eigendirection l the gain ``b_l*M_l``.  The state is a vector
-    of cell values, giving the vector of inputs, or a function on
-    [0, 1], giving the continuum law as a function of the node index.
-    A node's input needs only its own state, its eigenfunction values,
-    the eigenstate aggregates ``coord_l`` and one row of gains, so the
-    localized law is this output read at one node,
-    ``u[cell_index(gamma, n)]`` or ``u(gamma)``.  The law keeps no basis
-    of its own: a vector state is read on the kernel's cell table
-    ``cells(n)``, a function state through the kernel's `project` and
-    `span`.
+    gain, eigendirection l the gain ``b_l*M_l``.  A node's input needs
+    only its own state, its eigenfunction values, the eigenstate
+    aggregates ``coord_l`` and one row of gains, so the localized law is
+    the output read at one node, ``u[cell_index(gamma, n)]`` or
+    ``u(gamma)``.  The law keeps no basis of its own: a vector state is
+    read on the kernel's cell table ``cells(n)``, a function state
+    through the kernel's `project` and `span`.
 
     The law reads the first rank + 1 columns of ``gains``, so the gains
-    of a problem also serve every truncation of it.  `simulate` reads the
-    law's gains through `gains_at` to run a decoupled closed loop mode by
-    mode; `gains_at` rejects a time outside the horizon on either path.
+    of a problem also serve every truncation of it.  `simulate` runs a
+    decoupled closed loop from the gains `gains_at` reads, and the run
+    keeps the law to read its controls from; `gains_at` rejects a time
+    outside the horizon on either path.
     """
 
     __slots__ = ("problem", "gains")
@@ -160,16 +158,23 @@ class FeedbackLaw:
 
         Column 0 is the residual gain ``beta0*L(T-t)``, column l the gain
         ``b_l*M_l(T-t)`` of eigendirection l.  A time outside ``[0, T]``
-        raises `ValueError` naming the first such time.
+        raises `ValueError` naming the first such time, and so does NaN.
         """
         horizon = self.problem.horizon
-        outside = (t < 0.0) | (t > horizon + 1e-12)
+        # a NaN time fails both comparisons; `~` would turn a Python bool into an int
+        outside = np.logical_not((0.0 <= t) & (t <= horizon + 1e-12))
         if np.any(outside):
             raise ValueError(f"time {np.extract(outside, t)[0]} outside the "
                              f"horizon [0, {horizon}]")
         return self.gains(horizon - t) * self.problem.mode_params[:, 1]
 
-    def __call__(self, t: float, x):
+    def __call__(self, t, x):
+        """Inputs at time ``t`` for the state ``x``, in the shape of ``x``.
+
+        ``x`` is a vector of cell values, or a stack of them, one per row,
+        for an array ``t`` of as many times, by one expression; a function
+        on [0, 1] gives the continuum law as a function of the node index.
+        """
         g = self.gains_at(t)
         graphon = self.problem.graphon
         if callable(x):
@@ -177,9 +182,10 @@ class FeedbackLaw:
             return lambda gamma: _point_or_array(
                 graphon.span(weights, gamma) - g[0] * np.asarray(x(gamma), dtype=float))
         x = np.asarray(x, dtype=float)
-        f = graphon.cells(x.size)
-        # -beta0*L*(x - F'c) - F'(bM c), with the F' applications fused
-        return f.T @ ((g[0] - g[1:]) * (f @ x / x.size)) - g[0] * x
+        f = graphon.cells(x.shape[-1])
+        g0 = g[..., :1]
+        # -beta0*L*(x - c F) - (bM c) F with c = x F'/n, the F applications fused
+        return ((g0 - g[..., 1:]) * (x @ f.T / f.shape[1])) @ f - g0 * x
 
 
 def feedback_controller(p: LqrProblem, gains: Curve) -> FeedbackLaw:

@@ -145,24 +145,22 @@ def build_step_system(network, p: LqrProblem) -> StepSystem:
 
 @dataclass(frozen=True)
 class ModalRun:
-    """A decoupled closed loop held by its modes.
+    """A decoupled closed loop held by its modes and the law it ran.
 
     On grid node k the state is ``growth[k, 0]*resid + sum_l
-    growth[k, l]*coords[l-1]*f[l-1]`` and every mode m is fed back with
-    gain ``gains[k, m]``: mode 0 is the residual ``resid`` of the initial
-    state, orthogonal to every eigenfunction, mode l its l-th
-    eigendirection, with initial coordinate ``coords[l-1]``.  The law is
-    optimal for ``problem`` but drops its eigendirections past ``kept``,
-    which take the residual gain.
+    growth[k, l]*coords[l-1]*f[l-1]``: mode 0 is the residual ``resid``
+    of the initial state, orthogonal to every eigenfunction, mode l its
+    l-th eigendirection, with initial coordinate ``coords[l-1]``.  The
+    ``law`` is optimal for ``problem`` but keeps only its first
+    ``law.problem.d`` eigendirections; the others take the residual gain.
     """
 
     growth: np.ndarray  # (K+1, rank+1) growth of the modes
-    gains: np.ndarray   # (K+1, rank+1) feedback gain applied to each mode
     resid: np.ndarray   # (n,) residual of the initial state
     coords: np.ndarray  # (rank,) eigendirection coordinates of the initial state
     f: np.ndarray       # (rank, n) eigenfunction cell values
     problem: LqrProblem
-    kept: int
+    law: FeedbackLaw
 
 
 class Trajectory:
@@ -171,9 +169,10 @@ class Trajectory:
     ``Trajectory(grid, states, controls)`` holds a dense run, shape
     ``(len(grid), n)`` each.  `simulate` returns a decoupled run in modal
     form (`from_modes`): ``modes`` holds it in O(K*(rank+1)) plus the
-    O(n*rank) initial projection, and ``states`` and ``controls`` are
-    rebuilt from it only on first access, in O(K*n*rank).  ``modes`` is
-    None for a dense run.  No attribute can be rebound or deleted after
+    O(n*rank) initial projection, ``states`` are rebuilt from it only on
+    first access, in O(K*n*rank), and ``controls`` are the run's law
+    applied to those states, one call over the grid.  ``modes`` is None
+    for a dense run.  No attribute can be rebound or deleted after
     construction, so the rebuilt arrays always agree with the modes.
     """
 
@@ -206,10 +205,7 @@ class Trajectory:
 
     @cached_property
     def controls(self) -> np.ndarray:
-        m = self.modes
-        amp = m.growth[:, 1:] * m.coords
-        return -((m.gains[:, 1:] * amp) @ m.f
-                 + (m.gains[:, :1] * m.growth[:, :1]) * m.resid)
+        return self.modes.law(self.grid, self.states)
 
 
 @dataclass(frozen=True)
@@ -319,39 +315,39 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     """A decoupled closed loop in closed form, one growth per mode.
 
     Mode 0 is the residual of the state, mode m its m-th eigendirection;
-    the growths are `_log_growth` at the grid times, and the gains those
-    the law reads there (`FeedbackLaw.gains_at`), so a rebuilt control is
-    the law's output at the rebuilt state; directions the law drops get
-    the residual gain.  At rank = n the eigendirections span every state,
-    so mode 0 is held at zero with unit growth, lest an unstable drift
-    amplify the rounding left by the projection.  The run aborts at the
-    first node where a bound on the rebuilt entries, (rank + 1)*max|F|
-    times the largest mode amplitude, is not finite.
+    the growths are `_log_growth` at the grid times, and the run keeps
+    the law, whose output at the rebuilt states is the controls.  At
+    rank = n the eigendirections span every state, so mode 0 is held at
+    zero with unit growth, lest an unstable drift amplify the rounding
+    left by the projection.  The run aborts at the first node where a
+    bound on the rebuilt entries is not finite: a state entry is at most
+    (rank + 1)*max|F| times the largest mode amplitude, and the law's
+    sums ``x F'`` and gain products (`FeedbackLaw.gains_at`, read here
+    only for this bound) at most ``max(n, (2*rank + 1)*max|F|*max|gain|)
+    * max|F|`` times that.
     """
     f, n, p = sys.f_cells, sys.n, sys.problem
-    kept = law.problem.d
-    column = np.arange(p.d + 1)  # the law's gain column of every mode
-    column[kept + 1:] = 0
-    gain = law.gains_at(grid)[:, column]  # rejects a time past the horizon
+    gain = law.gains_at(grid)  # rejects a time past the horizon
     coords0, resid0 = p.graphon.project(x0)
-    log_growth = _log_growth(p, kept, grid)
+    log_growth = _log_growth(p, law.problem.d, grid)
     if f.shape[0] == n:  # rank = n: no residual
         log_growth[:, 0] = 0.0
         resid0 = np.zeros(n)
     size = np.append(np.abs(resid0).max(), np.abs(coords0))  # largest entry per mode
+    big_f = np.abs(f).max(initial=1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.exp(log_growth)
-        largest = np.maximum(growth, np.abs(gain * growth)) * size
-        finite = np.isfinite((p.d + 1) * np.abs(f).max(initial=1.0)
-                             * largest.max(axis=1))
+        states = (p.d + 1) * big_f * (growth * size).max(axis=1)
+        law_ops = np.maximum(n, (2 * p.d + 1) * big_f * np.abs(gain).max(axis=1))
+        finite = np.isfinite(states * law_ops * big_f)
     if not finite.all():
         raise BlowUpError(
             f"closed-loop state blew up at t = {grid[np.argmin(finite)]:.6g}")
-    return ModalRun(growth=growth, gains=gain, resid=resid0, coords=coords0, f=f,
-                    problem=p, kept=kept)
+    return ModalRun(growth=growth, resid=resid0, coords=coords0, f=f, problem=p,
+                    law=law)
 
 
-def _unit_costs(run: ModalRun, horizon: float) -> np.ndarray:
+def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     """Cost of each mode of a run per unit of its initial energy, ``(rank+1,)``.
 
     By completion of squares a mode fed back with gain k(t) over
@@ -362,16 +358,19 @@ def _unit_costs(run: ModalRun, horizon: float) -> np.ndarray:
     direction, or any mode of a shorter run, adds the integral, by a
     composite 8-point Gauss-Legendre rule whose panels are short against
     the fastest rate of the integrand (``4*omega`` of the Riccati
-    solutions, twice the largest closed-loop rate), closed forms at every
-    node and no time stepping.
+    solutions, twice the largest closed-loop rate, from the gains the
+    run's law reads on its ``grid``), closed forms at every node and no
+    time stepping.
     """
-    p, kept = run.problem, run.kept
+    p, kept, horizon = run.problem, run.law.problem.d, float(grid[-1])
     alpha, beta, q, z0 = p.mode_params.T
     value = riccati_explicit(alpha, beta, q, z0, [horizon])[-1]
     skewed = np.arange(p.d + 1) > kept if horizon == p.horizon else np.ones(p.d + 1, bool)
     if not skewed.any():
         return value
-    rates = alpha[skewed] - beta[skewed] * run.gains[:, skewed]
+    modes = np.flatnonzero(skewed)
+    column = np.where(modes <= kept, modes, 0)  # the law's gain column of each mode
+    rates = alpha[skewed] - beta[skewed] * run.law.gains_at(grid)[:, column]
     fastest = 2.0 * np.hypot(alpha, np.abs(beta) * np.sqrt(q)).max() + np.abs(rates).max()
     panels = max(1, int(np.ceil(horizon * fastest)))
     # imported here: the optimal runs that most callers make need no quadrature
@@ -380,8 +379,7 @@ def _unit_costs(run: ModalRun, horizon: float) -> np.ndarray:
     t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width).ravel()
     own = riccati_explicit(alpha[:kept + 1], beta[:kept + 1], q[:kept + 1],
                            z0[:kept + 1], p.horizon - t) * beta[:kept + 1]
-    modes = np.flatnonzero(skewed)
-    applied = own[:, np.where(modes <= kept, modes, 0)]  # dropped: the residual gain
+    applied = own[:, column]  # dropped: the residual gain
     optimal = riccati_explicit(alpha[skewed], beta[skewed], q[skewed], z0[skewed],
                                horizon - t) * beta[skewed]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,7 +410,7 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     m = traj.modes
     if m is not None and m.f is sys.f_cells and m.problem is sys.problem:
         energy = np.append(m.resid @ m.resid / n, m.coords ** 2)
-        parts = _unit_costs(m, float(traj.grid[-1])) * energy
+        parts = _unit_costs(m, traj.grid) * energy
     else:
         q, z = sys.problem.mode_params[:, 2:].T
 

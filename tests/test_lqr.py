@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,16 @@ class TestControlLaws:
     def test_gains_at_names_first_time_outside_horizon(self, law):
         with pytest.raises(ValueError, match="time 1.25 outside"):
             law.gains_at(np.array([0.5, 1.25, 1.5]))
+
+    def test_nan_time_rejected(self, law):
+        # NaN fails every comparison, so the horizon check tests the complement
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: law.gains_at(np.nan),
+                         lambda: law.gains_at(np.array([0.5, np.nan])),
+                         lambda: law(np.nan, np.zeros(40))):
+                with pytest.raises(ValueError, match="time nan outside"):
+                    call()
 
     def test_gamma_outside_domain_rejected(self):
         # a node reads its input at cell_index(gamma, n), defined on [0, 1]

@@ -475,6 +475,27 @@ class TestModalTrajectory:
         return np.abs(np.append([dense.total, dense.aux], dense.eigen)
                       - np.append([modal.total, modal.aux], modal.eigen))
 
+    @pytest.mark.parametrize("case", ["optimal", "level-0", "full-rank"])
+    def test_controls_are_the_law_at_the_states(self, vii_problem, case):
+        # a closed-form run keeps the law it ran and reads its controls from
+        # it, one call over the grid with the stack of states; that call
+        # agrees with the law at each node in turn
+        if case == "full-rank":  # n = d: no residual
+            g, entries = make_rank_kernel(np.random.default_rng(12), 6, 6)
+            p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([1.0]),
+                              gl.CoeffPoly([1.0]), g, 1.0)
+            sys_ = gl.build_step_system(entries, p)
+        else:
+            p = vii_problem
+            sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 40), p)
+        law = feedback_controller(truncate_problem(p, 0) if case == "level-0" else p,
+                                  synthesize_gains(p, 1e-2))
+        traj = gl.simulate(sys_, law, gl.initial_state(sys_.n, 5), 1.0, 1e-2)
+        assert traj.modes.law is law
+        np.testing.assert_array_equal(traj.controls, law(traj.grid, traj.states))
+        nodes = np.array([law(t, x) for t, x in zip(traj.grid, traj.states)])
+        assert np.abs(traj.controls - nodes).max() <= 1e-15 * np.abs(nodes).max()
+
     def test_cost_of_example_vii(self, vii_problem):
         # the value x0'P(T)x0/n, mode by mode Pi_m(T) times the initial energy
         n, dt = 40, 1e-3
@@ -614,6 +635,24 @@ class TestModalTrajectory:
         assert np.abs(traj.states).max() > 1e300
         assert np.isfinite(traj.states).all() and np.isfinite(traj.controls).all()
 
+    def test_blow_up_bound_covers_the_law(self):
+        # zero gains on 1000 cells: at alpha0 = 704 the states stay below
+        # 1e306, but the law's sum x F' would overflow and meet a zero gain
+        # (a NaN control), so the bound, which covers the law, raises
+        x0 = np.full(1000, 3.0)
+        for alpha0, blows_up in ((700.0, False), (704.0, True)):
+            p = gl.LqrProblem(alpha0, gl.CoeffPoly([1.0]), gl.CoeffPoly([0.0]),
+                              gl.CoeffPoly([0.0]), gl.uniform_graphon(), 1.0)
+            sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 1000), p)
+            law = feedback_controller(p, synthesize_gains(p, 1e-3))
+            if blows_up:
+                with pytest.raises(gl.BlowUpError, match="t = 0.99"):
+                    gl.simulate(sys_, law, x0, 1.0, 1e-3)
+                continue
+            traj = gl.simulate(sys_, law, x0, 1.0, 1e-3)
+            assert np.abs(traj.states).max() > 1e304
+            assert np.isfinite(traj.controls).all()
+
 
 @pytest.mark.parametrize("beta0", [0.0, 1e-9, 1e-6, 1e-3])
 def test_small_input_gain_dropped_direction(beta0):
@@ -639,7 +678,7 @@ def test_small_input_gain_dropped_direction(beta0):
 
     for k in (10, 50, 100):
         assert traj.modes.growth[k, 1] == pytest.approx(growth(traj.grid[k]), rel=1e-10)
-    inflation = sim_module._unit_costs(traj.modes, 1.0)[1] - pi(1, 1.0)
+    inflation = sim_module._unit_costs(traj.modes, traj.grid)[1] - pi(1, 1.0)
     expect = quad(lambda t: ((b[1] * pi(1, 1.0 - t) - b[0] * pi(0, 1.0 - t))
                              * growth(t)) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
     assert inflation == pytest.approx(expect, rel=1e-10)

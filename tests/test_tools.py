@@ -1,5 +1,6 @@
 """The scripts under `tools/`: `count_code_lines.py`, which measures the line
-budget of `src/`, and the `bench_*.py` timers."""
+budget of `src/`, the `bench_*.py` timers and the tree comparison of
+`compare_artifacts.py`."""
 import os
 import sys
 from unittest import mock
@@ -8,6 +9,7 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
+import compare_artifacts  # noqa: E402
 import count_code_lines  # noqa: E402
 
 with mock.patch.dict(os.environ):  # the timers pin BLAS threads for their own runs
@@ -66,3 +68,46 @@ def test_bench_measure_rows(tool, layers, extra):
     for row in rows:
         assert set(row) == {"layer", "n", "median_ms", "q1_ms", "q3_ms", "repeats"} | extra
         assert row["repeats"] == 1 and row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+
+
+def write_tree(root, files):
+    for rel, text in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_compare_trees_agree(tmp_path):
+    files = {"run/cost.json": "{}\n", "run/stdout.txt": "J=1\n",
+             "run/trajectory.csv": "t,x_1,u_1\n0,1,2\n"}
+    write_tree(tmp_path / "a", files)
+    write_tree(tmp_path / "b", files)
+    assert compare_artifacts.compare_trees(str(tmp_path / "a"), str(tmp_path / "b")) == []
+
+
+def test_compare_trees_names_every_difference(tmp_path):
+    # a file on one side only, a differing text file with its first
+    # differing line, and a CSV gap per column group, NaN equal to NaN
+    write_tree(tmp_path / "a", {
+        "old.txt": "x\n", "run/exit_code.txt": "0\n",
+        "run/gains.csv": "t,L,M_1,M_2\n0,1,nan,4\n1,2,3,4\n",
+        "run/trajectory.csv": "t,x_1,x_2,u_1,u_2\n0,1,2,-4,8\n"})
+    write_tree(tmp_path / "b", {
+        "new.txt": "x\n", "run/exit_code.txt": "3\n",
+        "run/gains.csv": "t,L,M_1,M_2\n0,1,nan,4\n1,2,3,4.5\n",
+        "run/trajectory.csv": "t,x_1,x_2,u_1,u_2\n0,1,2,-4,7.5\n"})
+    lines = compare_artifacts.compare_trees(str(tmp_path / "a"), str(tmp_path / "b"))
+    assert lines == [
+        "only in parent: old.txt",
+        "only in change: new.txt",
+        "run/exit_code.txt: line 1 differs: '0' vs '3'",
+        "run/gains.csv: values differ: M 1.25e-01 (max|a - b|/max|a|)",
+        "run/trajectory.csv: values differ: u 6.25e-02 (max|a - b|/max|a|)",
+    ]
+
+
+def test_compare_trees_csv_shape(tmp_path):
+    write_tree(tmp_path / "a", {"t.csv": "t,x_1\n0,1\n"})
+    write_tree(tmp_path / "b", {"t.csv": "t,x_1\n0,1\n1,1\n"})
+    assert compare_artifacts.compare_trees(str(tmp_path / "a"), str(tmp_path / "b")) == [
+        "t.csv: shapes differ: (1, 2) and (2, 2)"]
