@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .csvout import write_csv
 from .errors import NumericError
 from .graphon import StepGraphon, graphon_from_spec, json_number, sample_step_entries
 from .lqr import LqrProblem, feedback_controller, synthesize_gains, truncate_problem
@@ -40,9 +41,6 @@ from .poly import CoeffPoly
 from .riccati import Curve
 from .sim import (build_step_system, evaluate_cost, initial_state, oracle_compare,
                   simulate, truncation_study)
-
-_FLOAT_FMT = "%.17g"
-
 
 @dataclass
 class Scenario:
@@ -220,21 +218,16 @@ def build_experiment(scn: Scenario, base_dir: str = "."):
 # -- artifact writers ---------------------------------------------------------
 
 
-def _write_csv(path: str, header: list[str], columns: np.ndarray):
-    np.savetxt(path, columns, fmt=_FLOAT_FMT, delimiter=",",
-               header=",".join(header), comments="")
-
-
 def write_gains_csv(path: str, gains: Curve):
     header = ["t", "L"] + [f"M_{l}" for l in range(1, gains.values.shape[1])]
-    _write_csv(path, header, np.column_stack([gains.grid, gains.values]))
+    write_csv(path, header, [gains.grid, gains.values])
 
 
 def write_trajectory_csv(path: str, traj):
     n = traj.states.shape[1]
     header = (["t"] + [f"x_{i + 1}" for i in range(n)]
               + [f"u_{i + 1}" for i in range(n)])
-    _write_csv(path, header, np.column_stack([traj.grid, traj.states, traj.controls]))
+    write_csv(path, header, [traj.grid, traj.states, traj.controls])
 
 
 def write_truncation_csv(path: str, rows):
@@ -244,7 +237,7 @@ def write_truncation_csv(path: str, rows):
               + [f"ratio_pred_{h + 1}" for h in range(d)])
     cols = np.array([[r.level, r.j_truncated, r.j_optimal,
                       *r.measured_ratio, *r.predicted_ratio] for r in rows])
-    _write_csv(path, header, cols)
+    write_csv(path, header, [cols.reshape(len(rows), len(header))])
 
 
 def write_json(path: str, payload: dict):

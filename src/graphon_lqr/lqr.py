@@ -161,9 +161,10 @@ class FeedbackLaw:
         raises `ValueError` naming the first such time, and so does NaN.
         """
         horizon = self.problem.horizon
-        # a NaN time fails both comparisons; `~` would turn a Python bool into an int
+        # a NaN time fails both comparisons; `~` would turn a Python bool into an
+        # int, where `np.logical_not` gives an np.bool_ with `.any()`
         outside = np.logical_not((0.0 <= t) & (t <= horizon + 1e-12))
-        if np.any(outside):
+        if outside.any():
             raise ValueError(f"time {np.extract(outside, t)[0]} outside the "
                              f"horizon [0, {horizon}]")
         return self.gains(horizon - t) * self.problem.mode_params[:, 1]

@@ -13,6 +13,7 @@ import compare_artifacts  # noqa: E402
 import count_code_lines  # noqa: E402
 
 with mock.patch.dict(os.environ):  # the timers pin BLAS threads for their own runs
+    import bench_artifacts  # noqa: E402
     import bench_build  # noqa: E402
     import bench_oracle  # noqa: E402
 
@@ -61,8 +62,10 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("tool, layers, extra", [
     (bench_build, {"graphon.sample", "sim.build"}, set()),
-    (bench_oracle, {"riccati.matrix", "oracle.compare"}, {"steps"})])
-def test_bench_measure_rows(tool, layers, extra):
+    (bench_oracle, {"riccati.matrix", "oracle.compare"}, {"steps"}),
+    (bench_artifacts, {"cli.trajectory", "cli.gains", "cli.example_vii"}, {"d", "values"})])
+def test_bench_measure_rows(tool, layers, extra, monkeypatch):
+    monkeypatch.setattr(bench_artifacts, "SIZES", (40,))   # no 325 MB trajectory here
     rows = tool.measure(1)
     assert {row["layer"] for row in rows} == layers
     for row in rows:

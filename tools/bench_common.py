@@ -66,5 +66,6 @@ def main(doc: str, measure, out_name: str, problem: str) -> None:
         json.dump(bench, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for row in rows:
-        print(f"{row['label']:>8} {row['layer']:<15} n={row['n']:<8} "
+        rank = f" d={row['d']:<3}" if "d" in row else ""
+        print(f"{row['label']:>8} {row['layer']:<15} n={row['n']:<8}{rank} "
               f"{row['median_ms']:9.3f} ms  [{row['q1_ms']:.3f}, {row['q3_ms']:.3f}]")
