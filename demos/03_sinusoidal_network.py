@@ -39,7 +39,7 @@ print(f"gain endpoints: L(T) = {gains_end[0]:.6f}, M(T) = {gains_end[1]:.6f}")
 
 system = gl.build_step_system(gl.sample_step_entries(kernel, n), problem)
 x0 = gl.initial_state(n, seed=7)
-controller = gl.feedback_controller(problem, gains)
+controller = gl.FeedbackLaw(problem)  # the gains above, exact at every time
 traj = gl.simulate(system, controller, x0, horizon, dt)
 cost = gl.evaluate_cost(traj, system)
 

@@ -6,7 +6,8 @@ eigenstate aggregates, and (iv) one row of gains.  This script computes
 one node's input by hand from exactly these and compares it with the
 law applied to the whole network, reads the continuum law at the same
 node, and shows that propagating the aggregates from the initial state
-gives the closed loop that re-measuring them approaches as dt shrinks.
+gives the closed loop that re-measuring them approaches as dt shrinks,
+at the fourth order of the RK4 loop that re-measures them.
 """
 import numpy as np
 
@@ -18,7 +19,7 @@ horizon, dt, n, t = 1.0, 1e-3, 40, 0.25
 kernel = gl.sinusoidal_graphon()
 problem = gl.LqrProblem(2.0, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([1.0, -2.0, 1.0]),
                         gl.CoeffPoly([1.0, -2.0, 1.0]), kernel, horizon)
-law = gl.feedback_controller(problem, gl.synthesize_gains(problem, dt))
+law = gl.FeedbackLaw(problem)  # evaluates its gains exactly at any time
 rng = np.random.default_rng(5)
 x = rng.standard_normal(n)
 
@@ -58,15 +59,17 @@ print(f"vector law on the sampled state, same cell:  "
 print("\n== aggregates propagated from t = 0 instead of re-measured ==")
 system = gl.build_step_system(gl.sample_step_entries(kernel, n), problem)
 x0 = gl.initial_state(n, seed=9)
-for step in (dt, dt / 2):
-    law_step = gl.feedback_controller(problem, gl.synthesize_gains(problem, step))
+gaps = []
+for step in (0.02, 0.01, 0.005):
     # a plain callable makes the simulator re-measure the aggregates at every
     # RK4 stage; the law itself lets it propagate each aggregate in closed form
-    live = gl.simulate(system, lambda t, x: law_step(t, x), x0, horizon, step)
-    propagated = gl.simulate(system, law_step, x0, horizon, step)
-    print(f"dt = {step:g}: max trajectory difference "
-          f"{np.abs(live.states - propagated.states).max():.2e}")
-print("the difference is the re-measuring loop's own discretization error, a")
-print("quarter per halving of dt; each node can evaluate the aggregate flow")
-print("locally from the initial aggregates, so no network-wide communication")
-print("is needed after t = 0.")
+    live = gl.simulate(system, lambda t, x: law(t, x), x0, horizon, step)
+    propagated = gl.simulate(system, law, x0, horizon, step)
+    gaps.append(np.abs(live.states - propagated.states).max())
+    print(f"dt = {step:g}: max trajectory difference {gaps[-1]:.2e}")
+factors = np.array(gaps[:-1]) / np.array(gaps[1:])
+print("the difference is the re-measuring loop's own discretization error: it")
+print(f"falls by {', '.join(f'{f:.1f}' for f in factors)} per halving of dt, order "
+      f"{np.log2(factors).mean():.2f}; each node can")
+print("evaluate the aggregate flow locally from the initial aggregates, so no")
+print("network-wide communication is needed after t = 0.")

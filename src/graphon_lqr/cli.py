@@ -283,7 +283,7 @@ def run_scenario(scn: Scenario, base_dir: str = ".",
     problem, system, x0 = build_experiment(scn, base_dir)
     level = parse_controller(scn.controller, problem.d)
     gains = synthesize_gains(problem, scn.dt)
-    controller = feedback_controller(truncate_problem(problem, level), gains)
+    controller = feedback_controller(truncate_problem(problem, level))
     traj = simulate(system, controller, x0, scn.horizon, scn.dt)
     cost = evaluate_cost(traj, system)
     payload = {

@@ -3,7 +3,7 @@
 `rk4_step` is the only RK4 stage formula of the package: the scalar
 Riccati reference `riccati_path` and the generic closed loop, which runs
 arbitrary controllers, take one step per grid step.  Gain synthesis, the
-closed-form run of a synthesized feedback law and its cost, and the
+closed-form run of a problem's feedback law and its cost, and the
 matrix Riccati oracle and its closed loop use the exact Hamiltonian
 solution instead.
 """

@@ -7,9 +7,11 @@ the kernel's eigenfunctions splits the problem into one scalar LQR per
 eigendirection plus one auxiliary problem for the orthogonal residual,
 so synthesis reduces to ``rank + 1`` scalar Riccati solves.
 
-The gains are one curve stored forward in Riccati time tau: column 0
-holds the auxiliary gain L, column l the gain M_l of eigendirection l.
-The feedback law reads them as the time-to-go gains ``gains(T - t)``.
+The gains are the explicit solutions of those equations, functions of
+Riccati time tau: L, the auxiliary gain, and M_l, the gain of
+eigendirection l.  The feedback law evaluates its own problem's
+solutions exactly at the time to go ``T - t``; `synthesize_gains`
+samples them on a time grid as one curve, for ``gains.csv``.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from .graphon import FiniteRankGraphon, _point_or_array
 from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
-from .riccati import Curve, _log_y, riccati_explicit
+from .riccati import Curve, _ExplicitRiccati, riccati_explicit
 
 # Tolerance for "nonnegative up to rounding" cost-weight checks.
 _NEG_TOL = 1e-12
@@ -36,6 +38,9 @@ class LqrProblem:
     problems (drift, input gain, state weight, terminal weight): row 0 is
     ``(alpha0, beta0, q0, z0)``, row l ``(alpha0 + lam_l, poly_b(lam_l),
     poly_q(lam_l), poly_p0(lam_l))``, weights clipped at zero in every row.
+    ``riccati`` is the explicit solution of those rows, set up once:
+    ``riccati(tau)`` gives L and M_1..M_d at Riccati time tau, exactly
+    (`riccati_explicit`'s arithmetic).
     """
 
     alpha0: float
@@ -45,6 +50,7 @@ class LqrProblem:
     graphon: FiniteRankGraphon
     horizon: float
     mode_params: np.ndarray = field(init=False, repr=False, compare=False)
+    riccati: _ExplicitRiccati = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "poly_b", as_poly(self.poly_b))
@@ -67,6 +73,7 @@ class LqrProblem:
                                   np.atleast_1d(self.poly_b(spectrum)), *weights])
         params.flags.writeable = False
         object.__setattr__(self, "mode_params", params)
+        object.__setattr__(self, "riccati", _ExplicitRiccati(*params.T))
 
     @property
     def d(self) -> int:
@@ -93,30 +100,29 @@ def synthesize_gains(p: LqrProblem, dt: float) -> Curve:
     column 0, the gain M_l of eigendirection l in column l.  Equal rows
     (a repeated eigenvalue) share one equation.  One call of the explicit
     solution `riccati_explicit` evaluates them all in O(K*(rank+1)) array
-    work; a gain that overflows raises `BlowUpError`.  The curve's
-    ``origin`` is ``p`` and its samples are read-only, so a law with these
-    gains is known to be the optimal law of ``p`` (or of a truncation).
+    work; a gain that overflows raises `BlowUpError`.  The samples are
+    read-only and serve ``gains.csv`` and plots: a feedback law evaluates
+    the same formula at any time (``p.riccati``) and reads no curve.
     """
     rows, columns = np.unique(p.mode_params, axis=0, return_inverse=True)
     grid = uniform_grid(p.horizon, dt)
     values = riccati_explicit(*rows.T, grid)[:, columns.ravel()]
     values.flags.writeable = False
-    gains = Curve(grid, values)
-    gains.origin = p
-    return gains
+    return Curve(grid, values)
 
 
-def reconstruct_P(gains: Curve, g: FiniteRankGraphon, t: float,
-                  n: int) -> np.ndarray:
-    """Riccati operator at Riccati time ``t`` as an n x n cell matrix.
+def reconstruct_P(p: LqrProblem, t: float, n: int) -> np.ndarray:
+    """Riccati operator of ``p`` at Riccati time ``t`` as an n x n cell matrix.
 
-    ``P(t) = L_t*(I - sum_l Pi_l) + sum_l M_l(t)*Pi_l`` with the cell
-    projectors ``Pi_l = f_l f_l' / n``, f_l read from the kernel's cell
-    table ``g.cells(n)``; at t = 0 this reproduces the terminal-weight
-    matrix of the finite system exactly.
+    ``P(t) = L_t*(I - sum_l Pi_l) + sum_l M_l(t)*Pi_l`` with L and M_l the
+    exact solutions of the rows of ``p.mode_params`` at t
+    (``p.riccati``) and the cell projectors ``Pi_l = f_l f_l' / n``,
+    f_l read from the kernel's cell table ``p.graphon.cells(n)``; at t = 0
+    this reproduces the terminal-weight matrix of the finite system
+    exactly.
     """
-    f = g.cells(n)
-    row = gains(t)
+    f = p.graphon.cells(n)
+    row = p.riccati(t)
     lt, ml = row[0], row[1:]
     return lt * np.eye(n) + f.T @ (((ml - lt) / n)[:, None] * f)
 
@@ -134,24 +140,21 @@ class FeedbackLaw:
     read on the kernel's cell table ``cells(n)``, a function state
     through the kernel's `project` and `span`.
 
-    The law reads the first rank + 1 columns of ``gains``, so the gains
-    of a problem also serve every truncation of it.  `simulate` runs a
-    decoupled closed loop from the gains `gains_at` reads, and the run
-    keeps the law to read its controls from; `gains_at` rejects a time
-    outside the horizon on either path.
+    The law is its problem: L and M_l are the explicit solutions of the
+    rows of ``problem.mode_params``, which the problem sets up once
+    (``problem.riccati``), evaluated exactly at every time the law is
+    read, so no time grid and no interpolation enter it.  A truncated
+    problem's rows are the leading rows of the full one's, so its law is
+    the truncated law.  `simulate` runs the law of the system's problem,
+    or of a truncation of it, in closed form, and the run keeps the law to
+    read its controls from; `gains_at` rejects a time outside the horizon
+    on either path.
     """
 
-    __slots__ = ("problem", "gains")
+    __slots__ = ("problem",)
 
-    def __init__(self, problem: LqrProblem, gains: Curve):
-        if abs(gains.grid[-1] - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
-            raise ValueError("gain horizon does not match the problem horizon")
-        if gains.values.ndim != 2 or gains.values.shape[1] <= problem.d:
-            raise ValueError(f"gains need {problem.d + 1} columns, got samples "
-                             f"of shape {gains.values.shape[1:]}")
+    def __init__(self, problem: LqrProblem):
         self.problem = problem
-        self.gains = Curve(gains.grid, gains.values[:, :problem.d + 1])
-        self.gains.origin = gains.origin
 
     def gains_at(self, t) -> np.ndarray:
         """Feedback gains at a time or array of times, shape ``t.shape + (rank + 1,)``.
@@ -167,7 +170,7 @@ class FeedbackLaw:
         if outside.any():
             raise ValueError(f"time {np.extract(outside, t)[0]} outside the "
                              f"horizon [0, {horizon}]")
-        return self.gains(horizon - t) * self.problem.mode_params[:, 1]
+        return self.problem.riccati(horizon - t) * self.problem.mode_params[:, 1]
 
     def __call__(self, t, x):
         """Inputs at time ``t`` for the state ``x``, in the shape of ``x``.
@@ -189,14 +192,16 @@ class FeedbackLaw:
         return ((g0 - g[..., 1:]) * (x @ f.T / f.shape[1])) @ f - g0 * x
 
 
-def feedback_controller(p: LqrProblem, gains: Curve) -> FeedbackLaw:
-    """Optimal state feedback ``controller(t, x) -> u`` as a `FeedbackLaw`.
+def feedback_controller(p: LqrProblem, gains=None) -> FeedbackLaw:
+    """Optimal state feedback ``controller(t, x) -> u``: ``FeedbackLaw(p)``.
 
     Each call measures the eigendirection coordinates of the current
-    state (real-time aggregation).  With ``p`` a truncation of the
-    problem the gains were synthesized for, this is the truncated law.
+    state (real-time aggregation).  With ``p`` a truncation of a problem,
+    this is the truncated law.  ``gains`` is not read: the law evaluates
+    its problem's gains itself, and the parameter only keeps two-argument
+    callers working.
     """
-    return FeedbackLaw(p, gains)
+    return FeedbackLaw(p)
 
 
 def _check_level(p: LqrProblem, level: int) -> None:
@@ -208,11 +213,12 @@ def _check_level(p: LqrProblem, level: int) -> None:
 def truncate_problem(p: LqrProblem, level: int) -> LqrProblem:
     """The same problem posed on the rank-``level`` truncated kernel.
 
-    ``feedback_controller(truncate_problem(p, level), gains)`` with the
-    gains of ``p`` is the law that keeps only the ``level`` leading
-    eigendirections: ignored directions fall into the residual and
-    receive the auxiliary gain.  ``level = rank`` gives the optimal law,
-    ``level = 0`` the pure auxiliary law ``u = -beta0 * L(T-t) * x``.
+    Its ``mode_params`` are the leading ``level + 1`` rows of ``p``'s, so
+    ``FeedbackLaw(truncate_problem(p, level))`` is the law that keeps only
+    the ``level`` leading eigendirections: ignored directions fall into
+    the residual and receive the auxiliary gain.  ``level = rank`` gives
+    the optimal law, ``level = 0`` the pure auxiliary law
+    ``u = -beta0 * L(T-t) * x``.
     """
     _check_level(p, level)
     return LqrProblem(p.alpha0, p.poly_b, p.poly_q, p.poly_p0,
@@ -232,14 +238,13 @@ def ratio_prediction(p: LqrProblem) -> np.ndarray:
     where ``M`` solves the direction's Riccati equation and ``Mtilde``
     the auxiliary one.  ``I_m = integral_0^T beta0^2 Pi_m`` is
     ``ln Y_m(T) + alpha_m*T`` from the factors of row m of
-    ``p.mode_params`` (`riccati_explicit`, `riccati._log_y`), so entry l
-    is ``exp(I_(l+1) - I_0)``, exact with no time grid.  A non-constant
+    ``p.mode_params`` (``p.riccati.log_y``), so entry l is
+    ``exp(I_(l+1) - I_0)``, exact with no time grid.  A non-constant
     input polynomial raises `ValueError`.
     """
     if p.poly_b.degree > 0:
         raise ValueError(
             "ratio prediction requires a constant input polynomial "
             f"(degree 0), got degree {p.poly_b.degree}")
-    alpha, beta, q, z0 = p.mode_params.T
-    integral = _log_y(alpha, beta, q, z0, p.horizon) + alpha * p.horizon
+    integral = p.riccati.log_y(p.horizon) + p.mode_params[:, 0] * p.horizon
     return np.exp(integral[1:] - integral[0])

@@ -5,14 +5,16 @@ The scalar equation
     dPi/dt = 2*alpha*Pi - beta^2*Pi^2 + q,    Pi(0) = z0,
 
 is solved explicitly through its Hamiltonian linearization by
-`riccati_explicit`, vectorized over equations (the synthesis path), and
-by RK4 in `riccati_path`, one `rk4_step` per grid step, the reference
-the explicit solution is checked against.  Solutions are stored forward
-in Riccati time tau and consumed by feedback laws as the time-to-go gain
-``curve(T - t)``.  The same factors give, with no time grid, the closed
-loops of the decoupled modes: ``ln Y`` (`_log_y`), whose differences are
-the optimal growths, and the gain integral ``integral_0^tau Pi``
-(`_gain_integral`), which drives a direction a truncated law drops.
+`riccati_explicit`, vectorized over equations, and by RK4 in
+`riccati_path`, one `rk4_step` per grid step, the reference the explicit
+solution is checked against.  Solutions are functions of Riccati time
+tau: `_ExplicitRiccati` sets the explicit one up once (``LqrProblem.riccati``
+holds that of a problem's scalar problems), and a feedback law evaluates
+it at the time to go ``T - t``.  The same factors give, with no time grid, the
+closed loops of the decoupled modes: ``ln Y`` (`_ExplicitRiccati.log_y`),
+whose differences are the optimal growths, and the gain integral
+``integral_0^tau Pi`` (`_ExplicitRiccati.gain_integral`), which drives a
+direction a truncated law drops.
 
 The matrix equation
 
@@ -45,13 +47,12 @@ class Curve:
     ``values`` has shape ``(len(grid),) + shape``: scalar gains, rows of
     gains or matrices.  A time t reads ``v[k] + w*(v[k+1] - v[k])`` at
     ``pos = (t - t0)/h = k + w``; times at or past either end of the grid
-    return the end sample.  Array times use the scalar arithmetic
-    element by element, so both give identical results.  ``origin`` is
-    None; `synthesize_gains` sets it to its problem on the curves it
-    returns, whose samples are read-only.
+    return the end sample; ``t`` is one time or an array of them.  It
+    holds the samples of `synthesize_gains` and of `solve_matrix_riccati`;
+    a feedback law reads no curve.
     """
 
-    __slots__ = ("grid", "values", "origin", "_t0", "_t1", "_h", "_last")
+    __slots__ = ("grid", "values", "_t0", "_t1", "_h", "_last")
 
     def __init__(self, grid, values):
         grid = np.asarray(grid, dtype=float)
@@ -67,23 +68,11 @@ class Curve:
             raise ValueError("grid and values must be finite")
         self.grid = grid
         self.values = values
-        self.origin = None
         self._t0, self._t1, self._h = float(grid[0]), float(grid[-1]), float(steps[0])
         self._last = grid.size - 2  # index of the last interval
 
     def __call__(self, t):
         v = self.values
-        if isinstance(t, (float, int)):  # np.float64 is a float
-            if t <= self._t0:
-                return v[0]
-            if t >= self._t1:
-                return v[-1]
-            pos = (t - self._t0) / self._h
-            k = min(int(pos), self._last)
-            out = v[k + 1] - v[k]  # the blend below, in place on one temporary
-            out *= pos - k
-            out += v[k]
-            return out
         t = np.asarray(t, dtype=float)
         pos = (t - self._t0) / self._h
         k = np.clip(pos, 0.0, self._last).astype(int)
@@ -172,7 +161,7 @@ def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:
     ``H = [[alpha, q], [beta^2, -alpha]]``.  As ``H^2 = omega^2 I`` with
     ``omega = sqrt(alpha^2 + q*beta^2)``,
     ``exp(H t) = cosh(omega t) I + sinh(omega t)/omega H``; scaled by
-    ``exp(-omega t)`` this gives (`_scaled_factors`)
+    ``exp(-omega t)`` this gives (`_ExplicitRiccati.scaled`)
 
         X_hat = z0*(g+ + E*g-) + q*s,    Y_hat = (g- + E*g+) + beta^2*z0*s,
 
@@ -182,92 +171,111 @@ def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:
     r = |beta| sqrt(q), so no term cancels: every one is nonnegative and
     bounded, and Pi keeps full relative precision.  t = 0 returns z0 and
     a start at the positive algebraic root returns the root, both exactly.
+    It is `_ExplicitRiccati`'s setup and one evaluation.
 
     Raises `BlowUpError` when a value overflows (Y underflows to zero
     while X does not).
     """
-    alpha, beta, q, z0 = _checked_params(alpha, beta, q, z0)
-    times = np.asarray(grid, dtype=float)
-    t = times.reshape((-1,) + (1,) * alpha.ndim)
-    num, den, _ = _scaled_factors(alpha, beta, q, z0, t)
-    with np.errstate(all="ignore"):  # 0/0 where Y underflows; overflow raises below
-        vals = num / den
-    # z0 = q = 0 stays at zero also where Y underflows
-    vals = np.where(num == 0.0, 0.0, vals)
-    vals = np.where((t == 0.0) | (z0 == _roots(alpha, beta, q)), z0, vals)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        k = int(np.argmax(bad.reshape(times.size, -1).any(axis=1)))
-        raise BlowUpError(f"Riccati solution overflows at t = {times[k]:.6g}")
-    return vals
+    return _ExplicitRiccati(alpha, beta, q, z0)(np.ravel(np.asarray(grid, dtype=float)))
 
 
-def _scaled_factors(alpha, beta, q, z0, t):
-    """``(X_hat, Y_hat, omega)`` of `riccati_explicit` at times ``t``.
+class _ExplicitRiccati:
+    """`riccati_explicit` set up once for its equations, evaluated at any times.
 
-    ``X = exp(omega t) X_hat`` and ``Y = exp(omega t) Y_hat``, so one
-    evaluation gives both ``Pi = X_hat/Y_hat`` and
-    ``ln Y = omega t + ln Y_hat``, where ``ln Y(T) + alpha T`` is
-    ``integral_0^T beta^2 Pi``.  Parameters are checked arrays.
+    The setup checks the parameters (`_checked_params`) and forms the
+    time-independent factors ``rates = (omega, g+, g-)`` and the test for
+    a start at the positive root; calling the object with times of any
+    shape returns the solutions there, shape ``times.shape +
+    param_shape``, by `riccati_explicit`'s arithmetic.  `scaled`, `log_y`
+    and `gain_integral` evaluate the factors, ``ln Y`` and ``integral Pi``
+    from the same setup, broadcasting times against the parameters.
     """
-    omega, g_plus, g_minus, s, e = _factor_parts(alpha, beta, q, t)
-    return (z0 * (g_plus + e * g_minus) + q * s,
-            (g_minus + e * g_plus) + beta * beta * z0 * s, omega)
+
+    __slots__ = ("params", "rates", "_fixed")
+
+    def __init__(self, alpha, beta, q, z0):
+        self.params = alpha, beta, q, z0 = _checked_params(alpha, beta, q, z0)
+        r, a = np.abs(beta) * np.sqrt(q), np.abs(alpha)
+        omega = np.hypot(a, r)
+        with np.errstate(all="ignore"):  # 0/0 in unused branches
+            big = np.where(omega > 0.0, (omega + a) / (2.0 * omega), 0.5)
+            small = np.where(omega > 0.0, r * (r / (omega + a)) / (2.0 * omega), 0.5)
+        self.rates = (omega, np.where(alpha >= 0.0, big, small),
+                      np.where(alpha >= 0.0, small, big))
+        self._fixed = z0 == _roots(alpha, beta, q)
+
+    def scaled(self, t):
+        """``(X_hat, Y_hat, omega)`` at times ``t``, broadcast against the
+        parameters: ``X = exp(omega t) X_hat`` and ``Y = exp(omega t) Y_hat``,
+        so ``Pi = X_hat/Y_hat`` and ``ln Y = omega t + ln Y_hat``."""
+        _, beta, q, z0 = self.params
+        omega, g_plus, g_minus, s, e = _time_parts(self.rates, t)
+        return (z0 * (g_plus + e * g_minus) + q * s,
+                (g_minus + e * g_plus) + beta * beta * z0 * s, omega)
+
+    def __call__(self, times) -> np.ndarray:
+        z0 = self.params[3]
+        times = np.asarray(times, dtype=float)
+        t = times.reshape(times.shape + (1,) * z0.ndim)
+        num, den, _ = self.scaled(t)
+        with np.errstate(all="ignore"):  # 0/0 where Y underflows; overflow raises below
+            vals = num / den
+        # z0 = q = 0 stays at zero also where Y underflows
+        vals = np.where(num == 0.0, 0.0, vals)
+        vals = np.where((t == 0.0) | self._fixed, z0, vals)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            k = int(np.argmax(bad.reshape(times.size, -1).any(axis=1)))
+            raise BlowUpError(f"Riccati solution overflows at t = {times.flat[k]:.6g}")
+        return vals
+
+    def log_y(self, t):
+        """``ln Y`` at times ``t``, with no overflow.
+
+        ``Y = exp(omega t)*(g- + beta^2 z0 s) + exp(-omega t)*g+``, summed in
+        log space, so a Y that would overflow or underflow keeps its
+        logarithm.  ``ln Y(T) + alpha T`` is ``integral_0^T beta^2 Pi``.
+        """
+        _, beta, _, z0 = self.params
+        omega, g_plus, g_minus, s, _ = _time_parts(self.rates, t)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf for a vanishing term
+            return np.logaddexp(omega * t + np.log(g_minus + beta * beta * z0 * s),
+                                np.log(g_plus) - omega * t)
+
+    def gain_integral(self, t):
+        """``integral_0^t Pi`` at times ``t``, to full relative precision.
+
+        ``Y exp(alpha t) = 1 + beta^2 W`` with
+
+            W = q t^2 (g+ phi2((alpha + omega) t) + g- phi2((alpha - omega) t))
+                + z0 s exp((alpha + omega) t),
+
+        ``phi2(y) = (e^y - 1 - y)/y^2`` (the terms of order 0 and 1 cancel
+        exactly, as ``g+ + g- = 1`` and ``(alpha + omega) g- = (omega - alpha) g+``),
+        so the integral ``ln(1 + beta^2 W)/beta^2`` is ``W log1p(x)/x`` with
+        ``x = beta^2 W``: every term is nonnegative and none cancels, for
+        every beta, zero included.  Where ``x > 1`` it is
+        ``(ln Y + alpha t)/beta^2`` (`log_y`), which cannot overflow.
+        """
+        alpha, beta, q, z0 = self.params
+        omega, g_plus, g_minus, s, _ = _time_parts(self.rates, t)
+        b2 = beta * beta
+        with np.errstate(all="ignore"):  # overflowing W and unused branches
+            up = (alpha + omega) * t
+            w = (q * t * t * (g_plus * _phi2(up) + g_minus * _phi2((alpha - omega) * t))
+                 + z0 * s * np.exp(up))
+            x = np.where(b2 > 0.0, b2 * w, 0.0)
+            ratio = np.where(x > 0.0, np.log1p(x) / x, 1.0)
+            return np.where(x <= 1.0, w * ratio, (self.log_y(t) + alpha * t) / b2)
 
 
-def _factor_parts(alpha, beta, q, t):
+def _time_parts(rates, t):
     """``(omega, g+, g-, s, E)`` of the scaled factors at times ``t``."""
-    r, a = np.abs(beta) * np.sqrt(q), np.abs(alpha)
-    omega = np.hypot(a, r)
-    with np.errstate(all="ignore"):  # 0/0 in unused branches
-        big = np.where(omega > 0.0, (omega + a) / (2.0 * omega), 0.5)
-        small = np.where(omega > 0.0, r * (r / (omega + a)) / (2.0 * omega), 0.5)
-        g_plus = np.where(alpha >= 0.0, big, small)
-        g_minus = np.where(alpha >= 0.0, small, big)
-        x = 2.0 * omega * t
-        e = np.exp(-x)
-        s = t * np.where(x > 0.0, -np.expm1(-x) / x, 1.0)
-    return omega, g_plus, g_minus, s, e
-
-
-def _log_y(alpha, beta, q, z0, t):
-    """``ln Y`` of `riccati_explicit` at times ``t``, with no overflow.
-
-    ``Y = exp(omega t)*(g- + beta^2 z0 s) + exp(-omega t)*g+``, summed in
-    log space, so a Y that would overflow or underflow keeps its
-    logarithm.  Parameters are checked arrays.
-    """
-    omega, g_plus, g_minus, s, _ = _factor_parts(alpha, beta, q, t)
-    with np.errstate(divide="ignore"):  # ln 0 = -inf for a vanishing term
-        return np.logaddexp(omega * t + np.log(g_minus + beta * beta * z0 * s),
-                            np.log(g_plus) - omega * t)
-
-
-def _gain_integral(alpha, beta, q, z0, t):
-    """``integral_0^t Pi`` of `riccati_explicit`, to full relative precision.
-
-    ``Y exp(alpha t) = 1 + beta^2 W`` with
-
-        W = q t^2 (g+ phi2((alpha + omega) t) + g- phi2((alpha - omega) t))
-            + z0 s exp((alpha + omega) t),
-
-    ``phi2(y) = (e^y - 1 - y)/y^2`` (the terms of order 0 and 1 cancel
-    exactly, as ``g+ + g- = 1`` and ``(alpha + omega) g- = (omega - alpha) g+``),
-    so the integral ``ln(1 + beta^2 W)/beta^2`` is ``W log1p(x)/x`` with
-    ``x = beta^2 W``: every term is nonnegative and none cancels, for
-    every beta, zero included.  Where ``x > 1`` it is
-    ``(ln Y + alpha t)/beta^2`` (`_log_y`), which cannot overflow.
-    Parameters are checked arrays.
-    """
-    omega, g_plus, g_minus, s, _ = _factor_parts(alpha, beta, q, t)
-    b2 = beta * beta
-    with np.errstate(all="ignore"):  # overflowing W and unused branches
-        up = (alpha + omega) * t
-        w = (q * t * t * (g_plus * _phi2(up) + g_minus * _phi2((alpha - omega) * t))
-             + z0 * s * np.exp(up))
-        x = np.where(b2 > 0.0, b2 * w, 0.0)
-        ratio = np.where(x > 0.0, np.log1p(x) / x, 1.0)
-        return np.where(x <= 1.0, w * ratio, (_log_y(alpha, beta, q, z0, t) + alpha * t) / b2)
+    # -x = -2 omega t: E = exp(-x) and s = t*(1 - E)/x, which is t at x = 0
+    neg_x = -2.0 * rates[0] * t
+    with np.errstate(all="ignore"):  # 0/0 in the unused branch
+        s = t * np.where(neg_x < 0.0, np.expm1(neg_x) / neg_x, 1.0)
+    return (*rates, s, np.exp(neg_x))
 
 
 def _phi2(y):
@@ -315,7 +323,8 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
     Each new P is symmetrized, and the next m steps start from the last.
     ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite.
     Raises `BlowUpError`, naming the earliest time, when a value is not
-    finite (the step overflows).
+    finite (the step overflows) or P has lost its precision
+    (`_exact_chunks`).
     """
     a = np.asarray(a_mat, dtype=float)
     b = np.asarray(b_mat, dtype=float)
@@ -364,7 +373,11 @@ def _exact_chunks(powers: np.ndarray, p0: np.ndarray, grid: np.ndarray, pick):
     of a chunk, the last, m - 1, always among them, since its P starts the
     next chunk.  Each P is symmetrized, bit for bit the same whichever
     offsets are chosen.  Raises `BlowUpError` at the earliest chosen node
-    whose P is not finite.
+    of a chunk whose P is not finite, else at the earliest whose diagonal
+    has an entry below ``-1e-8*max|diag P|``: a positive semidefinite P has
+    a nonnegative diagonal, so such a P has lost its precision (as when P
+    grows like ``exp(2 alpha t)`` along a direction the input cannot
+    reach, and the rounding of ``E21`` times that block swamps ``Y``).
     """
     n, steps, count = p0.shape[0], grid.size - 1, powers.shape[0]
     left, right = powers[:, :, :n], powers[:, :, n:]
@@ -382,5 +395,10 @@ def _exact_chunks(powers: np.ndarray, p0: np.ndarray, grid: np.ndarray, pick):
             if bad.any():
                 raise BlowUpError("matrix Riccati solution is not finite at "
                                   f"t = {grid[k + 1 + offsets[np.argmax(bad)]]:.6g}")
+            diag = np.diagonal(new, axis1=1, axis2=2)
+            bad = (diag < -1e-8 * np.abs(diag).max(axis=1, keepdims=True)).any(axis=1)
+            if bad.any():
+                raise BlowUpError("matrix Riccati solution is not positive semidefinite "
+                                  f"at t = {grid[k + 1 + offsets[np.argmax(bad)]]:.6g}")
             yield k, p_k, offsets, new, xy
             p_k = new[-1]

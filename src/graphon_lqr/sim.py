@@ -7,11 +7,11 @@ as ``dx/dt = A x + B u`` with ``A = alpha0*I + entries/n`` and
 product ``<x, y> = sum(x*y)/n``.  Controllers are callables
 ``(t, x) -> u``.  A system is always the decoupled realization of its
 problem: a network that the kernel eigenfunctions do not decouple is
-rejected when the system is built.  Under its synthesized `FeedbackLaw`,
-or a truncation of it, it runs in closed form, one scalar growth per
-mode evaluated at the grid times, and its cost is the value function
-plus, for a truncated law, the completion-of-squares inflation of each
-dropped direction: exact at any dt, with no time stepping.  Any other
+rejected when the system is built.  Under the `FeedbackLaw` of its
+problem, or of a truncation of it, it runs in closed form, one scalar
+growth per mode evaluated at the grid times, and its cost is the value
+function plus, for a truncated law, the completion-of-squares inflation
+of each dropped direction: exact at any dt, with no time stepping.  Any other
 controller runs the RK4 generic loop.  A network sampled from the
 problem's own kernel is checked from the kernel's cell table, so that
 pipeline forms no n x n array at any n; ``entries`` and its polynomials
@@ -31,10 +31,9 @@ from .errors import BlowUpError
 from .graphon import StepGraphon
 from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _check_level, feedback_controller,
-                  ratio_prediction, reconstruct_P, synthesize_gains, truncate_problem)
+                  ratio_prediction, reconstruct_P, truncate_problem)
 from .poly import apply_poly_matrix
-from .riccati import (_exact_chunks, _gain_integral, _log_y, _step_powers,
-                      riccati_explicit, solve_matrix_riccati)
+from .riccati import _exact_chunks, _step_powers, riccati_explicit, solve_matrix_riccati
 
 # Largest decoupling residual of a step system.
 _DECOUPLING_TOL = 1e-10
@@ -227,19 +226,18 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     """Run ``dx/dt = A x + B u(t, x)`` on a uniform grid, recording controls.
 
     The recorded control at each grid node is ``controller(t_k, x_k)``.
-    A `FeedbackLaw` that is the system's optimal law or a truncation of
-    it, with the gains `synthesize_gains` gives for the system's problem
-    sampled at every node of this run's grid, runs in closed form
-    (`_modal_closed_loop`): rank + 1 scalar growths evaluated at the grid
-    times in O(K*(rank+1)) after one O(n*rank) projection of ``x0``,
-    returned in modal form, with dense states and controls built only
-    when read; it takes no time steps, so its states carry no
-    discretization error at any ``dt``.  Every other controller, an
-    arbitrary callable, the law of another kernel object or a law with
-    other gains or with gains on another grid, runs the generic loop on
-    the dense matrices: classic RK4, one `rk4_step` per grid step whose
-    first slope reuses the recorded control, so the controller is called
-    4K + 1 times over K steps.  A non-finite initial state is rejected
+    The `FeedbackLaw` of the system's problem, or of a truncation of it,
+    runs in closed form (`_modal_closed_loop`) at any ``dt``: rank + 1
+    scalar growths evaluated at the grid times in O(K*(rank+1)) after one
+    O(n*rank) projection of ``x0``, returned in modal form, with dense
+    states and controls built only when read; it takes no time steps, so
+    its states carry no discretization error.  Every other controller, an
+    arbitrary callable or the law of another kernel object, runs the
+    generic loop on the dense matrices: classic RK4, one `rk4_step` per
+    grid step whose first slope reuses the recorded control, so the
+    controller is called 4K + 1 times over K steps.  A law behind a
+    plain callable reads exact gains at the stage times there, so its
+    run is fourth order in ``dt``.  A non-finite initial state is rejected
     with `ValueError`; a state that overflows aborts with a `BlowUpError`
     naming the time.
     """
@@ -250,7 +248,7 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     if bad.size:
         raise ValueError(f"initial state must be finite, got {x[bad[0]]} at node {bad[0]}")
     grid = uniform_grid(horizon, dt)
-    if isinstance(controller, FeedbackLaw) and _synthesized(sys, controller, grid):
+    if isinstance(controller, FeedbackLaw) and _truncates(sys.problem, controller.problem):
         return Trajectory.from_modes(grid, _modal_closed_loop(sys, controller, x, grid))
     a, b = sys.a_mat, sys.b_mat
 
@@ -268,45 +266,38 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     return Trajectory(grid=grid, states=states, controls=controls)
 
 
-def _synthesized(sys: StepSystem, law: FeedbackLaw, grid: np.ndarray) -> bool:
-    """Whether the law is the system's optimal law or a truncation of it on ``grid``.
+def _truncates(p: LqrProblem, own: LqrProblem) -> bool:
+    """Whether ``own`` is ``p`` or a truncation of it (`truncate_problem`).
 
-    Its gains must be those `synthesize_gains` gave for the system's
-    problem (their ``origin``), sampled at every node of the run's
-    ``grid`` (the run's grid is the first nodes of theirs), so that the
-    law reads exact gains there and no interpolation; its eigenpair
-    objects must lead those of the system's kernel and its other data
-    must be the problem's.
+    Its eigenpair objects must lead those of ``p``'s kernel and its other
+    data must be ``p``'s.
     """
-    p, own, nodes = sys.problem, law.problem, law.gains.grid
-    return (law.gains.origin is p and np.array_equal(nodes[:grid.size], grid)
-            and own.graphon.pairs == p.graphon.pairs[:own.d]
+    return (own.graphon.pairs == p.graphon.pairs[:own.d]
             and (own.alpha0, own.poly_b, own.poly_q, own.poly_p0, own.horizon)
             == (p.alpha0, p.poly_b, p.poly_q, p.poly_p0, p.horizon))
 
 
-def _log_growth(p: LqrProblem, kept: int, t: np.ndarray) -> np.ndarray:
+def _log_growth(p: LqrProblem, own: LqrProblem, t: np.ndarray) -> np.ndarray:
     """ln of every mode's growth at times ``t``, shape ``(len(t), rank+1)``.
 
-    Under a law that is optimal for ``p`` but keeps only its first
-    ``kept`` eigendirections, mode m <= kept grows by
+    Under the law of ``own``, ``p`` or a truncation of it that keeps only
+    its first ``kept = own.d`` eigendirections, mode m <= kept grows by
     ``Y_m(T - t)/Y_m(T)`` (Radon's lemma: ``d/dt Y_m(T - t) =
     (alpha_m - b_m^2 Pi_m(T - t)) Y_m(T - t)``), and a dropped direction
     l, fed back through b_l with the residual gain ``beta0 L``, by
-    ``alpha_l t - b_l beta0 integral_{T-t}^T L`` (`_gain_integral`).
+    ``alpha_l t - b_l beta0 integral_{T-t}^T L``.  Both read the kept rows'
+    explicit solutions, ``own.riccati``.
     """
-    alpha, beta, q, z0 = p.mode_params.T
-    horizon, keep = p.horizon, slice(0, kept + 1)
-    tau = horizon - t[:, None]
-    ln_y = _log_y(alpha[keep], beta[keep], q[keep], z0[keep],
-                  np.append(tau, horizon)[:, None])
+    alpha, beta = p.mode_params[:, :2].T
+    horizon, kept = p.horizon, own.d
+    times = np.append(horizon - t, horizon)[:, None]  # Riccati times, then T
+    ln_y = own.riccati.log_y(times)
     out = np.empty((t.size, p.d + 1))
-    out[:, keep] = ln_y[:-1] - ln_y[-1]
+    out[:, :kept + 1] = ln_y[:-1] - ln_y[-1]
     out[:, kept + 1:] = alpha[kept + 1:] * t[:, None]
-    row = p.mode_params[0]
-    if kept < p.d and row[1] != 0.0:
-        integral = _gain_integral(*row, horizon) - _gain_integral(*row, tau)
-        out[:, kept + 1:] -= beta[kept + 1:] * row[1] * integral
+    if kept < p.d and beta[0] != 0.0:
+        integral = own.riccati.gain_integral(times)[:, :1]
+        out[:, kept + 1:] -= beta[kept + 1:] * beta[0] * (integral[-1] - integral[:-1])
     return out
 
 
@@ -329,7 +320,7 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     f, n, p = sys.f_cells, sys.n, sys.problem
     gain = law.gains_at(grid)  # rejects a time past the horizon
     coords0, resid0 = p.graphon.project(x0)
-    log_growth = _log_growth(p, law.problem.d, grid)
+    log_growth = _log_growth(p, law.problem, grid)
     if f.shape[0] == n:  # rank = n: no residual
         log_growth[:, 0] = 0.0
         resid0 = np.zeros(n)
@@ -364,7 +355,7 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     """
     p, kept, horizon = run.problem, run.law.problem.d, float(grid[-1])
     alpha, beta, q, z0 = p.mode_params.T
-    value = riccati_explicit(alpha, beta, q, z0, [horizon])[-1]
+    value = p.riccati(horizon)
     skewed = np.arange(p.d + 1) > kept if horizon == p.horizon else np.ones(p.d + 1, bool)
     if not skewed.any():
         return value
@@ -377,13 +368,11 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     nodes, weights = np.polynomial.legendre.leggauss(8)
     width = horizon / panels
     t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width).ravel()
-    own = riccati_explicit(alpha[:kept + 1], beta[:kept + 1], q[:kept + 1],
-                           z0[:kept + 1], p.horizon - t) * beta[:kept + 1]
-    applied = own[:, column]  # dropped: the residual gain
+    applied = run.law.gains_at(t)[:, column]  # dropped: the residual gain
     optimal = riccati_explicit(alpha[skewed], beta[skewed], q[skewed], z0[skewed],
                                horizon - t) * beta[skewed]
     with np.errstate(over="ignore", invalid="ignore"):
-        miss = (applied - optimal) * np.exp(_log_growth(p, kept, t)[:, skewed])
+        miss = (applied - optimal) * np.exp(_log_growth(p, run.law.problem, t)[:, skewed])
     value[skewed] += 0.5 * width * (np.tile(weights, panels) @ (miss * miss))
     return value
 
@@ -498,24 +487,24 @@ def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
 
     Both solve the system's problem and run over its horizon, and both
     are exact, so every gap is rounding at any ``dt``.  The decoupled side
-    is the closed-form run of `simulate` and its cost by `evaluate_cost`.
-    The oracle stays independent of the decoupling: dense n x n matrices,
-    no eigenfunction.  Its states come from the chunk factors of the exact
+    is the closed-form run of the problem's law (`simulate`) and its cost
+    by `evaluate_cost`; no gains are synthesized.  The oracle stays
+    independent of the decoupling: dense n x n matrices, no
+    eigenfunction.  Its states come from the chunk factors of the exact
     matrix Riccati steps (`_oracle_loop`), and its cost is the value
     ``x0' P(T) x0 / n``.  The P gap is the max-abs difference between the
-    reconstructed operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` and
-    the oracle's P at up to 21 sampled grid times.
+    operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` (`reconstruct_P`,
+    exact at each time) and the oracle's P at up to 21 sampled grid times.
     """
     p = sys.problem
-    gains = synthesize_gains(p, dt)
-    traj = simulate(sys, feedback_controller(p, gains), x0, p.horizon, dt)
+    traj = simulate(sys, feedback_controller(p), x0, p.horizon, dt)
     j_dec = evaluate_cost(traj, sys).total
     grid = traj.grid
     x0 = np.asarray(x0, dtype=float)
     nodes = range(0, grid.size, max(1, (grid.size - 1) // 20))
     states, p_end, sampled = _oracle_loop(sys, x0, grid, nodes)
     j_orc = float(x0 @ p_end @ x0) / sys.n
-    p_gap = max(float(np.abs(reconstruct_P(gains, p.graphon, grid[k], sys.n)
+    p_gap = max(float(np.abs(reconstruct_P(p, grid[k], sys.n)
                              - sampled[k]).max()) for k in nodes)
     return OracleReport(
         j_decoupled=j_dec,
@@ -542,8 +531,8 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
                      dt: float) -> list[TruncationRow]:
     """Cost inflation and terminal-state ratios for each truncation level.
 
-    One synthesis of gains and at most two closed-form runs over the
-    system's horizon serve every level: the optimal law (level rank) and,
+    At most two closed-form runs over the system's horizon serve every
+    level, and no gains are synthesized: the optimal law (level rank) and,
     when a level below rank is asked for, the pure auxiliary law
     (level 0).  Each mode of a decoupled run evolves on its own, and a
     dropped direction's loop depends only on the residual gain
@@ -560,10 +549,9 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
     levels = list(levels)
     for level in levels:
         _check_level(p, level)
-    gains = synthesize_gains(p, dt)
     parts, ends = {}, {}
     for level in dict.fromkeys((p.d, *(0 for level in levels if level < p.d))):
-        law = feedback_controller(truncate_problem(p, level), gains)
+        law = feedback_controller(truncate_problem(p, level))
         traj = simulate(sys, law, x0, p.horizon, dt)
         cost = evaluate_cost(traj, sys)
         parts[level] = np.append(cost.aux, cost.eigen)

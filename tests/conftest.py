@@ -1,4 +1,6 @@
 """Shared builders for random test systems."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,24 @@ def sinusoidal_problem(horizon=1.0, poly_b=(1.0, 0.5)):
                          gl.CoeffPoly([1.0, -2.0, 1.0]),
                          gl.CoeffPoly([1.0, -2.0, 1.0]),
                          gl.sinusoidal_graphon(), horizon)
+
+
+def record_calls(monkeypatch, fn):
+    """Record every call of the package function ``fn``: each loaded
+    ``graphon_lqr`` module that binds it by name gets a wrapper that
+    appends the call's positional arguments to the returned list."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "graphon_lqr" or name.startswith("graphon_lqr."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recording)
+    return calls
 
 
 @pytest.fixture

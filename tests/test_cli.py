@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import graphon_lqr as gl
 from graphon_lqr import cli
 
-from conftest import make_rank_kernel
+from conftest import make_rank_kernel, record_calls
 
 
 def read(path):
@@ -472,6 +472,43 @@ class TestStudyCommands:
         cost = json.loads((out / "cost.json").read_text())
         assert cost["oracle_rel_gap"] <= 1e-6
         assert "rel_gap" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("argv, syntheses", [
+        (["run", "{path}"], 1),
+        (["run", "{path}", "--compare-oracle"], 1),
+        (["example-vii", "--compare-oracle"], 1),
+        (["truncation-study", "{path}"], 1),
+        (["oracle-check", "{path}"], 0)],
+        ids=["run", "run-oracle", "example-vii-oracle", "truncation-study", "oracle-check"])
+    def test_one_synthesis_per_command(self, tmp_path, capsys, monkeypatch, argv,
+                                       syntheses):
+        # a law evaluates its own problem's gains, so the only synthesis is the
+        # one that writes gains.csv; oracle-check writes none
+        path = write_scenario(tmp_path)
+        calls = record_calls(monkeypatch, gl.synthesize_gains)
+        argv = [arg.format(path=path) for arg in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == syntheses
+        assert (tmp_path / "out" / "gains.csv").exists() == (syntheses == 1)
+
+    @pytest.mark.parametrize("alpha_t, code", [(10, 0), (16, 3), (17, 3), (20, 3)])
+    def test_oracle_never_answers_with_lost_precision(self, tmp_path, capsys, alpha_t, code):
+        # beta0 = 0 leaves the residual uncontrollable, and the oracle's P grows
+        # like exp(2 alpha0 t) along it; from alpha0*T = 16 on, the rounding of
+        # the exact step swamps P, which once read as a negative J_oracle with
+        # exit 0.  A P with a negative diagonal entry now exits 3
+        horizon = alpha_t / 2.0
+        path = write_scenario(tmp_path, alpha0=2.0, poly_b=[0.0, 1.0], poly_q=[1.0],
+                              poly_p0=[1.0], horizon=horizon, dt=horizon / 500, n=8,
+                              seed=0)
+        assert cli.main(["oracle-check", path, "--out", str(tmp_path / "x")]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert "J_oracle=" in out and "J_oracle=-" not in out
+            assert json.loads((tmp_path / "x" / "cost.json").read_text())["j_oracle"] > 0.0
+        else:
+            assert out == "" and "not positive semidefinite" in err
 
 
 # -- exit codes on random scenarios ---------------------------------------------

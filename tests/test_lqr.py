@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphon_lqr as gl
 from graphon_lqr import lqr, riccati
 from graphon_lqr.graphon import cell_index, midpoint_grid
-from graphon_lqr.lqr import (feedback_controller, ratio_prediction, reconstruct_P,
+from graphon_lqr.lqr import (FeedbackLaw, ratio_prediction, reconstruct_P,
                              synthesize_gains, truncate_problem)
 from graphon_lqr.poly import apply_poly_matrix
 
@@ -175,12 +177,40 @@ class TestSynthesizeGains:
         assert gains.values.shape[1] == 2  # one eigendirection plus the auxiliary curve
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_law_gains_are_the_synthesized_samples(d, no_beta0, seed):
+    # the law evaluates its gains at T - t by the samples' formula: where
+    # T - t_k is the node t_(K-k) the two agree bit for bit; elsewhere the
+    # times differ by an ulp, which moves a gain by that shift times its
+    # rate b*(2 alpha Pi - b^2 Pi^2 + q) plus a few ulps of the formula's
+    # rounding
+    rng = np.random.default_rng(seed)
+    g, _ = make_rank_kernel(rng, d + int(rng.integers(0, 4)), d)
+    poly_b = input_poly(rng, int(rng.integers(0, 3)))
+    if no_beta0:
+        poly_b = gl.CoeffPoly([0.0, *poly_b.coeffs[1:]])
+    p = gl.LqrProblem(float(rng.uniform(-2.0, 3.0)), poly_b,
+                      admissible_poly(rng, g.lambdas, 2),
+                      admissible_poly(rng, g.lambdas, 2), g, float(rng.uniform(0.3, 3.0)))
+    gains = synthesize_gains(p, p.horizon / int(rng.integers(10, 400)))
+    pi = gains.values[::-1]
+    alpha, beta, q, _ = p.mode_params.T
+    expect = pi * beta
+    shift = np.abs((p.horizon - gains.grid) - gains.grid[::-1])[:, None]
+    slope = np.abs(beta * (2.0 * alpha * pi - beta * beta * pi * pi + q))
+    got = FeedbackLaw(p).gains_at(gains.grid)
+    same = shift[:, 0] == 0.0
+    np.testing.assert_array_equal(got[same], expect[same])
+    assert np.all(np.abs(got - expect) <= 1e-15 * np.abs(expect).max() + 2.0 * shift * slope)
+
+
 class TestControlLaws:
     """The optimal law on vector and function states."""
 
     @pytest.fixture
     def law(self, vii_problem):
-        return feedback_controller(vii_problem, synthesize_gains(vii_problem, 1e-3))
+        return FeedbackLaw(vii_problem)
 
     def test_zero_state_zero_control(self, law):
         np.testing.assert_array_equal(law(0.3, np.zeros(40)), np.zeros(40))
@@ -188,13 +218,13 @@ class TestControlLaws:
     def test_pure_residual_uses_auxiliary_gain(self, law, vii_problem):
         n, t = 40, 0.4
         x = np.full(n, 2.0)  # orthogonal to both eigendirections
-        lt = law.gains(vii_problem.horizon - t)[0]
+        lt = gl.riccati_explicit(*vii_problem.mode_params[0], [vii_problem.horizon - t])[0]
         np.testing.assert_allclose(law(t, x), -vii_problem.beta0 * lt * x, atol=1e-12)
 
     def test_eigenstate_gets_eigen_gain(self, law, vii_problem):
         gamma = midpoint_grid(40)
         x = np.sqrt(2.0) * np.sin(2 * np.pi * gamma)
-        m_end = law.gains(vii_problem.horizon)[1]
+        m_end = gl.riccati_explicit(*vii_problem.mode_params[1], [vii_problem.horizon])[0]
         np.testing.assert_allclose(law(0.0, x), -1.25 * m_end * x, atol=1e-12)
 
     def test_centralized_localized_agree(self, law):
@@ -214,19 +244,18 @@ class TestControlLaws:
     def test_function_state_law(self, law, vii_problem):
         x = lambda t: np.sqrt(2.0) * np.sin(2 * np.pi * np.asarray(t, float))
         u = law(0.0, x)
-        m_end = law.gains(vii_problem.horizon)[1]
+        m_end = gl.riccati_explicit(*vii_problem.mode_params[1], [vii_problem.horizon])[0]
         pts = np.linspace(0, 1, 9)
         np.testing.assert_allclose(u(pts), -1.25 * m_end * x(pts), atol=1e-9)
         assert u(0.25) == pytest.approx(-1.25 * m_end * np.sqrt(2.0), abs=1e-9)
 
     def test_matches_reconstructed_feedback_operator(self, law, vii_problem):
-        # the law equals -B P(T-t) x with P rebuilt from the gain curves
+        # the law equals -B P(T-t) x with P rebuilt from the problem's gains
         n, t = 24, 0.35
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
         x = np.random.default_rng(8).standard_normal(n)
-        p_op = reconstruct_P(law.gains, vii_problem.graphon,
-                             vii_problem.horizon - t, n)
+        p_op = reconstruct_P(vii_problem, vii_problem.horizon - t, n)
         np.testing.assert_allclose(law(t, x), -sys_.b_mat @ p_op @ x, atol=1e-10)
 
     def test_time_outside_horizon_rejected(self, law):
@@ -260,9 +289,9 @@ class TestReconstructP:
         g = gl.sinusoidal_graphon().truncate(0)
         p = gl.LqrProblem(1.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([0.5]), g, 1.0)
-        gains = synthesize_gains(p, 1e-3)
-        mat = reconstruct_P(gains, g, 0.3, 5)
-        np.testing.assert_allclose(mat, gains(0.3)[0] * np.eye(5), atol=1e-12)
+        mat = reconstruct_P(p, 0.3, 5)
+        np.testing.assert_array_equal(
+            mat, gl.riccati_explicit(*p.mode_params[0], [0.3])[0] * np.eye(5))
 
     def test_initial_value_matches_terminal_weight_matrix(self):
         # on a full-rank coupling the reconstruction at time zero equals
@@ -276,9 +305,8 @@ class TestReconstructP:
                           admissible_poly(rng, kernel.lambdas, 2),
                           admissible_poly(rng, kernel.lambdas, 3),
                           kernel, 1.0)
-        gains = synthesize_gains(p, 1e-3)
         expect = apply_poly_matrix(p.poly_p0, step.entries / 4)
-        np.testing.assert_allclose(reconstruct_P(gains, kernel, 0.0, 4), expect,
+        np.testing.assert_allclose(reconstruct_P(p, 0.0, 4), expect,
                                    atol=1e-10)
 
 
@@ -321,7 +349,7 @@ class TestClosedLoopStructure:
         gains = synthesize_gains(p, dt)
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
         x0 = gl.initial_state(n, 5)
-        traj = gl.simulate(sys_, feedback_controller(p, gains), x0, p.horizon, dt)
+        traj = gl.simulate(sys_, FeedbackLaw(p), x0, p.horizon, dt)
         b_eig = np.atleast_1d(p.poly_b(p.graphon.lambdas))
         rates = (p.alpha0 + p.graphon.lambdas[:, None]
                  - b_eig[:, None] ** 2 * gains(p.horizon - gains.grid)[:, 1:].T)
@@ -335,31 +363,36 @@ class TestClosedLoopStructure:
                 [np.interp(traj.grid[k], gains.grid, e) for e in exponent])
             np.testing.assert_allclose(f @ traj.states[k] / n, predicted, atol=1e-5)
 
-    def test_horizon_mismatch_rejected(self, vii_problem):
-        other = sinusoidal_problem(horizon=2.0)
-        gains = synthesize_gains(other, 1e-3)
-        with pytest.raises(ValueError, match="horizon"):
-            feedback_controller(vii_problem, gains)
 
+    def test_horizon_mismatch_rejected(self, vii_problem):
+        # the law of the same data over another horizon is not the system's
+        # law: the closed form rejects it, and over the system's horizon it
+        # runs the generic loop and costs more than the optimum
+        p, n, dt = vii_problem, 12, 1e-2
+        other = gl.LqrProblem(p.alpha0, p.poly_b, p.poly_q, p.poly_p0, p.graphon, 2.0)
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
+        x0 = gl.initial_state(n, 16)
+        traj = gl.simulate(sys_, FeedbackLaw(other), x0, p.horizon, dt)
+        assert traj.modes is None
+        optimal = gl.simulate(sys_, FeedbackLaw(p), x0, p.horizon, dt)
+        assert gl.evaluate_cost(traj, sys_).total > gl.evaluate_cost(optimal, sys_).total
 
 class TestTruncatedController:
-    """The truncated law: the problem's gains read by its truncation."""
+    """The truncated law: the law of a truncated problem, whose rows lead the problem's."""
 
     def test_full_level_equals_optimal(self, vii_problem):
-        dt = 1e-3
-        gains = synthesize_gains(vii_problem, dt)
-        optimal = feedback_controller(vii_problem, gains)
-        trunc = feedback_controller(truncate_problem(vii_problem, vii_problem.d), gains)
+        optimal = FeedbackLaw(vii_problem)
+        trunc = FeedbackLaw(truncate_problem(vii_problem, vii_problem.d))
         rng = np.random.default_rng(3)
         x = rng.standard_normal(40)
         np.testing.assert_array_equal(optimal(0.2, x), trunc(0.2, x))
 
     def test_level_zero_is_auxiliary_law(self, vii_problem):
-        gains = synthesize_gains(vii_problem, 1e-3)
-        trunc = feedback_controller(truncate_problem(vii_problem, 0), gains)
+        trunc = FeedbackLaw(truncate_problem(vii_problem, 0))
         rng = np.random.default_rng(4)
         x = rng.standard_normal(40)
-        expect = -vii_problem.beta0 * gains(vii_problem.horizon - 0.3)[0] * x
+        lt = gl.riccati_explicit(*vii_problem.mode_params[0], [vii_problem.horizon - 0.3])[0]
+        expect = -vii_problem.beta0 * lt * x
         np.testing.assert_allclose(trunc(0.3, x), expect, atol=1e-12)
 
     def test_level_out_of_range(self, vii_problem):
@@ -396,27 +429,26 @@ class TestRatioPrediction:
         expect = np.exp(-np.trapezoid(mt - m, grid))
         assert pred == pytest.approx(expect, abs=1e-8)
 
-    def test_measured_ratio_converges_at_second_order(self):
+    def test_measured_ratio_converges_at_fourth_order(self):
         # the prediction reads no grid; the ratio that the RK4 generic loop
-        # measures approaches it at second order (the laws interpolate their
-        # gains), and a truncation study measures it from the closed form
+        # measures approaches it at fourth order (the laws read exact gains at
+        # the stage times), and a truncation study measures it from the
+        # closed form
         p = sinusoidal_problem(horizon=0.5, poly_b=(1.0,))
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 40), p)
         x0 = gl.initial_state(40, 97)
         f = p.graphon.cells(40)
         gaps = []
-        for dt in (2e-3, 1e-3):
+        for dt in (2e-2, 1e-2):
             row = gl.truncation_study(sys_, x0, [1], dt)[0]
             assert row.predicted_ratio[1] == ratio_prediction(p)[1]
             assert row.measured_ratio[1] == pytest.approx(row.predicted_ratio[1],
                                                           rel=1e-12, abs=0.0)
-            gains = synthesize_gains(p, dt)
             ends = [gl.simulate(sys_, lambda t, x, law=law: law(t, x), x0, p.horizon,
                                 dt).states[-1] @ f[1]
-                    for law in (feedback_controller(truncate_problem(p, 1), gains),
-                                feedback_controller(p, gains))]
+                    for law in (FeedbackLaw(truncate_problem(p, 1)), FeedbackLaw(p))]
             gaps.append(abs(ends[0] / ends[1] - row.predicted_ratio[1]))
-        assert 3.5 <= gaps[0] / gaps[1] <= 4.5
+        assert 2 ** 3.5 <= gaps[0] / gaps[1] <= 2 ** 4.5
 
 
 class TestFirstOrderOptimality:
@@ -428,8 +460,7 @@ class TestFirstOrderOptimality:
         dt = 1e-3
         sys_ = gl.build_step_system(entries, p)
         x0 = gl.initial_state(5, 31)
-        gains = synthesize_gains(p, dt)
-        base = feedback_controller(p, gains)
+        base = FeedbackLaw(p)
         j_opt = gl.evaluate_cost(gl.simulate(sys_, base, x0, p.horizon, dt), sys_).total
         for _ in range(5):
             w = rng.standard_normal(5)
@@ -458,11 +489,11 @@ class TestKernelBasis:
         p = gl.LqrProblem(2.0, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([1.0]), g, 1.0)
         sys_ = gl.build_step_system(gl.sample_step_entries(g, n), p)
-        law = feedback_controller(p, synthesize_gains(p, 1e-2))
+        law = FeedbackLaw(p)
         x = gl.initial_state(n, 4)
         for t in (0.0, 0.5, 1.0):
             law(t, x)
-            reconstruct_P(law.gains, g, t, n)
+            reconstruct_P(p, t, n)
         g.project(x)
         assert sorted(calls) == [0, 1]
         assert sys_.f_cells is g.cells(n)
@@ -477,10 +508,10 @@ class TestKernelBasis:
     def test_empty_partition_rejected(self, vii_problem):
         # an empty cell vector would be scaled by 1/0
         g = vii_problem.graphon
-        law = feedback_controller(vii_problem, synthesize_gains(vii_problem, 1e-2))
+        law = FeedbackLaw(vii_problem)
         for call in (lambda: g.project(np.zeros(0)), lambda: g.apply(np.zeros(0)),
                      lambda: law(0.5, np.zeros(0)), lambda: gl.sample_step_entries(g, 0),
-                     lambda: reconstruct_P(law.gains, g, 0.5, 0)):
+                     lambda: reconstruct_P(vii_problem, 0.5, 0)):
             with pytest.raises(ValueError, match="partition size must be >= 1"):
                 call()
 
@@ -505,5 +536,5 @@ class TestKernelBasis:
         np.testing.assert_allclose(g.apply(x)(mids), g.apply(x(mids)), atol=1e-9)
         p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([1.0]), g, 1.0)
-        law = feedback_controller(p, synthesize_gains(p, 1e-2))
+        law = FeedbackLaw(p)
         np.testing.assert_allclose(law(0.25, x)(mids), law(0.25, x(mids)), atol=1e-9)

@@ -261,7 +261,7 @@ class TestProperties:
 
 
 class TestGainCurve:
-    """`Curve`, the uniform-grid interpolator of every gain and path."""
+    """`Curve`, the uniform-grid interpolator of sampled gains and paths."""
 
     def test_interpolation_is_linear(self):
         curve = Curve([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])

@@ -15,6 +15,7 @@ import count_code_lines  # noqa: E402
 with mock.patch.dict(os.environ):  # the timers pin BLAS threads for their own runs
     import bench_artifacts  # noqa: E402
     import bench_build  # noqa: E402
+    import bench_law  # noqa: E402
     import bench_oracle  # noqa: E402
 
 FIXTURE = '''"""Module docstring,
@@ -63,7 +64,9 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
 @pytest.mark.parametrize("tool, layers, extra", [
     (bench_build, {"graphon.sample", "sim.build"}, set()),
     (bench_oracle, {"riccati.matrix", "oracle.compare"}, {"steps"}),
-    (bench_artifacts, {"cli.trajectory", "cli.gains", "cli.example_vii"}, {"d", "values"})])
+    (bench_artifacts, {"cli.trajectory", "cli.gains", "cli.example_vii"}, {"d", "values"}),
+    (bench_law, {"law.call", "law.gains_grid", "sim.generic_loop", "cli.example_vii"},
+     {"d", "steps"})])
 def test_bench_measure_rows(tool, layers, extra, monkeypatch):
     monkeypatch.setattr(bench_artifacts, "SIZES", (40,))   # no 325 MB trajectory here
     rows = tool.measure(1)

@@ -1,0 +1,75 @@
+"""Time the feedback law and its consumers and record them in BENCH_law.json.
+
+    python tools/bench_law.py --label change
+    python tools/bench_law.py --label parent --src /path/to/other/checkout/src
+
+Imports ``graphon_lqr`` from ``--src`` (default: this checkout's
+``src/``) with one BLAS thread.  On the example-vii problem (sinusoidal
+kernel, d = 2, horizon 1, K = 1000 steps) it times four layers:
+
+* ``law.call``: the law on a vector state of n = 40 cells at each of the
+  K + 1 grid times, one call each (a row is K + 1 calls);
+* ``law.gains_grid``: `FeedbackLaw.gains_at` on the whole grid at d = 2
+  and on the same problem with a rank-16 kernel;
+* ``sim.generic_loop``: `simulate` of the law behind a plain callable,
+  which runs the RK4 generic loop, 4K + 1 law calls, n = 40;
+* ``cli.example_vii``: ``graphon-lqr example-vii --compare-oracle`` end
+  to end through `cli.main`.
+
+The law is built as ``feedback_controller(problem, gains)`` with the
+problem's synthesized gains, which every checkout accepts.  Timing and
+recording are `bench_common`'s.
+"""
+from __future__ import annotations
+
+from bench_common import main, timed  # first: it sets one BLAS thread
+
+import contextlib
+import dataclasses
+import io
+import tempfile
+
+from bench_artifacts import RANK16
+
+
+def measure(repeats: int) -> list[dict]:
+    import graphon_lqr as gl
+    from graphon_lqr import cli
+
+    vii = cli.preset_example_vii()
+    steps = round(vii.horizon / vii.dt)
+    problem, system, x0 = cli.build_experiment(vii)
+    law = gl.feedback_controller(problem, gl.synthesize_gains(problem, vii.dt))
+    grid = gl.uniform_grid(vii.horizon, vii.dt)
+
+    def calls():
+        for t in grid:
+            law(float(t), x0)
+
+    def generic_loop():
+        gl.simulate(system, lambda t, x: law(t, x), x0, vii.horizon, vii.dt)
+
+    rows = [dict(layer="law.call", n=vii.n, d=problem.d, steps=steps,
+                 **timed(calls, repeats))]
+    for graphon in ({"type": "sinusoidal"}, {"type": "finite_rank", "pairs": RANK16}):
+        wide, _, _ = cli.build_experiment(dataclasses.replace(vii, graphon=graphon))
+        wide_law = gl.feedback_controller(wide, gl.synthesize_gains(wide, vii.dt))
+        rows.append(dict(layer="law.gains_grid", n=vii.n, d=wide.d, steps=steps,
+                         **timed(lambda: wide_law.gains_at(grid), repeats)))
+    rows.append(dict(layer="sim.generic_loop", n=vii.n, d=problem.d, steps=steps,
+                     **timed(generic_loop, repeats)))
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def example_vii():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["example-vii", "--compare-oracle", "--out", tmp]) == 0
+
+        rows.append(dict(layer="cli.example_vii", n=vii.n, d=problem.d, steps=steps,
+                         **timed(example_vii, repeats)))
+    return rows
+
+
+if __name__ == "__main__":
+    main(__doc__, measure, "BENCH_law.json",
+         "example-vii (sinusoidal kernel, d = 2, dt = 1e-3); a rank-16 kernel for "
+         "law.gains_grid")

@@ -9,9 +9,10 @@ n = 8, 16, 40 and 64 cells with K = 1000 steps it times two layers:
 
 * ``riccati.matrix``: `solve_matrix_riccati` on the system's matrices,
   the full (K+1) x n x n path;
-* ``oracle.compare``: the whole `oracle_compare` (synthesis, the
-  decoupled run and its cost, the oracle's loop and value, the P gap),
-  which runs on any checkout.
+* ``oracle.compare``: the whole `oracle_compare` (the decoupled run and
+  its cost, the oracle's loop and value, the P gap; a checkout whose laws
+  read sampled gains synthesizes them here too), which runs on any
+  checkout.
 
 Timing and recording are `bench_common`'s.
 """
