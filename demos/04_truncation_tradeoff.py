@@ -10,7 +10,7 @@ import numpy as np
 
 import graphon_lqr as gl
 
-horizon, dt, n = 1.0, 1e-3, 60
+horizon, n = 1.0, 60
 
 kernel = gl.graphon_from_spec({"type": "finite_rank", "pairs": [
     {"lambda": 0.6, "fun": "sin", "freq": 1},
@@ -22,7 +22,7 @@ problem = gl.LqrProblem(1.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0, -1.0, 0.5])
 system = gl.build_step_system(gl.sample_step_entries(kernel, n), problem)
 x0 = gl.initial_state(n, seed=21)
 
-rows = gl.truncation_study(system, x0, range(problem.d + 1), dt)
+rows = gl.truncation_study(system, x0, range(problem.d + 1))
 
 print(f"rank-{problem.d} kernel, eigenvalues {np.round(kernel.lambdas, 3)}")
 print(f"optimal cost J* = {rows[0].j_optimal:.6f}\n")

@@ -17,10 +17,10 @@ Exit codes: 0 success, 2 scenario/validation failure (a field of the
 wrong JSON type, an unreadable input path, an unwritable output directory
 and a network that the kernel eigenfunctions do not decouple, which the
 step system rejects, included), 3 numeric failure (a blow-up, an
-overflowing gain, a failed LAPACK call or an allocation that does not fit
-in memory, such as the (K+1) x n states of ``trajectory.csv`` for a huge
-``n``: an analytic kernel's network is built and run without its n x n
-coupling matrix).
+overflowing gain or cost, a failed LAPACK call or an allocation that
+does not fit in memory, such as the (K+1) x n states of ``trajectory.csv``
+for a huge ``n``: an analytic kernel's network is built and run without
+its n x n coupling matrix).
 """
 from __future__ import annotations
 
@@ -313,7 +313,7 @@ def run_truncation_study(scn: Scenario, levels, base_dir: str = ".",
     gains = synthesize_gains(problem, scn.dt)
     if levels is None:
         levels = list(range(problem.d + 1))
-    rows = truncation_study(system, x0, levels, scn.dt)
+    rows = truncation_study(system, x0, levels)
     out_dir = _prepare_out(scn, out_override)
     write_truncation_csv(os.path.join(out_dir, "truncation.csv"), rows)
     write_gains_csv(os.path.join(out_dir, "gains.csv"), gains)

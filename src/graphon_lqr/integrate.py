@@ -2,10 +2,10 @@
 
 `rk4_step` is the only RK4 stage formula of the package: the scalar
 Riccati reference `riccati_path` and the generic closed loop, which runs
-arbitrary controllers, take one step per grid step.  Gain synthesis, the
-closed-form run of a problem's feedback law and its cost, and the
-matrix Riccati oracle and its closed loop use the exact Hamiltonian
-solution instead.
+arbitrary controllers, take one step of one scalar time per grid step.
+Gain synthesis, the closed-form run of a problem's feedback law and its
+cost, the truncation study and the matrix Riccati oracle and its closed
+loop use the exact Hamiltonian solution instead.
 """
 from __future__ import annotations
 
@@ -34,18 +34,14 @@ def rk4_step(rhs, t: float, h: float, y: np.ndarray, k1) -> np.ndarray:
 
     ``k1`` is the first slope ``rhs(t, y)``, passed in so that a caller
     can keep what it computed on the way (the closed loop records the
-    control it applies at ``t``).  Array ``t`` and ``h`` broadcasting
-    against ``y`` take many independent steps at once.  Raises
-    `BlowUpError` if any entry of the new state is non-finite, naming the
-    end time ``t + h`` of the earliest failing step.
+    control it applies at ``t``).  Raises `BlowUpError` if any entry of
+    the new state is non-finite, naming the end time ``t + h``.
     """
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
     y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    finite = np.isfinite(y)
-    if not finite.all():
-        end = np.broadcast_to(t + h, y.shape)[~finite].min()
+    if not np.isfinite(y).all():
         raise BlowUpError(
-            f"integration blew up in the step to t = {end:.6g}: non-finite state value")
+            f"integration blew up in the step to t = {t + h:.6g}: non-finite state value")
     return y

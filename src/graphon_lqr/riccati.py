@@ -353,7 +353,7 @@ def _step_powers(a, b, q, horizon: float, steps: int) -> np.ndarray:
     n = a.shape[0]
     ham_h = np.block([[a.T, q], [b @ b.T, -a]]) * (horizon / steps)
     h_norm = np.abs(ham_h).sum(axis=0).max()
-    count = max(1, min(_MAX_POWERS, int(1.0 / max(h_norm, 1.0 / _MAX_POWERS))))
+    count = max(1, int(1.0 / max(h_norm, 1.0 / _MAX_POWERS)))  # at most _MAX_POWERS
     with np.errstate(all="ignore"):  # an overflow is reported by _exact_chunks
         powers = np.empty((count, 2 * n, 2 * n))
         powers[0] = _expm(ham_h)

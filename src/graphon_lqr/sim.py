@@ -33,7 +33,7 @@ from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _check_level, feedback_controller,
                   ratio_prediction, reconstruct_P, truncate_problem)
 from .poly import apply_poly_matrix
-from .riccati import _exact_chunks, _step_powers, riccati_explicit, solve_matrix_riccati
+from .riccati import _exact_chunks, _step_powers, solve_matrix_riccati
 
 # Largest decoupling residual of a step system.
 _DECOUPLING_TOL = 1e-10
@@ -313,12 +313,14 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     left by the projection.  The run aborts at the first node where a
     bound on the rebuilt entries is not finite: a state entry is at most
     (rank + 1)*max|F| times the largest mode amplitude, and the law's
-    sums ``x F'`` and gain products (`FeedbackLaw.gains_at`, read here
-    only for this bound) at most ``max(n, (2*rank + 1)*max|F|*max|gain|)
-    * max|F|`` times that.
+    sums ``x F'`` and gain products at most ``max(n, (2*rank + 1)*max|F|
+    *max|gain|) * max|F|`` times that.  Each gain solves an autonomous
+    scalar Riccati equation, so it is monotone in time and its largest
+    magnitude over the run is at one of the run's two ends: the bound
+    reads the law (`FeedbackLaw.gains_at`) there alone.
     """
     f, n, p = sys.f_cells, sys.n, sys.problem
-    gain = law.gains_at(grid)  # rejects a time past the horizon
+    big_gain = np.abs(law.gains_at(grid[[0, -1]])).max()  # rejects a time past the horizon
     coords0, resid0 = p.graphon.project(x0)
     log_growth = _log_growth(p, law.problem, grid)
     if f.shape[0] == n:  # rank = n: no residual
@@ -329,7 +331,7 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.exp(log_growth)
         states = (p.d + 1) * big_f * (growth * size).max(axis=1)
-        law_ops = np.maximum(n, (2 * p.d + 1) * big_f * np.abs(gain).max(axis=1))
+        law_ops = np.maximum(n, (2 * p.d + 1) * big_f * big_gain)
         finite = np.isfinite(states * law_ops * big_f)
     if not finite.all():
         raise BlowUpError(
@@ -349,19 +351,23 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     direction, or any mode of a shorter run, adds the integral, by a
     composite 8-point Gauss-Legendre rule whose panels are short against
     the fastest rate of the integrand (``4*omega`` of the Riccati
-    solutions, twice the largest closed-loop rate, from the gains the
-    run's law reads on its ``grid``), closed forms at every node and no
-    time stepping.
+    solutions, twice the largest closed-loop rate), closed forms at every
+    node and no time stepping.  A closed-loop rate ``alpha - b k(t)`` is
+    monotone in time, as the gain is, so the largest one is read at the
+    run's two ends.  The applied gains are the run's law's and the
+    optimal ones ``p.riccati``'s, so no Riccati equation is set up here.
+    An overflowing integral gives an infinite part, with no warning;
+    `evaluate_cost` rejects it.
     """
     p, kept, horizon = run.problem, run.law.problem.d, float(grid[-1])
-    alpha, beta, q, z0 = p.mode_params.T
+    alpha, beta, q, _ = p.mode_params.T
     value = p.riccati(horizon)
     skewed = np.arange(p.d + 1) > kept if horizon == p.horizon else np.ones(p.d + 1, bool)
     if not skewed.any():
         return value
     modes = np.flatnonzero(skewed)
     column = np.where(modes <= kept, modes, 0)  # the law's gain column of each mode
-    rates = alpha[skewed] - beta[skewed] * run.law.gains_at(grid)[:, column]
+    rates = alpha[skewed] - beta[skewed] * run.law.gains_at(grid[[0, -1]])[:, column]
     fastest = 2.0 * np.hypot(alpha, np.abs(beta) * np.sqrt(q)).max() + np.abs(rates).max()
     panels = max(1, int(np.ceil(horizon * fastest)))
     # imported here: the optimal runs that most callers make need no quadrature
@@ -369,11 +375,10 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     width = horizon / panels
     t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width).ravel()
     applied = run.law.gains_at(t)[:, column]  # dropped: the residual gain
-    optimal = riccati_explicit(alpha[skewed], beta[skewed], q[skewed], z0[skewed],
-                               horizon - t) * beta[skewed]
+    optimal = p.riccati(horizon - t)[:, skewed] * beta[skewed]
     with np.errstate(over="ignore", invalid="ignore"):
         miss = (applied - optimal) * np.exp(_log_growth(p, run.law.problem, t)[:, skewed])
-    value[skewed] += 0.5 * width * (np.tile(weights, panels) @ (miss * miss))
+        value[skewed] += 0.5 * width * (np.tile(weights, panels) @ (miss * miss))
     return value
 
 
@@ -391,28 +396,36 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     direction for a truncated one, so no truncation costs less than the
     optimum.  Any other run is projected on the modes, O(K*n*rank), and
     integrated by the trapezoid rule.  A run whose node count is not
-    ``sys.n`` raises `ValueError`.
+    ``sys.n`` raises `ValueError`; a cost that is not finite, as when a
+    dropped direction's inflation or a mode's energy overflows, raises
+    `BlowUpError`, and no overflow warning escapes.  The closed form
+    integrates over the whole run, so this also catches a dropped
+    direction that overflows between the run's grid nodes.
     """
     n = traj.states.shape[1] if traj.modes is None else traj.modes.resid.size
     if n != sys.n:
         raise ValueError(f"the run has {n} nodes but the system has {sys.n}")
     m = traj.modes
-    if m is not None and m.f is sys.f_cells and m.problem is sys.problem:
-        energy = np.append(m.resid @ m.resid / n, m.coords ** 2)
-        parts = _unit_costs(m, traj.grid) * energy
-    else:
-        q, z = sys.problem.mode_params[:, 2:].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m is not None and m.f is sys.f_cells and m.problem is sys.problem:
+            energy = np.append(m.resid @ m.resid / n, m.coords ** 2)
+            parts = _unit_costs(m, traj.grid) * energy
+        else:
+            q, z = sys.problem.mode_params[:, 2:].T
 
-        def energies(v):
-            coords, r = sys.problem.graphon.project(v)
-            return np.column_stack([np.einsum("ki,ki->k", r, r) / n, coords ** 2])
+            def energies(v):
+                coords, r = sys.problem.graphon.project(v)
+                return np.column_stack([np.einsum("ki,ki->k", r, r) / n, coords ** 2])
 
-        xe, ue = energies(traj.states), energies(traj.controls)
-        # one row per mode, so that each trapezoid sum runs over contiguous
-        # memory and numpy sums it pairwise
-        run = np.ascontiguousarray((q * xe + ue).T)
-        parts = np.trapezoid(run, traj.grid) + z * xe[-1]
-    return CostBreakdown(total=float(parts.sum()), aux=float(parts[0]), eigen=parts[1:])
+            xe, ue = energies(traj.states), energies(traj.controls)
+            # one row per mode, so that each trapezoid sum runs over contiguous
+            # memory and numpy sums it pairwise
+            run = np.ascontiguousarray((q * xe + ue).T)
+            parts = np.trapezoid(run, traj.grid) + z * xe[-1]
+        total = float(parts.sum())
+    if not np.isfinite(total):
+        raise BlowUpError(f"the cost is not finite: mode parts {parts.tolist()}")
+    return CostBreakdown(total=total, aux=float(parts[0]), eigen=parts[1:])
 
 
 def oracle_controller(sys: StepSystem, dt: float):
@@ -527,11 +540,10 @@ class TruncationRow:
     predicted_ratio: np.ndarray  # NaN where the prediction does not apply
 
 
-def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
-                     dt: float) -> list[TruncationRow]:
+def truncation_study(sys: StepSystem, x0, levels: Sequence[int]) -> list[TruncationRow]:
     """Cost inflation and terminal-state ratios for each truncation level.
 
-    At most two closed-form runs over the system's horizon serve every
+    At most two closed-form runs over the system's horizon T serve every
     level, and no gains are synthesized: the optimal law (level rank) and,
     when a level below rank is asked for, the pure auxiliary law
     (level 0).  Each mode of a decoupled run evolves on its own, and a
@@ -540,10 +552,14 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
     the optimal run's parts of the residual and the kept directions plus
     the level-0 run's parts of the dropped ones (`evaluate_cost`, exact),
     and its terminal eigen coordinates ``g_l(T)*c_l`` come from the same
-    runs; a study builds no (K+1) x n array.  For each dropped direction
-    the measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits next to its
-    prediction `ratio_prediction` (available when the input polynomial is
-    constant), in closed form from the problem's table of scalar problems.
+    runs.  Neither output needs the times in between, so each run is on
+    the two-node grid {0, T}: a study takes no time step and builds no
+    array of a time grid's length.  A cost that overflows anywhere in
+    ``[0, T]`` raises `BlowUpError` (`evaluate_cost`).  For each dropped
+    direction the measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits
+    next to its prediction `ratio_prediction` (available when the input
+    polynomial is constant), in closed form from the problem's table of
+    scalar problems.
     """
     p = sys.problem
     levels = list(levels)
@@ -552,7 +568,7 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int],
     parts, ends = {}, {}
     for level in dict.fromkeys((p.d, *(0 for level in levels if level < p.d))):
         law = feedback_controller(truncate_problem(p, level))
-        traj = simulate(sys, law, x0, p.horizon, dt)
+        traj = simulate(sys, law, x0, p.horizon, p.horizon)  # the grid {0, T}
         cost = evaluate_cost(traj, sys)
         parts[level] = np.append(cost.aux, cost.eigen)
         m = traj.modes

@@ -104,10 +104,10 @@ def test_criterion_3_closed_form_sweep():
 def test_criterion_4_truncation_ratio(horizon):
     """Measured terminal ratio of the dropped direction matches the prediction."""
     p = sinusoidal_problem(horizon=horizon, poly_b=(1.0,))
-    n, dt = 40, 1e-3
+    n = 40
     sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
     x0 = gl.initial_state(n, 97)
-    rows = gl.truncation_study(sys_, x0, [1], dt)
+    rows = gl.truncation_study(sys_, x0, [1])
     measured = rows[0].measured_ratio[1]
     predicted = rows[0].predicted_ratio[1]
     assert np.isfinite(measured)
@@ -170,7 +170,7 @@ def test_criterion_6_optimality_dominance():
         j_opt = gl.evaluate_cost(gl.simulate(sys_, base, x0, p.horizon, dt),
                                  sys_).total
         for level in range(p.d):
-            rows = gl.truncation_study(sys_, x0, [level], dt)
+            rows = gl.truncation_study(sys_, x0, [level])
             assert rows[0].j_truncated >= j_opt - 1e-8
             margin = min(margin, rows[0].j_truncated - j_opt)
         for _ in range(10):

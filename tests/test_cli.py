@@ -510,6 +510,25 @@ class TestStudyCommands:
         else:
             assert out == "" and "not positive semidefinite" in err
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("run", "cost.json"), ("truncation-study", "truncation.csv")])
+    def test_overflowing_cost_exits_3(self, tmp_path, capsys, command, artifact):
+        # the level-0 law drops a direction of drift 367 and feeds it the
+        # residual gain L = 1: it grows like exp(366 t), finite, but its squared
+        # inflation overflows, which once exited 0 with J=inf and a cost.json
+        # that is not JSON
+        path = write_scenario(tmp_path, alpha0=0.0, poly_b=[1.0], poly_q=[1.0],
+                              poly_p0=[1.0], horizon=1.0, dt=1e-3, n=8, seed=0,
+                              controller="auxiliary_only", graphon={
+                                  "type": "finite_rank",
+                                  "pairs": [{"lambda": 367.0, "fun": "const"}]})
+        assert cli.main([command, path, "--out", str(tmp_path / "x")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric failure: the cost is not finite")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x" / artifact).exists()
+
 
 # -- exit codes on random scenarios ---------------------------------------------
 

@@ -161,7 +161,7 @@ class TestSynthesizeGains:
         assert gains.values.shape == (1001, 3)
         p = sinusoidal_problem(poly_b=(1.0,))
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 20), p)
-        rows = gl.truncation_study(sys_, gl.initial_state(20, 5), [0, 1, 2], 1e-3)
+        rows = gl.truncation_study(sys_, gl.initial_state(20, 5), [0, 1, 2])
         assert np.isfinite(rows[0].predicted_ratio).all()
 
     def test_zero_cost_gives_zero_gains(self):
@@ -203,6 +203,33 @@ def test_law_gains_are_the_synthesized_samples(d, no_beta0, seed):
     same = shift[:, 0] == 0.0
     np.testing.assert_array_equal(got[same], expect[same])
     assert np.all(np.abs(got - expect) <= 1e-15 * np.abs(expect).max() + 2.0 * shift * slope)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_gains_peak_at_the_ends_of_a_run(d, no_beta0, z0_scale, seed):
+    # each gain solves an autonomous scalar Riccati equation, so it is
+    # monotone in time and its largest magnitude on a grid is at one of the
+    # grid's ends, the only times a closed-form run reads for its blow-up
+    # bound and quadrature panels; terminal weights scaled by 1e-3 and 1e3
+    # start most solutions below and above their roots
+    rng = np.random.default_rng(seed)
+    g, _ = make_rank_kernel(rng, d + int(rng.integers(0, 4)), d)
+    poly_b = input_poly(rng, int(rng.integers(0, 3)))
+    if no_beta0:
+        poly_b = gl.CoeffPoly([0.0, *poly_b.coeffs[1:]])
+    poly_p0 = gl.CoeffPoly(z0_scale * np.array(admissible_poly(rng, g.lambdas, 2).coeffs))
+    p = gl.LqrProblem(float(rng.uniform(-2.0, 3.0)), poly_b,
+                      admissible_poly(rng, g.lambdas, 2), poly_p0, g,
+                      float(rng.uniform(0.3, 3.0)))
+    grid = gl.uniform_grid(p.horizon, p.horizon / int(rng.integers(10, 400)))
+    eps = np.finfo(float).eps
+    for own in (p, *(truncate_problem(p, level) for level in range(d))):
+        law = FeedbackLaw(own)
+        peak = np.abs(law.gains_at(grid)).max(axis=0)
+        ends = np.abs(law.gains_at(grid[[0, -1]])).max(axis=0)
+        assert np.all(peak <= ends * (1.0 + 4.0 * eps))
 
 
 class TestControlLaws:
@@ -438,12 +465,12 @@ class TestRatioPrediction:
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 40), p)
         x0 = gl.initial_state(40, 97)
         f = p.graphon.cells(40)
+        row = gl.truncation_study(sys_, x0, [1])[0]
+        assert row.predicted_ratio[1] == ratio_prediction(p)[1]
+        assert row.measured_ratio[1] == pytest.approx(row.predicted_ratio[1],
+                                                      rel=1e-12, abs=0.0)
         gaps = []
         for dt in (2e-2, 1e-2):
-            row = gl.truncation_study(sys_, x0, [1], dt)[0]
-            assert row.predicted_ratio[1] == ratio_prediction(p)[1]
-            assert row.measured_ratio[1] == pytest.approx(row.predicted_ratio[1],
-                                                          rel=1e-12, abs=0.0)
             ends = [gl.simulate(sys_, lambda t, x, law=law: law(t, x), x0, p.horizon,
                                 dt).states[-1] @ f[1]
                     for law in (FeedbackLaw(truncate_problem(p, 1)), FeedbackLaw(p))]

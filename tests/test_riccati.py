@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphon_lqr as gl
-from graphon_lqr.integrate import rk4_step, uniform_grid
+from graphon_lqr.integrate import uniform_grid
 from graphon_lqr.riccati import (Curve, algebraic_root, riccati_explicit, riccati_path,
                                  solve_matrix_riccati)
 
@@ -36,18 +36,6 @@ class TestRk4:
         # y' = 800 y from 1 (alpha = 400, beta = q = 0) overflows before t = 2
         with np.errstate(over="ignore"), pytest.raises(gl.BlowUpError, match="step"):
             riccati_path(400.0, 0.0, 0.0, 1.0, 2.0, 1e-3)
-
-    def test_array_times_name_earliest_failing_step(self):
-        # three independent steps of y' = y^2, one row each; the rows that
-        # start at 1e300 overflow, and the earlier of them ends at t = 0.25
-        t = np.array([[0.3], [0.5], [0.15]])
-        y = np.array([[1.0], [1e300], [1e300]])
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(gl.BlowUpError, match=r"step to t = 0\.25:"):
-            rk4_step(lambda s, v: v * v, t, 0.1, y, y * y)
-        step = rk4_step(lambda s, v: v * v, t, 0.1, np.ones((3, 1)), np.ones((3, 1)))
-        np.testing.assert_array_equal(step, rk4_step(lambda s, v: v * v, 0.3, 0.1,
-                                                     np.ones(3), np.ones(3))[:, None])
 
 
 class TestSpecValidation:

@@ -386,8 +386,9 @@ class TestModalEngine:
 
     def test_one_law_runs_in_closed_form_at_any_dt(self, vii_problem):
         # the law evaluates its gains exactly at any time, so one law object
-        # runs in closed form on every grid, at every level, and its exact
-        # cost does not depend on the grid
+        # runs in closed form on every grid, down to the truncation study's
+        # two nodes {0, T}, at every level; its exact cost reads only the
+        # run's two ends, so its parts do not depend on the grid in any bit
         n = 12
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
@@ -395,10 +396,12 @@ class TestModalEngine:
         for level in (vii_problem.d, 0):
             law = gl.FeedbackLaw(truncate_problem(vii_problem, level))
             runs = [gl.simulate(sys_, law, x0, vii_problem.horizon, dt)
-                    for dt in (1e-2, 3e-3, 1e-3)]
+                    for dt in (1e-2, 3e-3, 1e-3, vii_problem.horizon)]
             assert all(run.modes is not None and run.modes.law is law for run in runs)
-            totals = np.array([gl.evaluate_cost(run, sys_).total for run in runs])
-            assert np.abs(totals - totals[0]).max() <= 1e-13 * totals[0]
+            assert runs[-1].grid.tolist() == [0.0, vii_problem.horizon]
+            parts = [np.append(cost.aux, cost.eigen)
+                     for cost in (gl.evaluate_cost(run, sys_) for run in runs)]
+            assert all(np.array_equal(part, parts[0]) for part in parts)
 
     @pytest.mark.parametrize("engine", ["modal", "generic"])
     def test_law_horizon_bounds_the_run(self, vii_problem, engine):
@@ -568,7 +571,7 @@ class TestModalTrajectory:
             return runs[-1]
 
         monkeypatch.setattr(sim_module, "simulate", recording_simulate)
-        gl.truncation_study(sys_, x0, range(p.d + 1), 1e-3)
+        gl.truncation_study(sys_, x0, range(p.d + 1))
         assert len(runs) == 1 + 2  # the study's optimal and level-0 runs
         for run in runs:
             assert run.modes is not None
@@ -590,7 +593,7 @@ class TestModalTrajectory:
             return runs[-1]
 
         monkeypatch.setattr(sim_module, "simulate", recording_simulate)
-        gl.truncation_study(sys_, gl.initial_state(6, 94), range(p.d + 1), 1e-3)
+        gl.truncation_study(sys_, gl.initial_state(6, 94), range(p.d + 1))
         assert len(runs) == 2
         for run in runs:
             assert run.modes is not None
@@ -708,6 +711,17 @@ class TestEvaluateCost:
         cost = gl.evaluate_cost(traj, sys_)
         assert cost.total == pytest.approx(cost.aux + cost.eigen.sum(), abs=1e-8)
         assert cost.aux >= 0.0 and np.all(cost.eigen >= 0.0)
+
+    def test_overflowing_cost_raises(self, vii_problem):
+        # the run from x0 = 1e200 stays finite, but its mode energies overflow;
+        # either form of the run raises, where its cost once read inf
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, 8),
+                                    vii_problem)
+        traj = gl.simulate(sys_, gl.FeedbackLaw(vii_problem), np.full(8, 1e200),
+                           vii_problem.horizon, 1e-2)
+        for run in (traj, gl.Trajectory(traj.grid, traj.states, traj.controls)):
+            with pytest.raises(gl.BlowUpError, match="cost is not finite"):
+                gl.evaluate_cost(run, sys_)
 
     def test_run_of_another_network_size_rejected(self, vii_problem):
         # a closed-form run on 20 cells costs its value 1.35194261336798 (its
@@ -852,7 +866,7 @@ class TestTruncationStudy:
     def test_full_level_recovers_optimal_cost_exactly(self):
         p = sinusoidal_problem()
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 20), p)
-        rows = gl.truncation_study(sys_, gl.initial_state(20, 60), [2], 1e-3)
+        rows = gl.truncation_study(sys_, gl.initial_state(20, 60), [2])
         assert rows[0].j_truncated == rows[0].j_optimal
 
     def test_costs_dominate_optimum_and_ratios_match(self):
@@ -860,7 +874,7 @@ class TestTruncationStudy:
         n = 40
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
         x0 = gl.initial_state(n, 61)
-        rows = gl.truncation_study(sys_, x0, [0, 1, 2], 1e-3)
+        rows = gl.truncation_study(sys_, x0, [0, 1, 2])
         for row in rows:
             assert row.j_truncated >= row.j_optimal - 1e-8
             for h in range(row.level, p.d):
@@ -876,8 +890,7 @@ class TestTruncationStudy:
         p = gl.LqrProblem(0.6, gl.CoeffPoly([0.8]), admissible_poly(rng, g.lambdas, 2),
                           admissible_poly(rng, g.lambdas, 2), g, 1.0)
         sys_ = gl.build_step_system(entries, p)
-        rows = gl.truncation_study(sys_, gl.initial_state(12, 64), range(p.d + 1),
-                                   1e-3)
+        rows = gl.truncation_study(sys_, gl.initial_state(12, 64), range(p.d + 1))
         for row in rows:
             assert np.isnan(row.predicted_ratio[:row.level]).all()
             for h in range(row.level, p.d):
@@ -906,7 +919,7 @@ class TestTruncationStudy:
 
         monkeypatch.setattr(gl.StepFunction, "__call__", counting)
         monkeypatch.setattr(sim_module, "truncate_problem", recording_truncate)
-        rows = gl.truncation_study(sys_, gl.initial_state(10, 70), [1, p.d, 0, 1], 1e-3)
+        rows = gl.truncation_study(sys_, gl.initial_state(10, 70), [1, p.d, 0, 1])
         assert [row.level for row in rows] == [1, p.d, 0, 1]
         assert sorted(truncated) == [0, p.d]
         assert calls == []
@@ -923,7 +936,7 @@ class TestTruncationStudy:
         syntheses = record_calls(monkeypatch, lqr_module.synthesize_gains)
         runs = record_calls(monkeypatch, sim_module.simulate)
         x0 = gl.initial_state(10, 66)
-        rows = gl.truncation_study(sys_, x0, [*range(p.d + 1), 1], 1e-3)
+        rows = gl.truncation_study(sys_, x0, [*range(p.d + 1), 1])
         assert syntheses == []
         assert sorted(args[1].problem.d for args in runs) == [0, p.d]  # level d: optimal
         assert [row.level for row in rows] == [0, 1, 2, 3, 1]
@@ -949,13 +962,13 @@ class TestTruncationStudy:
             return runs[-1]
 
         monkeypatch.setattr(sim_module, "simulate", recording_simulate)
-        gl.truncation_study(sys_, gl.initial_state(9, 68), range(p.d + 1), 1e-3)
+        gl.truncation_study(sys_, gl.initial_state(9, 68), range(p.d + 1))
         assert len(runs) == 2 and all(run.modes is not None for run in runs)
 
     def test_ratios_nan_without_constant_input_poly(self):
         p = sinusoidal_problem()  # degree-1 input polynomial
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 16), p)
-        rows = gl.truncation_study(sys_, gl.initial_state(16, 62), [0], 1e-3)
+        rows = gl.truncation_study(sys_, gl.initial_state(16, 62), [0])
         assert np.isnan(rows[0].predicted_ratio).all()
 
 

@@ -65,7 +65,8 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
     (bench_build, {"graphon.sample", "sim.build"}, set()),
     (bench_oracle, {"riccati.matrix", "oracle.compare"}, {"steps"}),
     (bench_artifacts, {"cli.trajectory", "cli.gains", "cli.example_vii"}, {"d", "values"}),
-    (bench_law, {"law.call", "law.gains_grid", "sim.generic_loop", "cli.example_vii"},
+    (bench_law, {"law.call", "law.gains_grid", "sim.generic_loop", "cli.example_vii",
+                 "cli.truncation_study"},
      {"d", "steps"})])
 def test_bench_measure_rows(tool, layers, extra, monkeypatch):
     monkeypatch.setattr(bench_artifacts, "SIZES", (40,))   # no 325 MB trajectory here

@@ -5,7 +5,7 @@
 
 Imports ``graphon_lqr`` from ``--src`` (default: this checkout's
 ``src/``) with one BLAS thread.  On the example-vii problem (sinusoidal
-kernel, d = 2, horizon 1, K = 1000 steps) it times four layers:
+kernel, d = 2, horizon 1, K = 1000 steps) it times five layers:
 
 * ``law.call``: the law on a vector state of n = 40 cells at each of the
   K + 1 grid times, one call each (a row is K + 1 calls);
@@ -14,7 +14,10 @@ kernel, d = 2, horizon 1, K = 1000 steps) it times four layers:
 * ``sim.generic_loop``: `simulate` of the law behind a plain callable,
   which runs the RK4 generic loop, 4K + 1 law calls, n = 40;
 * ``cli.example_vii``: ``graphon-lqr example-vii --compare-oracle`` end
-  to end through `cli.main`.
+  to end through `cli.main`;
+* ``cli.truncation_study``: ``graphon-lqr truncation-study`` of the
+  example-vii scenario, all levels, end to end through `cli.main`, at
+  d = 2 and with the rank-16 kernel.
 
 The law is built as ``feedback_controller(problem, gains)`` with the
 problem's synthesized gains, which every checkout accepts.  Timing and
@@ -27,6 +30,8 @@ from bench_common import main, timed  # first: it sets one BLAS thread
 import contextlib
 import dataclasses
 import io
+import json
+import os
 import tempfile
 
 from bench_artifacts import RANK16
@@ -66,10 +71,23 @@ def measure(repeats: int) -> list[dict]:
 
         rows.append(dict(layer="cli.example_vii", n=vii.n, d=problem.d, steps=steps,
                          **timed(example_vii, repeats)))
+        for d, graphon in ((2, {"type": "sinusoidal"}),
+                           (len(RANK16), {"type": "finite_rank", "pairs": RANK16})):
+            path = os.path.join(tmp, f"scenario_{d}.json")
+            scenario = dataclasses.replace(vii, graphon=graphon)
+            with open(path, "w") as fh:
+                json.dump(dataclasses.asdict(scenario), fh)
+
+            def study(path=path):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(["truncation-study", path, "--out", tmp]) == 0
+
+            rows.append(dict(layer="cli.truncation_study", n=vii.n, d=d, steps=steps,
+                             **timed(study, repeats)))
     return rows
 
 
 if __name__ == "__main__":
     main(__doc__, measure, "BENCH_law.json",
          "example-vii (sinusoidal kernel, d = 2, dt = 1e-3); a rank-16 kernel for "
-         "law.gains_grid")
+         "law.gains_grid and cli.truncation_study")
