@@ -1,8 +1,9 @@
 """Closed-loop control of a 40-node network with sinusoidal coupling.
 
 The kernel cos(2*pi*(x - y)) has rank two, so the optimal control of the
-whole network needs just two distinct scalar Riccati solves: one for the
-auxiliary residual and one shared by the two eigendirections.  The
+whole network needs just three scalar Riccati equations: one for the
+auxiliary residual and one per eigendirection, and the two
+eigendirections share their eigenvalue and so their gain.  The
 script synthesizes the gains, simulates the closed loop, splits the cost
 by subsystem and verifies everything against the direct matrix-Riccati
 oracle.
@@ -31,11 +32,10 @@ for idx in range(problem.d):
     print(f"  eigendirection {idx + 1}: drift {drift:g}, input {gain:g}, "
           f"weight {q:g}, terminal {z:g}")
 
-gains = gl.synthesize_gains(problem, dt)  # columns L, M_1, M_2
-# directions with equal eigenvalues share one solve
-print(f"\ndistinct Riccati solves: {np.unique(kernel.lambdas).size + 1}")
-gains_end = gains(horizon)
-print(f"gain endpoints: L(T) = {gains_end[0]:.6f}, M(T) = {gains_end[1]:.6f}")
+grid, gains = gl.synthesize_gains(problem, dt)  # columns L, M_1, M_2
+# one explicit solution per row of mode_params: equal eigenvalues, equal columns
+print(f"\nscalar Riccati equations: {problem.d + 1}")
+print(f"gain endpoints: L(T) = {gains[-1, 0]:.6f}, M(T) = {gains[-1, 1]:.6f}")
 
 system = gl.build_step_system(gl.sample_step_entries(kernel, n), problem)
 x0 = gl.initial_state(n, seed=7)
@@ -65,8 +65,8 @@ try:
     axes[0].plot(traj.grid, traj.states[:, sub], lw=0.8)
     axes[0].set_title("states of every 4th node")
     axes[0].set_xlabel("t")
-    axes[1].plot(gains.grid, gains.values[:, 0], label="auxiliary gain L")
-    axes[1].plot(gains.grid, gains.values[:, 1], label="eigendirection gain M")
+    axes[1].plot(grid, gains[:, 0], label="auxiliary gain L")
+    axes[1].plot(grid, gains[:, 1], label="eigendirection gain M")
     axes[1].set_title("gain curves (Riccati time)")
     axes[1].set_xlabel("tau")
     axes[1].legend()

@@ -38,7 +38,6 @@ from .errors import NumericError
 from .graphon import StepGraphon, graphon_from_spec, json_number, sample_step_entries
 from .lqr import LqrProblem, feedback_controller, synthesize_gains, truncate_problem
 from .poly import CoeffPoly
-from .riccati import Curve
 from .sim import (build_step_system, evaluate_cost, initial_state, oracle_compare,
                   simulate, truncation_study)
 
@@ -169,7 +168,7 @@ def preset_example_vii() -> Scenario:
     """Sinusoidal-kernel showcase: 40 nodes, rank-2 coupling, horizon 1.
 
     Self drift 2, input polynomial 1 + s/2, state and terminal weights
-    (1 - s)^2; the synthesis needs two distinct scalar Riccati solves.
+    (1 - s)^2; three scalar Riccati equations, the eigendirections' equal.
     """
     return Scenario(
         alpha0=2.0,
@@ -218,9 +217,10 @@ def build_experiment(scn: Scenario, base_dir: str = "."):
 # -- artifact writers ---------------------------------------------------------
 
 
-def write_gains_csv(path: str, gains: Curve):
-    header = ["t", "L"] + [f"M_{l}" for l in range(1, gains.values.shape[1])]
-    write_csv(path, header, [gains.grid, gains.values])
+def write_gains_csv(path: str, gains):
+    grid, values = gains
+    header = ["t", "L"] + [f"M_{l}" for l in range(1, values.shape[1])]
+    write_csv(path, header, [grid, values])
 
 
 def write_trajectory_csv(path: str, traj):
@@ -343,7 +343,9 @@ def run_oracle_check(scn: Scenario, base_dir: str = ".",
 
 
 def _add_common(sub):
-    sub.add_argument("--dt", type=float, default=None, help="integration step")
+    sub.add_argument("--dt", type=float, default=None,
+                     help="time step of the grid the artifacts are sampled on "
+                          "(the laws run exactly at any step)")
     sub.add_argument("--horizon", type=float, default=None, help="time horizon T")
     sub.add_argument("--seed", type=int, default=None, help="initial-state seed")
     sub.add_argument("--out", type=str, default=None, help="artifact directory")

@@ -11,7 +11,7 @@ The gains are the explicit solutions of those equations, functions of
 Riccati time tau: L, the auxiliary gain, and M_l, the gain of
 eigendirection l.  The feedback law evaluates its own problem's
 solutions exactly at the time to go ``T - t``; `synthesize_gains`
-samples them on a time grid as one curve, for ``gains.csv``.
+samples them on a time grid, for ``gains.csv``.
 """
 from __future__ import annotations
 
@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import BlowUpError
 from .graphon import FiniteRankGraphon, _point_or_array
 from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
-from .riccati import Curve, _ExplicitRiccati, riccati_explicit
+from .riccati import _ExplicitRiccati
 
 # Tolerance for "nonnegative up to rounding" cost-weight checks.
 _NEG_TOL = 1e-12
@@ -92,23 +93,22 @@ class LqrProblem:
         return float(self.mode_params[0, 3])
 
 
-def synthesize_gains(p: LqrProblem, dt: float) -> Curve:
-    """Solve the rank+1 scalar Riccati equations of the decoupled problem.
+def synthesize_gains(p: LqrProblem, dt: float):
+    """Sample the rank+1 gains of the decoupled problem on ``uniform_grid(T, dt)``.
 
-    Returns one curve of shape ``(K+1, rank+1)`` on ``uniform_grid(T, dt)``:
-    column m solves row m of ``p.mode_params``: the auxiliary gain L in
-    column 0, the gain M_l of eigendirection l in column l.  Equal rows
-    (a repeated eigenvalue) share one equation.  One call of the explicit
-    solution `riccati_explicit` evaluates them all in O(K*(rank+1)) array
-    work; a gain that overflows raises `BlowUpError`.  The samples are
-    read-only and serve ``gains.csv`` and plots: a feedback law evaluates
-    the same formula at any time (``p.riccati``) and reads no curve.
+    Returns ``(grid, values)``, the pair `riccati_path` returns, with
+    values of shape ``(K+1, rank+1)``: column m solves row m of
+    ``p.mode_params``, the auxiliary gain L in column 0 and the gain M_l
+    of eigendirection l in column l.  One evaluation of the problem's
+    explicit solution ``p.riccati`` at the grid gives them all in
+    O(K*(rank+1)) array work; a gain that overflows raises `BlowUpError`.
+    The samples are read-only and serve ``gains.csv`` and plots: a
+    feedback law evaluates the same solution at any time and reads none.
     """
-    rows, columns = np.unique(p.mode_params, axis=0, return_inverse=True)
     grid = uniform_grid(p.horizon, dt)
-    values = riccati_explicit(*rows.T, grid)[:, columns.ravel()]
+    values = p.riccati(grid)
     values.flags.writeable = False
-    return Curve(grid, values)
+    return grid, values
 
 
 def reconstruct_P(p: LqrProblem, t: float, n: int) -> np.ndarray:
@@ -240,11 +240,20 @@ def ratio_prediction(p: LqrProblem) -> np.ndarray:
     ``ln Y_m(T) + alpha_m*T`` from the factors of row m of
     ``p.mode_params`` (``p.riccati.log_y``), so entry l is
     ``exp(I_(l+1) - I_0)``, exact with no time grid.  A non-constant
-    input polynomial raises `ValueError`.
+    input polynomial raises `ValueError`; a ratio that is not finite (it
+    overflows) raises `BlowUpError` naming the first such direction.
     """
     if p.poly_b.degree > 0:
         raise ValueError(
             "ratio prediction requires a constant input polynomial "
             f"(degree 0), got degree {p.poly_b.degree}")
     integral = p.riccati.log_y(p.horizon) + p.mode_params[:, 0] * p.horizon
-    return np.exp(integral[1:] - integral[0])
+    exponent = integral[1:] - integral[0]
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        ratios = np.exp(exponent)
+    bad = ~np.isfinite(ratios)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise BlowUpError(f"the terminal ratio of eigendirection {k + 1} is not finite: "
+                          f"exp({exponent[k]:.6g})")
+    return ratios

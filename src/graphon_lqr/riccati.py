@@ -26,7 +26,8 @@ exact step ``exp(H h)`` per grid step, taken in chunks of up to 8 steps
 (`_exact_chunks`), so the oracle carries no integration error of its
 own: a gap between oracle and synthesis is rounding.  The chunk factors
 also give the oracle's optimal closed loop, so the oracle needs P only at
-chunk ends; `solve_matrix_riccati` returns P at every node.
+chunk ends; `solve_matrix_riccati` returns P at every node.  Sampled
+solutions are ``(grid, values)`` pairs; nothing here interpolates them.
 """
 from __future__ import annotations
 
@@ -39,47 +40,6 @@ from .integrate import rk4_step, uniform_grid
 # powers E^1 ... E^m of the step exponential; more cost memory and, at n = 64,
 # time.
 _MAX_POWERS = 8
-
-
-class Curve:
-    """Samples on a uniform time grid, linearly interpolated in time.
-
-    ``values`` has shape ``(len(grid),) + shape``: scalar gains, rows of
-    gains or matrices.  A time t reads ``v[k] + w*(v[k+1] - v[k])`` at
-    ``pos = (t - t0)/h = k + w``; times at or past either end of the grid
-    return the end sample; ``t`` is one time or an array of them.  It
-    holds the samples of `synthesize_gains` and of `solve_matrix_riccati`;
-    a feedback law reads no curve.
-    """
-
-    __slots__ = ("grid", "values", "_t0", "_t1", "_h", "_last")
-
-    def __init__(self, grid, values):
-        grid = np.asarray(grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or values.shape[:1] != grid.shape:
-            raise ValueError("values need one sample per node of a 1-d grid of 2+ nodes")
-        steps = np.diff(grid)
-        if steps[0] <= 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("time grid must be uniform and increasing")
-        # min and max carry any NaN or inf and allocate nothing of the path's size
-        if not all(np.isfinite(a.min()) and np.isfinite(a.max())
-                   for a in (grid, values) if a.size):
-            raise ValueError("grid and values must be finite")
-        self.grid = grid
-        self.values = values
-        self._t0, self._t1, self._h = float(grid[0]), float(grid[-1]), float(steps[0])
-        self._last = grid.size - 2  # index of the last interval
-
-    def __call__(self, t):
-        v = self.values
-        t = np.asarray(t, dtype=float)
-        pos = (t - self._t0) / self._h
-        k = np.clip(pos, 0.0, self._last).astype(int)
-        trail = (...,) + (None,) * (v.ndim - 1)  # broadcast over the sample shape
-        blend = v[k] + (pos - k)[trail] * (v[k + 1] - v[k])
-        return np.where((t <= self._t0)[trail], v[0],
-                        np.where((t >= self._t1)[trail], v[-1], blend))
 
 
 def _checked_params(alpha, beta, q, z0):
@@ -308,8 +268,7 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
-                         horizon: float, dt: float) -> Curve:
+def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float):
     """Solve the matrix Riccati equation exactly on a uniform grid.
 
     With ``P = X Y^-1`` the equation is the linear system
@@ -324,7 +283,8 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
     ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite.
     Raises `BlowUpError`, naming the earliest time, when a value is not
     finite (the step overflows) or P has lost its precision
-    (`_exact_chunks`).
+    (`_exact_chunks`).  Returns ``(grid, values)``, P at every node of
+    ``uniform_grid(horizon, dt)`` in ``values[k]``.
     """
     a = np.asarray(a_mat, dtype=float)
     b = np.asarray(b_mat, dtype=float)
@@ -340,7 +300,7 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat,
             _step_powers(a, b, q, horizon, grid.size - 1), p0, grid,
             lambda k, m: np.arange(m)):
         vals[k + 1:k + 1 + offsets.size] = p
-    return Curve(grid, vals)
+    return grid, vals
 
 
 def _step_powers(a, b, q, horizon: float, steps: int) -> np.ndarray:

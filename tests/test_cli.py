@@ -136,6 +136,16 @@ class TestScenarioParsing:
         assert cli.main(["example-vii", *flags]) == 2
         assert f"scenario field '{field}'" in capsys.readouterr().err
 
+    def test_dt_help_names_the_artifact_grid(self, capsys):
+        # a law runs exactly at any step, so --dt integrates nothing
+        for command in ("run", "example-vii", "truncation-study", "oracle-check"):
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert "integration" not in text
+            assert ("--dt DT time step of the grid the artifacts are sampled on "
+                    "(the laws run exactly at any step)") in text
+
     def test_negative_seed_in_file_names_field(self, tmp_path, capsys):
         path = write_scenario(tmp_path, seed=-3)
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
@@ -341,7 +351,7 @@ class TestRunCommand:
         total = json.loads((out / "cost.json").read_text())["total"]
         _, system, x0 = cli.build_experiment(cli.load_scenario(path))
         p_end = gl.solve_matrix_riccati(system.a_mat, system.b_mat, system.q_mat,
-                                        system.p0_mat, 1.0, 0.01).values[-1]
+                                        system.p0_mat, 1.0, 0.01)[1][-1]
         assert total == pytest.approx(x0 @ p_end @ x0 / 8, rel=1e-12, abs=0.0)
         assert total == pytest.approx(exact, rel=1e-12, abs=0.0)
 

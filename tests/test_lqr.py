@@ -125,28 +125,29 @@ class TestRoundingBelowZero:
 
         tiny, zero = problem(-1e-13), problem(0.0)
         np.testing.assert_array_equal(tiny.mode_params, zero.mode_params)
-        np.testing.assert_array_equal(synthesize_gains(tiny, 1e-2).values,
-                                      synthesize_gains(zero, 1e-2).values)
+        np.testing.assert_array_equal(synthesize_gains(tiny, 1e-2)[1],
+                                      synthesize_gains(zero, 1e-2)[1])
 
 
 class TestSynthesizeGains:
     def test_showcase_curves(self, vii_problem, monkeypatch):
-        solved = []
+        # the samples are the problem's one Riccati setup evaluated on the
+        # grid: synthesis sets up no other solution
+        def refuse(*args):
+            raise AssertionError("a second Riccati setup")
 
-        def recording_solver(alpha, *rest):
-            solved.append(np.size(alpha))
-            return riccati_explicit(alpha, *rest)
-
-        riccati_explicit = lqr.riccati_explicit
-        monkeypatch.setattr(lqr, "riccati_explicit", recording_solver)
-        gains = synthesize_gains(vii_problem, 1e-3)
-        assert gains.values.shape == (1001, 3)  # columns L, M_1, M_2
-        # degenerate eigenvalue: one solve shared by both directions
-        assert solved == [2]
-        np.testing.assert_array_equal(gains.values[:, 1], gains.values[:, 2])
-        np.testing.assert_array_equal(gains.values[0], [1.0, 0.25, 0.25])
+        for module in (riccati, lqr):
+            monkeypatch.setattr(module, "_ExplicitRiccati", refuse)
+        grid, gains = synthesize_gains(vii_problem, 1e-3)
+        np.testing.assert_array_equal(grid, gl.uniform_grid(1.0, 1e-3))
+        assert gains.shape == (1001, 3)  # columns L, M_1, M_2
+        assert not gains.flags.writeable
+        np.testing.assert_array_equal(gains, vii_problem.riccati(grid))
+        # degenerate eigenvalue: equal rows, equal columns
+        np.testing.assert_array_equal(gains[:, 1], gains[:, 2])
+        np.testing.assert_array_equal(gains[0], [1.0, 0.25, 0.25])
         # the auxiliary curve solves dL = 4L - L^2 + 1 (finite differences)
-        grid, vals = gains.grid, gains.values[:, 0]
+        vals = gains[:, 0]
         mid_rate = (vals[2:] - vals[:-2]) / (grid[2] - grid[0])
         expect = 4.0 * vals[1:-1] - vals[1:-1] ** 2 + 1.0
         np.testing.assert_allclose(mid_rate, expect, atol=1e-4)
@@ -157,8 +158,7 @@ class TestSynthesizeGains:
             raise AssertionError("riccati_path called")
 
         monkeypatch.setattr(riccati, "riccati_path", refuse)
-        gains = synthesize_gains(vii_problem, 1e-3)
-        assert gains.values.shape == (1001, 3)
+        assert synthesize_gains(vii_problem, 1e-3)[1].shape == (1001, 3)
         p = sinusoidal_problem(poly_b=(1.0,))
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 20), p)
         rows = gl.truncation_study(sys_, gl.initial_state(20, 5), [0, 1, 2])
@@ -167,14 +167,13 @@ class TestSynthesizeGains:
     def test_zero_cost_gives_zero_gains(self):
         p = gl.LqrProblem(1.0, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([0.0]),
                           gl.CoeffPoly([0.0]), gl.sinusoidal_graphon(), 1.0)
-        gains = synthesize_gains(p, 1e-3)
-        assert np.all(gains.values == 0.0)
+        assert np.all(synthesize_gains(p, 1e-3)[1] == 0.0)
 
     def test_mean_field_case_two_curves(self):
         p = gl.LqrProblem(0.5, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
                           gl.CoeffPoly([1.0]), gl.uniform_graphon(), 1.0)
-        gains = synthesize_gains(p, 1e-3)
-        assert gains.values.shape[1] == 2  # one eigendirection plus the auxiliary curve
+        # one eigendirection plus the auxiliary curve
+        assert synthesize_gains(p, 1e-3)[1].shape[1] == 2
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -193,13 +192,13 @@ def test_law_gains_are_the_synthesized_samples(d, no_beta0, seed):
     p = gl.LqrProblem(float(rng.uniform(-2.0, 3.0)), poly_b,
                       admissible_poly(rng, g.lambdas, 2),
                       admissible_poly(rng, g.lambdas, 2), g, float(rng.uniform(0.3, 3.0)))
-    gains = synthesize_gains(p, p.horizon / int(rng.integers(10, 400)))
-    pi = gains.values[::-1]
+    grid, gains = synthesize_gains(p, p.horizon / int(rng.integers(10, 400)))
+    pi = gains[::-1]
     alpha, beta, q, _ = p.mode_params.T
     expect = pi * beta
-    shift = np.abs((p.horizon - gains.grid) - gains.grid[::-1])[:, None]
+    shift = np.abs((p.horizon - grid) - grid[::-1])[:, None]
     slope = np.abs(beta * (2.0 * alpha * pi - beta * beta * pi * pi + q))
-    got = FeedbackLaw(p).gains_at(gains.grid)
+    got = FeedbackLaw(p).gains_at(grid)
     same = shift[:, 0] == 0.0
     np.testing.assert_array_equal(got[same], expect[same])
     assert np.all(np.abs(got - expect) <= 1e-15 * np.abs(expect).max() + 2.0 * shift * slope)
@@ -371,24 +370,25 @@ class TestClosedLoopStructure:
     def test_eigencoordinates_follow_scalar_flow(self, vii_problem):
         # under the optimal law each coordinate obeys
         # d coord/dt = (alpha0 + lam - b_l^2 M_l(T-t)) coord; integrate that
-        # flow by the trapezoid rule on the gain grid and compare
+        # flow by the trapezoid rule on the gain grid and compare at its nodes
         p, n, dt = vii_problem, 40, 1e-3
-        gains = synthesize_gains(p, dt)
+        grid, gains = synthesize_gains(p, dt)
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
         x0 = gl.initial_state(n, 5)
         traj = gl.simulate(sys_, FeedbackLaw(p), x0, p.horizon, dt)
+        np.testing.assert_array_equal(traj.grid, grid)
         b_eig = np.atleast_1d(p.poly_b(p.graphon.lambdas))
+        # M_l(T - t_k) is the sample at the reversed node K - k
         rates = (p.alpha0 + p.graphon.lambdas[:, None]
-                 - b_eig[:, None] ** 2 * gains(p.horizon - gains.grid)[:, 1:].T)
+                 - b_eig[:, None] ** 2 * gains[::-1, 1:].T)
         exponent = np.zeros_like(rates)
         exponent[:, 1:] = np.cumsum(
-            0.5 * np.diff(gains.grid) * (rates[:, 1:] + rates[:, :-1]), axis=1)
+            0.5 * np.diff(grid) * (rates[:, 1:] + rates[:, :-1]), axis=1)
         coords0 = p.graphon.project(x0)[0]
         f = p.graphon.eigfun_values(midpoint_grid(n))
-        for k in range(0, traj.grid.size, 100):
-            predicted = coords0 * np.exp(
-                [np.interp(traj.grid[k], gains.grid, e) for e in exponent])
-            np.testing.assert_allclose(f @ traj.states[k] / n, predicted, atol=1e-5)
+        for k in range(0, grid.size, 100):
+            np.testing.assert_allclose(f @ traj.states[k] / n,
+                                       coords0 * np.exp(exponent[:, k]), atol=1e-5)
 
 
     def test_horizon_mismatch_rejected(self, vii_problem):
@@ -446,6 +446,21 @@ class TestRatioPrediction:
             p = gl.LqrProblem(alpha0, gl.CoeffPoly([0.0]), gl.CoeffPoly([1.0]),
                               gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
             assert ratio_prediction(p)[0] == ratio_prediction(p)[1] == 1.0
+
+    def test_overflowing_ratio_raises(self):
+        # drift 367 along the constant eigenfunction: the dropped direction's
+        # ratio exceeds the largest double; a study that drops no direction
+        # predicts none and still answers
+        pair = gl.EigenPair(367.0, lambda x: np.ones_like(np.asarray(x, float)))
+        p = gl.LqrProblem(0.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
+                          gl.CoeffPoly([1.0]), gl.FiniteRankGraphon([pair]), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(gl.BlowUpError, match="eigendirection 1 is not finite"):
+                ratio_prediction(p)
+            sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 4), p)
+            row, = gl.truncation_study(sys_, gl.initial_state(4, 1), [1])
+        assert np.isfinite(row.j_optimal) and np.isnan(row.predicted_ratio).all()
 
     def test_matches_direct_gain_integral(self):
         p = sinusoidal_problem(poly_b=(1.0,))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import graphon_lqr as gl
 from graphon_lqr.integrate import uniform_grid
-from graphon_lqr.riccati import (Curve, algebraic_root, riccati_explicit, riccati_path,
+from graphon_lqr.riccati import (algebraic_root, riccati_explicit, riccati_path,
                                  solve_matrix_riccati)
 
 
@@ -248,74 +248,24 @@ class TestProperties:
         assert e2 / e3 >= 8.0
 
 
-class TestGainCurve:
-    """`Curve`, the uniform-grid interpolator of sampled gains and paths."""
-
-    def test_interpolation_is_linear(self):
-        curve = Curve([0.0, 1.0, 2.0], [0.0, 2.0, 2.0])
-        assert curve(0.5) == pytest.approx(1.0)
-        assert curve(1.5) == pytest.approx(2.0)
-        assert curve(-1.0) == 0.0 and curve(3.0) == 2.0
-
-    def test_array_query_matches_scalar_queries(self):
-        curve = Curve(np.linspace(0.0, 1.0, 11), np.sin(np.arange(11.0)))
-        times = np.array([-0.3, 0.0, 0.05, 0.31, 0.5, 0.99, 1.0, 1.4])
-        np.testing.assert_array_equal(curve(times), [curve(t) for t in times])
-
-    def test_matrix_values(self):
-        rng = np.random.default_rng(3)
-        grid = gl.uniform_grid(0.7, 0.1)
-        values = rng.standard_normal((grid.size, 3, 2))
-        curve = Curve(grid, values)
-        times = np.array([-0.2, 0.0, 0.03, 0.25, 0.5, 0.69, 0.7, 0.9])
-        out = curve(times)
-        assert out.shape == (8, 3, 2)
-        np.testing.assert_array_equal(out, [curve(t) for t in times])
-        np.testing.assert_array_equal(out[0], values[0])
-        np.testing.assert_array_equal(out[1], values[0])
-        np.testing.assert_array_equal(out[-2], values[-1])
-        np.testing.assert_array_equal(out[-1], values[-1])
-        np.testing.assert_array_equal(curve(np.float64(0.7)), values[-1])
-        np.testing.assert_allclose(out[3], 0.5 * (values[2] + values[3]), rtol=1e-12)
-
-    def test_nonuniform_grid_rejected(self):
-        with pytest.raises(ValueError, match="uniform"):
-            Curve([0.0, 0.1, 1.0], [0.0, 1.0, 1.0])
-
-    def test_decreasing_grid_rejected(self):
-        with pytest.raises(ValueError):
-            Curve([0.0, 1.0, 0.5], [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_sample_rejected(self, bad):
-        values = np.ones((3, 2, 2))
-        values[1, 0, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            Curve([0.0, 0.5, 1.0], values)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Curve([0.0, 1.0], [1.0])
-
-
 class TestMatrixRiccati:
     def test_scalar_embedding_matches_scalar_solver(self):
         scalar = riccati_explicit(1.3, 0.7, 0.9, 0.4, uniform_grid(1.0, 1e-3))
-        path = solve_matrix_riccati(np.array([[1.3]]), np.array([[0.7]]),
-                                    np.array([[0.9]]), np.array([[0.4]]), 1.0, 1e-3)
-        np.testing.assert_allclose(path.values[:, 0, 0], scalar, rtol=1e-13)
+        _, path = solve_matrix_riccati(np.array([[1.3]]), np.array([[0.7]]),
+                                       np.array([[0.9]]), np.array([[0.4]]), 1.0, 1e-3)
+        np.testing.assert_allclose(path[:, 0, 0], scalar, rtol=1e-13)
 
     def test_diagonal_system_decouples(self):
         alphas = np.array([0.5, -0.3, 1.1])
         betas = np.array([1.0, 0.4, 0.8])
         qs = np.array([0.2, 0.0, 1.5])
         z0s = np.array([0.0, 0.7, 0.3])
-        path = solve_matrix_riccati(np.diag(alphas), np.diag(betas),
-                                    np.diag(qs), np.diag(z0s), 1.0, 1e-3)
+        _, path = solve_matrix_riccati(np.diag(alphas), np.diag(betas),
+                                       np.diag(qs), np.diag(z0s), 1.0, 1e-3)
         for i in range(3):
             _, scalar = riccati_path(alphas[i], betas[i], qs[i], z0s[i], 1.0, 1e-3)
-            np.testing.assert_allclose(path.values[:, i, i], scalar, atol=1e-9)
-        off = path.values.copy()
+            np.testing.assert_allclose(path[:, i, i], scalar, atol=1e-9)
+        off = path.copy()
         off[:, range(3), range(3)] = 0.0
         assert np.abs(off).max() <= 1e-12
 
@@ -326,44 +276,46 @@ class TestMatrixRiccati:
         c = rng.standard_normal((4, 4))
         q = c @ c.T / 4
         p0 = np.eye(4) * 0.3
-        path = solve_matrix_riccati(a, b, q, p0, 1.0, 1e-3)
-        gap = np.abs(path.values - np.transpose(path.values, (0, 2, 1))).max()
+        _, path = solve_matrix_riccati(a, b, q, p0, 1.0, 1e-3)
+        gap = np.abs(path - np.transpose(path, (0, 2, 1))).max()
         assert gap <= 1e-10
 
-    def test_interpolation_midpoint(self):
-        path = solve_matrix_riccati(np.zeros((1, 1)), np.zeros((1, 1)),
-                                    np.ones((1, 1)), np.zeros((1, 1)), 1.0, 0.5)
-        # dP = Q here, so P(t) = t
-        np.testing.assert_allclose(path(0.25)[0, 0], 0.25, atol=1e-12)
+    def test_samples_of_a_linear_solution(self):
+        grid, path = solve_matrix_riccati(np.zeros((1, 1)), np.zeros((1, 1)),
+                                          np.ones((1, 1)), np.zeros((1, 1)), 1.0, 0.25)
+        # dP = Q here, so P(t) = t at every node
+        np.testing.assert_array_equal(grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert path.shape == (5, 1, 1)
+        np.testing.assert_allclose(path[:, 0, 0], grid, rtol=0, atol=1e-12)
 
     def test_exact_step_does_not_depend_on_dt(self):
         rng = np.random.default_rng(9)
         a, b, c = rng.standard_normal((3, 4, 4))
         assert np.abs(a @ b - b @ a).max() > 1.0  # the matrices do not commute
         q, p0 = c @ c.T / 4, np.eye(4) * 0.3
-        coarse = solve_matrix_riccati(a, b, q, p0, 1.0, 0.05)
-        fine = solve_matrix_riccati(a, b, q, p0, 1.0, 1e-3)
-        np.testing.assert_allclose(coarse.grid, fine.grid[::50], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(coarse.values, fine.values[::50], rtol=0, atol=1e-12)
+        coarse_grid, coarse = solve_matrix_riccati(a, b, q, p0, 1.0, 0.05)
+        fine_grid, fine = solve_matrix_riccati(a, b, q, p0, 1.0, 1e-3)
+        np.testing.assert_allclose(coarse_grid, fine_grid[::50], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(coarse, fine[::50], rtol=0, atol=1e-12)
 
     def test_diagonal_system_is_explicit_solution_at_coarse_dt(self):
         alphas = np.array([0.5, -0.3, 1.1])
         betas = np.array([1.0, 0.4, 0.8])
         qs = np.array([0.2, 0.0, 1.5])
         z0s = np.array([0.0, 0.7, 0.3])
-        path = solve_matrix_riccati(np.diag(alphas), np.diag(betas),
-                                    np.diag(qs), np.diag(z0s), 1.0, 0.1)
-        explicit = riccati_explicit(alphas, betas, qs, z0s, path.grid)
-        np.testing.assert_allclose(path.values, explicit[:, :, None] * np.eye(3),
+        grid, path = solve_matrix_riccati(np.diag(alphas), np.diag(betas),
+                                          np.diag(qs), np.diag(z0s), 1.0, 0.1)
+        explicit = riccati_explicit(alphas, betas, qs, z0s, grid)
+        np.testing.assert_allclose(path, explicit[:, :, None] * np.eye(3),
                                    rtol=1e-14, atol=1e-15)
 
     def test_nilpotent_hamiltonian(self):
         # alpha = q = 0: dP = -beta^2 P^2, so P = z0/(1 + beta^2 z0 tau)
         beta, z0 = 1.7, 0.8
-        path = solve_matrix_riccati(np.zeros((1, 1)), np.array([[beta]]),
-                                    np.zeros((1, 1)), np.array([[z0]]), 2.0, 0.1)
-        np.testing.assert_allclose(path.values[:, 0, 0],
-                                   z0 / (1.0 + beta ** 2 * z0 * path.grid), rtol=1e-14)
+        grid, path = solve_matrix_riccati(np.zeros((1, 1)), np.array([[beta]]),
+                                          np.zeros((1, 1)), np.array([[z0]]), 2.0, 0.1)
+        np.testing.assert_allclose(path[:, 0, 0], z0 / (1.0 + beta ** 2 * z0 * grid),
+                                   rtol=1e-14)
 
     def test_stiff_single_steps_stay_exact(self):
         # a rotated diagonal system with h*|H|_1 far above 1, so every step is
@@ -381,9 +333,9 @@ class TestMatrixRiccati:
         a, b = rot(alphas), rot(betas)
         ham = np.block([[a.T, rot(qs)], [b @ b.T, -a]])
         assert 0.1 * np.abs(ham).sum(axis=0).max() > 50.0
-        path = solve_matrix_riccati(a, b, rot(qs), rot(z0s), 1.0, 0.1)
-        explicit = riccati_explicit(alphas, betas, qs, z0s, path.grid)
-        np.testing.assert_allclose(path.values, np.einsum("ij,kj,lj->kil", u, explicit, u),
+        grid, path = solve_matrix_riccati(a, b, rot(qs), rot(z0s), 1.0, 0.1)
+        explicit = riccati_explicit(alphas, betas, qs, z0s, grid)
+        np.testing.assert_allclose(path, np.einsum("ij,kj,lj->kil", u, explicit, u),
                                    rtol=0, atol=1e-12)
 
     def test_non_finite_step_raises(self):

@@ -323,7 +323,7 @@ class TestModalEngine:
         a_mat = p.alpha0 * np.eye(n) + entries / n
         b_mat, q_mat, p0_mat = (apply_poly_matrix(poly, entries / n)
                                 for poly in (p.poly_b, p.poly_q, p.poly_p0))
-        p_end = gl.solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, 1.0, 1e-3).values[-1]
+        p_end = gl.solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, 1.0, 1e-3)[1][-1]
         value = x0 @ p_end @ x0 / n
         assert gl.evaluate_cost(traj, sys_).total == pytest.approx(value, rel=1e-12)
 
@@ -757,6 +757,24 @@ class TestOracleCompare:
         assert report.cost_rel_gap <= 1e-6
         assert report.p_gap <= 1e-6
 
+    def test_oracle_controller_interpolates_the_path(self, vii_problem):
+        # the controller reads P(T - t) linearly between the nodes of its path,
+        # and the end samples at t = T and t = 0 and past them
+        n, dt = 8, 0.1
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        controller, (grid, path) = gl.oracle_controller(sys_, dt)
+        np.testing.assert_array_equal(grid, gl.uniform_grid(1.0, dt))
+        assert path.shape == (grid.size, n, n)
+        x, b = gl.initial_state(n, 4), sys_.b_mat
+        for t, end in ((0.0, -1), (-0.5, -1), (1.0, 0), (1.5, 0)):
+            np.testing.assert_array_equal(controller(t, x), -b @ (path[end] @ x))
+        for k in range(grid.size - 1):
+            t = 1.0 - 0.5 * (grid[k] + grid[k + 1])  # midway between nodes k and k + 1
+            expect = -b @ (0.5 * (path[k] + path[k + 1]) @ x)
+            np.testing.assert_allclose(controller(t, x), expect, rtol=0,
+                                       atol=1e-13 * np.abs(expect).max())
+
     def test_matvec_oracle_loop_matches_generic_loop(self, monkeypatch):
         # the oracle's loop in oracle_compare against the public oracle
         # controller run through the generic loop, which converges to it at
@@ -780,11 +798,11 @@ class TestOracleCompare:
         for dt in (1e-3, 5e-4):
             report = gl.oracle_compare(sys_, x0, dt)
             states, p_end, _ = runs[-1]
-            controller, path = gl.oracle_controller(sys_, dt)
+            controller, (_, path) = gl.oracle_controller(sys_, dt)
             ref = gl.simulate(sys_, controller, x0, p.horizon, dt)
             assert ref.grid.size == states.shape[0]
             errors.append(rel_gap(ref.states, states))
-            assert np.array_equal(p_end, path.values[-1])
+            assert np.array_equal(p_end, path[-1])
             assert report.j_oracle == float(x0 @ p_end @ x0) / 7
         assert len(runs) == 2 and 3.5 <= errors[0] / errors[1] <= 4.5
 
@@ -816,8 +834,8 @@ class TestOracleCompare:
         sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
                                     vii_problem)
         x0 = gl.initial_state(n, 3)
-        path = gl.solve_matrix_riccati(sys_.a_mat, sys_.b_mat, sys_.q_mat, sys_.p0_mat,
-                                       1.0, dt)
+        grid, path = gl.solve_matrix_riccati(sys_.a_mat, sys_.b_mat, sys_.q_mat,
+                                             sys_.p0_mat, 1.0, dt)
 
         def fail(*args):
             raise AssertionError("the full matrix Riccati path was solved")
@@ -826,13 +844,13 @@ class TestOracleCompare:
             monkeypatch.setattr(module, "solve_matrix_riccati", fail)
         report = gl.oracle_compare(sys_, x0, dt)
         nodes = range(0, 1001, 50)
-        _, p_end, sampled = sim_module._oracle_loop(sys_, x0, path.grid, nodes)
-        assert np.array_equal(p_end, path.values[-1])
+        _, p_end, sampled = sim_module._oracle_loop(sys_, x0, grid, nodes)
+        assert np.array_equal(p_end, path[-1])
         for k in nodes:
-            assert np.array_equal(sampled[k], path.values[k])
+            assert np.array_equal(sampled[k], path[k])
         assert report.p_gap == max(
-            float(np.abs(gl.reconstruct_P(vii_problem, path.grid[k], n)
-                         - path.values[k]).max()) for k in nodes)
+            float(np.abs(gl.reconstruct_P(vii_problem, grid[k], n) - path[k]).max())
+            for k in nodes)
         assert report.cost_rel_gap <= 1e-12 and report.state_gap <= 1e-12
 
 

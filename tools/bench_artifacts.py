@@ -41,6 +41,7 @@ def measure(repeats: int) -> list[dict]:
     from graphon_lqr import cli
 
     vii = cli.preset_example_vii()
+    steps = round(vii.horizon / vii.dt)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "artifact.csv")
@@ -57,15 +58,15 @@ def measure(repeats: int) -> list[dict]:
         for graphon in ({"type": "sinusoidal"}, {"type": "finite_rank", "pairs": RANK16}):
             problem, _, _ = cli.build_experiment(dataclasses.replace(vii, graphon=graphon))
             gains = gl.synthesize_gains(problem, vii.dt)
+            # the K + 1 rows of t, L and M_1..M_d, counted from the shapes
             rows.append(dict(layer="cli.gains", n=vii.n, d=problem.d,
-                             values=gains.values.size + gains.grid.size,
+                             values=(steps + 1) * (problem.d + 2),
                              **timed(lambda: cli.write_gains_csv(path, gains), repeats)))
 
         def example_vii():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["example-vii", "--compare-oracle", "--out", tmp]) == 0
 
-        steps = round(vii.horizon / vii.dt)
         rows.append(dict(layer="cli.example_vii", n=vii.n, d=2,   # trajectory.csv and gains.csv
                          values=(2 * vii.n + 1 + 2 + 2) * (steps + 1),
                          **timed(example_vii, repeats)))
