@@ -248,6 +248,60 @@ class TestProperties:
         assert e2 / e3 >= 8.0
 
 
+class TestGainCurve:
+    """The oracle controller's read of its gain path, ``u = -B P(T - t) x``.
+
+    With ``x = I`` the controller returns the gain matrix ``-B P(T - t)``
+    itself, read linearly between the nodes of the path and clamped to its
+    end samples.
+    """
+
+    N, DT = 8, 0.1
+
+    def oracle(self, problem):
+        sys_ = gl.build_step_system(gl.sample_step_entries(problem.graphon, self.N),
+                                    problem)
+        controller, (grid, path) = gl.oracle_controller(sys_, self.DT)
+        return controller, grid, -sys_.b_mat @ path
+
+    def test_interpolation_is_linear(self, vii_problem):
+        controller, grid, gains = self.oracle(vii_problem)
+        eye = np.eye(self.N)
+        for k in range(grid.size - 1):
+            for w in (0.25, 0.5, 0.75):
+                t = 1.0 - (grid[k] + w * self.DT)  # a share w of the way from node k
+                expect = (1.0 - w) * gains[k] + w * gains[k + 1]
+                np.testing.assert_allclose(controller(t, eye), expect, rtol=0,
+                                           atol=1e-13 * np.abs(expect).max())
+
+    def test_array_query_matches_scalar_queries(self, vii_problem):
+        # per-time calls against np.interp of every gain entry over an array
+        # of times, which also clamps to the end samples
+        controller, grid, gains = self.oracle(vii_problem)
+        times = np.array([-0.3, 0.0, 0.05, 0.31, 0.5, 0.99, 1.0, 1.4])
+        flat = gains.reshape(grid.size, -1)
+        interp = np.stack([np.interp(1.0 - times, grid, col) for col in flat.T], axis=-1)
+        calls = np.array([controller(t, np.eye(self.N)) for t in times])
+        np.testing.assert_allclose(calls.reshape(times.size, -1), interp, rtol=0,
+                                   atol=1e-13 * np.abs(gains).max())
+
+    def test_matrix_values(self, vii_problem):
+        # the path's shape, its end samples exactly at and past either end,
+        # and the midway blend of each pair of matrix samples
+        controller, grid, gains = self.oracle(vii_problem)
+        np.testing.assert_array_equal(grid, gl.uniform_grid(1.0, self.DT))
+        assert gains.shape == (grid.size, self.N, self.N)
+        x = gl.initial_state(self.N, 4)
+        for t, end in ((0.0, -1), (-0.5, -1), (1.0, 0), (1.5, 0)):
+            np.testing.assert_array_equal(controller(t, np.eye(self.N)), gains[end])
+            np.testing.assert_allclose(controller(t, x), gains[end] @ x, rtol=1e-13)
+        for k in range(grid.size - 1):
+            t = 1.0 - 0.5 * (grid[k] + grid[k + 1])  # midway between nodes k and k + 1
+            expect = 0.5 * (gains[k] + gains[k + 1]) @ x
+            np.testing.assert_allclose(controller(t, x), expect, rtol=0,
+                                       atol=1e-13 * np.abs(expect).max())
+
+
 class TestMatrixRiccati:
     def test_scalar_embedding_matches_scalar_solver(self):
         scalar = riccati_explicit(1.3, 0.7, 0.9, 0.4, uniform_grid(1.0, 1e-3))

@@ -757,24 +757,6 @@ class TestOracleCompare:
         assert report.cost_rel_gap <= 1e-6
         assert report.p_gap <= 1e-6
 
-    def test_oracle_controller_interpolates_the_path(self, vii_problem):
-        # the controller reads P(T - t) linearly between the nodes of its path,
-        # and the end samples at t = T and t = 0 and past them
-        n, dt = 8, 0.1
-        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
-                                    vii_problem)
-        controller, (grid, path) = gl.oracle_controller(sys_, dt)
-        np.testing.assert_array_equal(grid, gl.uniform_grid(1.0, dt))
-        assert path.shape == (grid.size, n, n)
-        x, b = gl.initial_state(n, 4), sys_.b_mat
-        for t, end in ((0.0, -1), (-0.5, -1), (1.0, 0), (1.5, 0)):
-            np.testing.assert_array_equal(controller(t, x), -b @ (path[end] @ x))
-        for k in range(grid.size - 1):
-            t = 1.0 - 0.5 * (grid[k] + grid[k + 1])  # midway between nodes k and k + 1
-            expect = -b @ (0.5 * (path[k] + path[k + 1]) @ x)
-            np.testing.assert_allclose(controller(t, x), expect, rtol=0,
-                                       atol=1e-13 * np.abs(expect).max())
-
     def test_matvec_oracle_loop_matches_generic_loop(self, monkeypatch):
         # the oracle's loop in oracle_compare against the public oracle
         # controller run through the generic loop, which converges to it at
