@@ -273,26 +273,35 @@ def _oracle_fields(report) -> dict:
         "oracle_rel_gap": report.cost_rel_gap,
         "oracle_p_gap": report.p_gap,
         "oracle_state_gap": report.state_gap,
+        "oracle_self_gap": report.oracle_self_gap,
     }
 
 
 def run_scenario(scn: Scenario, base_dir: str = ".",
                  out_override: str | None = None,
                  compare_oracle: bool = False) -> dict:
-    """Synthesize, simulate and emit all artifacts for one scenario."""
+    """Synthesize, simulate and emit all artifacts for one scenario.
+
+    With ``compare_oracle`` the optimal law runs once: an ``optimal``
+    scenario's run is the one the oracle was compared with.
+    """
     problem, system, x0 = build_experiment(scn, base_dir)
     level = parse_controller(scn.controller, problem.d)
     gains = synthesize_gains(problem, scn.dt)
-    controller = feedback_controller(truncate_problem(problem, level))
-    traj = simulate(system, controller, x0, scn.horizon, scn.dt)
+    report = oracle_compare(system, x0, scn.dt) if compare_oracle else None
+    if report is not None and level == problem.d:
+        traj = report.run
+    else:
+        controller = feedback_controller(truncate_problem(problem, level))
+        traj = simulate(system, controller, x0, scn.horizon, scn.dt)
     cost = evaluate_cost(traj, system)
     payload = {
         "total": cost.total,
         "aux": cost.aux,
         "eigen": [float(v) for v in cost.eigen],
     }
-    if compare_oracle:
-        payload.update(_oracle_fields(oracle_compare(system, x0, scn.dt)))
+    if report is not None:
+        payload.update(_oracle_fields(report))
     out_dir = _prepare_out(scn, out_override)
     write_gains_csv(os.path.join(out_dir, "gains.csv"), gains)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
@@ -335,7 +344,7 @@ def run_oracle_check(scn: Scenario, base_dir: str = ".",
     _write_echo(out_dir, scn, base_dir)
     print(f"J_dec={report.j_decoupled:.8f} J_oracle={report.j_oracle:.8f} "
           f"rel_gap={report.cost_rel_gap:.3e} P_gap={report.p_gap:.3e} "
-          f"state_gap={report.state_gap:.3e}")
+          f"state_gap={report.state_gap:.3e} self_gap={report.oracle_self_gap:.3e}")
     return report
 
 

@@ -22,24 +22,31 @@ The matrix equation
 
 is the direct verification oracle for the decoupled synthesis.  It is
 solved by the same Hamiltonian linearization in dense n x n form, one
-exact step ``exp(H h)`` per grid step, taken in chunks of up to 8 steps
-(`_exact_chunks`), so the oracle carries no integration error of its
-own: a gap between oracle and synthesis is rounding.  The chunk factors
-also give the oracle's optimal closed loop, so the oracle needs P only at
+exact step ``exp(H h)`` per grid step, taken in chunks of m steps from
+one table of powers ``E^1 ... E^m`` (`_step_powers`, `_exact_chunks`),
+so the oracle carries no integration error of its own: a gap between
+oracle and synthesis is rounding.  m is as long as the conditioning of
+a chunk and a memory budget for the table allow.  The chunk factors also
+give the oracle's optimal closed loop, so the oracle needs P only at
 chunk ends; `solve_matrix_riccati` returns P at every node.  Sampled
 solutions are ``(grid, values)`` pairs; nothing here interpolates them.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import BlowUpError
 from .integrate import rk4_step, uniform_grid
 
-# Most grid steps of the matrix Riccati solve taken from one node, with the
-# powers E^1 ... E^m of the step exponential; more cost memory and, at n = 64,
-# time.
-_MAX_POWERS = 8
+# Bytes of the table of powers E^1 ... E^m of the matrix Riccati step,
+# (2n)^2 doubles each: it caps m at 64 for n = 64 and, as a floor of 8 powers
+# is kept, leaves m <= 8 from n = 182 on.
+_POWERS_BYTES = 8 * 2 ** 20
+# Most steps of a chunk whose P are solved in one batch: a few keep the
+# batch's arrays in cache when every step's P is wanted.
+_BATCH = 8
 
 
 def _checked_params(alpha, beta, q, z0):
@@ -250,18 +257,27 @@ def _phi2(y):
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring a degree-18 Taylor sum.
+    """Matrix exponential by scaling and squaring a Taylor sum of degree 18 at most.
 
     ``m`` is scaled by a power of two into the open unit 1-norm ball,
     where the Taylor remainder is below 3/19! < 3e-17 of the norm of the
-    result, and the sum is squared back.  A non-finite input or an
-    overflow gives non-finite entries, not an exception.
+    result, and the sum is squared back.  A smaller norm theta takes the
+    fewest terms whose first omitted one, ``theta^(N+1)/(N+1)!``, is at
+    most ``0.5/19!``, which keeps that bound (a step of the matrix
+    Riccati equation, theta about 1/200, takes 6).  A non-finite input or
+    an overflow gives non-finite entries, not an exception.
     """
-    s = max(0, int(np.frexp(np.abs(m).sum(axis=0).max())[1]))
+    theta = np.abs(m).sum(axis=0).max()
+    s = max(0, int(np.frexp(theta)[1]))
     m = m / 2.0 ** s
+    theta /= 2.0 ** s
+    terms, omitted = 0, theta  # omitted = theta^(terms+1)/(terms+1)!
+    while terms < 18 and not omitted <= 0.5 / math.factorial(19):
+        terms += 1
+        omitted *= theta / (terms + 1)
     eye = np.eye(m.shape[0])
     e = eye
-    for j in range(18, 0, -1):  # Horner: I + m/1 (I + m/2 (I + ...))
+    for j in range(terms, 0, -1):  # Horner: I + m/1 (I + m/2 (I + ...))
         e = eye + (m @ e) / j
     for _ in range(s):
         e = e @ e
@@ -277,9 +293,10 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float)
     step of h takes P to ``(E11 P + E12)(E21 P + E22)^-1``, exact at any
     h.  The powers ``E^1 ... E^m`` (`_step_powers`) take m grid steps
     from one node with one batched product and one batched solve
-    (`_exact_chunks`); m is at most 8 and keeps ``m*h*|H|_1 <= 1``
-    (m >= 1), so that ``Y`` stays well conditioned on stiff problems.
-    Each new P is symmetrized, and the next m steps start from the last.
+    (`_exact_chunks`); m keeps ``m*h*|H|_1 <= 1`` (m >= 1), so that ``Y``
+    stays well conditioned on stiff problems, and the table within its
+    memory budget.  Each new P is symmetrized, and the next m steps start
+    from the last.
     ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite.
     Raises `BlowUpError`, naming the earliest time, when a value is not
     finite (the step overflows) or P has lost its precision
@@ -296,60 +313,82 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float)
     grid = uniform_grid(horizon, dt)
     vals = np.empty((grid.size,) + p0.shape)
     vals[0] = 0.5 * (p0 + p0.T)
-    for k, _, offsets, p, _ in _exact_chunks(
-            _step_powers(a, b, q, horizon, grid.size - 1), p0, grid,
-            lambda k, m: np.arange(m)):
+    steps = grid.size - 1
+    _, _, powers = _step_powers(a, b, q, horizon, steps)
+    ends = _chunk_ends(len(powers), len(powers), steps)
+    for k, _, offsets, p, _ in _exact_chunks(lambda offsets: powers[offsets], p0, grid,
+                                             ends, lambda k, m: np.arange(m)):
         vals[k + 1:k + 1 + offsets.size] = p
     return grid, vals
 
 
-def _step_powers(a, b, q, horizon: float, steps: int) -> np.ndarray:
-    """``E^1 ... E^m`` of the exact step ``E = exp(H h)``, ``h = horizon/steps``.
+def _step_powers(a, b, q, horizon: float, steps: int):
+    """The exact step ``E = exp(H h)``, ``h = horizon/steps``, and its powers.
 
-    ``H = [[A', Q], [B B', -A]]``; m is the chunk length of
-    `solve_matrix_riccati`.  An overflow gives non-finite entries, which
-    `_exact_chunks` reports.
+    Returns ``(ham_h, h_norm, powers)``: ``H h`` with ``H =
+    [[A', Q], [B B', -A]]``, its 1-norm, which bounds the conditioning of
+    any chunk of steps, and ``E^1 ... E^m``.  m is the chunk length of
+    `solve_matrix_riccati`: the most steps that keep ``m*h*|H|_1 <= 1``
+    (at least one), no more than ``steps``, and no more powers than fit in
+    ``_POWERS_BYTES``, or 8 where fewer would fit.  The table doubles
+    in batches, ``E^(i + j) = E^i E^j`` for every i <= j at once, so no
+    power is more than ``log2(m)`` products deep.  An overflow gives
+    non-finite entries, which `_exact_chunks` reports.
     """
     n = a.shape[0]
     ham_h = np.block([[a.T, q], [b @ b.T, -a]]) * (horizon / steps)
     h_norm = np.abs(ham_h).sum(axis=0).max()
-    count = max(1, int(1.0 / max(h_norm, 1.0 / _MAX_POWERS)))  # at most _MAX_POWERS
+    cap = min(steps, max(8, _POWERS_BYTES // (8 * (2 * n) ** 2)))
+    count = cap if h_norm * cap <= 1.0 else max(1, int(1.0 / h_norm))
     with np.errstate(all="ignore"):  # an overflow is reported by _exact_chunks
         powers = np.empty((count, 2 * n, 2 * n))
         powers[0] = _expm(ham_h)
-        for j in range(1, count):
-            powers[j] = powers[j - 1] @ powers[0]
-    return powers
+        done = 1
+        while done < count:  # E^(i + done) = E^i E^done, one batch of products
+            more = min(done, count - done)
+            np.matmul(powers[:more], powers[done - 1], out=powers[done:done + more])
+            done += more
+    return ham_h, h_norm, powers
 
 
-def _exact_chunks(powers: np.ndarray, p0: np.ndarray, grid: np.ndarray, pick):
+def _chunk_ends(first: int, size: int, steps: int) -> list:
+    """Chunk ends: a first chunk of ``first`` steps, then chunks of ``size``, cut at ``steps``."""
+    return [*range(first, steps, size), steps]
+
+
+def _exact_chunks(power, p0: np.ndarray, grid: np.ndarray, ends, pick):
     """Exact steps of the matrix Riccati equation from P0, a chunk at a time.
 
-    A chunk takes m = ``len(powers)`` grid steps (fewer at the end) from
-    node k: ``[X; Y]`` after i steps is ``E^i [P_k; I]``, one product per
-    i in a batch, and P solves ``Y' P = X'``.  Yields ``(k, p_k, offsets,
-    p, xy)``: P at node k and, in ``p`` and ``xy``, P and ``[X; Y]`` after
-    ``offsets + 1`` steps.  ``pick(k, m)`` chooses the ascending offsets
-    of a chunk, the last, m - 1, always among them, since its P starts the
-    next chunk.  Each P is symmetrized, bit for bit the same whichever
-    offsets are chosen.  Raises `BlowUpError` at the earliest chosen node
+    Chunks end at the ascending nodes ``ends``, the last of them the grid's
+    last node, and ``power(offsets)`` stacks the step powers
+    ``E^(offsets + 1)``.  From its start node k, after i steps of a chunk
+    ``[X; Y]`` is ``E^i [P_k; I]``, one product per i in batches of
+    ``_BATCH`` steps, and P solves ``Y' P = X'``.  Yields ``(k, p_k,
+    offsets, p, xy)``: P at node k and, in ``p`` and ``xy``, P and
+    ``[X; Y]`` after ``offsets + 1`` steps.  ``pick(k, m)`` chooses the
+    ascending offsets of a chunk, the last, m - 1, always among them,
+    since its P starts the next chunk.  Each P is symmetrized, bit for bit
+    the same whichever offsets are chosen.  Raises `BlowUpError` at the earliest chosen node
     of a chunk whose P is not finite, else at the earliest whose diagonal
     has an entry below ``-1e-8*max|diag P|``: a positive semidefinite P has
     a nonnegative diagonal, so such a P has lost its precision (as when P
     grows like ``exp(2 alpha t)`` along a direction the input cannot
     reach, and the rounding of ``E21`` times that block swamps ``Y``).
     """
-    n, steps, count = p0.shape[0], grid.size - 1, powers.shape[0]
-    left, right = powers[:, :, :n], powers[:, :, n:]
+    n = p0.shape[0]
     p_k = 0.5 * (p0 + p0.T)
     with np.errstate(all="ignore"):  # an overflow is reported below
-        for k in range(0, steps, count):
-            m = min(count, steps - k)
-            offsets = pick(k, m)
-            xy = np.matmul(left[offsets], p_k) + right[offsets]
-            # P = X Y^-1 solves Y' P' = X'; P is symmetric
-            p = np.linalg.solve(xy[:, n:].swapaxes(1, 2), xy[:, :n].swapaxes(1, 2))
-            new = np.add(p, p.swapaxes(1, 2))
+        for k, end in zip([0, *ends], ends):
+            offsets = pick(k, end - k)
+            xy = np.empty((offsets.size, 2 * n, n))
+            new = np.empty((offsets.size, n, n))
+            for lo in range(0, offsets.size, _BATCH):
+                part = slice(lo, lo + _BATCH)
+                e = power(offsets[part])
+                np.add(np.matmul(e[:, :, :n], p_k), e[:, :, n:], out=xy[part])
+                # P = X Y^-1 solves Y' P' = X'; P is symmetric
+                p = np.linalg.solve(xy[part, n:].swapaxes(1, 2), xy[part, :n].swapaxes(1, 2))
+                np.add(p, p.swapaxes(1, 2), out=new[part])
             new *= 0.5
             bad = ~np.isfinite(new).reshape(offsets.size, -1).all(axis=1)
             if bad.any():

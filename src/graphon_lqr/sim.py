@@ -17,26 +17,31 @@ problem's own kernel is checked from the kernel's cell table, so that
 pipeline forms no n x n array at any n; ``entries`` and its polynomials
 are formed only for the oracle and the generic loop.  The module also
 provides the direct matrix-Riccati oracle, whose closed loop and value
-come from the chunk factors of its exact Hamiltonian steps.
+come from the chunk factors of its exact Hamiltonian steps, and which
+checks its value on a second chunking of the same steps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BlowUpError
+from .errors import BlowUpError, NumericError
 from .graphon import StepGraphon
 from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _check_level, feedback_controller,
                   ratio_prediction, reconstruct_P, truncate_problem)
 from .poly import apply_poly_matrix
-from .riccati import _exact_chunks, _step_powers, solve_matrix_riccati
+from .riccati import (_chunk_ends, _exact_chunks, _expm, _step_powers,
+                      solve_matrix_riccati)
 
 # Largest decoupling residual of a step system.
 _DECOUPLING_TOL = 1e-10
+# Largest relative difference between the oracle's value on two chunkings of
+# its exact steps (`oracle_compare`).
+_ORACLE_SELF_TOL = 1e-8
 
 
 def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) -> float:
@@ -453,52 +458,104 @@ def oracle_controller(sys: StepSystem, dt: float):
 
 
 def _oracle_loop(sys: StepSystem, x0: np.ndarray, grid: np.ndarray, nodes):
-    """The oracle's optimal loop: its states on ``grid``, P(T) and P at ``nodes`` and 0.
+    """The oracle's optimal loop and checks of its end value.
 
-    The exact steps of `solve_matrix_riccati`, solved only at the end of
-    each chunk of m steps and at the grid ``nodes`` (Riccati-time
-    indices).  Along the optimal loop ``d/dt Y(T - t) = (A - B B'
-    P(T - t)) Y(T - t)``, so a backward pass over the chunks gives the
-    states from the chunk factors ``Y_i = E^i_21 P_k + E^i_22``:
+    Returns its states on ``grid``, P(T), P at ``nodes`` (Riccati-time
+    indices) and 0, and the checks' P(T).  The exact steps of
+    `solve_matrix_riccati` are solved only at the end of each chunk of m
+    steps and at the grid ``nodes``.  Along the optimal loop ``d/dt
+    Y(T - t) = (A - B B' P(T - t)) Y(T - t)``, so a backward pass over the
+    chunks gives the states from the chunk factors ``Y_i = E^i_21 P_k +
+    E^i_22``:
 
         x(tau_(k+i)) = Y_i Y_m^-1 x(tau_(k+m)),
 
-    one n x n solve and a batch of matvecs per chunk, with no time
-    stepping and no (K+1) x n x n array.
+    one n x n solve per chunk and one batched product over the power
+    table for all of them, with no time stepping and no (K+1) x n x n
+    array.  The checks take the same exact steps on a shifted chunking of
+    the grid and solve P at its chunk ends alone: chunks of ``size = m
+    2^j`` steps, the most that keep ``size*h*|H|_1 <= 1``, the first cut
+    to ``size // 2``.  Their first and last chunks read the table and the
+    squares of ``E^m``.  The first check takes its whole chunks by the
+    last square; the second by ``exp(H size h)`` itself, so that the
+    rounding of the table, which the loop reads at every chunk end, is
+    not common to all three values.  Single steps (m = 1) have no shifted
+    chunking and ``exp(H h)`` is the loop's own step: the one check
+    there steps by a second rounding of E, the cube of the exponential of
+    a third of a step.  The values are exact, so they agree to rounding
+    unless rounding has swamped P.
     """
     p = sys.problem
     steps, n = grid.size - 1, sys.n
-    powers = _step_powers(sys.a_mat, sys.b_mat, sys.q_mat, p.horizon, steps)
+    ham_h, h_norm, powers = _step_powers(sys.a_mat, sys.b_mat, sys.q_mat, p.horizon, steps)
     wanted = set(nodes)
 
-    def pick(k, m):
-        return np.array([i for i in range(m - 1) if k + 1 + i in wanted] + [m - 1])
+    def pick(k, length):
+        return np.array([i for i in range(length - 1) if k + 1 + i in wanted] + [length - 1])
 
     chunks, sampled = [], {}
-    for k, p_k, offsets, p_new, xy in _exact_chunks(powers, sys.p0_mat, grid, pick):
+    m = len(powers)
+    for k, p_k, offsets, p_new, xy in _exact_chunks(lambda offsets: powers[offsets],
+                                                    sys.p0_mat, grid,
+                                                    _chunk_ends(m, m, steps), pick):
         chunks.append((k, offsets[-1] + 1, p_k, xy[-1, n:].copy()))
         sampled.update((k + 1 + i, v) for i, v in zip(offsets, p_new) if k + 1 + i in wanted)
     sampled[0] = chunks[0][2]
-    y_left, y_right = powers[:, n:, :n], powers[:, n:, n:]
     states = np.empty((grid.size, n))
     x = states[0] = x0
-    for k, m, p_k, y_end in reversed(chunks):
-        x = np.linalg.solve(y_end, x)  # the state at node k
+    starts = np.empty((2 * n, len(chunks)))  # [P_k x; x] at each chunk's node k
+    for j in reversed(range(len(chunks))):
+        k, _, p_k, y_end = chunks[j]
+        x = states[steps - k] = np.linalg.solve(y_end, x)  # the state at node k
+        starts[:n, j], starts[n:, j] = p_k @ x, x
+    # Y_i x_k = [E^i_21, E^i_22] [P_k x; x] for every chunk at once, so the
+    # table is read once
+    inner = powers[:-1, n:] @ starts
+    for j, (k, length, _, _) in enumerate(chunks):
         top = steps - k  # the grid index of Riccati node k
-        states[top - m + 1:top] = (y_left[:m - 1] @ (p_k @ x) + y_right[:m - 1] @ x)[::-1]
-        states[top] = x
-    return states, p_new[-1], sampled
+        states[top - length + 1:top] = inner[:length - 1, :, j][::-1]
+    if m > 1:
+        squares = [powers[-1]]  # squares[i] = E^(m 2^i)
+    else:  # a second rounding of E: exp(H h / 2) squares to it bit for bit
+        third = _expm(ham_h / 3)
+        squares = [third @ third @ third]
+    size = m
+    while 2 * size <= steps and 2 * size * h_norm <= 1.0:
+        size *= 2
+        squares.append(squares[-1] @ squares[-1])
+
+    def power(j):  # E^j = E^(j mod m) (E^m)^(j div m), 1 <= j <= size
+        factors = [square for i, square in enumerate(squares) if j // m >> i & 1]
+        if j % m:
+            factors.insert(0, powers[j % m - 1])
+        return reduce(np.matmul, factors)
+
+    def check(full):  # P(T) with ``full`` the power of a whole chunk
+        *_, (_, _, _, p_end, _) = _exact_chunks(
+            lambda offsets: (full if offsets[0] + 1 == size else power(offsets[0] + 1))[None],
+            sys.p0_mat, grid, _chunk_ends(size // 2 or size, size, steps),
+            lambda k, length: np.array([length - 1]))
+        return p_end[-1]
+
+    fulls = [squares[-1], _expm(ham_h * size)] if m > 1 else squares
+    return states, p_new[-1], sampled, [check(full) for full in fulls]
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Gaps between the decoupled synthesis and the matrix-Riccati oracle."""
+    """Gaps between the decoupled synthesis and the matrix-Riccati oracle.
+
+    ``run`` is the decoupled side's closed-form run of the problem's law
+    and ``oracle_self_gap`` the oracle's estimate of its own error.
+    """
 
     j_decoupled: float
     j_oracle: float
     cost_rel_gap: float
     state_gap: float
     p_gap: float
+    oracle_self_gap: float
+    run: Trajectory
 
 
 def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
@@ -506,20 +563,35 @@ def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
 
     Both solve the system's problem and run over its horizon, and both
     are exact at any ``dt``, so on ordinary problems every gap is
-    rounding.  The oracle raises `BlowUpError` when its P loses the
-    nonnegative diagonal of a positive semidefinite matrix
-    (`_exact_chunks`), as when beta0 = 0 leaves an unstable residual
-    uncontrollable and P grows like ``exp(2 alpha0 t)`` along it; below
-    that check such a residual can still leave the oracle inexact
-    (alpha0*T = 14 reads a relative cost gap of 3.9e-4).  The decoupled side
-    is the closed-form run of the problem's law (`simulate`) and its cost
-    by `evaluate_cost`; no gains are synthesized.  The oracle stays
-    independent of the decoupling: dense n x n matrices, no
-    eigenfunction.  Its states come from the chunk factors of the exact
-    matrix Riccati steps (`_oracle_loop`), and its cost is the value
-    ``x0' P(T) x0 / n``.  The P gap is the max-abs difference between the
-    operator ``L_t*(I - sum Pi_l) + sum M_l(t)*Pi_l`` (`reconstruct_P`,
-    exact at each time) and the oracle's P at up to 21 sampled grid times.
+    rounding.  The decoupled side is the closed-form run of the problem's
+    law (`simulate`), kept in the report, and its cost by `evaluate_cost`;
+    no gains are synthesized.  The oracle stays independent of the
+    decoupling: dense n x n matrices, no eigenfunction.  Its states come
+    from the chunk factors of the exact matrix Riccati steps
+    (`_oracle_loop`), and its cost is the value ``x0' P(T) x0 / n``.  The
+    P gap is the max-abs difference between the operator ``L_t*(I - sum
+    Pi_l) + sum M_l(t)*Pi_l`` (`reconstruct_P`, exact at each time) and the
+    oracle's P at up to 21 sampled grid times.
+
+    The oracle certifies its value and reads no eigenfunction to do so:
+    ``oracle_self_gap`` is the larger relative difference between it and
+    the same value from the checks of `_oracle_loop`, the same exact steps
+    on a shifted chunking.  Above 1e-8 the oracle has lost its precision
+    and `NumericError` is raised, naming the self-gap.  That happens when
+    beta0 = 0 leaves an unstable residual uncontrollable and P grows like
+    ``exp(2 alpha0 t)`` along it: every dense product then carries a
+    rounding of about ``eps*|P|`` that the step multiplies by P once
+    more.  On the sinusoidal kernel at n = 8 with alpha0 = 2, poly_b =
+    [0, 1] and K = 500, alpha0*T = 10 reads a cost gap of 1.3e-9 and a
+    self-gap of 6.2e-10, and alpha0*T = 12 to 15 are refused (self-gaps
+    8.8e-8 to 0.32 against cost gaps 9.8e-8 to 1.4e-2; at 12 the check
+    that reads the table alone would have read 7.2e-9).  The self-gap
+    does not see the rounding of H itself, which all passes share, so an
+    answer can be off by more than it says: over random problems of that
+    kind the cost gap has reached 40 times the self-gap
+    (tests/test_oracle_certificate.py).  Further on, P also loses the
+    nonnegative diagonal of a positive semidefinite matrix, and
+    `_exact_chunks` raises `BlowUpError`.
     """
     p = sys.problem
     traj = simulate(sys, feedback_controller(p), x0, p.horizon, dt)
@@ -527,17 +599,25 @@ def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     grid = traj.grid
     x0 = np.asarray(x0, dtype=float)
     nodes = range(0, grid.size, max(1, (grid.size - 1) // 20))
-    states, p_end, sampled = _oracle_loop(sys, x0, grid, nodes)
+    states, p_end, sampled, checks = _oracle_loop(sys, x0, grid, nodes)
     j_orc = float(x0 @ p_end @ x0) / sys.n
+    scale = abs(j_orc) or 1.0  # a zero optimal cost leaves no scale: absolute gaps
+    self_gap = max(abs(float(x0 @ c @ x0) / sys.n - j_orc) for c in checks) / scale
+    if not self_gap <= _ORACLE_SELF_TOL:
+        raise NumericError(
+            f"the matrix Riccati oracle lost its precision: its value differs by "
+            f"{self_gap:.3e} (relative) between two passes over its exact steps, "
+            f"a self-gap above {_ORACLE_SELF_TOL:g}")
     p_gap = max(float(np.abs(reconstruct_P(p, grid[k], sys.n)
                              - sampled[k]).max()) for k in nodes)
     return OracleReport(
         j_decoupled=j_dec,
         j_oracle=j_orc,
-        # a zero optimal cost leaves no scale: report the absolute gap
-        cost_rel_gap=abs(j_dec - j_orc) / (abs(j_orc) or 1.0),
+        cost_rel_gap=abs(j_dec - j_orc) / scale,
         state_gap=float(np.abs(traj.states - states).max()),
         p_gap=p_gap,
+        oracle_self_gap=self_gap,
+        run=traj,
     )
 
 

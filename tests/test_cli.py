@@ -354,6 +354,12 @@ class TestRunCommand:
                                         system.p0_mat, 1.0, 0.01)[1][-1]
         assert total == pytest.approx(x0 @ p_end @ x0 / 8, rel=1e-12, abs=0.0)
         assert total == pytest.approx(exact, rel=1e-12, abs=0.0)
+        # each exact step is a chunk of its own (h*|H|_1 > 1), and the oracle
+        # certifies it on a second rounding of the step
+        assert cli.main(["run", path, "--compare-oracle", "--out", str(out)]) == 0
+        cost = json.loads((out / "cost.json").read_text())
+        assert cost["total"] == total and cost["oracle_rel_gap"] <= 1e-12
+        assert 0.0 < cost["oracle_self_gap"] <= 1e-12
 
     def test_lapack_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError is a ValueError, which alone would exit 2
@@ -519,6 +525,42 @@ class TestStudyCommands:
             assert json.loads((tmp_path / "x" / "cost.json").read_text())["j_oracle"] > 0.0
         else:
             assert out == "" and "not positive semidefinite" in err
+
+    @pytest.mark.parametrize("alpha_t", [13, 14, 15])
+    def test_oracle_refuses_an_answer_it_cannot_certify(self, tmp_path, capsys, alpha_t):
+        # the same problem below the negative diagonal: the oracle's value was
+        # off by 1.3e-6, 3.9e-4 and 0.86 with exit 0; on a second chunking of
+        # its exact steps it now disagrees with itself by more than 1e-8
+        horizon = alpha_t / 2.0
+        path = write_scenario(tmp_path, alpha0=2.0, poly_b=[0.0, 1.0], poly_q=[1.0],
+                              poly_p0=[1.0], horizon=horizon, dt=horizon / 500, n=8,
+                              seed=0)
+        for argv in (["oracle-check", path], ["run", path, "--compare-oracle"]):
+            assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("numeric failure: the matrix Riccati oracle")
+            assert "self-gap above 1e-08" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("controller, runs", [("optimal", 1), ("truncated(1)", 2)])
+    def test_compare_oracle_runs_the_optimal_law_once(self, tmp_path, capsys, monkeypatch,
+                                                      controller, runs):
+        # an optimal scenario's run is the one the oracle compared, and its
+        # artifacts are those of the run without the oracle, byte for byte
+        path = write_scenario(tmp_path, controller=controller)
+        plain, oracle = tmp_path / "plain", tmp_path / "oracle"
+        assert cli.main(["run", path, "--out", str(plain)]) == 0
+        calls = record_calls(monkeypatch, gl.simulate)
+        assert cli.main(["run", path, "--compare-oracle", "--out", str(oracle)]) == 0
+        assert len(calls) == runs
+        for name in ("gains.csv", "trajectory.csv", "scenario.json"):
+            assert (plain / name).read_bytes() == (oracle / name).read_bytes()
+        cost = json.loads((oracle / "cost.json").read_text())
+        fields = {"j_oracle", "oracle_rel_gap", "oracle_p_gap", "oracle_state_gap",
+                  "oracle_self_gap"}
+        assert {k: v for k, v in cost.items() if k not in fields} \
+            == json.loads((plain / "cost.json").read_text())
+        assert fields <= cost.keys() and 0.0 <= cost["oracle_self_gap"] <= 1e-8
 
     @pytest.mark.parametrize("command, artifact", [
         ("run", "cost.json"), ("truncation-study", "truncation.csv")])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import graphon_lqr as gl
 from graphon_lqr.integrate import uniform_grid
+import graphon_lqr.riccati as riccati_module
 from graphon_lqr.riccati import (algebraic_root, riccati_explicit, riccati_path,
                                  solve_matrix_riccati)
 
@@ -391,6 +392,40 @@ class TestMatrixRiccati:
         explicit = riccati_explicit(alphas, betas, qs, z0s, grid)
         np.testing.assert_allclose(path, np.einsum("ij,kj,lj->kil", u, explicit, u),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_power_table_keeps_its_memory_budget(self, n):
+        # a zero Hamiltonian allows chunks of any length: the table fills its
+        # budget at n = 64 and keeps the floor of 8 powers at n = 256, which
+        # is more than the budget
+        zero = np.zeros((n, n))
+        _, _, powers = riccati_module._step_powers(zero, zero, zero, 1.0, 1000)
+        if n == 64:
+            assert len(powers) == 64 and powers.nbytes <= riccati_module._POWERS_BYTES
+        else:
+            assert len(powers) == 8
+        np.testing.assert_array_equal(powers, np.broadcast_to(np.eye(2 * n), powers.shape))
+
+    @pytest.mark.parametrize("norm", [0.0, 1e-6, 5e-3, 0.3, 0.97, 6.0])
+    def test_expm_matches_the_spectral_exponential(self, norm):
+        # a small norm takes fewer Taylor terms and keeps the precision
+        rng = np.random.default_rng(2)
+        s = rng.standard_normal((6, 6))
+        s = (s + s.T) * (norm / np.abs(s + s.T).sum(axis=0).max())
+        w, v = np.linalg.eigh(s)
+        np.testing.assert_allclose(riccati_module._expm(s), (v * np.exp(w)) @ v.T,
+                                   rtol=0, atol=1e-14 * np.exp(norm))
+
+    def test_chunk_keeps_its_conditioning_and_the_grid(self):
+        # m*h*|H|_1 <= 1 for the longest m, and no power past the last step
+        a, b = np.array([[0.3]]), np.array([[1.5]])
+        ham_norm = 0.3 + 1.5 ** 2  # |H|_1 of [[0.3, 1], [2.25, -0.3]]
+        ham_h, h_norm, powers = riccati_module._step_powers(a, b, np.ones((1, 1)), 1.0, 1000)
+        np.testing.assert_array_equal(ham_h, np.array([[0.3, 1.0], [2.25, -0.3]]) * (1.0 / 1000))
+        assert h_norm == np.abs(ham_h).sum(axis=0).max()
+        assert len(powers) == int(1000 / ham_norm)
+        zero = np.zeros((1, 1))
+        assert len(riccati_module._step_powers(zero, zero, zero, 1.0, 20)[2]) == 20
 
     def test_non_finite_step_raises(self):
         # exp(H h) overflows at h*omega = 800

@@ -779,7 +779,7 @@ class TestOracleCompare:
         errors = []
         for dt in (1e-3, 5e-4):
             report = gl.oracle_compare(sys_, x0, dt)
-            states, p_end, _ = runs[-1]
+            states, p_end, _, _ = runs[-1]
             controller, (_, path) = gl.oracle_controller(sys_, dt)
             ref = gl.simulate(sys_, controller, x0, p.horizon, dt)
             assert ref.grid.size == states.shape[0]
@@ -826,7 +826,7 @@ class TestOracleCompare:
             monkeypatch.setattr(module, "solve_matrix_riccati", fail)
         report = gl.oracle_compare(sys_, x0, dt)
         nodes = range(0, 1001, 50)
-        _, p_end, sampled = sim_module._oracle_loop(sys_, x0, grid, nodes)
+        _, p_end, sampled, _ = sim_module._oracle_loop(sys_, x0, grid, nodes)
         assert np.array_equal(p_end, path[-1])
         for k in nodes:
             assert np.array_equal(sampled[k], path[k])

@@ -70,8 +70,13 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
      {"d", "steps"})])
 def test_bench_measure_rows(tool, layers, extra, monkeypatch):
     monkeypatch.setattr(bench_artifacts, "SIZES", (40,))   # no 325 MB trajectory here
+    monkeypatch.setattr(bench_oracle, "SIZES", (8, 16, 40, 64))  # no 2 s oracle at n = 256
+    monkeypatch.setattr(bench_oracle, "PATH_SIZES", (8,))
     rows = tool.measure(1)
     assert {row["layer"] for row in rows} == layers
+    if tool is bench_oracle:  # the full Riccati path is timed at PATH_SIZES alone
+        assert [(row["layer"], row["n"]) for row in rows] == [
+            ("riccati.matrix", 8), *(("oracle.compare", n) for n in (8, 16, 40, 64))]
     for row in rows:
         assert set(row) == {"layer", "n", "median_ms", "q1_ms", "q3_ms", "repeats"} | extra
         assert row["repeats"] == 1 and row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]

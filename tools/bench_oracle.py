@@ -5,14 +5,15 @@
 
 Imports ``graphon_lqr`` from ``--src`` (default: this checkout's
 ``src/``) with one BLAS thread.  On the example-vii problem sampled at
-n = 8, 16, 40 and 64 cells with K = 1000 steps it times two layers:
+n = 8, 16, 40, 64 and 256 cells with K = 1000 steps it times two layers:
 
 * ``riccati.matrix``: `solve_matrix_riccati` on the system's matrices,
-  the full (K+1) x n x n path;
+  the full (K+1) x n x n path, up to n = 64 (at n = 256 the path alone
+  takes 0.5 GB);
 * ``oracle.compare``: the whole `oracle_compare` (the decoupled run and
-  its cost, the oracle's loop and value, the P gap; a checkout whose laws
-  read sampled gains synthesizes them here too), which runs on any
-  checkout.
+  its cost, the oracle's loop, value and, where it has one, its
+  certificate, the P gap; a checkout whose laws read sampled gains
+  synthesizes them here too), which runs on any checkout.
 
 Timing and recording are `bench_common`'s.
 """
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 from bench_common import main, timed  # first: it sets one BLAS thread
 
-SIZES = (8, 16, 40, 64)
+SIZES = (8, 16, 40, 64, 256)
+PATH_SIZES = (8, 16, 40, 64)  # the sizes whose full Riccati path is timed
 STEPS = 1000
 
 
@@ -43,7 +45,8 @@ def measure(repeats: int) -> list[dict]:
             gl.oracle_compare(system, x0, dt)
 
         for layer, fn in (("riccati.matrix", riccati), ("oracle.compare", compare)):
-            rows.append(dict(layer=layer, n=n, steps=STEPS, **timed(fn, repeats)))
+            if layer == "oracle.compare" or n in PATH_SIZES:
+                rows.append(dict(layer=layer, n=n, steps=STEPS, **timed(fn, repeats)))
     return rows
 
 
