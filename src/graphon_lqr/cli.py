@@ -30,6 +30,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -376,6 +377,7 @@ def _apply_overrides(raw, args) -> Scenario:
     return scenario_from_dict(raw)
 
 
+@cache  # built once per process: parse_args keeps no state in the parser
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphon-lqr",

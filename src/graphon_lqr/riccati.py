@@ -23,17 +23,19 @@ The matrix equation
 is the direct verification oracle for the decoupled synthesis.  It is
 solved by the same Hamiltonian linearization in dense n x n form, one
 exact step ``exp(H h)`` per grid step, taken in chunks of m steps from
-one table of powers ``E^1 ... E^m`` (`_step_powers`, `_exact_chunks`),
+one table of powers ``E^1 ... E^m`` (`_step_powers`, `_exact_steps`),
 so the oracle carries no integration error of its own: a gap between
 oracle and synthesis is rounding.  m is as long as the conditioning of
-a chunk and a memory budget for the table allow.  The chunk factors also
-give the oracle's optimal closed loop, so the oracle needs P only at
-chunk ends; `solve_matrix_riccati` returns P at every node.  Sampled
-solutions are ``(grid, values)`` pairs; nothing here interpolates them.
+a chunk and a memory budget for the table allow.  `solve_matrix_riccati`
+returns P at every node; the oracle's loop (`_oracle_loop`) solves P at
+chunk ends alone, takes its states from the chunk factors and checks its
+value on a second chunking.  Sampled solutions are ``(grid, values)``
+pairs; nothing here interpolates them.
 """
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -44,9 +46,6 @@ from .integrate import rk4_step, uniform_grid
 # (2n)^2 doubles each: it caps m at 64 for n = 64 and, as a floor of 8 powers
 # is kept, leaves m <= 8 from n = 182 on.
 _POWERS_BYTES = 8 * 2 ** 20
-# Most steps of a chunk whose P are solved in one batch: a few keep the
-# batch's arrays in cache when every step's P is wanted.
-_BATCH = 8
 
 
 def _checked_params(alpha, beta, q, z0):
@@ -284,6 +283,8 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return e
 
 
+
+
 def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float):
     """Solve the matrix Riccati equation exactly on a uniform grid.
 
@@ -291,16 +292,15 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float)
     ``[X; Y]' = H [X; Y]``, ``X(0) = P0``, ``Y(0) = I``,
     ``H = [[A', Q], [B B', -A]]``.  With ``E = exp(H h)`` (`_expm`), a
     step of h takes P to ``(E11 P + E12)(E21 P + E22)^-1``, exact at any
-    h.  The powers ``E^1 ... E^m`` (`_step_powers`) take m grid steps
-    from one node with one batched product and one batched solve
-    (`_exact_chunks`); m keeps ``m*h*|H|_1 <= 1`` (m >= 1), so that ``Y``
-    stays well conditioned on stiff problems, and the table within its
-    memory budget.  Each new P is symmetrized, and the next m steps start
-    from the last.
+    h.  The powers ``E^1 ... E^m`` (`_step_powers`) take the m grid steps
+    of a chunk from its first node at once (`_exact_steps`); m keeps
+    ``m*h*|H|_1 <= 1`` (m >= 1), so that ``Y`` stays well conditioned on
+    stiff problems, and the table within its memory budget.  Each new P
+    is symmetrized, and the next chunk starts from the last.
     ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite.
     Raises `BlowUpError`, naming the earliest time, when a value is not
     finite (the step overflows) or P has lost its precision
-    (`_exact_chunks`).  Returns ``(grid, values)``, P at every node of
+    (`_exact_steps`).  Returns ``(grid, values)``, P at every node of
     ``uniform_grid(horizon, dt)`` in ``values[k]``.
     """
     a = np.asarray(a_mat, dtype=float)
@@ -311,14 +311,13 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float)
         if m.ndim != 2 or m.shape != a.shape:
             raise ValueError(f"matrix {name} must be square of shape {a.shape}, got {m.shape}")
     grid = uniform_grid(horizon, dt)
-    vals = np.empty((grid.size,) + p0.shape)
-    vals[0] = 0.5 * (p0 + p0.T)
     steps = grid.size - 1
     _, _, powers = _step_powers(a, b, q, horizon, steps)
-    ends = _chunk_ends(len(powers), len(powers), steps)
-    for k, _, offsets, p, _ in _exact_chunks(lambda offsets: powers[offsets], p0, grid,
-                                             ends, lambda k, m: np.arange(m)):
-        vals[k + 1:k + 1 + offsets.size] = p
+    vals = np.empty((grid.size,) + p0.shape)
+    vals[0] = 0.5 * (p0 + p0.T)
+    for k in range(0, steps, len(powers)):
+        end = min(k + len(powers), steps)
+        vals[k + 1:end + 1] = _exact_steps(powers[:end - k], vals[k], grid[k + 1:end + 1])[0]
     return grid, vals
 
 
@@ -333,14 +332,14 @@ def _step_powers(a, b, q, horizon: float, steps: int):
     ``_POWERS_BYTES``, or 8 where fewer would fit.  The table doubles
     in batches, ``E^(i + j) = E^i E^j`` for every i <= j at once, so no
     power is more than ``log2(m)`` products deep.  An overflow gives
-    non-finite entries, which `_exact_chunks` reports.
+    non-finite entries, which `_exact_steps` reports.
     """
     n = a.shape[0]
     ham_h = np.block([[a.T, q], [b @ b.T, -a]]) * (horizon / steps)
     h_norm = np.abs(ham_h).sum(axis=0).max()
     cap = min(steps, max(8, _POWERS_BYTES // (8 * (2 * n) ** 2)))
     count = cap if h_norm * cap <= 1.0 else max(1, int(1.0 / h_norm))
-    with np.errstate(all="ignore"):  # an overflow is reported by _exact_chunks
+    with np.errstate(all="ignore"):  # an overflow is reported by _exact_steps
         powers = np.empty((count, 2 * n, 2 * n))
         powers[0] = _expm(ham_h)
         done = 1
@@ -351,53 +350,117 @@ def _step_powers(a, b, q, horizon: float, steps: int):
     return ham_h, h_norm, powers
 
 
-def _chunk_ends(first: int, size: int, steps: int) -> list:
-    """Chunk ends: a first chunk of ``first`` steps, then chunks of ``size``, cut at ``steps``."""
-    return [*range(first, steps, size), steps]
+def _exact_steps(e: np.ndarray, p: np.ndarray, times: np.ndarray):
+    """Exact steps of the matrix Riccati equation from one P.
 
-
-def _exact_chunks(power, p0: np.ndarray, grid: np.ndarray, ends, pick):
-    """Exact steps of the matrix Riccati equation from P0, a chunk at a time.
-
-    Chunks end at the ascending nodes ``ends``, the last of them the grid's
-    last node, and ``power(offsets)`` stacks the step powers
-    ``E^(offsets + 1)``.  From its start node k, after i steps of a chunk
-    ``[X; Y]`` is ``E^i [P_k; I]``, one product per i in batches of
-    ``_BATCH`` steps, and P solves ``Y' P = X'``.  Yields ``(k, p_k,
-    offsets, p, xy)``: P at node k and, in ``p`` and ``xy``, P and
-    ``[X; Y]`` after ``offsets + 1`` steps.  ``pick(k, m)`` chooses the
-    ascending offsets of a chunk, the last, m - 1, always among them,
-    since its P starts the next chunk.  Each P is symmetrized, bit for bit
-    the same whichever offsets are chosen.  Raises `BlowUpError` at the earliest chosen node
-    of a chunk whose P is not finite, else at the earliest whose diagonal
-    has an entry below ``-1e-8*max|diag P|``: a positive semidefinite P has
-    a nonnegative diagonal, so such a P has lost its precision (as when P
-    grows like ``exp(2 alpha t)`` along a direction the input cannot
-    reach, and the rounding of ``E21`` times that block swamps ``Y``).
+    ``e`` stacks step powers ``E^i``, and ``p`` is P at the node they all
+    start from.  ``[X; Y] = E^i [P; I]``, one batched product, and the new
+    P solves ``Y' P = X'``, one batched solve; each new P is symmetrized
+    and, bit for bit, does not depend on the other powers of the stack.
+    Returns the new Ps and their ``[X; Y]``.  Raises `BlowUpError` at the
+    earliest ``times[i]`` whose P is not finite, else at the earliest whose
+    diagonal has an entry below ``-1e-8*max|diag P|``: a positive
+    semidefinite P has a nonnegative diagonal, so such a P has lost its
+    precision (as when P grows like ``exp(2 alpha t)`` along a direction
+    the input cannot reach, and the rounding of ``E21`` times that block
+    swamps ``Y``).
     """
-    n = p0.shape[0]
-    p_k = 0.5 * (p0 + p0.T)
+    n = p.shape[0]
     with np.errstate(all="ignore"):  # an overflow is reported below
+        xy = np.matmul(e[:, :, :n], p) + e[:, :, n:]
+        # P = X Y^-1 solves Y' P' = X'; P is symmetric
+        new = np.linalg.solve(xy[:, n:].swapaxes(1, 2), xy[:, :n].swapaxes(1, 2))
+        new = 0.5 * (new + new.swapaxes(1, 2))
+    bad = ~np.isfinite(new).reshape(len(new), -1).all(axis=1)
+    if bad.any():
+        raise BlowUpError("matrix Riccati solution is not finite at "
+                          f"t = {times[np.argmax(bad)]:.6g}")
+    diag = np.diagonal(new, axis1=1, axis2=2)
+    bad = (diag < -1e-8 * np.abs(diag).max(axis=1, keepdims=True)).any(axis=1)
+    if bad.any():
+        raise BlowUpError("matrix Riccati solution is not positive semidefinite "
+                          f"at t = {times[np.argmax(bad)]:.6g}")
+    return new, xy
+
+
+def _oracle_loop(a, b, q, p0, x0: np.ndarray, grid: np.ndarray, nodes):
+    """The optimal loop of the matrix Riccati oracle and checks of its end value.
+
+    ``a, b, q, p0`` are the dense system's matrices and ``grid`` the
+    run's uniform grid.  Returns its states on ``grid``, P(T), P at
+    ``nodes`` (Riccati-time indices) and 0, and the checks' P(T).  The
+    exact steps of `solve_matrix_riccati` are solved only at the end of
+    each chunk of m steps and at the grid ``nodes``.  Along the optimal
+    loop ``d/dt Y(T - t) = (A - B B' P(T - t)) Y(T - t)``, so a backward
+    pass over the chunks gives the states from the chunk factors ``Y_i =
+    E^i_21 P_k + E^i_22``:
+
+        x(tau_(k+i)) = Y_i Y_m^-1 x(tau_(k+m)),
+
+    one n x n solve per chunk and one batched product over the power
+    table for all of them, with no time stepping and no (K+1) x n x n
+    array.  The checks take the same exact steps on a shifted chunking of
+    the grid and solve P at its chunk ends alone: chunks of ``size = m
+    2^j`` steps, the most that keep ``size*h*|H|_1 <= 1``, the first cut
+    to ``size // 2``.  Their first and last chunks read the table and the
+    squares of ``E^m``.  The first check takes its whole chunks by the
+    last square; the second by ``exp(H size h)`` itself, so that the
+    rounding of the table, which the loop reads at every chunk end, is
+    not common to all three values.  Single steps (m = 1) have no shifted
+    chunking and ``exp(H h)`` is the loop's own step: the one check
+    there steps by a second rounding of E, the cube of the exponential of
+    a third of a step.  The values are exact, so they agree to rounding
+    unless rounding has swamped P.
+    """
+    steps, n = grid.size - 1, a.shape[0]
+    ham_h, h_norm, powers = _step_powers(a, b, q, grid[-1], steps)
+    m, wanted = len(powers), set(nodes)
+    p_k = start = 0.5 * (p0 + p0.T)
+    chunks, sampled = [], {0: start}
+    for k in range(0, steps, m):
+        length = min(m, steps - k)
+        offsets = np.array([i for i in range(length - 1) if k + 1 + i in wanted] + [length - 1])
+        new, xy = _exact_steps(powers[offsets], p_k, grid[k + 1 + offsets])
+        chunks.append((k, length, p_k, xy[-1, n:].copy()))
+        sampled.update((k + 1 + i, v) for i, v in zip(offsets, new) if k + 1 + i in wanted)
+        p_k = new[-1]
+    states = np.empty((grid.size, n))
+    x = states[0] = x0
+    starts = np.empty((2 * n, len(chunks)))  # [P_k x; x] at each chunk's node k
+    for j in reversed(range(len(chunks))):
+        k, _, p_start, y_end = chunks[j]
+        x = states[steps - k] = np.linalg.solve(y_end, x)  # the state at node k
+        starts[:n, j], starts[n:, j] = p_start @ x, x
+    # Y_i x_k = [E^i_21, E^i_22] [P_k x; x] for every chunk at once, so the
+    # table is read once
+    inner = powers[:-1, n:] @ starts
+    for j, (k, length, _, _) in enumerate(chunks):
+        top = steps - k  # the grid index of Riccati node k
+        states[top - length + 1:top] = inner[:length - 1, :, j][::-1]
+    if m > 1:
+        squares = [powers[-1]]  # squares[i] = E^(m 2^i)
+    else:  # a second rounding of E: exp(H h / 2) squares to it bit for bit
+        third = _expm(ham_h / 3)
+        squares = [third @ third @ third]
+    size = m
+    while 2 * size <= steps and 2 * size * h_norm <= 1.0:
+        size *= 2
+        squares.append(squares[-1] @ squares[-1])
+
+    def power(j):  # E^j = E^(j mod m) (E^m)^(j div m), 1 <= j <= size
+        factors = [square for i, square in enumerate(squares) if j // m >> i & 1]
+        if j % m:
+            factors.insert(0, powers[j % m - 1])
+        return reduce(np.matmul, factors)
+
+    ends = [*range(size // 2 or size, steps, size), steps]
+
+    def check(full):  # P(T) with ``full`` the power of a whole chunk
+        p_end = start
         for k, end in zip([0, *ends], ends):
-            offsets = pick(k, end - k)
-            xy = np.empty((offsets.size, 2 * n, n))
-            new = np.empty((offsets.size, n, n))
-            for lo in range(0, offsets.size, _BATCH):
-                part = slice(lo, lo + _BATCH)
-                e = power(offsets[part])
-                np.add(np.matmul(e[:, :, :n], p_k), e[:, :, n:], out=xy[part])
-                # P = X Y^-1 solves Y' P' = X'; P is symmetric
-                p = np.linalg.solve(xy[part, n:].swapaxes(1, 2), xy[part, :n].swapaxes(1, 2))
-                np.add(p, p.swapaxes(1, 2), out=new[part])
-            new *= 0.5
-            bad = ~np.isfinite(new).reshape(offsets.size, -1).all(axis=1)
-            if bad.any():
-                raise BlowUpError("matrix Riccati solution is not finite at "
-                                  f"t = {grid[k + 1 + offsets[np.argmax(bad)]]:.6g}")
-            diag = np.diagonal(new, axis1=1, axis2=2)
-            bad = (diag < -1e-8 * np.abs(diag).max(axis=1, keepdims=True)).any(axis=1)
-            if bad.any():
-                raise BlowUpError("matrix Riccati solution is not positive semidefinite "
-                                  f"at t = {grid[k + 1 + offsets[np.argmax(bad)]]:.6g}")
-            yield k, p_k, offsets, new, xy
-            p_k = new[-1]
+            e = full if end - k == size else power(end - k)
+            p_end = _exact_steps(e[None], p_end, grid[end:end + 1])[0][0]
+        return p_end
+
+    fulls = [squares[-1], _expm(ham_h * size)] if m > 1 else squares
+    return states, p_k, sampled, [check(full) for full in fulls]

@@ -16,14 +16,14 @@ controller runs the RK4 generic loop.  A network sampled from the
 problem's own kernel is checked from the kernel's cell table, so that
 pipeline forms no n x n array at any n; ``entries`` and its polynomials
 are formed only for the oracle and the generic loop.  The module also
-provides the direct matrix-Riccati oracle, whose closed loop and value
-come from the chunk factors of its exact Hamiltonian steps, and which
-checks its value on a second chunking of the same steps.
+compares the decoupled run with the direct matrix-Riccati oracle
+(`oracle_compare`), whose loop, value and self-check `riccati._oracle_loop`
+computes from the dense matrices alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,10 +34,10 @@ from .integrate import rk4_step, uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, _check_level, feedback_controller,
                   ratio_prediction, reconstruct_P, truncate_problem)
 from .poly import apply_poly_matrix
-from .riccati import (_chunk_ends, _exact_chunks, _expm, _step_powers,
-                      solve_matrix_riccati)
+from .riccati import _oracle_loop, solve_matrix_riccati
 
-# Largest decoupling residual of a step system.
+# Largest decoupling residual of a step system, relative to max(1, max|lambda_l|)
+# over the kernel eigenvalues of its problem.
 _DECOUPLING_TOL = 1e-10
 # Largest relative difference between the oracle's value on two chunkings of
 # its exact steps (`oracle_compare`).
@@ -80,8 +80,9 @@ class StepSystem:
     ``StepSystem(network, problem)`` reads n from the `StepGraphon`
     ``network`` and the eigenfunction cell values ``F = f_cells`` from
     the cell table ``problem.graphon.cells(n)``.  F must decouple the
-    coupling: a ``residual`` above 1e-10 raises `ValueError` naming n, d,
-    the residual and the tolerance; full rank n = d decouples.  A network
+    coupling: a ``residual`` above ``1e-10*max(1, max|lams|)``, a rounding
+    of the kernel's scale, raises `ValueError` naming n, d, the residual
+    and that bound; full rank n = d decouples.  A network
     sampled from a kernel with the problem's eigenpairs is checked in
     factor form (`_sampled_residual`, O(n * rank^2)), so neither the check
     nor the decoupled run forms its ``entries``; any other network by
@@ -105,11 +106,12 @@ class StepSystem:
             self.residual = _sampled_residual(self.f_cells, lams)
         else:
             self.residual = decoupling_residual(network.entries, self.f_cells, lams)
-        if not self.residual <= _DECOUPLING_TOL:  # a NaN residual fails too
+        bound = _DECOUPLING_TOL * max(1.0, np.abs(lams).max(initial=0.0))
+        if not self.residual <= bound:  # a NaN residual fails too
             raise ValueError(
                 f"the {n}-cell network does not decouple along the d = {problem.d} "
                 f"kernel eigenfunctions: decoupling residual {self.residual:.3e} "
-                f"exceeds {_DECOUPLING_TOL:g}")
+                f"exceeds {bound:g}")
 
     @cached_property
     def a_mat(self) -> np.ndarray:
@@ -137,8 +139,9 @@ def build_step_system(network, p: LqrProblem) -> StepSystem:
     already validated, or a kernel's samples (`sample_step_entries`),
     symmetric by construction.  A network that the kernel eigenfunctions
     do not decouple raises `ValueError` (`StepSystem`) before any dense
-    matrix is assembled; a matrix that passes lies within ``n * 1e-10``
-    of the kernel's own samples entry by entry, so its magnitude needs no
+    matrix is assembled; a matrix that passes lies within
+    ``n * 1e-10 * max(1, max|lams|)`` of the kernel's own samples entry by
+    entry, over the kernel eigenvalues ``lams``, so its magnitude needs no
     check of its own.  All matrices are polynomials of the scaled coupling
     ``entries / n``.
     """
@@ -457,90 +460,6 @@ def oracle_controller(sys: StepSystem, dt: float):
     return controller, (grid, path)
 
 
-def _oracle_loop(sys: StepSystem, x0: np.ndarray, grid: np.ndarray, nodes):
-    """The oracle's optimal loop and checks of its end value.
-
-    Returns its states on ``grid``, P(T), P at ``nodes`` (Riccati-time
-    indices) and 0, and the checks' P(T).  The exact steps of
-    `solve_matrix_riccati` are solved only at the end of each chunk of m
-    steps and at the grid ``nodes``.  Along the optimal loop ``d/dt
-    Y(T - t) = (A - B B' P(T - t)) Y(T - t)``, so a backward pass over the
-    chunks gives the states from the chunk factors ``Y_i = E^i_21 P_k +
-    E^i_22``:
-
-        x(tau_(k+i)) = Y_i Y_m^-1 x(tau_(k+m)),
-
-    one n x n solve per chunk and one batched product over the power
-    table for all of them, with no time stepping and no (K+1) x n x n
-    array.  The checks take the same exact steps on a shifted chunking of
-    the grid and solve P at its chunk ends alone: chunks of ``size = m
-    2^j`` steps, the most that keep ``size*h*|H|_1 <= 1``, the first cut
-    to ``size // 2``.  Their first and last chunks read the table and the
-    squares of ``E^m``.  The first check takes its whole chunks by the
-    last square; the second by ``exp(H size h)`` itself, so that the
-    rounding of the table, which the loop reads at every chunk end, is
-    not common to all three values.  Single steps (m = 1) have no shifted
-    chunking and ``exp(H h)`` is the loop's own step: the one check
-    there steps by a second rounding of E, the cube of the exponential of
-    a third of a step.  The values are exact, so they agree to rounding
-    unless rounding has swamped P.
-    """
-    p = sys.problem
-    steps, n = grid.size - 1, sys.n
-    ham_h, h_norm, powers = _step_powers(sys.a_mat, sys.b_mat, sys.q_mat, p.horizon, steps)
-    wanted = set(nodes)
-
-    def pick(k, length):
-        return np.array([i for i in range(length - 1) if k + 1 + i in wanted] + [length - 1])
-
-    chunks, sampled = [], {}
-    m = len(powers)
-    for k, p_k, offsets, p_new, xy in _exact_chunks(lambda offsets: powers[offsets],
-                                                    sys.p0_mat, grid,
-                                                    _chunk_ends(m, m, steps), pick):
-        chunks.append((k, offsets[-1] + 1, p_k, xy[-1, n:].copy()))
-        sampled.update((k + 1 + i, v) for i, v in zip(offsets, p_new) if k + 1 + i in wanted)
-    sampled[0] = chunks[0][2]
-    states = np.empty((grid.size, n))
-    x = states[0] = x0
-    starts = np.empty((2 * n, len(chunks)))  # [P_k x; x] at each chunk's node k
-    for j in reversed(range(len(chunks))):
-        k, _, p_k, y_end = chunks[j]
-        x = states[steps - k] = np.linalg.solve(y_end, x)  # the state at node k
-        starts[:n, j], starts[n:, j] = p_k @ x, x
-    # Y_i x_k = [E^i_21, E^i_22] [P_k x; x] for every chunk at once, so the
-    # table is read once
-    inner = powers[:-1, n:] @ starts
-    for j, (k, length, _, _) in enumerate(chunks):
-        top = steps - k  # the grid index of Riccati node k
-        states[top - length + 1:top] = inner[:length - 1, :, j][::-1]
-    if m > 1:
-        squares = [powers[-1]]  # squares[i] = E^(m 2^i)
-    else:  # a second rounding of E: exp(H h / 2) squares to it bit for bit
-        third = _expm(ham_h / 3)
-        squares = [third @ third @ third]
-    size = m
-    while 2 * size <= steps and 2 * size * h_norm <= 1.0:
-        size *= 2
-        squares.append(squares[-1] @ squares[-1])
-
-    def power(j):  # E^j = E^(j mod m) (E^m)^(j div m), 1 <= j <= size
-        factors = [square for i, square in enumerate(squares) if j // m >> i & 1]
-        if j % m:
-            factors.insert(0, powers[j % m - 1])
-        return reduce(np.matmul, factors)
-
-    def check(full):  # P(T) with ``full`` the power of a whole chunk
-        *_, (_, _, _, p_end, _) = _exact_chunks(
-            lambda offsets: (full if offsets[0] + 1 == size else power(offsets[0] + 1))[None],
-            sys.p0_mat, grid, _chunk_ends(size // 2 or size, size, steps),
-            lambda k, length: np.array([length - 1]))
-        return p_end[-1]
-
-    fulls = [squares[-1], _expm(ham_h * size)] if m > 1 else squares
-    return states, p_new[-1], sampled, [check(full) for full in fulls]
-
-
 @dataclass(frozen=True)
 class OracleReport:
     """Gaps between the decoupled synthesis and the matrix-Riccati oracle.
@@ -568,7 +487,7 @@ def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     no gains are synthesized.  The oracle stays independent of the
     decoupling: dense n x n matrices, no eigenfunction.  Its states come
     from the chunk factors of the exact matrix Riccati steps
-    (`_oracle_loop`), and its cost is the value ``x0' P(T) x0 / n``.  The
+    (`riccati._oracle_loop`), and its cost is the value ``x0' P(T) x0 / n``.  The
     P gap is the max-abs difference between the operator ``L_t*(I - sum
     Pi_l) + sum M_l(t)*Pi_l`` (`reconstruct_P`, exact at each time) and the
     oracle's P at up to 21 sampled grid times.
@@ -591,7 +510,7 @@ def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     kind the cost gap has reached 40 times the self-gap
     (tests/test_oracle_certificate.py).  Further on, P also loses the
     nonnegative diagonal of a positive semidefinite matrix, and
-    `_exact_chunks` raises `BlowUpError`.
+    `riccati._exact_steps` raises `BlowUpError`.
     """
     p = sys.problem
     traj = simulate(sys, feedback_controller(p), x0, p.horizon, dt)
@@ -599,7 +518,8 @@ def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     grid = traj.grid
     x0 = np.asarray(x0, dtype=float)
     nodes = range(0, grid.size, max(1, (grid.size - 1) // 20))
-    states, p_end, sampled, checks = _oracle_loop(sys, x0, grid, nodes)
+    states, p_end, sampled, checks = _oracle_loop(sys.a_mat, sys.b_mat, sys.q_mat,
+                                                  sys.p0_mat, x0, grid, nodes)
     j_orc = float(x0 @ p_end @ x0) / sys.n
     scale = abs(j_orc) or 1.0  # a zero optimal cost leaves no scale: absolute gaps
     self_gap = max(abs(float(x0 @ c @ x0) / sys.n - j_orc) for c in checks) / scale

@@ -395,6 +395,31 @@ class TestStudyCommands:
         data = np.genfromtxt(out / "truncation.csv", delimiter=",", skip_header=1)
         assert np.all(data[:, 1] >= data[:, 2] - 1e-8)  # J_trunc >= J_opt
 
+    def test_parser_keeps_no_state_between_calls(self, tmp_path):
+        # one parser serves every call of a process: a flag of one call is
+        # gone in the next, which writes every level
+        path = write_scenario(tmp_path, poly_b=[1.0])
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.main(["truncation-study", path, "--out", str(tmp_path / "one"),
+                         "--levels", "0"]) == 0
+        assert cli.main(["truncation-study", path, "--out", str(tmp_path / "all")]) == 0
+        rows = [(tmp_path / out / "truncation.csv").read_text().splitlines()
+                for out in ("one", "all")]
+        assert [len(r) for r in rows] == [2, 4]
+        assert rows[0][1] == rows[1][1]
+
+    @pytest.mark.parametrize("scale", [3e5, 1e6])
+    def test_exact_step_kernel_runs_at_any_scale(self, tmp_path, scale):
+        # s cos 2 pi (x - y) on 40 cells is exactly rank 2; its decoupling
+        # residual, 2.8e-10 and 5.8e-10 here, is a rounding of s and is held
+        # to 1e-10 times the largest eigenvalue s/2
+        x = (np.arange(40) + 0.5) / 40
+        np.savetxt(tmp_path / "coupling.csv", scale * np.cos(2 * np.pi * (x[:, None] - x)),
+                   delimiter=",", fmt="%.17g")
+        path = write_scenario(tmp_path, n=None, poly_q=[1.0], poly_p0=[1.0],
+                              graphon={"type": "step", "matrix_csv": "coupling.csv"})
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
     def test_oracle_check_zero_optimal_cost(self, tmp_path):
         # zero state and terminal weights: P = 0 and u = 0, so J_oracle = 0 and
         # the gap has no scale

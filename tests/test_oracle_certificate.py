@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphon_lqr as gl
-from graphon_lqr import sim as sim_module
+from graphon_lqr import riccati as riccati_module
 
 from conftest import admissible_poly, input_poly, make_rank_kernel
 
@@ -77,7 +77,8 @@ def test_the_exp_check_sees_what_the_table_check_misses():
     p = sys_.problem
     assert p.beta0 == 0.0 and p.horizon == 10.0
     grid = np.linspace(0.0, p.horizon, round(p.horizon / dt) + 1)
-    _, p_end, _, checks = sim_module._oracle_loop(sys_, x0, grid, [0])
+    _, p_end, _, checks = riccati_module._oracle_loop(
+        sys_.a_mat, sys_.b_mat, sys_.q_mat, sys_.p0_mat, x0, grid, [0])
     j_orc = x0 @ p_end @ x0 / sys_.n
     j_dec = gl.evaluate_cost(gl.simulate(sys_, gl.feedback_controller(p), x0, p.horizon, dt),
                              sys_).total

@@ -22,6 +22,16 @@ def scalar_problem(alpha0, beta0=1.0, q0=1.0, z0=1.0, horizon=1.0):
                          gl.CoeffPoly([z0]), g, horizon)
 
 
+def scaled_cosine(s):
+    """``s cos 2 pi (x - y)`` on 40 cells and the problem of its own
+    decomposition: exactly rank 2 at any scale s, both eigenvalues s/2."""
+    x = (np.arange(40) + 0.5) / 40
+    entries = s * np.cos(2 * np.pi * (x[:, None] - x))
+    kernel = gl.StepGraphon(entries).spectral_decompose()
+    one = gl.CoeffPoly([1.0])
+    return entries, gl.LqrProblem(1.0, one, one, one, kernel, 0.5)
+
+
 class TestBuildStepSystem:
     def test_single_node(self):
         p = scalar_problem(0.7, beta0=1.3)
@@ -59,6 +69,29 @@ class TestBuildStepSystem:
                           gl.CoeffPoly([1.0]), gl.uniform_graphon(), 1.0)
         with pytest.raises(ValueError, match="decoupling residual 2.000e[+]00"):
             gl.build_step_system(np.full((4, 4), 3.0), p)
+
+    @pytest.mark.parametrize("s", [3e5, 1e6])
+    def test_decoupling_bound_scales_with_the_kernel(self, s):
+        # the residual of an exact network is a rounding of its scale, here
+        # above an absolute 1e-10 and below 1e-10 times the largest |lambda|
+        entries, p = scaled_cosine(s)
+        assert 1e-10 < gl.build_step_system(entries, p).residual <= 1e-10 * s / 2
+
+    @pytest.mark.parametrize("s, bound", [(1.0, "1e-10"), (1e6, "5e-05")])
+    def test_moved_pair_rejected_at_any_scale(self, s, bound):
+        # one symmetric pair moved by 1e-6 of the scale leaves a residual of
+        # 3.5e-8 of it, far above the bound at either scale
+        entries, p = scaled_cosine(s)
+        entries[3, 17] = entries[17, 3] = entries[3, 17] + 1e-6 * s
+        with pytest.raises(ValueError, match=f"residual .* exceeds {bound}$"):
+            gl.build_step_system(entries, p)
+
+    def test_decoupling_bound_reads_the_problem_kernel(self):
+        # the bound scales with the problem's kernel, not with the network, so
+        # a network far larger than its kernel does not raise its own bound
+        entries, p = scaled_cosine(1.0)
+        with pytest.raises(ValueError, match="exceeds 1e-10$"):
+            gl.build_step_system(1e6 * entries, p)
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_kernel_samples_beyond_one_accepted(self, n):
@@ -264,7 +297,8 @@ def generic(law):
 def oracle_states(sys_, x0, dt):
     """The exact matrix-Riccati oracle's optimal states on the run's grid."""
     grid = gl.uniform_grid(sys_.problem.horizon, dt)
-    return sim_module._oracle_loop(sys_, np.asarray(x0, dtype=float), grid, [0])[0]
+    return riccati_module._oracle_loop(sys_.a_mat, sys_.b_mat, sys_.q_mat, sys_.p0_mat,
+                                       np.asarray(x0, dtype=float), grid, [0])[0]
 
 
 class TestModalEngine:
@@ -739,6 +773,41 @@ class TestEvaluateCost:
 
 
 class TestOracleCompare:
+    @pytest.mark.parametrize("alpha_t, t_loop, t_path",
+                             [(16, "7.6", "7.568"), (17, "7.65", "7.548"), (20, "7.8", "7.58")])
+    def test_lost_precision_raises_at_the_first_checked_node(self, alpha_t, t_loop, t_path):
+        # beta0 = 0: P grows like exp(2 alpha0 t) along the uncontrollable
+        # residual until rounding gives it a negative diagonal.  The full path
+        # checks every node and raises at the first bad one; the oracle's loop
+        # checks its chunk ends and sampled nodes, and raises at the first of
+        # those, where the path's P fails the same check
+        horizon, steps = alpha_t / 2.0, 500
+        g = gl.sinusoidal_graphon()
+        one = gl.CoeffPoly([1.0])
+        p = gl.LqrProblem(2.0, gl.CoeffPoly([0.0, 1.0]), one, one, g, horizon)
+        sys_ = gl.build_step_system(gl.sample_step_entries(g, 8), p)
+        with pytest.raises(gl.BlowUpError, match=f"not positive semidefinite at t = {t_loop}$"):
+            gl.oracle_compare(sys_, gl.initial_state(8, 0), horizon / steps)
+        with pytest.raises(gl.BlowUpError, match=f"not positive semidefinite at t = {t_path}$"):
+            gl.solve_matrix_riccati(sys_.a_mat, sys_.b_mat, sys_.q_mat, sys_.p0_mat,
+                                    horizon, horizon / steps)
+        # the path's exact steps, chunked as the solver takes them, unchecked
+        _, _, powers = riccati_module._step_powers(sys_.a_mat, sys_.b_mat, sys_.q_mat,
+                                                   horizon, steps)
+        path = [sys_.p0_mat]
+        with np.errstate(all="ignore"):
+            for k in range(0, steps, len(powers)):
+                e = powers[:min(len(powers), steps - k)]
+                xy = e[:, :, :8] @ path[k] + e[:, :, 8:]
+                new = np.linalg.solve(xy[:, 8:].swapaxes(1, 2), xy[:, :8].swapaxes(1, 2))
+                path.extend(0.5 * (new + new.swapaxes(1, 2)))
+        diag = np.diagonal(np.array(path), axis1=1, axis2=2)
+        bad = (diag < -1e-8 * np.abs(diag).max(axis=1, keepdims=True)).any(axis=1)
+        grid = gl.uniform_grid(horizon, horizon / steps)
+        assert f"{grid[np.argmax(bad)]:.6g}" == t_path
+        node = np.argmin(np.abs(grid - float(t_loop)))
+        assert f"{grid[node]:.6g}" == t_loop and bad[node]
+
     def test_single_node_matches_scalar_theory(self):
         p = scalar_problem(0.6, beta0=0.9, q0=0.8, z0=0.5)
         sys_ = gl.build_step_system(np.zeros((1, 1)), p)
@@ -826,7 +895,8 @@ class TestOracleCompare:
             monkeypatch.setattr(module, "solve_matrix_riccati", fail)
         report = gl.oracle_compare(sys_, x0, dt)
         nodes = range(0, 1001, 50)
-        _, p_end, sampled, _ = sim_module._oracle_loop(sys_, x0, grid, nodes)
+        _, p_end, sampled, _ = riccati_module._oracle_loop(
+            sys_.a_mat, sys_.b_mat, sys_.q_mat, sys_.p0_mat, x0, grid, nodes)
         assert np.array_equal(p_end, path[-1])
         for k in nodes:
             assert np.array_equal(sampled[k], path[k])
