@@ -11,9 +11,15 @@ import numpy as np
 
 import graphon_lqr as gl
 
-print("== algebraic roots ==")
+
+def long_time_limit(alpha, beta, q):
+    """The explicit solution from 0 after a long time: the positive algebraic root."""
+    return float(gl.riccati_explicit(alpha, beta, q, 0.0, [50.0])[0])
+
+
+print("== algebraic roots, as long-time limits ==")
 for alpha, beta, q in [(2.0, 1.0, 1.0), (0.0, 1.0, 1.0), (-1.0, 1.0, 0.0)]:
-    s = gl.algebraic_root(alpha, beta, q)
+    s = long_time_limit(alpha, beta, q)
     resid = 2 * alpha * s - beta ** 2 * s ** 2 + q
     print(f"  alpha={alpha:+.1f} beta={beta:.1f} q={q:.1f} -> "
           f"S={s:.10f} (residual {resid:.1e})")
@@ -45,7 +51,7 @@ try:
     for q in (0.25, 0.5, 1.0, 2.0):
         grid = gl.uniform_grid(3.0, 1e-3)
         ax.plot(grid, gl.riccati_explicit(0.5, 1.0, q, 0.0, grid), label=f"q = {q:g}")
-        ax.axhline(gl.algebraic_root(0.5, 1.0, q), ls=":", lw=0.8, color="gray")
+        ax.axhline(long_time_limit(0.5, 1.0, q), ls=":", lw=0.8, color="gray")
     ax.set_xlabel("Riccati time tau")
     ax.set_ylabel("gain")
     ax.set_title("gain curves relax to their algebraic roots")

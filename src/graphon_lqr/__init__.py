@@ -17,7 +17,7 @@ from .integrate import uniform_grid
 from .lqr import (FeedbackLaw, LqrProblem, feedback_controller, ratio_prediction,
                   reconstruct_P, synthesize_gains, truncate_problem)
 from .poly import CoeffPoly, apply_poly_matrix
-from .riccati import algebraic_root, riccati_explicit, riccati_path, solve_matrix_riccati
+from .riccati import riccati_explicit, riccati_path, solve_matrix_riccati
 from .sim import (CostBreakdown, OracleReport, StepSystem, Trajectory,
                   TruncationRow, build_step_system, evaluate_cost, initial_state,
                   oracle_compare, oracle_controller, simulate, truncation_study)
@@ -33,7 +33,7 @@ __all__ = [
     "FeedbackLaw", "LqrProblem", "feedback_controller", "ratio_prediction",
     "reconstruct_P", "synthesize_gains", "truncate_problem",
     "CoeffPoly", "apply_poly_matrix",
-    "algebraic_root", "riccati_explicit", "riccati_path", "solve_matrix_riccati",
+    "riccati_explicit", "riccati_path", "solve_matrix_riccati",
     "CostBreakdown", "OracleReport", "StepSystem", "Trajectory", "TruncationRow",
     "build_step_system", "evaluate_cost", "initial_state", "oracle_compare",
     "oracle_controller", "simulate", "truncation_study",

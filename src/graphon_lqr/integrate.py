@@ -35,7 +35,9 @@ def rk4_step(rhs, t: float, h: float, y: np.ndarray, k1) -> np.ndarray:
     ``k1`` is the first slope ``rhs(t, y)``, passed in so that a caller
     can keep what it computed on the way (the closed loop records the
     control it applies at ``t``).  Raises `BlowUpError` if any entry of
-    the new state is non-finite, naming the end time ``t + h``.
+    the new state is non-finite, naming the end time ``t + h``; both
+    callers step with overflow warnings off (`np.errstate`), so that an
+    overflow anywhere in a step is reported by this check alone.
     """
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)

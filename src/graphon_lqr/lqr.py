@@ -25,7 +25,8 @@ from .integrate import uniform_grid
 from .poly import CoeffPoly, as_poly
 from .riccati import _ExplicitRiccati
 
-# Tolerance for "nonnegative up to rounding" cost-weight checks.
+# Tolerance for "nonnegative up to rounding" cost-weight checks, relative to
+# max(1, the sum of the magnitudes of the polynomial's terms).
 _NEG_TOL = 1e-12
 
 
@@ -33,12 +34,13 @@ _NEG_TOL = 1e-12
 class LqrProblem:
     """Finite-horizon LQR data for a kernel-coupled network.
 
-    ``poly_q`` and ``poly_p0`` must be nonnegative, up to 1e-12, on the
-    stored spectrum and at zero, so every decoupled scalar problem is well
-    posed.  ``mode_params`` is the read-only (d + 1) x 4 table of those
-    problems (drift, input gain, state weight, terminal weight): row 0 is
-    ``(alpha0, beta0, q0, z0)``, row l ``(alpha0 + lam_l, poly_b(lam_l),
-    poly_q(lam_l), poly_p0(lam_l))``, weights clipped at zero in every row.
+    ``poly_q`` and ``poly_p0`` must be nonnegative, up to 1e-12 times
+    ``max(1, sum_k |c_k| |s|^k)``, on the stored spectrum s and at zero,
+    so every decoupled scalar problem is well posed.  ``mode_params`` is
+    the read-only (d + 1) x 4 table of those problems (drift, input gain,
+    state weight, terminal weight): row 0 is ``(alpha0, beta0, q0, z0)``,
+    row l ``(alpha0 + lam_l, poly_b(lam_l), poly_q(lam_l),
+    poly_p0(lam_l))``, weights clipped at zero in every row.
     ``riccati`` is the explicit solution of those rows, set up once:
     ``riccati(tau)`` gives L and M_1..M_d at Riccati time tau, exactly
     (`riccati_explicit`'s arithmetic).
@@ -65,7 +67,8 @@ class LqrProblem:
         weights = []
         for name, poly in (("poly_q", self.poly_q), ("poly_p0", self.poly_p0)):
             vals = np.atleast_1d(poly(spectrum))
-            if np.any(vals < -_NEG_TOL):
+            terms = np.abs(spectrum)[:, None] ** np.arange(poly.degree + 1) @ np.abs(poly.coeffs)
+            if np.any(vals < -_NEG_TOL * np.maximum(1.0, terms)):
                 raise ValueError(
                     f"{name} must be nonnegative on the spectrum; "
                     f"got {vals} at {spectrum}")

@@ -85,9 +85,10 @@ def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
 
     vals = np.empty(grid.shape + z0.shape)
     y = vals[0] = z0
-    for k in range(grid.size - 1):
-        t = grid[k]
-        y = vals[k + 1] = rk4_step(rhs, t, grid[k + 1] - t, y, rhs(t, y))
+    with np.errstate(over="ignore", invalid="ignore"):  # rk4_step reports an overflow
+        for k in range(grid.size - 1):
+            t = grid[k]
+            y = vals[k + 1] = rk4_step(rhs, t, grid[k + 1] - t, y, rhs(t, y))
     return grid, vals
 
 
@@ -101,20 +102,6 @@ def _roots(alpha, beta, q):
     omega = np.hypot(alpha, np.abs(beta) * np.sqrt(q))
     with np.errstate(all="ignore"):
         return np.where(alpha < 0.0, q / (omega - alpha), (alpha + omega) / (beta * beta))
-
-
-def algebraic_root(alpha: float, beta: float, q: float) -> float:
-    """Positive root S of ``2*alpha*S - beta^2*S^2 + q = 0``.
-
-    Accurate to a few ulps relative for either sign of alpha.  The
-    parameters are checked by `_checked_params`, and the input gain must
-    be nonzero.
-    """
-    alpha, beta, q, _ = _checked_params(alpha, beta, q, 0.0)
-    if beta == 0.0:
-        raise ZeroDivisionError(
-            "no algebraic root for beta = 0; use the numeric solver")
-    return float(_roots(alpha, beta, q))
 
 
 def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:

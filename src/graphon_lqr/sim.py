@@ -266,10 +266,11 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     states = np.empty((grid.size, sys.n))
     controls = np.empty_like(states)
     states[0] = x
-    for k in range(grid.size - 1):
-        t = grid[k]
-        u = controls[k] = controller(t, x)
-        x = states[k + 1] = rk4_step(rhs, t, grid[k + 1] - t, x, a @ x + b @ u)
+    with np.errstate(over="ignore", invalid="ignore"):  # rk4_step reports an overflow
+        for k in range(grid.size - 1):
+            t = grid[k]
+            u = controls[k] = controller(t, x)
+            x = states[k + 1] = rk4_step(rhs, t, grid[k + 1] - t, x, a @ x + b @ u)
     controls[-1] = controller(grid[-1], x)
     return Trajectory(grid=grid, states=states, controls=controls)
 
@@ -362,13 +363,13 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     solutions, twice the largest closed-loop rate), closed forms at every
     node and no time stepping.  A closed-loop rate ``alpha - b k(t)`` is
     monotone in time, as the gain is, so the largest one is read at the
-    run's two ends.  The applied gains are the run's law's and the
-    optimal ones ``p.riccati``'s, so no Riccati equation is set up here.
-    An overflowing integral gives an infinite part, with no warning;
-    `evaluate_cost` rejects it.
+    run's two ends.  The applied gains are read from the run's law, the
+    optimal ones and their rates omega from ``p.riccati``, so no Riccati
+    equation is set up here.  An overflowing integral gives an infinite
+    part, with no warning; `evaluate_cost` rejects it.
     """
     p, kept, horizon = run.problem, run.law.problem.d, float(grid[-1])
-    alpha, beta, q, _ = p.mode_params.T
+    alpha, beta = p.mode_params[:, :2].T
     value = p.riccati(horizon)
     skewed = np.arange(p.d + 1) > kept if horizon == p.horizon else np.ones(p.d + 1, bool)
     if not skewed.any():
@@ -376,7 +377,7 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     modes = np.flatnonzero(skewed)
     column = np.where(modes <= kept, modes, 0)  # the law's gain column of each mode
     rates = alpha[skewed] - beta[skewed] * run.law.gains_at(grid[[0, -1]])[:, column]
-    fastest = 2.0 * np.hypot(alpha, np.abs(beta) * np.sqrt(q)).max() + np.abs(rates).max()
+    fastest = 2.0 * p.riccati.rates[0].max() + np.abs(rates).max()
     panels = max(1, int(np.ceil(horizon * fastest)))
     # imported here: the optimal runs that most callers make need no quadrature
     nodes, weights = np.polynomial.legendre.leggauss(8)
@@ -548,7 +549,7 @@ class TruncationRow:
     level: int
     j_truncated: float
     j_optimal: float
-    measured_ratio: np.ndarray   # NaN for kept directions / tiny denominators
+    measured_ratio: np.ndarray   # NaN for kept directions / an optimal growth of 0
     predicted_ratio: np.ndarray  # NaN where the prediction does not apply
 
 
@@ -563,28 +564,29 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int]) -> list[Truncat
     ``beta0 L``, the same at every level that drops it.  So level d costs
     the optimal run's parts of the residual and the kept directions plus
     the level-0 run's parts of the dropped ones (`evaluate_cost`, exact),
-    and its terminal eigen coordinates ``g_l(T)*c_l`` come from the same
-    runs.  Neither output needs the times in between, so each run is on
-    the two-node grid {0, T}: a study takes no time step and builds no
-    array of a time grid's length.  A cost that overflows anywhere in
-    ``[0, T]`` raises `BlowUpError` (`evaluate_cost`).  For each dropped
-    direction the measured terminal ratio ``x_tilde(T)/x_bar(T)`` sits
-    next to its prediction `ratio_prediction` (available when the input
-    polynomial is constant), in closed form from the problem's table of
-    scalar problems.
+    and its terminal growths ``g_l(T)`` come from the same runs.  Neither
+    output needs the times in between, so each run is on the two-node
+    grid {0, T}: a study takes no time step and builds no array of a time
+    grid's length.  A cost that overflows anywhere in ``[0, T]`` raises
+    `BlowUpError` (`evaluate_cost`).  For each dropped direction the
+    measured terminal ratio ``x_tilde_l(T)/x_bar_l(T)`` is the growth ratio
+    ``g_tilde_l(T)/g_bar_l(T)``, as the initial coordinate c_l cancels, so
+    it does not depend on the scale of ``x0`` and is NaN only where the
+    optimal growth underflows to 0.  It sits next to its prediction
+    `ratio_prediction` (available when the input polynomial is constant),
+    in closed form from the problem's table of scalar problems.
     """
     p = sys.problem
     levels = list(levels)
     for level in levels:
         _check_level(p, level)
-    parts, ends = {}, {}
+    parts, growths = {}, {}
     for level in dict.fromkeys((p.d, *(0 for level in levels if level < p.d))):
         law = feedback_controller(truncate_problem(p, level))
         traj = simulate(sys, law, x0, p.horizon, p.horizon)  # the grid {0, T}
         cost = evaluate_cost(traj, sys)
         parts[level] = np.append(cost.aux, cost.eigen)
-        m = traj.modes
-        ends[level] = m.growth[-1, 1:] * m.coords
+        growths[level] = traj.modes.growth[-1, 1:]
     j_opt = float(parts[p.d].sum())
     # predicted only where a level drops a direction (and so ran level 0)
     predictions = (ratio_prediction(p) if p.poly_b.degree == 0 and 0 in parts
@@ -594,8 +596,8 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int]) -> list[Truncat
         dropped = np.arange(p.d) >= level
         j_level = (j_opt if level == p.d else
                    float(np.append(parts[p.d][:level + 1], parts[0][level + 1:]).sum()))
-        measured = np.divide(ends.get(0, ends[p.d]), ends[p.d], out=np.full(p.d, np.nan),
-                             where=dropped & (np.abs(ends[p.d]) > 1e-12))
+        measured = np.divide(growths.get(0, growths[p.d]), growths[p.d],
+                             out=np.full(p.d, np.nan), where=dropped & (growths[p.d] > 0.0))
         rows.append(TruncationRow(
             level=level,
             j_truncated=j_level,

@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 import graphon_lqr as gl
 from graphon_lqr.integrate import uniform_grid
 import graphon_lqr.riccati as riccati_module
-from graphon_lqr.riccati import (algebraic_root, riccati_explicit, riccati_path,
-                                 solve_matrix_riccati)
+from graphon_lqr.riccati import riccati_explicit, riccati_path, solve_matrix_riccati
+
+
+def algebraic_root(alpha, beta, q):
+    """The positive root of ``2*alpha*S - beta^2*S^2 + q`` that the package reads."""
+    return float(riccati_module._roots(alpha, beta, q))
 
 
 class TestGrid:
@@ -35,24 +39,21 @@ class TestRk4:
 
     def test_blow_up_names_step(self):
         # y' = 800 y from 1 (alpha = 400, beta = q = 0) overflows before t = 2
-        with np.errstate(over="ignore"), pytest.raises(gl.BlowUpError, match="step"):
+        with pytest.raises(gl.BlowUpError, match="step"):
             riccati_path(400.0, 0.0, 0.0, 1.0, 2.0, 1e-3)
 
 
 class TestSpecValidation:
-    """Both scalar solvers and `algebraic_root` check their parameters the same way."""
+    """Both scalar solvers check their parameters the same way."""
 
     @staticmethod
-    def solvers(with_root=False):
-        """The solvers, and `algebraic_root`, which reads no z0, if asked."""
+    def solvers():
         grid = uniform_grid(1.0, 1e-2)
-        solvers = (lambda *args: riccati_explicit(*args, grid),
-                   lambda *args: riccati_path(*args, 1.0, 1e-2))
-        root = (lambda *args: algebraic_root(*args[:3]),)
-        return solvers + root if with_root else solvers
+        return (lambda *args: riccati_explicit(*args, grid),
+                lambda *args: riccati_path(*args, 1.0, 1e-2))
 
     def test_negative_q_rejected(self):
-        for solve in self.solvers(with_root=True):
+        for solve in self.solvers():
             with pytest.raises(ValueError, match="parameter q must be >= 0"):
                 solve(0.0, 1.0, -0.1, 0.0)
 
@@ -65,7 +66,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, index, name, value):
         # one bad entry of an array of equations is named; no warning escapes
-        for solve in self.solvers(with_root=name != "z0"):
+        for solve in self.solvers():
             params = [np.array([0.5, 0.5]), 1.0, 1.0, 0.2]
             params[index] = np.array([0.5, value]) if index == 0 else value
             with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
@@ -98,6 +99,8 @@ class TestNumeric:
 
 
 class TestAlgebraicRoot:
+    """`riccati._roots`, which the explicit solution reads for a start at the root."""
+
     def test_reference_value(self):
         s = algebraic_root(2.0, 1.0, 1.0)
         assert s == pytest.approx(2.0 + np.sqrt(5.0), abs=1e-12)
@@ -116,10 +119,6 @@ class TestAlgebraicRoot:
 
     def test_stable_costfree_root_is_zero(self):
         assert algebraic_root(-1.0, 1.0, 0.0) == 0.0
-
-    def test_zero_beta_is_division_error(self):
-        with pytest.raises(ZeroDivisionError):
-            algebraic_root(1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("alpha, beta, q", [(-40.0, 2.0, 1e-8), (-3.0, 1e-3, 2.0),
                                                 (-1.0, 0.5, 1e-12)])

@@ -1,6 +1,7 @@
 """The scripts under `tools/`: `count_code_lines.py`, which measures the line
 budget of `src/`, the `bench_*.py` timers and the tree comparison of
 `compare_artifacts.py`."""
+import json
 import os
 import sys
 from unittest import mock
@@ -15,8 +16,12 @@ import count_code_lines  # noqa: E402
 with mock.patch.dict(os.environ):  # the timers pin BLAS threads for their own runs
     import bench_artifacts  # noqa: E402
     import bench_build  # noqa: E402
+    import bench_common  # noqa: E402
     import bench_law  # noqa: E402
     import bench_oracle  # noqa: E402
+
+import graphon_lqr  # noqa: E402
+from graphon_lqr import cli  # noqa: E402
 
 FIXTURE = '''"""Module docstring,
 over two lines."""
@@ -69,17 +74,81 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
                  "cli.truncation_study"},
      {"d", "steps"})])
 def test_bench_measure_rows(tool, layers, extra, monkeypatch):
+    # this tree on both sides, each row's calls alternating between them
     monkeypatch.setattr(bench_artifacts, "SIZES", (40,))   # no 325 MB trajectory here
+    monkeypatch.setattr(bench_build, "SIZES", (400, 10 ** 4))
     monkeypatch.setattr(bench_oracle, "SIZES", (8, 16, 40, 64))  # no 2 s oracle at n = 256
     monkeypatch.setattr(bench_oracle, "PATH_SIZES", (8,))
-    rows = tool.measure(1)
+    monkeypatch.setattr(bench_common, "MIN_SECONDS", 0.0)
+    package = (graphon_lqr, cli)
+    rows = bench_common.measure(tool.cases, dict.fromkeys(bench_common.SIDES, package), 2)
     assert {row["layer"] for row in rows} == layers
     if tool is bench_oracle:  # the full Riccati path is timed at PATH_SIZES alone
         assert [(row["layer"], row["n"]) for row in rows] == [
             ("riccati.matrix", 8), *(("oracle.compare", n) for n in (8, 16, 40, 64))]
     for row in rows:
-        assert set(row) == {"layer", "n", "median_ms", "q1_ms", "q3_ms", "repeats"} | extra
-        assert row["repeats"] == 1 and row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+        assert set(row) == {"layer", "n", "parent", "change", "ratio", "repeats"} | extra
+        assert row["repeats"] == 2
+        for side in bench_common.SIDES:
+            stats = row[side]
+            assert set(stats) == {"median_ms", "q1_ms", "q3_ms"}
+            assert 0.0 < stats["q1_ms"] <= stats["median_ms"] <= stats["q3_ms"]
+        assert row["ratio"] == round(row["change"]["median_ms"]
+                                     / row["parent"]["median_ms"], 3)
+
+
+def test_bench_sides_must_time_the_same_rows():
+    def cases(gl, _cli):
+        yield {"layer": gl, "n": 1}, lambda: None, None
+
+    with pytest.raises(ValueError, match="different rows"):
+        bench_common.measure(cases, {"parent": ("a", None), "change": ("b", None)}, 1)
+
+
+def test_bench_alternates_the_sides(monkeypatch):
+    # one warm-up call each, then the side that goes first alternates over
+    # an even count
+    monkeypatch.setattr(bench_common, "MIN_SECONDS", 0.0)
+    order = []
+    calls = {side: ((lambda side=side: order.append(side)), None)
+             for side in bench_common.SIDES}
+    count, stats = bench_common.timed(calls, 3)
+    assert count == 4
+    assert order == ["parent", "change", "parent", "change", "change", "parent",
+                     "parent", "change", "change", "parent"]
+    assert set(stats) == set(bench_common.SIDES)
+
+
+def test_bench_repeats_cheap_calls_to_fill_a_minimum_time(monkeypatch):
+    monkeypatch.setattr(bench_common, "MIN_SECONDS", 1e9)
+    monkeypatch.setattr(bench_common, "MAX_REPEATS", 7)
+    calls = dict.fromkeys(bench_common.SIDES, (lambda: None, None))
+    assert bench_common.timed(calls, 3)[0] == 8  # 7, made even
+
+
+def test_bench_main_imports_the_parent_under_a_second_name(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def cases(gl, cli):
+        seen.append((gl.__name__, cli.__name__))
+        yield {"layer": "grid", "n": 3}, gl.uniform_grid, lambda: (1.0, 0.5)
+
+    out = tmp_path / "BENCH_test.json"
+    monkeypatch.setattr(sys, "argv", ["bench", "--parent-src", os.path.dirname(
+        os.path.dirname(graphon_lqr.__file__)), "--repeats", "3", "--out", str(out)])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(bench_common, "MIN_SECONDS", 0.0)
+    try:
+        bench_common.main("A test timer.", cases, "unused.json", "a grid")
+    finally:  # the copy is gone: forget its modules
+        for name in [m for m in sys.modules if m.split(".")[0] == "graphon_lqr_parent"]:
+            del sys.modules[name]
+    assert seen == [("graphon_lqr_parent", "graphon_lqr_parent.cli"),
+                    ("graphon_lqr", "graphon_lqr.cli")]
+    bench = json.loads(out.read_text())
+    assert [row["layer"] for row in bench["rows"]] == ["grid"]
+    assert bench["setup"]["problem"] == "a grid"
+    assert "ratio" in capsys.readouterr().out
 
 
 def write_tree(root, files):

@@ -1,11 +1,9 @@
 """Time the CLI's CSV artifacts and record them in BENCH_artifacts.json.
 
-    python tools/bench_artifacts.py --label change
-    python tools/bench_artifacts.py --label parent --src /path/to/other/checkout/src
+    python tools/bench_artifacts.py --parent-src /path/to/parent/checkout/src
 
-Imports ``graphon_lqr`` from ``--src`` (default: this checkout's
-``src/``) with one BLAS thread.  On the example-vii problem (sinusoidal
-kernel, d = 2, horizon 1, K = 1000 steps) it times three layers:
+On the example-vii problem (sinusoidal kernel, d = 2, horizon 1,
+K = 1000 steps) it times three layers:
 
 * ``cli.trajectory``: `cli.write_trajectory_csv` of the closed-loop run
   at n = 40 (example-vii's own network), 2000 and 8000 cells, that is
@@ -17,12 +15,12 @@ kernel, d = 2, horizon 1, K = 1000 steps) it times three layers:
   to end through `cli.main`: synthesis, run, cost, oracle and artifacts.
 
 Each row gives the cells n, the rank d and the count of numbers written.
-The files go to a temporary directory; rows above n = 1000 are timed at
-most 3 times.  Timing and recording are `bench_common`'s.
+The files go to a temporary directory.  The parent and this checkout are
+timed alternately in one process, with one BLAS thread (`bench_common`).
 """
 from __future__ import annotations
 
-from bench_common import main, timed  # first: it sets one BLAS thread
+from bench_common import main  # first: it sets one BLAS thread
 
 import contextlib
 import dataclasses
@@ -31,48 +29,40 @@ import os
 import tempfile
 
 SIZES = (40, 2000, 8000)
-LARGE = 1000   # cells above which a row is timed at most 3 times
 RANK16 = [{"lambda": 0.9 - 0.05 * k, "fun": fun, "freq": k // 2 + 1}
           for k, fun in enumerate(["cos", "sin"] * 8)]
 
 
-def measure(repeats: int) -> list[dict]:
-    import graphon_lqr as gl
-    from graphon_lqr import cli
-
+def cases(gl, cli):
+    """The rows of the ``graphon_lqr`` package ``gl``: ``(row, fn, prepare)``."""
     vii = cli.preset_example_vii()
     steps = round(vii.horizon / vii.dt)
-    rows = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "artifact.csv")
         for n in SIZES:
             problem, system, x0 = cli.build_experiment(dataclasses.replace(vii, n=n))
-            gains = gl.synthesize_gains(problem, vii.dt)
-            traj = gl.simulate(system, gl.feedback_controller(problem, gains), x0,
-                               vii.horizon, vii.dt)
-            rows.append(dict(layer="cli.trajectory", n=n, d=problem.d,
-                             values=traj.states.size * 2 + traj.grid.size,
-                             **timed(lambda: cli.write_trajectory_csv(path, traj),
-                                     min(repeats, 3) if n > LARGE else repeats)))
+            traj = gl.simulate(system, gl.FeedbackLaw(problem), x0, vii.horizon, vii.dt)
+            yield (dict(layer="cli.trajectory", n=n, d=problem.d,
+                        values=traj.states.size * 2 + traj.grid.size),
+                   lambda: cli.write_trajectory_csv(path, traj), None)
             os.remove(path)
         for graphon in ({"type": "sinusoidal"}, {"type": "finite_rank", "pairs": RANK16}):
             problem, _, _ = cli.build_experiment(dataclasses.replace(vii, graphon=graphon))
             gains = gl.synthesize_gains(problem, vii.dt)
-            # the K + 1 rows of t, L and M_1..M_d, counted from the shapes
-            rows.append(dict(layer="cli.gains", n=vii.n, d=problem.d,
-                             values=(steps + 1) * (problem.d + 2),
-                             **timed(lambda: cli.write_gains_csv(path, gains), repeats)))
+            # the K + 1 rows of t, L and M_1..M_d
+            yield (dict(layer="cli.gains", n=vii.n, d=problem.d,
+                        values=(steps + 1) * (problem.d + 2)),
+                   lambda: cli.write_gains_csv(path, gains), None)
 
         def example_vii():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["example-vii", "--compare-oracle", "--out", tmp]) == 0
 
-        rows.append(dict(layer="cli.example_vii", n=vii.n, d=2,   # trajectory.csv and gains.csv
-                         values=(2 * vii.n + 1 + 2 + 2) * (steps + 1),
-                         **timed(example_vii, repeats)))
-    return rows
+        # the values of trajectory.csv and gains.csv
+        yield (dict(layer="cli.example_vii", n=vii.n, d=2,
+                    values=(2 * vii.n + 1 + 2 + 2) * (steps + 1)), example_vii, None)
 
 
 if __name__ == "__main__":
-    main(__doc__, measure, "BENCH_artifacts.json",
+    main(__doc__, cases, "BENCH_artifacts.json",
          "example-vii (sinusoidal kernel, d = 2, dt = 1e-3); a rank-16 kernel for cli.gains")

@@ -1,11 +1,9 @@
 """Time the feedback law and its consumers and record them in BENCH_law.json.
 
-    python tools/bench_law.py --label change
-    python tools/bench_law.py --label parent --src /path/to/other/checkout/src
+    python tools/bench_law.py --parent-src /path/to/parent/checkout/src
 
-Imports ``graphon_lqr`` from ``--src`` (default: this checkout's
-``src/``) with one BLAS thread.  On the example-vii problem (sinusoidal
-kernel, d = 2, horizon 1, K = 1000 steps) it times five layers:
+On the example-vii problem (sinusoidal kernel, d = 2, horizon 1,
+K = 1000 steps) it times five layers:
 
 * ``law.call``: the law on a vector state of n = 40 cells at each of the
   K + 1 grid times, one call each (a row is K + 1 calls);
@@ -19,13 +17,12 @@ kernel, d = 2, horizon 1, K = 1000 steps) it times five layers:
   example-vii scenario, all levels, end to end through `cli.main`, at
   d = 2 and with the rank-16 kernel.
 
-The law is built as ``feedback_controller(problem, gains)`` with the
-problem's synthesized gains, which every checkout accepts.  Timing and
-recording are `bench_common`'s.
+The law is the problem's `FeedbackLaw`.  The parent and this checkout are
+timed alternately in one process, with one BLAS thread (`bench_common`).
 """
 from __future__ import annotations
 
-from bench_common import main, timed  # first: it sets one BLAS thread
+from bench_common import main  # first: it sets one BLAS thread
 
 import contextlib
 import dataclasses
@@ -37,14 +34,12 @@ import tempfile
 from bench_artifacts import RANK16
 
 
-def measure(repeats: int) -> list[dict]:
-    import graphon_lqr as gl
-    from graphon_lqr import cli
-
+def cases(gl, cli):
+    """The rows of the ``graphon_lqr`` package ``gl``: ``(row, fn, prepare)``."""
     vii = cli.preset_example_vii()
     steps = round(vii.horizon / vii.dt)
     problem, system, x0 = cli.build_experiment(vii)
-    law = gl.feedback_controller(problem, gl.synthesize_gains(problem, vii.dt))
+    law = gl.FeedbackLaw(problem)
     grid = gl.uniform_grid(vii.horizon, vii.dt)
 
     def calls():
@@ -54,23 +49,20 @@ def measure(repeats: int) -> list[dict]:
     def generic_loop():
         gl.simulate(system, lambda t, x: law(t, x), x0, vii.horizon, vii.dt)
 
-    rows = [dict(layer="law.call", n=vii.n, d=problem.d, steps=steps,
-                 **timed(calls, repeats))]
+    yield dict(layer="law.call", n=vii.n, d=problem.d, steps=steps), calls, None
     for graphon in ({"type": "sinusoidal"}, {"type": "finite_rank", "pairs": RANK16}):
         wide, _, _ = cli.build_experiment(dataclasses.replace(vii, graphon=graphon))
-        wide_law = gl.feedback_controller(wide, gl.synthesize_gains(wide, vii.dt))
-        rows.append(dict(layer="law.gains_grid", n=vii.n, d=wide.d, steps=steps,
-                         **timed(lambda: wide_law.gains_at(grid), repeats)))
-    rows.append(dict(layer="sim.generic_loop", n=vii.n, d=problem.d, steps=steps,
-                     **timed(generic_loop, repeats)))
+        wide_law = gl.FeedbackLaw(wide)
+        yield (dict(layer="law.gains_grid", n=vii.n, d=wide.d, steps=steps),
+               lambda: wide_law.gains_at(grid), None)
+    yield dict(layer="sim.generic_loop", n=vii.n, d=problem.d, steps=steps), generic_loop, None
     with tempfile.TemporaryDirectory() as tmp:
 
         def example_vii():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["example-vii", "--compare-oracle", "--out", tmp]) == 0
 
-        rows.append(dict(layer="cli.example_vii", n=vii.n, d=problem.d, steps=steps,
-                         **timed(example_vii, repeats)))
+        yield dict(layer="cli.example_vii", n=vii.n, d=problem.d, steps=steps), example_vii, None
         for d, graphon in ((2, {"type": "sinusoidal"}),
                            (len(RANK16), {"type": "finite_rank", "pairs": RANK16})):
             path = os.path.join(tmp, f"scenario_{d}.json")
@@ -82,12 +74,10 @@ def measure(repeats: int) -> list[dict]:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(["truncation-study", path, "--out", tmp]) == 0
 
-            rows.append(dict(layer="cli.truncation_study", n=vii.n, d=d, steps=steps,
-                             **timed(study, repeats)))
-    return rows
+            yield dict(layer="cli.truncation_study", n=vii.n, d=d, steps=steps), study, None
 
 
 if __name__ == "__main__":
-    main(__doc__, measure, "BENCH_law.json",
+    main(__doc__, cases, "BENCH_law.json",
          "example-vii (sinusoidal kernel, d = 2, dt = 1e-3); a rank-16 kernel for "
          "law.gains_grid and cli.truncation_study")

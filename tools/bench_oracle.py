@@ -1,38 +1,32 @@
 """Time the matrix-Riccati oracle layer by layer and record it in BENCH_oracle.json.
 
-    python tools/bench_oracle.py --label change
-    python tools/bench_oracle.py --label parent --src /path/to/other/checkout/src
+    python tools/bench_oracle.py --parent-src /path/to/parent/checkout/src
 
-Imports ``graphon_lqr`` from ``--src`` (default: this checkout's
-``src/``) with one BLAS thread.  On the example-vii problem sampled at
-n = 8, 16, 40, 64 and 256 cells with K = 1000 steps it times two layers:
+On the example-vii problem sampled at n = 8, 16, 40, 64 and 256 cells
+with K = 1000 steps it times two layers:
 
 * ``riccati.matrix``: `solve_matrix_riccati` on the system's matrices,
   the full (K+1) x n x n path, up to n = 64 (at n = 256 the path alone
   takes 0.5 GB);
 * ``oracle.compare``: the whole `oracle_compare` (the decoupled run and
-  its cost, the oracle's loop, value and, where it has one, its
-  certificate, the P gap; a checkout whose laws read sampled gains
-  synthesizes them here too), which runs on any checkout.
+  its cost, the oracle's loop, value and certificate, the P gap).
 
-Timing and recording are `bench_common`'s.
+The parent and this checkout are timed alternately in one process, with
+one BLAS thread (`bench_common`).
 """
 from __future__ import annotations
 
-from bench_common import main, timed  # first: it sets one BLAS thread
+from bench_common import main  # first: it sets one BLAS thread
 
 SIZES = (8, 16, 40, 64, 256)
 PATH_SIZES = (8, 16, 40, 64)  # the sizes whose full Riccati path is timed
 STEPS = 1000
 
 
-def measure(repeats: int) -> list[dict]:
-    import graphon_lqr as gl
-    from graphon_lqr import cli
-
+def cases(gl, cli):
+    """The rows of the ``graphon_lqr`` package ``gl``: ``(row, fn, prepare)``."""
     problem, _, _ = cli.build_experiment(cli.preset_example_vii())
     dt = problem.horizon / STEPS
-    rows = []
     for n in SIZES:
         system = gl.build_step_system(gl.sample_step_entries(problem.graphon, n), problem)
         x0 = gl.initial_state(n, 1)
@@ -46,10 +40,9 @@ def measure(repeats: int) -> list[dict]:
 
         for layer, fn in (("riccati.matrix", riccati), ("oracle.compare", compare)):
             if layer == "oracle.compare" or n in PATH_SIZES:
-                rows.append(dict(layer=layer, n=n, steps=STEPS, **timed(fn, repeats)))
-    return rows
+                yield dict(layer=layer, n=n, steps=STEPS), fn, None
 
 
 if __name__ == "__main__":
-    main(__doc__, measure, "BENCH_oracle.json",
+    main(__doc__, cases, "BENCH_oracle.json",
          "example-vii (sinusoidal kernel, d = 2), horizon 1")
