@@ -21,12 +21,13 @@ The matrix equation
     dP/dt = A' P + P A - P B B' P + Q,        P(0) = P0,
 
 is the direct verification oracle for the decoupled synthesis.  It is
-solved by the same Hamiltonian linearization in dense n x n form, one
-exact step ``exp(H h)`` per grid step, taken in chunks of m steps from
-one table of powers ``E^1 ... E^m`` (`_step_powers`, `_exact_steps`),
-so the oracle carries no integration error of its own: a gap between
-oracle and synthesis is rounding.  m is as long as the conditioning of
-a chunk and a memory budget for the table allow.  `solve_matrix_riccati`
+solved by the same Hamiltonian linearization in dense n x n form,
+balanced so that its off-diagonal blocks weigh alike, one exact step
+``E = exp(H h)`` per grid step, taken in chunks of m steps (`_forward`,
+`_exact_steps`), so the oracle carries no integration error of its own:
+a gap between oracle and synthesis is rounding.  m is the longest power
+of two that keeps a chunk well conditioned, and every power ``E^j`` comes
+from one rule on the squares of E (`_step_rule`).  `solve_matrix_riccati`
 returns P at every node; the oracle's loop (`_oracle_loop`) solves P at
 chunk ends alone, takes its states from the chunk factors and checks its
 value on a second chunking.  Sampled solutions are ``(grid, values)``
@@ -35,17 +36,11 @@ pairs; nothing here interpolates them.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 from .errors import BlowUpError
 from .integrate import rk4_step, uniform_grid
-
-# Bytes of the table of powers E^1 ... E^m of the matrix Riccati step,
-# (2n)^2 doubles each: it caps m at 64 for n = 64 and, as a floor of 8 powers
-# is kept, leaves m <= 8 from n = 182 on.
-_POWERS_BYTES = 8 * 2 ** 20
 
 
 def _checked_params(alpha, beta, q, z0):
@@ -270,20 +265,18 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return e
 
 
-
-
 def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float):
     """Solve the matrix Riccati equation exactly on a uniform grid.
 
     With ``P = X Y^-1`` the equation is the linear system
     ``[X; Y]' = H [X; Y]``, ``X(0) = P0``, ``Y(0) = I``,
-    ``H = [[A', Q], [B B', -A]]``.  With ``E = exp(H h)`` (`_expm`), a
-    step of h takes P to ``(E11 P + E12)(E21 P + E22)^-1``, exact at any
-    h.  The powers ``E^1 ... E^m`` (`_step_powers`) take the m grid steps
-    of a chunk from its first node at once (`_exact_steps`); m keeps
-    ``m*h*|H|_1 <= 1`` (m >= 1), so that ``Y`` stays well conditioned on
-    stiff problems, and the table within its memory budget.  Each new P
-    is symmetrized, and the next chunk starts from the last.
+    ``H = [[A', Q], [B B', -A]]``, balanced by `_step_rule`.  With
+    ``E = exp(H h)`` (`_expm`), a step of h takes P to
+    ``(E11 P + E12)(E21 P + E22)^-1``, exact at any h.  The steps are
+    taken in chunks of m from each chunk's first node (`_forward`), by the
+    powers ``E^j`` of `_step_rule`; m keeps ``m*h*|H|_1 <= 1`` (m >= 1),
+    so that ``Y`` stays well conditioned on stiff problems.  Each new P is
+    symmetrized, and the next chunk starts from the last.
     ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite.
     Raises `BlowUpError`, naming the earliest time, when a value is not
     finite (the step overflows) or P has lost its precision
@@ -298,52 +291,84 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float)
         if m.ndim != 2 or m.shape != a.shape:
             raise ValueError(f"matrix {name} must be square of shape {a.shape}, got {m.shape}")
     grid = uniform_grid(horizon, dt)
-    steps = grid.size - 1
-    _, _, powers = _step_powers(a, b, q, horizon, steps)
-    vals = np.empty((grid.size,) + p0.shape)
-    vals[0] = 0.5 * (p0 + p0.T)
-    for k in range(0, steps, len(powers)):
-        end = min(k + len(powers), steps)
-        vals[k + 1:end + 1] = _exact_steps(powers[:end - k], vals[k], grid[k + 1:end + 1])[0]
-    return grid, vals
+    solved = _forward(_step_rule(a, b, q, horizon, grid.size - 1), p0, grid, range(grid.size))[1]
+    return grid, np.array([solved[k] for k in range(grid.size)])
 
 
-def _step_powers(a, b, q, horizon: float, steps: int):
-    """The exact step ``E = exp(H h)``, ``h = horizon/steps``, and its powers.
+def _step_rule(a, b, q, horizon: float, steps: int):
+    """The balanced exact step ``E = exp(H h)``, ``h = horizon/steps``, and its powers.
 
-    Returns ``(ham_h, h_norm, powers)``: ``H h`` with ``H =
-    [[A', Q], [B B', -A]]``, its 1-norm, which bounds the conditioning of
-    any chunk of steps, and ``E^1 ... E^m``.  m is the chunk length of
-    `solve_matrix_riccati`: the most steps that keep ``m*h*|H|_1 <= 1``
-    (at least one), no more than ``steps``, and no more powers than fit in
-    ``_POWERS_BYTES``, or 8 where fewer would fit.  The table doubles
-    in batches, ``E^(i + j) = E^i E^j`` for every i <= j at once, so no
-    power is more than ``log2(m)`` products deep.  An overflow gives
-    non-finite entries, which `_exact_steps` reports.
+    X is scaled by s, the power of two nearest ``sqrt(|B B'|_1/|Q|_1)``
+    (1 where either norm is 0): the norms of the off-diagonal blocks of
+    ``H = [[A', s Q], [B B'/s, -A]]`` stay within a factor of 2 of each
+    other at any scale of the cost, (Q, P0) * c with B / sqrt(c), and its P
+    is ``s P``, exact in binary.  Returns ``(s, ham_h, m, power)``: ``H h``,
+    the chunk length m, and ``power(j)``, ``E^j`` for ``1 <= j <= m``.  E is
+    squared while ``2^i*h*|H|_1 <= 1`` and ``2^i <= steps``, and the last
+    square's ``2^i`` is m (at least 1).  Every other power comes from one
+    rule, ``E^j = E^(j - low) E^low`` with low the lowest set bit of j,
+    each power formed once.  An overflow gives non-finite entries, which
+    `_exact_steps` reports.
     """
-    n = a.shape[0]
-    ham_h = np.block([[a.T, q], [b @ b.T, -a]]) * (horizon / steps)
+    bb = b @ b.T
+    bb_norm, q_norm = (np.abs(m).sum(axis=0).max() for m in (bb, q))
+    ratio = bb_norm / q_norm if q_norm > 0.0 else 0.0
+    s = 2.0 ** round(0.5 * math.log2(ratio)) if 0.0 < ratio < math.inf else 1.0
+    ham_h = np.block([[a.T, s * q], [bb / s, -a]]) * (horizon / steps)
     h_norm = np.abs(ham_h).sum(axis=0).max()
-    cap = min(steps, max(8, _POWERS_BYTES // (8 * (2 * n) ** 2)))
-    count = cap if h_norm * cap <= 1.0 else max(1, int(1.0 / h_norm))
     with np.errstate(all="ignore"):  # an overflow is reported by _exact_steps
-        powers = np.empty((count, 2 * n, 2 * n))
-        powers[0] = _expm(ham_h)
-        done = 1
-        while done < count:  # E^(i + done) = E^i E^done, one batch of products
-            more = min(done, count - done)
-            np.matmul(powers[:more], powers[done - 1], out=powers[done:done + more])
-            done += more
-    return ham_h, h_norm, powers
+        cache, m = {1: _expm(ham_h)}, 1
+        while 2 * m <= steps and 2 * m * h_norm <= 1.0:
+            cache[2 * m] = cache[m] @ cache[m]
+            m *= 2
+
+    def power(j):
+        lows = []  # clear the lowest set bits of j down to a power formed before
+        while j not in cache:
+            lows.append(j & -j)
+            j -= lows[-1]
+        with np.errstate(all="ignore"):
+            for low in reversed(lows):
+                cache[j + low] = cache[j] @ cache[low]
+                j += low
+        return cache[j]
+
+    return s, ham_h, m, power
 
 
-def _exact_steps(e: np.ndarray, p: np.ndarray, times: np.ndarray):
+def _forward(rule, p0, grid, nodes):
+    """The exact steps of `_step_rule`'s ``rule`` from ``P(0) = p0`` over ``grid``.
+
+    The steps are taken in chunks of m, each from its first node, and P is
+    solved at the chunk ends and at the Riccati-time indices ``nodes``
+    alone, by the rule's ``E^j`` (`_exact_steps`), so every caller solves
+    the same P bit for bit.  Returns the chunks, ``(k, s P_k, Y_end)``
+    each, with the balanced P at the chunk's first node k and ``Y`` at its
+    end, and a dict of P at node 0, at the chunk ends and at ``nodes``.
+    """
+    s, _, m, power = rule
+    steps, n = grid.size - 1, p0.shape[0]
+    wanted = set(nodes)
+    start = 0.5 * (p0 + p0.T)
+    p_k, chunks, solved = s * start, [], {0: start}
+    for k in range(0, steps, m):
+        end = min(k + m, steps)
+        ends = [i for i in range(k + 1, end) if i in wanted] + [end]
+        new, xy = _exact_steps([power(i - k) for i in ends], p_k, grid[ends])
+        chunks.append((k, p_k, xy[-1, n:].copy()))
+        p_k = new[-1].copy()
+        new /= s
+        solved.update(zip(ends, new))
+    return chunks, solved
+
+
+def _exact_steps(e, p: np.ndarray, times: np.ndarray):
     """Exact steps of the matrix Riccati equation from one P.
 
-    ``e`` stacks step powers ``E^i``, and ``p`` is P at the node they all
-    start from.  ``[X; Y] = E^i [P; I]``, one batched product, and the new
-    P solves ``Y' P = X'``, one batched solve; each new P is symmetrized
-    and, bit for bit, does not depend on the other powers of the stack.
+    ``e`` is a sequence of step powers ``E^i``, and ``p`` is P at the node
+    they all start from.  ``[X; Y] = E^i [P; I]``, one product each, and
+    the new P solves ``Y' P = X'``, one batched solve; each new P is
+    symmetrized and, bit for bit, does not depend on the other powers.
     Returns the new Ps and their ``[X; Y]``.  Raises `BlowUpError` at the
     earliest ``times[i]`` whose P is not finite, else at the earliest whose
     diagonal has an entry below ``-1e-8*max|diag P|``: a positive
@@ -354,7 +379,7 @@ def _exact_steps(e: np.ndarray, p: np.ndarray, times: np.ndarray):
     """
     n = p.shape[0]
     with np.errstate(all="ignore"):  # an overflow is reported below
-        xy = np.matmul(e[:, :, :n], p) + e[:, :, n:]
+        xy = np.array([power[:, :n] @ p + power[:, n:] for power in e])
         # P = X Y^-1 solves Y' P' = X'; P is symmetric
         new = np.linalg.solve(xy[:, n:].swapaxes(1, 2), xy[:, :n].swapaxes(1, 2))
         new = 0.5 * (new + new.swapaxes(1, 2))
@@ -374,80 +399,60 @@ def _oracle_loop(a, b, q, p0, x0: np.ndarray, grid: np.ndarray, nodes):
     """The optimal loop of the matrix Riccati oracle and checks of its end value.
 
     ``a, b, q, p0`` are the dense system's matrices and ``grid`` the
-    run's uniform grid.  Returns its states on ``grid``, P(T), P at
-    ``nodes`` (Riccati-time indices) and 0, and the checks' P(T).  The
-    exact steps of `solve_matrix_riccati` are solved only at the end of
-    each chunk of m steps and at the grid ``nodes``.  Along the optimal
-    loop ``d/dt Y(T - t) = (A - B B' P(T - t)) Y(T - t)``, so a backward
-    pass over the chunks gives the states from the chunk factors ``Y_i =
-    E^i_21 P_k + E^i_22``:
+    run's uniform grid.  Returns its states on ``grid``, P(T), P at 0, at
+    ``nodes`` (Riccati-time indices) and at the chunk ends, and the
+    checks' P(T).  P comes from the forward chain of `solve_matrix_riccati`
+    (`_forward`), solved at the chunk ends and at ``nodes`` alone.  Along
+    the optimal loop ``d/dt Y(T - t) = (A - B B' P(T - t)) Y(T - t)``, so a
+    backward pass over the chunks gives the states from the chunk factors
+    ``Y_i = E^i_21 P_k + E^i_22``:
 
         x(tau_(k+i)) = Y_i Y_m^-1 x(tau_(k+m)),
 
-    one n x n solve per chunk and one batched product over the power
-    table for all of them, with no time stepping and no (K+1) x n x n
-    array.  The checks take the same exact steps on a shifted chunking of
-    the grid and solve P at its chunk ends alone: chunks of ``size = m
-    2^j`` steps, the most that keep ``size*h*|H|_1 <= 1``, the first cut
-    to ``size // 2``.  Their first and last chunks read the table and the
-    squares of ``E^m``.  The first check takes its whole chunks by the
-    last square; the second by ``exp(H size h)`` itself, so that the
-    rounding of the table, which the loop reads at every chunk end, is
-    not common to all three values.  Single steps (m = 1) have no shifted
-    chunking and ``exp(H h)`` is the loop's own step: the one check
-    there steps by a second rounding of E, the cube of the exponential of
-    a third of a step.  The values are exact, so they agree to rounding
-    unless rounding has swamped P.
+    one n x n solve per chunk for the state at each chunk start, and then
+    ``E^i [P_k x; x]`` for every i < m and every chunk at once, doubled
+    with the squares of E (``E^(2^l)`` times blocks ``0 .. 2^l - 1``),
+    log2(m) batched products, with no time stepping and no
+    (K+1) x n x n array.  The checks take the same exact steps on a
+    shifted chunking of the grid, the first chunk cut to ``m // 2``, and
+    solve P at its chunk ends alone, their partial chunks by the rule's
+    ``E^j``.  The first check takes its whole chunks by the last square
+    ``E^m``; the second by ``exp(H m h)`` itself, so that the rounding of
+    the squares, which the loop reads at every chunk end, is not common
+    to all three values.  Single steps (m = 1) have no shifted chunking
+    and ``exp(H h)`` is the loop's own step: the one check there steps by
+    a second rounding of E, the cube of the exponential of a third of a
+    step.  The values are exact, so they agree to rounding unless
+    rounding has swamped P.
     """
     steps, n = grid.size - 1, a.shape[0]
-    ham_h, h_norm, powers = _step_powers(a, b, q, grid[-1], steps)
-    m, wanted = len(powers), set(nodes)
-    p_k = start = 0.5 * (p0 + p0.T)
-    chunks, sampled = [], {0: start}
-    for k in range(0, steps, m):
-        length = min(m, steps - k)
-        offsets = np.array([i for i in range(length - 1) if k + 1 + i in wanted] + [length - 1])
-        new, xy = _exact_steps(powers[offsets], p_k, grid[k + 1 + offsets])
-        chunks.append((k, length, p_k, xy[-1, n:].copy()))
-        sampled.update((k + 1 + i, v) for i, v in zip(offsets, new) if k + 1 + i in wanted)
-        p_k = new[-1]
+    rule = s, ham_h, m, power = _step_rule(a, b, q, grid[-1], steps)
+    chunks, solved = _forward(rule, p0, grid, nodes)
     states = np.empty((grid.size, n))
     x = states[0] = x0
-    starts = np.empty((2 * n, len(chunks)))  # [P_k x; x] at each chunk's node k
+    blocks = np.empty((m, 2 * n, len(chunks)))  # block i: E^i [s P_k x; x] at each node k
     for j in reversed(range(len(chunks))):
-        k, _, p_start, y_end = chunks[j]
+        k, p_start, y_end = chunks[j]
         x = states[steps - k] = np.linalg.solve(y_end, x)  # the state at node k
-        starts[:n, j], starts[n:, j] = p_start @ x, x
-    # Y_i x_k = [E^i_21, E^i_22] [P_k x; x] for every chunk at once, so the
-    # table is read once
-    inner = powers[:-1, n:] @ starts
-    for j, (k, length, _, _) in enumerate(chunks):
+        blocks[0, :n, j], blocks[0, n:, j] = p_start @ x, x
+    for i in range(m.bit_length() - 1):  # block 2^i + l is E^(2^i) times block l
+        np.matmul(power(2 ** i), blocks[:2 ** i], out=blocks[2 ** i:2 ** (i + 1)])
+    for j, (k, _, _) in enumerate(chunks):  # Y_i x_k is the state at node k + i
         top = steps - k  # the grid index of Riccati node k
-        states[top - length + 1:top] = inner[:length - 1, :, j][::-1]
-    if m > 1:
-        squares = [powers[-1]]  # squares[i] = E^(m 2^i)
-    else:  # a second rounding of E: exp(H h / 2) squares to it bit for bit
-        third = _expm(ham_h / 3)
-        squares = [third @ third @ third]
-    size = m
-    while 2 * size <= steps and 2 * size * h_norm <= 1.0:
-        size *= 2
-        squares.append(squares[-1] @ squares[-1])
-
-    def power(j):  # E^j = E^(j mod m) (E^m)^(j div m), 1 <= j <= size
-        factors = [square for i, square in enumerate(squares) if j // m >> i & 1]
-        if j % m:
-            factors.insert(0, powers[j % m - 1])
-        return reduce(np.matmul, factors)
-
-    ends = [*range(size // 2 or size, steps, size), steps]
+        length = min(m, top)
+        states[top - length + 1:top] = blocks[1:length, n:, j][::-1]
+    ends = [*range(m // 2 or m, steps, m), steps]
 
     def check(full):  # P(T) with ``full`` the power of a whole chunk
-        p_end = start
+        p_end = s * solved[0]
         for k, end in zip([0, *ends], ends):
-            e = full if end - k == size else power(end - k)
-            p_end = _exact_steps(e[None], p_end, grid[end:end + 1])[0][0]
-        return p_end
+            e = full if end - k == m else power(end - k)
+            p_end = _exact_steps([e], p_end, grid[end:end + 1])[0][0]
+        return p_end / s
 
-    fulls = [squares[-1], _expm(ham_h * size)] if m > 1 else squares
-    return states, p_k, sampled, [check(full) for full in fulls]
+    if m > 1:
+        fulls = [power(m), _expm(ham_h * m)]
+    else:  # a second rounding of E: exp(H h / 2) squares to it bit for bit
+        third = _expm(ham_h / 3)
+        fulls = [third @ third @ third]
+    return states, solved[steps], solved, [check(full) for full in fulls]

@@ -16,9 +16,9 @@ with T = 10, and 50-400 grid steps.
 The self-gap measures the rounding of the oracle's steps, not that of its
 Hamiltonian, which every pass shares, so the factor is an observation, not
 a bound: over 2000 more draws of this kind the largest factor the floor
-needed was 40, and over 1500 harsher ones (beta0 = 0 in half, T = 10 in
-60% with alpha0 in [0.5, 1.6]) it was 25.  The check that reads the
-oracle's own table alone needed 640 there, in three draws more than 100.
+needed was 18, and over 1500 harsher ones (beta0 = 0 in half, T = 10 in
+60% with alpha0 in [0.5, 1.6]) it was 8.  The check that steps by the
+loop's own ``E^m`` alone needed 53 and 800 there.
 """
 import numpy as np
 import pytest
@@ -69,11 +69,11 @@ def test_an_answer_the_oracle_certifies_is_within_its_self_gap(case):
 
 
 def test_the_exp_check_sees_what_the_table_check_misses():
-    # beta0 = 0, alpha0*T = 10.8, n = 12, K = 183: the oracle's value is off
-    # by 1.5e-7.  The check that reads the loop's own table powers agrees
-    # with it to 7e-11, and only the one whose chunks step by exp(H size h)
-    # sees the error and has the oracle refuse
-    sys_, x0, dt = oracle_problem(2, 12, 288903022)
+    # beta0 = 0, alpha0*T = 14.3, n = 13, K = 207: the oracle's value is off
+    # by 7.3e-8.  The check that steps by the loop's own E^m agrees with it
+    # to 3.2e-9 and alone would let it through; only the one whose chunks
+    # step by exp(H m h) sees the error and has the oracle refuse
+    sys_, x0, dt = oracle_problem(2, 13, 3239564492)
     p = sys_.problem
     assert p.beta0 == 0.0 and p.horizon == 10.0
     grid = np.linspace(0.0, p.horizon, round(p.horizon / dt) + 1)
@@ -83,8 +83,7 @@ def test_the_exp_check_sees_what_the_table_check_misses():
     j_dec = gl.evaluate_cost(gl.simulate(sys_, gl.feedback_controller(p), x0, p.horizon, dt),
                              sys_).total
     gap = abs(j_dec - j_orc) / j_orc
-    table, own = (abs(x0 @ c @ x0 / sys_.n - j_orc) / j_orc for c in checks)
-    assert gap > 1e-8 and gap > SELF_GAP_FACTOR * table + ROUNDING
-    assert own > 1e-8
+    loop, own = (abs(x0 @ c @ x0 / sys_.n - j_orc) / j_orc for c in checks)
+    assert gap > 1e-8 and loop <= 1e-8 < own
     with pytest.raises(gl.NumericError, match="self-gap above 1e-08"):
         gl.oracle_compare(sys_, x0, dt)

@@ -392,19 +392,6 @@ class TestMatrixRiccati:
         np.testing.assert_allclose(path, np.einsum("ij,kj,lj->kil", u, explicit, u),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [64, 256])
-    def test_power_table_keeps_its_memory_budget(self, n):
-        # a zero Hamiltonian allows chunks of any length: the table fills its
-        # budget at n = 64 and keeps the floor of 8 powers at n = 256, which
-        # is more than the budget
-        zero = np.zeros((n, n))
-        _, _, powers = riccati_module._step_powers(zero, zero, zero, 1.0, 1000)
-        if n == 64:
-            assert len(powers) == 64 and powers.nbytes <= riccati_module._POWERS_BYTES
-        else:
-            assert len(powers) == 8
-        np.testing.assert_array_equal(powers, np.broadcast_to(np.eye(2 * n), powers.shape))
-
     @pytest.mark.parametrize("norm", [0.0, 1e-6, 5e-3, 0.3, 0.97, 6.0])
     def test_expm_matches_the_spectral_exponential(self, norm):
         # a small norm takes fewer Taylor terms and keeps the precision
@@ -416,15 +403,30 @@ class TestMatrixRiccati:
                                    rtol=0, atol=1e-14 * np.exp(norm))
 
     def test_chunk_keeps_its_conditioning_and_the_grid(self):
-        # m*h*|H|_1 <= 1 for the longest m, and no power past the last step
-        a, b = np.array([[0.3]]), np.array([[1.5]])
-        ham_norm = 0.3 + 1.5 ** 2  # |H|_1 of [[0.3, 1], [2.25, -0.3]]
-        ham_h, h_norm, powers = riccati_module._step_powers(a, b, np.ones((1, 1)), 1.0, 1000)
-        np.testing.assert_array_equal(ham_h, np.array([[0.3, 1.0], [2.25, -0.3]]) * (1.0 / 1000))
-        assert h_norm == np.abs(ham_h).sum(axis=0).max()
-        assert len(powers) == int(1000 / ham_norm)
+        # m = 2^i, the longest chunk with m*h*|H|_1 <= 1 and m <= K: a zero
+        # Hamiltonian at n = 256 takes chunks of 512 of its 1000 steps, and
+        # of 16 of 20
+        zero = np.zeros((256, 256))
+        s, _, m, power = riccati_module._step_rule(zero, zero, zero, 1.0, 1000)
+        assert s == 1.0 and m == 512
+        np.testing.assert_array_equal(power(512), np.eye(512))
         zero = np.zeros((1, 1))
-        assert len(riccati_module._step_powers(zero, zero, zero, 1.0, 20)[2]) == 20
+        assert riccati_module._step_rule(zero, zero, zero, 1.0, 20)[2] == 16
+        # |B B'|_1 = 2.25 and |Q|_1 = 1: s = 2, the power of two nearest 1.5,
+        # and |H|_1 = 2.3 leaves m = 256 of 1000 steps
+        s, ham_h, m, power = riccati_module._step_rule(
+            np.array([[0.3]]), np.array([[1.5]]), np.ones((1, 1)), 1.0, 1000)
+        assert s == 2.0 and m == 256
+        np.testing.assert_array_equal(ham_h, np.array([[0.3, 2.0], [1.125, -0.3]]) * (1.0 / 1000))
+        # E^j = E^(j - low) E^low, low the lowest set bit of j, each formed once
+        for j in range(1, 257):
+            low = j & -j
+            if j != low:
+                assert np.array_equal(power(j), power(j - low) @ power(low))
+            assert power(j) is power(j)
+        for i in range(8):
+            assert np.array_equal(power(2 ** (i + 1)), power(2 ** i) @ power(2 ** i))
+        np.testing.assert_allclose(power(255), riccati_module._expm(ham_h * 255), rtol=1e-13)
 
     def test_non_finite_step_raises(self):
         # exp(H h) overflows at h*omega = 800

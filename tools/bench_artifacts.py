@@ -15,8 +15,10 @@ K = 1000 steps) it times three layers:
   to end through `cli.main`: synthesis, run, cost, oracle and artifacts.
 
 Each row gives the cells n, the rank d and the count of numbers written.
-The files go to a temporary directory.  The parent and this checkout are
-timed alternately in one process, with one BLAS thread (`bench_common`).
+The CSV rows write to ``os.devnull``, so they time the formatter and the
+write calls, not the disk; ``example-vii`` writes its artifacts to a
+temporary directory.  The parent and this checkout are timed alternately
+in one process, with one BLAS thread (`bench_common`).
 """
 from __future__ import annotations
 
@@ -37,23 +39,20 @@ def cases(gl, cli):
     """The rows of the ``graphon_lqr`` package ``gl``: ``(row, fn, prepare)``."""
     vii = cli.preset_example_vii()
     steps = round(vii.horizon / vii.dt)
+    for n in SIZES:
+        problem, system, x0 = cli.build_experiment(dataclasses.replace(vii, n=n))
+        traj = gl.simulate(system, gl.FeedbackLaw(problem), x0, vii.horizon, vii.dt)
+        yield (dict(layer="cli.trajectory", n=n, d=problem.d,
+                    values=traj.states.size * 2 + traj.grid.size),
+               lambda: cli.write_trajectory_csv(os.devnull, traj), None)
+    for graphon in ({"type": "sinusoidal"}, {"type": "finite_rank", "pairs": RANK16}):
+        problem, _, _ = cli.build_experiment(dataclasses.replace(vii, graphon=graphon))
+        gains = gl.synthesize_gains(problem, vii.dt)
+        # the K + 1 rows of t, L and M_1..M_d
+        yield (dict(layer="cli.gains", n=vii.n, d=problem.d,
+                    values=(steps + 1) * (problem.d + 2)),
+               lambda: cli.write_gains_csv(os.devnull, gains), None)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "artifact.csv")
-        for n in SIZES:
-            problem, system, x0 = cli.build_experiment(dataclasses.replace(vii, n=n))
-            traj = gl.simulate(system, gl.FeedbackLaw(problem), x0, vii.horizon, vii.dt)
-            yield (dict(layer="cli.trajectory", n=n, d=problem.d,
-                        values=traj.states.size * 2 + traj.grid.size),
-                   lambda: cli.write_trajectory_csv(path, traj), None)
-            os.remove(path)
-        for graphon in ({"type": "sinusoidal"}, {"type": "finite_rank", "pairs": RANK16}):
-            problem, _, _ = cli.build_experiment(dataclasses.replace(vii, graphon=graphon))
-            gains = gl.synthesize_gains(problem, vii.dt)
-            # the K + 1 rows of t, L and M_1..M_d
-            yield (dict(layer="cli.gains", n=vii.n, d=problem.d,
-                        values=(steps + 1) * (problem.d + 2)),
-                   lambda: cli.write_gains_csv(path, gains), None)
-
         def example_vii():
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["example-vii", "--compare-oracle", "--out", tmp]) == 0
