@@ -205,8 +205,10 @@ def build_experiment(scn: Scenario, base_dir: str = "."):
                 f"{g.n}x{g.n} coupling matrix")
         network, kernel = g, g.spectral_decompose()
     else:
-        if scn.n is None or scn.n < 1:
+        if scn.n is None:
             raise ValueError("scenario field 'n': required for analytic graphons")
+        if scn.n < 1:
+            raise ValueError(f"scenario field 'n': must be >= 1, got {scn.n}")
         network, kernel = sample_step_entries(g, scn.n), g
     problem = LqrProblem(scn.alpha0, CoeffPoly(scn.poly_b), CoeffPoly(scn.poly_q),
                          CoeffPoly(scn.poly_p0), kernel, scn.horizon)

@@ -26,12 +26,13 @@ balanced so that its off-diagonal blocks weigh alike, one exact step
 ``E = exp(H h)`` per grid step, taken in chunks of m steps (`_forward`,
 `_exact_steps`), so the oracle carries no integration error of its own:
 a gap between oracle and synthesis is rounding.  m is the longest power
-of two that keeps a chunk well conditioned, and every power ``E^j`` comes
-from one rule on the squares of E (`_step_rule`).  `solve_matrix_riccati`
+of two that keeps a chunk well conditioned, and a chunk reaches
+``E^j [P; I]`` from its first P by the squares ``E^(2^i)`` of j's set
+bits, lowest first (`_step_rule`, `_power_times`).  `solve_matrix_riccati`
 returns P at every node; the oracle's loop (`_oracle_loop`) solves P at
-chunk ends alone, takes its states from the chunk factors and checks its
-value on a second chunking.  Sampled solutions are ``(grid, values)``
-pairs; nothing here interpolates them.
+chunk ends alone, takes its states from the chunk factors by the same
+squares and checks its value on a second chunking.  Sampled solutions
+are ``(grid, values)`` pairs; nothing here interpolates them.
 """
 from __future__ import annotations
 
@@ -274,7 +275,7 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float)
     ``E = exp(H h)`` (`_expm`), a step of h takes P to
     ``(E11 P + E12)(E21 P + E22)^-1``, exact at any h.  The steps are
     taken in chunks of m from each chunk's first node (`_forward`), by the
-    powers ``E^j`` of `_step_rule`; m keeps ``m*h*|H|_1 <= 1`` (m >= 1),
+    squares of E (`_step_rule`); m keeps ``m*h*|H|_1 <= 1`` (m >= 1),
     so that ``Y`` stays well conditioned on stiff problems.  Each new P is
     symmetrized, and the next chunk starts from the last.
     ``q_mat`` and ``p0_mat`` must be symmetric positive semidefinite.
@@ -296,19 +297,17 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float)
 
 
 def _step_rule(a, b, q, horizon: float, steps: int):
-    """The balanced exact step ``E = exp(H h)``, ``h = horizon/steps``, and its powers.
+    """The balanced exact step ``E = exp(H h)``, ``h = horizon/steps``, and its squares.
 
     X is scaled by s, the power of two nearest ``sqrt(|B B'|_1/|Q|_1)``
     (1 where either norm is 0): the norms of the off-diagonal blocks of
     ``H = [[A', s Q], [B B'/s, -A]]`` stay within a factor of 2 of each
     other at any scale of the cost, (Q, P0) * c with B / sqrt(c), and its P
-    is ``s P``, exact in binary.  Returns ``(s, ham_h, m, power)``: ``H h``,
-    the chunk length m, and ``power(j)``, ``E^j`` for ``1 <= j <= m``.  E is
-    squared while ``2^i*h*|H|_1 <= 1`` and ``2^i <= steps``, and the last
-    square's ``2^i`` is m (at least 1).  Every other power comes from one
-    rule, ``E^j = E^(j - low) E^low`` with low the lowest set bit of j,
-    each power formed once.  An overflow gives non-finite entries, which
-    `_exact_steps` reports.
+    is ``s P``, exact in binary.  Returns ``(s, ham_h, squares)``: ``H h``
+    and ``E^(2^i)`` for ``i = 0 .. L``.  E is squared while
+    ``2^i*h*|H|_1 <= 1`` and ``2^i <= steps``, and ``m = 2^L``, the last
+    square's, is the chunk length (at least 1).  An overflow gives
+    non-finite entries, which `_exact_steps` reports.
     """
     bb = b @ b.T
     bb_norm, q_norm = (np.abs(m).sum(axis=0).max() for m in (bb, q))
@@ -317,23 +316,23 @@ def _step_rule(a, b, q, horizon: float, steps: int):
     ham_h = np.block([[a.T, s * q], [bb / s, -a]]) * (horizon / steps)
     h_norm = np.abs(ham_h).sum(axis=0).max()
     with np.errstate(all="ignore"):  # an overflow is reported by _exact_steps
-        cache, m = {1: _expm(ham_h)}, 1
-        while 2 * m <= steps and 2 * m * h_norm <= 1.0:
-            cache[2 * m] = cache[m] @ cache[m]
-            m *= 2
+        squares = [_expm(ham_h)]
+        while 2 ** len(squares) <= steps and 2 ** len(squares) * h_norm <= 1.0:
+            squares.append(squares[-1] @ squares[-1])
+    return s, ham_h, squares
 
-    def power(j):
-        lows = []  # clear the lowest set bits of j down to a power formed before
-        while j not in cache:
-            lows.append(j & -j)
-            j -= lows[-1]
-        with np.errstate(all="ignore"):
-            for low in reversed(lows):
-                cache[j + low] = cache[j] @ cache[low]
-                j += low
-        return cache[j]
 
-    return s, ham_h, m, power
+def _power_times(squares, j, memo):
+    """``E^j v`` from ``memo[0] = v``, by the squares of j's set bits, lowest first.
+
+    ``E^j v = E^(2^i) E^(j - 2^i) v`` with ``2^i`` the highest set bit of
+    j, so ``E^j v`` is the same product chain, bit for bit, whatever else
+    ``memo`` holds; each product is formed once and kept in ``memo``.
+    """
+    if j not in memo:
+        top = j.bit_length() - 1
+        memo[j] = squares[top] @ _power_times(squares, j - 2 ** top, memo)
+    return memo[j]
 
 
 def _forward(rule, p0, grid, nodes):
@@ -341,20 +340,24 @@ def _forward(rule, p0, grid, nodes):
 
     The steps are taken in chunks of m, each from its first node, and P is
     solved at the chunk ends and at the Riccati-time indices ``nodes``
-    alone, by the rule's ``E^j`` (`_exact_steps`), so every caller solves
-    the same P bit for bit.  Returns the chunks, ``(k, s P_k, Y_end)``
-    each, with the balanced P at the chunk's first node k and ``Y`` at its
-    end, and a dict of P at node 0, at the chunk ends and at ``nodes``.
+    alone, from ``E^j [s P_k; I]`` (`_power_times`, its products kept for
+    the chunk alone; `_exact_steps`), so every caller solves the same P bit
+    for bit.  Returns the chunks, ``(k, s P_k, Y_end)`` each, with the
+    balanced P at the chunk's first node k and ``Y`` at its end, and a
+    dict of P at node 0, at the chunk ends and at ``nodes``.
     """
-    s, _, m, power = rule
-    steps, n = grid.size - 1, p0.shape[0]
+    s, _, squares = rule
+    m, steps, n = 2 ** (len(squares) - 1), grid.size - 1, p0.shape[0]
     wanted = set(nodes)
     start = 0.5 * (p0 + p0.T)
     p_k, chunks, solved = s * start, [], {0: start}
     for k in range(0, steps, m):
         end = min(k + m, steps)
-        ends = [i for i in range(k + 1, end) if i in wanted] + [end]
-        new, xy = _exact_steps([power(i - k) for i in ends], p_k, grid[ends])
+        ends = [*sorted(wanted.intersection(range(k + 1, end))), end]
+        memo = {0: np.vstack([p_k, np.eye(n)])}
+        with np.errstate(all="ignore"):  # an overflow is reported by _exact_steps
+            xy = np.array([_power_times(squares, i - k, memo) for i in ends])
+        new = _exact_steps(xy, grid[ends])
         chunks.append((k, p_k, xy[-1, n:].copy()))
         p_k = new[-1].copy()
         new /= s
@@ -362,24 +365,22 @@ def _forward(rule, p0, grid, nodes):
     return chunks, solved
 
 
-def _exact_steps(e, p: np.ndarray, times: np.ndarray):
-    """Exact steps of the matrix Riccati equation from one P.
+def _exact_steps(xy: np.ndarray, times: np.ndarray):
+    """Ps of exact steps of the matrix Riccati equation, solved and checked.
 
-    ``e`` is a sequence of step powers ``E^i``, and ``p`` is P at the node
-    they all start from.  ``[X; Y] = E^i [P; I]``, one product each, and
-    the new P solves ``Y' P = X'``, one batched solve; each new P is
-    symmetrized and, bit for bit, does not depend on the other powers.
-    Returns the new Ps and their ``[X; Y]``.  Raises `BlowUpError` at the
-    earliest ``times[i]`` whose P is not finite, else at the earliest whose
+    ``xy`` is a stack of ``[X; Y] = E^i [P; I]``, 2n x n each, one per
+    step power.  Each new P solves ``Y' P = X'``, one batched solve, and
+    is symmetrized; bit for bit it does not depend on the other blocks.
+    Returns the new Ps.  Raises `BlowUpError` at the earliest
+    ``times[i]`` whose P is not finite, else at the earliest whose
     diagonal has an entry below ``-1e-8*max|diag P|``: a positive
     semidefinite P has a nonnegative diagonal, so such a P has lost its
     precision (as when P grows like ``exp(2 alpha t)`` along a direction
     the input cannot reach, and the rounding of ``E21`` times that block
     swamps ``Y``).
     """
-    n = p.shape[0]
+    n = xy.shape[2]
     with np.errstate(all="ignore"):  # an overflow is reported below
-        xy = np.array([power[:, :n] @ p + power[:, n:] for power in e])
         # P = X Y^-1 solves Y' P' = X'; P is symmetric
         new = np.linalg.solve(xy[:, n:].swapaxes(1, 2), xy[:, :n].swapaxes(1, 2))
         new = 0.5 * (new + new.swapaxes(1, 2))
@@ -392,7 +393,7 @@ def _exact_steps(e, p: np.ndarray, times: np.ndarray):
     if bad.any():
         raise BlowUpError("matrix Riccati solution is not positive semidefinite "
                           f"at t = {times[np.argmax(bad)]:.6g}")
-    return new, xy
+    return new
 
 
 def _oracle_loop(a, b, q, p0, x0: np.ndarray, grid: np.ndarray, nodes):
@@ -400,9 +401,9 @@ def _oracle_loop(a, b, q, p0, x0: np.ndarray, grid: np.ndarray, nodes):
 
     ``a, b, q, p0`` are the dense system's matrices and ``grid`` the
     run's uniform grid.  Returns its states on ``grid``, P(T), P at 0, at
-    ``nodes`` (Riccati-time indices) and at the chunk ends, and the
-    checks' P(T).  P comes from the forward chain of `solve_matrix_riccati`
-    (`_forward`), solved at the chunk ends and at ``nodes`` alone.  Along
+    ``nodes`` (Riccati-time indices), at ``m // 2`` and at the chunk ends,
+    and the checks' P(T).  P comes from the forward chain of
+    `solve_matrix_riccati` (`_forward`), solved at those nodes alone.  Along
     the optimal loop ``d/dt Y(T - t) = (A - B B' P(T - t)) Y(T - t)``, so a
     backward pass over the chunks gives the states from the chunk factors
     ``Y_i = E^i_21 P_k + E^i_22``:
@@ -411,23 +412,24 @@ def _oracle_loop(a, b, q, p0, x0: np.ndarray, grid: np.ndarray, nodes):
 
     one n x n solve per chunk for the state at each chunk start, and then
     ``E^i [P_k x; x]`` for every i < m and every chunk at once, doubled
-    with the squares of E (``E^(2^l)`` times blocks ``0 .. 2^l - 1``),
-    log2(m) batched products, with no time stepping and no
-    (K+1) x n x n array.  The checks take the same exact steps on a
-    shifted chunking of the grid, the first chunk cut to ``m // 2``, and
-    solve P at its chunk ends alone, their partial chunks by the rule's
-    ``E^j``.  The first check takes its whole chunks by the last square
-    ``E^m``; the second by ``exp(H m h)`` itself, so that the rounding of
-    the squares, which the loop reads at every chunk end, is not common
-    to all three values.  Single steps (m = 1) have no shifted chunking
-    and ``exp(H h)`` is the loop's own step: the one check there steps by
-    a second rounding of E, the cube of the exponential of a third of a
-    step.  The values are exact, so they agree to rounding unless
-    rounding has swamped P.
+    with the squares of E (``E^(2^l)`` times blocks ``0 .. 2^l - 1``, the
+    order in which `_power_times` applies them), log2(m) batched
+    products, with no time stepping and no (K+1) x n x n array.  The
+    checks run the forward chain again from P at node ``m // 2``, so that
+    the same exact steps are chunked half a chunk later, and solve P at
+    its chunk ends alone.  The first check takes its whole chunks by the
+    last square ``E^m``; the second by ``exp(H m h)`` itself, so that the
+    rounding of the squares, which the loop reads at every chunk end, is
+    not common to all three values.  Single steps (m = 1) have no shifted
+    chunking and ``exp(H h)`` is the loop's own step: the one check there
+    steps by a second rounding of E, the cube of the exponential of a
+    third of a step.  The values are exact, so they agree to rounding
+    unless rounding has swamped P.
     """
     steps, n = grid.size - 1, a.shape[0]
-    rule = s, ham_h, m, power = _step_rule(a, b, q, grid[-1], steps)
-    chunks, solved = _forward(rule, p0, grid, nodes)
+    rule = s, ham_h, squares = _step_rule(a, b, q, grid[-1], steps)
+    m = 2 ** (len(squares) - 1)
+    chunks, solved = _forward(rule, p0, grid, [*nodes, m // 2])
     states = np.empty((grid.size, n))
     x = states[0] = x0
     blocks = np.empty((m, 2 * n, len(chunks)))  # block i: E^i [s P_k x; x] at each node k
@@ -435,23 +437,19 @@ def _oracle_loop(a, b, q, p0, x0: np.ndarray, grid: np.ndarray, nodes):
         k, p_start, y_end = chunks[j]
         x = states[steps - k] = np.linalg.solve(y_end, x)  # the state at node k
         blocks[0, :n, j], blocks[0, n:, j] = p_start @ x, x
-    for i in range(m.bit_length() - 1):  # block 2^i + l is E^(2^i) times block l
-        np.matmul(power(2 ** i), blocks[:2 ** i], out=blocks[2 ** i:2 ** (i + 1)])
+    for i, square in enumerate(squares[:-1]):  # block 2^i + l is E^(2^i) times block l
+        np.matmul(square, blocks[:2 ** i], out=blocks[2 ** i:2 ** (i + 1)])
     for j, (k, _, _) in enumerate(chunks):  # Y_i x_k is the state at node k + i
         top = steps - k  # the grid index of Riccati node k
         length = min(m, top)
         states[top - length + 1:top] = blocks[1:length, n:, j][::-1]
-    ends = [*range(m // 2 or m, steps, m), steps]
 
-    def check(full):  # P(T) with ``full`` the power of a whole chunk
-        p_end = s * solved[0]
-        for k, end in zip([0, *ends], ends):
-            e = full if end - k == m else power(end - k)
-            p_end = _exact_steps([e], p_end, grid[end:end + 1])[0][0]
-        return p_end / s
+    def check(full):  # P(T) from node m/2 on, with ``full`` the power of a whole chunk
+        shifted = _forward((s, ham_h, [*squares[:-1], full]), solved[m // 2], grid[m // 2:], ())
+        return shifted[1][steps - m // 2]
 
     if m > 1:
-        fulls = [power(m), _expm(ham_h * m)]
+        fulls = [squares[-1], _expm(ham_h * m)]
     else:  # a second rounding of E: exp(H h / 2) squares to it bit for bit
         third = _expm(ham_h / 3)
         fulls = [third @ third @ third]

@@ -503,13 +503,13 @@ def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
     rounding of about ``eps*|P|`` that the step multiplies by P once
     more.  On the sinusoidal kernel at n = 8 with alpha0 = 2, poly_b =
     [0, 1] and K = 500, alpha0*T = 10 reads a cost gap of 1.8e-9 and a
-    self-gap of 2.4e-10, and alpha0*T = 11 to 14 are refused (self-gaps
-    1.1e-8 to 5.9e-4 against cost gaps 2.1e-8 to 4.2e-5; at 12 the check
-    that steps by the loop's own ``E^m`` alone would have read 2.0e-9).
-    The self-gap does not see the rounding of H itself, which all passes
-    share, so an answer can be off by more than it says: over random
-    problems of that kind the cost gap has reached 18 times the
-    self-gap (tests/test_oracle_certificate.py).  Further on, from
+    self-gap of 2.8e-10, 11 a cost gap of 2.1e-8 and a self-gap of
+    8.7e-9, and alpha0*T = 12 to 14 are refused (self-gaps 5.8e-8 to
+    9.4e-4 against cost gaps 4.7e-8 to 4.2e-5).  The self-gap does not
+    see the rounding of H itself, which all passes share, so an answer
+    can be off by more than it says: over random problems of that kind
+    the cost gap has reached 18 times the self-gap
+    (tests/test_oracle_certificate.py).  Further on, from
     alpha0*T = 15 there, P also loses the nonnegative diagonal of a
     positive semidefinite matrix, and `riccati._exact_steps` raises
     `BlowUpError`.

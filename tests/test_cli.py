@@ -151,6 +151,12 @@ class TestScenarioParsing:
         assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
         assert "scenario field 'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_n_names_its_value(self, tmp_path, capsys, n):
+        path = write_scenario(tmp_path, n=n)
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert f"scenario field 'n': must be >= 1, got {n}" in capsys.readouterr().err
+
     def test_horizon_flag_resets_a_step_it_does_not_exceed(self, tmp_path):
         path = write_scenario(tmp_path, horizon=0.5, dt=5e-3)
         out = tmp_path / "short"
@@ -551,11 +557,12 @@ class TestStudyCommands:
         else:
             assert out == "" and "not positive semidefinite" in err
 
-    @pytest.mark.parametrize("alpha_t", [13, 14])
+    @pytest.mark.parametrize("alpha_t", [12, 13, 14])
     def test_oracle_refuses_an_answer_it_cannot_certify(self, tmp_path, capsys, alpha_t):
         # the same problem below the negative diagonal: the oracle's value was
-        # off by 1.3e-6 and 3.9e-4 with exit 0; on a second chunking of its
-        # exact steps it now disagrees with itself by more than 1e-8
+        # off by 1.3e-6 and 3.9e-4 with exit 0 at 13 and 14, and is off by
+        # 4.7e-8 at 12; on a second chunking of its exact steps it now
+        # disagrees with itself by more than 1e-8
         horizon = alpha_t / 2.0
         path = write_scenario(tmp_path, alpha0=2.0, poly_b=[0.0, 1.0], poly_q=[1.0],
                               poly_p0=[1.0], horizon=horizon, dt=horizon / 500, n=8,

@@ -17,8 +17,8 @@ The self-gap measures the rounding of the oracle's steps, not that of its
 Hamiltonian, which every pass shares, so the factor is an observation, not
 a bound: over 2000 more draws of this kind the largest factor the floor
 needed was 18, and over 1500 harsher ones (beta0 = 0 in half, T = 10 in
-60% with alpha0 in [0.5, 1.6]) it was 8.  The check that steps by the
-loop's own ``E^m`` alone needed 53 and 800 there.
+60% with alpha0 in [0.5, 1.6]) it was 11.  The check that steps by the
+loop's own ``E^m`` alone needed 222 and 286 there.
 """
 import numpy as np
 import pytest
@@ -69,11 +69,11 @@ def test_an_answer_the_oracle_certifies_is_within_its_self_gap(case):
 
 
 def test_the_exp_check_sees_what_the_table_check_misses():
-    # beta0 = 0, alpha0*T = 14.3, n = 13, K = 207: the oracle's value is off
-    # by 7.3e-8.  The check that steps by the loop's own E^m agrees with it
-    # to 3.2e-9 and alone would let it through; only the one whose chunks
-    # step by exp(H m h) sees the error and has the oracle refuse
-    sys_, x0, dt = oracle_problem(2, 13, 3239564492)
+    # beta0 = 0, alpha0*T = 11.1, n = 20, K = 280: the oracle's value is off
+    # by 4.7e-8.  The check that steps by the loop's own E^m agrees with it
+    # to 3.9e-9 and alone would let it through; only the one whose chunks
+    # step by exp(H m h) sees the error (1.8e-8) and has the oracle refuse
+    sys_, x0, dt = oracle_problem(3, 20, 481548267)
     p = sys_.problem
     assert p.beta0 == 0.0 and p.horizon == 10.0
     grid = np.linspace(0.0, p.horizon, round(p.horizon / dt) + 1)

@@ -407,26 +407,43 @@ class TestMatrixRiccati:
         # Hamiltonian at n = 256 takes chunks of 512 of its 1000 steps, and
         # of 16 of 20
         zero = np.zeros((256, 256))
-        s, _, m, power = riccati_module._step_rule(zero, zero, zero, 1.0, 1000)
-        assert s == 1.0 and m == 512
-        np.testing.assert_array_equal(power(512), np.eye(512))
+        s, _, squares = riccati_module._step_rule(zero, zero, zero, 1.0, 1000)
+        assert s == 1.0 and len(squares) == 10  # m = 2^9 = 512
+        np.testing.assert_array_equal(squares[-1], np.eye(512))
         zero = np.zeros((1, 1))
-        assert riccati_module._step_rule(zero, zero, zero, 1.0, 20)[2] == 16
+        assert len(riccati_module._step_rule(zero, zero, zero, 1.0, 20)[2]) == 5  # m = 16
         # |B B'|_1 = 2.25 and |Q|_1 = 1: s = 2, the power of two nearest 1.5,
         # and |H|_1 = 2.3 leaves m = 256 of 1000 steps
-        s, ham_h, m, power = riccati_module._step_rule(
+        s, ham_h, squares = riccati_module._step_rule(
             np.array([[0.3]]), np.array([[1.5]]), np.ones((1, 1)), 1.0, 1000)
-        assert s == 2.0 and m == 256
+        assert s == 2.0 and len(squares) == 9
         np.testing.assert_array_equal(ham_h, np.array([[0.3, 2.0], [1.125, -0.3]]) * (1.0 / 1000))
-        # E^j = E^(j - low) E^low, low the lowest set bit of j, each formed once
-        for j in range(1, 257):
-            low = j & -j
-            if j != low:
-                assert np.array_equal(power(j), power(j - low) @ power(low))
-            assert power(j) is power(j)
         for i in range(8):
-            assert np.array_equal(power(2 ** (i + 1)), power(2 ** i) @ power(2 ** i))
-        np.testing.assert_allclose(power(255), riccati_module._expm(ham_h * 255), rtol=1e-13)
+            assert np.array_equal(squares[i + 1], squares[i] @ squares[i])
+        # E^j b is the squares of j's set bits applied to b lowest first, bit
+        # for bit, whatever order the chunk asks for them in, and each
+        # product is formed once per chunk
+        products = []
+
+        class Counted:
+            def __init__(self, e):
+                self.e = e
+
+            def __matmul__(self, v):
+                products.append(self)
+                return self.e @ v
+
+        b = np.array([[0.7], [1.0]])
+        memo = {0: b}
+        counted = [Counted(e) for e in squares]
+        for j in [255, *range(1, 257)]:
+            v = b
+            for i, square in enumerate(squares):
+                if j >> i & 1:
+                    v = square @ v
+            assert np.array_equal(riccati_module._power_times(counted, j, memo), v)
+        assert len(products) == 256 and sorted(memo) == list(range(257))
+        np.testing.assert_allclose(memo[255], riccati_module._expm(ham_h * 255) @ b, rtol=1e-13)
 
     def test_non_finite_step_raises(self):
         # exp(H h) overflows at h*omega = 800

@@ -793,13 +793,21 @@ class TestOracleCompare:
                                     horizon, horizon / steps)
         # the path's exact steps, chunked as the solver takes them, unchecked;
         # the balanced P is s P, which the relative check does not see
-        s, _, m, power = riccati_module._step_rule(sys_.a_mat, sys_.b_mat, sys_.q_mat,
-                                                   horizon, steps)
+        s, _, squares = riccati_module._step_rule(sys_.a_mat, sys_.b_mat, sys_.q_mat,
+                                                  horizon, steps)
+        m = 2 ** (len(squares) - 1)
+
+        def power_times(j, v):  # E^j v, the squares of j's set bits lowest first
+            for i, square in enumerate(squares):
+                if j >> i & 1:
+                    v = square @ v
+            return v
+
         path = [s * sys_.p0_mat]
         with np.errstate(all="ignore"):
             for k in range(0, steps, m):
-                e = np.stack([power(i) for i in range(1, min(m, steps - k) + 1)])
-                xy = e[:, :, :8] @ path[k] + e[:, :, 8:]
+                start = np.vstack([path[k], np.eye(8)])
+                xy = np.array([power_times(i, start) for i in range(1, min(m, steps - k) + 1)])
                 new = np.linalg.solve(xy[:, 8:].swapaxes(1, 2), xy[:, :8].swapaxes(1, 2))
                 path.extend(0.5 * (new + new.swapaxes(1, 2)))
         diag = np.diagonal(np.array(path), axis1=1, axis2=2)
