@@ -115,7 +115,7 @@ class FiniteRankGraphon:
             isinstance(p.fun, StepFunction) for p in self.pairs) else None
         self._cells: dict[int, np.ndarray] = {}
         lams = self.lambdas
-        if np.any(np.abs(lams[1:]) > np.abs(lams[:-1]) + 1e-12):
+        if np.any(np.abs(lams[1:]) > np.abs(lams[:-1]) * (1.0 + 1e-12)):
             raise ValueError(
                 f"eigenvalues must be ordered by non-increasing magnitude, got {lams}")
         if self.rank:
@@ -298,8 +298,8 @@ class StepGraphon:
         """Eigendecompose the kernel operator into a `FiniteRankGraphon`.
 
         Operator eigenvalues are ``eig(entries) / n``; eigenvalues with
-        |lam| <= ``1e-10 * n * max(1, max|a_ij|)`` are dropped, separating
-        the numerically-zero spectrum of rank-deficient matrices.
+        |lam| <= ``1e-10 * n * max|a_ij|`` are dropped: the numerically-zero
+        spectrum of a rank-deficient matrix, at any scale of the coupling.
         Eigenfunctions are step functions with cell values ``sqrt(n) * v``
         for unit eigenvectors v, so their L2 norm on [0, 1] is one; the
         first nonzero cell value is made positive.
@@ -311,7 +311,7 @@ class StepGraphon:
             raise NumericError(
                 f"eigendecomposition of the {n}x{n} coupling matrix failed: {exc}") from exc
         lams = w / n
-        keep = np.abs(lams) > 1e-10 * n * np.max(np.abs(self.entries), initial=1.0)
+        keep = np.abs(lams) > 1e-10 * n * np.max(np.abs(self.entries), initial=0.0)
         lams, vecs = lams[keep], vecs[:, keep]
         order = np.lexsort((-lams, -np.abs(lams)))
         pairs = []

@@ -169,7 +169,7 @@ class FeedbackLaw:
         horizon = self.problem.horizon
         # a NaN time fails both comparisons; `~` would turn a Python bool into an
         # int, where `np.logical_not` gives an np.bool_ with `.any()`
-        outside = np.logical_not((0.0 <= t) & (t <= horizon + 1e-12))
+        outside = np.logical_not((0.0 <= t) & (t <= horizon * (1.0 + 1e-12)))
         if outside.any():
             raise ValueError(f"time {np.extract(outside, t)[0]} outside the "
                              f"horizon [0, {horizon}]")

@@ -88,18 +88,6 @@ def riccati_path(alpha, beta, q, z0, horizon: float, dt: float):
     return grid, vals
 
 
-def _roots(alpha, beta, q):
-    """Positive roots of ``2*alpha*S - beta^2*S^2 + q`` (array arithmetic).
-
-    ``S = (alpha + omega)/beta^2`` with ``omega = sqrt(alpha^2 + q*beta^2)``;
-    for alpha < 0 that sum cancels, so the equal ``q/(omega - alpha)`` is
-    used there.  Where beta = 0 and alpha >= 0 there is no root (inf/nan).
-    """
-    omega = np.hypot(alpha, np.abs(beta) * np.sqrt(q))
-    with np.errstate(all="ignore"):
-        return np.where(alpha < 0.0, q / (omega - alpha), (alpha + omega) / (beta * beta))
-
-
 def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:
     """Explicit solution of one or many scalar Riccati equations on a grid.
 
@@ -118,9 +106,8 @@ def riccati_explicit(alpha, beta, q, z0, grid) -> np.ndarray:
     limit omega -> 0) and ``g+- = (omega +- alpha)/(2 omega)``.  The
     smaller of g+- is formed as ``r^2/(2 omega (omega + |alpha|))``,
     r = |beta| sqrt(q), so no term cancels: every one is nonnegative and
-    bounded, and Pi keeps full relative precision.  t = 0 returns z0 and
-    a start at the positive algebraic root returns the root, both exactly.
-    It is `_ExplicitRiccati`'s setup and one evaluation.
+    bounded, and Pi keeps full relative precision.  t = 0 returns z0
+    exactly.  It is `_ExplicitRiccati`'s setup and one evaluation.
 
     Raises `BlowUpError` when a value overflows (Y underflows to zero
     while X does not).
@@ -132,15 +119,15 @@ class _ExplicitRiccati:
     """`riccati_explicit` set up once for its equations, evaluated at any times.
 
     The setup checks the parameters (`_checked_params`) and forms the
-    time-independent factors ``rates = (omega, g+, g-)`` and the test for
-    a start at the positive root; calling the object with times of any
-    shape returns the solutions there, shape ``times.shape +
-    param_shape``, by `riccati_explicit`'s arithmetic.  `scaled`, `log_y`
-    and `gain_integral` evaluate the factors, ``ln Y`` and ``integral Pi``
-    from the same setup, broadcasting times against the parameters.
+    time-independent factors ``rates = (omega, g+, g-)``; calling the
+    object with times of any shape returns the solutions there, shape
+    ``times.shape + param_shape``, by `riccati_explicit`'s arithmetic.
+    `scaled`, `log_y` and `gain_integral` evaluate the factors, ``ln Y``
+    and ``integral Pi`` from the same setup, broadcasting times against
+    the parameters.
     """
 
-    __slots__ = ("params", "rates", "_fixed")
+    __slots__ = ("params", "rates")
 
     def __init__(self, alpha, beta, q, z0):
         self.params = alpha, beta, q, z0 = _checked_params(alpha, beta, q, z0)
@@ -151,7 +138,6 @@ class _ExplicitRiccati:
             small = np.where(omega > 0.0, r * (r / (omega + a)) / (2.0 * omega), 0.5)
         self.rates = (omega, np.where(alpha >= 0.0, big, small),
                       np.where(alpha >= 0.0, small, big))
-        self._fixed = z0 == _roots(alpha, beta, q)
 
     def scaled(self, t):
         """``(X_hat, Y_hat, omega)`` at times ``t``, broadcast against the
@@ -171,7 +157,7 @@ class _ExplicitRiccati:
             vals = num / den
         # z0 = q = 0 stays at zero also where Y underflows
         vals = np.where(num == 0.0, 0.0, vals)
-        vals = np.where((t == 0.0) | self._fixed, z0, vals)
+        vals = np.where(t == 0.0, z0, vals)
         bad = ~np.isfinite(vals)
         if bad.any():
             k = int(np.argmax(bad.reshape(times.size, -1).any(axis=1)))

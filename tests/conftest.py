@@ -42,6 +42,20 @@ def input_poly(rng, degree):
     return gl.CoeffPoly(c)
 
 
+def algebraic_root(alpha, beta, q):
+    """Positive root of ``2*alpha*S - beta^2*S^2 + q``, the rest point of the
+    scalar Riccati equation (array arithmetic).
+
+    ``S = (alpha + omega)/beta^2`` with ``omega = sqrt(alpha^2 + q*beta^2)``;
+    for alpha < 0 that sum cancels, so the equal ``q/(omega - alpha)`` is
+    used there.  Where beta = 0 and alpha >= 0 there is no root (inf/nan).
+    """
+    alpha, beta, q = (np.asarray(v, dtype=float) for v in (alpha, beta, q))
+    omega = np.hypot(alpha, np.abs(beta) * np.sqrt(q))
+    with np.errstate(all="ignore"):
+        return np.where(alpha < 0.0, q / (omega - alpha), (alpha + omega) / (beta * beta))
+
+
 def sinusoidal_problem(horizon=1.0, poly_b=(1.0, 0.5)):
     """The rank-2 sinusoidal-kernel showcase problem."""
     return gl.LqrProblem(2.0, gl.CoeffPoly(list(poly_b)),

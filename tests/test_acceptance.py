@@ -11,9 +11,9 @@ from graphon_lqr import cli
 from graphon_lqr.graphon import midpoint_grid
 from graphon_lqr.lqr import feedback_controller, synthesize_gains
 from graphon_lqr.poly import apply_poly_matrix
-from graphon_lqr.riccati import _roots, riccati_explicit, riccati_path
+from graphon_lqr.riccati import riccati_explicit, riccati_path
 
-from conftest import admissible_poly, make_rank_kernel, sinusoidal_problem
+from conftest import admissible_poly, algebraic_root, make_rank_kernel, sinusoidal_problem
 
 
 def report(num, name, detail):
@@ -77,7 +77,7 @@ def test_criterion_3_closed_form_sweep():
         beta = rng.uniform(0.2, 2.0)
         q = rng.uniform(0.0, 2.0)
         z0 = rng.uniform(0.0, 2.0)
-        if abs(z0 - _roots(alpha, beta, q)) < 1e-6:
+        if abs(z0 - algebraic_root(alpha, beta, q)) < 1e-6:
             continue
         alphas.append(alpha)
         betas.append(beta)

@@ -114,10 +114,11 @@ class TestSpectralDecompose:
             lead = vals[np.abs(vals) > 1e-10][0]
             assert lead > 0.0
 
-    # scales 1e-3 and 1e2 put the largest |entry| far below and above 1
+    # scales 1e-3 and 1e2 put the largest |entry| far below and above 1; at
+    # 1e-12 a cut at an absolute level would drop the whole spectrum
     @pytest.mark.parametrize("seed,n,scale", [(0, 3, 1.0), (1, 5, 1.0), (2, 8, 1.0),
-                                              (3, 6, 1e-3), (4, 7, 1e2)],
-                             ids=["0-3", "1-5", "2-8", "3-6-1e-3", "4-7-1e2"])
+                                              (3, 6, 1e-3), (4, 7, 1e2), (5, 6, 1e-12)],
+                             ids=["0-3", "1-5", "2-8", "3-6-1e-3", "4-7-1e2", "5-6-1e-12"])
     def test_decomposition_invariants(self, seed, n, scale):
         rng = np.random.default_rng(seed)
         a = rng.uniform(-1, 1, (n, n))
@@ -322,13 +323,17 @@ class TestValidation:
             gl.FiniteRankGraphon([gl.EigenPair(0.5, f), gl.EigenPair(0.4, f)])
 
     def test_eigenvalue_ordering_enforced(self):
+        # the order is checked relative to the eigenvalues' own scale
         root2 = np.sqrt(2.0)
-        pairs = [
-            gl.EigenPair(0.2, lambda x: root2 * np.sin(2 * np.pi * np.asarray(x, float))),
-            gl.EigenPair(0.5, lambda x: root2 * np.cos(2 * np.pi * np.asarray(x, float))),
-        ]
-        with pytest.raises(ValueError, match="non-increasing"):
-            gl.FiniteRankGraphon(pairs)
+        for scale in (1.0, 1e-13):
+            pairs = [
+                gl.EigenPair(0.2 * scale,
+                             lambda x: root2 * np.sin(2 * np.pi * np.asarray(x, float))),
+                gl.EigenPair(0.5 * scale,
+                             lambda x: root2 * np.cos(2 * np.pi * np.asarray(x, float))),
+            ]
+            with pytest.raises(ValueError, match="non-increasing"):
+                gl.FiniteRankGraphon(pairs)
 
 
 class TestFromSpec:

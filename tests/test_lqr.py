@@ -288,6 +288,10 @@ class TestControlLaws:
         for t in (1.5, -0.1):
             with pytest.raises(ValueError, match="horizon"):
                 law(t, np.zeros(40))
+        # the horizon's slack is relative: 50 T is outside a horizon of 1e-14
+        short = FeedbackLaw(sinusoidal_problem(horizon=1e-14))
+        with pytest.raises(ValueError, match="horizon"):
+            short(5e-13, np.zeros(40))
 
     def test_gains_at_names_first_time_outside_horizon(self, law):
         with pytest.raises(ValueError, match="time 1.25 outside"):

@@ -8,10 +8,7 @@ from graphon_lqr.integrate import uniform_grid
 import graphon_lqr.riccati as riccati_module
 from graphon_lqr.riccati import riccati_explicit, riccati_path, solve_matrix_riccati
 
-
-def algebraic_root(alpha, beta, q):
-    """The positive root of ``2*alpha*S - beta^2*S^2 + q`` that the package reads."""
-    return float(riccati_module._roots(alpha, beta, q))
+from conftest import algebraic_root
 
 
 class TestGrid:
@@ -99,7 +96,8 @@ class TestNumeric:
 
 
 class TestAlgebraicRoot:
-    """`riccati._roots`, which the explicit solution reads for a start at the root."""
+    """`conftest.algebraic_root`, the rest point that root starts and the
+    acceptance sweep's skip rule read."""
 
     def test_reference_value(self):
         s = algebraic_root(2.0, 1.0, 1.0)
@@ -129,12 +127,6 @@ class TestAlgebraicRoot:
 
 
 class TestClosedForm:
-    def test_equilibrium_start_is_constant(self):
-        s = algebraic_root(1.0, 1.0, 2.0)
-        grid = uniform_grid(1.0, 1e-3)
-        np.testing.assert_array_equal(riccati_explicit(1.0, 1.0, 2.0, s, grid),
-                                      np.full_like(grid, s))
-
     def test_tanh_case(self):
         grid = uniform_grid(1.0, 1e-3)
         np.testing.assert_allclose(riccati_explicit(0.0, 1.0, 1.0, 0.0, grid),
