@@ -28,18 +28,18 @@ _TIE = 2.0 ** -30      # a fraction this close to 1/2 is left to Python's exact 
 _SPLIT = 134217729.0   # 2**27 + 1, Veltkamp's splitting constant
 
 # A value's text is the masked bytes of a row of 13 little-endian words:
-#   "?-0." "000d" dddd*4 "???." ffff*4 "??e+" "xxxs"
+#   "?-0." "000d" dddd*4 "???." dddd*4 "??e+" "xxxs"
 # byte 1 the sign, bytes 2-6 "0.000" before a fixed value below 1 (its
 # zeros are those of "000d", the word of the first digit), bytes 7-23 the
-# 17 digits of D, byte 27 the point, bytes 28-43 the digits after the
-# point (f), bytes 46-50 the exponent and byte 51 the separator (s).
+# 17 digits of D, byte 27 the point, bytes 28-43 the last 16 digits of D
+# again, of which those after the point show (from byte 27 + the count of
+# digits before it), bytes 46-50 the exponent and byte 51 the separator (s).
 # Which bytes show depends on the layout and the sign only, so a row of
 # `_masks()` holds them.
 _WIDTH = 52
 _WORD = np.dtype("<u4")
 _X_MIN, _X_MAX = -4, 16   # decimal exponents written in fixed notation
 _LAYOUTS = _X_MAX - _X_MIN + 3   # each fixed exponent, then scientific with 2 or 3 exponent digits
-_POW10 = 10 ** np.arange(17, dtype=np.int64)
 
 
 def _split(v):
@@ -68,7 +68,7 @@ def _masks():
     show |= (byte >= 2) & (byte < 2 + lead[:, None])
     show |= (byte >= 7) & (byte < 7 + whole[:, None])
     show |= (byte == 27) & (after[:, None] > 0)
-    show |= (byte >= 28) & (byte < 28 + after[:, None])
+    show |= (byte >= 27 + whole[:, None]) & (byte < 27 + (whole + after)[:, None])
     show |= ((byte == 46) | (byte == 47)) & (power[:, None] > 0)
     show |= (byte >= 51 - power[:, None]) & (byte < 51)
     show |= byte == 51
@@ -148,9 +148,6 @@ def _format(values, seps):
     first = digits // 10 ** 16
     rest = digits - first * 10 ** 16
     groups = _groups(rest)
-    point = np.where(fixed & (x > 0), x, 0)   # digits before the point, less one
-    cut = _POW10[16 - point]
-    frac = _groups((rest - rest // cut * cut) * _POW10[point])
     zeros = zeros4[groups[3]] + (groups[3] == 0) * (zeros4[groups[2]] + (groups[2] == 0) * (
         zeros4[groups[1]] + (groups[1] == 0) * zeros4[groups[0]]))
     power = np.abs(x)
@@ -162,8 +159,7 @@ def _format(values, seps):
     words[:, 0] = _word(b"?-0.")
     words[:, 1] = ascii4[first]
     for k in range(4):
-        words[:, 2 + k] = ascii4[groups[k]]
-        words[:, 7 + k] = ascii4[frac[k]]
+        words[:, 2 + k] = words[:, 7 + k] = ascii4[groups[k]]
     words[:, 6] = _word(b"???.")
     words[:, 11] = np.where(x < 0, _word(b"??e-"), _word(b"??e+"))
     words[:, 12] = ascii4[power] >> 8 | seps.astype(np.uint32) << 24

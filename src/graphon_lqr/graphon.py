@@ -30,6 +30,8 @@ from .errors import NumericError
 # Midpoint quadrature nodes for inner products of analytic eigenfunctions.
 _QUAD_NODES = 4096
 
+_ROOT2 = np.sqrt(2.0)
+
 # Nodes per axis for kernel L2 distances.
 _DISTANCE_NODES = 1024
 
@@ -85,8 +87,8 @@ class StepFunction:
 class EigenPair:
     """One spectral summand: eigenvalue and unit-L2-norm eigenfunction.
 
-    ``fun`` is either an analytic closure on [0, 1] or a `StepFunction`;
-    zero eigenvalues are never stored.
+    ``fun`` is a callable on [0, 1], an analytic eigenfunction of a named
+    kernel or a `StepFunction`; zero eigenvalues are never stored.
     """
 
     lam: float
@@ -105,7 +107,11 @@ class FiniteRankGraphon:
     pairs : sequence of EigenPair
         Ordered by non-increasing |eigenvalue|, with eigenfunctions
         L2-orthonormal on [0, 1]; both are checked here, the
-        orthonormality on `quadrature_grid`.
+        orthonormality by the Gram matrix on `quadrature_grid`.  Pairs
+        whose eigenfunctions are all analytic (the sin, cos and const of
+        `graphon_from_spec`) have it in closed form (`_midpoint_gram`), so
+        construction evaluates none of them; the values of any other
+        eigenfunctions are evaluated there and kept in the cell table.
     """
 
     def __init__(self, pairs: Sequence[EigenPair]):
@@ -119,8 +125,13 @@ class FiniteRankGraphon:
             raise ValueError(
                 f"eigenvalues must be ordered by non-increasing magnitude, got {lams}")
         if self.rank:
-            f = self.cells(self.quadrature_grid().size)
-            if not np.allclose(f @ f.T / f.shape[1], np.eye(self.rank), atol=1e-8):
+            funs = [p.fun for p in self.pairs]
+            if all(isinstance(f, _AnalyticEigfun) for f in funs):
+                gram = _midpoint_gram(funs)
+            else:
+                f = self.cells(self.quadrature_grid().size)
+                gram = f @ f.T / f.shape[1]
+            if not np.allclose(gram, np.eye(self.rank), atol=1e-8):
                 raise ValueError("eigenfunctions are not L2-orthonormal on [0, 1]")
 
     # -- basic structure ------------------------------------------------
@@ -332,13 +343,13 @@ class StepGraphon:
 
 def sinusoidal_graphon() -> FiniteRankGraphon:
     """The kernel cos(2*pi*(x - y)): two eigenpairs with eigenvalue 1/2."""
-    return FiniteRankGraphon([EigenPair(0.5, _analytic_eigfun("sin", 1.0)),
-                              EigenPair(0.5, _analytic_eigfun("cos", 1.0))])
+    return FiniteRankGraphon([EigenPair(0.5, _AnalyticEigfun("sin", 1.0)),
+                              EigenPair(0.5, _AnalyticEigfun("cos", 1.0))])
 
 
 def uniform_graphon() -> FiniteRankGraphon:
     """The all-ones kernel: one eigenpair, eigenvalue 1, flat eigenfunction."""
-    return FiniteRankGraphon([EigenPair(1.0, _analytic_eigfun("const", 1.0))])
+    return FiniteRankGraphon([EigenPair(1.0, _AnalyticEigfun("const", 1.0))])
 
 
 def sample_step_entries(g: FiniteRankGraphon, n: int) -> StepGraphon:
@@ -367,16 +378,60 @@ def l2_distance(g1, g2) -> float:
     return float(np.sqrt(np.mean(diff ** 2)))
 
 
-def _analytic_eigfun(kind: str, freq: float) -> Callable:
-    """The unit-L2 eigenfunction sqrt(2)*sin, sqrt(2)*cos or 1 of a kernel's pair."""
-    root2 = np.sqrt(2.0)
-    if kind == "sin":
-        return lambda x: root2 * np.sin(2.0 * np.pi * freq * np.asarray(x, float))
-    if kind == "cos":
-        return lambda x: root2 * np.cos(2.0 * np.pi * freq * np.asarray(x, float))
-    if kind == "const":
-        return lambda x: np.ones_like(np.asarray(x, dtype=float))
-    raise ValueError(f"graphon field 'fun' must be one of sin|cos|const, got {kind!r}")
+class _AnalyticEigfun:
+    """The unit-L2 eigenfunction sqrt(2)*sin(2*pi*freq*x), sqrt(2)*cos(2*pi*freq*x)
+    or 1 of a kernel's pair.
+
+    It keeps its ``kind`` and ``freq``, so that a kernel of such pairs checks
+    its orthonormality in closed form (`_midpoint_gram`), and it compares by
+    identity, as a closure does.
+    """
+
+    __slots__ = ("kind", "freq")
+
+    def __init__(self, kind: str, freq: float):
+        if kind not in ("sin", "cos", "const"):
+            raise ValueError(
+                f"graphon field 'fun' must be one of sin|cos|const, got {kind!r}")
+        self.kind, self.freq = kind, freq
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        if self.kind == "const":
+            return np.ones_like(x)
+        trig = np.sin if self.kind == "sin" else np.cos
+        return _ROOT2 * trig(2.0 * np.pi * self.freq * x)
+
+
+def _midpoint_gram(funs) -> np.ndarray:
+    """``F F'/m`` of analytic eigenfunctions on the m = `_QUAD_NODES` midpoints,
+    in closed form: no eigenfunction is evaluated.
+
+    On ``x_k = (k + 1/2)/m`` the geometric sums give ``mean cos(2 pi a x) =
+    sin(2 pi a)/(2 m sin(pi a/m))`` and ``mean sin(2 pi a x) = sin(pi a)^2/(m
+    sin(pi a/m))``, 1 and 0 where ``sin(pi a/m) = 0``.  They are read at
+    ``a = j m + r`` with |r| <= m/2 as (-1)^j times the means at r, so that
+    the zero is met exactly.  The mean of a product of two eigenfunctions is
+    a sum of these at the difference and the sum of their frequencies; 1 is
+    cos at frequency 0 with amplitude 1, not sqrt(2).
+    """
+    m = _QUAD_NODES
+    freq = np.array([0.0 if f.kind == "const" else f.freq for f in funs])
+    half_amp = np.array([_ROOT2 / 2.0 if f.kind == "const" else 1.0 for f in funs])  # amp/sqrt(2)
+    sign = np.array([[-1.0 if f.kind == "sin" else 1.0] for f in funs])  # +1: cos or 1
+    a = np.stack([freq[:, None] - freq, freq[:, None] + freq])
+    turns = np.round(a / m)
+    r = a - turns * m
+    den = m * np.sin(np.pi * r / m)
+    flat = den == 0.0
+    den[flat] = 1.0
+    parity = 1.0 - 2.0 * (turns % 2.0)
+    cos_d, cos_s = parity * np.where(flat, 1.0, np.sin(2.0 * np.pi * r) / (2.0 * den))
+    sin_d, sin_s = parity * np.sin(np.pi * r) ** 2 / den
+    # amp_i amp_j / 2 times C(d) +- C(s) for cos cos and sin sin, S(s) -+ S(d)
+    # for sin cos and cos sin
+    return (np.where(sign == sign.T, cos_d + sign * cos_s, sin_s - sign * sin_d)
+            * half_amp[:, None] * half_amp)
 
 
 def json_number(value) -> float:
@@ -456,6 +511,6 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
                 except ValueError as exc:
                     raise ValueError(f"graphon field 'pairs': '{name}' {exc}") from None
             lam, freq = numbers
-            pairs.append(EigenPair(lam, _analytic_eigfun(item["fun"], freq)))
+            pairs.append(EigenPair(lam, _AnalyticEigfun(item["fun"], freq)))
         return FiniteRankGraphon(pairs)
     raise ValueError(f"graphon field 'type': unknown kind {kind!r}")

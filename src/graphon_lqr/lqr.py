@@ -26,7 +26,8 @@ from .poly import CoeffPoly, as_poly
 from .riccati import _ExplicitRiccati
 
 # Tolerance for "nonnegative up to rounding" cost-weight checks, relative to
-# max(1, the sum of the magnitudes of the polynomial's terms).
+# the sum of the magnitudes of the polynomial's terms: a weight that no
+# cancellation rounded, a constant among them, must be nonnegative as it is.
 _NEG_TOL = 1e-12
 
 
@@ -68,7 +69,7 @@ class LqrProblem:
         for name, poly in (("poly_q", self.poly_q), ("poly_p0", self.poly_p0)):
             vals = np.atleast_1d(poly(spectrum))
             terms = np.abs(spectrum)[:, None] ** np.arange(poly.degree + 1) @ np.abs(poly.coeffs)
-            if np.any(vals < -_NEG_TOL * np.maximum(1.0, terms)):
+            if np.any(vals < -_NEG_TOL * terms):
                 raise ValueError(
                     f"{name} must be nonnegative on the spectrum; "
                     f"got {vals} at {spectrum}")

@@ -190,15 +190,18 @@ class _ExplicitRiccati:
         so the integral ``ln(1 + beta^2 W)/beta^2`` is ``W log1p(x)/x`` with
         ``x = beta^2 W``: every term is nonnegative and none cancels, for
         every beta, zero included.  Where ``x > 1`` it is
-        ``(ln Y + alpha t)/beta^2`` (`log_y`), which cannot overflow.
+        ``(ln Y + alpha t)/beta^2`` (`log_y`), which cannot overflow.  A term
+        of zero weight q or z0 is zero, also where its factor overflows, so
+        an integral beyond the float range is inf, never 0*inf = NaN.
         """
         alpha, beta, q, z0 = self.params
         omega, g_plus, g_minus, s, _ = _time_parts(self.rates, t)
         b2 = beta * beta
         with np.errstate(all="ignore"):  # overflowing W and unused branches
             up = (alpha + omega) * t
-            w = (q * t * t * (g_plus * _phi2(up) + g_minus * _phi2((alpha - omega) * t))
-                 + z0 * s * np.exp(up))
+            q_part = q * t * t * (g_plus * _phi2(up) + g_minus * _phi2((alpha - omega) * t))
+            w = (np.where(q == 0.0, 0.0, q_part)
+                 + np.where(z0 == 0.0, 0.0, z0 * s * np.exp(up)))
             x = np.where(b2 > 0.0, b2 * w, 0.0)
             ratio = np.where(x > 0.0, np.log1p(x) / x, 1.0)
             return np.where(x <= 1.0, w * ratio, (self.log_y(t) + alpha * t) / b2)

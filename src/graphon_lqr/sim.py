@@ -36,42 +36,45 @@ from .lqr import (FeedbackLaw, LqrProblem, _check_level, feedback_controller,
 from .poly import apply_poly_matrix
 from .riccati import _oracle_loop, solve_matrix_riccati
 
-# Largest decoupling residual of a step system, relative to max(1, max|lambda_l|)
-# over the kernel eigenvalues of its problem.
+# Largest decoupling residual of a step system: its Gram part as it is, its
+# coupling part relative to max|lambda_l| over the kernel eigenvalues of its
+# problem.
 _DECOUPLING_TOL = 1e-10
 # Largest relative difference between the oracle's value on two chunkings of
 # its exact steps (`oracle_compare`).
 _ORACLE_SELF_TOL = 1e-8
 
 
-def decoupling_residual(entries: np.ndarray, f: np.ndarray, lams: np.ndarray) -> float:
+def decoupling_residual(entries: np.ndarray, f: np.ndarray,
+                        lams: np.ndarray) -> tuple[float, float]:
     """How far the cell eigenfunctions ``F`` are from decoupling a coupling.
 
-    The largest of ``max|F F'/n - I|``, ``max|(entries/n) F' - F' diag(lams)|``
-    and ``max|entries/n - F' diag(lams) F / n|``; the last one is zero
-    when no part of the coupling lies outside the span of ``F'``.  The
-    cost is O(n^2 * rank); the off-span maximum is divided by n once.
+    Two parts: the Gram part ``max|F F'/n - I|``, which has no scale, and
+    the coupling part, the larger of ``max|(entries/n) F' - F' diag(lams)|``
+    and ``max|entries/n - F' diag(lams) F / n|``, in the units of the
+    coupling; the last one is zero when no part of the coupling lies outside
+    the span of ``F'``.  The cost is O(n^2 * rank); the off-span maximum is
+    divided by n once.
     """
     n = entries.shape[0]
     eig_cols = f.T * lams
     gram = np.abs(f @ f.T / n - np.eye(lams.size)).max(initial=0.0)
     image = np.abs(entries @ f.T / n - eig_cols).max(initial=0.0)
     off_span = np.abs(entries - eig_cols @ f).max(initial=0.0)
-    return float(max(gram, image, off_span / n))
+    return float(gram), float(max(image, off_span / n))
 
 
-def _sampled_residual(f: np.ndarray, lams: np.ndarray) -> float:
+def _sampled_residual(f: np.ndarray, lams: np.ndarray) -> tuple[float, float]:
     """`decoupling_residual` of the kernel's own samples ``F' diag(lams) F``.
 
     There ``(entries/n) F' - F' diag(lams) = F' diag(lams) (F F'/n - I)``
-    and no part lies off the span, so the residual is the larger of
-    ``max|E|`` and ``max|F' diag(lams) E|`` with ``E = F F'/n - I``, the
-    latter read from its (rank, n) transpose; O(n * rank^2) with no n x n
-    array.
+    and no part lies off the span, so the parts are ``max|E|`` and
+    ``max|F' diag(lams) E|`` with ``E = F F'/n - I``, the latter read from
+    its (rank, n) transpose; O(n * rank^2) with no n x n array.
     """
     excess = f @ f.T / f.shape[1] - np.eye(lams.size)
-    return float(max(np.abs(excess).max(initial=0.0),
-                     np.abs((excess.T * lams) @ f).max(initial=0.0)))
+    return (float(np.abs(excess).max(initial=0.0)),
+            float(np.abs((excess.T * lams) @ f).max(initial=0.0)))
 
 
 class StepSystem:
@@ -80,13 +83,14 @@ class StepSystem:
     ``StepSystem(network, problem)`` reads n from the `StepGraphon`
     ``network`` and the eigenfunction cell values ``F = f_cells`` from
     the cell table ``problem.graphon.cells(n)``.  F must decouple the
-    coupling: a ``residual`` above ``1e-10*max(1, max|lams|)``, a rounding
-    of the kernel's scale, raises `ValueError` naming n, d, the residual
-    and that bound; full rank n = d decouples.  A network
-    sampled from a kernel with the problem's eigenpairs is checked in
-    factor form (`_sampled_residual`, O(n * rank^2)), so neither the check
-    nor the decoupled run forms its ``entries``; any other network by
-    `decoupling_residual` on its matrix.  Every polynomial of
+    coupling: a Gram part of the residual above 1e-10, or a coupling part
+    above ``1e-10*max|lams|``, a rounding of the kernel's scale (all but
+    zero for rank 0), raises `ValueError` naming n, d, the ``residual``
+    (the larger part) and the bound exceeded; full rank n = d decouples.
+    A network sampled from a kernel with the problem's eigenpairs is
+    checked in factor form (`_sampled_residual`, O(n * rank^2)), so
+    neither the check nor the decoupled run forms its ``entries``; any
+    other network by `decoupling_residual` on its matrix.  Every polynomial of
     ``entries/n`` is then ``poly(0)*I + F' diag(poly(lams) - poly(0)) F / n``
     over the kernel eigenvalues ``lams``, so simulation and costs work on
     the rank + 1 modes, and the weights are positive semidefinite because
@@ -103,15 +107,19 @@ class StepSystem:
         self.f_cells = problem.graphon.cells(n)  # (rank, n)
         lams = problem.graphon.lambdas
         if network.kernel is not None and network.kernel.pairs == problem.graphon.pairs:
-            self.residual = _sampled_residual(self.f_cells, lams)
+            parts = _sampled_residual(self.f_cells, lams)
         else:
-            self.residual = decoupling_residual(network.entries, self.f_cells, lams)
-        bound = _DECOUPLING_TOL * max(1.0, np.abs(lams).max(initial=0.0))
-        if not self.residual <= bound:  # a NaN residual fails too
-            raise ValueError(
-                f"the {n}-cell network does not decouple along the d = {problem.d} "
-                f"kernel eigenfunctions: decoupling residual {self.residual:.3e} "
-                f"exceeds {bound:g}")
+            parts = decoupling_residual(network.entries, self.f_cells, lams)
+        self.residual = max(parts)
+        # a rank-0 kernel has no scale: the smallest normal float stands in
+        # for it, so the bound is never 0 * inf
+        scale = np.abs(lams).max(initial=np.finfo(float).tiny)
+        for part, bound in zip(parts, (_DECOUPLING_TOL, _DECOUPLING_TOL * scale)):
+            if not part <= bound:  # a NaN part fails too
+                raise ValueError(
+                    f"the {n}-cell network does not decouple along the d = {problem.d} "
+                    f"kernel eigenfunctions: decoupling residual {self.residual:.3e} "
+                    f"exceeds {bound:g}")
 
     @cached_property
     def a_mat(self) -> np.ndarray:
@@ -140,9 +148,9 @@ def build_step_system(network, p: LqrProblem) -> StepSystem:
     symmetric by construction.  A network that the kernel eigenfunctions
     do not decouple raises `ValueError` (`StepSystem`) before any dense
     matrix is assembled; a matrix that passes lies within
-    ``n * 1e-10 * max(1, max|lams|)`` of the kernel's own samples entry by
-    entry, over the kernel eigenvalues ``lams``, so its magnitude needs no
-    check of its own.  All matrices are polynomials of the scaled coupling
+    ``n * 1e-10 * max|lams|`` of the kernel's own samples entry by entry,
+    over the kernel eigenvalues ``lams``, so its magnitude needs no check of
+    its own.  All matrices are polynomials of the scaled coupling
     ``entries / n``.
     """
     if not isinstance(network, StepGraphon):

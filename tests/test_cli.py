@@ -454,9 +454,18 @@ class TestStudyCommands:
         assert "does not decouple" in err and "q_mat" not in err
 
     def test_weights_rounding_below_zero_run(self, tmp_path):
+        # 0.3 s - 0.1 s^2 - 0.2 s^3 rounds to -5.6e-17 at the uniform kernel's
+        # eigenvalue 1: a rounding of its terms, not a negative weight
         for field in ("poly_q", "poly_p0"):
-            path = write_scenario(tmp_path, horizon=1.0, dt=1e-2, **{field: [-1e-13]})
+            path = write_scenario(tmp_path, horizon=1.0, dt=1e-2,
+                                  graphon={"type": "uniform"},
+                                  **{field: [0.0, 0.3, -0.1, -0.2]})
             assert cli.main(["run", path, "--out", str(tmp_path / field)]) == 0
+
+    def test_negative_constant_weight_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, poly_q=[-1e-13])
+        assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "poly_q must be nonnegative" in capsys.readouterr().err
 
     def test_step_scenario_reruns_from_its_echo(self, tmp_path):
         rng = np.random.default_rng(31)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphon_lqr as gl
-from graphon_lqr.graphon import cell_index, midpoint_grid
+from graphon_lqr.graphon import _AnalyticEigfun, _midpoint_gram, cell_index, midpoint_grid
 
 from conftest import make_rank_kernel
 
@@ -334,6 +334,89 @@ class TestValidation:
             ]
             with pytest.raises(ValueError, match="non-increasing"):
                 gl.FiniteRankGraphon(pairs)
+
+
+def quadrature_gram(funs):
+    """``F F'/m`` of the eigenfunctions' values on the m = 4096 midpoints."""
+    f = np.stack([np.broadcast_to(fun(midpoint_grid(4096)), (4096,)) for fun in funs])
+    return f @ f.T / 4096
+
+
+class TestClosedFormGram:
+    def test_matches_the_midpoint_sum(self):
+        # seeded pair lists of up to six eigenfunctions of all three kinds at
+        # integer, non-integer and near-integer frequencies up to 50
+        rng = np.random.default_rng(33)
+        worst = 0.0
+        for _ in range(400):
+            funs = []
+            for _ in range(rng.integers(1, 7)):
+                freq = float(rng.integers(0, 51))
+                form = rng.integers(3)
+                if form == 1:
+                    freq = rng.uniform(0.0, 50.0)
+                elif form == 2:
+                    freq += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -6)
+                funs.append(_AnalyticEigfun(str(rng.choice(["sin", "cos", "const"])), freq))
+            worst = max(worst, np.abs(_midpoint_gram(funs) - quadrature_gram(funs)).max())
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("freq", [2048.0, 4096.0, 6144.0, -2048.0])
+    def test_aliased_frequencies_match_the_midpoint_sum(self, freq):
+        # at a multiple of m/2 a sum or difference of frequencies is a multiple
+        # j*m of the node count, where the midpoint mean of cos is (-1)^j
+        funs = [_AnalyticEigfun("cos", freq), _AnalyticEigfun("sin", freq),
+                _AnalyticEigfun("const", 1.0)]
+        np.testing.assert_allclose(_midpoint_gram(funs), quadrature_gram(funs),
+                                   rtol=0.0, atol=1e-11)
+        with pytest.raises(ValueError, match="orthonormal"):
+            gl.FiniteRankGraphon([gl.EigenPair(0.5, funs[0])])
+
+    def test_analytic_kernel_evaluates_no_eigenfunction(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("an eigenfunction was evaluated")
+
+        monkeypatch.setattr(_AnalyticEigfun, "__call__", refuse)
+        spec = {"type": "finite_rank", "pairs": [
+            {"lambda": 0.4, "fun": "cos", "freq": 2}, {"lambda": -0.3, "fun": "sin", "freq": 3},
+            {"lambda": 0.2, "fun": "const"}, {"lambda": 0.1, "fun": "cos", "freq": 5}]}
+        kernels = [gl.sinusoidal_graphon(), gl.uniform_graphon(), gl.graphon_from_spec(spec)]
+        assert all(g._cells == {} for g in kernels)
+        monkeypatch.undo()
+        g = kernels[-1]
+        coords, _ = g.project(lambda x: np.cos(4 * np.pi * np.asarray(x)))
+        assert list(g._cells) == [4096]
+        np.testing.assert_allclose(coords, [np.sqrt(0.5), 0.0, 0.0, 0.0], atol=1e-12)
+
+    def test_other_callables_keep_the_quadrature(self):
+        root2 = np.sqrt(2.0)
+        g = gl.FiniteRankGraphon([
+            gl.EigenPair(0.5, _AnalyticEigfun("sin", 1.0)),
+            gl.EigenPair(0.4, lambda x: root2 * np.cos(2 * np.pi * np.asarray(x, float)))])
+        assert list(g._cells) == [4096]
+        with pytest.raises(ValueError, match="orthonormal"):
+            gl.FiniteRankGraphon([
+                gl.EigenPair(0.5, _AnalyticEigfun("sin", 1.0)),
+                gl.EigenPair(0.4, lambda x: root2 * np.sin(2 * np.pi * np.asarray(x, float)))])
+
+    def test_values_are_the_closed_expression(self):
+        x = midpoint_grid(1000)
+        root2 = np.sqrt(2.0)
+        np.testing.assert_array_equal(_AnalyticEigfun("sin", 1.3)(x),
+                                      root2 * np.sin(2.0 * np.pi * 1.3 * x))
+        np.testing.assert_array_equal(_AnalyticEigfun("cos", 7.0)(x),
+                                      root2 * np.cos(2.0 * np.pi * 7.0 * x))
+        assert _AnalyticEigfun("const", 3.0)(0.25) == 1.0
+
+    def test_compares_by_identity(self):
+        # pair equality decides whether a network is a kernel's own samples and
+        # whether a law is a truncation of a problem: two kernels built alike
+        # are two kernels, as with closures
+        f = _AnalyticEigfun("sin", 1.0)
+        assert f == f and f != _AnalyticEigfun("sin", 1.0)
+        assert gl.sinusoidal_graphon().pairs != gl.sinusoidal_graphon().pairs
+        with pytest.raises(ValueError, match="sin|cos|const"):
+            _AnalyticEigfun("tan", 1.0)
 
 
 class TestFromSpec:

@@ -115,18 +115,28 @@ class TestEigensystemParams:
 class TestRoundingBelowZero:
     """Weights within the rounding slack below zero act as exact zeros."""
 
+    @staticmethod
+    def problem(field, coeffs):
+        polys = {"poly_q": [1.0], "poly_p0": [1.0], field: coeffs}
+        return gl.LqrProblem(1.0, gl.CoeffPoly([1.0]), gl.CoeffPoly(polys["poly_q"]),
+                             gl.CoeffPoly(polys["poly_p0"]), gl.uniform_graphon(), 1.0)
+
     @pytest.mark.parametrize("field", ["poly_q", "poly_p0"])
     def test_gains_equal_those_of_zero(self, field):
-        def problem(weight):
-            polys = {"poly_q": [1.0], "poly_p0": [1.0], field: [weight]}
-            return gl.LqrProblem(1.0, gl.CoeffPoly([1.0]), gl.CoeffPoly(polys["poly_q"]),
-                                 gl.CoeffPoly(polys["poly_p0"]), gl.sinusoidal_graphon(),
-                                 1.0)
-
-        tiny, zero = problem(-1e-13), problem(0.0)
+        # 0.3 s - 0.1 s^2 - 0.2 s^3 is 0 at s = 0 and rounds to -5.6e-17 at
+        # the uniform kernel's eigenvalue 1, where its terms sum to 0.6
+        tiny = self.problem(field, [0.0, 0.3, -0.1, -0.2])
+        zero = self.problem(field, [0.0])
+        assert getattr(tiny, field)(1.0) < 0.0
         np.testing.assert_array_equal(tiny.mode_params, zero.mode_params)
         np.testing.assert_array_equal(synthesize_gains(tiny, 1e-2)[1],
                                       synthesize_gains(zero, 1e-2)[1])
+
+    @pytest.mark.parametrize("field", ["poly_q", "poly_p0"])
+    def test_negative_constant_rejected_at_any_scale(self, field):
+        # a constant has no rounding to forgive: -1e-13 is as negative as -1
+        with pytest.raises(ValueError, match=f"{field} must be nonnegative"):
+            self.problem(field, [-1e-13])
 
 
 class TestSynthesizeGains:

@@ -90,7 +90,7 @@ def errors():
         out["log_y"].append(float(err) / unit)
         value = float(sol.gain_integral(tau))
         if integral > np.finfo(float).max:
-            assert not np.isfinite(value)
+            assert value == np.inf
         else:
             err = abs(mp.mpf(value) - integral) / max(integral, np.finfo(float).tiny)
             out["integral"].append(float(err) / unit)
@@ -103,3 +103,13 @@ def test_explicit_solution_matches_the_reference(errors, quantity):
     print(f"{quantity}: worst error {worst:.2f} (1 + omega tau) eps over "
           f"{len(errors[quantity])} draws")
     assert worst <= C
+
+
+@pytest.mark.parametrize("q, z0, expected", [(0.0, 3.8e-6, np.inf), (1.0, 0.0, np.inf),
+                                             (0.0, 0.0, 0.0)])
+def test_zero_weight_term_stays_zero_where_the_integral_overflows(q, z0, expected):
+    # beta = 0: past tau = 6.1 the exponential of 2*alpha*tau overflows, and a
+    # term of zero weight must stay 0 rather than read 0*inf = NaN
+    sol = _ExplicitRiccati(58.04, 0.0, q, z0)
+    assert np.isfinite(sol.gain_integral(6.1))
+    np.testing.assert_array_equal(sol.gain_integral(np.array([6.2, 100.0])), expected)

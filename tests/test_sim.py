@@ -77,10 +77,10 @@ class TestBuildStepSystem:
         entries, p = scaled_cosine(s)
         assert 1e-10 < gl.build_step_system(entries, p).residual <= 1e-10 * s / 2
 
-    @pytest.mark.parametrize("s, bound", [(1.0, "1e-10"), (1e6, "5e-05")])
+    @pytest.mark.parametrize("s, bound", [(1.0, "5e-11"), (1e6, "5e-05")])
     def test_moved_pair_rejected_at_any_scale(self, s, bound):
         # one symmetric pair moved by 1e-6 of the scale leaves a residual of
-        # 3.5e-8 of it, far above the bound at either scale
+        # 3.5e-8 of it, far above the bound 1e-10*max|lambda| at either scale
         entries, p = scaled_cosine(s)
         entries[3, 17] = entries[17, 3] = entries[3, 17] + 1e-6 * s
         with pytest.raises(ValueError, match=f"residual .* exceeds {bound}$"):
@@ -90,8 +90,19 @@ class TestBuildStepSystem:
         # the bound scales with the problem's kernel, not with the network, so
         # a network far larger than its kernel does not raise its own bound
         entries, p = scaled_cosine(1.0)
-        with pytest.raises(ValueError, match="exceeds 1e-10$"):
+        with pytest.raises(ValueError, match="exceeds 5e-11$"):
             gl.build_step_system(1e6 * entries, p)
+
+    def test_small_coupling_rejected_against_rank_zero(self):
+        # the sinusoidal samples scaled by 1e-10 leave a residual of 8.3e-12,
+        # no rounding of the zero coupling a rank-0 problem describes
+        g = gl.sinusoidal_graphon()
+        one = gl.CoeffPoly([1.0])
+        p = gl.LqrProblem(1.0, one, one, one, g.truncate(0), 1.0)
+        entries = gl.sample_step_entries(g, 12).entries / 1e10
+        with pytest.raises(ValueError, match="d = 0 .* residual 8.333e-12 exceeds"):
+            gl.build_step_system(gl.StepGraphon(entries), p)
+        assert gl.build_step_system(np.zeros((12, 12)), p).residual == 0.0
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_kernel_samples_beyond_one_accepted(self, n):
@@ -118,9 +129,9 @@ class TestBuildStepSystem:
         else:
             g, entries = gl.uniform_graphon(), np.ones((n, n))
         f = g.eigfun_values(midpoint_grid(n))
-        assert sim_module.decoupling_residual(entries, f, g.lambdas) <= 1e-15
+        assert max(sim_module.decoupling_residual(entries, f, g.lambdas)) <= 1e-15
         entries[n - 1, 3] += delta
-        residual = sim_module.decoupling_residual(entries, f, g.lambdas)
+        residual = max(sim_module.decoupling_residual(entries, f, g.lambdas))
         if kernel == "zero":
             assert residual == delta / n
         else:
@@ -179,7 +190,7 @@ class TestBuildStepSystem:
         one = gl.CoeffPoly([1.0])
         p = gl.LqrProblem(0.5, one, one, one, g, 1.0)
         network = gl.sample_step_entries(g, n)
-        dense = sim_module.decoupling_residual(network.entries, g.cells(n), g.lambdas)
+        dense = max(sim_module.decoupling_residual(network.entries, g.cells(n), g.lambdas))
         monkeypatch.setattr(sim_module, "decoupling_residual", None)
         try:
             residual = gl.build_step_system(network, p).residual

@@ -67,7 +67,7 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tool, layers, extra", [
-    (bench_build, {"graphon.sample", "sim.build"}, set()),
+    (bench_build, {"graphon.kernel", "graphon.sample", "sim.build"}, {"d"}),
     (bench_oracle, {"riccati.matrix", "oracle.compare"}, {"steps"}),
     (bench_artifacts, {"cli.trajectory", "cli.gains", "cli.example_vii"}, {"d", "values"}),
     (bench_law, {"law.call", "law.gains_grid", "sim.generic_loop", "cli.example_vii",

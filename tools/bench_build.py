@@ -1,9 +1,17 @@
-"""Time sampling and system assembly and record them in BENCH_build.json.
+"""Time kernel construction, sampling and system assembly and record them
+in BENCH_build.json.
 
     python tools/bench_build.py --parent-src /path/to/parent/checkout/src
 
-On the example-vii problem (sinusoidal kernel, d = 2) it times two layers
-at n = 400, 2000, 4000, 10^4, 10^5 and 10^6 cells:
+It times three layers:
+
+* ``graphon.kernel``: `graphon_from_spec` of the sinusoidal spec (d = 2)
+  and of `bench_artifacts.RANK16` (d = 16), the ordering and
+  orthonormality checks included; n is the 4096 midpoint nodes on which
+  the orthonormality is checked;
+
+and, on the example-vii problem (sinusoidal kernel, d = 2), at n = 400,
+2000, 4000, 10^4, 10^5 and 10^6 cells:
 
 * ``graphon.sample``: `sample_step_entries` on a fresh kernel, so the
   cell table is evaluated in the timed call;
@@ -19,11 +27,17 @@ from __future__ import annotations
 
 from bench_common import main  # first: it sets one BLAS thread
 
+from bench_artifacts import RANK16
+
 SIZES = (400, 2000, 4000, 10 ** 4, 10 ** 5, 10 ** 6)
+QUAD_NODES = 4096
 
 
 def cases(gl, cli):
     """The rows of the ``graphon_lqr`` package ``gl``: ``(row, fn, prepare)``."""
+    for spec, d in (({"type": "sinusoidal"}, 2), ({"type": "finite_rank", "pairs": RANK16}, 16)):
+        yield (dict(layer="graphon.kernel", n=QUAD_NODES, d=d), gl.graphon_from_spec,
+               lambda spec=spec: (spec,))
     vii, _, _ = cli.build_experiment(cli.preset_example_vii())
 
     def fresh_problem():  # a new kernel object: no cell table evaluated yet
@@ -38,10 +52,11 @@ def cases(gl, cli):
             problem = fresh_problem()
             return gl.sample_step_entries(problem.graphon, n), problem
 
-        yield dict(layer="graphon.sample", n=n), gl.sample_step_entries, kernel
-        yield dict(layer="sim.build", n=n), gl.build_step_system, sample_of_problem
+        yield dict(layer="graphon.sample", n=n, d=2), gl.sample_step_entries, kernel
+        yield dict(layer="sim.build", n=n, d=2), gl.build_step_system, sample_of_problem
 
 
 if __name__ == "__main__":
     main(__doc__, cases, "BENCH_build.json",
-         "example-vii (sinusoidal kernel, d = 2), a fresh kernel per call")
+         "example-vii (sinusoidal kernel, d = 2), a fresh kernel per call; "
+         "the sinusoidal and a rank-16 spec for graphon.kernel")
