@@ -152,7 +152,7 @@ def parse_controller(mode: str, rank: int) -> int:
         return rank
     if mode == "auxiliary_only":
         return 0
-    match = re.fullmatch(r"truncated\((\d+)\)", mode.strip())
+    match = re.fullmatch(r"truncated\((\d+)\)", mode)
     if match:
         level = int(match.group(1))
         if level > rank:

@@ -106,12 +106,14 @@ class FiniteRankGraphon:
     ----------
     pairs : sequence of EigenPair
         Ordered by non-increasing |eigenvalue|, with eigenfunctions
-        L2-orthonormal on [0, 1]; both are checked here, the
-        orthonormality by the Gram matrix on `quadrature_grid`.  Pairs
-        whose eigenfunctions are all analytic (the sin, cos and const of
-        `graphon_from_spec`) have it in closed form (`_midpoint_gram`), so
-        construction evaluates none of them; the values of any other
-        eigenfunctions are evaluated there and kept in the cell table.
+        L2-orthonormal on [0, 1]; both are checked here.  Analytic
+        eigenfunctions (the sin, cos and const of `graphon_from_spec`) of
+        distinct integer frequencies in [1, 2048), with at most one const,
+        are orthonormal on the 4096 midpoints of `quadrature_grid` by
+        their spec (`_fourier_basis`), so construction evaluates none of
+        them.  Any other list is checked by its Gram matrix on
+        `quadrature_grid`, each entry within 1e-8 of the identity's, and
+        the values are kept in the cell table.
     """
 
     def __init__(self, pairs: Sequence[EigenPair]):
@@ -124,14 +126,9 @@ class FiniteRankGraphon:
         if np.any(np.abs(lams[1:]) > np.abs(lams[:-1]) * (1.0 + 1e-12)):
             raise ValueError(
                 f"eigenvalues must be ordered by non-increasing magnitude, got {lams}")
-        if self.rank:
-            funs = [p.fun for p in self.pairs]
-            if all(isinstance(f, _AnalyticEigfun) for f in funs):
-                gram = _midpoint_gram(funs)
-            else:
-                f = self.cells(self.quadrature_grid().size)
-                gram = f @ f.T / f.shape[1]
-            if not np.allclose(gram, np.eye(self.rank), atol=1e-8):
+        if self.rank and not _fourier_basis(p.fun for p in self.pairs):
+            f = self.cells(self.quadrature_grid().size)
+            if not np.abs(f @ f.T / f.shape[1] - np.eye(self.rank)).max() <= 1e-8:  # NaN fails
                 raise ValueError("eigenfunctions are not L2-orthonormal on [0, 1]")
 
     # -- basic structure ------------------------------------------------
@@ -382,9 +379,9 @@ class _AnalyticEigfun:
     """The unit-L2 eigenfunction sqrt(2)*sin(2*pi*freq*x), sqrt(2)*cos(2*pi*freq*x)
     or 1 of a kernel's pair.
 
-    It keeps its ``kind`` and ``freq``, so that a kernel of such pairs checks
-    its orthonormality in closed form (`_midpoint_gram`), and it compares by
-    identity, as a closure does.
+    It keeps its ``kind`` and ``freq``, so that a kernel of such pairs can be
+    orthonormal by its spec (`_fourier_basis`), and it compares by identity,
+    as a closure does.
     """
 
     __slots__ = ("kind", "freq")
@@ -403,35 +400,20 @@ class _AnalyticEigfun:
         return _ROOT2 * trig(2.0 * np.pi * self.freq * x)
 
 
-def _midpoint_gram(funs) -> np.ndarray:
-    """``F F'/m`` of analytic eigenfunctions on the m = `_QUAD_NODES` midpoints,
-    in closed form: no eigenfunction is evaluated.
+def _fourier_basis(funs) -> bool:
+    """Whether ``funs`` are analytic sin and cos of distinct integer frequencies
+    in [1, m/2) and at most one const, m = `_QUAD_NODES`.
 
-    On ``x_k = (k + 1/2)/m`` the geometric sums give ``mean cos(2 pi a x) =
-    sin(2 pi a)/(2 m sin(pi a/m))`` and ``mean sin(2 pi a x) = sin(pi a)^2/(m
-    sin(pi a/m))``, 1 and 0 where ``sin(pi a/m) = 0``.  They are read at
-    ``a = j m + r`` with |r| <= m/2 as (-1)^j times the means at r, so that
-    the zero is met exactly.  The mean of a product of two eigenfunctions is
-    a sum of these at the difference and the sum of their frequencies; 1 is
-    cos at frequency 0 with amplitude 1, not sqrt(2).
+    Such a list is exactly orthonormal on the m midpoints by discrete
+    orthogonality: every sum or difference of two frequencies that is not 0
+    lies strictly between -m and m, where the midpoint means of cos and sin
+    vanish.
     """
-    m = _QUAD_NODES
-    freq = np.array([0.0 if f.kind == "const" else f.freq for f in funs])
-    half_amp = np.array([_ROOT2 / 2.0 if f.kind == "const" else 1.0 for f in funs])  # amp/sqrt(2)
-    sign = np.array([[-1.0 if f.kind == "sin" else 1.0] for f in funs])  # +1: cos or 1
-    a = np.stack([freq[:, None] - freq, freq[:, None] + freq])
-    turns = np.round(a / m)
-    r = a - turns * m
-    den = m * np.sin(np.pi * r / m)
-    flat = den == 0.0
-    den[flat] = 1.0
-    parity = 1.0 - 2.0 * (turns % 2.0)
-    cos_d, cos_s = parity * np.where(flat, 1.0, np.sin(2.0 * np.pi * r) / (2.0 * den))
-    sin_d, sin_s = parity * np.sin(np.pi * r) ** 2 / den
-    # amp_i amp_j / 2 times C(d) +- C(s) for cos cos and sin sin, S(s) -+ S(d)
-    # for sin cos and cos sin
-    return (np.where(sign == sign.T, cos_d + sign * cos_s, sin_s - sign * sin_d)
-            * half_amp[:, None] * half_amp)
+    keys = [(f.kind, None if f.kind == "const" else f.freq)
+            if isinstance(f, _AnalyticEigfun) else None for f in funs]
+    return None not in keys and len(set(keys)) == len(keys) and all(
+        kind == "const" or (1 <= freq < _QUAD_NODES / 2 and freq % 1 == 0)
+        for kind, freq in keys)
 
 
 def json_number(value) -> float:

@@ -277,9 +277,10 @@ def solve_matrix_riccati(a_mat, b_mat, q_mat, p0_mat, horizon: float, dt: float)
     b = np.asarray(b_mat, dtype=float)
     q = np.asarray(q_mat, dtype=float)
     p0 = np.asarray(p0_mat, dtype=float)
+    shape = (a.shape[0],) * 2 if a.ndim else (1, 1)
     for name, m in (("A", a), ("B", b), ("Q", q), ("P0", p0)):
-        if m.ndim != 2 or m.shape != a.shape:
-            raise ValueError(f"matrix {name} must be square of shape {a.shape}, got {m.shape}")
+        if m.shape != shape:
+            raise ValueError(f"matrix {name} must be square of shape {shape}, got {m.shape}")
     grid = uniform_grid(horizon, dt)
     solved = _forward(_step_rule(a, b, q, horizon, grid.size - 1), p0, grid, range(grid.size))[1]
     return grid, np.array([solved[k] for k in range(grid.size)])

@@ -182,13 +182,14 @@ class Trajectory:
     """Closed-loop run: states and applied controls on a time grid.
 
     ``Trajectory(grid, states, controls)`` holds a dense run, shape
-    ``(len(grid), n)`` each.  `simulate` returns a decoupled run in modal
-    form (`from_modes`): ``modes`` holds it in O(K*(rank+1)) plus the
-    O(n*rank) initial projection, ``states`` are rebuilt from it only on
-    first access, in O(K*n*rank), and ``controls`` are the run's law
-    applied to those states, one call over the grid.  ``modes`` is None
-    for a dense run.  No attribute can be rebound or deleted after
-    construction, so the rebuilt arrays always agree with the modes.
+    ``(len(grid), n)`` each; other shapes raise `ValueError`.  `simulate`
+    returns a decoupled run in modal form (`from_modes`): ``modes`` holds
+    it in O(K*(rank+1)) plus the O(n*rank) initial projection, ``states``
+    are rebuilt from it only on first access, in O(K*n*rank), and
+    ``controls`` are the run's law applied to those states, one call over
+    the grid.  ``modes`` is None for a dense run.  No attribute can be
+    rebound or deleted after construction, so the rebuilt arrays always
+    agree with the modes.
     """
 
     modes: ModalRun | None
@@ -196,6 +197,9 @@ class Trajectory:
     def __init__(self, grid: np.ndarray, states: np.ndarray, controls: np.ndarray):
         if not (states.shape[0] == grid.size == controls.shape[0]):
             raise ValueError("grid, states and controls lengths disagree")
+        if controls.shape != states.shape:
+            raise ValueError(
+                f"controls must have the states' shape {states.shape}, got {controls.shape}")
         if not (np.all(np.isfinite(states)) and np.all(np.isfinite(controls))):
             raise ValueError("trajectory contains non-finite entries")
         vars(self).update(grid=grid, states=states, controls=controls, modes=None)

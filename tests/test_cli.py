@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,11 @@ from conftest import make_rank_kernel, record_calls
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return path
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -192,6 +198,27 @@ class TestScenarioParsing:
             cli.parse_controller("truncated(5)", 2)
         with pytest.raises(ValueError, match="controller"):
             cli.parse_controller("bogus", 2)
+        # every form is spelled exactly as documented, with no padding
+        for mode in (" truncated(1) ", " optimal"):
+            with pytest.raises(ValueError, match=re.escape(f"got {mode!r}")):
+                cli.parse_controller(mode, 2)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda tmp: cli.scenario_from_dict([1.0]), "scenario must be a JSON object"),
+        (lambda tmp: cli.scenario_from_dict(
+            {"alpha0": 1.0, "horizon": 1.0, "dt": -0.1, "graphon": {"type": "uniform"}}),
+         "scenario field 'dt': must be positive, got -0.1"),
+        (lambda tmp: cli._read_scenario(str(tmp / "absent.json")),
+         "scenario file not found: {tmp}/absent.json"),
+        (lambda tmp: cli._read_scenario(str(write_text(tmp / "bad.json", "{"))),
+         "scenario file {tmp}/bad.json is not valid JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["not-an-object", "negative-dt", "missing-file", "invalid-json"])
+    def test_rejection_names_its_cause(self, tmp_path, make, message):
+        with pytest.raises(ValueError) as info:
+            make(tmp_path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message.format(tmp=tmp_path)
 
 
 class TestPreset:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import graphon_lqr as gl
-from graphon_lqr.graphon import _AnalyticEigfun, _midpoint_gram, cell_index, midpoint_grid
+from graphon_lqr.graphon import _AnalyticEigfun, cell_index, midpoint_grid
 
 from conftest import make_rank_kernel
 
@@ -317,6 +317,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="orthonormal"):
             gl.FiniteRankGraphon([pair])
 
+    @pytest.mark.parametrize("scale, accepted", [(1.000004, False), (1.0 + 4e-9, True)])
+    def test_every_gram_entry_within_1e_8(self, scale, accepted):
+        # norm^2 - 1 = 8.0e-6 passed numpy's default relative 1e-5, and every
+        # system of that kernel then failed its 1e-10 decoupling bound
+        pair = gl.EigenPair(0.5, lambda x: scale * np.ones_like(np.asarray(x, float)))
+        if accepted:
+            assert gl.FiniteRankGraphon([pair]).rank == 1
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                gl.FiniteRankGraphon([pair])
+
     def test_non_orthogonal_pairs_rejected(self):
         f = lambda x: np.ones_like(np.asarray(x, float))
         with pytest.raises(ValueError, match="orthonormal"):
@@ -342,33 +353,58 @@ def quadrature_gram(funs):
     return f @ f.T / 4096
 
 
+def random_analytic_funs(rng):
+    """One to six analytic eigenfunctions, each of a random kind, at an integer
+    frequency in 1..50 or, one time in two, at a non-integer, near-integer,
+    zero, negative, repeated or aliased (>= 2048) one."""
+    funs = []
+    for _ in range(rng.integers(1, 7)):
+        kind, form = str(rng.choice(["sin", "cos", "const"])), rng.integers(12)
+        freq = float(rng.integers(1, 51))
+        if form == 0:
+            freq = rng.uniform(0.0, 50.0)
+        elif form == 1:
+            freq += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -6)
+        elif form == 2:
+            freq = 0.0
+        elif form == 3:
+            freq = -freq
+        elif form == 4 and funs:
+            freq = funs[rng.integers(len(funs))].freq
+        elif form == 5:
+            freq = float(rng.choice([2047, 2048, 2049, 4095, 4096, 4097, 6144]))
+        funs.append(_AnalyticEigfun(kind, freq))
+    return funs
+
+
 class TestClosedFormGram:
     def test_matches_the_midpoint_sum(self):
-        # seeded pair lists of up to six eigenfunctions of all three kinds at
-        # integer, non-integer and near-integer frequencies up to 50
-        rng = np.random.default_rng(33)
-        worst = 0.0
-        for _ in range(400):
-            funs = []
-            for _ in range(rng.integers(1, 7)):
-                freq = float(rng.integers(0, 51))
-                form = rng.integers(3)
-                if form == 1:
-                    freq = rng.uniform(0.0, 50.0)
-                elif form == 2:
-                    freq += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -6)
-                funs.append(_AnalyticEigfun(str(rng.choice(["sin", "cos", "const"])), freq))
-            worst = max(worst, np.abs(_midpoint_gram(funs) - quadrature_gram(funs)).max())
-        assert worst <= 1e-13
+        # a kernel accepts an analytic pair list by its spec (distinct integer
+        # frequencies below 2048, one const at most) or by the Gram matrix on
+        # the 4096 midpoints; either way it accepts exactly the lists whose
+        # midpoint sum is the identity to 1e-8 in every entry
+        rng = np.random.default_rng(34)
+        accepted = 0
+        for _ in range(3000):
+            funs = random_analytic_funs(rng)
+            orthonormal = np.abs(quadrature_gram(funs) - np.eye(len(funs))).max() <= 1e-8
+            try:
+                gl.FiniteRankGraphon([gl.EigenPair(0.5, f) for f in funs])
+            except ValueError as exc:
+                assert not orthonormal and "orthonormal" in str(exc), [
+                    (f.kind, f.freq) for f in funs]
+            else:
+                assert orthonormal, [(f.kind, f.freq) for f in funs]
+                accepted += 1
+        assert 1000 < accepted < 2000
 
     @pytest.mark.parametrize("freq", [2048.0, 4096.0, 6144.0, -2048.0])
     def test_aliased_frequencies_match_the_midpoint_sum(self, freq):
-        # at a multiple of m/2 a sum or difference of frequencies is a multiple
-        # j*m of the node count, where the midpoint mean of cos is (-1)^j
-        funs = [_AnalyticEigfun("cos", freq), _AnalyticEigfun("sin", freq),
-                _AnalyticEigfun("const", 1.0)]
-        np.testing.assert_allclose(_midpoint_gram(funs), quadrature_gram(funs),
-                                   rtol=0.0, atol=1e-11)
+        # at a multiple of m/2 the midpoint samples of cos are 0 or +-sqrt(2),
+        # so the midpoint sum is 0 or 2: past the spec rule's range, the
+        # quadrature refuses the kernel
+        funs = [_AnalyticEigfun("cos", freq)]
+        assert quadrature_gram(funs)[0, 0] == pytest.approx(0.0 if freq % 4096 else 2.0, abs=1e-12)
         with pytest.raises(ValueError, match="orthonormal"):
             gl.FiniteRankGraphon([gl.EigenPair(0.5, funs[0])])
 
@@ -466,3 +502,35 @@ class TestFromSpec:
     def test_unknown_type(self):
         with pytest.raises(ValueError, match="type"):
             gl.graphon_from_spec({"type": "mystery"})
+
+
+def eigh_fails(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    gl.StepGraphon(np.eye(2)).spectral_decompose()
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda _: gl.StepFunction(np.zeros((2, 2))), ValueError,
+     "cell values must be a non-empty 1-d array"),
+    (lambda _: gl.StepFunction([0.0, np.nan]), ValueError, "cell values must be finite"),
+    (lambda _: gl.uniform_graphon().apply(np.ones((2, 2))), ValueError,
+     "expected a 1-d cell-value vector, got shape (2, 2)"),
+    (lambda _: gl.StepGraphon(np.ones((2, 3))), ValueError,
+     "coupling matrix must be square, got shape (2, 3)"),
+    (eigh_fails, gl.NumericError,
+     "eigendecomposition of the 2x2 coupling matrix failed: Eigenvalues did not converge"),
+    (lambda _: gl.graphon_from_spec({"kind": "uniform"}), ValueError,
+     "graphon spec must be an object with a 'type' field"),
+    (lambda _: gl.graphon_from_spec({"type": "step"}), ValueError,
+     "graphon field 'matrix_csv': missing path for step graphon"),
+    (lambda _: gl.graphon_from_spec({"type": "finite_rank", "pairs": {}}), ValueError,
+     "graphon field 'pairs': a non-empty list is required for a finite_rank graphon"),
+], ids=["step-function-2d", "step-function-nan", "apply-2d", "non-square", "eigh-fails",
+        "spec-without-type", "step-without-path", "pairs-not-a-list"])
+def test_rejection_names_its_cause(monkeypatch, make, error, message):
+    with pytest.raises(error) as info:
+        make(monkeypatch)
+    assert type(info.value) is error and str(info.value) == message

@@ -29,6 +29,13 @@ class TestProblemValidation:
             gl.LqrProblem(0.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0, -2.0]),
                           gl.CoeffPoly([1.0]), g, 1.0)
 
+    @pytest.mark.parametrize("alpha0", [np.nan, np.inf, -np.inf])
+    def test_rejection_names_its_cause(self, alpha0):
+        with pytest.raises(ValueError) as info:
+            gl.LqrProblem(alpha0, [1.0], [1.0], [1.0], gl.uniform_graphon(), 1.0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"alpha0 must be finite, got {alpha0}"
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             gl.LqrProblem(0.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),

@@ -1,4 +1,4 @@
-"""The explicit scalar Riccati solution against an arbitrary-precision reference.
+"""The explicit Riccati solution and the closed forms built on it against an arbitrary-precision reference.
 
 `riccati._ExplicitRiccati` claims full relative precision for the solution
 Pi, for ``ln Y`` (`log_y`) and for ``integral_0^tau Pi`` (`gain_integral`).
@@ -16,15 +16,25 @@ rounding of its argument.  The cases are seeded draws: alpha uniform in
 10^U(-8, 4); tau = 10^U(-6, 1).  Every tenth draw starts at the positive
 root of the right-hand side (`conftest.algebraic_root`, beta > 0), where
 the solution stays at the root up to rounding.
+
+The problem's closed forms in `lqr` read those values and are held to the
+same bound, with omega tau the largest over the problem's modes:
+`ratio_prediction`, ``exp(I_l - I_0)`` with ``I_m = ln Y_m + alpha_m
+tau``, by its relative error over ``max(1, |I_0|, |I_l|)``, the size of the
+integrals its exponent subtracts; and `reconstruct_P`, the gains on the
+kernel's cell projectors, by its largest entry error over its norm, the
+largest gain.
 """
 import mpmath as mp
 import numpy as np
 import pytest
 
+import graphon_lqr as gl
 from graphon_lqr.errors import BlowUpError
+from graphon_lqr.lqr import ratio_prediction, reconstruct_P
 from graphon_lqr.riccati import _ExplicitRiccati
 
-from conftest import algebraic_root
+from conftest import algebraic_root, make_rank_kernel
 
 EPS = np.finfo(float).eps
 DRAWS = 300
@@ -113,3 +123,84 @@ def test_zero_weight_term_stays_zero_where_the_integral_overflows(q, z0, expecte
     sol = _ExplicitRiccati(58.04, 0.0, q, z0)
     assert np.isfinite(sol.gain_integral(6.1))
     np.testing.assert_array_equal(sol.gain_integral(np.array([6.2, 100.0])), expected)
+
+
+PROBLEM_DRAWS = 60
+NODES = 6
+# Over the PROBLEM_DRAWS problems below the largest errors read 1.27
+# (ratio_prediction) and 0.93 (reconstruct_P) in units of (1 + omega tau)*eps,
+# omega tau the largest of the problem's modes; over 3000 more draws, 1.75 and
+# 2.47.  They are held to the scalar bound C.
+
+
+def draw_problems(rng):
+    """Problems of the scalar draws' scales on an exact rank-1..3 step kernel of
+    NODES cells: alpha0 in +-60 scaled by 1, 1e-3 or 1e-8, eigenvalues of
+    magnitude 10^U(-3, 1.5), a constant input beta0, zero one time in five or
+    10^U(-6, 2), and linear weights q0*(1 + c*lam), z0*(1 + c'*lam) with q0 and
+    z0 each 0 or 10^U(-8, 4), |c*lam| < 1 on the spectrum; tau = 10^U(-6, 1)."""
+    problems = []
+    for _ in range(PROBLEM_DRAWS):
+        size = 10.0 ** rng.uniform(-3, 1.5)
+        g, _ = make_rank_kernel(rng, NODES, int(rng.integers(1, 4)), (0.2 * size, size))
+        alpha0 = rng.uniform(-60.0, 60.0) * rng.choice([1.0, 1e-3, 1e-8])
+        beta0 = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-6, 2)
+        q0, z0 = (0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-8, 4) for _ in "qz")
+        slope = np.abs(g.lambdas).max()
+        weights = (gl.CoeffPoly([w, w * rng.uniform(-0.9, 0.9) / slope]) for w in (q0, z0))
+        problems.append(gl.LqrProblem(alpha0, gl.CoeffPoly([beta0]), *weights, g,
+                                      10.0 ** rng.uniform(-6, 1)))
+    return problems
+
+
+def mode_references(p):
+    """Per mode of ``p``, ``(Pi, ln Y)`` at the horizon in mpmath, and the
+    largest ``omega tau``."""
+    refs = [reference(*row, p.horizon) for row in p.mode_params]
+    return [r[0][:2] for r in refs], max(r[1] for r in refs)
+
+
+@pytest.fixture(scope="module")
+def problem_errors():
+    """Per quantity, the errors of the package's values in units of
+    ``(1 + omega tau)*eps``, one per problem that does not overflow."""
+    out = {"ratio": [], "P": []}
+    for p in draw_problems(np.random.default_rng(20261021)):
+        modes, omega_tau = mode_references(p)
+        unit = (1.0 + omega_tau) * EPS
+        with mp.workdps(60 + int(omega_tau)):
+            # ratio l: exp(I_l - I_0), I_m = ln Y_m(T) + alpha_m T
+            integral = [log_y + mp.mpf(row[0]) * p.horizon
+                        for (_, log_y), row in zip(modes, p.mode_params)]
+            ratios = [mp.exp(i - integral[0]) for i in integral[1:]]
+            if max(ratios) > np.finfo(float).max:
+                with pytest.raises(BlowUpError):
+                    ratio_prediction(p)
+            else:
+                # relative error, over the size of the integrals the exponent
+                # subtracts: ln Y is exact to its own size, not to omega tau
+                err = max(abs(mp.mpf(float(r)) - ref) / max(ref, np.finfo(float).tiny)
+                          / max(1, abs(integral[0]), abs(i))
+                          for r, ref, i in zip(ratio_prediction(p), ratios, integral[1:]))
+                out["ratio"].append(float(err) / unit)
+            # P = L I + sum_l (M_l - L) f_l f_l'/n, its norm the largest gain
+            gains = [pi for pi, _ in modes]
+            if max(gains) > np.finfo(float).max:
+                with pytest.raises(BlowUpError):
+                    reconstruct_P(p, p.horizon, NODES)
+                continue
+            f = p.graphon.cells(NODES)
+            mat = reconstruct_P(p, p.horizon, NODES)
+            err = max(abs(mp.mpf(float(mat[i, j])) - (gains[0] if i == j else 0) - sum(
+                (m - gains[0]) * mp.mpf(float(f[l, i])) * mp.mpf(float(f[l, j])) / NODES
+                for l, m in enumerate(gains[1:]))) for i in range(NODES) for j in range(NODES))
+            out["P"].append(float(err / max(max(gains), np.finfo(float).tiny)) / unit)
+    return out
+
+
+@pytest.mark.parametrize("quantity", ["ratio", "P"])
+def test_problem_closed_forms_match_the_reference(problem_errors, quantity):
+    worst = max(problem_errors[quantity])
+    print(f"{quantity}: worst error {worst:.2f} (1 + omega tau) eps over "
+          f"{len(problem_errors[quantity])} problems")
+    assert worst <= C

@@ -295,6 +295,17 @@ class TestGainCurve:
 
 
 class TestMatrixRiccati:
+    @pytest.mark.parametrize("name, shape", [
+        ("A", (2, 3)), ("A", (2,)), ("B", (2, 1)), ("Q", (3, 3)), ("P0", (2,))])
+    def test_rejection_names_its_cause(self, name, shape):
+        # every matrix takes the shape (n, n) of A's n rows, A included
+        mats = dict.fromkeys(("A", "B", "Q", "P0"), np.eye(2))
+        mats[name] = np.ones(shape)
+        with pytest.raises(ValueError) as info:
+            solve_matrix_riccati(*mats.values(), 1.0, 0.1)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"matrix {name} must be square of shape (2, 2), got {shape}"
+
     def test_scalar_embedding_matches_scalar_solver(self):
         scalar = riccati_explicit(1.3, 0.7, 0.9, 0.4, uniform_grid(1.0, 1e-3))
         _, path = solve_matrix_riccati(np.array([[1.3]]), np.array([[0.7]]),

@@ -579,6 +579,9 @@ class TestModalTrajectory:
         assert traj.modes is None and traj.states is states
         with pytest.raises(ValueError, match="lengths"):
             gl.Trajectory(grid, states[:2], states[:2])
+        # controls of another width would be costed on their own cell table
+        with pytest.raises(ValueError, match=r"states' shape \(3, 2\), got \(3, 1\)"):
+            gl.Trajectory(grid, states, -states[:, :1])
         with pytest.raises(ValueError, match="non-finite"):
             gl.Trajectory(grid, states, np.full((3, 2), np.nan))
 

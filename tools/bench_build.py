@@ -5,10 +5,11 @@ in BENCH_build.json.
 
 It times three layers:
 
-* ``graphon.kernel``: `graphon_from_spec` of the sinusoidal spec (d = 2)
-  and of `bench_artifacts.RANK16` (d = 16), the ordering and
-  orthonormality checks included; n is the 4096 midpoint nodes on which
-  the orthonormality is checked;
+* ``graphon.kernel``: `graphon_from_spec` of the sinusoidal spec (d = 2),
+  of `bench_artifacts.RANK16` (d = 16), both orthonormal by their spec,
+  and of `NON_INTEGER` (d = 1), whose orthonormality is checked on the
+  quadrature: the ordering and orthonormality checks included; n is the
+  4096 midpoint nodes of that quadrature;
 
 and, on the example-vii problem (sinusoidal kernel, d = 2), at n = 400,
 2000, 4000, 10^4, 10^5 and 10^6 cells:
@@ -31,11 +32,13 @@ from bench_artifacts import RANK16
 
 SIZES = (400, 2000, 4000, 10 ** 4, 10 ** 5, 10 ** 6)
 QUAD_NODES = 4096
+NON_INTEGER = [{"lambda": 0.5, "fun": "cos", "freq": 1.5}]
 
 
 def cases(gl, cli):
     """The rows of the ``graphon_lqr`` package ``gl``: ``(row, fn, prepare)``."""
-    for spec, d in (({"type": "sinusoidal"}, 2), ({"type": "finite_rank", "pairs": RANK16}, 16)):
+    for spec, d in (({"type": "sinusoidal"}, 2), ({"type": "finite_rank", "pairs": RANK16}, 16),
+                    ({"type": "finite_rank", "pairs": NON_INTEGER}, 1)):
         yield (dict(layer="graphon.kernel", n=QUAD_NODES, d=d), gl.graphon_from_spec,
                lambda spec=spec: (spec,))
     vii, _, _ = cli.build_experiment(cli.preset_example_vii())
@@ -59,4 +62,4 @@ def cases(gl, cli):
 if __name__ == "__main__":
     main(__doc__, cases, "BENCH_build.json",
          "example-vii (sinusoidal kernel, d = 2), a fresh kernel per call; "
-         "the sinusoidal and a rank-16 spec for graphon.kernel")
+         "the sinusoidal, a rank-16 and a non-integer rank-1 spec for graphon.kernel")
