@@ -13,10 +13,11 @@ truncation study, ``truncation.csv``.  Runs are reproducible: the same
 scenario and seed yield byte-identical artifacts, and the resolved
 scenario is echoed next to them.
 
-Exit codes: 0 success, 2 scenario/validation failure (a field of the
-wrong JSON type, an unreadable input path, an unwritable output directory
-and a network that the kernel eigenfunctions do not decouple, which the
-step system rejects, included), 3 numeric failure (a blow-up, an
+Exit codes: 0 success, 2 scenario/validation failure (a key that names
+no field of `Scenario` or of its graphon spec, a field of the wrong JSON
+type, an unreadable input path, an unwritable output directory and a
+network that the kernel eigenfunctions do not decouple, which the step
+system rejects, included), 3 numeric failure (a blow-up, an
 overflowing gain or cost, a failed LAPACK call or an allocation that
 does not fit in memory, such as the (K+1) x n states of ``trajectory.csv``
 for a huge ``n``: an analytic kernel's network is built and run without
@@ -25,50 +26,24 @@ its n x n coupling matrix).
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 
 import numpy as np
 
 from .csvout import write_csv
 from .errors import NumericError
-from .graphon import StepGraphon, graphon_from_spec, json_number, sample_step_entries
+from .graphon import (StepGraphon, _check_keys, graphon_from_spec, json_number,
+                      sample_step_entries)
 from .lqr import LqrProblem, feedback_controller, synthesize_gains, truncate_problem
 from .poly import CoeffPoly
 from .sim import (build_step_system, evaluate_cost, initial_state, oracle_compare,
                   simulate, truncation_study)
-
-@dataclass
-class Scenario:
-    """One experiment: problem data, kernel, network size and run options."""
-
-    alpha0: float
-    poly_b: list
-    poly_q: list
-    poly_p0: list
-    horizon: float
-    dt: float
-    graphon: dict
-    n: int | None = None
-    controller: str = "optimal"
-    seed: int = 0
-    out: str = "out"
-
-
-def _field(raw: dict, name: str, read, required: bool = True, default=None):
-    """Field ``name`` as ``read`` returns it; ``read`` checks its JSON type."""
-    if raw.get(name) is None:  # JSON null reads as absent
-        if required:
-            raise ValueError(f"scenario field '{name}': missing")
-        return default
-    try:
-        return read(raw[name])
-    except ValueError as exc:
-        raise ValueError(f"scenario field '{name}': {exc}") from exc
 
 
 def _integer(value) -> int:
@@ -96,39 +71,69 @@ def _object(value) -> dict:
     return value
 
 
+def _json(read, default=MISSING):
+    """A scenario field that ``read`` takes from its JSON value, checking its
+    type; absent, it takes ``default``, and without one it is missing."""
+    return field(metadata={"read": read, "default": default})
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    """One experiment: problem data, kernel, network size and run options.
+
+    Each field declares how `scenario_from_dict` reads it and its default.
+    """
+
+    alpha0: float = _json(json_number)
+    poly_b: list = _json(_coeffs, [1.0])
+    poly_q: list = _json(_coeffs, [1.0])
+    poly_p0: list = _json(_coeffs, [1.0])
+    horizon: float = _json(json_number)
+    dt: float = _json(json_number, None)
+    graphon: dict = _json(_object)
+    n: int | None = _json(_integer, None)
+    controller: str = _json(_string, "optimal")
+    seed: int = _json(_integer, 0)
+    out: str = _json(_string, "out")
+
+
+_FIELDS = {f.name: f.metadata for f in fields(Scenario)}
+
+
+def _field(raw: dict, name: str):
+    """Field ``name`` of ``raw`` as its reader returns it, or a copy of its
+    default, so that no two scenarios share a list."""
+    if raw.get(name) is None:  # JSON null reads as absent
+        if _FIELDS[name]["default"] is MISSING:
+            raise ValueError(f"scenario field '{name}': missing")
+        return copy.copy(_FIELDS[name]["default"])
+    try:
+        return _FIELDS[name]["read"](raw[name])
+    except ValueError as exc:
+        raise ValueError(f"scenario field '{name}': {exc}") from exc
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
+    """The scenario of a JSON object; an absent or zero ``dt`` is ``1e-3 * horizon``."""
     if not isinstance(raw, dict):
         raise ValueError("scenario must be a JSON object")
-    dt = _field(raw, "dt", json_number, required=False)
-    scn = Scenario(
-        alpha0=_field(raw, "alpha0", json_number),
-        poly_b=_field(raw, "poly_b", _coeffs, required=False, default=[1.0]),
-        poly_q=_field(raw, "poly_q", _coeffs, required=False, default=[1.0]),
-        poly_p0=_field(raw, "poly_p0", _coeffs, required=False, default=[1.0]),
-        horizon=_field(raw, "horizon", json_number),
-        dt=0.0 if dt is None else dt,
-        graphon=_field(raw, "graphon", _object),
-        n=_field(raw, "n", _integer, required=False),
-        controller=_field(raw, "controller", _string, required=False,
-                          default="optimal"),
-        seed=_field(raw, "seed", _integer, required=False, default=0),
-        out=_field(raw, "out", _string, required=False, default="out"),
-    )
-    if scn.dt < 0.0:
-        raise ValueError(f"scenario field 'dt': must be positive, got {scn.dt}")
-    if scn.dt == 0.0:
-        scn.dt = 1e-3 * scn.horizon
+    _check_keys(raw, _FIELDS, "scenario")
+    values = {name: _field(raw, name) for name in _FIELDS}
+    horizon, dt = values["horizon"], values["dt"]
+    if dt is not None and dt < 0.0:
+        raise ValueError(f"scenario field 'dt': must be positive, got {dt}")
+    if not dt:
+        dt = values["dt"] = 1e-3 * horizon
     for name in ("alpha0", "horizon", "dt"):
-        if not np.isfinite(getattr(scn, name)):
+        if not np.isfinite(values[name]):
             raise ValueError(f"scenario field '{name}': must be finite")
-    if scn.horizon <= 0.0:
-        raise ValueError(f"scenario field 'horizon': must be positive, got {scn.horizon}")
-    if scn.dt >= scn.horizon:
-        raise ValueError(
-            f"scenario field 'dt': must be smaller than the horizon, got {scn.dt}")
-    if scn.seed < 0:
-        raise ValueError(f"scenario field 'seed': must be non-negative, got {scn.seed}")
-    return scn
+    if horizon <= 0.0:
+        raise ValueError(f"scenario field 'horizon': must be positive, got {horizon}")
+    if dt >= horizon:
+        raise ValueError(f"scenario field 'dt': must be smaller than the horizon, got {dt}")
+    if values["seed"] < 0:
+        raise ValueError(f"scenario field 'seed': must be non-negative, got {values['seed']}")
+    return Scenario(**values)
 
 
 def _read_scenario(path: str):
@@ -367,15 +372,14 @@ def _apply_overrides(raw, args) -> Scenario:
     """The raw scenario with its flags, parsed once, so a flag is validated
     as the field it names and a default step follows the final horizon;
     ``--horizon`` alone also drops a ``dt`` it does not exceed."""
-    if not isinstance(raw, dict):
-        return scenario_from_dict(raw)
-    raw = dict(raw)
-    if args.horizon is not None and args.dt is None:
-        dt = _field(raw, "dt", json_number, required=False)
-        if dt is not None and dt >= args.horizon:
-            del raw["dt"]
-    flags = {"horizon": args.horizon, "dt": args.dt, "seed": args.seed}
-    raw.update({name: v for name, v in flags.items() if v is not None})
+    if isinstance(raw, dict):
+        raw = dict(raw)
+        if args.horizon is not None and args.dt is None:
+            dt = _field(raw, "dt")
+            if dt is not None and dt >= args.horizon:
+                del raw["dt"]
+        flags = {"horizon": args.horizon, "dt": args.dt, "seed": args.seed}
+        raw.update({name: v for name, v in flags.items() if v is not None})
     return scenario_from_dict(raw)
 
 

@@ -59,18 +59,19 @@ def cell_index(x, n: int):
     return np.minimum((x * n).astype(int), n - 1)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class StepFunction:
     """Piecewise-constant function on the uniform n-partition of [0, 1]."""
 
-    __slots__ = ("values",)
+    values: np.ndarray
 
-    def __init__(self, values):
-        v = np.asarray(values, dtype=float)
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("cell values must be a non-empty 1-d array")
         if not np.all(np.isfinite(v)):
             raise ValueError("cell values must be finite")
-        self.values = v
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -375,6 +376,7 @@ def l2_distance(g1, g2) -> float:
     return float(np.sqrt(np.mean(diff ** 2)))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class _AnalyticEigfun:
     """The unit-L2 eigenfunction sqrt(2)*sin(2*pi*freq*x), sqrt(2)*cos(2*pi*freq*x)
     or 1 of a kernel's pair.
@@ -384,13 +386,13 @@ class _AnalyticEigfun:
     as a closure does.
     """
 
-    __slots__ = ("kind", "freq")
+    kind: str
+    freq: float
 
-    def __init__(self, kind: str, freq: float):
-        if kind not in ("sin", "cos", "const"):
+    def __post_init__(self):
+        if self.kind not in ("sin", "cos", "const"):
             raise ValueError(
-                f"graphon field 'fun' must be one of sin|cos|const, got {kind!r}")
-        self.kind, self.freq = kind, freq
+                f"graphon field 'fun' must be one of sin|cos|const, got {self.kind!r}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -430,6 +432,17 @@ def json_number(value) -> float:
         raise ValueError("must be a number within the float range") from None
 
 
+def _check_keys(raw: dict, names, owner: str) -> None:
+    """Reject a key of ``raw`` outside ``names``, which would read as absent."""
+    for key in raw:
+        if key not in names:
+            raise ValueError(f"{owner} field '{key}': unknown field")
+
+
+_SPEC_FIELDS = {"sinusoidal": ("type",), "uniform": ("type",),
+                "step": ("type", "matrix_csv"), "finite_rank": ("type", "pairs")}
+
+
 def graphon_from_spec(spec: dict, base_dir: str = "."):
     """Build a kernel from its scenario-file description.
 
@@ -446,11 +459,15 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
     relative paths resolve against ``base_dir``, and a file that holds no
     matrix of numbers is rejected with its path.  Each ``lambda`` and
     ``freq`` must be a finite `json_number`, and the pairs must pass the
-    ordering and orthonormality checks of `FiniteRankGraphon`.
+    ordering and orthonormality checks of `FiniteRankGraphon`.  A key that
+    the spec type or a pair does not list is rejected.
     """
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("graphon spec must be an object with a 'type' field")
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise ValueError(f"graphon field 'type': unknown kind {kind!r}")
+    _check_keys(spec, _SPEC_FIELDS[kind], "graphon")
     if kind == "sinusoidal":
         return sinusoidal_graphon()
     if kind == "uniform":
@@ -475,24 +492,24 @@ def graphon_from_spec(spec: dict, base_dir: str = "."):
             raise ValueError(f"graphon field 'matrix_csv': {full} is not a "
                              f"comma-separated matrix of numbers: {reason}") from None
         return StepGraphon(entries)
-    if kind == "finite_rank":
-        raw = spec.get("pairs")
-        if not raw or not isinstance(raw, list):
-            raise ValueError("graphon field 'pairs': a non-empty list is required "
-                             "for a finite_rank graphon")
-        pairs = []
-        for item in raw:
-            if not isinstance(item, dict) or "lambda" not in item or "fun" not in item:
-                raise ValueError("graphon field 'pairs': each entry needs 'lambda' and 'fun'")
-            numbers = []
-            for name in ("lambda", "freq"):
-                try:
-                    numbers.append(json_number(item.get(name, 1.0)))
-                    if not np.isfinite(numbers[-1]):
-                        raise ValueError(f"must be finite, got {numbers[-1]}")
-                except ValueError as exc:
-                    raise ValueError(f"graphon field 'pairs': '{name}' {exc}") from None
-            lam, freq = numbers
-            pairs.append(EigenPair(lam, _AnalyticEigfun(item["fun"], freq)))
-        return FiniteRankGraphon(pairs)
-    raise ValueError(f"graphon field 'type': unknown kind {kind!r}")
+    # finite_rank, the one kind left
+    raw = spec.get("pairs")
+    if not raw or not isinstance(raw, list):
+        raise ValueError("graphon field 'pairs': a non-empty list is required "
+                         "for a finite_rank graphon")
+    pairs = []
+    for item in raw:
+        if not isinstance(item, dict) or "lambda" not in item or "fun" not in item:
+            raise ValueError("graphon field 'pairs': each entry needs 'lambda' and 'fun'")
+        _check_keys(item, ("lambda", "fun", "freq"), "graphon")
+        numbers = []
+        for name in ("lambda", "freq"):
+            try:
+                numbers.append(json_number(item.get(name, 1.0)))
+                if not np.isfinite(numbers[-1]):
+                    raise ValueError(f"must be finite, got {numbers[-1]}")
+            except ValueError as exc:
+                raise ValueError(f"graphon field 'pairs': '{name}' {exc}") from None
+        lam, freq = numbers
+        pairs.append(EigenPair(lam, _AnalyticEigfun(item["fun"], freq)))
+    return FiniteRankGraphon(pairs)

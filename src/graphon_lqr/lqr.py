@@ -131,6 +131,7 @@ def reconstruct_P(p: LqrProblem, t: float, n: int) -> np.ndarray:
     return lt * np.eye(n) + f.T @ (((ml - lt) / n)[:, None] * f)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FeedbackLaw:
     """Optimal state feedback ``u = law(t, x)`` of a decoupled problem.
 
@@ -152,13 +153,10 @@ class FeedbackLaw:
     the truncated law.  `simulate` runs the law of the system's problem,
     or of a truncation of it, in closed form, and the run keeps the law to
     read its controls from; `gains_at` rejects a time outside the horizon
-    on either path.
+    on either path.  A law compares by identity, as a closure does.
     """
 
-    __slots__ = ("problem",)
-
-    def __init__(self, problem: LqrProblem):
-        self.problem = problem
+    problem: LqrProblem
 
     def gains_at(self, t) -> np.ndarray:
         """Feedback gains at a time or array of times, shape ``t.shape + (rank + 1,)``.

@@ -9,27 +9,30 @@ matrix construction (spectral mapping).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
+@dataclass(frozen=True, slots=True)
 class CoeffPoly:
     """Real polynomial ``c0 + c1 s + ... + ck s^k``, constant term first.
 
     Trailing zero coefficients are trimmed on construction (the zero
-    polynomial keeps a single coefficient).
+    polynomial keeps a single coefficient) into the tuple ``coeffs``.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    def __post_init__(self):
+        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if c.ndim != 1 or c.size < 1:
             raise ValueError("coefficient list must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         nz = np.nonzero(c)[0]
         last = nz[-1] if nz.size else 0
-        self.coeffs = tuple(float(v) for v in c[: last + 1])
+        object.__setattr__(self, "coeffs", tuple(float(v) for v in c[: last + 1]))
 
     @property
     def degree(self) -> int:
@@ -42,15 +45,6 @@ class CoeffPoly:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * s + c
         return float(acc) if acc.ndim == 0 else acc
-
-    def __eq__(self, other):
-        return isinstance(other, CoeffPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"CoeffPoly({list(self.coeffs)})"
 
 
 def as_poly(p) -> CoeffPoly:

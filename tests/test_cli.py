@@ -203,6 +203,29 @@ class TestScenarioParsing:
             with pytest.raises(ValueError, match=re.escape(f"got {mode!r}")):
                 cli.parse_controller(mode, 2)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"contoller": "auxiliary_only"}, "scenario field 'contoller': unknown field"),
+        ({"graphon": {"type": "sinusoidal", "freq": 2}},
+         "graphon field 'freq': unknown field"),
+        ({"graphon": {"type": "finite_rank",
+                      "pairs": [{"lambda": 0.5, "fun": "sin", "frq": 3}]}},
+         "graphon field 'frq': unknown field"),
+    ], ids=["scenario", "graphon", "pair"])
+    def test_misspelled_key_exits_2_naming_it(self, tmp_path, capsys, overrides, message):
+        # each used to read as absent: the optimal law, frequency 1, exit 0
+        path = write_scenario(tmp_path, **overrides)
+        assert cli.main(["run", path, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--horizon", "2"]], ids=["file", "horizon-flag"])
+    @pytest.mark.parametrize("value", [[1.0], "scenario"], ids=["list", "string"])
+    def test_scenario_of_another_json_type_exits_2(self, tmp_path, capsys, flags, value):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(value))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "x"), *flags]) == 2
+        assert capsys.readouterr().err == "error: scenario must be a JSON object\n"
+
     @pytest.mark.parametrize("make, message", [
         (lambda tmp: cli.scenario_from_dict([1.0]), "scenario must be a JSON object"),
         (lambda tmp: cli.scenario_from_dict(

@@ -24,7 +24,15 @@ tau``, by its relative error over ``max(1, |I_0|, |I_l|)``, the size of the
 integrals its exponent subtracts; and `reconstruct_P`, the gains on the
 kernel's cell projectors, by its largest entry error over its norm, the
 largest gain.
+
+`sim._unit_costs` adds to the value of a direction dropped from the law the
+integral of ``((beta0 L - b_l M_l)(T - t) g_l(t))^2`` over the run, g_l the
+direction's growth under the residual gain; the reference takes that
+integral by `mp.quad` of the same integrand in mpmath, and the unit cost is
+held to the same bound by its relative error.
 """
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -33,6 +41,7 @@ import graphon_lqr as gl
 from graphon_lqr.errors import BlowUpError
 from graphon_lqr.lqr import ratio_prediction, reconstruct_P
 from graphon_lqr.riccati import _ExplicitRiccati
+from graphon_lqr.sim import ModalRun, _unit_costs
 
 from conftest import algebraic_root, make_rank_kernel
 
@@ -203,4 +212,67 @@ def test_problem_closed_forms_match_the_reference(problem_errors, quantity):
     worst = max(problem_errors[quantity])
     print(f"{quantity}: worst error {worst:.2f} (1 + omega tau) eps over "
           f"{len(problem_errors[quantity])} problems")
+    assert worst <= C
+
+
+UNIT_DRAWS = 14
+# Over the UNIT_DRAWS problems below, one law each at a drawn level, the
+# largest error of a dropped direction's unit cost reads 1.00 in units of
+# (1 + omega tau)*eps, held to the scalar bound C; the reference agrees with a
+# 45-digit quadrature on 8 panels to 3e-26 there.  The draws do not bind
+# `_unit_costs`' panel rule: a rule 4 times coarser, or 6 Gauss points, still
+# passes.  Over 1200 more problems (1920 dropped directions) 19 exceed C, up to
+# 8.0e5 units (a relative 1.8e-10), each confirmed on the finer quadrature:
+# there the panels are too long for the residual gain's steep fall from its
+# start, and 4 times as many panels read at most 1.52 units.  On 2 more the
+# one-interval `mp.quad` below misses by 2%, an integrand of ~1e-60 held at
+# one end of the run; the finer quadrature agrees with `_unit_costs` there.
+
+
+def inflation_references(p, level):
+    """``integral_0^T ((beta0 L - b_l M_l)(T - t) g_l(t))^2 dt`` in mpmath for
+    each direction l > ``level``, dropped from the law, with ``ln g_l(t) =
+    alpha_l t - b_l beta0 integral_{T-t}^T L``, L and M_l the solutions of rows
+    0 and l of ``p.mode_params``."""
+    horizon = p.horizon
+    row0 = p.mode_params[0]
+    # the directions' integrals read row 0 at the same nodes
+    gain = functools.cache(lambda tau: reference(*row0, tau)[0])
+    whole = gain(horizon)[2]
+
+    def inflation(row):
+        beta0, alpha, b = (mp.mpf(v) for v in (row0[1], row[0], row[1]))
+
+        def integrand(t):
+            pi, _, integral = gain(horizon - t)
+            own = reference(*row, horizon - t)[0][0]
+            with mp.workdps(60):  # the two gains cancel where the rows nearly agree
+                growth = mp.exp(alpha * t - b * beta0 * (whole - integral))
+                return ((beta0 * pi - b * own) * growth) ** 2
+
+        with mp.workdps(30):
+            return mp.quad(integrand, [0, horizon])
+
+    return [inflation(row) for row in p.mode_params[level + 1:]]
+
+
+def test_dropped_directions_cost_matches_the_reference():
+    rng = np.random.default_rng(20261022)
+    worst = 0.0
+    for p in draw_problems(rng)[:UNIT_DRAWS]:
+        level = int(rng.integers(p.d))
+        # the unit costs read the run's problem and law, not its states
+        run = ModalRun(growth=None, resid=None, coords=None, f=None, problem=p,
+                       law=gl.FeedbackLaw(gl.truncate_problem(p, level)))
+        with np.errstate(over="ignore"):
+            costs = _unit_costs(run, np.array([0.0, p.horizon]))
+        modes, omega_tau = mode_references(p)
+        for l, inflation in enumerate(inflation_references(p, level), level + 1):
+            cost = modes[l][0] + inflation
+            if cost > np.finfo(float).max:
+                assert costs[l] == np.inf
+                continue
+            err = abs(mp.mpf(float(costs[l])) - cost) / max(cost, np.finfo(float).tiny)
+            worst = max(worst, float(err) / ((1.0 + omega_tau) * EPS))
+    print(f"unit cost: worst error {worst:.2f} (1 + omega tau) eps")
     assert worst <= C

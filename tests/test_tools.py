@@ -87,7 +87,9 @@ def test_bench_measure_rows(tool, layers, extra, monkeypatch):
         assert [(row["layer"], row["n"]) for row in rows] == [
             ("riccati.matrix", 8), *(("oracle.compare", n) for n in (8, 16, 40, 64))]
     for row in rows:
-        assert set(row) == {"layer", "n", "parent", "change", "ratio", "repeats"} | extra
+        assert set(row) == {"layer", "n", "parent", "change", "ratio", "repeats",
+                            "resolved"} | extra
+        assert row["resolved"] is bench_common.resolved(row)
         assert row["repeats"] == 2
         for side in bench_common.SIDES:
             stats = row[side]
@@ -124,6 +126,37 @@ def test_bench_repeats_cheap_calls_to_fill_a_minimum_time(monkeypatch):
     monkeypatch.setattr(bench_common, "MAX_REPEATS", 7)
     calls = dict.fromkeys(bench_common.SIDES, (lambda: None, None))
     assert bench_common.timed(calls, 3)[0] == 8  # 7, made even
+
+
+@pytest.mark.parametrize("change, expected", [
+    ((1.2, 1.6, 2.4), False),  # each median inside the other side's quartiles
+    ((1.2, 1.6, 1.7), False),
+    ((1.6, 2.2, 3.0), True),   # the parent's median below the change's quartiles
+    ((0.2, 1.2, 1.4), True),   # the change's median inside, the parent's not
+    ((2.1, 2.5, 2.8), True),   # no overlap at all
+])
+def test_bench_resolves_only_medians_outside_each_others_quartiles(change, expected):
+    stats = {"parent": {"q1_ms": 1.0, "median_ms": 1.5, "q3_ms": 2.0},
+             "change": dict(zip(("q1_ms", "median_ms", "q3_ms"), change))}
+    assert bench_common.resolved(stats) is expected
+
+
+def test_bench_main_flags_an_unresolved_row(tmp_path, monkeypatch, capsys):
+    stats = {"parent": {"q1_ms": 1.0, "median_ms": 1.5, "q3_ms": 2.0},
+             "change": {"q1_ms": 1.2, "median_ms": 1.6, "q3_ms": 2.4}}
+    monkeypatch.setattr(bench_common, "timed", lambda calls, repeats: (2, stats))
+    monkeypatch.setattr(bench_common, "_load", lambda path, name: (None, None))
+    out = tmp_path / "BENCH_test.json"
+    monkeypatch.setattr(sys, "argv", ["bench", "--parent-src", os.path.dirname(
+        os.path.dirname(graphon_lqr.__file__)), "--out", str(out)])
+
+    def cases(_gl, _cli):
+        yield {"layer": "grid", "n": 3}, None, None
+
+    bench_common.main("A test timer.", cases, "unused.json", "a grid")
+    [row] = json.loads(out.read_text())["rows"]
+    assert (row["ratio"], row["resolved"]) == (1.067, False)
+    assert capsys.readouterr().out.rstrip().endswith("ratio 1.067  unresolved")
 
 
 def test_bench_main_imports_the_parent_under_a_second_name(tmp_path, monkeypatch, capsys):

@@ -18,8 +18,9 @@ calls cheaper than `MIN_SECONDS` / ``--repeats`` repeat more (`timed`).
 Each call is timed with the garbage collector run before it and off
 during it, as `timeit` does.  A row holds each side's median and
 quartiles of its wall times (`time.perf_counter`) after one warm-up call
-of each, their count, and the ratio of the change's median to the
-parent's.  The output file is written anew.
+of each, their count, the ratio of the change's median to the parent's,
+and whether that ratio resolves a difference (`resolved`); the printed
+table flags a row that does not.  The output file is written anew.
 """
 from __future__ import annotations
 
@@ -79,6 +80,14 @@ def timed(calls: dict, repeats: int) -> tuple[int, dict]:
     return count, stats
 
 
+def resolved(stats: dict) -> bool:
+    """Whether the sides' statistics resolve a difference: not when each
+    side's median lies inside the other side's quartiles."""
+    parent, change = stats["parent"], stats["change"]
+    return not (parent["q1_ms"] <= change["median_ms"] <= parent["q3_ms"]
+                and change["q1_ms"] <= parent["median_ms"] <= change["q3_ms"])
+
+
 def measure(cases, packages: dict, repeats: int) -> list[dict]:
     """One row per case of ``cases``, its calls on the parent and the change
     of ``packages`` (``{side: (gl, cli)}``) timed by `timed`; the sides must
@@ -91,7 +100,8 @@ def measure(cases, packages: dict, repeats: int) -> list[dict]:
         count, stats = timed({side: (fn, prepare) for side, (_, fn, prepare)
                               in zip(SIDES, items)}, repeats)
         ratio = stats["change"]["median_ms"] / stats["parent"]["median_ms"]
-        rows.append(dict(row, repeats=count, ratio=round(ratio, 3), **stats))
+        rows.append(dict(row, repeats=count, ratio=round(ratio, 3),
+                         resolved=resolved(stats), **stats))
     return rows
 
 
@@ -130,4 +140,5 @@ def main(doc: str, cases, out_name: str, problem: str) -> None:
         sides = "  ".join(f"{side} {row[side]['median_ms']:9.3f} ms "
                           f"[{row[side]['q1_ms']:.3f}, {row[side]['q3_ms']:.3f}]"
                           for side in SIDES)
-        print(f"{row['layer']:<21} n={row['n']:<8}{rank} {sides}  ratio {row['ratio']:.3f}")
+        flag = "" if row["resolved"] else "  unresolved"
+        print(f"{row['layer']:<21} n={row['n']:<8}{rank} {sides}  ratio {row['ratio']:.3f}{flag}")
