@@ -158,43 +158,23 @@ def build_step_system(network, p: LqrProblem) -> StepSystem:
     return StepSystem(network, p)
 
 
-@dataclass(frozen=True)
-class ModalRun:
-    """A decoupled closed loop held by its modes and the law it ran.
-
-    On grid node k the state is ``growth[k, 0]*resid + sum_l
-    growth[k, l]*coords[l-1]*f[l-1]``: mode 0 is the residual ``resid``
-    of the initial state, orthogonal to every eigenfunction, mode l its
-    l-th eigendirection, with initial coordinate ``coords[l-1]``.  The
-    ``law`` is optimal for ``problem`` but keeps only its first
-    ``law.problem.d`` eigendirections; the others take the residual gain.
-    """
-
-    growth: np.ndarray  # (K+1, rank+1) growth of the modes
-    resid: np.ndarray   # (n,) residual of the initial state
-    coords: np.ndarray  # (rank,) eigendirection coordinates of the initial state
-    f: np.ndarray       # (rank, n) eigenfunction cell values
-    problem: LqrProblem
-    law: FeedbackLaw
-
-
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Closed-loop run: states and applied controls on a time grid.
+    """A dense closed-loop run: states and applied controls on a time grid.
 
-    ``Trajectory(grid, states, controls)`` holds a dense run, shape
-    ``(len(grid), n)`` each; other shapes raise `ValueError`.  `simulate`
-    returns a decoupled run in modal form (`from_modes`): ``modes`` holds
-    it in O(K*(rank+1)) plus the O(n*rank) initial projection, ``states``
-    are rebuilt from it only on first access, in O(K*n*rank), and
-    ``controls`` are the run's law applied to those states, one call over
-    the grid.  ``modes`` is None for a dense run.  No attribute can be
-    rebound or deleted after construction, so the rebuilt arrays always
-    agree with the modes.
+    ``Trajectory(grid, states, controls)`` holds states and controls of
+    shape ``(len(grid), n)`` each; other shapes raise `ValueError`, and so
+    do non-finite entries.  `simulate` returns one from its generic loop; a
+    closed-form run is a `ModalRun`.  No attribute can be rebound or
+    deleted.
     """
 
-    modes: ModalRun | None
+    grid: np.ndarray
+    states: np.ndarray
+    controls: np.ndarray
 
-    def __init__(self, grid: np.ndarray, states: np.ndarray, controls: np.ndarray):
+    def __post_init__(self):
+        grid, states, controls = self.grid, self.states, self.controls
         if not (states.shape[0] == grid.size == controls.shape[0]):
             raise ValueError("grid, states and controls lengths disagree")
         if controls.shape != states.shape:
@@ -202,29 +182,39 @@ class Trajectory:
                 f"controls must have the states' shape {states.shape}, got {controls.shape}")
         if not (np.all(np.isfinite(states)) and np.all(np.isfinite(controls))):
             raise ValueError("trajectory contains non-finite entries")
-        vars(self).update(grid=grid, states=states, controls=controls, modes=None)
 
-    @classmethod
-    def from_modes(cls, grid: np.ndarray, modes: ModalRun) -> Trajectory:
-        """A run in modal form; its finiteness is the caller's check."""
-        traj = cls.__new__(cls)
-        vars(traj).update(grid=grid, modes=modes)
-        return traj
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Trajectory is immutable: cannot set {name!r}")
+@dataclass(frozen=True, eq=False)
+class ModalRun:
+    """A closed-form run of a decoupled loop: its modes and the law it ran.
 
-    def __delattr__(self, name):
-        raise AttributeError(f"Trajectory is immutable: cannot delete {name!r}")
+    On grid node k the state is ``growth[k, 0]*resid + sum_l
+    growth[k, l]*coords[l-1]*f[l-1]`` over the kernel's cell table
+    ``f = problem.graphon.cells(n)``: mode 0 is the residual ``resid`` of
+    the initial state, orthogonal to every eigenfunction, mode l its l-th
+    eigendirection, with initial coordinate ``coords[l-1]``.  The ``law``
+    is optimal for ``problem`` but keeps only its first ``law.problem.d``
+    eigendirections; the others take the residual gain.  ``states`` are
+    rebuilt on first read, in O(K*n*rank), and ``controls`` are the law at
+    them, one call over the grid.  No attribute can be rebound or deleted,
+    so both always agree with the modes.
+    """
+
+    grid: np.ndarray
+    growth: np.ndarray  # (K+1, rank+1) growth of the modes
+    resid: np.ndarray   # (n,) residual of the initial state
+    coords: np.ndarray  # (rank,) eigendirection coordinates of the initial state
+    problem: LqrProblem
+    law: FeedbackLaw
 
     @cached_property
     def states(self) -> np.ndarray:
-        m = self.modes
-        return (m.growth[:, 1:] * m.coords) @ m.f + m.growth[:, :1] * m.resid
+        f = self.problem.graphon.cells(self.resid.size)
+        return (self.growth[:, 1:] * self.coords) @ f + self.growth[:, :1] * self.resid
 
     @cached_property
     def controls(self) -> np.ndarray:
-        return self.modes.law(self.grid, self.states)
+        return self.law(self.grid, self.states)
 
 
 @dataclass(frozen=True)
@@ -242,20 +232,20 @@ def initial_state(n: int, seed: int) -> np.ndarray:
 
 
 def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
-             dt: float) -> Trajectory:
+             dt: float) -> Trajectory | ModalRun:
     """Run ``dx/dt = A x + B u(t, x)`` on a uniform grid, recording controls.
 
     The recorded control at each grid node is ``controller(t_k, x_k)``.
     The `FeedbackLaw` of the system's problem, or of a truncation of it,
     runs in closed form (`_modal_closed_loop`) at any ``dt``: rank + 1
     scalar growths evaluated at the grid times in O(K*(rank+1)) after one
-    O(n*rank) projection of ``x0``, returned in modal form, with dense
-    states and controls built only when read; it takes no time steps, so
+    O(n*rank) projection of ``x0``, returned as a `ModalRun`, whose dense
+    states and controls are built only when read; it takes no time steps, so
     its states carry no discretization error.  Every other controller, an
     arbitrary callable or the law of another kernel object, runs the
-    generic loop on the dense matrices: classic RK4, one `rk4_step` per
-    grid step whose first slope reuses the recorded control, so the
-    controller is called 4K + 1 times over K steps.  A law behind a
+    generic loop on the dense matrices and returns a `Trajectory`: classic
+    RK4, one `rk4_step` per grid step whose first slope reuses the recorded
+    control, so the controller is called 4K + 1 times over K steps.  A law behind a
     plain callable reads exact gains at the stage times there, so its
     run is fourth order in ``dt``.  A non-finite initial state is rejected
     with `ValueError`; a state that overflows aborts with a `BlowUpError`
@@ -269,7 +259,7 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
         raise ValueError(f"initial state must be finite, got {x[bad[0]]} at node {bad[0]}")
     grid = uniform_grid(horizon, dt)
     if isinstance(controller, FeedbackLaw) and _truncates(sys.problem, controller.problem):
-        return Trajectory.from_modes(grid, _modal_closed_loop(sys, controller, x, grid))
+        return _modal_closed_loop(sys, controller, x, grid)
     a, b = sys.a_mat, sys.b_mat
 
     def rhs(t, y):
@@ -357,11 +347,11 @@ def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
     if not finite.all():
         raise BlowUpError(
             f"closed-loop state blew up at t = {grid[np.argmin(finite)]:.6g}")
-    return ModalRun(growth=growth, resid=resid0, coords=coords0, f=f, problem=p,
+    return ModalRun(grid=grid, growth=growth, resid=resid0, coords=coords0, problem=p,
                     law=law)
 
 
-def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
+def _unit_costs(run: ModalRun) -> np.ndarray:
     """Cost of each mode of a run per unit of its initial energy, ``(rank+1,)``.
 
     By completion of squares a mode fed back with gain k(t) over
@@ -380,7 +370,7 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     equation is set up here.  An overflowing integral gives an infinite
     part, with no warning; `evaluate_cost` rejects it.
     """
-    p, kept, horizon = run.problem, run.law.problem.d, float(grid[-1])
+    p, kept, horizon = run.problem, run.law.problem.d, float(run.grid[-1])
     alpha, beta = p.mode_params[:, :2].T
     value = p.riccati(horizon)
     skewed = np.arange(p.d + 1) > kept if horizon == p.horizon else np.ones(p.d + 1, bool)
@@ -388,7 +378,7 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
         return value
     modes = np.flatnonzero(skewed)
     column = np.where(modes <= kept, modes, 0)  # the law's gain column of each mode
-    rates = alpha[skewed] - beta[skewed] * run.law.gains_at(grid[[0, -1]])[:, column]
+    rates = alpha[skewed] - beta[skewed] * run.law.gains_at(run.grid[[0, -1]])[:, column]
     fastest = 2.0 * p.riccati.rates[0].max() + np.abs(rates).max()
     panels = max(1, int(np.ceil(horizon * fastest)))
     # imported here: the optimal runs that most callers make need no quadrature
@@ -403,15 +393,15 @@ def _unit_costs(run: ModalRun, grid: np.ndarray) -> np.ndarray:
     return value
 
 
-def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
+def evaluate_cost(traj: Trajectory | ModalRun, sys: StepSystem) -> CostBreakdown:
     """Quadratic cost of a run and its decoupled breakdown.
 
     The cost of ``(x'Qx + u'u)/n`` over the run plus the terminal
     ``x'P0x/n``, split into the parts of the modes: the residual's with
     the weights ``(q0, z0)`` of ``mode_params`` row 0, eigendirection l's
     with row l.  Q and P0 act on the modes alone, since the system
-    decouples, so the total is the sum of the parts.  A closed-form run
-    of ``sys`` (`simulate`) costs its modes' initial energies times their
+    decouples, so the total is the sum of the parts.  A `ModalRun` of
+    ``sys``'s problem (`simulate`) costs its modes' initial energies times their
     `_unit_costs`, exact with no time grid: the value function for the
     optimal law, plus the completion-of-squares inflation of each dropped
     direction for a truncated one, so no truncation costs less than the
@@ -423,14 +413,14 @@ def evaluate_cost(traj: Trajectory, sys: StepSystem) -> CostBreakdown:
     integrates over the whole run, so this also catches a dropped
     direction that overflows between the run's grid nodes.
     """
-    n = traj.states.shape[1] if traj.modes is None else traj.modes.resid.size
+    modal = isinstance(traj, ModalRun)
+    n = traj.resid.size if modal else traj.states.shape[1]
     if n != sys.n:
         raise ValueError(f"the run has {n} nodes but the system has {sys.n}")
-    m = traj.modes
     with np.errstate(over="ignore", invalid="ignore"):
-        if m is not None and m.f is sys.f_cells and m.problem is sys.problem:
-            energy = np.append(m.resid @ m.resid / n, m.coords ** 2)
-            parts = _unit_costs(m, traj.grid) * energy
+        if modal and traj.problem is sys.problem:
+            energy = np.append(traj.resid @ traj.resid / n, traj.coords ** 2)
+            parts = _unit_costs(traj) * energy
         else:
             q, z = sys.problem.mode_params[:, 2:].T
 
@@ -487,7 +477,7 @@ class OracleReport:
     state_gap: float
     p_gap: float
     oracle_self_gap: float
-    run: Trajectory
+    run: ModalRun
 
 
 def oracle_compare(sys: StepSystem, x0, dt: float) -> OracleReport:
@@ -596,10 +586,10 @@ def truncation_study(sys: StepSystem, x0, levels: Sequence[int]) -> list[Truncat
     parts, growths = {}, {}
     for level in dict.fromkeys((p.d, *(0 for level in levels if level < p.d))):
         law = feedback_controller(truncate_problem(p, level))
-        traj = simulate(sys, law, x0, p.horizon, p.horizon)  # the grid {0, T}
-        cost = evaluate_cost(traj, sys)
+        run = simulate(sys, law, x0, p.horizon, p.horizon)  # the grid {0, T}
+        cost = evaluate_cost(run, sys)
         parts[level] = np.append(cost.aux, cost.eigen)
-        growths[level] = traj.modes.growth[-1, 1:]
+        growths[level] = run.growth[-1, 1:]
     j_opt = float(parts[p.d].sum())
     # predicted only where a level drops a direction (and so ran level 0)
     predictions = (ratio_prediction(p) if p.poly_b.degree == 0 and 0 in parts

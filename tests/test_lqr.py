@@ -421,7 +421,7 @@ class TestClosedLoopStructure:
         sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, n), p)
         x0 = gl.initial_state(n, 16)
         traj = gl.simulate(sys_, FeedbackLaw(other), x0, p.horizon, dt)
-        assert traj.modes is None
+        assert isinstance(traj, gl.Trajectory)
         optimal = gl.simulate(sys_, FeedbackLaw(p), x0, p.horizon, dt)
         assert gl.evaluate_cost(traj, sys_).total > gl.evaluate_cost(optimal, sys_).total
 

@@ -262,10 +262,11 @@ def test_dropped_directions_cost_matches_the_reference():
     for p in draw_problems(rng)[:UNIT_DRAWS]:
         level = int(rng.integers(p.d))
         # the unit costs read the run's problem and law, not its states
-        run = ModalRun(growth=None, resid=None, coords=None, f=None, problem=p,
+        run = ModalRun(grid=np.array([0.0, p.horizon]), growth=None, resid=None,
+                       coords=None, problem=p,
                        law=gl.FeedbackLaw(gl.truncate_problem(p, level)))
         with np.errstate(over="ignore"):
-            costs = _unit_costs(run, np.array([0.0, p.horizon]))
+            costs = _unit_costs(run)
         modes, omega_tau = mode_references(p)
         for l, inflation in enumerate(inflation_references(p, level), level + 1):
             cost = modes[l][0] + inflation

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ import graphon_lqr.sim as sim_module
 from graphon_lqr.graphon import midpoint_grid
 from graphon_lqr.lqr import truncate_problem
 from graphon_lqr.poly import apply_poly_matrix
+from graphon_lqr.sim import ModalRun
 
 from conftest import (admissible_poly, input_poly, make_rank_kernel, record_calls,
                       sinusoidal_problem)
@@ -119,7 +122,7 @@ class TestBuildStepSystem:
         sys_ = gl.build_step_system(network, p)
         law = gl.FeedbackLaw(p)
         traj = gl.simulate(sys_, law, gl.initial_state(n, 1), 1.0, 1e-2)
-        assert traj.modes is not None
+        assert isinstance(traj, ModalRun)
 
     @pytest.mark.parametrize("kernel", ["zero", "uniform"])
     def test_residual_sees_last_partial_row_block(self, kernel):
@@ -215,7 +218,7 @@ class TestBuildStepSystem:
                                     vii_problem)
         law = gl.FeedbackLaw(vii_problem)
         traj = gl.simulate(sys_, law, gl.initial_state(n, 0), vii_problem.horizon, dt)
-        assert traj.modes is not None
+        assert isinstance(traj, ModalRun)
         assert np.isfinite(gl.evaluate_cost(traj, sys_).total)
 
 
@@ -326,7 +329,7 @@ class TestModalEngine:
         errors = []
         for step in (dt, dt / 2):
             modal = gl.simulate(sys_, law, x0, p.horizon, step)
-            assert modal.modes is not None
+            assert isinstance(modal, ModalRun)
             outputs = np.array([law(t, x) for t, x in zip(modal.grid, modal.states)])
             assert rel_gap(modal.controls, outputs) <= 1e-12
             loop = gl.simulate(sys_, generic(law), x0, p.horizon, step)
@@ -405,7 +408,7 @@ class TestModalEngine:
         other = gl.FeedbackLaw(twin)
         modal = gl.simulate(sys_, own, x0, 1.0, dt)
         loop = gl.simulate(sys_, other, x0, 1.0, dt)
-        assert modal.modes is not None and loop.modes is None
+        assert isinstance(modal, ModalRun) and isinstance(loop, gl.Trajectory)
         plain = gl.simulate(sys_, generic(own), x0, 1.0, dt)
         assert rel_gap(loop.states, plain.states) <= 1e-12
         assert rel_gap(loop.controls, plain.controls) <= 1e-12
@@ -426,7 +429,7 @@ class TestModalEngine:
             law = gl.FeedbackLaw(truncate_problem(vii_problem, level))
             traj = gl.simulate(sys_, lambda t, x: 1.1 * law(t, x), x0,
                                vii_problem.horizon, dt)
-            assert traj.modes is None
+            assert isinstance(traj, gl.Trajectory)
             assert gl.evaluate_cost(traj, sys_).total > optimal
 
     def test_one_law_runs_in_closed_form_at_any_dt(self, vii_problem):
@@ -442,7 +445,7 @@ class TestModalEngine:
             law = gl.FeedbackLaw(truncate_problem(vii_problem, level))
             runs = [gl.simulate(sys_, law, x0, vii_problem.horizon, dt)
                     for dt in (1e-2, 3e-3, 1e-3, vii_problem.horizon)]
-            assert all(run.modes is not None and run.modes.law is law for run in runs)
+            assert all(isinstance(run, ModalRun) and run.law is law for run in runs)
             assert runs[-1].grid.tolist() == [0.0, vii_problem.horizon]
             parts = [np.append(cost.aux, cost.eigen)
                      for cost in (gl.evaluate_cost(run, sys_) for run in runs)]
@@ -459,7 +462,7 @@ class TestModalEngine:
         with pytest.raises(ValueError, match="outside the horizon"):
             gl.simulate(sys_, controller, x0, 2.0, dt)
         traj = gl.simulate(sys_, controller, x0, 0.5, dt)
-        assert (traj.modes is not None) == (engine == "modal")
+        assert isinstance(traj, ModalRun) == (engine == "modal")
         assert traj.grid[-1] == 0.5 and np.isfinite(traj.states).all()
 
     def test_decoupled_pipeline_builds_no_dense_matrix(self, vii_problem):
@@ -506,7 +509,7 @@ class TestModalTrajectory:
         The errors of the total, the auxiliary part and each eigen part, in
         that order.
         """
-        assert traj.modes is not None
+        assert isinstance(traj, ModalRun)
         modal = gl.evaluate_cost(traj, sys_)
         dense = gl.evaluate_cost(gl.Trajectory(traj.grid, traj.states, traj.controls),
                                  sys_)
@@ -529,7 +532,7 @@ class TestModalTrajectory:
             sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 40), p)
         law = gl.FeedbackLaw(truncate_problem(p, 0) if case == "level-0" else p)
         traj = gl.simulate(sys_, law, gl.initial_state(sys_.n, 5), 1.0, 1e-2)
-        assert traj.modes.law is law
+        assert traj.law is law
         np.testing.assert_array_equal(traj.controls, law(traj.grid, traj.states))
         nodes = np.array([law(t, x) for t, x in zip(traj.grid, traj.states)])
         assert np.abs(traj.controls - nodes).max() <= 1e-15 * np.abs(nodes).max()
@@ -576,7 +579,7 @@ class TestModalTrajectory:
         grid = np.linspace(0.0, 1.0, 3)
         states = np.arange(6.0).reshape(3, 2)
         traj = gl.Trajectory(grid, states, -states)
-        assert traj.modes is None and traj.states is states
+        assert traj.states is states
         with pytest.raises(ValueError, match="lengths"):
             gl.Trajectory(grid, states[:2], states[:2])
         # controls of another width would be costed on their own cell table
@@ -593,12 +596,17 @@ class TestModalTrajectory:
         traj = gl.simulate(sys_, law, gl.initial_state(n, 8), 1.0, dt)
         states = traj.states  # a rebuilt array is cached, not rebuilt again
         assert traj.states is states
-        for name in ("grid", "states", "controls", "modes"):
-            with pytest.raises(AttributeError, match="immutable"):
-                setattr(traj, name, None)
-            with pytest.raises(AttributeError, match="immutable"):
-                delattr(traj, name)
-        assert traj.states is states and traj.modes is not None
+        dense = gl.Trajectory(traj.grid, states, traj.controls)
+        names = ("grid", "states", "controls", "growth", "resid", "coords", "problem", "law")
+        for run, fields in ((traj, names), (dense, names[:3])):
+            for name in fields:
+                with pytest.raises(dataclasses.FrozenInstanceError,
+                                   match=f"cannot assign to field '{name}'"):
+                    setattr(run, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError,
+                                   match=f"cannot delete field '{name}'"):
+                    delattr(run, name)
+        assert traj.states is states and isinstance(traj, ModalRun)
 
     def test_pipeline_and_study_build_no_dense_run(self, monkeypatch):
         # the large-network pipeline: an analytic kernel, simulate, evaluate_cost
@@ -622,7 +630,7 @@ class TestModalTrajectory:
         gl.truncation_study(sys_, x0, range(p.d + 1))
         assert len(runs) == 1 + 2  # the study's optimal and level-0 runs
         for run in runs:
-            assert run.modes is not None
+            assert isinstance(run, ModalRun)
             assert not {"states", "controls"} & set(vars(run))
 
     def test_full_rank_study_builds_no_dense_run(self, monkeypatch):
@@ -644,7 +652,7 @@ class TestModalTrajectory:
         gl.truncation_study(sys_, gl.initial_state(6, 94), range(p.d + 1))
         assert len(runs) == 2
         for run in runs:
-            assert run.modes is not None
+            assert isinstance(run, ModalRun)
             assert not {"states", "controls"} & set(vars(run))
 
     @pytest.mark.parametrize("b", [400.0, 200.0], ids=["b400", "b200"])
@@ -716,8 +724,8 @@ def test_small_input_gain_dropped_direction(beta0):
         return np.exp(alpha[1] * t - b[1] * b[0] * pushed)
 
     for k in (10, 50, 100):
-        assert traj.modes.growth[k, 1] == pytest.approx(growth(traj.grid[k]), rel=1e-10)
-    inflation = sim_module._unit_costs(traj.modes, traj.grid)[1] - pi(1, 1.0)
+        assert traj.growth[k, 1] == pytest.approx(growth(traj.grid[k]), rel=1e-10)
+    inflation = sim_module._unit_costs(traj)[1] - pi(1, 1.0)
     expect = quad(lambda t: ((b[1] * pi(1, 1.0 - t) - b[0] * pi(0, 1.0 - t))
                              * growth(t)) ** 2, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
     assert inflation == pytest.approx(expect, rel=1e-10)
@@ -1056,7 +1064,7 @@ class TestTruncationStudy:
 
         monkeypatch.setattr(sim_module, "simulate", recording_simulate)
         gl.truncation_study(sys_, gl.initial_state(9, 68), range(p.d + 1))
-        assert len(runs) == 2 and all(run.modes is not None for run in runs)
+        assert len(runs) == 2 and all(isinstance(run, ModalRun) for run in runs)
 
     def test_ratios_nan_without_constant_input_poly(self):
         p = sinusoidal_problem()  # degree-1 input polynomial
@@ -1110,7 +1118,7 @@ class TestConsistency:
             modal = gl.simulate(sys_, law, x0, horizon, dt)
             loop = gl.simulate(sys_, generic(law), x0, horizon, dt)
             exact = np.exp(ln_y(horizon - loop.grid) - ln_y(np.array([horizon])))
-            assert np.abs(modal.modes.growth - exact).max() <= 1e-12
+            assert np.abs(modal.growth - exact).max() <= 1e-12
             assert abs(gl.evaluate_cost(modal, sys_).total - value) <= 1e-12 * value
             # the loop's mode growths: its eigen coordinates and residual
             # against those of x0
@@ -1156,7 +1164,7 @@ class TestConsistency:
         ends, errors = [], []
         for dt in (2e-2, 1e-2, 5e-3):
             modal = gl.simulate(sys_, law, x0, 1.0, dt)
-            assert modal.modes is not None
+            assert isinstance(modal, ModalRun)
             ends.append(modal.states[-1])
             loop = gl.simulate(sys_, generic(law), x0, 1.0, dt)
             errors.append(np.abs(loop.states[-1] - ends[-1]).max())
