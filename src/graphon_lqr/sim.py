@@ -9,16 +9,17 @@ product ``<x, y> = sum(x*y)/n``.  Controllers are callables
 problem: a network that the kernel eigenfunctions do not decouple is
 rejected when the system is built.  Under the `FeedbackLaw` of its
 problem, or of a truncation of it, it runs in closed form, one scalar
-growth per mode evaluated at the grid times, and its cost is the value
-function plus, for a truncated law, the completion-of-squares inflation
-of each dropped direction: exact at any dt, with no time stepping.  Any other
-controller runs the RK4 generic loop.  A network sampled from the
-problem's own kernel is checked from the kernel's cell table, so that
-pipeline forms no n x n array at any n; ``entries`` and its polynomials
-are formed only for the oracle and the generic loop.  The module also
-compares the decoupled run with the direct matrix-Riccati oracle
-(`oracle_compare`), whose loop, value and self-check `riccati._oracle_loop`
-computes from the dense matrices alone.
+growth per mode evaluated at the grid times, held as a `ModalRun`, and its
+cost is the value function plus, for a truncated law, the
+completion-of-squares inflation of each dropped direction: exact at any
+dt, with no time stepping.  Any other controller runs the RK4 generic
+loop, held as a dense `Trajectory`; both records are frozen.  A network
+sampled from the problem's own kernel is checked from the kernel's cell
+table, so that pipeline forms no n x n array at any n; ``entries`` and
+its polynomials are formed only for the oracle and the generic loop.  The
+module also compares the decoupled run with the direct matrix-Riccati
+oracle (`oracle_compare`), whose loop, value and self-check
+`riccati._oracle_loop` computes from the dense matrices alone.
 """
 from __future__ import annotations
 
@@ -164,7 +165,8 @@ class Trajectory:
 
     ``Trajectory(grid, states, controls)`` holds states and controls of
     shape ``(len(grid), n)`` each; other shapes raise `ValueError`, and so
-    do non-finite entries.  `simulate` returns one from its generic loop; a
+    do non-finite entries and a grid that is not 1-D, finite and strictly
+    increasing.  `simulate` returns one from its generic loop; a
     closed-form run is a `ModalRun`.  No attribute can be rebound or
     deleted.
     """
@@ -175,6 +177,8 @@ class Trajectory:
 
     def __post_init__(self):
         grid, states, controls = self.grid, self.states, self.controls
+        if not (grid.ndim == 1 and np.isfinite(grid).all() and np.all(np.diff(grid) > 0.0)):
+            raise ValueError("the time grid must be 1-D, finite and strictly increasing")
         if not (states.shape[0] == grid.size == controls.shape[0]):
             raise ValueError("grid, states and controls lengths disagree")
         if controls.shape != states.shape:
@@ -240,14 +244,14 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
     runs in closed form (`_modal_closed_loop`) at any ``dt``: rank + 1
     scalar growths evaluated at the grid times in O(K*(rank+1)) after one
     O(n*rank) projection of ``x0``, returned as a `ModalRun`, whose dense
-    states and controls are built only when read; it takes no time steps, so
-    its states carry no discretization error.  Every other controller, an
-    arbitrary callable or the law of another kernel object, runs the
+    states and controls are built only when read; it takes no time steps,
+    so its states carry no discretization error.  Every other controller,
+    an arbitrary callable or the law of another kernel object, runs the
     generic loop on the dense matrices and returns a `Trajectory`: classic
-    RK4, one `rk4_step` per grid step whose first slope reuses the recorded
-    control, so the controller is called 4K + 1 times over K steps.  A law behind a
-    plain callable reads exact gains at the stage times there, so its
-    run is fourth order in ``dt``.  A non-finite initial state is rejected
+    RK4, one `rk4_step` per grid step whose first slope reuses the
+    recorded control, so the controller is called 4K + 1 times over K
+    steps.  A law behind a plain callable reads exact gains at the stage
+    times there, so its run is fourth order in ``dt``.  A non-finite initial state is rejected
     with `ValueError`; a state that overflows aborts with a `BlowUpError`
     naming the time.
     """
@@ -360,36 +364,47 @@ def _unit_costs(run: ModalRun) -> np.ndarray:
     its growth.  A kept mode of a run over the law's whole horizon T has
     ``k = b Pi(T - t)``, so it costs the value ``Pi(T)`` alone; a dropped
     direction, or any mode of a shorter run, adds the integral, by a
-    composite 8-point Gauss-Legendre rule whose panels are short against
-    the fastest rate of the integrand (``4*omega`` of the Riccati
-    solutions, twice the largest closed-loop rate), closed forms at every
-    node and no time stepping.  A closed-loop rate ``alpha - b k(t)`` is
-    monotone in time, as the gain is, so the largest one is read at the
-    run's two ends.  The applied gains are read from the run's law, the
-    optimal ones and their rates omega from ``p.riccati``, so no Riccati
-    equation is set up here.  An overflowing integral gives an infinite
-    part, with no warning; `evaluate_cost` rejects it.
+    composite 8-point Gauss-Legendre rule, closed forms at every node and
+    no time stepping.  A closed-loop rate ``alpha - b k(t)`` is monotone
+    in time, as the gain is, so its range is read at the run's two ends.
+    The panels are no longer than the inverse of the integrand's rate at
+    the run's start: ``2*omega`` of the Riccati solutions plus the
+    closed-loop rates there.  Toward the run's end they are shorter.
+    There each Riccati solution starts from its terminal weight z0 and
+    may fall steeply, with a pole about ``1/|beta^2 z0 - alpha|`` past
+    the end, so the panels widen by 3/2 from the end, each half as wide
+    as its distance from a pole ``1/fastest`` past it; ``fastest`` is
+    ``2*omega`` plus the largest of those rates and of the closed-loop
+    rates at both ends.  A stiff end thus costs about six panels per
+    decade of ``T*fastest``, not one panel per unit of it.  The applied
+    gains are read from the run's law, the optimal ones and their rates
+    omega from ``p.riccati``, so no Riccati equation is set up here.  An
+    overflowing integral gives an infinite part, with no warning;
+    `evaluate_cost` rejects it.
     """
     p, kept, horizon = run.problem, run.law.problem.d, float(run.grid[-1])
-    alpha, beta = p.mode_params[:, :2].T
+    alpha, beta, _, z0 = p.mode_params.T
     value = p.riccati(horizon)
     skewed = np.arange(p.d + 1) > kept if horizon == p.horizon else np.ones(p.d + 1, bool)
     if not skewed.any():
         return value
     modes = np.flatnonzero(skewed)
     column = np.where(modes <= kept, modes, 0)  # the law's gain column of each mode
-    rates = alpha[skewed] - beta[skewed] * run.law.gains_at(run.grid[[0, -1]])[:, column]
-    fastest = 2.0 * p.riccati.rates[0].max() + np.abs(rates).max()
-    panels = max(1, int(np.ceil(horizon * fastest)))
-    # imported here: the optimal runs that most callers make need no quadrature
+    rates = np.abs(alpha[skewed] - beta[skewed] * run.law.gains_at(run.grid[[0, -1]])[:, column])
+    omega = 2.0 * p.riccati.rates[0].max()  # the Riccati solutions' 2*omega
+    fastest = omega + max(rates.max(), np.abs(beta * beta * z0 - alpha).max())
+    # panel edges as distances from the run's end
+    graded = (1.5 ** np.arange(1.0, np.log1p(horizon * fastest) / np.log(1.5)) - 1.0) / fastest
+    even = np.linspace(0.0, horizon, max(1, int(np.ceil(horizon * (omega + rates[0].max())))) + 1)
+    edges = horizon - np.sort(np.append(even, graded))[::-1]
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    width = horizon / panels
-    t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) * width).ravel()
+    start, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    t = (start + half * (nodes + 1.0)).ravel()
     applied = run.law.gains_at(t)[:, column]  # dropped: the residual gain
     optimal = p.riccati(horizon - t)[:, skewed] * beta[skewed]
     with np.errstate(over="ignore", invalid="ignore"):
         miss = (applied - optimal) * np.exp(_log_growth(p, run.law.problem, t)[:, skewed])
-        value[skewed] += 0.5 * width * (np.tile(weights, panels) @ (miss * miss))
+        value[skewed] += (half * weights).ravel() @ (miss * miss)
     return value
 
 
@@ -401,8 +416,8 @@ def evaluate_cost(traj: Trajectory | ModalRun, sys: StepSystem) -> CostBreakdown
     the weights ``(q0, z0)`` of ``mode_params`` row 0, eigendirection l's
     with row l.  Q and P0 act on the modes alone, since the system
     decouples, so the total is the sum of the parts.  A `ModalRun` of
-    ``sys``'s problem (`simulate`) costs its modes' initial energies times their
-    `_unit_costs`, exact with no time grid: the value function for the
+    ``sys``'s problem (`simulate`) costs its modes' initial energies times
+    their `_unit_costs`, exact with no time grid: the value function for the
     optimal law, plus the completion-of-squares inflation of each dropped
     direction for a truncated one, so no truncation costs less than the
     optimum.  Any other run is projected on the modes, O(K*n*rank), and

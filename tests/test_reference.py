@@ -218,15 +218,18 @@ def test_problem_closed_forms_match_the_reference(problem_errors, quantity):
 UNIT_DRAWS = 14
 # Over the UNIT_DRAWS problems below, one law each at a drawn level, the
 # largest error of a dropped direction's unit cost reads 1.00 in units of
-# (1 + omega tau)*eps, held to the scalar bound C; the reference agrees with a
-# 45-digit quadrature on 8 panels to 3e-26 there.  The draws do not bind
-# `_unit_costs`' panel rule: a rule 4 times coarser, or 6 Gauss points, still
-# passes.  Over 1200 more problems (1920 dropped directions) 19 exceed C, up to
-# 8.0e5 units (a relative 1.8e-10), each confirmed on the finer quadrature:
-# there the panels are too long for the residual gain's steep fall from its
-# start, and 4 times as many panels read at most 1.52 units.  On 2 more the
-# one-interval `mp.quad` below misses by 2%, an integrand of ~1e-60 held at
-# one end of the run; the finer quadrature agrees with `_unit_costs` there.
+# (1 + omega tau)*eps, held to the scalar bound C.  Over the 1200 problems of
+# seeds 1-20 (1826 dropped directions) it reads 1.94, against a 45-digit
+# quadrature on 32 panels where the one-interval `mp.quad` below is not
+# accurate enough: at seed 4, problem 7, an integrand of ~1e-51 held at one
+# end of the run, that misses by 1.5e3 units.  STEEP_DRAWS are two problems of
+# those seeds that bind `_unit_costs`' panel rule: at seed 8, problem 30, the
+# residual gain falls steeply from its start (beta0^2 z0 T = 6), and at seed
+# 18, problem 49, the modes grow at alpha T = 8 over the whole run.  A rule
+# with panels 4 times wider, graded by 3 instead of 3/2, with 6 Gauss points,
+# without the rates beta^2 z0 - alpha, or with the uniform panels of
+# 1/fastest that it replaced misses C on them by factors of 100 to 1e10.
+STEEP_DRAWS = ((8, 30), (18, 49))
 
 
 def inflation_references(p, level):
@@ -256,11 +259,11 @@ def inflation_references(p, level):
     return [inflation(row) for row in p.mode_params[level + 1:]]
 
 
-def test_dropped_directions_cost_matches_the_reference():
-    rng = np.random.default_rng(20261022)
-    worst = 0.0
-    for p in draw_problems(rng)[:UNIT_DRAWS]:
-        level = int(rng.integers(p.d))
+def unit_cost_errors(draws):
+    """Per direction dropped by a draw ``(p, level)``, the error of its unit
+    cost against the reference, in units of ``(1 + omega tau)*eps``."""
+    errors = []
+    for p, level in draws:
         # the unit costs read the run's problem and law, not its states
         run = ModalRun(grid=np.array([0.0, p.horizon]), growth=None, resid=None,
                        coords=None, problem=p,
@@ -274,6 +277,25 @@ def test_dropped_directions_cost_matches_the_reference():
                 assert costs[l] == np.inf
                 continue
             err = abs(mp.mpf(float(costs[l])) - cost) / max(cost, np.finfo(float).tiny)
-            worst = max(worst, float(err) / ((1.0 + omega_tau) * EPS))
+            errors.append(float(err) / ((1.0 + omega_tau) * EPS))
+    return errors
+
+
+def test_dropped_directions_cost_matches_the_reference():
+    rng = np.random.default_rng(20261022)
+    problems = draw_problems(rng)[:UNIT_DRAWS]
+    worst = max(unit_cost_errors([(p, int(rng.integers(p.d))) for p in problems]))
     print(f"unit cost: worst error {worst:.2f} (1 + omega tau) eps")
     assert worst <= C
+
+
+def test_panel_rule_resolves_steep_and_fast_runs():
+    draws = []
+    for seed, index in STEEP_DRAWS:
+        rng = np.random.default_rng(seed)
+        problems = draw_problems(rng)
+        levels = [int(rng.integers(p.d)) for p in problems]
+        draws.append((problems[index], levels[index]))
+    errors = unit_cost_errors(draws)
+    print(f"unit cost: errors {np.round(errors, 2).tolist()} (1 + omega tau) eps")
+    assert len(errors) == 2 and max(errors) <= C

@@ -575,6 +575,22 @@ class TestModalTrajectory:
             ratios = errors[0] / errors[1]
             assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (level, ratios)
 
+    def test_cost_of_a_run_shorter_than_its_law(self, vii_problem):
+        # a run to 0.5 of laws over the horizon 1: no mode's gain is the
+        # optimum of the shorter run, so every mode adds its integral, and
+        # the trapezoid cost of the exact states converges to the exact cost
+        # at second order, in total and mode by mode
+        n = 12
+        sys_ = gl.build_step_system(gl.sample_step_entries(vii_problem.graphon, n),
+                                    vii_problem)
+        x0 = gl.initial_state(n, 12)
+        for level in (vii_problem.d, 0):
+            law = gl.FeedbackLaw(truncate_problem(vii_problem, level))
+            errors = [self.dense_cost_error(gl.simulate(sys_, law, x0, 0.5, dt), sys_)
+                      for dt in (1e-3, 5e-4)]
+            ratios = errors[0] / errors[1]
+            assert np.all((3.99 <= ratios) & (ratios <= 4.01)), (level, ratios)
+
     def test_dense_constructor_unchanged(self):
         grid = np.linspace(0.0, 1.0, 3)
         states = np.arange(6.0).reshape(3, 2)
@@ -587,6 +603,22 @@ class TestModalTrajectory:
             gl.Trajectory(grid, states, -states[:, :1])
         with pytest.raises(ValueError, match="non-finite"):
             gl.Trajectory(grid, states, np.full((3, 2), np.nan))
+
+    @pytest.mark.parametrize("grid", [[1.0, 0.5, 0.0], [0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
+                                      [0.0, 0.5, 0.5], [[0.0, 0.5, 1.0]]],
+                             ids=["reversed", "nan", "inf", "repeated", "2-d"])
+    def test_grid_must_be_finite_and_increasing(self, grid):
+        # unit weights and a unit state and control: the run costs 2 per unit
+        # time plus 1 at its end, and its reversed grid once read a total of
+        # -1.0, a NaN node a cost that is not finite
+        p = gl.LqrProblem(2.0, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([1.0]),
+                          gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 4), p)
+        x = np.ones((3, 4))
+        forward = gl.Trajectory(np.array([0.0, 0.5, 1.0]), x, x)
+        assert gl.evaluate_cost(forward, sys_).total == pytest.approx(3.0, rel=1e-14)
+        with pytest.raises(ValueError, match="1-D, finite and strictly increasing"):
+            gl.Trajectory(np.array(grid), x, x)
 
     def test_immutable(self, vii_problem):
         n, dt = 8, 1e-2
