@@ -9,9 +9,11 @@ the pair's low word) gives the 17-digit integer D = round(|v|·10**s) with
 an error below 2**-40, a table of four-digit groups gives its digits, and
 C's ``%g`` rules place them: fixed notation for a decimal exponent
 -4 <= X <= 16, scientific with at least two exponent digits otherwise,
-trailing zeros and a bare point dropped.  NaN, infinities, zeros, |v|
-outside ``[1e-290, 1e290)`` and values within 2**-30 of a rounding tie go
-through Python's ``'%.17g' % v``, one at a time.
+trailing zeros and a bare point dropped.  Zeros, NaN and infinities take
+one of five texts from a table (``0``, ``-0``, ``nan``, ``inf``, ``-inf``; a
+negative NaN prints ``nan``), and only |v| outside ``[1e-290, 1e290)`` and
+values within 2**-30 of a rounding tie go through Python's ``'%.17g' % v``,
+one at a time.
 
 Ref: Adams, *Ryū revisited: printf floating point conversion*, OOPSLA 2019.
 """
@@ -79,7 +81,8 @@ def _masks():
 def _tables():
     """10**s as the double-double ``(hi, lo)`` with ``hi`` split, for s in
     [_S_MIN, _S_MAX]; the four-digit groups 0000..9999 as ASCII words, the
-    number of trailing zeros of each group, and `_masks`.  Built on first
+    number of trailing zeros of each group, `_masks`, and the texts of
+    0, -0, inf, -inf and NaN with their lengths.  Built on first
     use, so that importing the package does not pay for them."""
     hi, lo = np.empty(_S_MAX - _S_MIN + 1), np.empty(_S_MAX - _S_MIN + 1)
     for k, s in enumerate(range(_S_MIN, _S_MAX + 1)):
@@ -94,7 +97,10 @@ def _tables():
     for k in range(4):   # digit 10**k goes to byte 3 - k of the word
         ascii4 |= (48 + group // 10 ** k % 10) << np.uint32(8 * (3 - k))
     zeros4 = sum((group % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
-    tables = hi, hi_hi / scale, hi_lo / scale, lo, ascii4, zeros4, _masks()
+    texts = np.array([b"0", b"-0", b"inf", b"-inf", b"nan"], f"S{_WIDTH}")
+    texts = texts.view(np.uint8).reshape(-1, _WIDTH)
+    tables = (hi, hi_hi / scale, hi_lo / scale, lo, ascii4, zeros4, _masks(), texts,
+              np.count_nonzero(texts, axis=1))
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -128,7 +134,7 @@ def _groups(number):
 
 def _format(values, seps):
     """The bytes of ``'%.17g' % v`` followed by its separator, for every value."""
-    ascii4, zeros4, masks = _tables()[4:]
+    ascii4, zeros4, masks, texts, lengths = _tables()[4:]
     n = values.size
     a = np.abs(values)
     fast = (a >= _LOW) & (a < _HIGH)          # False for NaN
@@ -165,7 +171,16 @@ def _format(values, seps):
     words[:, 12] = ascii4[power] >> 8 | seps.astype(np.uint32) << 24
     mask = masks.take(key, axis=0)
 
-    for i in np.flatnonzero(~fast):
+    slow = np.flatnonzero(~fast)
+    v = values[slow]
+    special = (v == 0.0) | ~np.isfinite(v)
+    if special.any():   # the row of their text: 0, -0, inf, -inf, nan
+        rows, v = slow[special], v[special]
+        kind = np.where(np.isnan(v), 4, np.where(v == 0.0, 0, 2) + np.signbit(v))
+        tmpl[rows] = texts[kind]
+        tmpl[rows, lengths[kind]] = seps[rows]
+        mask[rows] = np.arange(_WIDTH) <= lengths[kind][:, None]
+    for i in slow[~special]:
         text = b"%.17g" % values[i]
         tmpl[i, :len(text)] = np.frombuffer(text, np.uint8)
         tmpl[i, len(text)] = seps[i]

@@ -16,6 +16,7 @@ samples them on a time grid, for ``gains.csv``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +45,10 @@ class LqrProblem:
     poly_p0(lam_l))``, weights clipped at zero in every row.
     ``riccati`` is the explicit solution of those rows, set up once:
     ``riccati(tau)`` gives L and M_1..M_d at Riccati time tau, exactly
-    (`riccati_explicit`'s arithmetic).
+    (`riccati_explicit`'s arithmetic).  ``value`` is that solution at the
+    horizon, Pi(T) of every row, evaluated on first read: a problem whose
+    Pi(T) overflows is still built, and raises `BlowUpError` only when the
+    value is read.
     """
 
     alpha0: float
@@ -79,6 +83,12 @@ class LqrProblem:
         params.flags.writeable = False
         object.__setattr__(self, "mode_params", params)
         object.__setattr__(self, "riccati", _ExplicitRiccati(*params.T))
+
+    @cached_property
+    def value(self) -> np.ndarray:
+        value = self.riccati(self.horizon)
+        value.flags.writeable = False
+        return value
 
     @property
     def d(self) -> int:

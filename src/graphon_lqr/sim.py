@@ -9,8 +9,10 @@ product ``<x, y> = sum(x*y)/n``.  Controllers are callables
 problem: a network that the kernel eigenfunctions do not decouple is
 rejected when the system is built.  Under the `FeedbackLaw` of its
 problem, or of a truncation of it, it runs in closed form, one scalar
-growth per mode evaluated at the grid times, held as a `ModalRun`, and its
-cost is the value function plus, for a truncated law, the
+growth per mode, held as a `ModalRun`: an O(n*rank) projection of the
+initial state and an O(rank) overflow bound, with the growths evaluated at
+the grid times only when read.  Its cost is the value function plus, for a
+truncated law, the
 completion-of-squares inflation of each dropped direction: exact at any
 dt, with no time stepping.  Any other controller runs the RK4 generic
 loop, held as a dense `Trajectory`; both records are frozen.  A network
@@ -198,18 +200,29 @@ class ModalRun:
     the initial state, orthogonal to every eigenfunction, mode l its l-th
     eigendirection, with initial coordinate ``coords[l-1]``.  The ``law``
     is optimal for ``problem`` but keeps only its first ``law.problem.d``
-    eigendirections; the others take the residual gain.  ``states`` are
-    rebuilt on first read, in O(K*n*rank), and ``controls`` are the law at
-    them, one call over the grid.  No attribute can be rebound or deleted,
-    so both always agree with the modes.
+    eigendirections; the others take the residual gain.  The
+    ``(K+1, rank+1)`` table ``growth``, `_log_growth` at the grid times
+    (mode 0 held at 1 at rank = n, where no residual is left), is built on
+    first read, in O(K*(rank+1)); ``states`` are rebuilt from it on first
+    read, in O(K*n*rank), and ``controls`` are the law at them, one call
+    over the grid.  A run that is only costed builds none of them.  No
+    attribute can be rebound or deleted, so all three always agree with
+    the modes.
     """
 
     grid: np.ndarray
-    growth: np.ndarray  # (K+1, rank+1) growth of the modes
     resid: np.ndarray   # (n,) residual of the initial state
     coords: np.ndarray  # (rank,) eigendirection coordinates of the initial state
     problem: LqrProblem
     law: FeedbackLaw
+
+    @cached_property
+    def growth(self) -> np.ndarray:
+        log_growth = _log_growth(self.problem, self.law.problem, self.grid)
+        if self.problem.d == self.resid.size:  # rank = n: no residual
+            log_growth[:, 0] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # `_modal_closed_loop` reports it
+            return np.exp(log_growth)
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -241,11 +254,12 @@ def simulate(sys: StepSystem, controller: Callable, x0, horizon: float,
 
     The recorded control at each grid node is ``controller(t_k, x_k)``.
     The `FeedbackLaw` of the system's problem, or of a truncation of it,
-    runs in closed form (`_modal_closed_loop`) at any ``dt``: rank + 1
-    scalar growths evaluated at the grid times in O(K*(rank+1)) after one
-    O(n*rank) projection of ``x0``, returned as a `ModalRun`, whose dense
-    states and controls are built only when read; it takes no time steps,
-    so its states carry no discretization error.  Every other controller,
+    runs in closed form (`_modal_closed_loop`) at any ``dt``: one
+    O(n*rank) projection of ``x0`` and an O(rank) overflow bound, returned
+    as a `ModalRun`, whose rank + 1 scalar growths at the grid times
+    (O(K*(rank+1))) and dense states and controls are built only when read;
+    it takes no time steps, so its states carry no discretization error.
+    Every other controller,
     an arbitrary callable or the law of another kernel object, runs the
     generic loop on the dense matrices and returns a `Trajectory`: classic
     RK4, one `rk4_step` per grid step whose first slope reuses the
@@ -316,43 +330,69 @@ def _log_growth(p: LqrProblem, own: LqrProblem, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _end_gains(law: FeedbackLaw, grid: np.ndarray) -> np.ndarray:
+    """The law's gains at the run's two ends, shape ``(2, law.problem.d + 1)``.
+
+    Each gain solves an autonomous scalar Riccati equation, so it is
+    monotone in time and its range over the run is that of its two ends.
+    On a run over the law's whole horizon T the ends are ``b*Pi(T)``, read
+    from its problem's ``value``, and ``b*z0``, with no evaluation; on any
+    other grid `FeedbackLaw.gains_at` evaluates them and rejects a time
+    past the horizon.
+    """
+    own = law.problem
+    if grid[-1] == own.horizon:
+        return np.stack([own.value, own.mode_params[:, 3]]) * own.mode_params[:, 1]
+    return law.gains_at(grid[[0, -1]])
+
+
 def _modal_closed_loop(sys: StepSystem, law: FeedbackLaw, x0: np.ndarray,
                        grid: np.ndarray) -> ModalRun:
     """A decoupled closed loop in closed form, one growth per mode.
 
     Mode 0 is the residual of the state, mode m its m-th eigendirection;
-    the growths are `_log_growth` at the grid times, and the run keeps
-    the law, whose output at the rebuilt states is the controls.  At
+    the run keeps the law, and its growths (`_log_growth` at the grid
+    times), states and controls are built from them when read.  At
     rank = n the eigendirections span every state, so mode 0 is held at
     zero with unit growth, lest an unstable drift amplify the rounding
     left by the projection.  The run aborts at the first node where a
     bound on the rebuilt entries is not finite: a state entry is at most
     (rank + 1)*max|F| times the largest mode amplitude, and the law's
     sums ``x F'`` and gain products at most ``max(n, (2*rank + 1)*max|F|
-    *max|gain|) * max|F|`` times that.  Each gain solves an autonomous
-    scalar Riccati equation, so it is monotone in time and its largest
-    magnitude over the run is at one of the run's two ends: the bound
-    reads the law (`FeedbackLaw.gains_at`) there alone.
+    *max|gain|) * max|F|`` times that, with the gains' range read at the
+    run's two ends (`_end_gains`).  That per-node check needs the growth
+    table, so an O(rank) bound on it comes first: mode m's closed-loop
+    rate is at most r_m, ``alpha_m`` for a kept mode (its gain
+    ``b_m^2 Pi_m`` is nonnegative) and ``alpha_l + |b_l|*max|beta0 L|``
+    for a dropped direction, so its growth is at most
+    ``exp(max(r_m, 0)*t_K)`` at every node.  When twice the per-node bound
+    at those growths is finite (the factor covers the rounding of the
+    computed growths), no node can fail and the table is left unbuilt;
+    otherwise it is built and every node checked.
     """
     f, n, p = sys.f_cells, sys.n, sys.problem
-    big_gain = np.abs(law.gains_at(grid[[0, -1]])).max()  # rejects a time past the horizon
+    ends = _end_gains(law, grid)
     coords0, resid0 = p.graphon.project(x0)
-    log_growth = _log_growth(p, law.problem, grid)
     if f.shape[0] == n:  # rank = n: no residual
-        log_growth[:, 0] = 0.0
         resid0 = np.zeros(n)
+    run = ModalRun(grid=grid, resid=resid0, coords=coords0, problem=p, law=law)
     size = np.append(np.abs(resid0).max(), np.abs(coords0))  # largest entry per mode
     big_f = np.abs(f).max(initial=1.0)
+    alpha, beta = p.mode_params[:, :2].T
+    kept = law.problem.d
+    rate = alpha.copy()  # a bound on each mode's closed-loop rate
+    rate[kept + 1:] += np.abs(beta[kept + 1:]) * np.abs(ends[:, 0]).max()
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.exp(log_growth)
-        states = (p.d + 1) * big_f * (growth * size).max(axis=1)
-        law_ops = np.maximum(n, (2 * p.d + 1) * big_f * big_gain)
+        law_ops = np.maximum(n, (2 * p.d + 1) * big_f * np.abs(ends).max())
+        most_growth = 2.0 * np.exp(np.maximum(rate, 0.0) * grid[-1])
+        if np.isfinite((p.d + 1) * big_f * (most_growth * size).max() * law_ops * big_f):
+            return run
+        states = (p.d + 1) * big_f * (run.growth * size).max(axis=1)
         finite = np.isfinite(states * law_ops * big_f)
     if not finite.all():
         raise BlowUpError(
             f"closed-loop state blew up at t = {grid[np.argmin(finite)]:.6g}")
-    return ModalRun(grid=grid, growth=growth, resid=resid0, coords=coords0, problem=p,
-                    law=law)
+    return run
 
 
 def _unit_costs(run: ModalRun) -> np.ndarray:
@@ -377,20 +417,22 @@ def _unit_costs(run: ModalRun) -> np.ndarray:
     ``2*omega`` plus the largest of those rates and of the closed-loop
     rates at both ends.  A stiff end thus costs about six panels per
     decade of ``T*fastest``, not one panel per unit of it.  The applied
-    gains are read from the run's law, the optimal ones and their rates
-    omega from ``p.riccati``, so no Riccati equation is set up here.  An
-    overflowing integral gives an infinite part, with no warning;
-    `evaluate_cost` rejects it.
+    gains are read from the run's law (at the run's ends, `_end_gains`),
+    the optimal ones and their rates omega from ``p.riccati``, and the
+    value of a run over the whole horizon from ``p.value``, so no Riccati
+    equation is set up here.  An overflowing integral gives an infinite
+    part, with no warning; `evaluate_cost` rejects it.
     """
     p, kept, horizon = run.problem, run.law.problem.d, float(run.grid[-1])
     alpha, beta, _, z0 = p.mode_params.T
-    value = p.riccati(horizon)
-    skewed = np.arange(p.d + 1) > kept if horizon == p.horizon else np.ones(p.d + 1, bool)
+    whole = horizon == p.horizon
+    value = p.value if whole else p.riccati(horizon)
+    skewed = np.arange(p.d + 1) > kept if whole else np.ones(p.d + 1, bool)
     if not skewed.any():
         return value
     modes = np.flatnonzero(skewed)
     column = np.where(modes <= kept, modes, 0)  # the law's gain column of each mode
-    rates = np.abs(alpha[skewed] - beta[skewed] * run.law.gains_at(run.grid[[0, -1]])[:, column])
+    rates = np.abs(alpha[skewed] - beta[skewed] * _end_gains(run.law, run.grid)[:, column])
     omega = 2.0 * p.riccati.rates[0].max()  # the Riccati solutions' 2*omega
     fastest = omega + max(rates.max(), np.abs(beta * beta * z0 - alpha).max())
     # panel edges as distances from the run's end
@@ -404,6 +446,7 @@ def _unit_costs(run: ModalRun) -> np.ndarray:
     optimal = p.riccati(horizon - t)[:, skewed] * beta[skewed]
     with np.errstate(over="ignore", invalid="ignore"):
         miss = (applied - optimal) * np.exp(_log_growth(p, run.law.problem, t)[:, skewed])
+        value = value.copy()  # the problem's value is read-only
         value[skewed] += (half * weights).ravel() @ (miss * miss)
     return value
 

@@ -121,6 +121,25 @@ def test_small_blocks_split_rows(tmp_path, monkeypatch, block):
     assert written(tmp_path / "t.csv", header_of(7), [table[:, 0], table[:, 1:]]) == expected
 
 
+@pytest.mark.parametrize("block", [5, csvout._BLOCK])
+def test_zeros_nans_and_infinities_match_savetxt(tmp_path, monkeypatch, block):
+    # the texts of 0, -0, NaN of either sign and +-inf come from a table, here
+    # among values in and out of [1e-290, 1e290) in the same blocks
+    monkeypatch.setattr(csvout, "_BLOCK", block)
+    rng = np.random.default_rng(39)
+    specials = np.array([0.0, -0.0, math.nan, np.copysign(math.nan, -1.0), math.inf,
+                         -math.inf])
+    table = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-300, 300, (50, 6))
+    pick = rng.random(table.shape) < 0.4
+    table[pick] = rng.choice(specials, pick.sum())
+    table[0] = specials
+    assert np.signbit(table[0, 3])
+    header = header_of(6)
+    expected = savetxt_bytes(tmp_path / "ref.csv", header, table)
+    assert written(tmp_path / "t.csv", header, [table[:, 0], table[:, 1:]]) == expected
+    assert expected.splitlines()[1] == b"0,-0,nan,nan,inf,-inf"
+
+
 def truncation_rows(d, nan_columns):
     rows = []
     for level in range(d + 1):

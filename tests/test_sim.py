@@ -686,6 +686,8 @@ class TestModalTrajectory:
         for run in runs:
             assert isinstance(run, ModalRun)
             assert not {"states", "controls"} & set(vars(run))
+            # no residual at rank = n: mode 0 is held at zero with unit growth
+            assert not run.resid.any() and (run.growth[:, 0] == 1.0).all()
 
     @pytest.mark.parametrize("b", [400.0, 200.0], ids=["b400", "b200"])
     def test_stiff_decaying_mode_runs_exactly(self, b):
@@ -731,6 +733,65 @@ class TestModalTrajectory:
             traj = gl.simulate(sys_, law, x0, 1.0, 1e-3)
             assert np.abs(traj.states).max() > 1e304
             assert np.isfinite(traj.controls).all()
+
+    def test_costed_run_builds_no_growth_table(self, monkeypatch):
+        # the optimal run's overflow bound is O(rank) and its cost reads Pi(T)
+        # once: no Riccati solution is evaluated on the grid, and the growth
+        # table is built on first read, bit for bit the closed form's
+        p = gl.LqrProblem(0.8, gl.CoeffPoly([1.0, 0.5]), gl.CoeffPoly([1.0, 0.5]),
+                          gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
+        assert "value" not in vars(p)
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 40), p)
+        sizes = []
+        for name in ("__call__", "log_y", "gain_integral"):
+            method = getattr(riccati_module._ExplicitRiccati, name)
+
+            def recording(self, t, method=method, name=name):
+                sizes.append((name, np.size(t)))
+                return method(self, t)
+
+            monkeypatch.setattr(riccati_module._ExplicitRiccati, name, recording)
+        run = gl.simulate(sys_, gl.FeedbackLaw(p), gl.initial_state(40, 39), 1.0, 1e-3)
+        cost = gl.evaluate_cost(run, sys_)
+        assert sizes == [("__call__", 1)]  # p.value
+        assert not {"growth", "states", "controls"} & set(vars(run))
+        assert not p.value.flags.writeable
+        np.testing.assert_array_equal(p.value, p.riccati(1.0))
+        np.testing.assert_array_equal(cost.eigen, p.value[1:] * run.coords ** 2)
+        monkeypatch.undo()
+        expected = np.exp(sim_module._log_growth(p, p, run.grid))
+        assert run.growth.shape == (1001, 3)
+        np.testing.assert_array_equal(run.growth, expected)
+        assert vars(run)["growth"] is run.growth
+
+    def test_overflowing_bound_checks_every_node(self):
+        # alpha0 = 800 overflows the O(rank) bound exp(alpha_m T), but the
+        # optimal loop decays: the run builds its growth table, checks every
+        # node and returns the closed form
+        p = gl.LqrProblem(800.0, gl.CoeffPoly([1.0]), gl.CoeffPoly([1.0]),
+                          gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 12), p)
+        run = gl.simulate(sys_, gl.FeedbackLaw(p), gl.initial_state(12, 7), 1.0, 1e-3)
+        assert "growth" in vars(run)
+        np.testing.assert_array_equal(run.growth,
+                                      np.exp(sim_module._log_growth(p, p, run.grid)))
+        assert run.growth.max() == 1.0 and run.growth[-1].max() < 1e-100
+        assert np.isfinite(run.states).all() and np.isfinite(run.controls).all()
+        assert np.isfinite(gl.evaluate_cost(run, sys_).total)
+
+    def test_bound_covers_a_dropped_direction_driven_by_the_residual_gain(self):
+        # b_l = -1 against beta0 = 1: the residual gain beta0 L, near 2 alpha0,
+        # drives the directions the level-0 law drops at about 3 alpha0, past
+        # their drift alpha0 + 1/2, and they overflow near t = 0.585; the
+        # optimal law keeps them and decays
+        p = gl.LqrProblem(400.0, gl.CoeffPoly([1.0, -4.0]), gl.CoeffPoly([1.0]),
+                          gl.CoeffPoly([1.0]), gl.sinusoidal_graphon(), 1.0)
+        sys_ = gl.build_step_system(gl.sample_step_entries(p.graphon, 8), p)
+        x0 = gl.initial_state(8, 3)
+        with pytest.raises(gl.BlowUpError, match="t = 0.585"):
+            gl.simulate(sys_, gl.FeedbackLaw(truncate_problem(p, 0)), x0, 1.0, 1e-3)
+        run = gl.simulate(sys_, gl.FeedbackLaw(p), x0, 1.0, 1e-3)
+        assert run.growth.max() == 1.0
 
 
 @pytest.mark.parametrize("beta0", [0.0, 1e-9, 1e-6, 1e-3])

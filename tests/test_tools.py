@@ -67,7 +67,7 @@ def test_main_prints_the_total_over_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tool, layers, extra", [
-    (bench_build, {"graphon.kernel", "graphon.sample", "sim.build"}, {"d"}),
+    (bench_build, {"graphon.kernel", "graphon.sample", "sim.build", "sim.run_cost"}, {"d"}),
     (bench_oracle, {"riccati.matrix", "oracle.compare"}, {"steps"}),
     (bench_artifacts, {"cli.trajectory", "cli.gains", "cli.example_vii"}, {"d", "values"}),
     (bench_law, {"law.call", "law.gains_grid", "sim.generic_loop", "cli.example_vii",
@@ -86,9 +86,13 @@ def test_bench_measure_rows(tool, layers, extra, monkeypatch):
     if tool is bench_oracle:  # the full Riccati path is timed at PATH_SIZES alone
         assert [(row["layer"], row["n"]) for row in rows] == [
             ("riccati.matrix", 8), *(("oracle.compare", n) for n in (8, 16, 40, 64))]
+    if tool is bench_build:  # a run's rows also name its steps: K = 1000, and 10^4 once
+        assert [(row["n"], row["steps"]) for row in rows if row["layer"] == "sim.run_cost"] == [
+            (400, 1000), (10 ** 4, 1000), bench_build.LONG_RUN]
     for row in rows:
+        run = {"steps"} if row["layer"] == "sim.run_cost" else set()
         assert set(row) == {"layer", "n", "parent", "change", "ratio", "repeats",
-                            "resolved"} | extra
+                            "resolved"} | extra | run
         assert row["resolved"] is bench_common.resolved(row)
         assert row["repeats"] == 2
         for side in bench_common.SIDES:
